@@ -17,6 +17,7 @@ import math
 import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from operator import add
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .scheduler import (
     detection_performance,
     plan_horizon,
     slot_utility,
+    try_fit,
 )
 from .workload import InstanceState, Priority, TaskInstance, admit, generate_arrivals
 
@@ -235,27 +237,40 @@ class EpisodeRunner:
         self.assets = persuasion_assets(cfg) if self.signaling_on else None
 
     # -- policy-specific slot scheduling ------------------------------------
-    def _fits(self, usage, power, demand, w):
-        return bool(np.all(usage + demand <= 1.0 + 1e-9)) and power + w <= self.cfg.power_budget + 1e-9
-
+    # ``live`` holds only active instances here (the reaper ran first).
     def _fcfs_slot(self, t, live, started_uids):
-        usage = np.zeros(len(self.cfg.resources))
+        usage = (0.0,) * len(self.cfg.resources)
         power = 0.0
-        running = [i for i in live if i.active and i.uid in started_uids]
+        running = [i for i in live if i.uid in started_uids]
         for inst in running:
-            usage += inst.spec.demand
+            usage = tuple(map(add, usage, inst.spec.demand_tuple))
             power += inst.spec.power_weight
-        queue = [i for i in live if i.active and i.uid not in started_uids]
+        queue = [i for i in live if i.uid not in started_uids]
         queue.sort(key=lambda i: (i.req, i.uid))
         for inst in queue:  # head-of-line: stop at the first non-fit
-            if self._fits(usage, power, inst.spec.demand, inst.spec.power_weight):
-                usage += inst.spec.demand
-                power += inst.spec.power_weight
-                running.append(inst)
-                started_uids.add(inst.uid)
-            else:
+            new = try_fit(usage, power, inst.spec.demand_tuple, inst.spec.power_weight, self.cfg.power_budget)
+            if new is None:
                 break
+            usage = new
+            power += inst.spec.power_weight
+            running.append(inst)
+            started_uids.add(inst.uid)
         return running, usage, []
+
+    def _executed(self, dec, live, scan_now):
+        """Instances a planner decision runs, in ``live`` order, with the
+        slot's usage and power: task demands first, the scan's last."""
+        chosen = set(dec.running)
+        running = [i for i in live if i.uid in chosen]
+        scan = self.cfg.scan
+        usage = (0.0,) * len(self.cfg.resources)
+        power = scan.power_weight if scan_now else 0.0
+        for i in running:
+            usage = tuple(map(add, usage, i.spec.demand_tuple))
+            power += i.spec.power_weight
+        if scan_now:
+            usage = tuple(map(add, usage, scan.demand_tuple))
+        return running, usage, power
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> tuple[EpisodeMetrics, EpisodeTraces]:
@@ -274,7 +289,7 @@ class EpisodeRunner:
         sp_scan_until = 0
         sp_planner = GreedyPlanner(util, sched_cfg, 0, w_len_cfg, targets)
 
-        usage_sum = np.zeros(len(cfg.resources))
+        usage_sum = [0.0] * len(cfg.resources)
         scan_sequence = np.zeros(h, dtype=int)
         z_sequence = np.zeros(h)
         events_count = 0
@@ -371,11 +386,9 @@ class EpisodeRunner:
                         live.append(inst)
                     else:
                         counts["dropped"] += 1
-                # deadline reapers
+                # deadline reapers (live holds only active instances)
                 still = []
                 for inst in live:
-                    if not inst.active:
-                        continue
                     if t > inst.deadline and inst.remaining > 0:
                         if inst.spec.firm_deadline:
                             inst.state = InstanceState.MISSED
@@ -393,55 +406,34 @@ class EpisodeRunner:
                     running, usage, events = self._fcfs_slot(t, live, fcfs_started)
                     scan_now = False
                     power = sum(i.spec.power_weight for i in running)
-                elif self.policy == "sp":
-                    if cfg.sp_scan_rule == "periodic":
+                else:
+                    if self.policy != "sp":  # star family: committed scan pattern, live task fill
+                        planner = exec_planner
+                        scan_now = bool(plan.scan_on[k]) if plan is not None else False
+                    elif cfg.sp_scan_rule == "periodic":
+                        planner = sp_planner
                         if t % cfg.sp_scan_period == 0 and t >= sp_scan_until:
                             sp_scan_until = t + cfg.scan.duration
                         scan_now = t < sp_scan_until
-                        dec = sp_planner.schedule_slot(
-                            [i for i in live if i.active], t, forced_scan=scan_now
-                        )
                     else:  # spec-literal marginal-utility trigger at full capacity
                         if t >= sp_planner.window_end:
                             sp_planner = GreedyPlanner(
                                 util, sched_cfg, t, w_len_cfg, targets
                             )
+                        planner = sp_planner
                         if t >= sp_planner.scan_active_until and t + cfg.scan.duration <= sp_planner.window_end:
-                            z1 = 1.0 - float(np.max(cfg.scan.demand))
+                            z1 = 1.0 - max(cfg.scan.demand_tuple)
                             if sp_planner._scan_margin(1.0, z1) > 0:
                                 sp_planner.scan_active_until = t + cfg.scan.duration
                                 sp_planner.scan_slots_committed += cfg.scan.duration
                         scan_now = t < sp_planner.scan_active_until
-                        dec = sp_planner.schedule_slot(
-                            [i for i in live if i.active], t, forced_scan=scan_now
-                        )
-                    running = [i for i in live if i.uid in set(dec.running)]
-                    usage = np.zeros(len(cfg.resources))
-                    power = cfg.scan.power_weight if scan_now else 0.0
-                    for i in running:
-                        usage += i.spec.demand
-                        power += i.spec.power_weight
-                    if scan_now:
-                        usage = usage + cfg.scan.demand
-                    events = dec.events
-                else:  # star family: committed scan pattern, live task fill
-                    scan_now = bool(plan.scan_on[k]) if plan is not None else False
-                    dec = exec_planner.schedule_slot(
-                        [i for i in live if i.active], t, forced_scan=scan_now
-                    )
-                    running = [i for i in live if i.uid in set(dec.running)]
-                    usage = np.zeros(len(cfg.resources))
-                    power = cfg.scan.power_weight if scan_now else 0.0
-                    for i in running:
-                        usage += i.spec.demand
-                        power += i.spec.power_weight
-                    if scan_now:
-                        usage = usage + cfg.scan.demand
+                    dec = planner.schedule_slot(live, t, forced_scan=scan_now)
+                    running, usage, power = self._executed(dec, live, scan_now)
                     events = dec.events
 
                 events_count += len(events)
-                z = float(np.min(1.0 - usage))
-                usage_sum += usage
+                z = 1.0 - max(usage)
+                usage_sum = list(map(add, usage_sum, usage))
                 scan_sequence[t] = int(scan_now)
                 z_sequence[t] = z
 
@@ -451,12 +443,15 @@ class EpisodeRunner:
                 for inst in live:
                     if inst.state == InstanceState.RUNNING and inst.uid not in running_uids:
                         inst.state = InstanceState.PREEMPTED
+                finished = False
                 for inst in running:
                     inst.run_one_slot(t)
                     if inst.state == InstanceState.COMPLETED:
                         counts["completed"] += 1
                         fcfs_started.discard(inst.uid)
-                live = [i for i in live if i.active]
+                        finished = True
+                if finished:  # completion is the only way out of live here
+                    live = [i for i in live if i.active]
 
                 # --- telemetry reception + attacker ---
                 erased = not bool(self.received[t])

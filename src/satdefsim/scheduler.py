@@ -12,12 +12,27 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import add, attrgetter, sub
 
 import numpy as np
 
 from .workload import InstanceState, Priority, TaskInstance
 
 _EPS = 1e-9
+_CAP = 1.0 + _EPS  # per-resource capacity with the feasibility tolerance
+_EDF_KEY = attrgetter("deadline", "uid")
+
+
+def try_fit(usage: tuple, power: float, demand: tuple, w: float, budget: float) -> tuple | None:
+    """``usage + demand`` when it fits every resource and ``power + w``
+    fits the power budget, else None.
+
+    Usage and demand are float tuples, one entry per resource type: plain
+    float arithmetic is the same IEEE addition numpy would do, without the
+    per-call array overhead on vectors of length 2.
+    """
+    new = tuple(map(add, usage, demand))
+    return new if max(new) <= _CAP and power + w <= budget + _EPS else None
 
 
 class InstanceTooLargeError(ValueError):
@@ -58,12 +73,14 @@ class ScanTask:
     demand: np.ndarray
     power_weight: float
     duration: int
+    demand_tuple: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "demand", np.asarray(self.demand, dtype=float))
+        object.__setattr__(self, "demand_tuple", tuple(map(float, self.demand)))
         if self.duration < 1:
             raise ValueError("scan duration must be >= 1 slot")
-        if np.any(self.demand < 0) or np.any(self.demand > 1):
+        if not np.all((self.demand >= 0) & (self.demand <= 1)):  # NaN fails too
             raise ValueError("scan demand components must lie in [0,1]")
 
 
@@ -178,27 +195,37 @@ class GreedyPlanner:
         return gain - penalty
 
     # -- fill helpers ------------------------------------------------------
-    @staticmethod
-    def _fits(usage: np.ndarray, power: float, demand: np.ndarray, w: float, budget: float) -> bool:
-        return bool(np.all(usage + demand <= 1.0 + _EPS)) and power + w <= budget + _EPS
-
-    def _fill_low(self, queue: list[TaskInstance], usage: np.ndarray, power: float):
-        """Earliest-deadline-first fill; returns chosen instances and final usage."""
+    def _fill_low(self, low: list[TaskInstance], usage: tuple, power: float):
+        """Fill in the given (earliest-deadline-first) order; returns the
+        chosen instances, final usage and power, and served counts per spec."""
         chosen = []
         counts: dict[str, int] = {}
-        for inst in sorted(
-            (i for i in queue if i.spec.priority == Priority.LOW),
-            key=lambda i: (i.deadline, i.uid),
-        ):
-            if self._fits(usage, power, inst.spec.demand, inst.spec.power_weight, self.config.power_budget):
-                usage = usage + inst.spec.demand
-                power += inst.spec.power_weight
-                chosen.append(inst)
-                counts[inst.spec.id] = counts.get(inst.spec.id, 0) + 1
+        budget = self.config.power_budget
+        # Usage and power only grow during the fill, so a spec that did not
+        # fit once cannot fit later in it (keyed by identity: every spec is
+        # alive in ``low`` for the whole call).
+        rejected: set[int] = set()
+        for inst in low:
+            spec = inst.spec
+            if id(spec) in rejected:
+                continue
+            new = try_fit(usage, power, spec.demand_tuple, spec.power_weight, budget)
+            if new is None:
+                rejected.add(id(spec))
+                continue
+            usage = new
+            power += spec.power_weight
+            chosen.append(inst)
+            counts[spec.id] = counts.get(spec.id, 0) + 1
         return chosen, usage, power, counts
 
-    def _quota_displaced(self, t: int, queue: list[TaskInstance], usage: np.ndarray, power: float) -> bool:
-        """Would the scan displace work needed by a behind-quota spec?"""
+    def _quota_displaced(self, t: int, low: list[TaskInstance], usage: tuple, power: float):
+        """Would the scan displace work needed by a behind-quota spec?
+
+        Returns the answer and, when both fills were computed, the one
+        that matches it (with the scan if not displaced, else without),
+        so the caller can reuse it as its low-priority fill.
+        """
         behind = set()
         elapsed = t - self.window_start + 1
         for spec_id, frac in self.stability_targets.items():
@@ -207,11 +234,14 @@ class GreedyPlanner:
             if self.served_in_window.get(spec_id, 0) + _EPS < frac * elapsed:
                 behind.add(spec_id)
         if not behind:
-            return False
+            return False, None
         scan = self.config.scan
-        _, _, _, with_scan = self._fill_low(queue, usage + scan.demand, power + scan.power_weight)
-        _, _, _, without = self._fill_low(queue, usage, power)
-        return any(with_scan.get(s, 0) < without.get(s, 0) for s in behind)
+        fill_scan = self._fill_low(low, tuple(map(add, usage, scan.demand_tuple)), power + scan.power_weight)
+        fill_idle = self._fill_low(low, usage, power)
+        with_scan, without = fill_scan[3], fill_idle[3]
+        if any(with_scan.get(s, 0) < without.get(s, 0) for s in behind):
+            return True, fill_idle
+        return False, fill_scan
 
     # -- the slot solver ---------------------------------------------------
     def schedule_slot(self, queue: list[TaskInstance], t: int, forced_scan: bool | None = None) -> SlotDecision:
@@ -222,66 +252,81 @@ class GreedyPlanner:
         ahead of everything else.
         """
         cfg = self.config
-        n_res = len(cfg.scan.demand)
-        usage = np.zeros(n_res)
+        scan = cfg.scan
+        scan_d = scan.demand_tuple
+        budget = cfg.power_budget
+        usage = (0.0,) * len(scan_d)
         power = 0.0
         events: list[tuple[int, str, str]] = []
         chosen: list[TaskInstance] = []
+
+        # one earliest-deadline-first order for both priority classes
+        high: list[TaskInstance] = []
+        low: list[TaskInstance] = []
+        for inst in sorted(queue, key=_EDF_KEY):
+            if inst.spec.priority == Priority.HIGH:
+                high.append(inst)
+            elif inst.spec.priority == Priority.LOW:
+                low.append(inst)
 
         if forced_scan is not None:
             scan_on = bool(forced_scan)
         else:
             scan_on = cfg.scan_enabled and t < self.scan_active_until
         if scan_on:  # mid-flight or committed block: demand reserved first
-            usage = usage + cfg.scan.demand
-            power += cfg.scan.power_weight
+            usage = tuple(map(add, usage, scan_d))
+            power += scan.power_weight
 
         # Step 1: high-priority work, earliest deadline first.
-        for inst in sorted(
-            (i for i in queue if i.spec.priority == Priority.HIGH),
-            key=lambda i: (i.deadline, i.uid),
-        ):
-            if self._fits(usage, power, inst.spec.demand, inst.spec.power_weight, cfg.power_budget):
-                usage = usage + inst.spec.demand
-                power += inst.spec.power_weight
+        for inst in high:
+            spec = inst.spec
+            new = try_fit(usage, power, spec.demand_tuple, spec.power_weight, budget)
+            if new is not None:
+                usage = new
+                power += spec.power_weight
                 chosen.append(inst)
-            elif scan_on and self._fits(
-                usage - cfg.scan.demand, power - cfg.scan.power_weight,
-                inst.spec.demand, inst.spec.power_weight, cfg.power_budget,
-            ):
-                events.append((t, "deferred-high-priority", inst.spec.id))
+            elif scan_on and try_fit(
+                tuple(map(sub, usage, scan_d)), power - scan.power_weight,
+                spec.demand_tuple, spec.power_weight, budget,
+            ) is not None:
+                events.append((t, "deferred-high-priority", spec.id))
             else:
-                events.append((t, "infeasible-slot", inst.spec.id))
+                events.append((t, "infeasible-slot", spec.id))
 
-        z_now = float(np.min(1.0 - usage))
+        z_now = 1.0 - max(usage)
 
         # Step 2: conditional scan activation.
+        fill = None
         if (
             forced_scan is None
             and cfg.scan_enabled
             and not scan_on
-            and t + cfg.scan.duration <= self.window_end
-            and z_now >= float(np.max(cfg.scan.demand)) - _EPS
-            and power + cfg.scan.power_weight <= cfg.power_budget + _EPS
+            and t + scan.duration <= self.window_end
+            and z_now >= max(scan_d) - _EPS
+            and power + scan.power_weight <= budget + _EPS
         ):
-            z_scan = float(np.min(1.0 - usage - cfg.scan.demand))
-            if self._scan_margin(z_now, z_scan) > 0 and not self._quota_displaced(t, queue, usage, power):
-                scan_on = True
-                usage = usage + cfg.scan.demand
-                power += cfg.scan.power_weight
-                self.scan_active_until = t + cfg.scan.duration
-                self.scan_slots_committed += cfg.scan.duration
+            z_scan = min(1.0 - u - s for u, s in zip(usage, scan_d))
+            if self._scan_margin(z_now, z_scan) > 0:
+                displaced, fill = self._quota_displaced(t, low, usage, power)
+                if not displaced:
+                    scan_on = True
+                    usage = tuple(map(add, usage, scan_d))
+                    power += scan.power_weight
+                    self.scan_active_until = t + scan.duration
+                    self.scan_slots_committed += scan.duration
 
         # Step 3: fill with low-priority work.
-        low, usage, power, counts = self._fill_low(queue, usage, power)
-        chosen.extend(low)
+        if fill is None:
+            fill = self._fill_low(low, usage, power)
+        low_chosen, usage, power, counts = fill
         for spec_id, c in counts.items():
             self.served_in_window[spec_id] = self.served_in_window.get(spec_id, 0) + c
-        for inst in chosen:
-            if inst.spec.priority == Priority.HIGH and inst.spec.id in self.stability_targets:
+        for inst in chosen:  # high priority so far
+            if inst.spec.id in self.stability_targets:
                 self.served_in_window[inst.spec.id] = self.served_in_window.get(inst.spec.id, 0) + 1
+        chosen.extend(low_chosen)
 
-        z = float(np.min(1.0 - usage))
+        z = 1.0 - max(usage)  # = min(1 - usage): rounding is monotone
         return SlotDecision(t=t, running=[i.uid for i in chosen], scan_on=bool(scan_on), z=z, events=events)
 
 
@@ -367,15 +412,20 @@ def plan_horizon(
         t = window_start + k
         eligible = [
             i for i in sim
-            if i.active and i.start_after <= t and not (i.spec.firm_deadline and t > i.deadline)
+            if i.start_after <= t and not (i.spec.firm_deadline and t > i.deadline)
         ]
         dec = planner.schedule_slot(eligible, t)
         scan_on[k] = int(dec.scan_on)
         zs[k] = dec.z
         running.append(dec.running)
         events.extend(dec.events)
+        finished = False
         for uid in dec.running:
-            by_uid[uid].run_one_slot(t)
+            inst = by_uid[uid]
+            inst.run_one_slot(t)
+            finished = finished or not inst.active
+        if finished:  # sim holds only active instances
+            sim = [i for i in sim if i.active]
 
     f = float(np.mean(scan_on))
     y = detection_performance(f, config.scan.duration, utility)

@@ -44,6 +44,12 @@ class InstanceState(str, Enum):
     MISSED = "missed"
 
 
+#: states of an instance that still holds or awaits capacity
+ACTIVE_STATES = frozenset(
+    (InstanceState.QUEUED, InstanceState.ADMITTED, InstanceState.RUNNING, InstanceState.PREEMPTED)
+)
+
+
 @dataclass(frozen=True)
 class Arrival:
     """Arrival pattern: ``periodic`` with an interval or ``aperiodic`` with a rate."""
@@ -67,9 +73,11 @@ class Arrival:
 class TaskSpec:
     """Schedulable unit type.
 
-    ``demand`` is the per-resource usage fraction while active,
-    ``power_weight`` the normalized power draw, ``processing`` the total
-    service slots required and ``relative_deadline`` the slots allowed
+    ``demand`` is the per-resource usage fraction while active (kept as a
+    float tuple in ``demand_tuple`` for the scheduler's per-slot
+    arithmetic), ``power_weight`` the normalized power draw,
+    ``processing`` the total service slots required and
+    ``relative_deadline`` the slots allowed
     between earliest start and completion.  ``mean_demand`` is the
     activation-requirement factor used by the stability constraint
     (defaults to ``processing``, so rate x mean_demand is the required
@@ -86,10 +94,12 @@ class TaskSpec:
     relative_deadline: int
     firm_deadline: bool = False
     mean_demand: float | None = None
+    demand_tuple: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "demand", np.asarray(self.demand, dtype=float))
-        if np.any(self.demand < 0) or np.any(self.demand > 1):
+        object.__setattr__(self, "demand_tuple", tuple(map(float, self.demand)))
+        if not np.all((self.demand >= 0) & (self.demand <= 1)):  # NaN fails too
             raise ValueError(f"task {self.id}: demand components must lie in [0,1]")
         if self.processing < 1:
             raise ValueError(f"task {self.id}: processing must be >= 1 slot")
@@ -139,12 +149,7 @@ class TaskInstance:
 
     @property
     def active(self) -> bool:
-        return self.state in (
-            InstanceState.QUEUED,
-            InstanceState.ADMITTED,
-            InstanceState.RUNNING,
-            InstanceState.PREEMPTED,
-        )
+        return self.state in ACTIVE_STATES
 
     def run_one_slot(self, t: int) -> None:
         if self.remaining <= 0:

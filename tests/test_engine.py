@@ -77,6 +77,31 @@ class TestAccounting:
             runs.append(run)
         assert all(r % cfg.scan.duration == 0 for r in runs)
 
+    @pytest.mark.parametrize("routine,relay,scan", [
+        ([0.05], [0.20], [0.15]),
+        ([0.05, 0.15, 0.10], [0.20, 0.10, 0.05], [0.15, 0.05, 0.10]),
+    ], ids=["1-resource", "3-resource"])
+    def test_capacity_and_power_on_other_resource_counts(self, routine, relay, scan):
+        # every other engine test uses 2 resource types
+        task = {"nature": "mission", "processing": 8, "firm_deadline": False}
+        cfg = small_cfg(
+            resources=["cpu", "fpga", "gpu"][: len(scan)],
+            tasks=[
+                {**task, "id": "routine", "priority": "low", "demand": routine, "power": 0.13,
+                 "arrival": {"kind": "aperiodic", "rate": 0.4}, "deadline": 30},
+                {**task, "id": "relay", "priority": "high", "demand": relay, "power": 0.15,
+                 "arrival": {"kind": "periodic", "interval": 30}, "deadline": 15, "firm_deadline": True},
+            ],
+            scan={"demand": scan, "power": 0.25, "duration": 5},
+            attacker={"mode": "none"},
+        )
+        for policy in POLICIES:
+            m, tr = run_episode(cfg, 2, policy)
+            assert len(m.utilization) == len(scan)
+            assert m.generated == m.completed + m.dropped + m.missed + m.residual
+            assert min(tr.slots["z"]) >= -1e-9
+            assert max(tr.slots["power"]) <= cfg.power_budget + 1e-9
+
     def test_rates_within_bounds(self):
         for policy in POLICIES:
             m, _ = run_episode(small_cfg(), 6, policy)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satdefsim.scheduler import (
     GreedyPlanner,
@@ -18,7 +19,7 @@ from satdefsim.scheduler import (
     plan_horizon,
     slot_utility,
 )
-from satdefsim.workload import Arrival, Priority, TaskInstance
+from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
 
 from conftest import make_instance, make_spec, micro_instance
 
@@ -240,3 +241,65 @@ class TestExactOracle:
                              UTIL, SchedulerConfig(scan=SCAN, scan_enabled=False))
         pat = res.activations[0]
         assert pat[3:].sum() == 0  # nothing past the absolute deadline
+
+
+@st.composite
+def random_window(draw):
+    """A random window on 1-3 resource types: scan, power budget, instances."""
+    n_res = draw(st.integers(1, 3))
+    w = draw(st.integers(2, 10))
+    frac = st.floats(0.0, 0.6, allow_nan=False)
+    scan = ScanTask(
+        demand=np.array(draw(st.lists(frac, min_size=n_res, max_size=n_res))),
+        power_weight=draw(st.floats(0.0, 0.6)),
+        duration=draw(st.integers(1, w)),
+    )
+    cfg = SchedulerConfig(scan=scan, power_budget=draw(st.floats(0.2, 1.5)),
+                          scan_enabled=draw(st.booleans()))
+    insts = []
+    for uid in range(draw(st.integers(0, 8))):
+        processing = draw(st.integers(1, 4))
+        high = draw(st.booleans())
+        spec = TaskSpec(
+            id=f"t{uid}",
+            nature=Nature.MISSION,
+            priority=Priority.HIGH if high else Priority.LOW,
+            arrival=Arrival(kind="aperiodic", rate=0.1),
+            demand=np.array(draw(st.lists(frac, min_size=n_res, max_size=n_res))),
+            power_weight=draw(st.floats(0.0, 0.6)),
+            processing=processing,
+            relative_deadline=draw(st.integers(processing, w + 3)),
+            firm_deadline=high and draw(st.booleans()),
+        )
+        req = draw(st.integers(0, w - 1))
+        insts.append(TaskInstance(uid=uid, spec=spec, req=req, start_after=req))
+    targets = {
+        i.spec.id: draw(st.floats(0.05, 0.5))
+        for i in insts if i.spec.priority == Priority.LOW and draw(st.booleans())
+    }
+    return w, cfg, insts, targets
+
+
+class TestScalarPathProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(random_window())
+    def test_plans_respect_capacity_and_power(self, window):
+        w, cfg, insts, targets = window
+        snapshot = {i.uid: copy.deepcopy(i) for i in insts}
+        plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets, project_arrivals=False)
+        violations = check_plan(plan, snapshot, cfg, targets)
+        assert [v for v in violations if "stability" not in v] == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_window())
+    def test_decision_z_is_min_idle_capacity(self, window):
+        w, cfg, insts, targets = window
+        specs = {i.uid: i.spec for i in insts}
+        plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets, project_arrivals=False)
+        for k in range(w):
+            usage = np.zeros(len(cfg.scan.demand))
+            if plan.scan_on[k]:
+                usage += cfg.scan.demand
+            for uid in plan.running[k]:
+                usage += specs[uid].demand
+            assert plan.z[k] == pytest.approx(float(np.min(1.0 - usage)), abs=1e-12)

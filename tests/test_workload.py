@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from satdefsim.scheduler import ScanTask
 from satdefsim.workload import (
     Arrival,
     InstanceState,
@@ -108,6 +111,19 @@ class TestValidation:
     def test_demand_out_of_range(self):
         with pytest.raises(ValueError):
             make_spec(demand=(0.5, 1.2))
+
+    def test_nan_demand_rejected(self):
+        # the scheduler's float-tuple capacity checks assume ordered values
+        with pytest.raises(ValueError):
+            make_spec(demand=(0.5, float("nan")))
+        with pytest.raises(ValueError):
+            ScanTask(demand=np.array([float("nan"), 0.1]), power_weight=0.1, duration=2)
+
+    def test_demand_tuple_matches_array(self):
+        spec = make_spec(demand=(0.05, 0.15))
+        assert spec.demand_tuple == (0.05, 0.15)
+        assert all(type(v) is float for v in spec.demand_tuple)
+        assert dataclasses.replace(spec, demand=np.array([0.2, 0.3])).demand_tuple == (0.2, 0.3)
 
     def test_deadline_below_processing(self):
         with pytest.raises(ValueError):
