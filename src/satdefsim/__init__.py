@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .attacker import (
     AttackerParams,
-    AttackerState,
     AttackPlan,
     belief_update,
     best_response,
@@ -16,13 +15,11 @@ from .attacker import (
 )
 from .channel import (
     ChannelParams,
-    ChannelSample,
     PassGeometry,
     outage_probability,
     predict_mean_snr,
     sample_envelope,
     shadowed_rician_pdf,
-    total_delay,
 )
 from .config import ScenarioConfig, default_scenario, from_dict, load_config
 from .engine import (
@@ -35,7 +32,7 @@ from .persuasion import (
     BudgetCurve,
     PersuasionGame,
     PosteriorSplit,
-    allocate_budget,
+    allocate_on_grid,
     attacker_value,
     build_scan_game,
     choose_artificial_delay,
@@ -52,7 +49,6 @@ from .scheduler import (
     check_plan,
     detection_performance,
     exact_schedule,
-    greedy_schedule_slot,
     plan_horizon,
     slot_utility,
 )

@@ -9,7 +9,7 @@ whether or not the attack lands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +38,6 @@ class AttackerParams:
             raise ValueError("memory factor must lie in (0, 1]")
         if self.dp_grid < 2:
             raise ValueError("dp_grid must be >= 2")
-
-
-@dataclass
-class AttackerState:
-    """Mutable per-episode attacker state."""
-
-    intensity: float = 0.0
-    belief: np.ndarray | None = None
-    last_erased: bool = False
-
-    def __post_init__(self):
-        if self.belief is not None:
-            self.belief = np.asarray(self.belief, dtype=float)
-            if abs(self.belief.sum() - 1.0) > 1e-12:
-                raise ValueError("belief must sum to 1")
 
 
 @dataclass
@@ -238,7 +223,7 @@ def enumerate_best_response(
     return AttackPlan(decisions=np.array(best_plan, dtype=int), value=best_value / n)
 
 
-def belief_update(prior: np.ndarray, signal: int | None, policy: np.ndarray, reset_prior: np.ndarray | None = None) -> np.ndarray:
+def belief_update(prior: np.ndarray, signal: int | None, policy: np.ndarray) -> np.ndarray:
     """Bayes update on a received signal; erasure resets to the base prior.
 
     ``policy`` is the row-stochastic signaling matrix (states x signals).
@@ -247,8 +232,7 @@ def belief_update(prior: np.ndarray, signal: int | None, policy: np.ndarray, res
     """
     prior = np.asarray(prior, dtype=float)
     if signal is None:
-        base = prior if reset_prior is None else np.asarray(reset_prior, dtype=float)
-        return base.copy()
+        return prior.copy()
     likelihood = np.asarray(policy, dtype=float)[:, signal]
     joint = prior * likelihood
     mass = joint.sum()

@@ -16,7 +16,7 @@ cancels catastrophically for moderate y.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -137,10 +137,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (float(db) / 10.0)
 
 
-def linear_to_db(lin: float) -> float:
-    return 10.0 * np.log10(lin)
-
-
 def outage_probability(mean_snr_db: float, params: ChannelParams) -> float:
     """P(instantaneous SNR below the decoding threshold).
 
@@ -161,10 +157,7 @@ class PassGeometry:
     ``d_min_km`` at closest approach (mid-pass) over ``pass_slots``
     slots.  Mean SNR is specified directly at closest approach
     (``peak_snr_db``) and rolls off with path loss
-    ``path_loss_exp * 10 log10(d/d_min)``.  The link-budget fields
-    (``tx_power_w``, ``tx_gain_dbi``, ``rx_gain_dbi``, ``noise_w``) are
-    carried so a full budget is representable; the defaults are benign
-    placeholders and the simulator derives SNR from the peak value.
+    ``path_loss_exp * 10 log10(d/d_min)``.
     """
 
     d_min_km: float
@@ -172,11 +165,6 @@ class PassGeometry:
     pass_slots: int
     peak_snr_db: float
     path_loss_exp: float = 2.0
-    slot_ms: float = 100.0
-    tx_power_w: float = 10.0
-    tx_gain_dbi: float = 30.0
-    rx_gain_dbi: float = 20.0
-    noise_w: float = 1e-12
 
     def __post_init__(self):
         if not (0 < self.d_min_km <= self.d_max_km):
@@ -203,31 +191,23 @@ class PassGeometry:
         return self.slant_km(t) / SPEED_OF_LIGHT_KM_S * 1e3
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One slot's channel draw: envelope, SNR, erasure flag and delays (ms)."""
-
-    envelope: float
-    snr_db: float
-    erased: bool
-    prop_delay_ms: float
-    proc_delay_ms: float
-    added_delay_ms: float
-
-    @property
-    def received(self) -> bool:
-        return not self.erased
-
-    @property
-    def total_delay_ms(self) -> float:
-        return self.prop_delay_ms + self.proc_delay_ms + self.added_delay_ms
+def erasures(mean_snr_db, envelope, params: ChannelParams) -> np.ndarray:
+    """Threshold erasure rule under block fading (one envelope per slot):
+    a packet is lost when its instantaneous SNR, mean_snr * r^2 in linear
+    scale, falls below the decoding threshold."""
+    snr_lin = (10.0 ** (np.asarray(mean_snr_db, dtype=float) / 10.0)) * np.asarray(envelope) ** 2
+    return snr_lin < db_to_linear(params.snr_threshold_db)
 
 
-def total_delay(t: int, geometry: PassGeometry, proc_delay_ms: float, added_delay_ms: float) -> float:
-    """End-to-end latency in ms: propagation + processing + injected delay."""
-    if added_delay_ms < 0:
+def delivery_delay_slots(prop_delay_ms, proc_delay_ms: float, added_delay_ms, slot_ms: float) -> np.ndarray:
+    """Whole slots from generation to delivery, at least one: the
+    end-to-end latency (propagation + processing + injected delay, in ms)
+    rounded up to the slot grid."""
+    added = np.asarray(added_delay_ms, dtype=float)
+    if np.any(added < 0):
         raise ValueError("added delay must be >= 0")
-    return geometry.propagation_delay_ms(t) + proc_delay_ms + added_delay_ms
+    total_ms = np.asarray(prop_delay_ms, dtype=float) + proc_delay_ms + added
+    return np.maximum(np.ceil(total_ms / slot_ms), 1.0).astype(int)
 
 
 def predict_mean_snr(t: int, window: int, geometry: PassGeometry, episode_end: int | None = None) -> np.ndarray:
@@ -247,30 +227,6 @@ def predict_mean_snr(t: int, window: int, geometry: PassGeometry, episode_end: i
         )
         end = episode_end
     return np.array([geometry.mean_snr_db(s) for s in range(t, end)], dtype=float)
-
-
-def sample_slot(
-    t: int,
-    geometry: PassGeometry,
-    params: ChannelParams,
-    rng: np.random.Generator,
-    proc_delay_ms: float = 1.0,
-    added_delay_ms: float = 0.0,
-) -> ChannelSample:
-    """Draw one slot: block fading (one independent envelope per slot),
-    threshold erasure rule, delay components."""
-    r = sample_envelope(params, rng)
-    snr_lin = db_to_linear(geometry.mean_snr_db(t)) * r * r
-    snr_db = linear_to_db(max(snr_lin, 1e-30))
-    erased = snr_db < params.snr_threshold_db
-    return ChannelSample(
-        envelope=r,
-        snr_db=snr_db,
-        erased=bool(erased),
-        prop_delay_ms=geometry.propagation_delay_ms(t),
-        proc_delay_ms=proc_delay_ms,
-        added_delay_ms=added_delay_ms,
-    )
 
 
 class OutageTable:

@@ -6,7 +6,7 @@ a different experiment.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ class PersuasionSettings:
     belief_threshold: float = 0.55
     subdivisions: int | None = None  # default: dimension-aware
     budget_points: int = 13
-    units_per_slot: int = 32
+    units_per_slot: int = 32  # not parsed or used; perfbench/worker.py reads it
     delay_max_ms: float = 350.0
     delay_snr_lo_db: float = 0.0
     delay_snr_hi_db: float = 15.0
@@ -96,11 +96,10 @@ class ScenarioConfig:
         if self.scan.duration > self.window:
             raise ConfigError("scan duration must fit inside the window")
 
-    def scheduler_config(self, scan_enabled: bool = True) -> SchedulerConfig:
+    def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(
             scan=self.scan,
             power_budget=self.power_budget,
-            scan_enabled=scan_enabled,
             margin_rule=self.scan_margin_rule,
         )
 
@@ -206,11 +205,6 @@ def from_dict(raw: dict) -> ScenarioConfig:
             pass_slots=int(_take(geo_raw, "pass_slots", horizon)),
             peak_snr_db=float(_take(geo_raw, "peak_snr_db", required=True)),
             path_loss_exp=float(_take(geo_raw, "path_loss_exp", 2.0)),
-            slot_ms=slot_ms,
-            tx_power_w=float(_take(geo_raw, "tx_power_w", 10.0)),
-            tx_gain_dbi=float(_take(geo_raw, "tx_gain_dbi", 30.0)),
-            rx_gain_dbi=float(_take(geo_raw, "rx_gain_dbi", 20.0)),
-            noise_w=float(_take(geo_raw, "noise_w", 1e-12)),
         )
         _no_leftovers(geo_raw, "channel.geometry")
         proc_delay_ms = float(_take(chan_raw, "proc_delay_ms", 1.0))
@@ -238,7 +232,6 @@ def from_dict(raw: dict) -> ScenarioConfig:
             belief_threshold=belief_threshold,
             subdivisions=_take(pers_raw, "subdivisions"),
             budget_points=int(_take(pers_raw, "budget_points", 13)),
-            units_per_slot=int(_take(pers_raw, "units_per_slot", 32)),
             delay_max_ms=float(_take(pers_raw, "delay_max_ms", 350.0)),
             delay_snr_lo_db=float(_take(pers_raw, "delay_snr_lo_db", 0.0)),
             delay_snr_hi_db=float(_take(pers_raw, "delay_snr_hi_db", 15.0)),
@@ -343,14 +336,20 @@ def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "base_cost": cfg.attacker.base_cost,
             "cost_scale": cfg.attacker.cost_scale,
             "memory": cfg.attacker.memory,
+            "dp_grid": cfg.attacker.dp_grid,
+            "exact_horizon": cfg.attacker.exact_horizon,
             "belief_threshold": cfg.persuasion.belief_threshold,
         },
         "persuasion": {
             "z_bins": cfg.persuasion.z_bins,
+            "n_signals": cfg.persuasion.n_signals,
             "credibility": cfg.persuasion.credibility,
             "prior_scan": cfg.persuasion.prior_scan,
+            "subdivisions": cfg.persuasion.subdivisions,
             "budget_points": cfg.persuasion.budget_points,
             "delay_max_ms": cfg.persuasion.delay_max_ms,
+            "delay_snr_lo_db": cfg.persuasion.delay_snr_lo_db,
+            "delay_snr_hi_db": cfg.persuasion.delay_snr_hi_db,
         },
     }
 

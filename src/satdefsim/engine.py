@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -29,11 +28,12 @@ from .attacker import (
     intensity_update,
     threshold_decision,
 )
-from .channel import OutageTable, db_to_linear, sample_envelope
+from .channel import OutageTable, delivery_delay_slots, erasures, predict_mean_snr, sample_envelope
 from .config import DECEPTION_POLICIES, POLICY_KINDS, ScenarioConfig
 from .persuasion import (
     BudgetCurve,
     PersuasionGame,
+    allocate_on_grid,
     build_scan_game,
     choose_artificial_delay,
     lyapunov_drift,
@@ -151,41 +151,11 @@ class PersuasionAssets:
             self._static[key] = solve_persuasion(self.game, budget, self.subdivisions)
         return self._static[key]
 
+    # ``units_per_slot`` is unused; perfbench/worker.py still passes it
     def curve(self, points: int, units_per_slot: int) -> BudgetCurve:
         if self._curve is None or len(self._curve.budgets) != points:
             self._curve = BudgetCurve(self.game, points=points, subdivisions=self.subdivisions)
         return self._curve
-
-
-def allocate_on_grid(pout: np.ndarray, total: float, curve: BudgetCurve) -> np.ndarray:
-    """Greedy budget split restricted to the curve's solved budget levels.
-
-    Same marginal-allocation logic as the continuous allocator, but each
-    slot's budget is always one of the precomputed solve points, so no
-    budget is lost to quantization when mapping budgets to policies.
-    """
-    w = len(pout)
-    levels = np.zeros(w, dtype=int)
-    spent = 0.0
-    budgets, values = curve.budgets, curve.values
-    top = len(budgets) - 1
-    while True:
-        best_gain, best_t, best_cost = 0.0, -1, 0.0
-        for t in range(w):
-            l = levels[t]
-            if l >= top:
-                continue
-            step = budgets[l + 1] - budgets[l]
-            if spent + step > total + 1e-12:
-                continue
-            gain = (1.0 - pout[t]) * (values[l] - values[l + 1])
-            if gain > best_gain + 1e-15:
-                best_gain, best_t, best_cost = gain, t, step
-        if best_t < 0:
-            break
-        levels[best_t] += 1
-        spent += best_cost
-    return budgets[levels]
 
 
 _ASSETS: dict[tuple, PersuasionAssets] = {}
@@ -225,11 +195,11 @@ class EpisodeRunner:
             self.arrivals_by_slot[inst.req].append(inst)
 
         h = cfg.horizon
-        self.mean_snr = np.array([cfg.geometry.mean_snr_db(t) for t in range(h)])
+        self.mean_snr = predict_mean_snr(0, h, cfg.geometry)
         self.prop_ms = np.array([cfg.geometry.propagation_delay_ms(t) for t in range(h)])
-        envelopes = sample_envelope(cfg.channel, self.rng_channel, size=h)
-        snr_lin = (10.0 ** (self.mean_snr / 10.0)) * envelopes**2
-        self.received = snr_lin >= db_to_linear(cfg.channel.snr_threshold_db)
+        # delivery delay without injected delay; stardis recomputes its windows
+        self.delay_slots = delivery_delay_slots(self.prop_ms, cfg.proc_delay_ms, 0.0, cfg.slot_ms).tolist()
+        self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
         self.outage = OutageTable(cfg.channel, float(self.mean_snr.min()), float(self.mean_snr.max()))
 
         self.attacker_on = cfg.attacker_mode != "none"
@@ -295,8 +265,12 @@ class EpisodeRunner:
         events_count = 0
         counts = {"completed": 0, "dropped": 0, "missed": 0}
 
-        # attacker state
+        # attacker state; p_scan is recomputed only when the belief changes
         belief = game.prior.copy() if game is not None else None
+        if game is not None:
+            prior_p_scan = p_scan = game.p_scan(game.prior)
+            scan_off = game.scan_flag == 0
+            off_gap = 1.0 - game.z_rep[scan_off]
         intensity = 0.0
         realized_total = 0.0
         believed_total = 0.0
@@ -338,7 +312,7 @@ class EpisodeRunner:
             slot_policies = [None] * w_len
             slot_signals = [None] * w_len
             slot_budgets = np.zeros(w_len)
-            slot_delays = np.zeros(w_len)
+            delays = self.delay_slots[w_start : w_start + w_len]
             drift = 0.0
             if self.signaling_on and state is not None:
                 if self.policy == "star":
@@ -355,8 +329,8 @@ class EpisodeRunner:
                         idx, sol = curve.solution_at_or_below(float(alloc[k]))
                         policies.append(sol.policy)
                         slot_budgets[k] = curve.budgets[idx]
-                    for k in range(w_len):
-                        slot_delays[k] = choose_artificial_delay(
+                    slot_delays = [
+                        choose_artificial_delay(
                             float(snr_hat[k]),
                             float(self.prop_ms[w_start + k]),
                             pset.delay_max_ms,
@@ -364,6 +338,11 @@ class EpisodeRunner:
                             pset.delay_snr_lo_db,
                             pset.delay_snr_hi_db,
                         )
+                        for k in range(w_len)
+                    ]
+                    delays = delivery_delay_slots(
+                        self.prop_ms[w_start : w_start + w_len], cfg.proc_delay_ms, slot_delays, cfg.slot_ms
+                    ).tolist()
                 slot_policies = policies
                 for k in range(w_len):
                     row = policies[k][state]
@@ -372,9 +351,8 @@ class EpisodeRunner:
                 drift = lyapunov_drift(belief, policies[0], game)
                 for k in range(w_len):
                     t = w_start + k
-                    total_ms = self.prop_ms[t] + cfg.proc_delay_ms + slot_delays[k]
-                    d_slots = max(int(math.ceil(total_ms / cfg.slot_ms)), 1)
-                    deliveries[t + d_slots].append((t, slot_signals[k], slot_policies[k]))
+                    deliveries[t + delays[k]].append((t, slot_signals[k], slot_policies[k]))
+            budgets = slot_budgets.tolist()
 
             # --- Phase 3: execute slots ---
             exec_planner = GreedyPlanner(util, sched_cfg, w_start, w_len, targets)
@@ -454,29 +432,30 @@ class EpisodeRunner:
                     live = [i for i in live if i.active]
 
                 # --- telemetry reception + attacker ---
-                erased = not bool(self.received[t])
+                erased = bool(self.erased[t])
                 sig_recv = ""
                 if self.attacker_on and game is not None:
                     if erased:
                         belief = game.prior.copy()
+                        p_scan = prior_p_scan
                     else:
                         due = deliveries.pop(t, None)
                         if due:
                             gen_t, m, pol = max(due, key=lambda d: d[0])
                             belief = belief_update(game.prior, m, pol)
+                            p_scan = game.p_scan(belief)
                             sig_recv = str(m)
 
                 x_att = 0
                 blocked = 0
                 reward = 0.0
                 if self.attacker_on and game is not None:
+                    gap = None  # believed attack gap, computed at most once per slot
                     if cfg.attacker_mode == "threshold":
-                        x_att = int(threshold_decision(game.p_scan(belief), pset.belief_threshold))
+                        x_att = int(threshold_decision(p_scan, pset.belief_threshold))
                     else:  # dp
                         if dp_plan is None or dp_belief is None or not np.array_equal(dp_belief, belief) or dp_offset >= len(dp_plan):
-                            gap = att.reward_weight * float(
-                                np.sum(belief[game.scan_flag == 0] * (1.0 - game.z_rep[game.scan_flag == 0]))
-                            )
+                            gap = att.reward_weight * float(np.sum(belief[scan_off] * off_gap))
                             remaining = w_len - k
                             plan_br = best_response(
                                 np.full(remaining, gap), np.zeros(remaining, dtype=int),
@@ -495,10 +474,9 @@ class EpisodeRunner:
                         gate = (not erased) and not scan_now
                         reward = (att.reward_weight * (1.0 - z)) if gate else 0.0
                         realized_total += reward - cost
-                        believed_gap = att.reward_weight * float(
-                            np.sum(belief[game.scan_flag == 0] * (1.0 - game.z_rep[game.scan_flag == 0]))
-                        )
-                        believed_total += believed_gap - cost
+                        if gap is None:
+                            gap = att.reward_weight * float(np.sum(belief[scan_off] * off_gap))
+                        believed_total += gap - cost
                     intensity = intensity_update(intensity, x_att, att.memory)
 
                 s = traces.slots
@@ -508,16 +486,14 @@ class EpisodeRunner:
                 s["power"].append(float(power))
                 s["mean_snr_db"].append(float(self.mean_snr[t]))
                 s["received"].append(int(not erased))
-                s["delay_slots"].append(
-                    max(int(math.ceil((self.prop_ms[t] + cfg.proc_delay_ms + (slot_delays[k] if self.signaling_on else 0.0)) / cfg.slot_ms)), 1)
-                )
+                s["delay_slots"].append(delays[k])
                 s["signal"].append(sig_recv)
-                s["belief_scan"].append(game.p_scan(belief) if game is not None else "")
+                s["belief_scan"].append(p_scan if game is not None else "")
                 s["x_att"].append(x_att)
                 s["attack_blocked"].append(blocked)
                 s["realized_reward"].append(reward)
                 s["intensity"].append(intensity)
-                s["budget"].append(float(slot_budgets[k]) if self.signaling_on else 0.0)
+                s["budget"].append(budgets[k])
 
             # defender utility for the window (window-level scan frequency)
             f_w = float(np.mean(scan_sequence[w_start : w_start + w_len]))
@@ -568,7 +544,7 @@ class EpisodeRunner:
             attacker_realized=realized_total / h,
             attacker_believed=believed_total / h,
             scan_freq=float(np.mean(scan_sequence)),
-            erasure_count=int(np.sum(~self.received)),
+            erasure_count=int(np.sum(self.erased)),
             attack_count=attack_count,
             blocked_attacks=blocked_attacks,
             generated=generated,

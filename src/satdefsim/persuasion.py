@@ -19,8 +19,6 @@ from itertools import combinations
 import numpy as np
 from scipy import optimize, sparse
 
-from .channel import ChannelParams, outage_probability
-
 _EPS = 1e-12
 
 #: grid subdivisions per state-space size; resolutions keep LP column
@@ -82,20 +80,16 @@ def build_scan_game(
     base_cost: float,
     prior_scan: float,
     z_bins: int = 2,
-    prior_z: np.ndarray | None = None,
     n_signals: int | None = None,
 ) -> PersuasionGame:
     """Payoffs bridged from the scheduling layer.
 
     Attacking a scan-off state pays reward_weight * (1 - z_rep) minus the
     base cost, with z_rep the bin midpoint; attacking while a scan runs
-    fails outright and pays only the cost.
+    fails outright and pays only the cost.  The prior is uniform over the
+    load bins within each scan status.
     """
-    if prior_z is None:
-        prior_z = np.full(z_bins, 1.0 / z_bins)
-    prior_z = np.asarray(prior_z, dtype=float)
-    if len(prior_z) != z_bins or abs(prior_z.sum() - 1.0) > 1e-9:
-        raise ValueError("prior_z must be a distribution over the z bins")
+    prior_z = np.full(z_bins, 1.0 / z_bins)
     mids = (np.arange(z_bins) + 0.5) / z_bins
     z_rep = np.concatenate([mids, mids])
     scan_flag = np.concatenate([np.zeros(z_bins, dtype=int), np.ones(z_bins, dtype=int)])
@@ -317,15 +311,13 @@ def lyapunov_drift(belief, policy, game: PersuasionGame) -> float:
 class BudgetCurve:
     """Per-slot objective as a function of the credibility budget.
 
-    Precomputes solve_persuasion on a budget grid; the optimal LP value
-    is convex and non-increasing in the budget, so linear interpolation
-    between grid points is itself convex.
+    Precomputes solve_persuasion on a budget grid over [0, log n_states];
+    the optimal LP value is convex and non-increasing in the budget.
     """
 
-    def __init__(self, game: PersuasionGame, points: int = 25, subdivisions: int | None = None, b_max: float | None = None):
+    def __init__(self, game: PersuasionGame, points: int = 25, subdivisions: int | None = None):
         self.game = game
-        self.b_max = float(b_max) if b_max is not None else math.log(game.n_states)
-        self.budgets = np.linspace(0.0, self.b_max, points)
+        self.budgets = np.linspace(0.0, math.log(game.n_states), points)
         self.solutions = [solve_persuasion(game, b, subdivisions) for b in self.budgets]
         self.values = np.array([s.objective for s in self.solutions])
         # enforce monotonicity against solver noise at the 1e-9 level
@@ -337,72 +329,39 @@ class BudgetCurve:
         idx = max(idx, 0)
         return idx, self.solutions[idx]
 
-    def __call__(self, budget) -> np.ndarray:
-        b = np.clip(np.asarray(budget, dtype=float), 0.0, self.b_max)
-        return np.interp(b, self.budgets, self.values)
 
+def allocate_on_grid(pout: np.ndarray, total: float, curve: BudgetCurve) -> np.ndarray:
+    """Split a window's total credibility budget across its slots.
 
-def allocate_budget_outage(
-    pout: np.ndarray,
-    budget: float,
-    curve: BudgetCurve,
-    units_per_slot: int = 32,
-) -> np.ndarray:
-    """Split a window's total credibility budget across slots.
-
-    Minimizes sum_t [(1-pout_t) * U_rx(C_t) + pout_t * V(prior)] subject
-    to sum C_t <= W * budget by greedy marginal allocation in budget
-    units (optimal because each slot's term is convex non-increasing in
-    its budget).  Slots with equal outage get the averaged (canonical
-    equal) allocation.  Unspent budget is left unspent once every
-    marginal gain is zero.
+    Minimizes sum_t (1-pout_t) * U_rx(C_t) subject to sum C_t <= total by
+    greedy marginal allocation, one curve grid step at a time (optimal
+    because each slot's term is convex non-increasing in its budget).
+    Each slot's budget is always one of the precomputed solve points, so
+    no budget is lost to quantization when mapping budgets to policies.
+    Ties go to the earliest slot; an erased slot (pout 1) gains nothing.
     """
-    pout = np.asarray(pout, dtype=float)
     w = len(pout)
-    total = budget * w
-    if total <= 0 or w == 0:
-        return np.zeros(w)
-    unit = min(curve.b_max, total) / units_per_slot
-    if unit <= 0:
-        return np.zeros(w)
-    alloc = np.zeros(w)
+    levels = np.zeros(w, dtype=int)
     spent = 0.0
-    gains = (1.0 - pout) * (curve(alloc) - curve(alloc + unit))
-    while spent + unit <= total + 1e-12:
-        t = int(np.argmax(gains))
-        if gains[t] <= 1e-15:
+    budgets, values = curve.budgets, curve.values
+    top = len(budgets) - 1
+    while True:
+        best_gain, best_t, best_cost = 0.0, -1, 0.0
+        for t in range(w):
+            l = levels[t]
+            if l >= top:
+                continue
+            step = budgets[l + 1] - budgets[l]
+            if spent + step > total + 1e-12:
+                continue
+            gain = (1.0 - pout[t]) * (values[l] - values[l + 1])
+            if gain > best_gain + 1e-15:
+                best_gain, best_t, best_cost = gain, t, step
+        if best_t < 0:
             break
-        if alloc[t] + unit > curve.b_max + 1e-12:
-            gains[t] = 0.0
-            continue
-        alloc[t] += unit
-        spent += unit
-        gains[t] = (1.0 - pout[t]) * (curve(alloc[t]) - curve(alloc[t] + unit))
-    # canonical tie handling: average within equal-outage groups
-    out = alloc.copy()
-    for p in np.unique(pout):
-        mask = pout == p
-        if mask.sum() > 1:
-            out[mask] = alloc[mask].mean()
-    return out
-
-
-def allocate_budget(
-    predicted_snr_db,
-    budget: float,
-    channel: ChannelParams,
-    game: PersuasionGame,
-    curve: BudgetCurve | None = None,
-    units_per_slot: int = 32,
-) -> np.ndarray:
-    """Channel-aware wrapper: outage from the predicted mean SNR sequence."""
-    snr = np.asarray(predicted_snr_db, dtype=float)
-    if len(snr) < 1:
-        raise ValueError("prediction window must be >= 1")
-    pout = np.array([outage_probability(s, channel) for s in snr])
-    if curve is None:
-        curve = BudgetCurve(game)
-    return allocate_budget_outage(pout, budget, curve, units_per_slot)
+        levels[best_t] += 1
+        spent += best_cost
+    return budgets[levels]
 
 
 def choose_artificial_delay(

@@ -330,21 +330,6 @@ class GreedyPlanner:
         return SlotDecision(t=t, running=[i.uid for i in chosen], scan_on=bool(scan_on), z=z, events=events)
 
 
-def greedy_schedule_slot(
-    queue: list[TaskInstance],
-    t: int,
-    utility: UtilityParams,
-    config: SchedulerConfig,
-    planner: GreedyPlanner | None = None,
-) -> SlotDecision:
-    """One-shot greedy decision for slot t (fresh single-slot window unless
-    an existing planner carries the window state)."""
-    if planner is None:
-        planner = GreedyPlanner(utility, config, window_start=t, window_len=max(config.scan.duration, 1))
-        planner.window_end = t + config.scan.duration  # allow activation
-    return planner.schedule_slot(queue, t)
-
-
 def _project_aperiodic(spec, window_start: int, window_len: int, uid_base: int) -> list[TaskInstance]:
     """Deterministic evenly spaced stand-ins for an aperiodic stream."""
     rate = spec.arrival.rate

@@ -129,8 +129,9 @@ class TestBelief:
 
     def test_erasure_resets_to_prior(self):
         prior = np.array([0.5, 0.5])
-        post = belief_update(np.array([0.9, 0.1]), None, np.eye(2), reset_prior=prior)
+        post = belief_update(prior, None, np.eye(2))
         np.testing.assert_allclose(post, prior)
+        assert post is not prior
 
     def test_zero_probability_signal_raises(self):
         pol = np.array([[1.0, 0.0], [1.0, 0.0]])

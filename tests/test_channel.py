@@ -6,14 +6,14 @@ from satdefsim.channel import (
     ChannelParams,
     OutageTable,
     PassGeometry,
-    envelope_cdf,
     db_to_linear,
+    delivery_delay_slots,
+    envelope_cdf,
+    erasures,
     outage_probability,
     predict_mean_snr,
     sample_envelope,
-    sample_slot,
     shadowed_rician_pdf,
-    total_delay,
 )
 
 TABLE_PARAMS = ChannelParams(b0=0.158, m=19.4, omega=1.29, snr_threshold_db=5.0)
@@ -136,7 +136,8 @@ class TestOutage:
         p_out = outage_probability(9.0, TABLE_PARAMS)
         rng = np.random.default_rng(5)
         n = 200_000
-        erased = sum(sample_slot(10, geo, TABLE_PARAMS, rng).erased for _ in range(n))
+        mean_snr = np.full(n, geo.mean_snr_db(10))
+        erased = int(np.sum(erasures(mean_snr, sample_envelope(TABLE_PARAMS, rng, size=n), TABLE_PARAMS)))
         se = np.sqrt(p_out * (1 - p_out) / n)
         assert abs(erased / n - p_out) <= 3 * se
 
@@ -151,23 +152,26 @@ class TestDelayAndGeometry:
 
     def test_propagation_1000km(self):
         geo = PassGeometry(d_min_km=1000, d_max_km=1000, pass_slots=10, peak_snr_db=10.0)
-        assert total_delay(5, geo, 0.0, 0.0) == pytest.approx(3.3356, abs=1e-3)
+        assert geo.propagation_delay_ms(5) == pytest.approx(3.3356, abs=1e-3)
 
     def test_additive_monotone(self):
-        geo = self.GEO
-        base = total_delay(100, geo, 1.0, 0.0)
-        assert total_delay(100, geo, 1.0, 5.0) == pytest.approx(base + 5.0)
-        assert total_delay(100, geo, 2.0, 0.0) == pytest.approx(base + 1.0)
+        # delivery slots grow with each latency component, one slot per slot_ms
+        prop = self.GEO.propagation_delay_ms(100)
+        base = int(delivery_delay_slots(prop, 1.0, 0.0, 1.0))
+        assert int(delivery_delay_slots(prop, 1.0, 5.0, 1.0)) == base + 5
+        assert int(delivery_delay_slots(prop, 2.0, 0.0, 1.0)) == base + 1
+        added = np.linspace(0.0, 400.0, 41)
+        slots = delivery_delay_slots(np.full(41, prop), 1.0, added, 100.0)
+        assert np.all(np.diff(slots) >= 0) and slots[0] == 1 and slots[-1] == 5
 
     def test_negative_added_delay_rejected(self):
         with pytest.raises(ValueError):
-            total_delay(0, self.GEO, 1.0, -0.1)
+            delivery_delay_slots(self.GEO.propagation_delay_ms(0), 1.0, [0.0, -0.1], 100.0)
 
     def test_boundary_delay_accepted(self):
-        geo = PassGeometry(d_min_km=1000, d_max_km=1000, pass_slots=10, peak_snr_db=10.0)
-        d_max = 10.0
-        slack = d_max - total_delay(0, geo, 0.0, 0.0)
-        assert total_delay(0, geo, 0.0, slack) == pytest.approx(d_max)
+        # a latency of exactly k slots is delivered k slots later, not k + 1,
+        # and even an instant delivery takes one slot
+        assert delivery_delay_slots([150.0, 150.0, 0.0], 25.0, [25.0, 25.5, 0.0], 100.0).tolist() == [2, 3, 1]
 
     def test_constant_geometry_constant_forecast(self):
         geo = PassGeometry(d_min_km=800, d_max_km=800, pass_slots=50, peak_snr_db=8.0)

@@ -1,3 +1,7 @@
+import dataclasses
+import enum
+import json
+
 import numpy as np
 import pytest
 
@@ -6,14 +10,13 @@ from satdefsim.config import ConfigError, default_scenario, from_dict
 from satdefsim.engine import (
     EpisodeRunner,
     ScriptedWindow,
-    allocate_on_grid,
     run_benchmark_suite,
     run_episode,
     run_scripted_belief_trace,
     sweep,
     write_slot_traces,
 )
-from satdefsim.persuasion import BudgetCurve, build_scan_game, solve_persuasion
+from satdefsim.persuasion import build_scan_game
 
 
 def small_cfg(**overrides):
@@ -203,22 +206,6 @@ class TestSuite:
         assert {r["value"] for r in rows} == {0.3, 0.7}
 
 
-class TestGridAllocator:
-    def test_respects_total_budget(self):
-        game = build_scan_game(10.0, 0.1, 0.5, z_bins=1)
-        curve = BudgetCurve(game, points=9)
-        pout = np.array([0.8, 0.4, 0.1, 0.0, 0.6])
-        alloc = allocate_on_grid(pout, 5 * 0.2, curve)
-        assert alloc.sum() <= 5 * 0.2 + 1e-9
-        order = np.argsort(1 - pout)
-        assert all(alloc[order[i]] <= alloc[order[i + 1]] + 1e-12 for i in range(4))
-
-    def test_zero_budget_allocates_nothing(self):
-        game = build_scan_game(10.0, 0.1, 0.5, z_bins=1)
-        curve = BudgetCurve(game, points=9)
-        assert allocate_on_grid(np.array([0.5, 0.5]), 0.0, curve).sum() == 0.0
-
-
 class TestScriptedBeliefDynamics:
     def test_erasure_resets_and_deception_holds(self):
         game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=1)
@@ -268,6 +255,90 @@ class TestConfigValidation:
     def test_missing_required(self):
         with pytest.raises(ConfigError):
             from_dict({"horizon": 100})
+
+    @pytest.mark.parametrize("section,key", [
+        ("persuasion", "units_per_slot"),
+        ("geometry", "tx_power_w"),
+        ("geometry", "tx_gain_dbi"),
+        ("geometry", "rx_gain_dbi"),
+        ("geometry", "noise_w"),
+    ])
+    def test_unused_keys_rejected(self, section, key):
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        target = raw["channel"]["geometry"] if section == "geometry" else raw[section]
+        target[key] = 1.0
+        with pytest.raises(ConfigError, match=key):
+            from_dict(raw)
+
+    def test_config_echo_round_trips_every_field(self):
+        cfg = from_dict(NON_DEFAULT_SCENARIO)
+        leaves = config_leaves(cfg)
+        defaults = config_leaves(default_scenario())
+        # the scenario sets every field away from its default, so a field
+        # the echo drops would come back changed
+        assert {k for k, v in leaves.items() if defaults.get(k) == v} == {"persuasion.units_per_slot"}
+        echo = json.loads(json.dumps(cfg.to_jsonable()))
+        assert config_leaves(from_dict(echo)) == leaves
+
+
+#: every scenario key set to a value other than its default
+NON_DEFAULT_SCENARIO = {
+    "horizon": 300,
+    "window": 6,
+    "slot_ms": 50.0,
+    "resources": ["cpu", "fpga", "gpu"],
+    "tasks": [
+        {"id": "beacon", "nature": "security", "priority": "high",
+         "arrival": {"kind": "periodic", "interval": 7},
+         "demand": [0.1, 0.2, 0.3], "power": 0.05, "processing": 3, "deadline": 9,
+         "firm_deadline": True, "mean_demand": 2.5},
+        {"id": "bulk", "nature": "security", "priority": "low",
+         "arrival": {"kind": "aperiodic", "rate": 0.2},
+         "demand": [0.3, 0.05, 0.1], "power": 0.2, "processing": 4, "deadline": 12,
+         "firm_deadline": False, "mean_demand": 3.5},
+    ],
+    "scan": {"demand": [0.1, 0.1, 0.2], "power": 0.3, "duration": 4},
+    "utility": {"detect_reward": 8.0, "scan_cost": 0.4, "load_penalty": 1.5,
+                "steepness": 0.6, "midpoint": 0.4, "ceiling": 0.9},
+    "power_budget": 0.9,
+    "scan_margin_rule": "slot",
+    "channel": {
+        "fading": {"b0": 0.2, "m": 5.0, "omega": 1.0},
+        "snr_threshold_db": 4.0,
+        "series_truncation": 150,
+        "proc_delay_ms": 2.0,
+        "geometry": {"d_min_km": 600.0, "d_max_km": 1500.0, "pass_slots": 250,
+                     "peak_snr_db": 11.0, "path_loss_exp": 2.2},
+    },
+    "attacker": {"mode": "dp", "reward_weight": 9.0, "base_cost": 0.2, "cost_scale": 0.4,
+                 "memory": 0.2, "dp_grid": 64, "exact_horizon": 10, "belief_threshold": 0.6},
+    "persuasion": {"z_bins": 3, "n_signals": 9, "credibility": 0.3, "prior_scan": 0.4,
+                   "subdivisions": 20, "budget_points": 7, "delay_max_ms": 300.0,
+                   "delay_snr_lo_db": 1.0, "delay_snr_hi_db": 12.0},
+    "policy": "stardis",
+    "sp_scan_period": 25,
+    "sp_scan_rule": "delta-u",
+}
+
+
+def config_leaves(obj, prefix=""):
+    """Dotted field path -> value for every compared field of a config."""
+    if dataclasses.is_dataclass(obj):
+        out = {}
+        for f in dataclasses.fields(obj):
+            if f.compare:
+                out.update(config_leaves(getattr(obj, f.name), f"{prefix}{f.name}."))
+        return out
+    if isinstance(obj, tuple) and obj and dataclasses.is_dataclass(obj[0]):
+        out = {}
+        for i, item in enumerate(obj):
+            out.update(config_leaves(item, f"{prefix}{i}."))
+        return out
+    if isinstance(obj, np.ndarray):
+        obj = tuple(obj.tolist())
+    elif isinstance(obj, enum.Enum):
+        obj = obj.value
+    return {prefix.rstrip("."): obj}
 
 
 def test_sp_scan_preempts_routine_work():

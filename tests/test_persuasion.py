@@ -1,17 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from satdefsim.channel import ChannelParams
 from satdefsim.persuasion import (
     BudgetCurve,
     InfeasibleSplitError,
     PersuasionGame,
     PosteriorSplit,
-    allocate_budget,
-    allocate_budget_outage,
+    allocate_on_grid,
     attacker_value,
     build_scan_game,
     choose_artificial_delay,
@@ -298,50 +297,44 @@ class TestSplitPolicyRoundtrip:
             split.check_plausible(np.array([0.5, 0.5]))
 
 
+def window_objective(alloc, pout, curve):
+    """sum_t (1-pout_t) * U_rx(C_t) for grid budgets C_t (pout_t * V(prior) is constant)."""
+    levels = np.searchsorted(curve.budgets, alloc)
+    return float(np.sum((1.0 - pout) * curve.values[levels]))
+
+
+def exhaustive_allocation(pout, total, curve):
+    """Best objective over every vector of curve levels within the total budget."""
+    best = np.inf
+    for levels in itertools.product(range(len(curve.budgets)), repeat=len(pout)):
+        levels = np.array(levels)
+        if curve.budgets[levels].sum() <= total + 1e-12:
+            best = min(best, float(np.sum((1.0 - pout) * curve.values[levels])))
+    return best
+
+
 class TestBudgetAllocation:
     @staticmethod
     def curve():
         return BudgetCurve(two_state_game([1.0, -1.0]), points=15)
 
-    def test_identical_channels_equal_split(self):
-        curve = self.curve()
-        alloc = allocate_budget_outage(np.array([0.3, 0.3]), 0.2, curve)
-        assert alloc[0] == pytest.approx(alloc[1], abs=1e-12)
-
     def test_erased_slot_gets_nothing(self):
         curve = self.curve()
-        alloc = allocate_budget_outage(np.array([1.0, 0.0]), 0.2, curve)
+        alloc = allocate_on_grid(np.array([1.0, 0.0]), 0.4, curve)
         assert alloc[0] == 0.0
-        assert alloc[1] == pytest.approx(0.4, abs=1e-9)  # whole 2-slot budget
+        # the whole 2-slot budget goes to the clean slot, down to one grid step
+        step = curve.budgets[1]
+        assert 0.4 - step < alloc[1] <= 0.4 + 1e-12
 
     def test_better_channel_gets_more_and_beats_uniform(self):
         curve = self.curve()
         pout = np.array([0.9, 0.1])
-        budget = 0.25
-        alloc = allocate_budget_outage(pout, budget, curve, units_per_slot=32)
+        total = 2 * 0.25
+        alloc = allocate_on_grid(pout, total, curve)
         assert alloc[1] >= alloc[0] - 1e-12
-
-        def objective(c):
-            return float(np.sum((1 - pout) * curve(c) + pout * attacker_value(curve.game.prior, curve.game)))
-
-        uniform = objective(np.full(2, budget))
-        assert objective(alloc) <= uniform + 1e-12
-        # exhaustive grid oracle on the same unit lattice
-        unit = min(curve.b_max, budget * 2) / 32
-        best = np.inf
-        for i in range(65):
-            for j in range(65):
-                c = np.array([i * unit, j * unit])
-                if c.sum() <= budget * 2 + 1e-12 and np.all(c <= curve.b_max + 1e-12):
-                    best = min(best, objective(c))
-        assert objective(alloc) <= best + 1e-9
-
-    def test_channel_params_wrapper(self):
-        game = two_state_game([1.0, -1.0])
-        params = ChannelParams(b0=0.158, m=19.4, omega=1.29, snr_threshold_db=5.0)
-        curve = BudgetCurve(game, points=9)
-        alloc = allocate_budget(np.array([2.0, 12.0]), 0.2, params, game, curve=curve)
-        assert alloc[1] >= alloc[0]
+        uniform = np.full(2, curve.budgets[curve.solution_at_or_below(0.25)[0]])
+        assert window_objective(alloc, pout, curve) <= window_objective(uniform, pout, curve) + 1e-12
+        assert window_objective(alloc, pout, curve) <= exhaustive_allocation(pout, total, curve) + 1e-12
 
     def test_curve_convex_nonincreasing(self):
         curve = self.curve()
@@ -349,6 +342,44 @@ class TestBudgetAllocation:
         assert all(b <= a + 1e-9 for a, b in zip(v, v[1:]))
         second = np.diff(v, 2)
         assert np.all(second >= -1e-6)
+
+
+class TestGridAllocator:
+    def test_respects_total_budget(self):
+        game = build_scan_game(10.0, 0.1, 0.5, z_bins=1)
+        curve = BudgetCurve(game, points=9)
+        pout = np.array([0.8, 0.4, 0.1, 0.0, 0.6])
+        alloc = allocate_on_grid(pout, 5 * 0.2, curve)
+        assert alloc.sum() <= 5 * 0.2 + 1e-9
+        order = np.argsort(1 - pout)
+        assert all(alloc[order[i]] <= alloc[order[i + 1]] + 1e-12 for i in range(4))
+
+    def test_zero_budget_allocates_nothing(self):
+        game = build_scan_game(10.0, 0.1, 0.5, z_bins=1)
+        curve = BudgetCurve(game, points=9)
+        assert allocate_on_grid(np.array([0.5, 0.5]), 0.0, curve).sum() == 0.0
+
+    def test_matches_exhaustive_search(self):
+        # greedy marginal allocation against every level vector, w <= 3,
+        # on 9-point curves; every fourth instance has an erased slot
+        rng = np.random.default_rng(11)
+        curves = [
+            BudgetCurve(build_scan_game(10.0, 0.1, prior, z_bins=zb), points=9, subdivisions=subs)
+            for prior, zb, subs in ((0.3, 1, None), (0.6, 1, None), (0.5, 2, 12))
+        ]
+        for i in range(120):
+            curve = curves[i % len(curves)]
+            w = int(rng.integers(1, 4))
+            pout = rng.uniform(0.0, 1.0, w)
+            if i % 4 == 0:
+                pout[rng.integers(w)] = 1.0
+            total = float(rng.uniform(0.0, w * curve.budgets[-1]))
+            alloc = allocate_on_grid(pout, total, curve)
+            assert alloc.sum() <= total + 1e-12
+            assert np.all(alloc[pout == 1.0] == 0.0)
+            assert window_objective(alloc, pout, curve) == pytest.approx(
+                exhaustive_allocation(pout, total, curve), abs=1e-12
+            )
 
 
 class TestArtificialDelay:

@@ -15,7 +15,6 @@ from satdefsim.scheduler import (
     check_plan,
     detection_performance,
     exact_schedule,
-    greedy_schedule_slot,
     plan_horizon,
     slot_utility,
 )
@@ -63,13 +62,13 @@ class TestSlotUtility:
 
 class TestGreedySlot:
     def test_empty_queue_scan_activates(self):
-        dec = greedy_schedule_slot([], 0, UTIL, CFG)
+        dec = GreedyPlanner(UTIL, CFG, 0, SCAN.duration).schedule_slot([], 0)
         assert dec.scan_on and dec.running == []
         assert dec.z == pytest.approx(1.0 - 0.15)
 
     def test_scan_disabled(self):
         cfg = SchedulerConfig(scan=SCAN, scan_enabled=False)
-        dec = greedy_schedule_slot([], 0, UTIL, cfg)
+        dec = GreedyPlanner(UTIL, cfg, 0, SCAN.duration).schedule_slot([], 0)
         assert not dec.scan_on and dec.z == 1.0
 
     def test_relay_first_routine_deferred(self):
