@@ -142,12 +142,17 @@ def _cmd_persuasion_solve(args) -> int:
         print(f"wrote {out / 'persuasion_sweep.csv'} ({len(rows)} rows)")
         return 0
     sol = solve_persuasion(game, budget, args.subdivisions)
+    cost = credibility_cost(sol.policy, prior)
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "build_id": build_id(),
         "objective": sol.objective,
         "credibility_budget": budget,
-        "credibility_cost": credibility_cost(sol.policy, prior),
+        "credibility_cost": cost,
+        "budget_slack": budget - cost,
+        "support_size": len(sol.split.weights),
+        "lp_columns": sol.lp_columns,
+        "pricing_rounds": sol.pricing_rounds,
         "posteriors": [list(map(float, p)) for p in sol.split.posteriors],
         "weights": list(map(float, sol.split.weights)),
         "policy": [list(map(float, row)) for row in sol.policy],
@@ -155,8 +160,8 @@ def _cmd_persuasion_solve(args) -> int:
     with open(out / "persuasion_solution.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"objective={sol.objective:.6f} cost={doc['credibility_cost']:.6f} "
-          f"support={len(sol.split.weights)}")
+    print(f"objective={sol.objective:.6f} cost={cost:.6f} support={doc['support_size']} "
+          f"lp_columns={sol.lp_columns} pricing_rounds={sol.pricing_rounds}")
     return 0
 
 

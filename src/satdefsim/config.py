@@ -45,6 +45,12 @@ class PersuasionSettings:
     def __post_init__(self):
         if self.z_bins < 1:
             raise ConfigError("z_bins must be >= 1")
+        # an optimal split over the 2 * z_bins states may use one more posterior
+        if self.n_signals is not None and (self.n_signals < 0 or 0 < self.n_signals < 2 * self.z_bins + 1):
+            raise ConfigError(
+                f"n_signals must be 0 (one per support posterior) or at least "
+                f"2 * z_bins + 1 = {2 * self.z_bins + 1}, got {self.n_signals}"
+            )
         if self.credibility < 0:
             raise ConfigError("credibility budget must be >= 0")
         if not (0.0 < self.prior_scan < 1.0):

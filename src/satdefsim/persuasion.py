@@ -7,7 +7,16 @@ The sender minimizes the receiver's best-response value over
 Bayes-plausible distributions of posteriors subject to an expected
 self-information budget: E[-log mu_m(omega)] = E[H(mu_m)] <= C, which is
 linear in the split weights, so discretizing the simplex makes the whole
-problem a linear program.
+problem a linear program with one column per grid posterior.
+
+Both the objective and the budget are posterior-separable (a sum over
+posteriors of a function of that posterior; Kamenica & Gentzkow 2011),
+so a column's reduced cost depends on its own posterior alone.  The LP
+is therefore solved by column generation (Gilmore & Gomory 1961): a
+small restricted master LP over a subset of the grid, priced against
+every grid point in one vectorized expression.  A basic optimal split
+uses at most ``n_states + 1`` posteriors, so the master stays small
+while the optimum is that of the full grid.
 """
 from __future__ import annotations
 
@@ -17,13 +26,20 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 _EPS = 1e-12
 
-#: grid subdivisions per state-space size; resolutions keep LP column
-#: counts in the tens of thousands
+#: grid subdivisions per state-space size; grids of tens of thousands of
+#: posteriors, priced in full but entering the master LP only on demand
 DEFAULT_SUBDIVISIONS = {1: 1, 2: 200, 3: 100, 4: 60, 5: 28, 6: 16, 7: 12, 8: 10}
+
+# Column generation: the starting master holds the grid points on a sub-grid
+# of at most this many subdivisions (the vertices always among them), and
+# each pricing round adds at most this many of the most negative columns.
+_COARSE_SUBDIVISIONS = 6
+_PRICING_BATCH = 50
+_PRICING_TOL = 1e-12
 
 
 class InfeasibleSplitError(RuntimeError):
@@ -53,6 +69,12 @@ class PersuasionGame:
         object.__setattr__(self, "scan_flag", np.asarray(self.scan_flag, dtype=int))
         if abs(self.prior.sum() - 1.0) > 1e-9 or np.any(self.prior < -_EPS):
             raise ValueError("prior must be a distribution")
+        # an optimal split may use n_states + 1 posteriors, one signal each
+        if self.n_signals < 0 or 0 < self.n_signals < self.n_states + 1:
+            raise ValueError(
+                f"n_signals must be 0 (one per support posterior) or at least "
+                f"n_states + 1 = {self.n_states + 1}, got {self.n_signals}"
+            )
 
     @property
     def n_states(self) -> int:
@@ -214,6 +236,8 @@ class PersuasionSolution:
     policy: np.ndarray
     objective: float
     credibility: float
+    lp_columns: int  # grid posteriors in the final master LP
+    pricing_rounds: int  # passes over the whole grid, the last one finding none
 
 
 def solve_persuasion(
@@ -224,10 +248,27 @@ def solve_persuasion(
     """Minimize the receiver's expected best-response value over
     Bayes-plausible posterior splits with E[H(posterior)] <= budget.
 
-    Solved as a finite LP: one weight per simplex grid point, one
-    equality row per state (the mean constraint; the sum-to-one row is
-    implied) and one budget inequality.  The recovered policy has one
-    signal per support posterior.
+    The split LP has one weight per simplex grid point, one equality row
+    per state (the mean constraint; the sum-to-one row is implied) and
+    one budget inequality.  It is solved by column generation:
+
+    - The restricted master is that LP over a subset of the grid, kept
+      in grid-index order.  It starts from the points of a coarse
+      sub-grid, which include the simplex vertices, so the fully
+      revealing split makes it feasible at every budget >= 0.
+    - Pricing: with ``y`` the duals of the mean rows and ``lam <= 0``
+      that of the budget row, grid point ``mu`` has reduced cost
+      ``V(mu) - y @ mu - lam * H(mu)``, computed for the whole grid at
+      once.  Up to ``_PRICING_BATCH`` of the most negative points not yet
+      in the master are added (ties go to the lower grid index) and the
+      master is solved again.
+    - Stop when no grid point prices below ``-_PRICING_TOL``.  The
+      master's duals are then feasible for the dual of the full-grid LP,
+      so by LP duality the master's optimum is the full grid's.  Each
+      round adds a new column, so the loop ends.
+
+    Support, weights and the policy (one signal per support posterior)
+    are read from the final master.
     """
     if budget < 0:
         raise ValueError("credibility budget must be >= 0")
@@ -239,31 +280,47 @@ def solve_persuasion(
     values = np.maximum(grid @ game.attack_payoff, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = -np.sum(np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0), axis=1)
-    res = optimize.linprog(
-        values,
-        A_ub=sparse.csr_matrix(ent[None, :]),
-        b_ub=[budget],
-        A_eq=sparse.csr_matrix(grid.T),
-        b_eq=game.prior,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise InfeasibleSplitError(
-            f"split LP failed (status {res.status}: {res.message}); "
-            f"grid subdivisions {subs}, budget {budget}"
+    # coarse sub-grid: every count a multiple of the smallest divisor of subs
+    # that leaves at most _COARSE_SUBDIVISIONS steps per edge
+    stride = next(d for d in range(1, subs + 1) if subs % d == 0 and subs // d <= _COARSE_SUBDIVISIONS)
+    in_master = np.all(np.rint(grid * subs).astype(np.int64) % stride == 0, axis=1)
+    rounds = 0
+    while True:
+        cols = np.flatnonzero(in_master)
+        res = optimize.linprog(
+            values[cols],
+            A_ub=ent[None, cols],
+            b_ub=[budget],
+            A_eq=grid[cols].T,
+            b_eq=game.prior,
+            bounds=(0, None),
+            method="highs",
         )
+        if res.status != 0:
+            raise InfeasibleSplitError(
+                f"split LP failed (status {res.status}: {res.message}); "
+                f"grid subdivisions {subs}, budget {budget}, {len(cols)} master columns"
+            )
+        rounds += 1
+        reduced = values - grid @ res.eqlin.marginals - res.ineqlin.marginals[0] * ent
+        reduced[in_master] = np.inf
+        entering = np.flatnonzero(reduced < -_PRICING_TOL)
+        if len(entering) == 0:
+            break
+        in_master[entering[np.argsort(reduced[entering], kind="stable")[:_PRICING_BATCH]]] = True
     w = res.x
     support = w > 1e-10
     weights = w[support]
     weights = weights / weights.sum()
-    split = PosteriorSplit(posteriors=grid[support], weights=weights)
+    split = PosteriorSplit(posteriors=grid[cols[support]], weights=weights)
     policy = policy_from_split(split, game.prior, game.n_signals)
     return PersuasionSolution(
         split=split,
         policy=policy,
         objective=float(res.fun),
         credibility=credibility_cost(policy, game.prior),
+        lp_columns=len(cols),
+        pricing_rounds=rounds,
     )
 
 

@@ -91,6 +91,19 @@ def test_persuasion_solve(tmp_path):
     doc = json.loads((out / "persuasion_solution.json").read_text())
     assert doc["objective"] == pytest.approx(0.5, abs=1e-6)
     assert doc["credibility_cost"] == pytest.approx(0.0, abs=1e-9)
+    assert doc["schema_version"] == 2
+    assert doc["budget_slack"] == doc["credibility_budget"] - doc["credibility_cost"]
+    assert doc["budget_slack"] >= -1e-9
+    assert doc["support_size"] == len(doc["weights"]) == len(doc["posteriors"])
+    assert 1 <= doc["support_size"] <= 3  # at most n_states + 1
+    assert doc["lp_columns"] >= doc["support_size"]
+    assert doc["pricing_rounds"] >= 1
+
+
+def test_persuasion_solve_rejects_too_few_signals(tmp_path):
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump({"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5], "n_signals": 2}))
+    assert main(["persuasion-solve", "--game", str(game), "--out", str(tmp_path / "pers")]) == 2
 
 
 def test_persuasion_sweep_mode(tmp_path):

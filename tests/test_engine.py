@@ -256,6 +256,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             from_dict({"horizon": 100})
 
+    def test_n_signals_below_split_support_rejected(self):
+        # 2 * z_bins = 4 states: an optimal split may need 5 signals
+        for bad in (-1, 1, 4):
+            with pytest.raises(ConfigError, match="n_signals"):
+                default_scenario(persuasion={"z_bins": 2, "n_signals": bad})
+        for ok in (0, 5, 6):
+            assert default_scenario(persuasion={"z_bins": 2, "n_signals": ok}).persuasion.n_signals == ok
+
     @pytest.mark.parametrize("section,key", [
         ("persuasion", "units_per_slot"),
         ("geometry", "tx_power_w"),

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize, sparse
 from scipy import stats as scipy_stats
 
 from satdefsim.persuasion import (
+    DEFAULT_SUBDIVISIONS,
     BudgetCurve,
     InfeasibleSplitError,
     PersuasionGame,
@@ -50,6 +52,28 @@ def _entropy_scalar(p):
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -(p * math.log(p) + (1 - p) * math.log(1 - p))
+
+
+def full_grid_lp(game, budget, subdivisions=None):
+    """Oracle for the column-generation solver: the split LP over every
+    grid posterior at once, as one HiGHS solve.  Returns the optimum."""
+    n = game.n_states
+    subs = subdivisions or DEFAULT_SUBDIVISIONS[n]
+    grid = simplex_grid(n, subs)
+    values = np.maximum(grid @ game.attack_payoff, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.sum(np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0), axis=1)
+    res = optimize.linprog(
+        values,
+        A_ub=sparse.csr_matrix(ent[None, :]),
+        b_ub=[budget],
+        A_eq=sparse.csr_matrix(grid.T),
+        b_eq=game.prior,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def brute_force_two_state(payoff, prior, budget, grid=2000, tri_grid=120):
@@ -278,6 +302,55 @@ class TestSolver:
         sol = solve_persuasion(game, 0.15)
         np.testing.assert_allclose(sol.policy.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(sol.policy >= -1e-12)
+
+
+class TestColumnGeneration:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_full_grid_lp(self, n):
+        rng = np.random.default_rng(100 + n)
+        subs = DEFAULT_SUBDIVISIONS[n]
+        for g in range(3):
+            prior = rng.dirichlet(np.ones(n))
+            if g == 2:  # a state the sender never has to hide
+                prior[int(rng.integers(n))] = 0.0
+                prior /= prior.sum()
+            game = PersuasionGame(
+                attack_payoff=rng.uniform(-2, 2, n),
+                prior=prior,
+                z_bins=n,
+                z_rep=np.zeros(n),
+                scan_flag=np.zeros(n, dtype=int),
+            )
+            for budget in np.linspace(0.0, math.log(n), 5):
+                sol = solve_persuasion(game, float(budget))
+                assert sol.objective == pytest.approx(full_grid_lp(game, float(budget)), abs=1e-9)
+                sol.split.check_plausible(game.prior, tol=1e-9)
+                assert sol.credibility <= budget + 1e-9
+                counts = sol.split.posteriors * subs
+                np.testing.assert_allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
+                assert len(sol.split.weights) <= n + 1
+                assert sol.pricing_rounds >= 1
+                assert len(sol.split.weights) <= sol.lp_columns <= len(simplex_grid(n, subs))
+
+    def test_budget_curve_uses_the_one_solve_path(self):
+        game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
+        curve = BudgetCurve(game, 13)
+        for b, got in zip(curve.budgets, curve.solutions):
+            want = solve_persuasion(game, b)
+            assert got.objective == want.objective
+            assert got.credibility == want.credibility
+            assert (got.lp_columns, got.pricing_rounds) == (want.lp_columns, want.pricing_rounds)
+            for a, c in ((got.split.posteriors, want.split.posteriors),
+                         (got.split.weights, want.split.weights), (got.policy, want.policy)):
+                assert a.dtype == c.dtype and a.shape == c.shape
+                assert a.tobytes() == c.tobytes()
+
+    def test_fewer_signals_than_split_support_rejected(self):
+        for bad in (-1, 1, 2):
+            with pytest.raises(ValueError, match="n_signals"):
+                two_state_game([1.0, -1.0], n_signals=bad)
+        for ok in (0, 3):
+            assert two_state_game([1.0, -1.0], n_signals=ok).n_signals == ok
 
 
 class TestSplitPolicyRoundtrip:
