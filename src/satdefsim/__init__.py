@@ -54,10 +54,8 @@ from .scheduler import (
 )
 from .workload import (
     Arrival,
-    ResourceVector,
     TaskInstance,
     TaskSpec,
     admit,
     generate_arrivals,
-    idle_capacity,
 )

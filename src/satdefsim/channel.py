@@ -15,7 +15,6 @@ cancels catastrophically for moderate y.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,20 +37,17 @@ class ChannelParams:
     m: float
     omega: float
     snr_threshold_db: float = 5.0
-    series_truncation: int = 200
 
     def __post_init__(self):
         if self.b0 <= 0 or self.m <= 0 or self.omega < 0:
             raise ValueError("require b0 > 0, m > 0, omega >= 0")
-        if self.series_truncation < 1:
-            raise ValueError("series_truncation must be >= 1")
 
     @property
     def mean_envelope_power(self) -> float:
         return 2.0 * self.b0 + self.omega
 
 
-def _log_confluent(m: float, y: np.ndarray, min_terms: int) -> np.ndarray:
+def _log_confluent(m: float, y: np.ndarray) -> np.ndarray:
     """log of the confluent series sum_k (m)_k y^k / (k!)^2 for y >= 0.
 
     This is the positive-term form of the Kummer-transformed series
@@ -65,7 +61,7 @@ def _log_confluent(m: float, y: np.ndarray, min_terms: int) -> np.ndarray:
     total = np.ones_like(y)
     term = np.ones_like(y)
     log_scale = np.zeros_like(y)
-    cap = max(min_terms, int(4 * float(np.max(y, initial=0.0))) + 60)
+    cap = int(4 * float(np.max(y, initial=0.0))) + 60
     for k in range(cap):
         term = term * (m + k) * y / ((k + 1) ** 2)
         total += term
@@ -100,7 +96,7 @@ def shadowed_rician_pdf(r, params: ChannelParams):
     alive = (r > 0) & (bound > -740.0)
     if np.any(alive):
         ra = r[alive]
-        log_h = _log_confluent(m, y[alive], params.series_truncation)
+        log_h = _log_confluent(m, y[alive])
         out[alive] = np.exp(
             log_a + log_h - ra * ra / (2.0 * b0) + np.log(ra / b0)
         )
@@ -210,23 +206,14 @@ def delivery_delay_slots(prop_delay_ms, proc_delay_ms: float, added_delay_ms, sl
     return np.maximum(np.ceil(total_ms / slot_ms), 1.0).astype(int)
 
 
-def predict_mean_snr(t: int, window: int, geometry: PassGeometry, episode_end: int | None = None) -> np.ndarray:
+def predict_mean_snr(t: int, window: int, geometry: PassGeometry) -> np.ndarray:
     """Deterministic mean-SNR forecast for slots t .. t+window-1.
 
-    Uses large-scale geometry only (no fading realization).  If the
-    window extends past the episode end the sequence is truncated and a
-    warning is issued.
+    Uses large-scale geometry only (no fading realization).
     """
     if window < 1:
         raise ValueError("prediction window must be >= 1")
-    end = t + window
-    if episode_end is not None and end > episode_end:
-        warnings.warn(
-            f"prediction window [{t}, {end}) truncated at episode end {episode_end}",
-            stacklevel=2,
-        )
-        end = episode_end
-    return np.array([geometry.mean_snr_db(s) for s in range(t, end)], dtype=float)
+    return np.array([geometry.mean_snr_db(s) for s in range(t, t + window)], dtype=float)
 
 
 class OutageTable:

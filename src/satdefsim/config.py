@@ -201,7 +201,6 @@ def from_dict(raw: dict) -> ScenarioConfig:
             m=float(_take(fading, "m", required=True)),
             omega=float(_take(fading, "omega", required=True)),
             snr_threshold_db=float(_take(chan_raw, "snr_threshold_db", 5.0)),
-            series_truncation=int(_take(chan_raw, "series_truncation", 200)),
         )
         _no_leftovers(fading, "channel.fading")
         geo_raw = dict(_take(chan_raw, "geometry", required=True))
@@ -326,7 +325,6 @@ def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "channel": {
             "fading": {"b0": cfg.channel.b0, "m": cfg.channel.m, "omega": cfg.channel.omega},
             "snr_threshold_db": cfg.channel.snr_threshold_db,
-            "series_truncation": cfg.channel.series_truncation,
             "proc_delay_ms": cfg.proc_delay_ms,
             "geometry": {
                 "d_min_km": cfg.geometry.d_min_km,

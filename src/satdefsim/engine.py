@@ -200,7 +200,6 @@ class EpisodeRunner:
         # delivery delay without injected delay; stardis recomputes its windows
         self.delay_slots = delivery_delay_slots(self.prop_ms, cfg.proc_delay_ms, 0.0, cfg.slot_ms).tolist()
         self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
-        self.outage = OutageTable(cfg.channel, float(self.mean_snr.min()), float(self.mean_snr.max()))
 
         self.attacker_on = cfg.attacker_mode != "none"
         self.signaling_on = self.attacker_on and self.policy in ("star",) + DECEPTION_POLICIES
@@ -208,14 +207,17 @@ class EpisodeRunner:
 
     # -- policy-specific slot scheduling ------------------------------------
     # ``live`` holds only active instances here (the reaper ran first).
-    def _fcfs_slot(self, t, live, started_uids):
+    def _fcfs_slot(self, live):
+        """Non-preemptive first come, first served: every started instance
+        (service > 0) keeps running, then queued ones start in request
+        order until the first that does not fit."""
         usage = (0.0,) * len(self.cfg.resources)
         power = 0.0
-        running = [i for i in live if i.uid in started_uids]
+        running = [i for i in live if i.service > 0]
         for inst in running:
             usage = tuple(map(add, usage, inst.spec.demand_tuple))
             power += inst.spec.power_weight
-        queue = [i for i in live if i.uid not in started_uids]
+        queue = [i for i in live if i.service == 0]
         queue.sort(key=lambda i: (i.req, i.uid))
         for inst in queue:  # head-of-line: stop at the first non-fit
             new = try_fit(usage, power, inst.spec.demand_tuple, inst.spec.power_weight, self.cfg.power_budget)
@@ -224,8 +226,7 @@ class EpisodeRunner:
             usage = new
             power += inst.spec.power_weight
             running.append(inst)
-            started_uids.add(inst.uid)
-        return running, usage, []
+        return running, usage, power
 
     def _executed(self, dec, live, scan_now):
         """Instances a planner decision runs, in ``live`` order, with the
@@ -255,13 +256,10 @@ class EpisodeRunner:
         z_bins = pset.z_bins
 
         live: list[TaskInstance] = []
-        fcfs_started: set[int] = set()
         sp_scan_until = 0
         sp_planner = GreedyPlanner(util, sched_cfg, 0, w_len_cfg, targets)
 
         usage_sum = [0.0] * len(cfg.resources)
-        scan_sequence = np.zeros(h, dtype=int)
-        z_sequence = np.zeros(h)
         events_count = 0
         counts = {"completed": 0, "dropped": 0, "missed": 0}
 
@@ -284,14 +282,16 @@ class EpisodeRunner:
         deliveries: dict[int, list] = defaultdict(list)
 
         traces = EpisodeTraces(slots={k: [] for k in SLOT_TRACE_COLUMNS})
+        s = traces.slots
         defender_total = 0.0
 
         static_solution = None
         if self.signaling_on and self.policy == "star-static":
             static_solution = self.assets.static_solution(pset.credibility)
-        curve = None
+        curve = outage = None
         if self.signaling_on and self.policy == "stardis":
             curve = self.assets.curve(pset.budget_points, pset.units_per_slot)
+            outage = OutageTable(cfg.channel, float(self.mean_snr.min()), float(self.mean_snr.max()))
 
         window_index = 0
         for w_start in range(0, h, w_len_cfg):
@@ -309,8 +309,6 @@ class EpisodeRunner:
                     state = quantize_state(plan.has_scan, min(max(plan.z_avg, 0.0), 1.0), z_bins)
 
             # --- Phase 2: signaling ---
-            slot_policies = [None] * w_len
-            slot_signals = [None] * w_len
             slot_budgets = np.zeros(w_len)
             delays = self.delay_slots[w_start : w_start + w_len]
             drift = 0.0
@@ -322,13 +320,9 @@ class EpisodeRunner:
                     slot_budgets[:] = pset.credibility
                 else:  # stardis
                     snr_hat = self.mean_snr[w_start : w_start + w_len]
-                    pout_hat = self.outage(snr_hat)
-                    alloc = allocate_on_grid(pout_hat, pset.credibility * w_len, curve)
-                    policies = []
-                    for k in range(w_len):
-                        idx, sol = curve.solution_at_or_below(float(alloc[k]))
-                        policies.append(sol.policy)
-                        slot_budgets[k] = curve.budgets[idx]
+                    levels = allocate_on_grid(outage(snr_hat), pset.credibility * w_len, curve)
+                    policies = [curve.solutions[l].policy for l in levels]
+                    slot_budgets = curve.budgets[levels]
                     slot_delays = [
                         choose_artificial_delay(
                             float(snr_hat[k]),
@@ -343,15 +337,11 @@ class EpisodeRunner:
                     delays = delivery_delay_slots(
                         self.prop_ms[w_start : w_start + w_len], cfg.proc_delay_ms, slot_delays, cfg.slot_ms
                     ).tolist()
-                slot_policies = policies
-                for k in range(w_len):
-                    row = policies[k][state]
-                    m = int(self.rng_signal.choice(len(row), p=row))
-                    slot_signals[k] = m
-                drift = lyapunov_drift(belief, policies[0], game)
-                for k in range(w_len):
+                for k, pol in enumerate(policies):
+                    row = pol[state]
                     t = w_start + k
-                    deliveries[t + delays[k]].append((t, slot_signals[k], slot_policies[k]))
+                    deliveries[t + delays[k]].append((t, int(self.rng_signal.choice(len(row), p=row)), pol))
+                drift = lyapunov_drift(belief, policies[0], game)
             budgets = slot_budgets.tolist()
 
             # --- Phase 3: execute slots ---
@@ -381,9 +371,8 @@ class EpisodeRunner:
 
                 # schedule
                 if self.policy == "fcfs":
-                    running, usage, events = self._fcfs_slot(t, live, fcfs_started)
+                    running, usage, power = self._fcfs_slot(live)
                     scan_now = False
-                    power = sum(i.spec.power_weight for i in running)
                 else:
                     if self.policy != "sp":  # star family: committed scan pattern, live task fill
                         planner = exec_planner
@@ -407,26 +396,17 @@ class EpisodeRunner:
                         scan_now = t < sp_planner.scan_active_until
                     dec = planner.schedule_slot(live, t, forced_scan=scan_now)
                     running, usage, power = self._executed(dec, live, scan_now)
-                    events = dec.events
+                    events_count += len(dec.events)
 
-                events_count += len(events)
                 z = 1.0 - max(usage)
                 usage_sum = list(map(add, usage_sum, usage))
-                scan_sequence[t] = int(scan_now)
-                z_sequence[t] = z
 
-                # advance work; in-service instances left out this slot
-                # are preempted (work preserved, rescheduled later)
-                running_uids = {i.uid for i in running}
-                for inst in live:
-                    if inst.state == InstanceState.RUNNING and inst.uid not in running_uids:
-                        inst.state = InstanceState.PREEMPTED
+                # advance work; instances left out keep theirs for later
                 finished = False
                 for inst in running:
-                    inst.run_one_slot(t)
+                    inst.run_one_slot()
                     if inst.state == InstanceState.COMPLETED:
                         counts["completed"] += 1
-                        fcfs_started.discard(inst.uid)
                         finished = True
                 if finished:  # completion is the only way out of live here
                     live = [i for i in live if i.active]
@@ -479,7 +459,6 @@ class EpisodeRunner:
                         believed_total += gap - cost
                     intensity = intensity_update(intensity, x_att, att.memory)
 
-                s = traces.slots
                 s["t"].append(t)
                 s["scan_on"].append(int(scan_now))
                 s["z"].append(z)
@@ -496,11 +475,11 @@ class EpisodeRunner:
                 s["budget"].append(budgets[k])
 
             # defender utility for the window (window-level scan frequency)
-            f_w = float(np.mean(scan_sequence[w_start : w_start + w_len]))
+            w_scan, w_z = s["scan_on"][w_start:], s["z"][w_start:]
+            f_w = float(np.mean(w_scan))
             y_w = detection_performance(f_w, cfg.scan.duration, util)
-            for k in range(w_len):
-                t = w_start + k
-                defender_total += slot_utility(y_w, scan_sequence[t], z_sequence[t], util)
+            for scan_on, z in zip(w_scan, w_z):
+                defender_total += slot_utility(y_w, scan_on, z, util)
 
             traces.windows.append({
                 "window": window_index,
@@ -521,8 +500,8 @@ class EpisodeRunner:
         if counts["completed"] + counts["dropped"] + counts["missed"] + residual != generated:
             raise RuntimeError("instance accounting identity violated")
 
-        low_specs = {s.id for s in cfg.tasks if s.priority == Priority.LOW}
-        firm_specs = {s.id for s in cfg.tasks if s.firm_deadline}
+        low_specs = {spec.id for spec in cfg.tasks if spec.priority == Priority.LOW}
+        firm_specs = {spec.id for spec in cfg.tasks if spec.firm_deadline}
         low_total = sum(1 for i in self.instances if i.spec.id in low_specs)
         low_done = sum(
             1 for i in self.instances if i.spec.id in low_specs and i.state == InstanceState.COMPLETED
@@ -543,7 +522,7 @@ class EpisodeRunner:
             defender_utility=defender_total / h,
             attacker_realized=realized_total / h,
             attacker_believed=believed_total / h,
-            scan_freq=float(np.mean(scan_sequence)),
+            scan_freq=float(np.mean(s["scan_on"])),
             erasure_count=int(np.sum(self.erased)),
             attack_count=attack_count,
             blocked_attacks=blocked_attacks,

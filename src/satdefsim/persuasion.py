@@ -380,12 +380,6 @@ class BudgetCurve:
         # enforce monotonicity against solver noise at the 1e-9 level
         self.values = np.minimum.accumulate(self.values)
 
-    def solution_at_or_below(self, budget: float) -> tuple[int, "PersuasionSolution"]:
-        """Largest grid budget not exceeding ``budget`` and its solution."""
-        idx = int(np.searchsorted(self.budgets, budget + 1e-12, side="right") - 1)
-        idx = max(idx, 0)
-        return idx, self.solutions[idx]
-
 
 def allocate_on_grid(pout: np.ndarray, total: float, curve: BudgetCurve) -> np.ndarray:
     """Split a window's total credibility budget across its slots.
@@ -393,8 +387,8 @@ def allocate_on_grid(pout: np.ndarray, total: float, curve: BudgetCurve) -> np.n
     Minimizes sum_t (1-pout_t) * U_rx(C_t) subject to sum C_t <= total by
     greedy marginal allocation, one curve grid step at a time (optimal
     because each slot's term is convex non-increasing in its budget).
-    Each slot's budget is always one of the precomputed solve points, so
-    no budget is lost to quantization when mapping budgets to policies.
+    Returns each slot's index into the curve's grid: its budget is
+    ``curve.budgets[l]`` and its policy ``curve.solutions[l].policy``.
     Ties go to the earliest slot; an erased slot (pout 1) gains nothing.
     """
     w = len(pout)
@@ -418,7 +412,7 @@ def allocate_on_grid(pout: np.ndarray, total: float, curve: BudgetCurve) -> np.n
             break
         levels[best_t] += 1
         spent += best_cost
-    return budgets[levels]
+    return levels
 
 
 def choose_artificial_delay(

@@ -16,7 +16,7 @@ from operator import add, attrgetter, sub
 
 import numpy as np
 
-from .workload import InstanceState, Priority, TaskInstance
+from .workload import Priority, TaskInstance
 
 _EPS = 1e-9
 _CAP = 1.0 + _EPS  # per-resource capacity with the feasibility tolerance
@@ -350,12 +350,13 @@ def plan_horizon(
     config: SchedulerConfig,
     specs=None,
     stability_targets: dict[str, float] | None = None,
-    project_arrivals: bool = True,
 ) -> HorizonPlan:
     """Plan one window by applying the greedy slot solver against the
-    current backlog plus projected arrivals (periodic exact, aperiodic at
-    the expected rate).  Re-solved every window by the caller (receding
-    horizon); deterministic for fixed inputs.
+    current backlog plus arrivals projected from ``specs`` (periodic
+    exact, aperiodic at the expected rate).  Re-solved every window by the
+    caller (receding horizon); deterministic for fixed inputs.  The
+    window is simulated on a map of remaining work, so the caller's
+    instances are left untouched.
     """
     if stability_targets is None:
         stability_targets = {}
@@ -364,17 +365,9 @@ def plan_horizon(
             if frac > 0:
                 stability_targets[spec.id] = frac
 
-    sim: list[TaskInstance] = []
+    sim = [inst for inst in queue if inst.active]
     uid_base = -1_000_000  # projected instances use negative uids
-    for inst in queue:
-        if not inst.active:
-            continue
-        clone = TaskInstance(uid=inst.uid, spec=inst.spec, req=inst.req, start_after=inst.start_after)
-        clone.remaining = inst.remaining
-        clone.service = inst.service
-        clone.state = InstanceState.ADMITTED
-        sim.append(clone)
-    if project_arrivals and specs:
+    if specs:
         for spec in sorted(specs, key=lambda s: s.id):
             if spec.arrival.kind == "periodic":
                 first = window_start + (-window_start) % spec.arrival.interval
@@ -391,7 +384,7 @@ def plan_horizon(
     zs = np.zeros(window_len)
     running: list[list[int]] = []
     events: list[tuple[int, str, str]] = []
-    by_uid = {i.uid: i for i in sim}
+    left = {i.uid: i.remaining for i in sim}
 
     for k in range(window_len):
         t = window_start + k
@@ -406,11 +399,10 @@ def plan_horizon(
         events.extend(dec.events)
         finished = False
         for uid in dec.running:
-            inst = by_uid[uid]
-            inst.run_one_slot(t)
-            finished = finished or not inst.active
-        if finished:  # sim holds only active instances
-            sim = [i for i in sim if i.active]
+            left[uid] -= 1
+            finished = finished or left[uid] == 0
+        if finished:  # sim holds only instances with work left
+            sim = [i for i in sim if left[i.uid]]
 
     f = float(np.mean(scan_on))
     y = detection_performance(f, config.scan.duration, utility)

@@ -1,4 +1,4 @@
-"""Task model, arrival generation, admission control and idle capacity.
+"""Task model, arrival generation and admission control.
 
 Tasks are classified along three dimensions: nature (mission/security),
 priority (high/low) and arrival pattern (periodic/aperiodic).  Resource
@@ -11,17 +11,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-
-ResourceVector = np.ndarray  # usage fraction per resource type
-
-
-def resource_vector(values) -> ResourceVector:
-    """Validated usage vector: every component in [0,1]."""
-    v = np.asarray(values, dtype=float)
-    if np.any(v < 0) or np.any(v > 1):
-        raise ValueError("resource usage fractions must lie in [0,1]")
-    return v
 
 
 class Nature(str, Enum):
@@ -37,17 +26,13 @@ class Priority(str, Enum):
 class InstanceState(str, Enum):
     QUEUED = "queued"
     ADMITTED = "admitted"
-    RUNNING = "running"
-    PREEMPTED = "preempted"
     COMPLETED = "completed"
     DROPPED = "dropped"
     MISSED = "missed"
 
 
 #: states of an instance that still holds or awaits capacity
-ACTIVE_STATES = frozenset(
-    (InstanceState.QUEUED, InstanceState.ADMITTED, InstanceState.RUNNING, InstanceState.PREEMPTED)
-)
+ACTIVE_STATES = frozenset((InstanceState.QUEUED, InstanceState.ADMITTED))
 
 
 @dataclass(frozen=True)
@@ -138,8 +123,6 @@ class TaskInstance:
     remaining: int = field(init=False)
     state: InstanceState = InstanceState.QUEUED
     service: int = 0  # slots of service received
-    completed_at: int | None = None
-    late: bool = False
 
     def __post_init__(self):
         if self.start_after < self.req:
@@ -151,17 +134,13 @@ class TaskInstance:
     def active(self) -> bool:
         return self.state in ACTIVE_STATES
 
-    def run_one_slot(self, t: int) -> None:
+    def run_one_slot(self) -> None:
         if self.remaining <= 0:
             raise RuntimeError(f"instance {self.uid} ran with no remaining work")
         self.remaining -= 1
         self.service += 1
         if self.remaining == 0:
             self.state = InstanceState.COMPLETED
-            self.completed_at = t
-            self.late = t > self.deadline
-        else:
-            self.state = InstanceState.RUNNING
 
 
 def generate_arrivals(specs: list[TaskSpec], horizon: int, seed) -> list[TaskInstance]:
@@ -210,26 +189,3 @@ def admit(inst: TaskInstance, t: int) -> InstanceState:
         inst.state = InstanceState.DROPPED
     return inst.state
 
-
-def idle_capacity(
-    active_demands: list[np.ndarray] | np.ndarray,
-    scan_active: bool = False,
-    scan_demand: np.ndarray | None = None,
-) -> float:
-    """Minimum unallocated capacity fraction across resource types.
-
-    Negative values indicate an over-committed slot; schedules passing
-    the per-slot capacity constraint never produce one.
-    """
-    demands = [np.asarray(d, dtype=float) for d in active_demands]
-    if scan_active:
-        if scan_demand is None:
-            raise ValueError("scan_active requires scan_demand")
-        demands = demands + [np.asarray(scan_demand, dtype=float)]
-    if not demands:
-        return 1.0
-    dims = {d.shape for d in demands}
-    if len(dims) != 1:
-        raise ValueError(f"demand vectors disagree on dimensionality: {sorted(dims)}")
-    used = np.sum(demands, axis=0)
-    return float(np.min(1.0 - used))

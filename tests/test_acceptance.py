@@ -183,8 +183,7 @@ def test_criterion_6_scheduler_quality():
         for k in range(1000):
             w, cfg, insts, targets = micro_instance(rng, max_tasks=3, with_quota=True)
             snapshot = {i.uid: copy.deepcopy(i) for i in insts}
-            plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets,
-                                project_arrivals=False)
+            plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets)
             violations = check_plan(plan, snapshot, cfg, targets)
             assert violations == [], (k, violations)
 
@@ -192,7 +191,7 @@ def test_criterion_6_scheduler_quality():
         for k in range(100):
             w, cfg, insts, _ = micro_instance(rng, max_tasks=2)
             res = exact_schedule(copy.deepcopy(insts), w, UTIL, cfg)
-            plan = plan_horizon(insts, 0, w, UTIL, cfg, project_arrivals=False)
+            plan = plan_horizon(insts, 0, w, UTIL, cfg)
             assert plan.objective <= res.objective + 1e-9, k
             if res.objective > 1e-9:
                 ratios.append(plan.objective / res.objective)

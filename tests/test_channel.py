@@ -189,11 +189,6 @@ class TestDelayAndGeometry:
     def test_single_slot_forecast(self):
         assert predict_mean_snr(42, 1, self.GEO)[0] == pytest.approx(self.GEO.mean_snr_db(42))
 
-    def test_truncation_warns(self):
-        with pytest.warns(UserWarning):
-            seq = predict_mean_snr(95, 10, self.GEO, episode_end=100)
-        assert len(seq) == 5
-
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             predict_mean_snr(0, 0, self.GEO)

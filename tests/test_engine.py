@@ -1,12 +1,13 @@
 import dataclasses
 import enum
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from satdefsim.attacker import AttackerParams
-from satdefsim.config import ConfigError, default_scenario, from_dict
+from satdefsim.config import ConfigError, default_scenario, from_dict, load_config
 from satdefsim.engine import (
     EpisodeRunner,
     ScriptedWindow,
@@ -148,12 +149,12 @@ class TestBaselines:
             "policy": "fcfs",
         })
         runner = EpisodeRunner(cfg, 0, "fcfs")
-        live, started = [], set()
+        live = []
         for inst in runner.arrivals_by_slot[0]:
             from satdefsim.workload import admit
             admit(inst, 0)
             live.append(inst)
-        running, usage, _ = runner._fcfs_slot(0, live, started)
+        running, usage, _ = runner._fcfs_slot(live)
         ids = {i.spec.id for i in running}
         assert "hog" in ids and "hog2" not in ids
         assert "light" not in ids  # blocked behind hog2 despite idle fpga
@@ -266,6 +267,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section,key", [
         ("persuasion", "units_per_slot"),
+        ("channel", "series_truncation"),
         ("geometry", "tx_power_w"),
         ("geometry", "tx_gain_dbi"),
         ("geometry", "rx_gain_dbi"),
@@ -287,6 +289,10 @@ class TestConfigValidation:
         assert {k for k, v in leaves.items() if defaults.get(k) == v} == {"persuasion.units_per_slot"}
         echo = json.loads(json.dumps(cfg.to_jsonable()))
         assert config_leaves(from_dict(echo)) == leaves
+
+    def test_default_yaml_is_the_default_scenario(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+        assert load_config(path).to_jsonable() == default_scenario().to_jsonable()
 
 
 #: every scenario key set to a value other than its default
@@ -313,7 +319,6 @@ NON_DEFAULT_SCENARIO = {
     "channel": {
         "fading": {"b0": 0.2, "m": 5.0, "omega": 1.0},
         "snr_threshold_db": 4.0,
-        "series_truncation": 150,
         "proc_delay_ms": 2.0,
         "geometry": {"d_min_km": 600.0, "d_max_km": 1500.0, "pass_slots": 250,
                      "peak_snr_db": 11.0, "path_loss_exp": 2.2},

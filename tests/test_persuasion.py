@@ -393,7 +393,7 @@ class TestBudgetAllocation:
 
     def test_erased_slot_gets_nothing(self):
         curve = self.curve()
-        alloc = allocate_on_grid(np.array([1.0, 0.0]), 0.4, curve)
+        alloc = curve.budgets[allocate_on_grid(np.array([1.0, 0.0]), 0.4, curve)]
         assert alloc[0] == 0.0
         # the whole 2-slot budget goes to the clean slot, down to one grid step
         step = curve.budgets[1]
@@ -403,9 +403,9 @@ class TestBudgetAllocation:
         curve = self.curve()
         pout = np.array([0.9, 0.1])
         total = 2 * 0.25
-        alloc = allocate_on_grid(pout, total, curve)
+        alloc = curve.budgets[allocate_on_grid(pout, total, curve)]
         assert alloc[1] >= alloc[0] - 1e-12
-        uniform = np.full(2, curve.budgets[curve.solution_at_or_below(0.25)[0]])
+        uniform = np.full(2, curve.budgets[curve.budgets <= 0.25][-1])
         assert window_objective(alloc, pout, curve) <= window_objective(uniform, pout, curve) + 1e-12
         assert window_objective(alloc, pout, curve) <= exhaustive_allocation(pout, total, curve) + 1e-12
 
@@ -422,7 +422,7 @@ class TestGridAllocator:
         game = build_scan_game(10.0, 0.1, 0.5, z_bins=1)
         curve = BudgetCurve(game, points=9)
         pout = np.array([0.8, 0.4, 0.1, 0.0, 0.6])
-        alloc = allocate_on_grid(pout, 5 * 0.2, curve)
+        alloc = curve.budgets[allocate_on_grid(pout, 5 * 0.2, curve)]
         assert alloc.sum() <= 5 * 0.2 + 1e-9
         order = np.argsort(1 - pout)
         assert all(alloc[order[i]] <= alloc[order[i + 1]] + 1e-12 for i in range(4))
@@ -430,7 +430,7 @@ class TestGridAllocator:
     def test_zero_budget_allocates_nothing(self):
         game = build_scan_game(10.0, 0.1, 0.5, z_bins=1)
         curve = BudgetCurve(game, points=9)
-        assert allocate_on_grid(np.array([0.5, 0.5]), 0.0, curve).sum() == 0.0
+        assert curve.budgets[allocate_on_grid(np.array([0.5, 0.5]), 0.0, curve)].sum() == 0.0
 
     def test_matches_exhaustive_search(self):
         # greedy marginal allocation against every level vector, w <= 3,
@@ -447,7 +447,7 @@ class TestGridAllocator:
             if i % 4 == 0:
                 pout[rng.integers(w)] = 1.0
             total = float(rng.uniform(0.0, w * curve.budgets[-1]))
-            alloc = allocate_on_grid(pout, total, curve)
+            alloc = curve.budgets[allocate_on_grid(pout, total, curve)]
             assert alloc.sum() <= total + 1e-12
             assert np.all(alloc[pout == 1.0] == 0.0)
             assert window_objective(alloc, pout, curve) == pytest.approx(

@@ -110,22 +110,28 @@ class TestGreedySlot:
 class TestPlanHorizon:
     def test_no_arrivals_no_scan(self):
         cfg = SchedulerConfig(scan=SCAN, scan_enabled=False)
-        plan = plan_horizon([], 0, 20, UTIL, cfg, specs=[], project_arrivals=False)
+        plan = plan_horizon([], 0, 20, UTIL, cfg, specs=[])
         assert np.all(plan.z == 1.0)
         assert plan.scan_freq == 0.0
 
     def test_window_equal_to_scan_duration(self):
-        plan = plan_horizon([], 0, SCAN.duration, UTIL, CFG, specs=[], project_arrivals=False)
+        plan = plan_horizon([], 0, SCAN.duration, UTIL, CFG, specs=[])
         assert plan.scan_freq == 1.0
         assert plan.has_scan
 
     def test_deterministic(self):
         w, cfg, insts, _ = micro_instance(np.random.default_rng(5))
-        p1 = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg, project_arrivals=False)
-        p2 = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg, project_arrivals=False)
+        p1 = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg)
+        p2 = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg)
         assert np.array_equal(p1.scan_on, p2.scan_on)
         assert p1.running == p2.running
         assert p1.objective == p2.objective
+        # planning on the caller's own instances leaves them untouched
+        before = [(i.state, i.remaining, i.service) for i in insts]
+        for _ in range(2):
+            p = plan_horizon(insts, 0, w, UTIL, cfg)
+            assert p.running == p1.running and p.objective == p1.objective
+        assert [(i.state, i.remaining, i.service) for i in insts] == before
 
     def test_benchmark_workload_plan_is_clean(self):
         from satdefsim.config import default_scenario
@@ -134,8 +140,7 @@ class TestPlanHorizon:
         cfg = default_scenario(horizon=100, window=100)
         insts = generate_arrivals(list(cfg.tasks), 100, seed=3)
         plan = plan_horizon(insts, 0, 100, UTIL, cfg.scheduler_config(),
-                            specs=cfg.tasks, stability_targets=cfg.stability_targets(),
-                            project_arrivals=False)
+                            stability_targets=cfg.stability_targets())
         violations = check_plan(plan, {i.uid: i for i in insts}, cfg.scheduler_config(),
                                 cfg.stability_targets())
         assert violations == []
@@ -144,7 +149,7 @@ class TestPlanHorizon:
         import json
 
         w, cfg, insts, _ = micro_instance(np.random.default_rng(8))
-        plan = plan_horizon(insts, 0, w, UTIL, cfg, project_arrivals=False)
+        plan = plan_horizon(insts, 0, w, UTIL, cfg)
         doc = json.loads(json.dumps(plan.to_jsonable()))
         assert doc["scan_on"] == plan.scan_on.tolist()
         assert doc["running"] == plan.running
@@ -166,21 +171,20 @@ class TestChecker:
             w, cfg, insts, targets = micro_instance(rng, max_tasks=3, with_quota=True)
             snapshot = {i.uid: copy.deepcopy(i) for i in insts}
             plan = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg,
-                                stability_targets=targets, project_arrivals=False)
+                                stability_targets=targets)
             assert check_plan(plan, snapshot, cfg, targets) == []
 
     def test_flags_capacity_violation(self):
         inst = make_instance(uid=0, demand=(0.7, 0.7), processing=2, deadline=8)
         plan = plan_horizon([copy.deepcopy(inst)], 0, 4, UTIL,
-                            SchedulerConfig(scan=SCAN, scan_enabled=False),
-                            project_arrivals=False)
+                            SchedulerConfig(scan=SCAN, scan_enabled=False))
         plan.running[0] = [0, 0]  # forge a double allocation
         bad = check_plan(plan, {0: make_instance(uid=0, demand=(0.7, 0.7), processing=2, deadline=8)},
                          SchedulerConfig(scan=SCAN, scan_enabled=False))
         assert any("capacity" in v for v in bad)
 
     def test_flags_broken_scan_block(self):
-        plan = plan_horizon([], 0, 6, UTIL, CFG, specs=[], project_arrivals=False)
+        plan = plan_horizon([], 0, 6, UTIL, CFG, specs=[])
         plan.scan_on = np.array([1, 1, 0, 0, 0, 0])  # 2-slot fragment, duration 5
         bad = check_plan(plan, {}, CFG)
         assert any("scan run" in v for v in bad)
@@ -189,7 +193,7 @@ class TestChecker:
         spec = make_spec(tid="q", demand=(0.1, 0.1), processing=6, deadline=12)
         inst = TaskInstance(uid=0, spec=spec, req=0, start_after=0)
         cfg = SchedulerConfig(scan=SCAN, scan_enabled=False)
-        plan = plan_horizon([copy.deepcopy(inst)], 0, 6, UTIL, cfg, project_arrivals=False)
+        plan = plan_horizon([copy.deepcopy(inst)], 0, 6, UTIL, cfg)
         plan.running = [[] for _ in range(6)]  # forge idleness
         bad = check_plan(plan, {0: inst}, cfg, {"q": 0.5})
         assert any("stability" in v for v in bad)
@@ -201,7 +205,7 @@ class TestExactOracle:
         for _ in range(20):
             w, cfg, insts, _ = micro_instance(rng)
             res = exact_schedule(copy.deepcopy(insts), w, UTIL, cfg)
-            plan = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg, project_arrivals=False)
+            plan = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg)
             assert plan.objective <= res.objective + 1e-9
 
     def test_empty_instance_packs_scans(self):
@@ -285,7 +289,7 @@ class TestScalarPathProperties:
     def test_plans_respect_capacity_and_power(self, window):
         w, cfg, insts, targets = window
         snapshot = {i.uid: copy.deepcopy(i) for i in insts}
-        plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets, project_arrivals=False)
+        plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets)
         violations = check_plan(plan, snapshot, cfg, targets)
         assert [v for v in violations if "stability" not in v] == []
 
@@ -294,7 +298,7 @@ class TestScalarPathProperties:
     def test_decision_z_is_min_idle_capacity(self, window):
         w, cfg, insts, targets = window
         specs = {i.uid: i.spec for i in insts}
-        plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets, project_arrivals=False)
+        plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets)
         for k in range(w):
             usage = np.zeros(len(cfg.scan.demand))
             if plan.scan_on[k]:

@@ -12,8 +12,6 @@ from satdefsim.workload import (
     TaskInstance,
     admit,
     generate_arrivals,
-    idle_capacity,
-    resource_vector,
 )
 
 from conftest import make_instance, make_spec
@@ -87,26 +85,6 @@ class TestAdmit:
         assert (state == InstanceState.ADMITTED) == (deadline - t >= remaining)
 
 
-class TestIdleCapacity:
-    def test_empty_system(self):
-        assert idle_capacity([]) == 1.0
-
-    def test_relay_plus_scan(self):
-        z = idle_capacity([np.array([0.20, 0.10])], scan_active=True, scan_demand=np.array([0.15, 0.05]))
-        assert z == pytest.approx(0.65, abs=1e-12)
-
-    def test_three_routine_tasks(self):
-        d = [np.array([0.05, 0.15])] * 3
-        assert idle_capacity(d) == pytest.approx(0.55, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            idle_capacity([np.array([0.2, 0.1]), np.array([0.2])])
-
-    def test_overcommit_goes_negative(self):
-        assert idle_capacity([np.array([0.9, 0.2])] * 2) < 0
-
-
 class TestValidation:
     def test_demand_out_of_range(self):
         with pytest.raises(ValueError):
@@ -137,22 +115,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Arrival(kind="sporadic")
 
-    def test_resource_vector_guard(self):
-        with pytest.raises(ValueError):
-            resource_vector([0.5, -0.1])
-
     def test_run_without_work_raises(self):
         inst = make_instance(processing=1, deadline=2)
-        inst.run_one_slot(0)
+        inst.run_one_slot()
         assert inst.state == InstanceState.COMPLETED
         with pytest.raises(RuntimeError):
-            inst.run_one_slot(1)
-
-    def test_late_completion_flag(self):
-        inst = make_instance(processing=1, deadline=2)
-        inst.deadline = 3
-        inst.run_one_slot(7)
-        assert inst.state == InstanceState.COMPLETED and inst.late
+            inst.run_one_slot()
 
 
 def test_stability_fraction_uses_rate_times_processing():
