@@ -29,7 +29,7 @@ from .engine import (
     write_slot_traces,
     write_window_traces,
 )
-from .persuasion import PersuasionGame, credibility_cost, solve_persuasion
+from .persuasion import PersuasionGame, solve_persuasion
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -142,7 +142,7 @@ def _cmd_persuasion_solve(args) -> int:
         print(f"wrote {out / 'persuasion_sweep.csv'} ({len(rows)} rows)")
         return 0
     sol = solve_persuasion(game, budget, args.subdivisions)
-    cost = credibility_cost(sol.policy, prior)
+    cost = sol.credibility
     doc = {
         "schema_version": 2,
         "build_id": build_id(),

@@ -14,6 +14,7 @@ import yaml
 
 from .attacker import AttackerParams
 from .channel import ChannelParams, PassGeometry
+from .persuasion import is_subdivision_count
 from .scheduler import ScanTask, SchedulerConfig, UtilityParams
 from .workload import Arrival, Nature, Priority, TaskSpec
 
@@ -51,6 +52,8 @@ class PersuasionSettings:
                 f"n_signals must be 0 (one per support posterior) or at least "
                 f"2 * z_bins + 1 = {2 * self.z_bins + 1}, got {self.n_signals}"
             )
+        if self.subdivisions is not None and not is_subdivision_count(self.subdivisions):
+            raise ConfigError(f"subdivisions must be omitted or an int >= 1, got {self.subdivisions!r}")
         if self.credibility < 0:
             raise ConfigError("credibility budget must be >= 0")
         if not (0.0 < self.prior_scan < 1.0):

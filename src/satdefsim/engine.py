@@ -183,11 +183,10 @@ class EpisodeRunner:
         if self.policy not in POLICY_KINDS:
             raise ValueError(f"unknown policy {self.policy!r}")
         self.seed = seed
-        kids = np.random.SeedSequence(seed).spawn(4)
+        kids = np.random.SeedSequence(seed).spawn(3)
         self.rng_arrivals = np.random.default_rng(kids[0])
         self.rng_channel = np.random.default_rng(kids[1])
         self.rng_signal = np.random.default_rng(kids[2])
-        self.rng_attacker = np.random.default_rng(kids[3])
 
         self.instances = generate_arrivals(list(cfg.tasks), cfg.horizon, self.rng_arrivals)
         self.arrivals_by_slot: dict[int, list[TaskInstance]] = defaultdict(list)
@@ -415,16 +414,15 @@ class EpisodeRunner:
                 erased = bool(self.erased[t])
                 sig_recv = ""
                 if self.attacker_on and game is not None:
+                    due = deliveries.pop(t, None)  # lost with the slot if erased
                     if erased:
                         belief = game.prior.copy()
                         p_scan = prior_p_scan
-                    else:
-                        due = deliveries.pop(t, None)
-                        if due:
-                            gen_t, m, pol = max(due, key=lambda d: d[0])
-                            belief = belief_update(game.prior, m, pol)
-                            p_scan = game.p_scan(belief)
-                            sig_recv = str(m)
+                    elif due:
+                        gen_t, m, pol = max(due, key=lambda d: d[0])
+                        belief = belief_update(game.prior, m, pol)
+                        p_scan = game.p_scan(belief)
+                        sig_recv = str(m)
 
                 x_att = 0
                 blocked = 0

@@ -21,8 +21,10 @@ while the optimum is that of the full grid.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -230,6 +232,31 @@ def simplex_grid(n_states: int, subdivisions: int) -> np.ndarray:
     return (np.diff(bounds, axis=1) - 1) / subdivisions
 
 
+def is_subdivision_count(value) -> bool:
+    """True for an integer grid resolution >= 1 (bool excluded)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+@lru_cache(maxsize=8)
+def _grid_tables(n_states: int, subdivisions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The game-independent tables of one simplex grid, built once and
+    shared read-only by every solve on it: the points, each point's
+    entropy, and the mask of the coarse sub-grid the master starts from."""
+    grid = simplex_grid(n_states, subdivisions)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.sum(np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0), axis=1)
+    # coarse sub-grid: every count a multiple of the smallest divisor of
+    # subdivisions that leaves at most _COARSE_SUBDIVISIONS steps per edge
+    stride = next(
+        d for d in range(1, subdivisions + 1)
+        if subdivisions % d == 0 and subdivisions // d <= _COARSE_SUBDIVISIONS
+    )
+    coarse = np.all(np.rint(grid * subdivisions).astype(np.int64) % stride == 0, axis=1)
+    for table in (grid, ent, coarse):
+        table.flags.writeable = False
+    return grid, ent, coarse
+
+
 @dataclass
 class PersuasionSolution:
     split: PosteriorSplit
@@ -268,22 +295,25 @@ def solve_persuasion(
       round adds a new column, so the loop ends.
 
     Support, weights and the policy (one signal per support posterior)
-    are read from the final master.
+    are read from the final master.  The grid, its entropies and the
+    starting master are built once per ``(n_states, subdivisions)`` and
+    shared by later solves; ``subdivisions`` must be None (the default
+    grid for ``n_states``) or an int >= 1.
     """
     if budget < 0:
         raise ValueError("credibility budget must be >= 0")
     n = game.n_states
-    subs = subdivisions or DEFAULT_SUBDIVISIONS.get(n)
-    if subs is None:
-        raise ValueError(f"no default grid for {n} states; pass subdivisions")
-    grid = simplex_grid(n, subs)
+    if subdivisions is None:
+        subs = DEFAULT_SUBDIVISIONS.get(n)
+        if subs is None:
+            raise ValueError(f"no default grid for {n} states; pass subdivisions")
+    elif not is_subdivision_count(subdivisions):
+        raise ValueError(f"subdivisions must be None or an int >= 1, got {subdivisions!r}")
+    else:
+        subs = int(subdivisions)
+    grid, ent, coarse = _grid_tables(n, subs)
     values = np.maximum(grid @ game.attack_payoff, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.sum(np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0), axis=1)
-    # coarse sub-grid: every count a multiple of the smallest divisor of subs
-    # that leaves at most _COARSE_SUBDIVISIONS steps per edge
-    stride = next(d for d in range(1, subs + 1) if subs % d == 0 and subs // d <= _COARSE_SUBDIVISIONS)
-    in_master = np.all(np.rint(grid * subs).astype(np.int64) % stride == 0, axis=1)
+    in_master = coarse.copy()
     rounds = 0
     while True:
         cols = np.flatnonzero(in_master)

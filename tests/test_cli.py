@@ -106,6 +106,15 @@ def test_persuasion_solve_rejects_too_few_signals(tmp_path):
     assert main(["persuasion-solve", "--game", str(game), "--out", str(tmp_path / "pers")]) == 2
 
 
+def test_persuasion_solve_rejects_zero_subdivisions(tmp_path, capsys):
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump({"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5]}))
+    out = tmp_path / "pers"
+    assert main(["persuasion-solve", "--game", str(game), "--out", str(out), "--subdivisions", "0"]) == 2
+    assert "subdivisions" in capsys.readouterr().err
+    assert not (out / "persuasion_solution.json").exists()
+
+
 def test_persuasion_sweep_mode(tmp_path):
     game = tmp_path / "game.yaml"
     game.write_text(yaml.safe_dump({"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5]}))

@@ -265,6 +265,15 @@ class TestConfigValidation:
         for ok in (0, 5, 6):
             assert default_scenario(persuasion={"z_bins": 2, "n_signals": ok}).persuasion.n_signals == ok
 
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, "6", True])
+    def test_bad_subdivisions_rejected(self, bad):
+        with pytest.raises(ConfigError, match="subdivisions"):
+            default_scenario(persuasion={"subdivisions": bad})
+
+    @pytest.mark.parametrize("ok", [None, 1, 60])
+    def test_subdivisions_accepted(self, ok):
+        assert default_scenario(persuasion={"subdivisions": ok}).persuasion.subdivisions == ok
+
     @pytest.mark.parametrize("section,key", [
         ("persuasion", "units_per_slot"),
         ("channel", "series_truncation"),

@@ -6,6 +6,7 @@ import pytest
 from scipy import optimize, sparse
 from scipy import stats as scipy_stats
 
+from satdefsim import persuasion
 from satdefsim.persuasion import (
     DEFAULT_SUBDIVISIONS,
     BudgetCurve,
@@ -336,14 +337,7 @@ class TestColumnGeneration:
         game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
         curve = BudgetCurve(game, 13)
         for b, got in zip(curve.budgets, curve.solutions):
-            want = solve_persuasion(game, b)
-            assert got.objective == want.objective
-            assert got.credibility == want.credibility
-            assert (got.lp_columns, got.pricing_rounds) == (want.lp_columns, want.pricing_rounds)
-            for a, c in ((got.split.posteriors, want.split.posteriors),
-                         (got.split.weights, want.split.weights), (got.policy, want.policy)):
-                assert a.dtype == c.dtype and a.shape == c.shape
-                assert a.tobytes() == c.tobytes()
+            assert_same_solution(got, solve_persuasion(game, b))
 
     def test_fewer_signals_than_split_support_rejected(self):
         for bad in (-1, 1, 2):
@@ -351,6 +345,81 @@ class TestColumnGeneration:
                 two_state_game([1.0, -1.0], n_signals=bad)
         for ok in (0, 3):
             assert two_state_game([1.0, -1.0], n_signals=ok).n_signals == ok
+
+
+def random_game(rng, n):
+    return PersuasionGame(
+        attack_payoff=rng.uniform(-2, 2, n),
+        prior=rng.dirichlet(np.ones(n)),
+        z_bins=n,
+        z_rep=np.zeros(n),
+        scan_flag=np.zeros(n, dtype=int),
+    )
+
+
+def assert_same_solution(a, b):
+    assert a.objective == b.objective
+    assert a.credibility == b.credibility
+    assert (a.lp_columns, a.pricing_rounds) == (b.lp_columns, b.pricing_rounds)
+    for x, y in ((a.split.posteriors, b.split.posteriors), (a.split.weights, b.split.weights),
+                 (a.policy, b.policy)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+class TestGridTables:
+    @pytest.fixture(autouse=True)
+    def cold_tables(self):
+        persuasion._grid_tables.cache_clear()
+        yield
+        persuasion._grid_tables.cache_clear()
+
+    def test_budget_curve_builds_the_grid_once(self, monkeypatch):
+        calls = []
+
+        def counting_grid(n_states, subdivisions):
+            calls.append((n_states, subdivisions))
+            return simplex_grid(n_states, subdivisions)
+
+        monkeypatch.setattr(persuasion, "simplex_grid", counting_grid)
+        game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
+        BudgetCurve(game, 13)
+        solve_persuasion(game, 0.2)
+        assert calls == [(4, DEFAULT_SUBDIVISIONS[4])]
+
+    def test_tables_are_read_only(self):
+        solve_persuasion(build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2), 0.2)
+        for table in persuasion._grid_tables(4, DEFAULT_SUBDIVISIONS[4]):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_solution_shares_no_memory_with_the_tables(self):
+        game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
+        tables = persuasion._grid_tables(4, DEFAULT_SUBDIVISIONS[4])
+        for budget in np.linspace(0.0, math.log(4), 5):
+            sol = solve_persuasion(game, float(budget))
+            for out in (sol.split.posteriors, sol.split.weights, sol.policy):
+                assert not any(np.shares_memory(out, table) for table in tables)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_cold_and_warm_solves_are_identical(self, n):
+        rng = np.random.default_rng(200 + n)
+        game, other = random_game(rng, n), random_game(rng, n)
+        budget = 0.3 * math.log(n)
+        cold = solve_persuasion(game, budget)
+        assert persuasion._grid_tables.cache_info().currsize == 1
+        solve_persuasion(other, 0.5 * budget)  # another game on the same tables
+        warm = solve_persuasion(game, budget)
+        assert persuasion._grid_tables.cache_info().hits == 2
+        assert_same_solution(cold, warm)
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, "6", True])
+    def test_bad_subdivisions_rejected_before_the_tables(self, bad):
+        with pytest.raises(ValueError, match="subdivisions"):
+            solve_persuasion(build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2), 0.2, bad)
+        info = persuasion._grid_tables.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 class TestSplitPolicyRoundtrip:
