@@ -219,9 +219,10 @@ def predict_mean_snr(t: int, window: int, geometry: PassGeometry) -> np.ndarray:
 class OutageTable:
     """Interpolated outage probability over a mean-SNR range.
 
-    Episode runners evaluate outage per slot; this caches one cumulative
-    quadrature of the envelope density instead of calling the adaptive
-    integrator thousands of times.
+    The budget allocation reads outage for every slot of a scenario;
+    this holds one cumulative quadrature of the envelope density instead
+    of calling the adaptive integrator thousands of times.  The engine
+    builds one table per scenario, with the scenario's downlink schedule.
     """
 
     def __init__(self, params: ChannelParams, snr_db_lo: float, snr_db_hi: float, points: int = 256):

@@ -120,6 +120,8 @@ def _cmd_persuasion_solve(args) -> int:
         n_signals = int(raw.get("n_signals", len(prior) + 2))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad game description: {exc}") from exc
+    if args.sweep and args.sweep_points < 1:
+        raise ConfigError(f"--sweep-points must be >= 1, got {args.sweep_points}")
     n = len(prior)
     game = PersuasionGame(
         attack_payoff=payoff,
@@ -166,6 +168,10 @@ def _cmd_persuasion_solve(args) -> int:
 
 
 def _cmd_channel_validate(args) -> int:
+    if args.points < 2:
+        raise ConfigError(f"--points must be >= 2, got {args.points}")
+    if not args.r_max > 0:
+        raise ConfigError(f"--r-max must be > 0, got {args.r_max}")
     params = ChannelParams(b0=args.b0, m=args.m, omega=args.omega,
                            snr_threshold_db=args.threshold_db)
     r = np.linspace(0.0, args.r_max, args.points)

@@ -8,6 +8,11 @@ forecast, sample one deceptive signal per slot and pick the artificial
 delay; (3) execute slot by slot - run tasks, draw the channel, deliver
 or erase telemetry, update the interceptor's belief and let it act.
 Episodes are deterministic given (config, seed).
+
+Only the fading draw depends on the seed.  The downlink forecast (mean
+SNR, propagation and delivery delays) and stardis's per-slot budget
+levels and artificial delays are built once per scenario, by the first
+episode that needs them, and shared read-only by later episodes.
 """
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ import json
 import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import add
 
 import numpy as np
@@ -28,8 +34,16 @@ from .attacker import (
     intensity_update,
     threshold_decision,
 )
-from .channel import OutageTable, delivery_delay_slots, erasures, predict_mean_snr, sample_envelope
-from .config import DECEPTION_POLICIES, POLICY_KINDS, ScenarioConfig
+from .channel import (
+    ChannelParams,
+    OutageTable,
+    PassGeometry,
+    delivery_delay_slots,
+    erasures,
+    predict_mean_snr,
+    sample_envelope,
+)
+from .config import DECEPTION_POLICIES, POLICY_KINDS, PersuasionSettings, ScenarioConfig
 from .persuasion import (
     BudgetCurve,
     PersuasionGame,
@@ -173,6 +187,69 @@ def persuasion_assets(cfg: ScenarioConfig) -> PersuasionAssets:
 
 
 # ---------------------------------------------------------------------------
+# Seed-independent downlink tables, built once per scenario
+# ---------------------------------------------------------------------------
+# Keyed on the frozen sub-configs they read (``ScenarioConfig`` holds
+# ndarrays and is not hashable); every array is read-only and every
+# sequence a tuple, so episodes share them without copying.
+
+@lru_cache(maxsize=8)
+def _link_tables(
+    horizon: int, geometry: PassGeometry, proc_delay_ms: float, slot_ms: float
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Per-slot mean-SNR forecast, propagation delay (ms) and delivery
+    delay in slots without injected delay."""
+    mean_snr = predict_mean_snr(0, horizon, geometry)
+    prop_ms = np.array([geometry.propagation_delay_ms(t) for t in range(horizon)])
+    delay_slots = tuple(delivery_delay_slots(prop_ms, proc_delay_ms, 0.0, slot_ms).tolist())
+    for table in (mean_snr, prop_ms):
+        table.flags.writeable = False
+    return mean_snr, prop_ms, delay_slots
+
+
+@lru_cache(maxsize=8)
+def _stardis_schedule(
+    assets: PersuasionAssets,
+    horizon: int,
+    window: int,
+    geometry: PassGeometry,
+    channel: ChannelParams,
+    persuasion: PersuasionSettings,
+    proc_delay_ms: float,
+    slot_ms: float,
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """stardis's per-slot budget level (an index into the budget curve)
+    and delivery delay in slots, window by window: the window's budget is
+    allocated over its forecast outage and each slot's artificial delay
+    follows its forecast SNR."""
+    mean_snr, prop_ms, _ = _link_tables(horizon, geometry, proc_delay_ms, slot_ms)
+    curve = assets.curve(persuasion.budget_points, persuasion.units_per_slot)
+    outage = OutageTable(channel, float(mean_snr.min()), float(mean_snr.max()))
+    levels, delays = [], []
+    for w_start in range(0, horizon, window):
+        w_len = min(window, horizon - w_start)
+        snr_hat = mean_snr[w_start : w_start + w_len]
+        levels.append(allocate_on_grid(outage(snr_hat), persuasion.credibility * w_len, curve))
+        slot_delays = [
+            choose_artificial_delay(
+                float(snr_hat[k]),
+                float(prop_ms[w_start + k]),
+                persuasion.delay_max_ms,
+                proc_delay_ms,
+                persuasion.delay_snr_lo_db,
+                persuasion.delay_snr_hi_db,
+            )
+            for k in range(w_len)
+        ]
+        delays += delivery_delay_slots(
+            prop_ms[w_start : w_start + w_len], proc_delay_ms, slot_delays, slot_ms
+        ).tolist()
+    level_table = np.concatenate(levels)
+    level_table.flags.writeable = False
+    return level_table, tuple(delays)
+
+
+# ---------------------------------------------------------------------------
 # Episode runner
 # ---------------------------------------------------------------------------
 
@@ -194,10 +271,10 @@ class EpisodeRunner:
             self.arrivals_by_slot[inst.req].append(inst)
 
         h = cfg.horizon
-        self.mean_snr = predict_mean_snr(0, h, cfg.geometry)
-        self.prop_ms = np.array([cfg.geometry.propagation_delay_ms(t) for t in range(h)])
-        # delivery delay without injected delay; stardis recomputes its windows
-        self.delay_slots = delivery_delay_slots(self.prop_ms, cfg.proc_delay_ms, 0.0, cfg.slot_ms).tolist()
+        # delivery delay without injected delay; stardis uses its schedule's
+        self.mean_snr, _, self.delay_slots = _link_tables(
+            h, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms
+        )
         self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
 
         self.attacker_on = cfg.attacker_mode != "none"
@@ -287,10 +364,13 @@ class EpisodeRunner:
         static_solution = None
         if self.signaling_on and self.policy == "star-static":
             static_solution = self.assets.static_solution(pset.credibility)
-        curve = outage = None
+        curve = levels = None
+        delay_slots = self.delay_slots
         if self.signaling_on and self.policy == "stardis":
             curve = self.assets.curve(pset.budget_points, pset.units_per_slot)
-            outage = OutageTable(cfg.channel, float(self.mean_snr.min()), float(self.mean_snr.max()))
+            levels, delay_slots = _stardis_schedule(
+                self.assets, h, w_len_cfg, cfg.geometry, cfg.channel, pset, cfg.proc_delay_ms, cfg.slot_ms
+            )
 
         window_index = 0
         for w_start in range(0, h, w_len_cfg):
@@ -309,7 +389,7 @@ class EpisodeRunner:
 
             # --- Phase 2: signaling ---
             slot_budgets = np.zeros(w_len)
-            delays = self.delay_slots[w_start : w_start + w_len]
+            delays = delay_slots[w_start : w_start + w_len]
             drift = 0.0
             if self.signaling_on and state is not None:
                 if self.policy == "star":
@@ -318,24 +398,9 @@ class EpisodeRunner:
                     policies = [static_solution.policy] * w_len
                     slot_budgets[:] = pset.credibility
                 else:  # stardis
-                    snr_hat = self.mean_snr[w_start : w_start + w_len]
-                    levels = allocate_on_grid(outage(snr_hat), pset.credibility * w_len, curve)
-                    policies = [curve.solutions[l].policy for l in levels]
-                    slot_budgets = curve.budgets[levels]
-                    slot_delays = [
-                        choose_artificial_delay(
-                            float(snr_hat[k]),
-                            float(self.prop_ms[w_start + k]),
-                            pset.delay_max_ms,
-                            cfg.proc_delay_ms,
-                            pset.delay_snr_lo_db,
-                            pset.delay_snr_hi_db,
-                        )
-                        for k in range(w_len)
-                    ]
-                    delays = delivery_delay_slots(
-                        self.prop_ms[w_start : w_start + w_len], cfg.proc_delay_ms, slot_delays, cfg.slot_ms
-                    ).tolist()
+                    w_levels = levels[w_start : w_start + w_len]
+                    policies = [curve.solutions[l].policy for l in w_levels]
+                    slot_budgets = curve.budgets[w_levels]
                 for k, pol in enumerate(policies):
                     row = pol[state]
                     t = w_start + k

@@ -158,3 +158,42 @@ def test_unknown_key_exits_nonzero(tmp_path):
 def test_missing_config_file(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_persuasion_sweep_rejects_too_few_points(tmp_path, capsys, points):
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump({"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5]}))
+    out = tmp_path / "pers"
+    rc = main(["persuasion-solve", "--game", str(game), "--out", str(out), "--sweep", "--sweep-points", points])
+    assert rc == 2
+    assert "--sweep-points must be >= 1" in capsys.readouterr().err
+    assert not (out / "persuasion_sweep.csv").exists()
+
+
+def test_persuasion_sweep_accepts_one_point(tmp_path):
+    game = tmp_path / "game.yaml"
+    game.write_text(yaml.safe_dump({"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5]}))
+    out = tmp_path / "pers"
+    assert main(["persuasion-solve", "--game", str(game), "--out", str(out), "--sweep", "--sweep-points", "1"]) == 0
+    assert len((out / "persuasion_sweep.csv").read_text().strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--points", "0"], "--points must be >= 2"),
+    (["--points", "1"], "--points must be >= 2"),
+    (["--r-max", "0"], "--r-max must be > 0"),
+    (["--r-max", "-2"], "--r-max must be > 0"),
+    (["--r-max", "nan"], "--r-max must be > 0"),
+])
+def test_channel_validate_rejects_bad_grid(tmp_path, capsys, flags, message):
+    out = tmp_path / "chan"
+    assert main(["channel-validate", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "envelope_distribution.csv").exists()
+
+
+def test_channel_validate_accepts_two_points(tmp_path):
+    out = tmp_path / "chan"
+    assert main(["channel-validate", "--out", str(out), "--points", "2", "--r-max", "1.5"]) == 0
+    assert len((out / "envelope_distribution.csv").read_text().strip().splitlines()) == 3

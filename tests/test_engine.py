@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from satdefsim import engine
 from satdefsim.attacker import AttackerParams
 from satdefsim.config import ConfigError, default_scenario, from_dict, load_config
 from satdefsim.engine import (
@@ -18,6 +20,8 @@ from satdefsim.engine import (
     write_slot_traces,
 )
 from satdefsim.persuasion import build_scan_game
+
+from test_golden import record
 
 
 def small_cfg(**overrides):
@@ -113,6 +117,183 @@ class TestAccounting:
             assert 0.0 <= m.relay_miss_pct <= 100.0
             for pct in m.utilization.values():
                 assert 0.0 <= pct <= 100.0
+
+
+def clear_downlink_caches():
+    engine._link_tables.cache_clear()
+    engine._stardis_schedule.cache_clear()
+
+
+def downlink_tables(cfg):
+    """The cached link tables and stardis schedule of a scenario."""
+    link = engine._link_tables(cfg.horizon, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms)
+    schedule = engine._stardis_schedule(
+        engine.persuasion_assets(cfg), cfg.horizon, cfg.window, cfg.geometry, cfg.channel,
+        cfg.persuasion, cfg.proc_delay_ms, cfg.slot_ms,
+    )
+    return link, schedule
+
+
+#: a scenario in which each change of ``DOWNLINK_INPUTS`` changes a cached
+#: table: the budget curve falls in unequal steps and the 12 dB threshold
+#: puts the pass edges near certain outage, so the allocation weighs
+#: outage values, not only their order; the 60 ms processing delay puts
+#: the base latency near a slot boundary
+KEY_SCENARIO = small_cfg(
+    attacker={"mode": "threshold", "base_cost": 3.0},
+    persuasion={"credibility": 0.3},
+    channel={
+        "fading": {"b0": 0.158, "m": 19.4, "omega": 1.29},
+        "snr_threshold_db": 12.0,
+        "proc_delay_ms": 60.0,
+        "geometry": {"d_min_km": 550.0, "d_max_km": 1600.0, "peak_snr_db": 12.0},
+    },
+)
+
+
+def same_tables(x, y) -> bool:
+    (link_x, (levels_x, delays_x)), (link_y, (levels_y, delays_y)) = x, y
+    return (
+        all(np.array_equal(u, v) for u, v in zip(link_x, link_y))
+        and np.array_equal(levels_x, levels_y)
+        and delays_x == delays_y
+    )
+
+
+def _change(section=None, **values):
+    """A function that changes ``values`` in one sub-config (or at the top
+    level) of a scenario."""
+    if section is None:
+        return lambda c: dataclasses.replace(c, **values)
+    return lambda c: dataclasses.replace(c, **{section: dataclasses.replace(getattr(c, section), **values)})
+
+
+#: one-input changes of the scenario, each read by the downlink tables
+DOWNLINK_INPUTS = {
+    "geometry.peak_snr_db": _change("geometry", peak_snr_db=8.0),
+    "geometry.pass_slots": _change("geometry", pass_slots=120),
+    "channel.omega": _change("channel", omega=0.6),
+    "channel.snr_threshold_db": _change("channel", snr_threshold_db=8.0),
+    "proc_delay_ms": _change(proc_delay_ms=120.0),
+    "slot_ms": _change(slot_ms=40.0),
+    "window": _change(window=7),
+    "persuasion.credibility": _change("persuasion", credibility=0.1),
+    "delay_max_ms": _change("persuasion", delay_max_ms=150.0),
+    "delay_snr_hi_db": _change("persuasion", delay_snr_hi_db=6.0),
+    "budget_points": _change("persuasion", budget_points=5),
+    "prior_scan": _change("persuasion", prior_scan=0.35),
+}
+
+
+class TestDownlinkCache:
+    """The seed-independent downlink tables are built once per scenario
+    and must leave every episode as it would be without the cache."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_cold_and_warm_episodes_identical(self, policy):
+        cfg = small_cfg()
+        clear_downlink_caches()
+        cold = record(cfg, 3, policy)
+        warm = record(cfg, 3, policy)
+        assert warm == cold
+
+    @pytest.mark.parametrize("field", sorted(DOWNLINK_INPUTS))
+    def test_cache_key_covers_every_input(self, field):
+        a = KEY_SCENARIO
+        b = DOWNLINK_INPUTS[field](a)
+        policies = ("star", "stardis")  # the base delays and stardis's schedule
+        first = [record(a, 2, pol) for pol in policies]
+        warm = [record(b, 2, pol) for pol in policies]  # caches hold a's tables too
+        warm_tables = downlink_tables(b)
+        clear_downlink_caches()
+        cold = [record(b, 2, pol) for pol in policies]
+        cold_tables = downlink_tables(b)
+        assert warm == cold
+        assert same_tables(warm_tables, cold_tables)
+        # the input changes the episodes and a table, so a key without it fails
+        assert cold != first
+        clear_downlink_caches()
+        assert not same_tables(downlink_tables(a), cold_tables)
+
+    def test_cached_tables_are_read_only(self):
+        cfg = small_cfg()
+        run_episode(cfg, 0, "stardis")
+        (mean_snr, prop_ms, delays), (levels, stardis_delays) = downlink_tables(cfg)
+        for table in (mean_snr, prop_ms, levels):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = table[0]
+        assert isinstance(delays, tuple) and isinstance(stardis_delays, tuple)
+        assert len(levels) == len(delays) == len(stardis_delays) == cfg.horizon
+        assert EpisodeRunner(cfg, 1, "stardis").mean_snr is mean_snr
+
+    def test_built_once_per_scenario(self, monkeypatch):
+        built = {"outage": 0, "forecast": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine, "OutageTable", counting("outage", engine.OutageTable))
+        monkeypatch.setattr(engine, "predict_mean_snr", counting("forecast", engine.predict_mean_snr))
+        clear_downlink_caches()
+        cfg = small_cfg()
+        for seed in range(3):
+            run_episode(cfg, seed, "stardis")
+        assert built == {"outage": 1, "forecast": 1}
+        for policy in POLICIES:
+            run_episode(cfg, 4, policy)
+        assert built == {"outage": 1, "forecast": 1}
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A small valid scenario and a seed: 1-3 resources, a
+    horizon often not a multiple of the window and often longer than the
+    pass, 1-3 capacity bins and every attacker mode."""
+    n_res = draw(st.integers(1, 3))
+    demand = st.lists(st.floats(0.0, 0.45), min_size=n_res, max_size=n_res)
+    duration = draw(st.integers(1, 3))
+    window = draw(st.integers(duration, 8))
+    horizon = draw(st.integers(window, 120))
+    routine_slots = draw(st.integers(1, 20))
+    relay_slots = draw(st.integers(1, 8))
+    raw = {
+        "horizon": horizon,
+        "window": window,
+        "resources": ["cpu", "fpga", "gpu"][:n_res],
+        "tasks": [
+            {"id": "routine", "priority": "low", "demand": draw(demand), "power": 0.13,
+             "arrival": {"kind": "aperiodic", "rate": draw(st.floats(0.0, 0.6))},
+             "processing": routine_slots, "deadline": routine_slots + draw(st.integers(0, 40))},
+            {"id": "relay", "priority": "high", "demand": draw(demand), "power": 0.15,
+             "arrival": {"kind": "periodic", "interval": draw(st.integers(1, 40))},
+             "processing": relay_slots, "deadline": relay_slots + draw(st.integers(0, 10))},
+        ],
+        "scan": {"demand": draw(demand), "power": 0.25, "duration": duration},
+        "channel": {
+            "fading": {"b0": 0.158, "m": 19.4, "omega": 1.29},
+            "geometry": {"d_min_km": 550.0, "d_max_km": 1600.0, "peak_snr_db": 12.0,
+                         "pass_slots": draw(st.integers(1, 150))},
+        },
+        "attacker": {"mode": draw(st.sampled_from(("none", "threshold", "dp")))},
+        "persuasion": {"z_bins": draw(st.integers(1, 3))},
+    }
+    return from_dict(raw), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=30, deadline=None)
+@given(valid_scenarios())
+def test_random_valid_scenarios_run_and_repeat(case):
+    cfg, seed = case
+    for policy in POLICIES:
+        clear_downlink_caches()
+        cold = record(cfg, seed, policy)  # the engine checks the accounting identity
+        m = cold["metrics"]
+        assert m["generated"] == m["completed"] + m["dropped"] + m["missed"] + m["residual"]
+        assert record(cfg, seed, policy) == cold
 
 
 class TestBaselines:

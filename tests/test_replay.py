@@ -10,6 +10,11 @@ its congested dynamic-programming variant, horizon 500) are replayed:
   ``scan_freq``, exactly;
 - ``attacker_realized`` through ``realized_utility``, within 1e-12 (the
   engine accumulates its sum in a different order).
+
+The downlink columns of the slot trace (``mean_snr_db``, ``delay_slots``
+and ``budget``) are recomputed slot by slot from the channel and
+persuasion functions, exactly, on the golden scenarios and on two more:
+a horizon that leaves a short last window and one longer than the pass.
 """
 from __future__ import annotations
 
@@ -19,10 +24,13 @@ import numpy as np
 import pytest
 
 from satdefsim.attacker import realized_utility
+from satdefsim.channel import OutageTable, delivery_delay_slots, predict_mean_snr
+from satdefsim.config import default_scenario
 from satdefsim.engine import run_episode
+from satdefsim.persuasion import BudgetCurve, allocate_on_grid, build_scan_game, choose_artificial_delay
 from satdefsim.scheduler import detection_performance, slot_utility
 
-from test_golden import CASES, GOLDEN, key, scenarios
+from test_golden import CASES, GOLDEN, POLICIES, key, scenarios
 
 
 def replay(cfg, traces) -> dict:
@@ -77,3 +85,105 @@ def test_replayed_cases_include_attacks_and_erasures():
     golden = json.loads(GOLDEN.read_text())
     for name in ("attack_count", "blocked_attacks", "erasure_count"):
         assert sum(golden[key(*case)]["metrics"][name] for case in CASES) > 0, name
+
+
+# ---------------------------------------------------------------------------
+# Downlink columns
+# ---------------------------------------------------------------------------
+
+def budget_curve(cfg) -> BudgetCurve:
+    """The scenario's stardis budget curve, built without the engine."""
+    p = cfg.persuasion
+    game = build_scan_game(
+        reward_weight=cfg.attacker.reward_weight,
+        base_cost=cfg.attacker.base_cost,
+        prior_scan=p.prior_scan,
+        z_bins=p.z_bins,
+        n_signals=p.n_signals,
+    )
+    return BudgetCurve(game, points=p.budget_points, subdivisions=p.subdivisions)
+
+
+def downlink_columns(cfg, policy: str, curve: BudgetCurve) -> dict[str, list]:
+    """``mean_snr_db``, ``delay_slots`` and ``budget`` of every slot:
+    the forecast at the slot, its delivery delay (with stardis's
+    artificial delay) and the credibility budget its signal was drawn
+    under (none without signaling, the flat budget for star-static and
+    the window's outage-weighted allocation for stardis)."""
+    geo, p, h = cfg.geometry, cfg.persuasion, cfg.horizon
+    signaling = cfg.attacker_mode != "none" and policy in ("star", "star-static", "stardis")
+    snr = [float(predict_mean_snr(t, 1, geo)[0]) for t in range(h)]
+    prop = [geo.propagation_delay_ms(t) for t in range(h)]
+    added = [0.0] * h
+    budget = [p.credibility if signaling and policy == "star-static" else 0.0] * h
+    if signaling and policy == "stardis":
+        outage = OutageTable(cfg.channel, min(snr), max(snr))
+        for start in range(0, h, cfg.window):
+            slots = range(start, min(start + cfg.window, h))
+            pout = outage(np.array([snr[t] for t in slots]))
+            for t, level in zip(slots, allocate_on_grid(pout, p.credibility * len(slots), curve)):
+                budget[t] = float(curve.budgets[level])
+        added = [
+            choose_artificial_delay(
+                snr[t], prop[t], p.delay_max_ms, cfg.proc_delay_ms, p.delay_snr_lo_db, p.delay_snr_hi_db
+            )
+            for t in range(h)
+        ]
+    delay = [int(delivery_delay_slots(prop[t], cfg.proc_delay_ms, added[t], cfg.slot_ms)) for t in range(h)]
+    return {"mean_snr_db": snr, "delay_slots": delay, "budget": budget}
+
+
+def downlink_scenarios():
+    """The golden scenarios and two whose windows or pass differ.  The
+    default budget buys every stardis slot the same level; the smaller
+    one of ``beyond-pass`` buys two slots a window, chosen by outage."""
+    out = scenarios()
+    out["short-last-window"] = default_scenario(horizon=503, window=5)
+    out["beyond-pass"] = default_scenario(
+        horizon=600,
+        channel={
+            "fading": {"b0": 0.158, "m": 19.4, "omega": 1.29},
+            "snr_threshold_db": 5.0,
+            "geometry": {"d_min_km": 550.0, "d_max_km": 1600.0, "peak_snr_db": 12.0, "pass_slots": 400},
+        },
+        persuasion={"credibility": 0.05},
+    )
+    return out
+
+
+DOWNLINK_CASES = CASES + [
+    (sc, 0, pol) for sc in ("short-last-window", "beyond-pass") for pol in POLICIES
+]
+
+
+@pytest.fixture(scope="module")
+def downlink_configs():
+    return downlink_scenarios()
+
+
+@pytest.fixture(scope="module")
+def curves(downlink_configs):
+    return {name: budget_curve(cfg) for name, cfg in downlink_configs.items()}
+
+
+def test_downlink_scenarios_cover_the_edges(downlink_configs, curves):
+    short = downlink_configs["short-last-window"]
+    assert short.horizon % short.window != 0
+    beyond = downlink_configs["beyond-pass"]
+    assert beyond.horizon > beyond.geometry.pass_slots
+    # the allocation picks different slots in different windows
+    budget = downlink_columns(beyond, "stardis", curves["beyond-pass"])["budget"]
+    picked = {
+        tuple(k for k in range(beyond.window) if budget[start + k] > 0)
+        for start in range(0, beyond.horizon, beyond.window)
+    }
+    assert len(picked) > 1 and () not in picked
+
+
+@pytest.mark.parametrize("scenario,seed,policy", DOWNLINK_CASES, ids=[key(*c) for c in DOWNLINK_CASES])
+def test_downlink_columns_replay(downlink_configs, curves, scenario, seed, policy):
+    cfg = downlink_configs[scenario]
+    _, traces = run_episode(cfg, seed, policy)
+    want = downlink_columns(cfg, policy, curves[scenario])
+    for column, values in want.items():
+        assert traces.slots[column] == values, column
