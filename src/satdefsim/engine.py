@@ -13,6 +13,15 @@ Only the fading draw depends on the seed.  The downlink forecast (mean
 SNR, propagation and delivery delays) and stardis's per-slot budget
 levels and artificial delays are built once per scenario, by the first
 episode that needs them, and shared read-only by later episodes.
+
+Signaling reads tables, not the policies themselves.  Each policy an
+episode signals with (reveal, static, or a budget-curve level) gets one
+read-only ``SignalTable`` on its ``PersuasionAssets``: per-state sampling
+CDFs, the interceptor's posterior after each signal with mass, and a
+memo of the window drift.  An episode draws its signal uniforms in one
+``rng_signal.random(horizon)`` call and turns each into a signal with
+the row's CDF, exactly as ``Generator.choice`` would; a received packet
+is a table read and an erasure resets to the shared read-only prior.
 """
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import add
+from types import MappingProxyType
 
 import numpy as np
 
@@ -140,10 +150,111 @@ class EpisodeTraces:
 
 
 # ---------------------------------------------------------------------------
-# Persuasion asset cache (game, solved policies, budget curve)
+# Signal tables: what the signaling loop reads for one policy
+# ---------------------------------------------------------------------------
+
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _kahan_sum(values) -> float:
+    """Compensated sum in index order, as ``Generator.choice`` sums ``p``."""
+    total, carry = values[0], 0.0
+    for v in values[1:]:
+        y = v - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def choice_cdf(row) -> np.ndarray:
+    """The normalized CDF that ``Generator.choice(len(row), p=row)`` builds,
+    after its checks and with its ``ValueError`` messages: for a uniform
+    ``u`` from the same stream, ``cdf.searchsorted(u, side="right")`` is
+    the index ``choice`` returns."""
+    p = np.array(row, dtype=float)
+    p_sum = _kahan_sum(p.tolist())
+    if np.isnan(p_sum):
+        raise ValueError("Probabilities contain NaN")
+    if np.any(p < 0):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(p_sum - 1.0) > _CHOICE_ATOL:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring for more information."
+        )
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def belief_entry(belief: np.ndarray, game: PersuasionGame) -> tuple[np.ndarray, float, float]:
+    """A belief with what the interceptor reads from it: the scan
+    probability and the idle gap, ``sum(belief * (1 - z_rep))`` over the
+    scan-off states (the believed attack reward per unit reward weight)."""
+    scan_off = game.scan_flag == 0
+    return belief, game.p_scan(belief), float(np.sum(belief[scan_off] * (1.0 - game.z_rep[scan_off])))
+
+
+class SignalTable:
+    """Read-only tables of one signaling policy under its game's prior.
+
+    - ``cdf[state]``: the row's sampling CDF (``choice_cdf``), so a draw
+      is one ``searchsorted``;
+    - ``posteriors[m]``: the ``belief_entry`` of ``belief_update(prior, m,
+      policy)`` for every signal ``m`` with mass under the prior, so a
+      received packet is a table read; a zero-mass signal has no entry;
+    - a memo of ``lyapunov_drift(belief, policy, game)`` keyed by the
+      belief's bytes.
+
+    Posteriors are built through this module's ``belief_update`` and the
+    drift through its ``lyapunov_drift``, so patching those names (as a
+    tracer does) sees every build and memo miss.
+    """
+
+    def __init__(self, policy: np.ndarray, game: PersuasionGame):
+        self.policy = np.array(policy, dtype=float)
+        self.policy.flags.writeable = False
+        self.game = game
+        self.cdf = tuple(choice_cdf(row) for row in self.policy)
+        posteriors = {}
+        for m in range(self.policy.shape[1]):
+            if (game.prior * self.policy[:, m]).sum() > 0.0:  # belief_update's mass test
+                belief = belief_update(game.prior, m, self.policy)
+                belief.flags.writeable = False
+                posteriors[m] = belief_entry(belief, game)
+        self.posteriors = MappingProxyType(posteriors)
+        self._drift: dict[bytes, float] = {}
+
+    def draw(self, state: int, u: float) -> int:
+        """The signal ``Generator.choice`` draws in ``state`` from uniform ``u``."""
+        return int(self.cdf[state].searchsorted(u, side="right"))
+
+    def receive(self, m: int) -> tuple[np.ndarray, float, float]:
+        """The interceptor's ``belief_entry`` after signal ``m``."""
+        entry = self.posteriors.get(m)
+        if entry is None:
+            raise ValueError(f"signal {m} has zero probability under the prior")
+        return entry
+
+    def drift(self, belief: np.ndarray) -> float:
+        key = belief.tobytes()
+        value = self._drift.get(key)
+        if value is None:
+            value = self._drift[key] = lyapunov_drift(belief, self.policy, self.game)
+        return value
+
+
+# ---------------------------------------------------------------------------
+# Persuasion asset cache (game, solved policies, budget curve, signal tables)
 # ---------------------------------------------------------------------------
 
 class PersuasionAssets:
+    """The game of a scenario, its solved policies and one lazily built
+    ``SignalTable`` per policy an episode signals with.  Tables are keyed
+    by the policy's place (reveal, static budget, curve level); a rebuilt
+    curve drops its old tables."""
+
     def __init__(self, cfg: ScenarioConfig):
         p = cfg.persuasion
         self.game: PersuasionGame = build_scan_game(
@@ -155,9 +266,13 @@ class PersuasionAssets:
         )
         n = self.game.n_states
         self.reveal_policy = np.eye(n)
+        prior = self.game.prior.copy()  # the belief at the start and after an erasure
+        prior.flags.writeable = False
+        self.prior_entry = belief_entry(prior, self.game)
         self.subdivisions = p.subdivisions
         self._static: dict[float, object] = {}
         self._curve: BudgetCurve | None = None
+        self._tables: dict[tuple, SignalTable] = {}
 
     def static_solution(self, budget: float):
         key = round(budget, 12)
@@ -166,10 +281,26 @@ class PersuasionAssets:
         return self._static[key]
 
     # ``units_per_slot`` is unused; perfbench/worker.py still passes it
-    def curve(self, points: int, units_per_slot: int) -> BudgetCurve:
+    def curve(self, points: int, units_per_slot: int = 1) -> BudgetCurve:
         if self._curve is None or len(self._curve.budgets) != points:
             self._curve = BudgetCurve(self.game, points=points, subdivisions=self.subdivisions)
+            self._tables = {k: v for k, v in self._tables.items() if k[0] != "curve"}
         return self._curve
+
+    def _table(self, key: tuple, policy: np.ndarray) -> SignalTable:
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = SignalTable(policy, self.game)
+        return table
+
+    def reveal_table(self) -> SignalTable:
+        return self._table(("reveal",), self.reveal_policy)
+
+    def static_table(self, budget: float) -> SignalTable:
+        return self._table(("static", round(budget, 12)), self.static_solution(budget).policy)
+
+    def curve_table(self, points: int, level: int) -> SignalTable:
+        return self._table(("curve", level), self.curve(points).solutions[level].policy)
 
 
 _ASSETS: dict[tuple, PersuasionAssets] = {}
@@ -223,7 +354,7 @@ def _stardis_schedule(
     allocated over its forecast outage and each slot's artificial delay
     follows its forecast SNR."""
     mean_snr, prop_ms, _ = _link_tables(horizon, geometry, proc_delay_ms, slot_ms)
-    curve = assets.curve(persuasion.budget_points, persuasion.units_per_slot)
+    curve = assets.curve(persuasion.budget_points)
     outage = OutageTable(channel, float(mean_snr.min()), float(mean_snr.max()))
     levels, delays = [], []
     for w_start in range(0, horizon, window):
@@ -339,12 +470,10 @@ class EpisodeRunner:
         events_count = 0
         counts = {"completed": 0, "dropped": 0, "missed": 0}
 
-        # attacker state; p_scan is recomputed only when the belief changes
-        belief = game.prior.copy() if game is not None else None
+        # attacker state: the belief entry of the shared prior or of a table
+        belief = p_scan = idle_gap = None
         if game is not None:
-            prior_p_scan = p_scan = game.p_scan(game.prior)
-            scan_off = game.scan_flag == 0
-            off_gap = 1.0 - game.z_rep[scan_off]
+            belief, p_scan, idle_gap = self.assets.prior_entry
         intensity = 0.0
         realized_total = 0.0
         believed_total = 0.0
@@ -354,23 +483,34 @@ class EpisodeRunner:
         dp_offset = 0
         dp_belief: np.ndarray | None = None
 
-        # telemetry in flight: arrival slot -> list of (generated_at, signal, policy)
+        # telemetry in flight: arrival slot -> list of (generated_at, signal, table)
         deliveries: dict[int, list] = defaultdict(list)
+        # one uniform per slot, consumed as Generator.choice would, one per signal
+        uniforms = self.rng_signal.random(h).tolist() if self.signaling_on else None
 
         traces = EpisodeTraces(slots={k: [] for k in SLOT_TRACE_COLUMNS})
         s = traces.slots
         defender_total = 0.0
 
-        static_solution = None
-        if self.signaling_on and self.policy == "star-static":
-            static_solution = self.assets.static_solution(pset.credibility)
-        curve = levels = None
+        # each slot's signal table and credibility budget
+        slot_tables: list[SignalTable] = []
+        budget_table = np.zeros(h)
         delay_slots = self.delay_slots
-        if self.signaling_on and self.policy == "stardis":
-            curve = self.assets.curve(pset.budget_points, pset.units_per_slot)
+        if self.signaling_on and self.policy == "star":
+            slot_tables = [self.assets.reveal_table()] * h
+        elif self.signaling_on and self.policy == "star-static":
+            slot_tables = [self.assets.static_table(pset.credibility)] * h
+            budget_table[:] = pset.credibility
+        elif self.signaling_on:  # stardis: the table of each slot's budget level
             levels, delay_slots = _stardis_schedule(
                 self.assets, h, w_len_cfg, cfg.geometry, cfg.channel, pset, cfg.proc_delay_ms, cfg.slot_ms
             )
+            level_tables = {
+                l: self.assets.curve_table(pset.budget_points, l) for l in np.unique(levels).tolist()
+            }
+            slot_tables = [level_tables[l] for l in levels.tolist()]
+            budget_table = self.assets.curve(pset.budget_points).budgets[levels]
+        budgets = budget_table.tolist()
 
         window_index = 0
         for w_start in range(0, h, w_len_cfg):
@@ -384,29 +524,19 @@ class EpisodeRunner:
                     live, w_start, w_len, util, sched_cfg,
                     specs=cfg.tasks, stability_targets=targets,
                 )
+                has_scan = plan.has_scan
                 if self.signaling_on:
-                    state = quantize_state(plan.has_scan, min(max(plan.z_avg, 0.0), 1.0), z_bins)
+                    state = quantize_state(has_scan, min(max(plan.z_avg, 0.0), 1.0), z_bins)
 
             # --- Phase 2: signaling ---
-            slot_budgets = np.zeros(w_len)
             delays = delay_slots[w_start : w_start + w_len]
             drift = 0.0
             if self.signaling_on and state is not None:
-                if self.policy == "star":
-                    policies = [self.assets.reveal_policy] * w_len
-                elif self.policy == "star-static":
-                    policies = [static_solution.policy] * w_len
-                    slot_budgets[:] = pset.credibility
-                else:  # stardis
-                    w_levels = levels[w_start : w_start + w_len]
-                    policies = [curve.solutions[l].policy for l in w_levels]
-                    slot_budgets = curve.budgets[w_levels]
-                for k, pol in enumerate(policies):
-                    row = pol[state]
+                tables = slot_tables[w_start : w_start + w_len]
+                for k, tab in enumerate(tables):
                     t = w_start + k
-                    deliveries[t + delays[k]].append((t, int(self.rng_signal.choice(len(row), p=row)), pol))
-                drift = lyapunov_drift(belief, policies[0], game)
-            budgets = slot_budgets.tolist()
+                    deliveries[t + delays[k]].append((t, tab.draw(state, uniforms[t]), tab))
+                drift = tables[0].drift(belief)
 
             # --- Phase 3: execute slots ---
             exec_planner = GreedyPlanner(util, sched_cfg, w_start, w_len, targets)
@@ -481,24 +611,21 @@ class EpisodeRunner:
                 if self.attacker_on and game is not None:
                     due = deliveries.pop(t, None)  # lost with the slot if erased
                     if erased:
-                        belief = game.prior.copy()
-                        p_scan = prior_p_scan
+                        belief, p_scan, idle_gap = self.assets.prior_entry
                     elif due:
-                        gen_t, m, pol = max(due, key=lambda d: d[0])
-                        belief = belief_update(game.prior, m, pol)
-                        p_scan = game.p_scan(belief)
+                        gen_t, m, tab = max(due, key=lambda d: d[0])
+                        belief, p_scan, idle_gap = tab.receive(m)
                         sig_recv = str(m)
 
                 x_att = 0
                 blocked = 0
                 reward = 0.0
                 if self.attacker_on and game is not None:
-                    gap = None  # believed attack gap, computed at most once per slot
+                    gap = att.reward_weight * idle_gap  # believed attack gap
                     if cfg.attacker_mode == "threshold":
                         x_att = int(threshold_decision(p_scan, pset.belief_threshold))
                     else:  # dp
                         if dp_plan is None or dp_belief is None or not np.array_equal(dp_belief, belief) or dp_offset >= len(dp_plan):
-                            gap = att.reward_weight * float(np.sum(belief[scan_off] * off_gap))
                             remaining = w_len - k
                             plan_br = best_response(
                                 np.full(remaining, gap), np.zeros(remaining, dtype=int),
@@ -517,8 +644,6 @@ class EpisodeRunner:
                         gate = (not erased) and not scan_now
                         reward = (att.reward_weight * (1.0 - z)) if gate else 0.0
                         realized_total += reward - cost
-                        if gap is None:
-                            gap = att.reward_weight * float(np.sum(belief[scan_off] * off_gap))
                         believed_total += gap - cost
                     intensity = intensity_update(intensity, x_att, att.memory)
 
@@ -535,7 +660,7 @@ class EpisodeRunner:
                 s["attack_blocked"].append(blocked)
                 s["realized_reward"].append(reward)
                 s["intensity"].append(intensity)
-                s["budget"].append(budgets[k])
+                s["budget"].append(budgets[t])
 
             # defender utility for the window (window-level scan frequency)
             w_scan, w_z = s["scan_on"][w_start:], s["z"][w_start:]
@@ -549,10 +674,10 @@ class EpisodeRunner:
                 "start": w_start,
                 "length": w_len,
                 "state": state if state is not None else "",
-                "scan_planned": int(plan.has_scan) if plan is not None else "",
+                "scan_planned": int(has_scan) if plan is not None else "",
                 "z_avg_planned": plan.z_avg if plan is not None else "",
                 "scan_freq_realized": f_w,
-                "budget_total": float(np.sum(slot_budgets)),
+                "budget_total": float(np.sum(budget_table[w_start : w_start + w_len])),
                 "drift": drift,
             })
             window_index += 1

@@ -135,7 +135,7 @@ class HorizonPlan:
 
     @property
     def has_scan(self) -> bool:
-        return bool(np.any(self.scan_on > 0))
+        return bool(self.scan_on.any())
 
     def to_jsonable(self) -> dict:
         return {
