@@ -123,36 +123,48 @@ def best_response(
 def _best_response_exact(reward, scan, params, start_intensity):
     eta, beta, kk = params.memory, params.base_cost, params.cost_scale
     n = len(reward)
+    reward, scan = reward.tolist(), scan.tolist()
+    # intensity_update inlined: (1 - eta) * a + eta * x with x in {0.0, 1.0},
+    # the same operations in the same order
+    keep, rest, hit = 1.0 - eta, eta * 0.0, eta * 1.0
     # exact reachable-intensity lattice; raw float keys so the arithmetic
     # path matches the enumeration oracle bit for bit
-    layers: list[dict[float, tuple[float, int]]] = [dict() for _ in range(n + 1)]
-    reachable: list[set[float]] = [set() for _ in range(n + 1)]
-    reachable[0].add(float(start_intensity))
+    reachable: list[set[float]] = [{float(start_intensity)}]
     for t in range(n):
+        layer = set()
         for a in reachable[t]:
-            reachable[t + 1].add(intensity_update(a, 0, eta))
+            layer.add(keep * a + rest)
             if not scan[t]:
-                reachable[t + 1].add(intensity_update(a, 1, eta))
-    for a in reachable[n]:
-        layers[n][a] = (0.0, 0)
+                layer.add(keep * a + hit)
+        reachable.append(layer)
+    value = dict.fromkeys(reachable[n], 0.0)  # value of the rest of the plan
+    attack: list[set[float]] = [set() for _ in range(n)]  # intensities that attack at t
     for t in range(n - 1, -1, -1):
-        for a in reachable[t]:
-            v_wait = layers[t + 1][intensity_update(a, 0, eta)][0]
-            best_v, best_x = v_wait, 0
-            if not scan[t]:
-                gain = reward[t] - beta * (1.0 + kk * a)
-                v_att = gain + layers[t + 1][intensity_update(a, 1, eta)][0]
-                if v_att > best_v:  # ties keep wait
-                    best_v, best_x = v_att, 1
-            layers[t][a] = (best_v, best_x)
+        nxt, current = value, {}
+        if scan[t]:
+            for a in reachable[t]:
+                current[a] = nxt[keep * a + rest]
+        else:
+            r, strike = reward[t], attack[t]
+            for a in reachable[t]:
+                v_wait = nxt[keep * a + rest]
+                v_att = (r - beta * (1.0 + kk * a)) + nxt[keep * a + hit]
+                if v_att > v_wait:  # ties keep wait
+                    current[a] = v_att
+                    strike.add(a)
+                else:
+                    current[a] = v_wait
+        value = current
     plan = np.zeros(n, dtype=int)
     a = float(start_intensity)
-    value = layers[0][a][0]
+    total = value[a]
     for t in range(n):
-        x = layers[t][a][1]
-        plan[t] = x
-        a = intensity_update(a, x, eta)
-    return AttackPlan(decisions=plan, value=value / n)
+        if a in attack[t]:
+            plan[t] = 1
+            a = keep * a + hit
+        else:
+            a = keep * a + rest
+    return AttackPlan(decisions=plan, value=total / n)
 
 
 def _best_response_grid(reward, scan, params, start_intensity):

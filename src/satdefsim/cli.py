@@ -78,9 +78,10 @@ def _cmd_benchmark(args) -> int:
         write_csv(rows, ["policy", "metric", "mean", "std"], out / "benchmark.csv")
     write_json(res.to_jsonable(), cfg, out / "benchmark.json")
     for pol in res.policies:
+        # one utilization per resource type, in the scenario's order
+        util = "/".join(f"{res.stats[pol][f'util_{r}_pct'][0]:.1f}" for r in cfg.resources)
         line = (
-            f"{pol:12s} util={res.stats[pol].get('util_cpu_pct', (0, 0))[0]:.1f}/"
-            f"{res.stats[pol].get('util_fpga_pct', (0, 0))[0]:.1f}% "
+            f"{pol:12s} util={util}% "
             f"completion={res.stats[pol]['routine_completion_pct'][0]:.1f}% "
             f"miss={res.stats[pol]['relay_miss_pct'][0]:.2f}% "
             f"utility={res.stats[pol]['defender_utility'][0]:.3f}"

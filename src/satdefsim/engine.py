@@ -76,6 +76,10 @@ from .workload import InstanceState, Priority, TaskInstance, admit, generate_arr
 
 TRACE_SCHEMA_VERSION = 1
 
+# state members bound once for the per-slot loop, which compares by identity
+_ADMITTED, _COMPLETED = InstanceState.ADMITTED, InstanceState.COMPLETED
+_DROPPED, _MISSED = InstanceState.DROPPED, InstanceState.MISSED
+
 SLOT_TRACE_COLUMNS = [
     "t", "scan_on", "z", "power", "mean_snr_db", "received", "delay_slots", "signal",
     "belief_scan", "x_att", "attack_blocked", "realized_reward", "intensity", "budget",
@@ -444,8 +448,9 @@ class EpisodeRunner:
         usage = (0.0,) * len(self.cfg.resources)
         power = scan.power_weight if scan_now else 0.0
         for i in running:
-            usage = tuple(map(add, usage, i.spec.demand_tuple))
-            power += i.spec.power_weight
+            spec = i.spec
+            usage = tuple(map(add, usage, spec.demand_tuple))
+            power += spec.power_weight
         if scan_now:
             usage = tuple(map(add, usage, scan.demand_tuple))
         return running, usage, power
@@ -479,7 +484,7 @@ class EpisodeRunner:
         believed_total = 0.0
         attack_count = 0
         blocked_attacks = 0
-        dp_plan: np.ndarray | None = None
+        dp_plan: list[int] | None = None
         dp_offset = 0
         dp_belief: np.ndarray | None = None
 
@@ -489,8 +494,12 @@ class EpisodeRunner:
         uniforms = self.rng_signal.random(h).tolist() if self.signaling_on else None
 
         traces = EpisodeTraces(slots={k: [] for k in SLOT_TRACE_COLUMNS})
-        s = traces.slots
         defender_total = 0.0
+        mean_snr = self.mean_snr.tolist()
+        erased_slots = self.erased.tolist()
+        attacking = self.attacker_on and game is not None
+        threshold_mode = cfg.attacker_mode == "threshold"
+        policy = self.policy
 
         # each slot's signal table and credibility budget
         slot_tables: list[SignalTable] = []
@@ -519,7 +528,7 @@ class EpisodeRunner:
             # --- Phase 1: plan (receding horizon policies) ---
             plan: HorizonPlan | None = None
             state = None
-            if self.policy in ("star", "star-static", "stardis"):
+            if policy in ("star", "star-static", "stardis"):
                 plan = plan_horizon(
                     live, w_start, w_len, util, sched_cfg,
                     specs=cfg.tasks, stability_targets=targets,
@@ -540,37 +549,40 @@ class EpisodeRunner:
 
             # --- Phase 3: execute slots ---
             exec_planner = GreedyPlanner(util, sched_cfg, w_start, w_len, targets)
+            scan_plan = plan.scan_on.tolist() if plan is not None else None
+            w_rows: list[tuple] = []  # one SLOT_TRACE_COLUMNS tuple per slot
             for k in range(w_len):
                 t = w_start + k
                 # arrivals + admission
                 for inst in self.arrivals_by_slot.get(t, ()):
-                    if admit(inst, t) == InstanceState.ADMITTED:
+                    if admit(inst, t) is _ADMITTED:
                         live.append(inst)
                     else:
                         counts["dropped"] += 1
-                # deadline reapers (live holds only active instances)
-                still = []
-                for inst in live:
-                    if t > inst.deadline and inst.remaining > 0:
+                # deadline reapers (live holds only active instances); live
+                # is rebuilt only in a slot where some instance expires
+                expired = [
+                    i for i in live
+                    if t > i.deadline and i.remaining > 0 and (i.spec.firm_deadline or i.service == 0)
+                ]
+                if expired:
+                    for inst in expired:
                         if inst.spec.firm_deadline:
-                            inst.state = InstanceState.MISSED
+                            inst.state = _MISSED
                             counts["missed"] += 1
-                            continue
-                        if inst.service == 0:
-                            inst.state = InstanceState.DROPPED
+                        else:
+                            inst.state = _DROPPED
                             counts["dropped"] += 1
-                            continue
-                    still.append(inst)
-                live = still
+                    live = [i for i in live if i.state is _ADMITTED]
 
                 # schedule
-                if self.policy == "fcfs":
+                if policy == "fcfs":
                     running, usage, power = self._fcfs_slot(live)
                     scan_now = False
                 else:
-                    if self.policy != "sp":  # star family: committed scan pattern, live task fill
+                    if policy != "sp":  # star family: committed scan pattern, live task fill
                         planner = exec_planner
-                        scan_now = bool(plan.scan_on[k]) if plan is not None else False
+                        scan_now = bool(scan_plan[k]) if plan is not None else False
                     elif cfg.sp_scan_rule == "periodic":
                         planner = sp_planner
                         if t % cfg.sp_scan_period == 0 and t >= sp_scan_until:
@@ -599,16 +611,16 @@ class EpisodeRunner:
                 finished = False
                 for inst in running:
                     inst.run_one_slot()
-                    if inst.state == InstanceState.COMPLETED:
+                    if inst.state is _COMPLETED:
                         counts["completed"] += 1
                         finished = True
                 if finished:  # completion is the only way out of live here
-                    live = [i for i in live if i.active]
+                    live = [i for i in live if i.state is not _COMPLETED]
 
                 # --- telemetry reception + attacker ---
-                erased = bool(self.erased[t])
+                erased = erased_slots[t]
                 sig_recv = ""
-                if self.attacker_on and game is not None:
+                if attacking:
                     due = deliveries.pop(t, None)  # lost with the slot if erased
                     if erased:
                         belief, p_scan, idle_gap = self.assets.prior_entry
@@ -620,21 +632,29 @@ class EpisodeRunner:
                 x_att = 0
                 blocked = 0
                 reward = 0.0
-                if self.attacker_on and game is not None:
+                if attacking:
                     gap = att.reward_weight * idle_gap  # believed attack gap
-                    if cfg.attacker_mode == "threshold":
+                    if threshold_mode:
                         x_att = int(threshold_decision(p_scan, pset.belief_threshold))
                     else:  # dp
-                        if dp_plan is None or dp_belief is None or not np.array_equal(dp_belief, belief) or dp_offset >= len(dp_plan):
+                        # beliefs are read-only table entries: the same
+                        # object is the same belief, and is kept, not copied
+                        # (lists compare element by element as array_equal
+                        # does, for two beliefs of one game)
+                        if (
+                            dp_plan is None
+                            or dp_offset >= len(dp_plan)
+                            or (dp_belief is not belief and dp_belief.tolist() != belief.tolist())
+                        ):
                             remaining = w_len - k
                             plan_br = best_response(
                                 np.full(remaining, gap), np.zeros(remaining, dtype=int),
                                 att, start_intensity=intensity,
                             )
-                            dp_plan = plan_br.decisions
+                            dp_plan = plan_br.decisions.tolist()
                             dp_offset = 0
-                            dp_belief = belief.copy()
-                        x_att = int(dp_plan[dp_offset])
+                            dp_belief = belief
+                        x_att = dp_plan[dp_offset]
                         dp_offset += 1
                     if x_att:
                         attack_count += 1
@@ -647,26 +667,20 @@ class EpisodeRunner:
                         believed_total += gap - cost
                     intensity = intensity_update(intensity, x_att, att.memory)
 
-                s["t"].append(t)
-                s["scan_on"].append(int(scan_now))
-                s["z"].append(z)
-                s["power"].append(float(power))
-                s["mean_snr_db"].append(float(self.mean_snr[t]))
-                s["received"].append(int(not erased))
-                s["delay_slots"].append(delays[k])
-                s["signal"].append(sig_recv)
-                s["belief_scan"].append(p_scan if game is not None else "")
-                s["x_att"].append(x_att)
-                s["attack_blocked"].append(blocked)
-                s["realized_reward"].append(reward)
-                s["intensity"].append(intensity)
-                s["budget"].append(budgets[t])
+                w_rows.append((
+                    t, int(scan_now), z, float(power), mean_snr[t], int(not erased), delays[k], sig_recv,
+                    p_scan if game is not None else "", x_att, blocked, reward, intensity, budgets[t],
+                ))
+
+            # the window's slot rows, appended to the trace column by column
+            cols = dict(zip(SLOT_TRACE_COLUMNS, zip(*w_rows)))
+            for key, values in cols.items():
+                traces.slots[key].extend(values)
 
             # defender utility for the window (window-level scan frequency)
-            w_scan, w_z = s["scan_on"][w_start:], s["z"][w_start:]
-            f_w = float(np.mean(w_scan))
+            f_w = sum(cols["scan_on"]) / w_len  # exact: an integer count over the length
             y_w = detection_performance(f_w, cfg.scan.duration, util)
-            for scan_on, z in zip(w_scan, w_z):
+            for scan_on, z in zip(cols["scan_on"], cols["z"]):
                 defender_total += slot_utility(y_w, scan_on, z, util)
 
             traces.windows.append({
@@ -692,11 +706,11 @@ class EpisodeRunner:
         firm_specs = {spec.id for spec in cfg.tasks if spec.firm_deadline}
         low_total = sum(1 for i in self.instances if i.spec.id in low_specs)
         low_done = sum(
-            1 for i in self.instances if i.spec.id in low_specs and i.state == InstanceState.COMPLETED
+            1 for i in self.instances if i.spec.id in low_specs and i.state is _COMPLETED
         )
         firm_total = sum(1 for i in self.instances if i.spec.id in firm_specs)
         firm_missed = sum(
-            1 for i in self.instances if i.spec.id in firm_specs and i.state == InstanceState.MISSED
+            1 for i in self.instances if i.spec.id in firm_specs and i.state is _MISSED
         )
 
         metrics = EpisodeMetrics(
@@ -710,7 +724,7 @@ class EpisodeRunner:
             defender_utility=defender_total / h,
             attacker_realized=realized_total / h,
             attacker_believed=believed_total / h,
-            scan_freq=float(np.mean(s["scan_on"])),
+            scan_freq=float(np.mean(traces.slots["scan_on"])),
             erasure_count=int(np.sum(self.erased)),
             attack_count=attack_count,
             blocked_attacks=blocked_attacks,
@@ -755,6 +769,13 @@ class BenchmarkResult:
         }
 
 
+def _check_policies(policies) -> None:
+    """Reject an unknown policy before any episode runs."""
+    for pol in policies:
+        if pol not in POLICY_KINDS:
+            raise ValueError(f"unknown policy {pol!r}")
+
+
 def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult:
     """Per-policy mean and standard deviation of every episode metric over
     shared seeds; defender utility additionally normalized to the
@@ -763,6 +784,7 @@ def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult
     seeds = list(seeds)
     if not policies:
         raise ValueError("empty policy list")
+    _check_policies(policies)
     if not seeds:
         raise ValueError("need at least one seed")
     episodes: dict[str, list[EpisodeMetrics]] = {}
@@ -791,6 +813,7 @@ def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult
 def sweep(cfg: ScenarioConfig, param: str, values, seeds, policies=("star", "star-static", "stardis")):
     """Vary the credibility budget or the prior over scan activity and
     re-run the benchmark comparison at each value."""
+    _check_policies(policies)
     rows = []
     for v in values:
         if param == "credibility":

@@ -21,6 +21,9 @@ from .workload import Priority, TaskInstance
 _EPS = 1e-9
 _CAP = 1.0 + _EPS  # per-resource capacity with the feasibility tolerance
 _EDF_KEY = attrgetter("deadline", "uid")
+# priority members bound once: a class-attribute lookup on an Enum costs
+# several times a module global, and the slot solver makes two per instance
+_HIGH, _LOW = Priority.HIGH, Priority.LOW
 
 
 def try_fit(usage: tuple, power: float, demand: tuple, w: float, budget: float) -> tuple | None:
@@ -200,23 +203,26 @@ class GreedyPlanner:
         chosen instances, final usage and power, and served counts per spec."""
         chosen = []
         counts: dict[str, int] = {}
-        budget = self.config.power_budget
+        limit = self.config.power_budget + _EPS
         # Usage and power only grow during the fill, so a spec that did not
         # fit once cannot fit later in it (keyed by identity: every spec is
         # alive in ``low`` for the whole call).
         rejected: set[int] = set()
         for inst in low:
             spec = inst.spec
-            if id(spec) in rejected:
+            key = id(spec)
+            if key in rejected:
                 continue
-            new = try_fit(usage, power, spec.demand_tuple, spec.power_weight, budget)
-            if new is None:
-                rejected.add(id(spec))
-                continue
-            usage = new
-            power += spec.power_weight
-            chosen.append(inst)
-            counts[spec.id] = counts.get(spec.id, 0) + 1
+            # try_fit, inlined: the same sums and comparisons
+            new_power = power + spec.power_weight
+            if new_power <= limit:
+                new = tuple(map(add, usage, spec.demand_tuple))
+                if max(new) <= _CAP:
+                    usage, power = new, new_power
+                    chosen.append(inst)
+                    counts[spec.id] = counts.get(spec.id, 0) + 1
+                    continue
+            rejected.add(key)
         return chosen, usage, power, counts
 
     def _quota_displaced(self, t: int, low: list[TaskInstance], usage: tuple, power: float):
@@ -264,9 +270,10 @@ class GreedyPlanner:
         high: list[TaskInstance] = []
         low: list[TaskInstance] = []
         for inst in sorted(queue, key=_EDF_KEY):
-            if inst.spec.priority == Priority.HIGH:
+            priority = inst.spec.priority
+            if priority is _HIGH:
                 high.append(inst)
-            elif inst.spec.priority == Priority.LOW:
+            elif priority is _LOW:
                 low.append(inst)
 
         if forced_scan is not None:
@@ -319,11 +326,14 @@ class GreedyPlanner:
         if fill is None:
             fill = self._fill_low(low, usage, power)
         low_chosen, usage, power, counts = fill
+        served = self.served_in_window
         for spec_id, c in counts.items():
-            self.served_in_window[spec_id] = self.served_in_window.get(spec_id, 0) + c
+            served[spec_id] = served.get(spec_id, 0) + c
+        targets = self.stability_targets
         for inst in chosen:  # high priority so far
-            if inst.spec.id in self.stability_targets:
-                self.served_in_window[inst.spec.id] = self.served_in_window.get(inst.spec.id, 0) + 1
+            spec_id = inst.spec.id
+            if spec_id in targets:
+                served[spec_id] = served.get(spec_id, 0) + 1
         chosen.extend(low_chosen)
 
         z = 1.0 - max(usage)  # = min(1 - usage): rounding is monotone
@@ -380,21 +390,20 @@ def plan_horizon(
                 uid_base -= len(proj)
 
     planner = GreedyPlanner(utility, config, window_start, window_len, stability_targets)
-    scan_on = np.zeros(window_len, dtype=int)
-    zs = np.zeros(window_len)
+    scan_on: list[int] = []
+    zs: list[float] = []
     running: list[list[int]] = []
     events: list[tuple[int, str, str]] = []
     left = {i.uid: i.remaining for i in sim}
 
-    for k in range(window_len):
-        t = window_start + k
+    for t in range(window_start, window_start + window_len):
         eligible = [
             i for i in sim
             if i.start_after <= t and not (i.spec.firm_deadline and t > i.deadline)
         ]
         dec = planner.schedule_slot(eligible, t)
-        scan_on[k] = int(dec.scan_on)
-        zs[k] = dec.z
+        scan_on.append(int(dec.scan_on))
+        zs.append(dec.z)
         running.append(dec.running)
         events.extend(dec.events)
         finished = False
@@ -404,17 +413,20 @@ def plan_horizon(
         if finished:  # sim holds only instances with work left
             sim = [i for i in sim if left[i.uid]]
 
-    f = float(np.mean(scan_on))
+    f = sum(scan_on) / window_len  # exact: an integer count over the length
     y = detection_performance(f, config.scan.duration, utility)
-    objective = float(sum(slot_utility(y, scan_on[k], zs[k], utility) for k in range(window_len)))
+    objective = 0.0  # a plain loop: from Python 3.12 on, sum() of floats is compensated
+    for x, z in zip(scan_on, zs):
+        objective += slot_utility(y, x, z, utility)
+    z_arr = np.array(zs)
     return HorizonPlan(
         start=window_start,
         length=window_len,
-        scan_on=scan_on,
+        scan_on=np.array(scan_on, dtype=int),
         running=running,
-        z=zs,
+        z=z_arr,
         scan_freq=f,
-        z_avg=float(np.mean(zs)),
+        z_avg=float(np.mean(z_arr)),  # numpy's summation, not Python's
         objective=objective,
         events=events,
     )

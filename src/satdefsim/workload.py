@@ -31,8 +31,12 @@ class InstanceState(str, Enum):
     MISSED = "missed"
 
 
-#: states of an instance that still holds or awaits capacity
-ACTIVE_STATES = frozenset((InstanceState.QUEUED, InstanceState.ADMITTED))
+# Members bound once for the per-slot code, which compares by identity:
+# a class-attribute lookup on an Enum costs several times a module global.
+# ``TaskSpec`` stores its priority as a member, so ``is`` is exact there.
+_HIGH = Priority.HIGH
+_QUEUED, _ADMITTED = InstanceState.QUEUED, InstanceState.ADMITTED
+_COMPLETED, _DROPPED = InstanceState.COMPLETED, InstanceState.DROPPED
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,8 @@ class TaskSpec:
     demand_tuple: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a member, not its string value, so the scheduler can test ``is``
+        object.__setattr__(self, "priority", Priority(self.priority))
         object.__setattr__(self, "demand", np.asarray(self.demand, dtype=float))
         object.__setattr__(self, "demand_tuple", tuple(map(float, self.demand)))
         if not np.all((self.demand >= 0) & (self.demand <= 1)):  # NaN fails too
@@ -132,7 +138,9 @@ class TaskInstance:
 
     @property
     def active(self) -> bool:
-        return self.state in ACTIVE_STATES
+        """Queued or admitted: the instance still holds or awaits capacity."""
+        state = self.state
+        return state is _QUEUED or state is _ADMITTED
 
     def run_one_slot(self) -> None:
         if self.remaining <= 0:
@@ -140,7 +148,7 @@ class TaskInstance:
         self.remaining -= 1
         self.service += 1
         if self.remaining == 0:
-            self.state = InstanceState.COMPLETED
+            self.state = _COMPLETED
 
 
 def generate_arrivals(specs: list[TaskSpec], horizon: int, seed) -> list[TaskInstance]:
@@ -160,14 +168,14 @@ def generate_arrivals(specs: list[TaskSpec], horizon: int, seed) -> list[TaskIns
     for spec in sorted(specs, key=lambda s: s.id):
         if spec.arrival.kind == "periodic":
             for t in range(0, horizon, spec.arrival.interval):
-                releases.append((t, 0 if spec.priority == Priority.HIGH else 1, spec.id, spec))
+                releases.append((t, 0 if spec.priority is _HIGH else 1, spec.id, spec))
         else:
             if spec.arrival.rate <= 0:
                 continue
             counts = rng.poisson(spec.arrival.rate, size=horizon)
             for t in np.flatnonzero(counts):
                 for _ in range(int(counts[t])):
-                    releases.append((int(t), 0 if spec.priority == Priority.HIGH else 1, spec.id, spec))
+                    releases.append((int(t), 0 if spec.priority is _HIGH else 1, spec.id, spec))
     releases.sort(key=lambda r: (r[0], r[1], r[2]))
     return [
         TaskInstance(uid=i, spec=spec, req=t, start_after=t)
@@ -181,11 +189,8 @@ def admit(inst: TaskInstance, t: int) -> InstanceState:
     Admitted iff deadline - t >= remaining; otherwise dropped.  Calling
     this on a non-queued instance is a contract violation.
     """
-    if inst.state != InstanceState.QUEUED:
+    if inst.state is not _QUEUED:
         raise ValueError(f"admit() called on instance in state {inst.state}")
-    if inst.deadline - t >= inst.remaining:
-        inst.state = InstanceState.ADMITTED
-    else:
-        inst.state = InstanceState.DROPPED
-    return inst.state
+    state = inst.state = _ADMITTED if inst.deadline - t >= inst.remaining else _DROPPED
+    return state
 

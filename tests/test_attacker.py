@@ -98,6 +98,31 @@ class TestBestResponse:
             assert dp.value == brute.value
             assert dp.decisions.tolist() == brute.decisions.tolist()
 
+    @pytest.mark.parametrize("case", ["random", "one-slot", "all-scan"])
+    def test_matches_enumeration_from_live_intensity(self, case):
+        # the engine replans from the intensity the attack history left,
+        # never from 0; check that start bit for bit, with the edge masks
+        rng = np.random.default_rng({"random": 12, "one-slot": 13, "all-scan": 14}[case])
+        for _ in range(25):
+            n = 1 if case == "one-slot" else int(rng.integers(2, 11))
+            rewards = rng.uniform(-0.5, 3.0, n)
+            if case == "all-scan":
+                scans = np.ones(n, dtype=int)
+            else:
+                scans = (rng.random(n) < 0.25).astype(int)
+            params = AttackerParams(
+                base_cost=float(rng.uniform(0.05, 0.5)),
+                cost_scale=float(rng.uniform(0.1, 1.0)),
+                memory=float(rng.uniform(0.05, 1.0)),
+            )
+            start = float(rng.choice([rng.random(), 1.0, 0.5, 1e-300]))
+            dp = best_response(rewards, scans, params, start_intensity=start)
+            brute = enumerate_best_response(rewards, scans, params, start_intensity=start)
+            assert dp.value.hex() == brute.value.hex()
+            assert dp.decisions.tolist() == brute.decisions.tolist()
+            if case == "all-scan":
+                assert dp.decisions.tolist() == [0] * n
+
     def test_value_monotone_in_detection_gap(self):
         rng = np.random.default_rng(3)
         base = rng.uniform(0.0, 8.0, 10)

@@ -66,6 +66,43 @@ def test_benchmark_table(tmp_path, scenario_file):
     assert doc["normalized_defender_utility"]["fcfs"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("command", [
+    ["benchmark", "--seeds", "0..3", "--policies", "fcfs,sp,stra"],
+    ["sweep", "--param", "credibility", "--seeds", "0..3", "--policies", "star,stra"],
+], ids=["benchmark", "sweep"])
+def test_unknown_policy_fails_before_any_episode(tmp_path, scenario_file, monkeypatch, capsys, command):
+    from satdefsim import engine
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran before the policy list was checked")
+
+    monkeypatch.setattr(engine, "run_episode", no_episode)
+    out = tmp_path / "out"
+    assert main([*command, "--config", scenario_file, "--out", str(out)]) == 2
+    assert "unknown policy 'stra'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resources", [["cpu"], ["cpu", "gpu"]])
+def test_benchmark_summary_has_one_utilization_per_resource(tmp_path, capsys, resources):
+    n = len(resources)
+    doc = dict(SMALL_SCENARIO, resources=resources)
+    doc["tasks"] = [dict(t, demand=t["demand"][:n]) for t in SMALL_SCENARIO["tasks"]]
+    doc["scan"] = dict(SMALL_SCENARIO["scan"], demand=SMALL_SCENARIO["scan"]["demand"][:n])
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--config", str(path), "--seeds", "0,1", "--policies", "fcfs,star", "--out", str(out)])
+    assert rc == 0
+    stats = json.loads((out / "benchmark.json").read_text())["stats"]
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2
+    for line, pol in zip(lines, ["fcfs", "star"]):
+        want = "/".join(f"{stats[pol][f'util_{r}_pct']['mean']:.1f}" for r in resources)
+        assert f" util={want}% " in line
+    assert all(stats[pol][f"util_{resources[-1]}_pct"]["mean"] > 0 for pol in stats)
+
+
 def test_sweep_credibility(tmp_path, scenario_file):
     out = tmp_path / "sweep"
     rc = main([

@@ -250,28 +250,39 @@ class TestDownlinkCache:
 
 @st.composite
 def valid_scenarios(draw):
-    """A small valid scenario and a seed: 1-3 resources, a
-    horizon often not a multiple of the window and often longer than the
-    pass, 1-3 capacity bins and every attacker mode."""
+    """A small valid scenario and a seed: 1-3 resources, a mixed set of
+    2-4 task specs (either priority, nature and arrival pattern, firm or
+    soft deadlines), a horizon often not a multiple of the window and
+    often longer than the pass, 1-3 capacity bins and every attacker
+    mode."""
     n_res = draw(st.integers(1, 3))
     demand = st.lists(st.floats(0.0, 0.45), min_size=n_res, max_size=n_res)
     duration = draw(st.integers(1, 3))
     window = draw(st.integers(duration, 8))
     horizon = draw(st.integers(window, 120))
-    routine_slots = draw(st.integers(1, 20))
-    relay_slots = draw(st.integers(1, 8))
+    tasks = []
+    for j in range(draw(st.integers(2, 4))):
+        processing = draw(st.integers(1, 20))
+        if draw(st.booleans()):
+            arrival = {"kind": "periodic", "interval": draw(st.integers(1, 40))}
+        else:
+            arrival = {"kind": "aperiodic", "rate": draw(st.floats(0.0, 0.6))}
+        tasks.append({
+            "id": f"task{j}",
+            "priority": draw(st.sampled_from(("low", "high"))),
+            "nature": draw(st.sampled_from(("mission", "security"))),
+            "demand": draw(demand),
+            "power": draw(st.floats(0.0, 0.3)),
+            "arrival": arrival,
+            "processing": processing,
+            "deadline": processing + draw(st.integers(0, 40)),
+            "firm_deadline": draw(st.booleans()),
+        })
     raw = {
         "horizon": horizon,
         "window": window,
         "resources": ["cpu", "fpga", "gpu"][:n_res],
-        "tasks": [
-            {"id": "routine", "priority": "low", "demand": draw(demand), "power": 0.13,
-             "arrival": {"kind": "aperiodic", "rate": draw(st.floats(0.0, 0.6))},
-             "processing": routine_slots, "deadline": routine_slots + draw(st.integers(0, 40))},
-            {"id": "relay", "priority": "high", "demand": draw(demand), "power": 0.15,
-             "arrival": {"kind": "periodic", "interval": draw(st.integers(1, 40))},
-             "processing": relay_slots, "deadline": relay_slots + draw(st.integers(0, 10))},
-        ],
+        "tasks": tasks,
         "scan": {"demand": draw(demand), "power": 0.25, "duration": duration},
         "channel": {
             "fading": {"b0": 0.158, "m": 19.4, "omega": 1.29},
@@ -381,6 +392,18 @@ class TestSuite:
     def test_sweep_param_validation(self):
         with pytest.raises(ValueError):
             sweep(small_cfg(), "nonsense", [0.1], [0])
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: run_benchmark_suite(cfg, ["fcfs", "sp", "stra"], range(4)),
+        lambda cfg: sweep(cfg, "credibility", [0.1, 0.2], range(4), policies=("star", "stra")),
+    ], ids=["suite", "sweep"])
+    def test_unknown_policy_rejected_before_any_episode(self, monkeypatch, run):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the policy list was checked")
+
+        monkeypatch.setattr(engine, "run_episode", no_episode)
+        with pytest.raises(ValueError, match="unknown policy 'stra'"):
+            run(small_cfg())
 
     def test_prior_sweep_runs(self):
         rows = sweep(small_cfg(horizon=100), "prior", [0.3, 0.7], [0], policies=("star",))

@@ -103,6 +103,13 @@ class TestValidation:
         assert all(type(v) is float for v in spec.demand_tuple)
         assert dataclasses.replace(spec, demand=np.array([0.2, 0.3])).demand_tuple == (0.2, 0.3)
 
+    def test_priority_stored_as_member(self):
+        # the slot solver partitions by identity with the Priority members
+        assert make_spec(priority="high").priority is Priority.HIGH
+        assert make_spec(priority=Priority.LOW).priority is Priority.LOW
+        with pytest.raises(ValueError):
+            make_spec(priority="urgent")
+
     def test_deadline_below_processing(self):
         with pytest.raises(ValueError):
             make_spec(processing=6, deadline=5)
