@@ -32,7 +32,9 @@ def try_fit(usage: tuple, power: float, demand: tuple, w: float, budget: float) 
 
     Usage and demand are float tuples, one entry per resource type: plain
     float arithmetic is the same IEEE addition numpy would do, without the
-    per-call array overhead on vectors of length 2.
+    per-call array overhead on vectors of length 2.  ``GreedyPlanner._fill_low``
+    repeats these operations inline, its loop being the hottest caller:
+    change both together.
     """
     new = tuple(map(add, usage, demand))
     return new if max(new) <= _CAP and power + w <= budget + _EPS else None
@@ -213,7 +215,8 @@ class GreedyPlanner:
             key = id(spec)
             if key in rejected:
                 continue
-            # try_fit, inlined: the same sums and comparisons
+            # try_fit inlined (the call cost shows here): the same sums and
+            # comparisons, power first so a rejection skips the tuple
             new_power = power + spec.power_weight
             if new_power <= limit:
                 new = tuple(map(add, usage, spec.demand_tuple))
