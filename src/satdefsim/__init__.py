@@ -16,7 +16,6 @@ from .attacker import (
 from .channel import (
     ChannelParams,
     PassGeometry,
-    outage_probability,
     predict_mean_snr,
     sample_envelope,
     shadowed_rician_pdf,

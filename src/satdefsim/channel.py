@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 SPEED_OF_LIGHT_KM_S = 299792.458
 
@@ -103,14 +102,6 @@ def shadowed_rician_pdf(r, params: ChannelParams):
     return float(out[0]) if scalar else out
 
 
-def envelope_cdf(r: float, params: ChannelParams) -> float:
-    """P(envelope <= r) by adaptive quadrature of the density."""
-    if r <= 0:
-        return 0.0
-    val, _ = integrate.quad(lambda x: shadowed_rician_pdf(x, params), 0.0, r, limit=200)
-    return min(max(val, 0.0), 1.0)
-
-
 def sample_envelope(params: ChannelParams, rng: np.random.Generator, size=None):
     """Draw envelope amplitudes via the compositional representation.
 
@@ -131,18 +122,6 @@ def sample_envelope(params: ChannelParams, rng: np.random.Generator, size=None):
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (float(db) / 10.0)
-
-
-def outage_probability(mean_snr_db: float, params: ChannelParams) -> float:
-    """P(instantaneous SNR below the decoding threshold).
-
-    Instantaneous SNR is mean_snr * r^2 in linear scale, so the outage
-    is the envelope CDF at sqrt(threshold/mean_snr).
-    """
-    if not np.isfinite(mean_snr_db):
-        return 1.0 if mean_snr_db < 0 else 0.0
-    ratio = db_to_linear(params.snr_threshold_db) / db_to_linear(mean_snr_db)
-    return envelope_cdf(np.sqrt(ratio), params)
 
 
 @dataclass(frozen=True)
@@ -216,12 +195,39 @@ def predict_mean_snr(t: int, window: int, geometry: PassGeometry) -> np.ndarray:
     return np.array([geometry.mean_snr_db(s) for s in range(t, t + window)], dtype=float)
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative integral of samples ``y`` at strictly increasing ``x``
+    (at least 3 points) by the composite Simpson rule, starting at 0.
+
+    Each interval takes the parabola through its end points and the next
+    sample (even intervals) or the previous one (odd intervals and the
+    last): the unequal-interval rule of Cartwright (2017), written in
+    the order of operations of ``scipy.integrate.cumulative_simpson(y,
+    x=x, initial=0.0)``, whose floats it reproduces.
+    """
+    def first_halves(f, h):
+        h21_h31 = h[:-1] / (h[:-1] + h[1:])
+        h21h21_h31h32 = h21_h31 * (h[:-1] / h[1:])
+        return h[:-1] / 6 * (
+            (3 - h21_h31) * f[:-2] + (3 + h21h21_h31h32 + h21_h31) * f[1:-1] + -h21h21_h31h32 * f[2:]
+        )
+
+    dx = np.diff(x)
+    ahead = first_halves(y, dx)
+    behind = first_halves(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(len(dx))
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = behind[::2]
+    pieces[-1] = behind[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
+
+
 class OutageTable:
     """Interpolated outage probability over a mean-SNR range.
 
     The budget allocation reads outage for every slot of a scenario;
-    this holds one cumulative quadrature of the envelope density instead
-    of calling the adaptive integrator thousands of times.  The engine
+    this holds one cumulative Simpson integral of the envelope density
+    on a fine amplitude grid, read by interpolation.  The engine
     builds one table per scenario, with the scenario's downlink schedule.
     """
 
@@ -234,7 +240,7 @@ class OutageTable:
         r_hi = np.sqrt(params.mean_envelope_power) * 8.0 + 1.0
         r = np.linspace(0.0, r_hi, 20001)
         pdf = shadowed_rician_pdf(r, params)
-        cdf = integrate.cumulative_simpson(pdf, x=r, initial=0.0)
+        cdf = _cumulative_simpson(pdf, r)
         cdf = np.clip(cdf / cdf[-1], 0.0, 1.0)
         th = db_to_linear(params.snr_threshold_db)
         r_th = np.sqrt(th / 10.0 ** (self._snr_grid / 10.0))

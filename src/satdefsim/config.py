@@ -96,6 +96,10 @@ class ScenarioConfig:
             raise ConfigError("sp_scan_rule must be 'periodic' or 'delta-u'")
         if self.sp_scan_period < 1:
             raise ConfigError("sp_scan_period must be >= 1")
+        ids = [spec.id for spec in self.tasks]
+        if len(set(ids)) != len(ids):
+            dup = sorted({i for i in ids if ids.count(i) > 1})
+            raise ConfigError(f"duplicate task ids {dup}: per-task quotas and counts are keyed by id")
         n_res = len(self.resources)
         for spec in self.tasks:
             if len(spec.demand) != n_res:

@@ -17,6 +17,14 @@ small restricted master LP over a subset of the grid, priced against
 every grid point in one vectorized expression.  A basic optimal split
 uses at most ``n_states + 1`` posteriors, so the master stays small
 while the optimum is that of the full grid.
+
+The master has ``n_states + 1`` rows and at most a few hundred columns,
+so it is solved by a built-in dense primal simplex (numpy only).  It
+starts from the fully revealing split, which is feasible at every budget
+>= 0: the simplex vertices carry the prior as weights and the budget
+row's slack the whole budget, so no phase 1 is needed.  Pivots follow
+Dantzig's rule and fall back to Bland's (1977) lowest-index rule after a
+run of degenerate pivots, so the simplex cannot cycle.
 """
 from __future__ import annotations
 
@@ -28,7 +36,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy import optimize
 
 _EPS = 1e-12
 
@@ -43,9 +50,17 @@ _COARSE_SUBDIVISIONS = 6
 _PRICING_BATCH = 50
 _PRICING_TOL = 1e-12
 
+# Master simplex: reduced costs and step lengths within _SIMPLEX_TOL of 0
+# count as 0, direction entries at or below _PIVOT_TOL cannot leave the
+# basis, and a solve gives up after _MAX_PIVOTS_PER_COLUMN pivots per
+# master column.
+_SIMPLEX_TOL = 1e-12
+_PIVOT_TOL = 1e-9
+_MAX_PIVOTS_PER_COLUMN = 50
+
 
 class InfeasibleSplitError(RuntimeError):
-    """The discretized split problem has no feasible point (certificate in args)."""
+    """The master LP of the discretized split problem could not be solved."""
 
 
 @dataclass(frozen=True)
@@ -238,10 +253,13 @@ def is_subdivision_count(value) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _grid_tables(n_states: int, subdivisions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_tables(
+    n_states: int, subdivisions: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The game-independent tables of one simplex grid, built once and
     shared read-only by every solve on it: the points, each point's
-    entropy, and the mask of the coarse sub-grid the master starts from."""
+    entropy, the mask of the coarse sub-grid the master starts from, and
+    the grid index of each simplex vertex, in state order."""
     grid = simplex_grid(n_states, subdivisions)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = -np.sum(np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0), axis=1)
@@ -252,9 +270,73 @@ def _grid_tables(n_states: int, subdivisions: int) -> tuple[np.ndarray, np.ndarr
         if subdivisions % d == 0 and subdivisions // d <= _COARSE_SUBDIVISIONS
     )
     coarse = np.all(np.rint(grid * subdivisions).astype(np.int64) % stride == 0, axis=1)
-    for table in (grid, ent, coarse):
+    rows, states = np.nonzero(grid == 1.0)
+    vertices = rows[np.argsort(states)]
+    for table in (grid, ent, coarse, vertices):
         table.flags.writeable = False
-    return grid, ent, coarse
+    return grid, ent, coarse, vertices
+
+
+def _solve_master(cost, posteriors, ent, prior, budget, basis):
+    """Minimize ``cost @ w`` over ``w >= 0`` with ``posteriors.T @ w ==
+    prior`` and ``ent @ w <= budget``: the restricted master LP, by a
+    dense revised primal simplex.
+
+    The budget row gets a slack, column ``k`` after the ``k`` master
+    columns.  ``basis`` holds ``n_states + 1`` column indices of a primal
+    feasible basis and is updated in place to an optimal one; a round of
+    column generation passes the previous round's optimum, which stays
+    feasible because rounds only add columns.
+
+    - Entering column: the most negative reduced cost (Dantzig), lowest
+      index on ties.  Leaving row: the minimum ratio, lowest basic
+      column index on ties.
+    - After ``n_states + 1`` consecutive degenerate pivots both choices
+      follow Bland's rule (the lowest eligible index) until a pivot
+      moves the solution.  Bland's rule cannot cycle and every moving
+      pivot lowers the objective, so the loop ends.
+
+    Returns ``(w, fun, y, lam)`` with ``y`` the duals of the mean rows
+    and ``lam <= 0`` that of the budget row, signed like HiGHS's
+    marginals (the sensitivity of the optimum to each right-hand side).
+    """
+    m = len(prior) + 1
+    k = len(cost)
+    a = np.zeros((m, k + 1))
+    a[:-1, :k] = posteriors.T
+    a[-1, :k] = ent
+    a[-1, k] = 1.0
+    c = np.append(cost, 0.0)
+    rhs = np.append(prior, budget)
+    degenerate = 0
+    for _ in range(_MAX_PIVOTS_PER_COLUMN * (k + 1)):
+        binv = np.linalg.inv(a[:, basis])
+        xb = binv @ rhs
+        pi = c[basis] @ binv
+        reduced = c - pi @ a
+        if degenerate < m:
+            q = int(np.argmin(reduced))
+            if reduced[q] >= -_SIMPLEX_TOL:
+                break
+        else:
+            eligible = np.flatnonzero(reduced < -_SIMPLEX_TOL)
+            if len(eligible) == 0:
+                break
+            q = int(eligible[0])
+        u = binv @ a[:, q]
+        rows = np.flatnonzero(u > _PIVOT_TOL)
+        if len(rows) == 0:
+            raise InfeasibleSplitError(f"master LP unbounded along column {q}")
+        ratios = np.maximum(xb[rows], 0.0) / u[rows]
+        theta = ratios.min()
+        ties = rows[ratios <= theta + _SIMPLEX_TOL]
+        basis[ties[np.argmin(basis[ties])]] = q
+        degenerate = degenerate + 1 if theta <= _SIMPLEX_TOL else 0
+    else:
+        raise InfeasibleSplitError(f"master LP not solved in {_MAX_PIVOTS_PER_COLUMN * (k + 1)} pivots")
+    w = np.zeros(k + 1)
+    w[basis] = xb
+    return w[:k], float(c[basis] @ xb), pi[:-1], float(pi[-1])
 
 
 @dataclass
@@ -283,6 +365,12 @@ def solve_persuasion(
       in grid-index order.  It starts from the points of a coarse
       sub-grid, which include the simplex vertices, so the fully
       revealing split makes it feasible at every budget >= 0.
+    - Each master is solved by the built-in simplex of ``_solve_master``.
+      The first starts from the fully revealing basis (the vertices
+      weighted by the prior, the budget slack at the whole budget);
+      each later one from the previous round's optimal basis.  Pivots
+      follow Dantzig's rule, and Bland's after a run of degenerate
+      pivots, so no solve cycles.
     - Pricing: with ``y`` the duals of the mean rows and ``lam <= 0``
       that of the budget row, grid point ``mu`` has reduced cost
       ``V(mu) - y @ mu - lam * H(mu)``, computed for the whole grid at
@@ -311,34 +399,27 @@ def solve_persuasion(
         raise ValueError(f"subdivisions must be None or an int >= 1, got {subdivisions!r}")
     else:
         subs = int(subdivisions)
-    grid, ent, coarse = _grid_tables(n, subs)
+    grid, ent, coarse, vertices = _grid_tables(n, subs)
     values = np.maximum(grid @ game.attack_payoff, 0.0)
     in_master = coarse.copy()
+    # the master's basis as grid indices, len(grid) standing for the
+    # budget slack; it starts at the fully revealing split
+    slack = len(grid)
+    basic = np.append(vertices, slack)
     rounds = 0
     while True:
         cols = np.flatnonzero(in_master)
-        res = optimize.linprog(
-            values[cols],
-            A_ub=ent[None, cols],
-            b_ub=[budget],
-            A_eq=grid[cols].T,
-            b_eq=game.prior,
-            bounds=(0, None),
-            method="highs",
-        )
-        if res.status != 0:
-            raise InfeasibleSplitError(
-                f"split LP failed (status {res.status}: {res.message}); "
-                f"grid subdivisions {subs}, budget {budget}, {len(cols)} master columns"
-            )
+        labels = np.append(cols, slack)
+        basis = np.searchsorted(labels, basic)
+        w, fun, y, lam = _solve_master(values[cols], grid[cols], ent[cols], game.prior, budget, basis)
+        basic = labels[basis]
         rounds += 1
-        reduced = values - grid @ res.eqlin.marginals - res.ineqlin.marginals[0] * ent
+        reduced = values - grid @ y - lam * ent
         reduced[in_master] = np.inf
         entering = np.flatnonzero(reduced < -_PRICING_TOL)
         if len(entering) == 0:
             break
         in_master[entering[np.argsort(reduced[entering], kind="stable")[:_PRICING_BATCH]]] = True
-    w = res.x
     support = w > 1e-10
     weights = w[support]
     weights = weights / weights.sum()
@@ -347,7 +428,7 @@ def solve_persuasion(
     return PersuasionSolution(
         split=split,
         policy=policy,
-        objective=float(res.fun),
+        objective=fun,
         credibility=credibility_cost(policy, game.prior),
         lp_columns=len(cols),
         pricing_rounds=rounds,
@@ -355,20 +436,12 @@ def solve_persuasion(
 
 
 def min_attacker_value(game: PersuasionGame) -> float:
-    """Global minimum of the best-response value over the belief simplex."""
-    n = game.n_states
-    # min v s.t. v >= payoff . mu, v >= 0, mu on the simplex
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2, n + 1))
-    a_ub[0, :n] = game.attack_payoff
-    a_ub[0, -1] = -1.0
-    a_ub[1, -1] = -1.0
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    bounds = [(0, None)] * n + [(None, None)]
-    res = optimize.linprog(c, A_ub=a_ub, b_ub=[0.0, 0.0], A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
-    return float(res.fun)
+    """Global minimum of the best-response value over the belief simplex.
+
+    ``max(payoff @ mu, 0)`` is convex in ``mu``, and ``payoff @ mu`` is
+    smallest at a vertex, so the minimum is ``max(min(payoff), 0)``.
+    """
+    return max(float(np.min(game.attack_payoff)), 0.0)
 
 
 def is_equilibrium_belief(belief, game: PersuasionGame, tol: float = 1e-9) -> bool:

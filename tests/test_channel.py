@@ -1,22 +1,44 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
+import satdefsim
 from satdefsim.channel import (
     ChannelParams,
     OutageTable,
     PassGeometry,
+    _cumulative_simpson,
     db_to_linear,
     delivery_delay_slots,
-    envelope_cdf,
     erasures,
-    outage_probability,
     predict_mean_snr,
     sample_envelope,
     shadowed_rician_pdf,
 )
 
 TABLE_PARAMS = ChannelParams(b0=0.158, m=19.4, omega=1.29, snr_threshold_db=5.0)
+
+
+def envelope_cdf(r: float, params: ChannelParams) -> float:
+    """Oracle: P(envelope <= r) by adaptive quadrature of the density."""
+    if r <= 0:
+        return 0.0
+    val, _ = integrate.quad(lambda x: shadowed_rician_pdf(x, params), 0.0, r, limit=200)
+    return min(max(val, 0.0), 1.0)
+
+
+def outage_probability(mean_snr_db: float, params: ChannelParams) -> float:
+    """Oracle: P(instantaneous SNR below the decoding threshold), the
+    envelope CDF at sqrt(threshold / mean SNR) in linear scale."""
+    if not np.isfinite(mean_snr_db):
+        return 1.0 if mean_snr_db < 0 else 0.0
+    ratio = db_to_linear(params.snr_threshold_db) / db_to_linear(mean_snr_db)
+    return envelope_cdf(np.sqrt(ratio), params)
 
 RANDOM_TRIPLES = [
     (0.126, 10.1, 0.835),
@@ -141,6 +163,20 @@ class TestOutage:
         se = np.sqrt(p_out * (1 - p_out) / n)
         assert abs(erased / n - p_out) <= 3 * se
 
+    @pytest.mark.parametrize("params", [TABLE_PARAMS] + [ChannelParams(*t) for t in RANDOM_TRIPLES])
+    def test_cumulative_simpson_matches_scipy(self, params):
+        # the outage table's own amplitude grid
+        r = np.linspace(0.0, np.sqrt(params.mean_envelope_power) * 8.0 + 1.0, 20001)
+        pdf = shadowed_rician_pdf(r, params)
+        assert np.array_equal(_cumulative_simpson(pdf, r), integrate.cumulative_simpson(pdf, x=r, initial=0.0))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 11])
+    def test_cumulative_simpson_matches_scipy_on_uneven_grids(self, n):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(0.05, 1.0, n))
+        y = rng.normal(size=n)
+        assert np.array_equal(_cumulative_simpson(y, x), integrate.cumulative_simpson(y, x=x, initial=0.0))
+
     def test_outage_table_matches_quadrature(self):
         table = OutageTable(TABLE_PARAMS, 0.0, 15.0)
         for g in (1.0, 5.0, 9.0, 14.0):
@@ -197,3 +233,14 @@ class TestDelayAndGeometry:
 def test_envelope_cdf_bounds():
     assert envelope_cdf(-1.0, TABLE_PARAMS) == 0.0
     assert envelope_cdf(50.0, TABLE_PARAMS) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_library_import_loads_no_scipy():
+    code = (
+        "import sys, satdefsim, satdefsim.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(satdefsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -461,6 +461,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             from_dict({"horizon": 100})
 
+    def test_duplicate_task_ids_rejected(self):
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        raw["tasks"].append(json.loads(json.dumps(raw["tasks"][0])))
+        with pytest.raises(ConfigError, match="duplicate task ids"):
+            from_dict(raw)
+        base = default_scenario()
+        with pytest.raises(ConfigError, match="duplicate task ids"):
+            dataclasses.replace(base, tasks=base.tasks + base.tasks[:1])
+
     def test_n_signals_below_split_support_rejected(self):
         # 2 * z_bins = 4 states: an optimal split may need 5 signals
         for bad in (-1, 1, 4):

@@ -347,6 +347,164 @@ class TestColumnGeneration:
             assert two_state_game([1.0, -1.0], n_signals=ok).n_signals == ok
 
 
+def master_lp(rng, n, extra, payoff=None, prior=None):
+    """A restricted master: the n simplex vertices and ``extra`` random
+    posteriors (about a third of them on a face of the simplex), in
+    shuffled column order, with the fully revealing start basis."""
+    payoff = rng.uniform(-2, 2, n) if payoff is None else np.asarray(payoff, dtype=float)
+    prior = rng.dirichlet(np.ones(n)) if prior is None else np.asarray(prior, dtype=float)
+    inner = rng.dirichlet(np.ones(n), size=extra)
+    if n > 1:
+        face = rng.random(extra) < 1 / 3
+        inner[face, rng.integers(n, size=extra)[face]] = 0.0
+        inner /= inner.sum(axis=1, keepdims=True)
+    order = rng.permutation(n + extra)
+    posteriors = np.vstack([np.eye(n), inner])[order]
+    cost = np.maximum(posteriors @ payoff, 0.0)
+    ent = np.array([entropy(mu) for mu in posteriors])
+    basis = np.append(np.argsort(order)[:n], n + extra)
+    return cost, posteriors, ent, prior, basis
+
+
+def check_master_against_highs(cost, posteriors, ent, prior, budget, basis, tol=1e-9):
+    start = basis.copy()
+    w, fun, y, lam = persuasion._solve_master(cost, posteriors, ent, prior, budget, basis)
+    res = optimize.linprog(cost, A_ub=ent[None, :], b_ub=[budget], A_eq=posteriors.T, b_eq=prior,
+                           bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    assert fun == pytest.approx(res.fun, abs=tol)
+    assert fun == pytest.approx(cost @ w, abs=tol)
+    # primal feasibility
+    assert np.all(w >= -tol)
+    np.testing.assert_allclose(posteriors.T @ w, prior, rtol=0, atol=tol)
+    assert ent @ w <= budget + tol
+    # dual certificate: no master column and not the budget slack prices
+    # negative, complementary slackness, and no duality gap
+    reduced = cost - posteriors @ y - lam * ent
+    assert np.all(reduced >= -tol) and lam <= tol
+    assert np.all(np.abs(w * reduced) <= tol)
+    assert abs(lam * (budget - ent @ w)) <= tol
+    assert prior @ y + lam * budget == pytest.approx(fun, abs=tol)
+    # the basis stays a set of n + 1 columns and w vanishes off it
+    assert len(basis) == len(start) == len(set(basis.tolist()))
+    off = np.setdiff1d(np.arange(len(cost)), basis)
+    assert np.all(w[off] == 0.0)
+    return w, fun, y, lam
+
+
+class TestMasterSimplex:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_masters_match_highs(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(8):
+            cost, posteriors, ent, prior, basis = master_lp(rng, n, int(rng.integers(1, 120)))
+            for budget in (0.0, *rng.uniform(0.0, math.log(n), 3), math.log(n)):
+                check_master_against_highs(cost, posteriors, ent, prior, float(budget), basis.copy())
+
+    def test_zero_prior_entries(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 5, 8):
+            for zeros in range(1, n):
+                prior = rng.dirichlet(np.ones(n))
+                prior[rng.choice(n, zeros, replace=False)] = 0.0
+                prior /= prior.sum()
+                cost, posteriors, ent, prior, basis = master_lp(rng, n, 60, prior=prior)
+                for budget in (0.0, 0.2, math.log(n)):
+                    check_master_against_highs(cost, posteriors, ent, prior, budget, basis.copy())
+
+    def test_one_state(self):
+        for payoff in (-1.0, 0.0, 2.5):
+            w, fun, _, _ = check_master_against_highs(
+                np.array([max(payoff, 0.0)]), np.ones((1, 1)), np.zeros(1), np.ones(1), 0.3, np.array([0, 1]))
+            assert fun == max(payoff, 0.0) and w.tolist() == [1.0]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_payoffs_of_one_sign(self, sign):
+        rng = np.random.default_rng(43)
+        for n in (2, 4, 7):
+            cost, posteriors, ent, prior, basis = master_lp(rng, n, 80, payoff=sign * rng.uniform(0.1, 2.0, n))
+            for budget in (0.0, 0.3, math.log(n)):
+                _, fun, _, _ = check_master_against_highs(cost, posteriors, ent, prior, budget, basis.copy())
+                if sign < 0:
+                    assert fun == 0.0
+
+    def test_exactly_zero_payoff(self):
+        rng = np.random.default_rng(47)
+        for n in (2, 3, 6):
+            payoff = rng.uniform(-2, 2, n)
+            payoff[rng.integers(n)] = 0.0
+            cost, posteriors, ent, prior, basis = master_lp(rng, n, 80, payoff=payoff)
+            for budget in (0.0, 0.25, math.log(n)):
+                check_master_against_highs(cost, posteriors, ent, prior, budget, basis.copy())
+
+    def test_warm_start_from_an_optimal_basis(self):
+        # a later pricing round starts from the previous optimum: adding
+        # columns keeps it feasible, and the warm solve matches a cold one
+        rng = np.random.default_rng(53)
+        for n in (2, 4, 6):
+            cost, posteriors, ent, prior, basis = master_lp(rng, n, 90)
+            budget = 0.4 * math.log(n)
+            # a first round on 40 columns, the vertices among them
+            head = np.union1d(basis[:-1], np.arange(40))
+            labels = np.append(head, len(cost))  # the last label is the slack
+            sub = np.searchsorted(labels, basis)
+            persuasion._solve_master(cost[head], posteriors[head], ent[head], prior, budget, sub)
+            _, warm, _, _ = check_master_against_highs(cost, posteriors, ent, prior, budget, labels[sub])
+            _, cold, _, _ = persuasion._solve_master(cost, posteriors, ent, prior, budget, basis)
+            assert warm == pytest.approx(cold, abs=1e-12)
+
+    def test_exhausted_pivots_raise(self, monkeypatch):
+        monkeypatch.setattr(persuasion, "_MAX_PIVOTS_PER_COLUMN", 0)
+        with pytest.raises(InfeasibleSplitError, match="pivots"):
+            solve_persuasion(build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2), 0.2)
+
+
+class TestEdgeGames:
+    def test_one_state_game(self):
+        for payoff in (-1.0, 0.0, 2.5):
+            game = PersuasionGame(attack_payoff=[payoff], prior=[1.0], z_bins=1, z_rep=np.zeros(1),
+                                  scan_flag=np.zeros(1, dtype=int))
+            sol = solve_persuasion(game, 0.0)
+            assert sol.objective == max(payoff, 0.0)
+            assert sol.policy.shape == (1, 1) and sol.policy[0, 0] == 1.0
+
+    @pytest.mark.parametrize("payoff", [[0.0, 1.0, -1.0], [0.0, -1.0, -2.0], [0.0, 0.0, 1.5]])
+    def test_zero_payoff_games_match_full_grid(self, payoff):
+        game = PersuasionGame(attack_payoff=payoff, prior=[0.3, 0.3, 0.4], z_bins=3, z_rep=np.zeros(3),
+                              scan_flag=np.zeros(3, dtype=int))
+        for budget in (0.0, 0.3, math.log(3)):
+            assert solve_persuasion(game, budget).objective == pytest.approx(full_grid_lp(game, budget), abs=1e-9)
+
+
+def old_min_attacker_value(game):
+    """Oracle: min v s.t. v >= payoff . mu, v >= 0, mu on the simplex, by HiGHS."""
+    n = game.n_states
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2, n + 1))
+    a_ub[0, :n] = game.attack_payoff
+    a_ub[0, -1] = -1.0
+    a_ub[1, -1] = -1.0
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    bounds = [(0, None)] * n + [(None, None)]
+    res = optimize.linprog(c, A_ub=a_ub, b_ub=[0.0, 0.0], A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def test_min_attacker_value_matches_lp():
+    rng = np.random.default_rng(61)
+    for i in range(200):
+        n = int(rng.integers(1, 9))
+        payoff = rng.uniform(-2, 2, n)
+        if i % 3 == 0:
+            payoff = np.abs(payoff)  # every state worth attacking
+        game = PersuasionGame(attack_payoff=payoff, prior=np.full(n, 1 / n), z_bins=n, z_rep=np.zeros(n),
+                              scan_flag=np.zeros(n, dtype=int))
+        assert min_attacker_value(game) == pytest.approx(old_min_attacker_value(game), abs=1e-9)
+
+
 def random_game(rng, n):
     return PersuasionGame(
         attack_payoff=rng.uniform(-2, 2, n),
