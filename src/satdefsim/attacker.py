@@ -1,6 +1,7 @@
 """Rational interceptor: intensity dynamics, realized/believed utility,
-exact finite-horizon best response, Bayesian belief updates under
-erasure, and the behavioral threshold rule.
+exact best response for any horizon (a backward DP over upper envelopes
+of lines in the intensity, ties going to wait), Bayesian belief updates
+under erasure, and the behavioral threshold rule.
 
 The attacker's per-slot reward scales with the defender's detection gap
 (1 - z) and is gated by successful telemetry interception; the cost is
@@ -9,6 +10,7 @@ whether or not the attack lands.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,24 +22,21 @@ class AttackerParams:
 
     ``memory`` is the smoothing factor of the intensity recursion
     a' = (1-memory) a + memory x; ``cost_scale`` amplifies the base cost
-    by (1 + cost_scale * a).  ``dp_grid`` is the intensity grid used by
-    the dynamic program beyond the exact-tracking horizon.
+    by (1 + cost_scale * a).  The best response is exact for any
+    horizon, so no solver knob is needed.
     """
 
     reward_weight: float = 10.0
     base_cost: float = 0.1
     cost_scale: float = 0.5
     memory: float = 0.1
-    dp_grid: int = 512
-    exact_horizon: int = 24
 
     def __post_init__(self):
-        if self.reward_weight <= 0 or self.base_cost <= 0 or self.cost_scale <= 0:
-            raise ValueError("reward_weight, base_cost and cost_scale must be positive")
+        weights = (self.reward_weight, self.base_cost, self.cost_scale)
+        if not all(math.isfinite(w) and w > 0 for w in weights):
+            raise ValueError("reward_weight, base_cost and cost_scale must be positive and finite")
         if not (0.0 < self.memory <= 1.0):
             raise ValueError("memory factor must lie in (0, 1]")
-        if self.dp_grid < 2:
-            raise ValueError("dp_grid must be >= 2")
 
 
 @dataclass
@@ -97,16 +96,26 @@ def best_response(
     start_intensity: float = 0.0,
 ) -> AttackPlan:
     """Exact DP maximizing the planned utility against known or believed
-    per-slot conditions.
+    per-slot conditions, for any horizon.
 
     ``gap_reward[t]`` is the expected reward coefficient of attacking at
     slot t (reward_weight * (1-z) for a known schedule, or its belief
     expectation with scan states contributing zero).  ``scan_on[t]``
-    forbids attacking outright (known active scan).  Ties prefer not
-    attacking; the returned plan is the lexicographically smallest
-    optimal one.  Horizons up to ``params.exact_horizon`` track every
-    reachable intensity exactly; longer horizons use a uniform grid with
-    linear interpolation of the value function.
+    forbids attacking outright (known active scan).
+
+    The value of the rest of the plan is convex and piecewise linear in
+    the intensity, so each backward layer is kept as its upper envelope:
+    the lines (slope, intercept) that are on top somewhere in [0, 1].
+    No bound on their number is known; it stays at a few lines on random
+    rewards, but a constant reward just above the base cost can need
+    hundreds over thousands of slots.
+
+    The plan is read forward at the exact intensity and attacks only
+    where attacking is strictly better; ties wait, so the plan is the
+    lexicographically smallest optimal one.  ``value`` is the plan's
+    attack terms folded back to front, in the operation order of
+    ``enumerate_best_response``, divided by the horizon.
+    ``start_intensity`` must lie in [0, 1], where the envelopes are kept.
     """
     reward = np.asarray(gap_reward, dtype=float)
     scan = np.asarray(scan_on, dtype=int)
@@ -115,87 +124,81 @@ def best_response(
         raise ValueError("horizon must be >= 1")
     if len(scan) != n:
         raise ValueError("sequence lengths differ")
-    if n <= params.exact_horizon:
-        return _best_response_exact(reward, scan, params, start_intensity)
-    return _best_response_grid(reward, scan, params, start_intensity)
-
-
-def _best_response_exact(reward, scan, params, start_intensity):
+    if not 0.0 <= start_intensity <= 1.0:
+        raise ValueError("start_intensity must lie in [0, 1]")
     eta, beta, kk = params.memory, params.base_cost, params.cost_scale
-    n = len(reward)
     reward, scan = reward.tolist(), scan.tolist()
     # intensity_update inlined: (1 - eta) * a + eta * x with x in {0.0, 1.0},
     # the same operations in the same order
     keep, rest, hit = 1.0 - eta, eta * 0.0, eta * 1.0
-    # exact reachable-intensity lattice; raw float keys so the arithmetic
-    # path matches the enumeration oracle bit for bit
-    reachable: list[set[float]] = [{float(start_intensity)}]
-    for t in range(n):
-        layer = set()
-        for a in reachable[t]:
-            layer.add(keep * a + rest)
-            if not scan[t]:
-                layer.add(keep * a + hit)
-        reachable.append(layer)
-    value = dict.fromkeys(reachable[n], 0.0)  # value of the rest of the plan
-    attack: list[set[float]] = [set() for _ in range(n)]  # intensities that attack at t
-    for t in range(n - 1, -1, -1):
-        nxt, current = value, {}
-        if scan[t]:
-            for a in reachable[t]:
-                current[a] = nxt[keep * a + rest]
-        else:
-            r, strike = reward[t], attack[t]
-            for a in reachable[t]:
-                v_wait = nxt[keep * a + rest]
-                v_att = (r - beta * (1.0 + kk * a)) + nxt[keep * a + hit]
-                if v_att > v_wait:  # ties keep wait
-                    current[a] = v_att
-                    strike.add(a)
-                else:
-                    current[a] = v_wait
-        value = current
-    plan = np.zeros(n, dtype=int)
+    slope_cost = beta * kk
+    # layers[t]: V_t(a) = max over lines of s * a + c; V_n = 0.  The plan
+    # starts from a known intensity, so V_0 is never needed
+    layers = [[(0.0, 0.0)]] * (n + 1)
+    for t in range(n - 1, 0, -1):
+        nxt = layers[t + 1]
+        wait = [(s * keep, c) for s, c in nxt]  # V_{t+1}(keep * a)
+        attack = []
+        if not scan[t]:  # r_t - beta (1 + kk a) + V_{t+1}(keep * a + eta)
+            r = reward[t] - beta
+            attack = [(s * keep - slope_cost, c + s * eta + r) for s, c in nxt]
+        layers[t] = _upper(wait, attack)
+    plan = [0] * n
+    intensity = [0.0] * n
     a = float(start_intensity)
-    total = value[a]
     for t in range(n):
-        if a in attack[t]:
-            plan[t] = 1
-            a = keep * a + hit
-        else:
-            a = keep * a + rest
-    return AttackPlan(decisions=plan, value=total / n)
-
-
-def _best_response_grid(reward, scan, params, start_intensity):
-    eta, beta, kk = params.memory, params.base_cost, params.cost_scale
-    n = len(reward)
-    grid = np.linspace(0.0, 1.0, params.dp_grid)
-    values = np.zeros((n + 1, len(grid)))
-    for t in range(n - 1, -1, -1):
-        v_wait = np.interp((1.0 - eta) * grid, grid, values[t + 1])
-        if scan[t]:
-            values[t] = v_wait
-        else:
-            v_att = reward[t] - beta * (1.0 + kk * grid) + np.interp(
-                (1.0 - eta) * grid + eta, grid, values[t + 1]
-            )
-            values[t] = np.maximum(v_wait, v_att)
-    plan = np.zeros(n, dtype=int)
-    a = float(start_intensity)
-    value = float(np.interp(a, grid, values[0]))
-    for t in range(n):
-        x = 0
+        intensity[t] = a
+        a_wait = keep * a + rest
         if not scan[t]:
-            # decide at the exact intensity against the gridded continuation
-            v_wait = float(np.interp(intensity_update(a, 0, eta), grid, values[t + 1]))
-            v_att = reward[t] - beta * (1.0 + kk * a) + float(
-                np.interp(intensity_update(a, 1, eta), grid, values[t + 1])
-            )
-            x = 1 if v_att > v_wait else 0
-        plan[t] = x
-        a = intensity_update(a, x, eta)
-    return AttackPlan(decisions=plan, value=value / n)
+            nxt = layers[t + 1]
+            a_hit = keep * a + hit
+            v_wait = max([s * a_wait + c for s, c in nxt])
+            v_att = (reward[t] - beta * (1.0 + kk * a)) + max([s * a_hit + c for s, c in nxt])
+            if v_att > v_wait:  # ties keep wait
+                plan[t] = 1
+                a = a_hit
+                continue
+        a = a_wait
+    value = 0.0
+    for t in range(n - 1, -1, -1):
+        if plan[t]:
+            value = (reward[t] - beta * (1.0 + kk * intensity[t])) + value
+    return AttackPlan(decisions=np.array(plan, dtype=int), value=value / n)
+
+
+def _upper(first, second):
+    """Upper envelope on [0, 1] of two line lists, each sorted by slope.
+
+    Returns the lines that are on top somewhere in [0, 1], by increasing
+    slope and so by decreasing intercept.
+    """
+    hull: list[tuple[float, float]] = []
+    i = j = 0
+    n_first, n_second = len(first), len(second)
+    for _ in range(n_first + n_second):
+        if j == n_second or (i < n_first and first[i][0] <= second[j][0]):
+            s, c = first[i]
+            i += 1
+        else:
+            s, c = second[j]
+            j += 1
+        # at least as high at 0 and at least as steep: higher on all of [0, 1]
+        while hull and c >= hull[-1][1]:
+            hull.pop()
+        if hull and s == hull[-1][0]:
+            continue  # parallel and lower
+        # the top line is dropped once the new one overtakes it no later
+        # than it overtakes the line below it
+        while len(hull) > 1:
+            (s0, c0), (s1, c1) = hull[-2], hull[-1]
+            if (c1 - c) * (s1 - s0) > (c0 - c1) * (s - s1):
+                break
+            hull.pop()
+        hull.append((s, c))
+    # lines on top only beyond a = 1
+    while len(hull) > 1 and hull[-2][0] + hull[-2][1] >= hull[-1][0] + hull[-1][1]:
+        hull.pop()
+    return hull
 
 
 def enumerate_best_response(

@@ -229,8 +229,6 @@ def from_dict(raw: dict) -> ScenarioConfig:
             base_cost=float(_take(att_raw, "base_cost", 0.1)),
             cost_scale=float(_take(att_raw, "cost_scale", 0.5)),
             memory=float(_take(att_raw, "memory", 0.1)),
-            dp_grid=int(_take(att_raw, "dp_grid", 512)),
-            exact_horizon=int(_take(att_raw, "exact_horizon", 24)),
         )
         belief_threshold = float(_take(att_raw, "belief_threshold", 0.55))
         _no_leftovers(att_raw, "attacker")
@@ -347,8 +345,6 @@ def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "base_cost": cfg.attacker.base_cost,
             "cost_scale": cfg.attacker.cost_scale,
             "memory": cfg.attacker.memory,
-            "dp_grid": cfg.attacker.dp_grid,
-            "exact_horizon": cfg.attacker.exact_horizon,
             "belief_threshold": cfg.persuasion.belief_threshold,
         },
         "persuasion": {

@@ -15,6 +15,66 @@ from satdefsim.attacker import (
 PARAMS = AttackerParams()  # reward 10, base cost 0.1, cost scale 0.5, memory 0.1
 
 
+def lattice_best_response(reward, scan, params, start_intensity=0.0):
+    """Reference DP over every reachable intensity, kept as an oracle.
+
+    Exact, and with the same tie rule as ``best_response``, but a layer
+    can double with every slot, so it is only run for short horizons.
+    """
+    eta, beta, kk = params.memory, params.base_cost, params.cost_scale
+    n = len(reward)
+    reward, scan = list(map(float, reward)), list(map(int, scan))
+    keep, rest, hit = 1.0 - eta, eta * 0.0, eta * 1.0
+    reachable = [{float(start_intensity)}]
+    for t in range(n):
+        layer = set()
+        for a in reachable[t]:
+            layer.add(keep * a + rest)
+            if not scan[t]:
+                layer.add(keep * a + hit)
+        reachable.append(layer)
+    value = dict.fromkeys(reachable[n], 0.0)
+    attack = [set() for _ in range(n)]
+    for t in range(n - 1, -1, -1):
+        nxt, current = value, {}
+        for a in reachable[t]:
+            v_wait = nxt[keep * a + rest]
+            current[a] = v_wait
+            if not scan[t]:
+                v_att = (reward[t] - beta * (1.0 + kk * a)) + nxt[keep * a + hit]
+                if v_att > v_wait:
+                    current[a] = v_att
+                    attack[t].add(a)
+        value = current
+    plan = []
+    a = float(start_intensity)
+    for t in range(n):
+        plan.append(int(a in attack[t]))
+        a = keep * a + (hit if plan[-1] else rest)
+    return plan, value[float(start_intensity)] / n
+
+
+def folded_value(plan, reward, params, start_intensity=0.0):
+    """A plan's planned utility, its attack terms summed back to front as
+    ``enumerate_best_response`` sums them."""
+    intensity = [start_intensity]
+    for x in plan:
+        intensity.append(intensity_update(intensity[-1], x, params.memory))
+    value = 0.0
+    for t in range(len(plan) - 1, -1, -1):
+        if plan[t]:
+            value = (reward[t] - params.base_cost * (1.0 + params.cost_scale * intensity[t])) + value
+    return value / len(plan)
+
+
+def random_params(rng):
+    return AttackerParams(
+        base_cost=float(rng.uniform(0.05, 0.5)),
+        cost_scale=float(rng.uniform(0.1, 1.0)),
+        memory=float(rng.choice([rng.uniform(0.05, 1.0), 0.1, 0.5, 1.0])),
+    )
+
+
 class TestIntensity:
     def test_attack_from_zero(self):
         assert intensity_update(0.0, 1, 0.1) == pytest.approx(0.1)
@@ -76,6 +136,15 @@ class TestBestResponse:
         assert plan.decisions.tolist() == [0, 1]
         assert plan.value == pytest.approx(4.95)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_exact_tie_waits(self, n):
+        # from intensity 0 one attack pays (0.1002 > base cost 0.1) and a
+        # second does not, so every slot gives the same value: the plan
+        # attacks last
+        plan = best_response([0.1002] * n, [0] * n, PARAMS)
+        assert plan.decisions.tolist() == [0] * (n - 1) + [1]
+        assert plan.value == enumerate_best_response([0.1002] * n, [0] * n, PARAMS).value
+
     def test_scan_everywhere_forbids_attacks(self):
         n = 8
         plan = best_response([10.0] * n, [1] * n, PARAMS)
@@ -130,11 +199,62 @@ class TestBestResponse:
         v2 = best_response(base + 1.0, [0] * 10, PARAMS).value
         assert v2 >= v1 - 1e-12
 
+    def test_matches_lattice_on_random_rewards(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(1, 17))
+            rewards = rng.uniform(-0.5, 3.0, n)
+            scans = (rng.random(n) < 0.2).astype(int)
+            params = random_params(rng)
+            start = float(rng.choice([0.0, rng.random(), 1.0]))
+            dp = best_response(rewards, scans, params, start_intensity=start)
+            plan, value = lattice_best_response(rewards, scans, params, start)
+            assert dp.decisions.tolist() == plan
+            assert dp.value.hex() == value.hex()
+
+    def test_constant_rewards_within_rounding_of_enumeration(self):
+        # the engine's pattern: one believed gap for every remaining slot.
+        # Real-valued ties are common here, and rounding may break them
+        # either way, so only the value is compared
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            rewards = np.full(n, float(rng.uniform(0.0, 3.0)))
+            scans = np.zeros(n, dtype=int)
+            params = random_params(rng)
+            start = float(rng.choice([0.0, rng.random(), 1.0]))
+            dp = best_response(rewards, scans, params, start_intensity=start)
+            brute = enumerate_best_response(rewards, scans, params, start_intensity=start)
+            assert abs(dp.value - brute.value) <= 1e-12
+            assert folded_value(dp.decisions.tolist(), rewards, params, start) == dp.value
+
     def test_long_horizon_grid_path(self):
-        n = 60  # beyond the exact-tracking horizon
+        n = 60  # beyond any enumeration or lattice oracle
         plan = best_response([8.0] * n, [0] * n, PARAMS)
         assert plan.value > 0
         assert plan.decisions.sum() > 0
+        realized = realized_utility(plan.decisions, [0.2] * n, [1] * n, PARAMS)
+        assert abs(plan.value - realized) <= 1e-12
+
+    def test_two_thousand_slots(self):
+        rng = np.random.default_rng(23)
+        n = 2000
+        rewards = rng.uniform(-0.5, 3.0, n)
+        scans = (rng.random(n) < 0.2).astype(int)
+        dp = best_response(rewards, scans, PARAMS, start_intensity=0.5)
+        plan = dp.decisions.tolist()
+        assert not any(x and s for x, s in zip(plan, scans))
+        assert folded_value(plan, rewards, PARAMS, 0.5) == dp.value
+        # no single changed decision does better
+        for t in rng.choice(np.flatnonzero(scans == 0), size=30, replace=False):
+            other = list(plan)
+            other[t] = 1 - other[t]
+            assert folded_value(other, rewards, PARAMS, 0.5) <= dp.value + 1e-12
+
+    @pytest.mark.parametrize("start", [-0.1, 1.5, float("nan")])
+    def test_start_intensity_outside_unit_interval_rejected(self, start):
+        with pytest.raises(ValueError, match="start_intensity"):
+            best_response([1.0], [0], PARAMS, start_intensity=start)
 
     def test_empty_horizon_rejected(self):
         with pytest.raises(ValueError):

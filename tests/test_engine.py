@@ -253,12 +253,12 @@ def valid_scenarios(draw):
     """A small valid scenario and a seed: 1-3 resources, a mixed set of
     2-4 task specs (either priority, nature and arrival pattern, firm or
     soft deadlines), a horizon often not a multiple of the window and
-    often longer than the pass, 1-3 capacity bins and every attacker
-    mode."""
+    often longer than the pass, windows of up to 60 slots, 1-3 capacity
+    bins and every attacker mode."""
     n_res = draw(st.integers(1, 3))
     demand = st.lists(st.floats(0.0, 0.45), min_size=n_res, max_size=n_res)
     duration = draw(st.integers(1, 3))
-    window = draw(st.integers(duration, 8))
+    window = draw(st.integers(duration, 60))
     horizon = draw(st.integers(window, 120))
     tasks = []
     for j in range(draw(st.integers(2, 4))):
@@ -305,6 +305,14 @@ def test_random_valid_scenarios_run_and_repeat(case):
         m = cold["metrics"]
         assert m["generated"] == m["completed"] + m["dropped"] + m["missed"] + m["residual"]
         assert record(cfg, seed, policy) == cold
+
+
+def test_long_dp_window_runs_and_repeats():
+    # the dp interceptor replans over up to 30 remaining slots per window
+    cfg = small_cfg(horizon=400, window=30, attacker={"mode": "dp"})
+    first = record(cfg, 0, "stardis")
+    assert first["metrics"]["attack_count"] > 0
+    assert record(cfg, 0, "stardis") == first
 
 
 class TestBaselines:
@@ -489,6 +497,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section,key", [
         ("persuasion", "units_per_slot"),
+        ("attacker", "dp_grid"),
+        ("attacker", "exact_horizon"),
         ("channel", "series_truncation"),
         ("geometry", "tx_power_w"),
         ("geometry", "tx_gain_dbi"),
@@ -500,6 +510,14 @@ class TestConfigValidation:
         target = raw["channel"]["geometry"] if section == "geometry" else raw[section]
         target[key] = 1.0
         with pytest.raises(ConfigError, match=key):
+            from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["reward_weight", "base_cost", "cost_scale"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_attacker_weights_rejected(self, key, bad):
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        raw["attacker"][key] = bad
+        with pytest.raises(ConfigError, match="finite"):
             from_dict(raw)
 
     def test_config_echo_round_trips_every_field(self):
@@ -546,7 +564,7 @@ NON_DEFAULT_SCENARIO = {
                      "peak_snr_db": 11.0, "path_loss_exp": 2.2},
     },
     "attacker": {"mode": "dp", "reward_weight": 9.0, "base_cost": 0.2, "cost_scale": 0.4,
-                 "memory": 0.2, "dp_grid": 64, "exact_horizon": 10, "belief_threshold": 0.6},
+                 "memory": 0.2, "belief_threshold": 0.6},
     "persuasion": {"z_bins": 3, "n_signals": 9, "credibility": 0.3, "prior_scan": 0.4,
                    "subdivisions": 20, "budget_points": 7, "delay_max_ms": 300.0,
                    "delay_snr_lo_db": 1.0, "delay_snr_hi_db": 12.0},
