@@ -111,8 +111,9 @@ def best_response(
     hundreds over thousands of slots.
 
     The plan is read forward at the exact intensity and attacks only
-    where attacking is strictly better; ties wait, so the plan is the
-    lexicographically smallest optimal one.  ``value`` is the plan's
+    where attacking is strictly better; exact ties wait.  A tie in real
+    numbers that rounding splits can still go either way, between plans
+    whose values differ in the last bits.  ``value`` is the plan's
     attack terms folded back to front, in the operation order of
     ``enumerate_best_response``, divided by the horizon.
     ``start_intensity`` must lie in [0, 1], where the envelopes are kept.
