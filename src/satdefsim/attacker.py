@@ -1,7 +1,6 @@
 """Rational interceptor: intensity dynamics, realized/believed utility,
-exact best response for any horizon (a backward DP over upper envelopes
-of lines in the intensity, ties going to wait), Bayesian belief updates
-under erasure, and the behavioral threshold rule.
+exact best response at any horizon, Bayesian belief updates under
+erasure, and the behavioral threshold rule.
 
 The attacker's per-slot reward scales with the defender's detection gap
 (1 - z) and is gated by successful telemetry interception; the cost is
@@ -168,11 +167,8 @@ def best_response(
 
 
 def _upper(first, second):
-    """Upper envelope on [0, 1] of two line lists, each sorted by slope.
-
-    Returns the lines that are on top somewhere in [0, 1], by increasing
-    slope and so by decreasing intercept.
-    """
+    """Upper envelope of two line lists sorted by slope: the lines on top
+    somewhere in [0, 1], by increasing slope and decreasing intercept."""
     hull: list[tuple[float, float]] = []
     i = j = 0
     n_first, n_second = len(first), len(second)
