@@ -56,7 +56,9 @@ def realized_utility(
     params: AttackerParams,
     scan_on=None,
 ) -> float:
-    """Time-averaged realized utility of an attack sequence.
+    """Time-averaged realized utility of a 0/1 attack sequence.  Each
+    attack adds its reward minus its cost in one step, in slot order, as
+    the episode engine sums them, so an episode's total replays exactly.
 
     Reward accrues only on slots with successful interception
     (``received``); the history-amplified cost is paid regardless.  When
@@ -79,11 +81,10 @@ def realized_utility(
     a_prev = 0.0
     for t in range(n):
         x = attacks[t]
-        gate = xi[t]
-        if scan_on is not None:
-            gate = gate * (1.0 - scan_on[t])
-        total += gate * params.reward_weight * (1.0 - z[t]) * x
-        total -= params.base_cost * (1.0 + params.cost_scale * a_prev) * x
+        if x:  # one addition per attack, in the engine's order
+            gate = xi[t] if scan_on is None else xi[t] * (1.0 - scan_on[t])
+            reward = params.reward_weight * (1.0 - z[t]) if gate else 0.0
+            total += reward - params.base_cost * (1.0 + params.cost_scale * a_prev)
         a_prev = intensity_update(a_prev, x > 0, params.memory)
     return total / n
 

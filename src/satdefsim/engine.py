@@ -22,6 +22,11 @@ memo of the window drift.  An episode draws its signal uniforms in one
 ``rng_signal.random(horizon)`` call and turns each into a signal with
 the row's CDF, exactly as ``Generator.choice`` would; a received packet
 is a table read and an erasure resets to the shared read-only prior.
+
+The interceptor's slot is one ``Interceptor`` step: ``receive`` the
+slot's telemetry, then ``act`` on the belief it leaves.  Episodes run
+every slot through it, and so do the scripted belief-dynamics checks
+(acceptance criterion 9), which deliver forced signals slot by slot.
 """
 from __future__ import annotations
 
@@ -38,7 +43,6 @@ import numpy as np
 
 from . import __version__
 from .attacker import (
-    AttackerParams,
     best_response,
     belief_update,
     intensity_update,
@@ -385,6 +389,95 @@ def _stardis_schedule(
 
 
 # ---------------------------------------------------------------------------
+# Interceptor step
+# ---------------------------------------------------------------------------
+
+class Interceptor:
+    """The interceptor of one episode, one slot at a time: ``receive``
+    the slot's telemetry, then ``act`` against the belief it leaves.
+
+    ``params`` are the ``AttackerParams``; ``belief, p_scan, idle_gap``
+    is the current ``belief_entry``, the prior's at the start and after
+    an erasure; ``threshold`` selects the threshold rule, ``None`` the dp plan, which
+    is replanned only when the belief changes or the plan is used up.
+    The totals are the realized and believed attack utilities summed
+    over the slots.  ``best_response`` and ``threshold_decision`` are
+    looked up in this module, so patching them (as a tracer does) sees
+    every call.
+    """
+
+    def __init__(self, params, prior_entry: tuple, threshold: float | None):
+        self.params = params
+        self.threshold = threshold
+        self.prior_entry = prior_entry
+        self.belief, self.p_scan, self.idle_gap = prior_entry
+        self.intensity = 0.0
+        self.realized = 0.0
+        self.believed = 0.0
+        self.attacks = 0
+        self.blocked = 0
+        self._plan: list[int] | None = None
+        self._offset = 0
+        self._plan_belief: np.ndarray | None = None
+
+    def receive(self, erased: bool, due) -> str:
+        """Take a slot's telemetry: ``due`` holds the ``(generated_at,
+        signal, table)`` packets arriving in it.  An erased slot resets
+        the belief to the prior and loses them; otherwise the newest sets
+        the belief.  Returns the received signal, or "" for none."""
+        if erased:
+            self.belief, self.p_scan, self.idle_gap = self.prior_entry
+        elif due:
+            _, m, table = max(due, key=lambda d: d[0])
+            self.belief, self.p_scan, self.idle_gap = table.receive(m)
+            return str(m)
+        return ""
+
+    def act(self, scan_now: bool, z: float, erased: bool, remaining: int) -> tuple[int, int, float]:
+        """Decide and settle one slot with ``remaining`` slots left in its
+        window; returns ``(x_att, blocked, reward)``.  An attack pays its
+        intensity-amplified cost; it earns ``reward_weight * (1 - z)``
+        only when the slot's telemetry was intercepted and no scan runs,
+        and an attack into a scan counts as blocked."""
+        att = self.params
+        gap = att.reward_weight * self.idle_gap  # believed attack gap
+        if self.threshold is not None:
+            x_att = int(threshold_decision(self.p_scan, self.threshold))
+        else:
+            # beliefs are read-only table entries: the same object is the
+            # same belief, and is kept, not copied (lists compare element
+            # by element as array_equal does, for two beliefs of one game)
+            belief = self.belief
+            if (
+                self._plan is None
+                or self._offset >= len(self._plan)
+                or (self._plan_belief is not belief and self._plan_belief.tolist() != belief.tolist())
+            ):
+                plan = best_response(
+                    np.full(remaining, gap), np.zeros(remaining, dtype=int),
+                    att, start_intensity=self.intensity,
+                )
+                self._plan = plan.decisions.tolist()
+                self._offset = 0
+                self._plan_belief = belief
+            x_att = self._plan[self._offset]
+            self._offset += 1
+        blocked = 0
+        reward = 0.0
+        if x_att:
+            self.attacks += 1
+            cost = att.base_cost * (1.0 + att.cost_scale * self.intensity)
+            blocked = int(scan_now)
+            self.blocked += blocked
+            gate = (not erased) and not scan_now
+            reward = (att.reward_weight * (1.0 - z)) if gate else 0.0
+            self.realized += reward - cost
+            self.believed += gap - cost
+        self.intensity = intensity_update(self.intensity, x_att, att.memory)
+        return x_att, blocked, reward
+
+
+# ---------------------------------------------------------------------------
 # Episode runner
 # ---------------------------------------------------------------------------
 
@@ -412,8 +505,8 @@ class EpisodeRunner:
         )
         self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
 
-        self.attacker_on = cfg.attacker_mode != "none"
-        self.signaling_on = self.attacker_on and self.policy in ("star",) + DECEPTION_POLICIES
+        # an interceptor runs only where a star-family policy signals to it
+        self.signaling_on = cfg.attacker_mode != "none" and self.policy in ("star",) + DECEPTION_POLICIES
         self.assets = persuasion_assets(cfg) if self.signaling_on else None
 
     # -- policy-specific slot scheduling ------------------------------------
@@ -462,9 +555,7 @@ class EpisodeRunner:
         sched_cfg = cfg.scheduler_config()
         targets = cfg.stability_targets()
         util = cfg.utility
-        att = cfg.attacker
         pset = cfg.persuasion
-        game = self.assets.game if self.assets else None
         z_bins = pset.z_bins
 
         live: list[TaskInstance] = []
@@ -475,18 +566,10 @@ class EpisodeRunner:
         events_count = 0
         counts = {"completed": 0, "dropped": 0, "missed": 0}
 
-        # attacker state: the belief entry of the shared prior or of a table
-        belief = p_scan = idle_gap = None
-        if game is not None:
-            belief, p_scan, idle_gap = self.assets.prior_entry
-        intensity = 0.0
-        realized_total = 0.0
-        believed_total = 0.0
-        attack_count = 0
-        blocked_attacks = 0
-        dp_plan: list[int] | None = None
-        dp_offset = 0
-        dp_belief: np.ndarray | None = None
+        interceptor = None
+        if self.signaling_on:
+            threshold = pset.belief_threshold if cfg.attacker_mode == "threshold" else None
+            interceptor = Interceptor(cfg.attacker, self.assets.prior_entry, threshold)
 
         # telemetry in flight: arrival slot -> list of (generated_at, signal, table)
         deliveries: dict[int, list] = defaultdict(list)
@@ -497,8 +580,6 @@ class EpisodeRunner:
         defender_total = 0.0
         mean_snr = self.mean_snr.tolist()
         erased_slots = self.erased.tolist()
-        attacking = self.attacker_on and game is not None
-        threshold_mode = cfg.attacker_mode == "threshold"
         policy = self.policy
 
         # each slot's signal table and credibility budget
@@ -540,12 +621,12 @@ class EpisodeRunner:
             # --- Phase 2: signaling ---
             delays = delay_slots[w_start : w_start + w_len]
             drift = 0.0
-            if self.signaling_on and state is not None:
+            if state is not None:
                 tables = slot_tables[w_start : w_start + w_len]
                 for k, tab in enumerate(tables):
                     t = w_start + k
                     deliveries[t + delays[k]].append((t, tab.draw(state, uniforms[t]), tab))
-                drift = tables[0].drift(belief)
+                drift = tables[0].drift(interceptor.belief)
 
             # --- Phase 3: execute slots ---
             exec_planner = GreedyPlanner(util, sched_cfg, w_start, w_len, targets)
@@ -619,57 +700,16 @@ class EpisodeRunner:
 
                 # --- telemetry reception + attacker ---
                 erased = erased_slots[t]
-                sig_recv = ""
-                if attacking:
-                    due = deliveries.pop(t, None)  # lost with the slot if erased
-                    if erased:
-                        belief, p_scan, idle_gap = self.assets.prior_entry
-                    elif due:
-                        gen_t, m, tab = max(due, key=lambda d: d[0])
-                        belief, p_scan, idle_gap = tab.receive(m)
-                        sig_recv = str(m)
-
-                x_att = 0
-                blocked = 0
-                reward = 0.0
-                if attacking:
-                    gap = att.reward_weight * idle_gap  # believed attack gap
-                    if threshold_mode:
-                        x_att = int(threshold_decision(p_scan, pset.belief_threshold))
-                    else:  # dp
-                        # beliefs are read-only table entries: the same
-                        # object is the same belief, and is kept, not copied
-                        # (lists compare element by element as array_equal
-                        # does, for two beliefs of one game)
-                        if (
-                            dp_plan is None
-                            or dp_offset >= len(dp_plan)
-                            or (dp_belief is not belief and dp_belief.tolist() != belief.tolist())
-                        ):
-                            remaining = w_len - k
-                            plan_br = best_response(
-                                np.full(remaining, gap), np.zeros(remaining, dtype=int),
-                                att, start_intensity=intensity,
-                            )
-                            dp_plan = plan_br.decisions.tolist()
-                            dp_offset = 0
-                            dp_belief = belief
-                        x_att = dp_plan[dp_offset]
-                        dp_offset += 1
-                    if x_att:
-                        attack_count += 1
-                        cost = att.base_cost * (1.0 + att.cost_scale * intensity)
-                        blocked = int(scan_now)
-                        blocked_attacks += blocked
-                        gate = (not erased) and not scan_now
-                        reward = (att.reward_weight * (1.0 - z)) if gate else 0.0
-                        realized_total += reward - cost
-                        believed_total += gap - cost
-                    intensity = intensity_update(intensity, x_att, att.memory)
+                if interceptor is None:
+                    sig_recv, p_scan, x_att, blocked, reward, intensity = "", "", 0, 0, 0.0, 0.0
+                else:  # packets due in an erased slot are lost with it
+                    sig_recv = interceptor.receive(erased, deliveries.pop(t, None))
+                    x_att, blocked, reward = interceptor.act(scan_now, z, erased, w_len - k)
+                    p_scan, intensity = interceptor.p_scan, interceptor.intensity
 
                 w_rows.append((
                     t, int(scan_now), z, float(power), mean_snr[t], int(not erased), delays[k], sig_recv,
-                    p_scan if game is not None else "", x_att, blocked, reward, intensity, budgets[t],
+                    p_scan, x_att, blocked, reward, intensity, budgets[t],
                 ))
 
             # the window's slot rows, appended to the trace column by column
@@ -713,6 +753,10 @@ class EpisodeRunner:
             1 for i in self.instances if i.spec.id in firm_specs and i.state is _MISSED
         )
 
+        realized, believed, attacks, blocked = (
+            (0.0, 0.0, 0, 0) if interceptor is None
+            else (interceptor.realized, interceptor.believed, interceptor.attacks, interceptor.blocked)
+        )
         metrics = EpisodeMetrics(
             policy=self.policy,
             seed=self.seed,
@@ -722,12 +766,12 @@ class EpisodeRunner:
             routine_completion_pct=(100.0 * low_done / low_total) if low_total else 100.0,
             relay_miss_pct=(100.0 * firm_missed / firm_total) if firm_total else 0.0,
             defender_utility=defender_total / h,
-            attacker_realized=realized_total / h,
-            attacker_believed=believed_total / h,
+            attacker_realized=realized / h,
+            attacker_believed=believed / h,
             scan_freq=float(np.mean(traces.slots["scan_on"])),
             erasure_count=int(np.sum(self.erased)),
-            attack_count=attack_count,
-            blocked_attacks=blocked_attacks,
+            attack_count=attacks,
+            blocked_attacks=blocked,
             generated=generated,
             completed=counts["completed"],
             dropped=counts["dropped"],
@@ -837,9 +881,8 @@ def sweep(cfg: ScenarioConfig, param: str, values, seeds, policies=("star", "sta
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
+    # shortest round-trip form; float() so a numpy scalar prints as a number
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def write_csv(rows, columns, path):
@@ -868,74 +911,3 @@ def write_json(payload: dict, cfg: ScenarioConfig, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# Scripted belief-dynamics scenario
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ScriptedWindow:
-    """One window of the scripted interaction.
-
-    ``erased`` forces the channel state for all slots; ``signal`` forces
-    the emitted message index (None samples from the policy); ``z_true``
-    is the realized idle capacity and ``scan_true`` the realized scan
-    state during the window.
-    """
-
-    erased: bool
-    scan_true: bool
-    z_true: float
-    signal: int | None = None
-
-
-def run_scripted_belief_trace(
-    windows: list[ScriptedWindow],
-    policy: np.ndarray,
-    game: PersuasionGame,
-    params: AttackerParams,
-    belief_threshold: float,
-    window_len: int = 5,
-    seed: int = 0,
-):
-    """Deterministic-channel interaction for belief-dynamics studies.
-
-    Telemetry delivery is immediate (chosen so the belief response to
-    each forced channel state is isolated); the threshold attacker acts
-    every slot and realized utility follows the interception-gated
-    reward with the scan-collision gate.
-    """
-    rng = np.random.default_rng(seed)
-    rows = []
-    intensity = 0.0
-    belief = game.prior.copy()
-    for wi, win in enumerate(windows):
-        if win.signal is not None:
-            m = win.signal
-        else:
-            row = policy[quantize_state(win.scan_true, win.z_true, game.z_bins)]
-            m = int(rng.choice(len(row), p=row))
-        for k in range(window_len):
-            if win.erased:
-                belief = game.prior.copy()
-            else:
-                belief = belief_update(game.prior, m, policy)
-            p_active = game.p_scan(belief)
-            x = int(threshold_decision(p_active, belief_threshold))
-            reward = 0.0
-            cost = 0.0
-            if x:
-                cost = params.base_cost * (1.0 + params.cost_scale * intensity)
-                if not win.erased and not win.scan_true:
-                    reward = params.reward_weight * (1.0 - win.z_true)
-            intensity = intensity_update(intensity, x, params.memory)
-            rows.append({
-                "window": wi,
-                "t": wi * window_len + k,
-                "erased": int(win.erased),
-                "belief_scan": p_active,
-                "x_att": x,
-                "utility": reward - cost,
-            })
-    return rows

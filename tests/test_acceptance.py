@@ -18,7 +18,7 @@ from satdefsim.attacker import (
 )
 from satdefsim.channel import ChannelParams, sample_envelope, shadowed_rician_pdf
 from satdefsim.config import default_scenario
-from satdefsim.engine import ScriptedWindow, run_episode, run_scripted_belief_trace
+from satdefsim.engine import run_episode
 from satdefsim.persuasion import (
     PersuasionGame,
     attacker_value,
@@ -31,6 +31,7 @@ from satdefsim.persuasion import (
 from satdefsim.scheduler import UtilityParams, check_plan, exact_schedule, plan_horizon
 
 from conftest import micro_instance
+from test_engine import Window, scripted_trace
 from test_persuasion import brute_force_two_state, two_state_game
 
 UTIL = UtilityParams()
@@ -282,13 +283,13 @@ def test_criterion_9_belief_dynamics():
         params = AttackerParams()
         threshold = 0.55
         windows = [
-            ScriptedWindow(erased=True, scan_true=False, z_true=0.2),
-            ScriptedWindow(erased=True, scan_true=False, z_true=0.2),
-            ScriptedWindow(erased=False, scan_true=False, z_true=0.2, signal=0),
-            ScriptedWindow(erased=False, scan_true=False, z_true=0.2, signal=0),
-            ScriptedWindow(erased=False, scan_true=False, z_true=0.2, signal=1),
+            Window(erased=True, scan_true=False, z_true=0.2),
+            Window(erased=True, scan_true=False, z_true=0.2),
+            Window(erased=False, scan_true=False, z_true=0.2, signal=0),
+            Window(erased=False, scan_true=False, z_true=0.2, signal=0),
+            Window(erased=False, scan_true=False, z_true=0.2, signal=1),
         ]
-        rows = run_scripted_belief_trace(windows, policy, game, params, threshold, window_len=5)
+        rows = scripted_trace(windows, policy, game, params, threshold, window_len=5)
         erasure_rows = [r for r in rows if r["window"] in (0, 1)]
         assert all(r["belief_scan"] == pytest.approx(0.5) for r in erasure_rows)
         assert all(r["x_att"] == 1 for r in erasure_rows)

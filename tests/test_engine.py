@@ -1,6 +1,7 @@
 import dataclasses
 import enum
 import json
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satdefsim import engine
-from satdefsim.attacker import AttackerParams
+from satdefsim.attacker import AttackerParams, best_response
 from satdefsim.config import ConfigError, default_scenario, from_dict, load_config
 from satdefsim.engine import (
     EpisodeRunner,
-    ScriptedWindow,
+    Interceptor,
+    SignalTable,
+    belief_entry,
     run_benchmark_suite,
     run_episode,
-    run_scripted_belief_trace,
     sweep,
     write_slot_traces,
 )
@@ -419,6 +421,36 @@ class TestSuite:
         assert {r["value"] for r in rows} == {0.3, 0.7}
 
 
+# One window of a scripted interaction: the channel state and the scan
+# state of all its slots, its realized idle capacity and the signal
+# delivered in each slot (none in an erased window).
+Window = namedtuple("Window", "erased scan_true z_true signal", defaults=(None,))
+
+
+def scripted_trace(windows, policy, game, params, threshold, window_len):
+    """Drive the engine's threshold interceptor through scripted windows.
+    Delivery is immediate: each slot's packet carries its window's signal
+    and arrives in that slot, so the belief's response to each forced
+    channel state is isolated.  A row's ``utility`` is the change of the
+    interceptor's realized total in its slot."""
+    table = SignalTable(policy, game)
+    step = Interceptor(params, belief_entry(game.prior, game), threshold)
+    rows = []
+    for wi, win in enumerate(windows):
+        for k in range(window_len):
+            t = wi * window_len + k
+            step.receive(win.erased, [] if win.signal is None else [(t, win.signal, table)])
+            before = step.realized
+            x_att, _, _ = step.act(win.scan_true, win.z_true, win.erased, window_len - k)
+            rows.append({
+                "window": wi,
+                "belief_scan": step.p_scan,
+                "x_att": x_att,
+                "utility": step.realized - before,
+            })
+    return rows
+
+
 class TestScriptedBeliefDynamics:
     def test_erasure_resets_and_deception_holds(self):
         game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=1)
@@ -427,11 +459,11 @@ class TestScriptedBeliefDynamics:
         policy = np.array([[2 / 3, 1 / 3], [1.0, 0.0]])
         params = AttackerParams()
         windows = [
-            ScriptedWindow(erased=True, scan_true=False, z_true=0.2),
-            ScriptedWindow(erased=False, scan_true=False, z_true=0.2, signal=0),
-            ScriptedWindow(erased=False, scan_true=False, z_true=0.2, signal=1),
+            Window(erased=True, scan_true=False, z_true=0.2),
+            Window(erased=False, scan_true=False, z_true=0.2, signal=0),
+            Window(erased=False, scan_true=False, z_true=0.2, signal=1),
         ]
-        rows = run_scripted_belief_trace(windows, policy, game, params, 0.55, window_len=4)
+        rows = scripted_trace(windows, policy, game, params, 0.55, window_len=4)
         w0 = [r for r in rows if r["window"] == 0]
         assert all(r["x_att"] == 1 for r in w0)  # prior 0.5 < 0.55
         assert all(r["utility"] < 0 for r in w0)  # blind attacks fail
@@ -441,6 +473,73 @@ class TestScriptedBeliefDynamics:
         w2 = [r for r in rows if r["window"] == 2]
         assert all(r["x_att"] == 1 for r in w2)  # revealed vulnerability
         assert sum(r["utility"] for r in w2) > 0
+
+
+class TestInterceptorStep:
+    GAME = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=1)
+    # signal 0 pools (scan probability 0.6), signal 1 reveals a vulnerable state
+    POLICY = np.array([[2 / 3, 1 / 3], [1.0, 0.0]])
+
+    def make(self, threshold=0.55):
+        prior = belief_entry(self.GAME.prior, self.GAME)
+        return SignalTable(self.POLICY, self.GAME), prior, Interceptor(AttackerParams(), prior, threshold)
+
+    def test_newest_packet_sets_the_belief(self):
+        table, _, step = self.make()
+        assert step.receive(False, [(5, 1, table), (3, 0, table)]) == "1"
+        assert step.p_scan == 0.0
+        assert step.receive(False, [(3, 1, table), (5, 0, table)]) == "0"
+        assert step.belief is table.posteriors[0][0]
+        assert step.p_scan == pytest.approx(0.6)
+
+    def test_erased_slot_resets_to_prior_and_drops_its_packets(self):
+        table, prior, step = self.make()
+        step.receive(False, [(0, 0, table)])
+        assert step.receive(True, [(1, 1, table), (2, 0, table)]) == ""
+        assert step.belief is prior[0] and step.p_scan == prior[1] and step.idle_gap == prior[2]
+
+    def test_slot_with_nothing_due_keeps_the_belief(self):
+        table, _, step = self.make()
+        step.receive(False, [(0, 0, table)])
+        for due in (None, []):
+            assert step.receive(False, due) == ""
+            assert step.belief is table.posteriors[0][0]
+
+    def test_attack_into_a_scan_is_blocked_and_still_pays(self):
+        params = AttackerParams()
+        _, prior, step = self.make()  # prior scan probability 0.5 < 0.55: attack
+        assert step.act(True, 0.2, False, 1) == (1, 1, 0.0)
+        assert (step.attacks, step.blocked) == (1, 1)
+        assert step.realized == -params.base_cost
+        assert step.believed == params.reward_weight * prior[2] - params.base_cost
+        assert step.intensity == params.memory
+        # the next attack lands: no scan and intercepted telemetry
+        x_att, blocked, reward = step.act(False, 0.2, False, 1)
+        assert (x_att, blocked, reward) == (1, 0, params.reward_weight * (1.0 - 0.2))
+        cost = params.base_cost * (1.0 + params.cost_scale * params.memory)
+        assert step.realized == -params.base_cost + (reward - cost)
+        assert (step.attacks, step.blocked) == (2, 1)
+
+    def test_dp_replans_only_on_a_new_belief_or_a_used_up_plan(self, monkeypatch):
+        calls = []
+
+        def counted(gap, scan_on, params, start_intensity=0.0):
+            calls.append(len(gap))
+            return best_response(gap, scan_on, params, start_intensity=start_intensity)
+
+        monkeypatch.setattr(engine, "best_response", counted)
+        table, _, step = self.make(threshold=None)
+        for remaining in (3, 2, 1):  # the prior's plan covers the window
+            step.receive(False, None)
+            step.act(False, 0.2, False, remaining)
+        step.receive(False, [(3, 1, table)])
+        step.act(False, 0.2, False, 4)
+        # an equal belief from another table: the plan goes on
+        step.receive(False, [(4, 1, SignalTable(self.POLICY, self.GAME))])
+        step.act(False, 0.2, False, 3)
+        step.receive(True, None)
+        step.act(False, 0.2, True, 2)
+        assert calls == [3, 4, 2]
 
 
 class TestConfigValidation:

@@ -1,15 +1,21 @@
 """Engine replay oracle: headline metrics recomputed from the slot and
-window traces with library functions only.
+window trace files with library functions only.
 
 The golden scenarios (2 seeds x 5 policies on the default scenario and on
-its congested dynamic-programming variant, horizon 500) are replayed:
+its congested dynamic-programming variant, horizon 500) are written with
+``write_slot_traces`` and ``write_window_traces``, read back with ``csv``
+and replayed, every metric exactly:
 
 - ``defender_utility`` through ``detection_performance`` and
-  ``slot_utility`` on each window's realized scan frequency, exactly;
+  ``slot_utility`` on each window's realized scan frequency;
 - ``attack_count``, ``blocked_attacks``, ``erasure_count`` and
-  ``scan_freq``, exactly;
-- ``attacker_realized`` through ``realized_utility``, within 1e-12 (the
-  engine accumulates its sum in a different order).
+  ``scan_freq``;
+- ``attacker_realized`` through ``realized_utility``, which sums the
+  attacks in the engine's order.
+
+The same rows are audited: idle capacity never below zero, power within
+its budget, and the episode's instance accounting identity.  Every float
+cell of both files reads back as the value in memory.
 
 The downlink columns of the slot trace (``mean_snr_db``, ``delay_slots``
 and ``budget``) are recomputed slot by slot from the channel and
@@ -18,6 +24,7 @@ a horizon that leaves a short last window and one longer than the pass.
 """
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -26,22 +33,43 @@ import pytest
 from satdefsim.attacker import realized_utility
 from satdefsim.channel import OutageTable, delivery_delay_slots, predict_mean_snr
 from satdefsim.config import default_scenario
-from satdefsim.engine import run_episode
+from satdefsim.engine import (
+    SLOT_TRACE_COLUMNS,
+    WINDOW_TRACE_COLUMNS,
+    run_episode,
+    write_slot_traces,
+    write_window_traces,
+)
 from satdefsim.persuasion import BudgetCurve, allocate_on_grid, build_scan_game, choose_artificial_delay
 from satdefsim.scheduler import detection_performance, slot_utility
 
 from test_golden import CASES, GOLDEN, POLICIES, key, scenarios
 
 
-def replay(cfg, traces) -> dict:
-    s = traces.slots
-    h = len(s["t"])
+def read_csv(path) -> list[dict[str, str]]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def write_and_read(traces, directory) -> tuple[list[dict], list[dict]]:
+    """The slot and window rows of ``traces`` as written to CSV files and
+    read back, every cell a string."""
+    write_slot_traces(traces, directory / "slots.csv")
+    write_window_traces(traces, directory / "windows.csv")
+    return read_csv(directory / "slots.csv"), read_csv(directory / "windows.csv")
+
+
+def replay(cfg, slot_rows, window_rows) -> dict:
+    """The episode metrics recomputed from the trace files' rows."""
+    s = {c: [int(r[c]) for r in slot_rows] for c in ("t", "scan_on", "received", "x_att")}
+    s["z"] = [float(r["z"]) for r in slot_rows]
+    h = len(slot_rows)
     assert s["t"] == list(range(h))
     util = cfg.utility
     defender = 0.0
     next_start = 0
-    for w in traces.windows:
-        start, length = w["start"], w["length"]
+    for w in window_rows:
+        start, length = int(w["start"]), int(w["length"])
         assert start == next_start
         next_start = start + length
         f_w = float(np.mean(s["scan_on"][start:next_start]))
@@ -67,16 +95,36 @@ def configs():
 
 
 @pytest.mark.parametrize("scenario,seed,policy", CASES, ids=[key(*c) for c in CASES])
-def test_metrics_replay_from_traces(configs, scenario, seed, policy):
+def test_metrics_replay_from_traces(configs, tmp_path, scenario, seed, policy):
     cfg = configs[scenario]
     metrics, traces = run_episode(cfg, seed, policy)
-    got = replay(cfg, traces)
-    assert got["defender_utility"] == metrics.defender_utility
-    assert got["attack_count"] == metrics.attack_count
-    assert got["blocked_attacks"] == metrics.blocked_attacks
-    assert got["erasure_count"] == metrics.erasure_count
-    assert got["scan_freq"] == metrics.scan_freq
-    assert got["attacker_realized"] == pytest.approx(metrics.attacker_realized, rel=0, abs=1e-12)
+    slot_rows, window_rows = write_and_read(traces, tmp_path)
+    got = replay(cfg, slot_rows, window_rows)
+    for name, value in got.items():
+        assert value == getattr(metrics, name), name
+    # the executed schedule, audited on the same rows
+    assert min(float(r["z"]) for r in slot_rows) >= -1e-9
+    assert max(float(r["power"]) for r in slot_rows) <= cfg.power_budget + 1e-9
+    assert metrics.completed + metrics.dropped + metrics.missed + metrics.residual == metrics.generated
+
+
+@pytest.mark.parametrize("scenario,seed,policy", CASES, ids=[key(*c) for c in CASES])
+def test_trace_files_read_back_exactly(configs, tmp_path, scenario, seed, policy):
+    _, traces = run_episode(configs[scenario], seed, policy)
+    slot_rows, window_rows = write_and_read(traces, tmp_path)
+    written = [(slot_rows, SLOT_TRACE_COLUMNS, list(traces.slot_rows())),
+               (window_rows, WINDOW_TRACE_COLUMNS, traces.windows)]
+    floats = 0
+    for rows, columns, want in written:
+        assert len(rows) == len(want)
+        for row, mem in zip(rows, want):
+            for c in columns:
+                if isinstance(mem[c], float):
+                    assert float(row[c]) == mem[c], c
+                    floats += 1
+                else:
+                    assert row[c] == str(mem[c]), c
+    assert floats > 0
 
 
 def test_replayed_cases_include_attacks_and_erasures():
