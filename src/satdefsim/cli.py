@@ -95,7 +95,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     seeds = _parse_seeds(args.seeds)
-    values = [float(v) for v in args.values.split(",")]
+    values = [float(v) for v in args.values.split(",") if v]
     policies = args.policies.split(",")
     rows = sweep(cfg, args.param, values, seeds, policies)
     out = Path(args.out)

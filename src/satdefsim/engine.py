@@ -1,13 +1,25 @@
-"""Episode orchestration: the integrated plan/signal/execute loop,
-baseline policies, metric aggregation, benchmark suites and parameter
-sweeps.
+"""Episode orchestration: the defender and telemetry passes, baseline
+policies, metric aggregation, benchmark suites and parameter sweeps.
 
-Each window: (1) plan the schedule and quantize its (scan, load) state;
-(2) allocate the credibility budget over the window from the channel
-forecast, sample one deceptive signal per slot and pick the artificial
-delay; (3) execute slot by slot - run tasks, draw the channel, deliver
-or erase telemetry, update the interceptor's belief and let it act.
+An episode is two passes.  The defender pass (``DefenderPass``) runs
+arrivals, admission, deadline reaping, the receding-horizon plan of each
+window, the slot solver or the fcfs rule and task progress, and returns
+a read-only ``DefenderSchedule``.  The telemetry pass (``EpisodeRunner``)
+reads that schedule and never writes to it: each window it quantizes
+the planned (scan, load) state, allocates the credibility budget over
+the window from the channel forecast, samples one deceptive signal per
+slot and picks the artificial delay; then slot by slot it delivers or
+erases telemetry, updates the interceptor's belief and lets it act.
 Episodes are deterministic given (config, seed).
+
+Signaling shapes only the downlink, so star, star-static and stardis
+run the same defender pass on one seed.  ``defender_schedule`` keeps the
+star family's last schedule in a one-entry cache: further star-family
+episodes of that seed, and of configs ``dataclasses.replace`` derives
+with other persuasion, channel or attacker settings, skip the defender
+pass.  Several star-family policies or sweep values on one seed get
+faster; a lone episode on a fresh seed does not.  Suites and sweeps run
+seeds in the outer loop so that each seed's schedule is built once.
 
 Only the fading draw depends on the seed.  The downlink forecast (mean
 SNR, propagation and delivery delays) and stardis's per-slot budget
@@ -36,7 +48,7 @@ import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import add
+from operator import add, is_
 from types import MappingProxyType
 
 import numpy as np
@@ -70,7 +82,6 @@ from .persuasion import (
 )
 from .scheduler import (
     GreedyPlanner,
-    HorizonPlan,
     detection_performance,
     plan_horizon,
     slot_utility,
@@ -478,36 +489,61 @@ class Interceptor:
 
 
 # ---------------------------------------------------------------------------
-# Episode runner
+# Defender pass
 # ---------------------------------------------------------------------------
 
-class EpisodeRunner:
-    def __init__(self, cfg: ScenarioConfig, seed: int, policy: str | None = None):
-        self.cfg = cfg
-        self.policy = policy or cfg.policy
-        if self.policy not in POLICY_KINDS:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        self.seed = seed
-        kids = np.random.SeedSequence(seed).spawn(3)
-        self.rng_arrivals = np.random.default_rng(kids[0])
-        self.rng_channel = np.random.default_rng(kids[1])
-        self.rng_signal = np.random.default_rng(kids[2])
+_STAR_FAMILY = ("star",) + DECEPTION_POLICIES
 
-        self.instances = generate_arrivals(list(cfg.tasks), cfg.horizon, self.rng_arrivals)
+
+@dataclass(frozen=True)
+class DefenderSchedule:
+    """What the defender does in one episode, read-only.
+
+    Per slot: ``scan_on`` (0 or 1), the idle capacity ``z`` and the
+    ``power`` drawn.  Per window: the plan's ``has_scan`` and ``z_avg``
+    (``None`` for fcfs and sp, which do not plan) and the realized scan
+    frequency ``scan_freq``.  Then the summed defender utility and
+    per-resource usage, the instance counts and the low-priority and firm
+    counts behind the completion and miss percentages.
+    """
+
+    scan_on: tuple[int, ...]
+    z: tuple[float, ...]
+    power: tuple[float, ...]
+    has_scan: tuple[bool, ...] | None
+    z_avg: tuple[float, ...] | None
+    scan_freq: tuple[float, ...]
+    defender_total: float
+    usage_sum: tuple[float, ...]
+    generated: int
+    completed: int
+    dropped: int
+    missed: int
+    residual: int
+    low_total: int
+    low_done: int
+    firm_total: int
+    firm_missed: int
+    infeasible_events: int
+
+
+class DefenderPass:
+    """The defender side of one episode: arrivals, admission, deadline
+    reaping, the receding-horizon plan (star family), the slot solver or
+    the fcfs rule, and task progress.  It reads nothing of the telemetry
+    and the interceptor, so ``run`` is a function of the scenario's
+    scheduling inputs, the seed and the policy (all star-family policies
+    give the same schedule).  Arrivals come from the first of the
+    episode's three random streams."""
+
+    def __init__(self, cfg: ScenarioConfig, seed: int, policy: str):
+        self.cfg = cfg
+        self.policy = policy
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
+        self.instances = generate_arrivals(list(cfg.tasks), cfg.horizon, rng)
         self.arrivals_by_slot: dict[int, list[TaskInstance]] = defaultdict(list)
         for inst in self.instances:
             self.arrivals_by_slot[inst.req].append(inst)
-
-        h = cfg.horizon
-        # delivery delay without injected delay; stardis uses its schedule's
-        self.mean_snr, _, self.delay_slots = _link_tables(
-            h, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms
-        )
-        self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
-
-        # an interceptor runs only where a star-family policy signals to it
-        self.signaling_on = cfg.attacker_mode != "none" and self.policy in ("star",) + DECEPTION_POLICIES
-        self.assets = persuasion_assets(cfg) if self.signaling_on else None
 
     # -- policy-specific slot scheduling ------------------------------------
     # ``live`` holds only active instances here (the reaper ran first).
@@ -548,15 +584,14 @@ class EpisodeRunner:
             usage = tuple(map(add, usage, scan.demand_tuple))
         return running, usage, power
 
-    # -- main loop -----------------------------------------------------------
-    def run(self) -> tuple[EpisodeMetrics, EpisodeTraces]:
+    def run(self) -> DefenderSchedule:
         cfg = self.cfg
         h, w_len_cfg = cfg.horizon, cfg.window
         sched_cfg = cfg.scheduler_config()
         targets = cfg.stability_targets()
         util = cfg.utility
-        pset = cfg.persuasion
-        z_bins = pset.z_bins
+        policy = self.policy
+        plans = policy in _STAR_FAMILY
 
         live: list[TaskInstance] = []
         sp_scan_until = 0
@@ -565,73 +600,28 @@ class EpisodeRunner:
         usage_sum = [0.0] * len(cfg.resources)
         events_count = 0
         counts = {"completed": 0, "dropped": 0, "missed": 0}
-
-        interceptor = None
-        if self.signaling_on:
-            threshold = pset.belief_threshold if cfg.attacker_mode == "threshold" else None
-            interceptor = Interceptor(cfg.attacker, self.assets.prior_entry, threshold)
-
-        # telemetry in flight: arrival slot -> list of (generated_at, signal, table)
-        deliveries: dict[int, list] = defaultdict(list)
-        # one uniform per slot, consumed as Generator.choice would, one per signal
-        uniforms = self.rng_signal.random(h).tolist() if self.signaling_on else None
-
-        traces = EpisodeTraces(slots={k: [] for k in SLOT_TRACE_COLUMNS})
+        scan_col: list[int] = []
+        z_col: list[float] = []
+        power_col: list[float] = []
+        has_scan: list[bool] = []
+        z_avg: list[float] = []
+        scan_freq: list[float] = []
         defender_total = 0.0
-        mean_snr = self.mean_snr.tolist()
-        erased_slots = self.erased.tolist()
-        policy = self.policy
 
-        # each slot's signal table and credibility budget
-        slot_tables: list[SignalTable] = []
-        budget_table = np.zeros(h)
-        delay_slots = self.delay_slots
-        if self.signaling_on and self.policy == "star":
-            slot_tables = [self.assets.reveal_table()] * h
-        elif self.signaling_on and self.policy == "star-static":
-            slot_tables = [self.assets.static_table(pset.credibility)] * h
-            budget_table[:] = pset.credibility
-        elif self.signaling_on:  # stardis: the table of each slot's budget level
-            levels, delay_slots = _stardis_schedule(
-                self.assets, h, w_len_cfg, cfg.geometry, cfg.channel, pset, cfg.proc_delay_ms, cfg.slot_ms
-            )
-            level_tables = {
-                l: self.assets.curve_table(pset.budget_points, l) for l in np.unique(levels).tolist()
-            }
-            slot_tables = [level_tables[l] for l in levels.tolist()]
-            budget_table = self.assets.curve(pset.budget_points).budgets[levels]
-        budgets = budget_table.tolist()
-
-        window_index = 0
         for w_start in range(0, h, w_len_cfg):
             w_len = min(w_len_cfg, h - w_start)
 
-            # --- Phase 1: plan (receding horizon policies) ---
-            plan: HorizonPlan | None = None
-            state = None
-            if policy in ("star", "star-static", "stardis"):
+            # receding-horizon plan: the star family commits to its scan pattern
+            if plans:
                 plan = plan_horizon(
                     live, w_start, w_len, util, sched_cfg,
                     specs=cfg.tasks, stability_targets=targets,
                 )
-                has_scan = plan.has_scan
-                if self.signaling_on:
-                    state = quantize_state(has_scan, min(max(plan.z_avg, 0.0), 1.0), z_bins)
+                has_scan.append(plan.has_scan)
+                z_avg.append(plan.z_avg)
+                scan_plan = plan.scan_on.tolist()
+                exec_planner = GreedyPlanner(util, sched_cfg, w_start, w_len, targets)
 
-            # --- Phase 2: signaling ---
-            delays = delay_slots[w_start : w_start + w_len]
-            drift = 0.0
-            if state is not None:
-                tables = slot_tables[w_start : w_start + w_len]
-                for k, tab in enumerate(tables):
-                    t = w_start + k
-                    deliveries[t + delays[k]].append((t, tab.draw(state, uniforms[t]), tab))
-                drift = tables[0].drift(interceptor.belief)
-
-            # --- Phase 3: execute slots ---
-            exec_planner = GreedyPlanner(util, sched_cfg, w_start, w_len, targets)
-            scan_plan = plan.scan_on.tolist() if plan is not None else None
-            w_rows: list[tuple] = []  # one SLOT_TRACE_COLUMNS tuple per slot
             for k in range(w_len):
                 t = w_start + k
                 # arrivals + admission
@@ -661,9 +651,9 @@ class EpisodeRunner:
                     running, usage, power = self._fcfs_slot(live)
                     scan_now = False
                 else:
-                    if policy != "sp":  # star family: committed scan pattern, live task fill
+                    if plans:  # committed scan pattern, live task fill
                         planner = exec_planner
-                        scan_now = bool(scan_plan[k]) if plan is not None else False
+                        scan_now = bool(scan_plan[k])
                     elif cfg.sp_scan_rule == "periodic":
                         planner = sp_planner
                         if t % cfg.sp_scan_period == 0 and t >= sp_scan_until:
@@ -687,6 +677,9 @@ class EpisodeRunner:
 
                 z = 1.0 - max(usage)
                 usage_sum = list(map(add, usage_sum, usage))
+                scan_col.append(int(scan_now))
+                z_col.append(z)
+                power_col.append(float(power))
 
                 # advance work; instances left out keep theirs for later
                 finished = False
@@ -698,86 +691,221 @@ class EpisodeRunner:
                 if finished:  # completion is the only way out of live here
                     live = [i for i in live if i.state is not _COMPLETED]
 
-                # --- telemetry reception + attacker ---
-                erased = erased_slots[t]
-                if interceptor is None:
-                    sig_recv, p_scan, x_att, blocked, reward, intensity = "", "", 0, 0, 0.0, 0.0
-                else:  # packets due in an erased slot are lost with it
-                    sig_recv = interceptor.receive(erased, deliveries.pop(t, None))
-                    x_att, blocked, reward = interceptor.act(scan_now, z, erased, w_len - k)
-                    p_scan, intensity = interceptor.p_scan, interceptor.intensity
-
-                w_rows.append((
-                    t, int(scan_now), z, float(power), mean_snr[t], int(not erased), delays[k], sig_recv,
-                    p_scan, x_att, blocked, reward, intensity, budgets[t],
-                ))
-
-            # the window's slot rows, appended to the trace column by column
-            cols = dict(zip(SLOT_TRACE_COLUMNS, zip(*w_rows)))
-            for key, values in cols.items():
-                traces.slots[key].extend(values)
-
             # defender utility for the window (window-level scan frequency)
-            f_w = sum(cols["scan_on"]) / w_len  # exact: an integer count over the length
+            w_scan = scan_col[w_start:]
+            f_w = sum(w_scan) / w_len  # exact: an integer count over the length
             y_w = detection_performance(f_w, cfg.scan.duration, util)
-            for scan_on, z in zip(cols["scan_on"], cols["z"]):
+            for scan_on, z in zip(w_scan, z_col[w_start:]):
                 defender_total += slot_utility(y_w, scan_on, z, util)
+            scan_freq.append(f_w)
 
-            traces.windows.append({
-                "window": window_index,
-                "start": w_start,
-                "length": w_len,
-                "state": state if state is not None else "",
-                "scan_planned": int(has_scan) if plan is not None else "",
-                "z_avg_planned": plan.z_avg if plan is not None else "",
-                "scan_freq_realized": f_w,
-                "budget_total": float(np.sum(budget_table[w_start : w_start + w_len])),
-                "drift": drift,
-            })
-            window_index += 1
-
-        # --- metrics ---
-        generated = len(self.instances)
-        residual = sum(1 for i in self.instances if i.active)
+        instances = self.instances
+        generated = len(instances)
+        residual = sum(1 for i in instances if i.active)
         if counts["completed"] + counts["dropped"] + counts["missed"] + residual != generated:
             raise RuntimeError("instance accounting identity violated")
-
-        low_specs = {spec.id for spec in cfg.tasks if spec.priority == Priority.LOW}
-        firm_specs = {spec.id for spec in cfg.tasks if spec.firm_deadline}
-        low_total = sum(1 for i in self.instances if i.spec.id in low_specs)
-        low_done = sum(
-            1 for i in self.instances if i.spec.id in low_specs and i.state is _COMPLETED
-        )
-        firm_total = sum(1 for i in self.instances if i.spec.id in firm_specs)
-        firm_missed = sum(
-            1 for i in self.instances if i.spec.id in firm_specs and i.state is _MISSED
-        )
-
-        realized, believed, attacks, blocked = (
-            (0.0, 0.0, 0, 0) if interceptor is None
-            else (interceptor.realized, interceptor.believed, interceptor.attacks, interceptor.blocked)
-        )
-        metrics = EpisodeMetrics(
-            policy=self.policy,
-            seed=self.seed,
-            utilization={
-                res: float(usage_sum[i] / h * 100.0) for i, res in enumerate(cfg.resources)
-            },
-            routine_completion_pct=(100.0 * low_done / low_total) if low_total else 100.0,
-            relay_miss_pct=(100.0 * firm_missed / firm_total) if firm_total else 0.0,
-            defender_utility=defender_total / h,
-            attacker_realized=realized / h,
-            attacker_believed=believed / h,
-            scan_freq=float(np.mean(traces.slots["scan_on"])),
-            erasure_count=int(np.sum(self.erased)),
-            attack_count=attacks,
-            blocked_attacks=blocked,
+        low = [i for i in instances if i.spec.priority == Priority.LOW]
+        firm = [i for i in instances if i.spec.firm_deadline]
+        return DefenderSchedule(
+            scan_on=tuple(scan_col),
+            z=tuple(z_col),
+            power=tuple(power_col),
+            has_scan=tuple(has_scan) if plans else None,
+            z_avg=tuple(z_avg) if plans else None,
+            scan_freq=tuple(scan_freq),
+            defender_total=defender_total,
+            usage_sum=tuple(usage_sum),
             generated=generated,
             completed=counts["completed"],
             dropped=counts["dropped"],
             missed=counts["missed"],
             residual=residual,
+            low_total=len(low),
+            low_done=sum(1 for i in low if i.state is _COMPLETED),
+            firm_total=len(firm),
+            firm_missed=sum(1 for i in firm if i.state is _MISSED),
             infeasible_events=events_count,
+        )
+
+
+# The star family's schedule of the last (scheduling inputs, seed) it was
+# built for, as one ``(objects, values, schedule)`` entry.  ``objects`` are
+# the scenario's ``tasks``, ``scan`` and ``utility`` themselves (a
+# ``TaskSpec`` holds an ndarray and cannot be hashed), held so that their
+# ids cannot be reused while the entry lives and compared by identity:
+# configs that ``dataclasses.replace`` derives from one scenario share
+# them and hit, a scenario loaded or built afresh misses.  ``values`` are
+# the other inputs, compared by value.
+_SCHEDULE_CACHE: list[tuple[tuple, tuple, DefenderSchedule]] = []
+
+
+def defender_schedule(cfg: ScenarioConfig, seed: int, policy: str) -> DefenderSchedule:
+    """The defender pass of one episode.  star, star-static and stardis
+    differ only in signaling, so they share one schedule per seed: the
+    last one built is kept and returned while the same inputs repeat."""
+    if policy not in _STAR_FAMILY:
+        return DefenderPass(cfg, seed, policy).run()
+    objects = (cfg.tasks, cfg.scan, cfg.utility)
+    values = (cfg.horizon, cfg.window, cfg.power_budget, cfg.scan_margin_rule, seed)
+    for cached_objects, cached_values, schedule in _SCHEDULE_CACHE:
+        if all(map(is_, cached_objects, objects)) and cached_values == values:
+            return schedule
+    schedule = DefenderPass(cfg, seed, policy).run()
+    _SCHEDULE_CACHE[:] = [(objects, values, schedule)]
+    return schedule
+
+
+# ---------------------------------------------------------------------------
+# Episode runner: the telemetry pass over a defender schedule
+# ---------------------------------------------------------------------------
+
+class EpisodeRunner:
+    def __init__(self, cfg: ScenarioConfig, seed: int, policy: str | None = None):
+        self.cfg = cfg
+        self.policy = policy or cfg.policy
+        if self.policy not in POLICY_KINDS:
+            raise ValueError(f"unknown policy {self.policy!r}")
+        self.seed = seed
+        # the first stream draws the arrivals, in the defender pass
+        _, kid_channel, kid_signal = np.random.SeedSequence(seed).spawn(3)
+        self.rng_channel = np.random.default_rng(kid_channel)
+        self.rng_signal = np.random.default_rng(kid_signal)
+
+        h = cfg.horizon
+        # delivery delay without injected delay; stardis uses its schedule's
+        self.mean_snr, _, self.delay_slots = _link_tables(
+            h, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms
+        )
+        self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
+
+        # an interceptor runs only where a star-family policy signals to it
+        self.signaling_on = cfg.attacker_mode != "none" and self.policy in _STAR_FAMILY
+        self.assets = persuasion_assets(cfg) if self.signaling_on else None
+
+    def run(self) -> tuple[EpisodeMetrics, EpisodeTraces]:
+        """The defender pass (or its shared schedule), then the telemetry
+        pass over it: state quantization, signal draws, deliveries, the
+        interceptor's slots, budgets and drift."""
+        cfg = self.cfg
+        schedule = defender_schedule(cfg, self.seed, self.policy)
+        h, w_len_cfg = cfg.horizon, cfg.window
+        pset = cfg.persuasion
+        erased_slots = self.erased.tolist()
+
+        # each slot's signal table and credibility budget
+        slot_tables: list[SignalTable] = []
+        budget_table = np.zeros(h)
+        delay_slots = self.delay_slots
+        if self.signaling_on and self.policy == "star":
+            slot_tables = [self.assets.reveal_table()] * h
+        elif self.signaling_on and self.policy == "star-static":
+            slot_tables = [self.assets.static_table(pset.credibility)] * h
+            budget_table[:] = pset.credibility
+        elif self.signaling_on:  # stardis: the table of each slot's budget level
+            levels, delay_slots = _stardis_schedule(
+                self.assets, h, w_len_cfg, cfg.geometry, cfg.channel, pset, cfg.proc_delay_ms, cfg.slot_ms
+            )
+            level_tables = {
+                l: self.assets.curve_table(pset.budget_points, l) for l in np.unique(levels).tolist()
+            }
+            slot_tables = [level_tables[l] for l in levels.tolist()]
+            budget_table = self.assets.curve(pset.budget_points).budgets[levels]
+
+        interceptor = None
+        if self.signaling_on:
+            threshold = pset.belief_threshold if cfg.attacker_mode == "threshold" else None
+            interceptor = Interceptor(cfg.attacker, self.assets.prior_entry, threshold)
+            # telemetry in flight: arrival slot -> list of (generated_at, signal, table)
+            deliveries: dict[int, list] = defaultdict(list)
+            # one uniform per slot, consumed as Generator.choice would, one per signal
+            uniforms = self.rng_signal.random(h).tolist()
+            scan_on, z = schedule.scan_on, schedule.z
+            received, p_scan, x_att, blocked, rewards, intensity = ([] for _ in range(6))
+        else:
+            received, p_scan = [""] * h, [""] * h
+            x_att, blocked, rewards, intensity = [0] * h, [0] * h, [0.0] * h, [0.0] * h
+
+        windows = []
+        for window_index, w_start in enumerate(range(0, h, w_len_cfg)):
+            w_len = min(w_len_cfg, h - w_start)
+            state, drift = "", 0.0
+            if interceptor is not None:
+                state = quantize_state(
+                    schedule.has_scan[window_index],
+                    min(max(schedule.z_avg[window_index], 0.0), 1.0),
+                    pset.z_bins,
+                )
+                tables = slot_tables[w_start : w_start + w_len]
+                for k, tab in enumerate(tables):
+                    t = w_start + k
+                    deliveries[t + delay_slots[t]].append((t, tab.draw(state, uniforms[t]), tab))
+                drift = tables[0].drift(interceptor.belief)
+                w_end = w_start + w_len
+                for t in range(w_start, w_end):
+                    erased = erased_slots[t]  # packets due in an erased slot are lost with it
+                    received.append(interceptor.receive(erased, deliveries.pop(t, None)))
+                    x, b, r = interceptor.act(bool(scan_on[t]), z[t], erased, w_end - t)
+                    p_scan.append(interceptor.p_scan)
+                    x_att.append(x)
+                    blocked.append(b)
+                    rewards.append(r)
+                    intensity.append(interceptor.intensity)
+            windows.append({
+                "window": window_index,
+                "start": w_start,
+                "length": w_len,
+                "state": state,
+                "scan_planned": int(schedule.has_scan[window_index]) if schedule.has_scan is not None else "",
+                "z_avg_planned": schedule.z_avg[window_index] if schedule.z_avg is not None else "",
+                "scan_freq_realized": schedule.scan_freq[window_index],
+                "budget_total": float(np.sum(budget_table[w_start : w_start + w_len])),
+                "drift": drift,
+            })
+
+        columns = {
+            "t": list(range(h)),
+            "scan_on": list(schedule.scan_on),
+            "z": list(schedule.z),
+            "power": list(schedule.power),
+            "mean_snr_db": self.mean_snr.tolist(),
+            "received": [int(not e) for e in erased_slots],
+            "delay_slots": list(delay_slots),
+            "signal": received,
+            "belief_scan": p_scan,
+            "x_att": x_att,
+            "attack_blocked": blocked,
+            "realized_reward": rewards,
+            "intensity": intensity,
+            "budget": budget_table.tolist(),
+        }
+        traces = EpisodeTraces(slots={k: columns[k] for k in SLOT_TRACE_COLUMNS}, windows=windows)
+
+        realized, believed, attacks, n_blocked = (
+            (0.0, 0.0, 0, 0) if interceptor is None
+            else (interceptor.realized, interceptor.believed, interceptor.attacks, interceptor.blocked)
+        )
+        s = schedule
+        metrics = EpisodeMetrics(
+            policy=self.policy,
+            seed=self.seed,
+            utilization={
+                res: float(s.usage_sum[i] / h * 100.0) for i, res in enumerate(cfg.resources)
+            },
+            routine_completion_pct=(100.0 * s.low_done / s.low_total) if s.low_total else 100.0,
+            relay_miss_pct=(100.0 * s.firm_missed / s.firm_total) if s.firm_total else 0.0,
+            defender_utility=s.defender_total / h,
+            attacker_realized=realized / h,
+            attacker_believed=believed / h,
+            scan_freq=float(np.mean(s.scan_on)),
+            erasure_count=int(np.sum(self.erased)),
+            attack_count=attacks,
+            blocked_attacks=n_blocked,
+            generated=s.generated,
+            completed=s.completed,
+            dropped=s.dropped,
+            missed=s.missed,
+            residual=s.residual,
+            infeasible_events=s.infeasible_events,
         )
         return metrics, traces
 
@@ -814,10 +942,39 @@ class BenchmarkResult:
 
 
 def _check_policies(policies) -> None:
-    """Reject an unknown policy before any episode runs."""
+    """Reject an empty or unknown policy list before any episode runs."""
+    if not policies:
+        raise ValueError("empty policy list")
     for pol in policies:
         if pol not in POLICY_KINDS:
             raise ValueError(f"unknown policy {pol!r}")
+
+
+def _check_seeds(seeds) -> None:
+    if not seeds:
+        raise ValueError("need at least one seed")
+
+
+def _run_by_seed(cfgs, policies, seeds) -> list[dict[str, list[EpisodeMetrics]]]:
+    """Each scenario's episode metrics per policy, in seed order.  Seeds
+    are the outer loop, so the star-family episodes of one seed run back
+    to back, under every scenario, and share one defender schedule
+    (``defender_schedule``)."""
+    episodes = [{pol: [] for pol in policies} for _ in cfgs]
+    for s in seeds:
+        for cfg, by_policy in zip(cfgs, episodes):
+            for pol, runs in by_policy.items():
+                runs.append(run_episode(cfg, s, pol)[0])
+    return episodes
+
+
+def _stats(episodes: list[EpisodeMetrics]) -> dict[str, tuple[float, float]]:
+    """Mean and standard deviation of every ``to_row`` metric."""
+    rows = [m.to_row() for m in episodes]
+    return {
+        key: (float(np.mean([r[key] for r in rows])), float(np.std([r[key] for r in rows])))
+        for key in rows[0]
+    }
 
 
 def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult:
@@ -826,21 +983,10 @@ def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult
     first-come-first-served mean when that baseline is included."""
     policies = list(policies)
     seeds = list(seeds)
-    if not policies:
-        raise ValueError("empty policy list")
     _check_policies(policies)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    episodes: dict[str, list[EpisodeMetrics]] = {}
-    for pol in policies:
-        episodes[pol] = [run_episode(cfg, s, pol)[0] for s in seeds]
-    stats: dict[str, dict[str, tuple[float, float]]] = {}
-    for pol in policies:
-        rows = [m.to_row() for m in episodes[pol]]
-        stats[pol] = {
-            key: (float(np.mean([r[key] for r in rows])), float(np.std([r[key] for r in rows])))
-            for key in rows[0]
-        }
+    _check_seeds(seeds)
+    [episodes] = _run_by_seed([cfg], policies, seeds)
+    stats = {pol: _stats(runs) for pol, runs in episodes.items()}
     normalized = {}
     if "fcfs" in stats:
         base = stats["fcfs"]["defender_utility"][0]
@@ -854,28 +1000,35 @@ def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult
     )
 
 
+_SWEEP_FIELDS = {"credibility": "credibility", "prior": "prior_scan"}
+
+
 def sweep(cfg: ScenarioConfig, param: str, values, seeds, policies=("star", "star-static", "stardis")):
     """Vary the credibility budget or the prior over scan activity and
-    re-run the benchmark comparison at each value."""
+    re-run the benchmark comparison at each value.  Every argument is
+    checked before any episode runs."""
+    if param not in _SWEEP_FIELDS:
+        raise ValueError("sweep param must be 'credibility' or 'prior'")
+    values = [float(v) for v in values]
+    seeds = list(seeds)
     _check_policies(policies)
+    if not values:
+        raise ValueError("need at least one sweep value")
+    _check_seeds(seeds)
+    field_name = _SWEEP_FIELDS[param]
+    cfgs = [replace(cfg, persuasion=replace(cfg.persuasion, **{field_name: v})) for v in values]
     rows = []
-    for v in values:
-        if param == "credibility":
-            cfg_v = replace(cfg, persuasion=replace(cfg.persuasion, credibility=float(v)))
-        elif param == "prior":
-            cfg_v = replace(cfg, persuasion=replace(cfg.persuasion, prior_scan=float(v)))
-        else:
-            raise ValueError("sweep param must be 'credibility' or 'prior'")
-        res = run_benchmark_suite(cfg_v, policies, seeds)
+    for v, episodes in zip(values, _run_by_seed(cfgs, policies, seeds)):
+        stats = {pol: _stats(runs) for pol, runs in episodes.items()}
         for pol in policies:
             rows.append({
                 "param": param,
-                "value": float(v),
+                "value": v,
                 "policy": pol,
-                "attacker_realized_mean": res.stats[pol]["attacker_realized"][0],
-                "attacker_realized_std": res.stats[pol]["attacker_realized"][1],
-                "attacker_believed_mean": res.stats[pol]["attacker_believed"][0],
-                "defender_utility_mean": res.stats[pol]["defender_utility"][0],
+                "attacker_realized_mean": stats[pol]["attacker_realized"][0],
+                "attacker_realized_std": stats[pol]["attacker_realized"][1],
+                "attacker_believed_mean": stats[pol]["attacker_believed"][0],
+                "defender_utility_mean": stats[pol]["defender_utility"][0],
             })
     return rows
 

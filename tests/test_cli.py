@@ -115,6 +115,24 @@ def test_sweep_credibility(tmp_path, scenario_file):
     assert len(lines) == 3  # header + 2 rows
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--values", ""], "need at least one sweep value"),
+    (["--seeds", "3..2"], "need at least one seed"),
+], ids=["no-values", "no-seeds"])
+def test_empty_sweep_fails_before_any_episode(tmp_path, scenario_file, monkeypatch, capsys, flags, message):
+    from satdefsim import engine
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran before the sweep arguments were checked")
+
+    monkeypatch.setattr(engine, "run_episode", no_episode)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", scenario_file, "--param", "credibility", *flags, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_persuasion_solve(tmp_path):
     game = tmp_path / "game.yaml"
     game.write_text(yaml.safe_dump({

@@ -250,6 +250,149 @@ class TestDownlinkCache:
         assert built == {"outage": 1, "forecast": 1}
 
 
+STAR_FAMILY = ("star", "star-static", "stardis")
+
+
+def clear_schedule_cache():
+    engine._SCHEDULE_CACHE.clear()
+
+
+def count_defender_calls(monkeypatch) -> dict[str, int]:
+    """Count the defender pass's plan, slot-solver and arrival calls."""
+    calls = {"plan_horizon": 0, "schedule_slot": 0, "generate_arrivals": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "plan_horizon", counting("plan_horizon", engine.plan_horizon))
+    monkeypatch.setattr(engine, "generate_arrivals", counting("generate_arrivals", engine.generate_arrivals))
+    monkeypatch.setattr(
+        engine.GreedyPlanner, "schedule_slot",
+        counting("schedule_slot", engine.GreedyPlanner.schedule_slot),
+    )
+    return calls
+
+
+#: a scenario in which each change of ``SCHEDULE_INPUTS`` changes the
+#: defender's trajectory: with a window twice the scan's length and a
+#: weak detection reward, the window and the slot margin rules disagree
+SCHEDULE_SCENARIO = small_cfg(window=10, utility={"detect_reward": 3.0})
+
+#: one-input changes of the scenario, each read by the defender pass
+SCHEDULE_INPUTS = {
+    "horizon": _change(horizon=150),
+    "window": _change(window=8),
+    "tasks": lambda c: dataclasses.replace(c, tasks=tuple(
+        dataclasses.replace(s, processing=12) if s.id == "routine" else s for s in c.tasks
+    )),
+    "scan": _change("scan", power_weight=0.7),
+    "utility": _change("utility", load_penalty=20.0),
+    "power_budget": _change(power_budget=0.6),
+    "scan_margin_rule": _change(scan_margin_rule="slot"),
+}
+
+#: changes that leave the defender pass alone: signaling, channel and interceptor
+SIGNALING_INPUTS = {
+    "persuasion": _change("persuasion", credibility=0.05, prior_scan=0.3),
+    "channel": _change("channel", omega=0.6),
+    "geometry": _change("geometry", peak_snr_db=8.0),
+    "attacker": _change("attacker", base_cost=0.5),
+    "attacker_mode": _change(attacker_mode="dp"),
+}
+
+
+class TestScheduleCache:
+    """star, star-static and stardis share the defender schedule of the
+    last (scheduling inputs, seed); a hit must leave every episode as it
+    would be without the cache."""
+
+    @pytest.mark.parametrize("policy", STAR_FAMILY)
+    def test_cold_and_hit_episodes_identical(self, policy):
+        cfg = small_cfg()
+        clear_schedule_cache()
+        cold = record(cfg, 3, policy)
+        for other in STAR_FAMILY:
+            clear_schedule_cache()
+            run_episode(cfg, 3, other)  # builds the schedule
+            assert record(cfg, 3, policy) == cold
+
+    def test_hit_runs_no_defender_pass(self, monkeypatch):
+        cfg = small_cfg()
+        clear_schedule_cache()
+        calls = count_defender_calls(monkeypatch)
+        run_episode(cfg, 3, "star")
+        assert calls["plan_horizon"] == cfg.horizon // cfg.window
+        assert calls["schedule_slot"] > 0 and calls["generate_arrivals"] == 1
+        calls.update(dict.fromkeys(calls, 0))
+        for policy in STAR_FAMILY:
+            run_episode(cfg, 3, policy)
+        assert calls == {"plan_horizon": 0, "schedule_slot": 0, "generate_arrivals": 0}
+
+    @pytest.mark.parametrize("policy", ("fcfs", "sp"))
+    def test_other_policies_always_run_their_own_pass(self, monkeypatch, policy):
+        cfg = small_cfg()
+        run_episode(cfg, 3, "star")
+        calls = count_defender_calls(monkeypatch)
+        run_episode(cfg, 3, policy)
+        assert calls["generate_arrivals"] == 1 and calls["plan_horizon"] == 0
+
+    @pytest.mark.parametrize("field", sorted(SCHEDULE_INPUTS) + ["seed"])
+    def test_each_scheduling_input_misses(self, field):
+        a, seed_a = SCHEDULE_SCENARIO, 2
+        b, seed_b = (a, 3) if field == "seed" else (SCHEDULE_INPUTS[field](a), seed_a)
+        clear_schedule_cache()
+        first = record(a, seed_a, "star")
+        warm = record(b, seed_b, "stardis")  # the cache holds a's schedule
+        clear_schedule_cache()
+        cold = record(b, seed_b, "stardis")
+        assert warm == cold
+        # the input changes the defender trajectory, so a key without it fails
+        clear_schedule_cache()
+        assert record(b, seed_b, "star")["metrics"] != first["metrics"]
+
+    @pytest.mark.parametrize("field", sorted(SIGNALING_INPUTS))
+    def test_signaling_inputs_hit(self, monkeypatch, field):
+        a = small_cfg()
+        b = SIGNALING_INPUTS[field](a)
+        clear_schedule_cache()
+        cold = record(b, 3, "stardis")
+        run_episode(a, 3, "star")
+        calls = count_defender_calls(monkeypatch)
+        assert record(b, 3, "stardis") == cold
+        assert calls == {"plan_horizon": 0, "schedule_slot": 0, "generate_arrivals": 0}
+
+    def test_scenario_built_afresh_misses(self, monkeypatch):
+        run_episode(small_cfg(), 3, "star")
+        calls = count_defender_calls(monkeypatch)
+        run_episode(small_cfg(), 3, "star")  # equal values, new objects
+        assert calls["generate_arrivals"] == 1
+
+    def test_mutating_returned_traces_leaves_the_next_episode(self):
+        cfg = small_cfg()
+        clear_schedule_cache()
+        cold = record(cfg, 3, "star-static")
+        metrics, traces = run_episode(cfg, 3, "star")
+        for column in ("scan_on", "z", "power"):
+            traces.slots[column][0] = -7
+            traces.slots[column].append(-7)
+        traces.windows[0]["scan_freq_realized"] = -7.0
+        metrics.utilization["cpu"] = -7.0
+        assert record(cfg, 3, "star-static") == cold
+
+    def test_one_schedule_is_kept(self):
+        cfg = small_cfg()
+        for seed in range(3):
+            run_episode(cfg, seed, "star")
+        assert len(engine._SCHEDULE_CACHE) == 1
+        schedule = engine._SCHEDULE_CACHE[0][-1]
+        assert all(isinstance(getattr(schedule, name), tuple) for name in ("scan_on", "z", "power", "usage_sum"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schedule.completed = 0
+
+
 @st.composite
 def valid_scenarios(draw):
     """A small valid scenario and a seed: 1-3 resources, a mixed set of
@@ -309,6 +452,70 @@ def test_random_valid_scenarios_run_and_repeat(case):
         assert record(cfg, seed, policy) == cold
 
 
+DEFENDER_METRICS = (
+    "utilization", "routine_completion_pct", "relay_miss_pct", "defender_utility", "scan_freq",
+    "generated", "completed", "dropped", "missed", "residual", "infeasible_events",
+)
+DEFENDER_WINDOW_COLUMNS = ("scan_planned", "z_avg_planned", "scan_freq_realized")
+
+
+def defender_view(metrics, traces) -> tuple:
+    """Everything of an episode that the defender decides."""
+    return (
+        {k: getattr(metrics, k) for k in DEFENDER_METRICS},
+        [traces.slots[k] for k in ("scan_on", "z", "power")],
+        [[w[k] for k in DEFENDER_WINDOW_COLUMNS] for w in traces.windows],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(valid_scenarios())
+def test_star_family_shares_one_defender_trajectory(case):
+    # signaling never feeds back into the schedule: the premise of the
+    # schedule cache, checked here on separately built schedules
+    cfg, seed = case
+    for mode in ("none", "threshold", "dp"):
+        cfg_m = dataclasses.replace(cfg, attacker_mode=mode)
+        views = []
+        for policy in STAR_FAMILY:
+            clear_schedule_cache()
+            views.append(defender_view(*run_episode(cfg_m, seed, policy)))
+        assert views[0] == views[1] == views[2], mode
+
+
+def test_suite_and_sweep_equal_plain_episode_loops():
+    cfg = small_cfg(horizon=100)
+    seeds = [0, 1, 2]
+
+    def plain(cfg_v, policy):
+        out = []
+        for s in seeds:
+            clear_schedule_cache()
+            out.append(run_episode(cfg_v, s, policy)[0])
+        return out
+
+    res = run_benchmark_suite(cfg, POLICIES, seeds)
+    for policy in POLICIES:
+        episodes = plain(cfg, policy)
+        assert res.episodes[policy] == episodes
+        rows = [m.to_row() for m in episodes]
+        for key, (mean, std) in res.stats[policy].items():
+            column = [r[key] for r in rows]
+            assert (mean, std) == (float(np.mean(column)), float(np.std(column))), (policy, key)
+
+    values = [0.05, 0.3]
+    rows = sweep(cfg, "credibility", values, seeds)
+    assert [(r["value"], r["policy"]) for r in rows] == [(v, p) for v in values for p in STAR_FAMILY]
+    for row in rows:
+        cfg_v = dataclasses.replace(cfg, persuasion=dataclasses.replace(cfg.persuasion, credibility=row["value"]))
+        episodes = plain(cfg_v, row["policy"])
+        realized = [m.attacker_realized for m in episodes]
+        assert row["attacker_realized_mean"] == float(np.mean(realized))
+        assert row["attacker_realized_std"] == float(np.std(realized))
+        assert row["attacker_believed_mean"] == float(np.mean([m.attacker_believed for m in episodes]))
+        assert row["defender_utility_mean"] == float(np.mean([m.defender_utility for m in episodes]))
+
+
 def test_long_dp_window_runs_and_repeats():
     # the dp interceptor replans over up to 30 remaining slots per window
     cfg = small_cfg(horizon=400, window=30, attacker={"mode": "dp"})
@@ -350,7 +557,7 @@ class TestBaselines:
             "attacker": {"mode": "none"},
             "policy": "fcfs",
         })
-        runner = EpisodeRunner(cfg, 0, "fcfs")
+        runner = engine.DefenderPass(cfg, 0, "fcfs")
         live = []
         for inst in runner.arrivals_by_slot[0]:
             from satdefsim.workload import admit
@@ -402,6 +609,25 @@ class TestSuite:
     def test_sweep_param_validation(self):
         with pytest.raises(ValueError):
             sweep(small_cfg(), "nonsense", [0.1], [0])
+
+    @pytest.mark.parametrize("args,message", [
+        (("nonsense", [], [0]), "sweep param"),
+        (("nonsense", [0.1], []), "sweep param"),
+        (("credibility", [], [0]), "at least one sweep value"),
+        (("prior", [0.3], []), "at least one seed"),
+        (("credibility", [0.1, -1.0], [0]), "credibility budget"),
+    ], ids=["bad-param-no-values", "bad-param-no-seeds", "no-values", "no-seeds", "bad-value"])
+    def test_sweep_arguments_rejected_before_any_episode(self, monkeypatch, args, message):
+        def no_episode(*a, **kw):
+            raise AssertionError("an episode ran before the sweep arguments were checked")
+
+        monkeypatch.setattr(engine, "run_episode", no_episode)
+        with pytest.raises(ValueError, match=message):
+            sweep(small_cfg(), *args)
+
+    def test_empty_sweep_policy_list_rejected(self):
+        with pytest.raises(ValueError, match="empty policy list"):
+            sweep(small_cfg(), "credibility", [0.1], [0], policies=())
 
     @pytest.mark.parametrize("run", [
         lambda cfg: run_benchmark_suite(cfg, ["fcfs", "sp", "stra"], range(4)),
