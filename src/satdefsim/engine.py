@@ -5,11 +5,11 @@ An episode is two passes.  The defender pass (``DefenderPass``) runs
 arrivals, admission, deadline reaping, the receding-horizon plan of each
 window, the slot solver or the fcfs rule and task progress, and returns
 a read-only ``DefenderSchedule``.  The telemetry pass (``EpisodeRunner``)
-reads that schedule and never writes to it: each window it quantizes
-the planned (scan, load) state, allocates the credibility budget over
-the window from the channel forecast, samples one deceptive signal per
-slot and picks the artificial delay; then slot by slot it delivers or
-erases telemetry, updates the interceptor's belief and lets it act.
+reads that schedule and its policy's ``SignalPlan`` and writes to
+neither: each window it quantizes the planned (scan, load) state and
+samples one deceptive signal per slot from the plan's tables; then slot
+by slot it delivers or erases telemetry, updates the interceptor's
+belief and lets it act.
 Episodes are deterministic given (config, seed).
 
 Signaling shapes only the downlink, so star, star-static and stardis
@@ -22,18 +22,19 @@ faster; a lone episode on a fresh seed does not.  Suites and sweeps run
 seeds in the outer loop so that each seed's schedule is built once.
 
 Only the fading draw depends on the seed.  The downlink forecast (mean
-SNR, propagation and delivery delays) and stardis's per-slot budget
-levels and artificial delays are built once per scenario, by the first
-episode that needs them, and shared read-only by later episodes.
+SNR, propagation and delivery delays) is built once per scenario, and so
+is each policy's ``SignalPlan``: the ``SignalTable`` every slot's packet
+is drawn from, the slot's credibility budget and delivery delay, and
+each window's budget total.  Plans are built by the first episode that
+needs them and shared read-only by later episodes.
 
-Signaling reads tables, not the policies themselves.  Each policy an
-episode signals with (reveal, static, or a budget-curve level) gets one
-read-only ``SignalTable`` on its ``PersuasionAssets``: per-state sampling
-CDFs, the interceptor's posterior after each signal with mass, and a
-memo of the window drift.  An episode draws its signal uniforms in one
-``rng_signal.random(horizon)`` call and turns each into a signal with
-the row's CDF, exactly as ``Generator.choice`` would; a received packet
-is a table read and an erasure resets to the shared read-only prior.
+A ``SignalTable`` holds what signaling reads of one policy: per-state
+sampling CDFs, the interceptor's posterior after each signal with mass,
+and a memo of the window drift.  An episode draws its signal uniforms in
+one ``rng_signal.random(horizon)`` call and turns each into a signal
+with the row's CDF, exactly as ``Generator.choice`` would; a received
+packet is a table read and an erasure resets to the shared read-only
+prior.
 
 The interceptor's slot is one ``Interceptor`` step: ``receive`` the
 slot's telemetry, then ``act`` on the belief it leaves.  Episodes run
@@ -265,14 +266,12 @@ class SignalTable:
 
 
 # ---------------------------------------------------------------------------
-# Persuasion asset cache (game, solved policies, budget curve, signal tables)
+# Persuasion asset cache (game, solved policies, budget curve)
 # ---------------------------------------------------------------------------
 
 class PersuasionAssets:
-    """The game of a scenario, its solved policies and one lazily built
-    ``SignalTable`` per policy an episode signals with.  Tables are keyed
-    by the policy's place (reveal, static budget, curve level); a rebuilt
-    curve drops its old tables."""
+    """The game of a scenario and its solved policies: the static
+    solution per budget and the budget curve, built lazily."""
 
     def __init__(self, cfg: ScenarioConfig):
         p = cfg.persuasion
@@ -291,7 +290,6 @@ class PersuasionAssets:
         self.subdivisions = p.subdivisions
         self._static: dict[float, object] = {}
         self._curve: BudgetCurve | None = None
-        self._tables: dict[tuple, SignalTable] = {}
 
     def static_solution(self, budget: float):
         key = round(budget, 12)
@@ -303,23 +301,7 @@ class PersuasionAssets:
     def curve(self, points: int, units_per_slot: int = 1) -> BudgetCurve:
         if self._curve is None or len(self._curve.budgets) != points:
             self._curve = BudgetCurve(self.game, points=points, subdivisions=self.subdivisions)
-            self._tables = {k: v for k, v in self._tables.items() if k[0] != "curve"}
         return self._curve
-
-    def _table(self, key: tuple, policy: np.ndarray) -> SignalTable:
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = SignalTable(policy, self.game)
-        return table
-
-    def reveal_table(self) -> SignalTable:
-        return self._table(("reveal",), self.reveal_policy)
-
-    def static_table(self, budget: float) -> SignalTable:
-        return self._table(("static", round(budget, 12)), self.static_solution(budget).policy)
-
-    def curve_table(self, points: int, level: int) -> SignalTable:
-        return self._table(("curve", level), self.curve(points).solutions[level].policy)
 
 
 _ASSETS: dict[tuple, PersuasionAssets] = {}
@@ -337,11 +319,10 @@ def persuasion_assets(cfg: ScenarioConfig) -> PersuasionAssets:
 
 
 # ---------------------------------------------------------------------------
-# Seed-independent downlink tables, built once per scenario
+# Seed-independent downlink tables and signal plans, built once per scenario
 # ---------------------------------------------------------------------------
-# Keyed on the frozen sub-configs they read (``ScenarioConfig`` holds
-# ndarrays and is not hashable); every array is read-only and every
-# sequence a tuple, so episodes share them without copying.
+# Keyed on the frozen sub-configs they read; every array is read-only and
+# every sequence a tuple, so episodes share them without copying.
 
 @lru_cache(maxsize=8)
 def _link_tables(
@@ -357,9 +338,29 @@ def _link_tables(
     return mean_snr, prop_ms, delay_slots
 
 
-@lru_cache(maxsize=8)
-def _stardis_schedule(
-    assets: PersuasionAssets,
+@dataclass(frozen=True)
+class SignalPlan:
+    """How one policy signals in a scenario, read-only.
+
+    Per slot: the ``tables`` its packet is drawn from (empty where no
+    interceptor is signaled to), its credibility ``budgets`` and its
+    delivery ``delays`` in slots.  Per window: ``window_budgets``, the
+    budget total.  Both budget arrays are read-only.
+    """
+
+    tables: tuple[SignalTable, ...]
+    budgets: np.ndarray
+    delays: tuple[int, ...]
+    window_budgets: np.ndarray
+
+
+# ``_run_by_seed`` cycles through every (scenario, policy) plan for each
+# seed: a 4-value sweep over all 5 policies needs 16 entries (fcfs and sp
+# share the plan without signaling)
+@lru_cache(maxsize=16)
+def _signal_plan(
+    assets: PersuasionAssets | None,
+    policy: str | None,
     horizon: int,
     window: int,
     geometry: PassGeometry,
@@ -367,36 +368,58 @@ def _stardis_schedule(
     persuasion: PersuasionSettings,
     proc_delay_ms: float,
     slot_ms: float,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """stardis's per-slot budget level (an index into the budget curve)
-    and delivery delay in slots, window by window: the window's budget is
-    allocated over its forecast outage and each slot's artificial delay
-    follows its forecast SNR."""
-    mean_snr, prop_ms, _ = _link_tables(horizon, geometry, proc_delay_ms, slot_ms)
-    curve = assets.curve(persuasion.budget_points)
-    outage = OutageTable(channel, float(mean_snr.min()), float(mean_snr.max()))
-    levels, delays = [], []
-    for w_start in range(0, horizon, window):
-        w_len = min(window, horizon - w_start)
-        snr_hat = mean_snr[w_start : w_start + w_len]
-        levels.append(allocate_on_grid(outage(snr_hat), persuasion.credibility * w_len, curve))
-        slot_delays = [
-            choose_artificial_delay(
-                float(snr_hat[k]),
-                float(prop_ms[w_start + k]),
-                persuasion.delay_max_ms,
-                proc_delay_ms,
-                persuasion.delay_snr_lo_db,
-                persuasion.delay_snr_hi_db,
-            )
-            for k in range(w_len)
-        ]
-        delays += delivery_delay_slots(
-            prop_ms[w_start : w_start + w_len], proc_delay_ms, slot_delays, slot_ms
-        ).tolist()
-    level_table = np.concatenate(levels)
-    level_table.flags.writeable = False
-    return level_table, tuple(delays)
+) -> SignalPlan:
+    """The signal plan of ``policy``, or of no signaling for ``None``.
+
+    star reveals the state in every slot.  star-static signals with the
+    static solution at the credibility budget.  stardis allocates each
+    window's budget over its forecast outage, signals with the curve
+    level each slot gets, and delays each slot's telemetry by an
+    artificial delay that follows its forecast SNR.  The other plans have
+    no tables, zero budgets and the base delays.
+    """
+    mean_snr, prop_ms, delays = _link_tables(horizon, geometry, proc_delay_ms, slot_ms)
+    tables: tuple[SignalTable, ...] = ()
+    budgets = np.broadcast_to(0.0, horizon)  # a read-only view, one value stored
+    if policy == "star":
+        tables = (SignalTable(assets.reveal_policy, assets.game),) * horizon
+    elif policy == "star-static":
+        table = SignalTable(assets.static_solution(persuasion.credibility).policy, assets.game)
+        tables = (table,) * horizon
+        budgets = np.broadcast_to(persuasion.credibility, horizon)
+    elif policy == "stardis":
+        curve = assets.curve(persuasion.budget_points)
+        outage = OutageTable(channel, float(mean_snr.min()), float(mean_snr.max()))
+        levels, delays = [], []
+        for w_start in range(0, horizon, window):
+            w_len = min(window, horizon - w_start)
+            snr_hat = mean_snr[w_start : w_start + w_len]
+            levels.append(allocate_on_grid(outage(snr_hat), persuasion.credibility * w_len, curve))
+            slot_delays = [
+                choose_artificial_delay(
+                    float(snr_hat[k]),
+                    float(prop_ms[w_start + k]),
+                    persuasion.delay_max_ms,
+                    proc_delay_ms,
+                    persuasion.delay_snr_lo_db,
+                    persuasion.delay_snr_hi_db,
+                )
+                for k in range(w_len)
+            ]
+            delays += delivery_delay_slots(
+                prop_ms[w_start : w_start + w_len], proc_delay_ms, slot_delays, slot_ms
+            ).tolist()
+        level_of_slot = np.concatenate(levels)
+        by_level = {
+            l: SignalTable(curve.solutions[l].policy, assets.game) for l in np.unique(level_of_slot).tolist()
+        }
+        tables = tuple(by_level[l] for l in level_of_slot.tolist())
+        budgets = curve.budgets[level_of_slot]
+        budgets.flags.writeable = False
+        delays = tuple(delays)
+    window_budgets = np.array([float(np.sum(budgets[w : w + window])) for w in range(0, horizon, window)])
+    window_budgets.flags.writeable = False
+    return SignalPlan(tables, budgets, delays, window_budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +578,12 @@ class DefenderPass:
         power = 0.0
         running = [i for i in live if i.service > 0]
         for inst in running:
-            usage = tuple(map(add, usage, inst.spec.demand_tuple))
+            usage = tuple(map(add, usage, inst.spec.demand))
             power += inst.spec.power_weight
         queue = [i for i in live if i.service == 0]
         queue.sort(key=lambda i: (i.req, i.uid))
         for inst in queue:  # head-of-line: stop at the first non-fit
-            new = try_fit(usage, power, inst.spec.demand_tuple, inst.spec.power_weight, self.cfg.power_budget)
+            new = try_fit(usage, power, inst.spec.demand, inst.spec.power_weight, self.cfg.power_budget)
             if new is None:
                 break
             usage = new
@@ -578,10 +601,10 @@ class DefenderPass:
         power = scan.power_weight if scan_now else 0.0
         for i in running:
             spec = i.spec
-            usage = tuple(map(add, usage, spec.demand_tuple))
+            usage = tuple(map(add, usage, spec.demand))
             power += spec.power_weight
         if scan_now:
-            usage = tuple(map(add, usage, scan.demand_tuple))
+            usage = tuple(map(add, usage, scan.demand))
         return running, usage, power
 
     def run(self) -> DefenderSchedule:
@@ -666,7 +689,7 @@ class DefenderPass:
                             )
                         planner = sp_planner
                         if t >= sp_planner.scan_active_until and t + cfg.scan.duration <= sp_planner.window_end:
-                            z1 = 1.0 - max(cfg.scan.demand_tuple)
+                            z1 = 1.0 - max(cfg.scan.demand)
                             if sp_planner._scan_margin(1.0, z1) > 0:
                                 sp_planner.scan_active_until = t + cfg.scan.duration
                                 sp_planner.scan_slots_committed += cfg.scan.duration
@@ -730,12 +753,12 @@ class DefenderPass:
 
 # The star family's schedule of the last (scheduling inputs, seed) it was
 # built for, as one ``(objects, values, schedule)`` entry.  ``objects`` are
-# the scenario's ``tasks``, ``scan`` and ``utility`` themselves (a
-# ``TaskSpec`` holds an ndarray and cannot be hashed), held so that their
-# ids cannot be reused while the entry lives and compared by identity:
-# configs that ``dataclasses.replace`` derives from one scenario share
-# them and hit, a scenario loaded or built afresh misses.  ``values`` are
-# the other inputs, compared by value.
+# the scenario's ``tasks``, ``scan`` and ``utility`` themselves, held so
+# that their ids cannot be reused while the entry lives and compared by
+# identity: configs that ``dataclasses.replace`` derives from one
+# scenario share them and hit, a scenario loaded or built afresh misses
+# and runs its own defender pass.  ``values`` are the other inputs,
+# compared by value.
 _SCHEDULE_CACHE: list[tuple[tuple, tuple, DefenderSchedule]] = []
 
 
@@ -772,10 +795,7 @@ class EpisodeRunner:
         self.rng_signal = np.random.default_rng(kid_signal)
 
         h = cfg.horizon
-        # delivery delay without injected delay; stardis uses its schedule's
-        self.mean_snr, _, self.delay_slots = _link_tables(
-            h, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms
-        )
+        self.mean_snr = _link_tables(h, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms)[0]
         self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
 
         # an interceptor runs only where a star-family policy signals to it
@@ -784,32 +804,19 @@ class EpisodeRunner:
 
     def run(self) -> tuple[EpisodeMetrics, EpisodeTraces]:
         """The defender pass (or its shared schedule), then the telemetry
-        pass over it: state quantization, signal draws, deliveries, the
-        interceptor's slots, budgets and drift."""
+        pass over it with the policy's signal plan: state quantization,
+        signal draws, deliveries, the interceptor's slots and drift."""
         cfg = self.cfg
         schedule = defender_schedule(cfg, self.seed, self.policy)
         h, w_len_cfg = cfg.horizon, cfg.window
         pset = cfg.persuasion
         erased_slots = self.erased.tolist()
-
-        # each slot's signal table and credibility budget
-        slot_tables: list[SignalTable] = []
-        budget_table = np.zeros(h)
-        delay_slots = self.delay_slots
-        if self.signaling_on and self.policy == "star":
-            slot_tables = [self.assets.reveal_table()] * h
-        elif self.signaling_on and self.policy == "star-static":
-            slot_tables = [self.assets.static_table(pset.credibility)] * h
-            budget_table[:] = pset.credibility
-        elif self.signaling_on:  # stardis: the table of each slot's budget level
-            levels, delay_slots = _stardis_schedule(
-                self.assets, h, w_len_cfg, cfg.geometry, cfg.channel, pset, cfg.proc_delay_ms, cfg.slot_ms
-            )
-            level_tables = {
-                l: self.assets.curve_table(pset.budget_points, l) for l in np.unique(levels).tolist()
-            }
-            slot_tables = [level_tables[l] for l in levels.tolist()]
-            budget_table = self.assets.curve(pset.budget_points).budgets[levels]
+        plan = _signal_plan(
+            self.assets, self.policy if self.signaling_on else None, h, w_len_cfg,
+            cfg.geometry, cfg.channel, pset, cfg.proc_delay_ms, cfg.slot_ms,
+        )
+        delay_slots = plan.delays
+        budget_totals = plan.window_budgets.tolist()
 
         interceptor = None
         if self.signaling_on:
@@ -835,7 +842,7 @@ class EpisodeRunner:
                     min(max(schedule.z_avg[window_index], 0.0), 1.0),
                     pset.z_bins,
                 )
-                tables = slot_tables[w_start : w_start + w_len]
+                tables = plan.tables[w_start : w_start + w_len]
                 for k, tab in enumerate(tables):
                     t = w_start + k
                     deliveries[t + delay_slots[t]].append((t, tab.draw(state, uniforms[t]), tab))
@@ -858,7 +865,7 @@ class EpisodeRunner:
                 "scan_planned": int(schedule.has_scan[window_index]) if schedule.has_scan is not None else "",
                 "z_avg_planned": schedule.z_avg[window_index] if schedule.z_avg is not None else "",
                 "scan_freq_realized": schedule.scan_freq[window_index],
-                "budget_total": float(np.sum(budget_table[w_start : w_start + w_len])),
+                "budget_total": budget_totals[window_index],
                 "drift": drift,
             })
 
@@ -876,7 +883,7 @@ class EpisodeRunner:
             "attack_blocked": blocked,
             "realized_reward": rewards,
             "intensity": intensity,
-            "budget": budget_table.tolist(),
+            "budget": plan.budgets.tolist(),
         }
         traces = EpisodeTraces(slots={k: columns[k] for k in SLOT_TRACE_COLUMNS}, windows=windows)
 

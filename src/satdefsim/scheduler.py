@@ -73,19 +73,18 @@ class UtilityParams:
 
 @dataclass(frozen=True)
 class ScanTask:
-    """The schedulable detection scan: demand vector, power draw, block length."""
+    """The schedulable detection scan: demand (a float tuple), power draw,
+    block length."""
 
-    demand: np.ndarray
+    demand: tuple[float, ...]
     power_weight: float
     duration: int
-    demand_tuple: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "demand", np.asarray(self.demand, dtype=float))
-        object.__setattr__(self, "demand_tuple", tuple(map(float, self.demand)))
+        object.__setattr__(self, "demand", tuple(map(float, self.demand)))
         if self.duration < 1:
             raise ValueError("scan duration must be >= 1 slot")
-        if not np.all((self.demand >= 0) & (self.demand <= 1)):  # NaN fails too
+        if not all(0.0 <= d <= 1.0 for d in self.demand):  # NaN fails too
             raise ValueError("scan demand components must lie in [0,1]")
 
 
@@ -142,18 +141,6 @@ class HorizonPlan:
     def has_scan(self) -> bool:
         return bool(self.scan_on.any())
 
-    def to_jsonable(self) -> dict:
-        return {
-            "start": self.start,
-            "length": self.length,
-            "scan_on": self.scan_on.astype(int).tolist(),
-            "running": [list(map(int, u)) for u in self.running],
-            "z": [float(v) for v in self.z],
-            "scan_freq": self.scan_freq,
-            "z_avg": self.z_avg,
-            "objective": self.objective,
-            "events": [list(e) for e in self.events],
-        }
 
 
 class GreedyPlanner:
@@ -219,7 +206,7 @@ class GreedyPlanner:
             # comparisons, power first so a rejection skips the tuple
             new_power = power + spec.power_weight
             if new_power <= limit:
-                new = tuple(map(add, usage, spec.demand_tuple))
+                new = tuple(map(add, usage, spec.demand))
                 if max(new) <= _CAP:
                     usage, power = new, new_power
                     chosen.append(inst)
@@ -245,7 +232,7 @@ class GreedyPlanner:
         if not behind:
             return False, None
         scan = self.config.scan
-        fill_scan = self._fill_low(low, tuple(map(add, usage, scan.demand_tuple)), power + scan.power_weight)
+        fill_scan = self._fill_low(low, tuple(map(add, usage, scan.demand)), power + scan.power_weight)
         fill_idle = self._fill_low(low, usage, power)
         with_scan, without = fill_scan[3], fill_idle[3]
         if any(with_scan.get(s, 0) < without.get(s, 0) for s in behind):
@@ -262,7 +249,7 @@ class GreedyPlanner:
         """
         cfg = self.config
         scan = cfg.scan
-        scan_d = scan.demand_tuple
+        scan_d = scan.demand
         budget = cfg.power_budget
         usage = (0.0,) * len(scan_d)
         power = 0.0
@@ -290,14 +277,14 @@ class GreedyPlanner:
         # Step 1: high-priority work, earliest deadline first.
         for inst in high:
             spec = inst.spec
-            new = try_fit(usage, power, spec.demand_tuple, spec.power_weight, budget)
+            new = try_fit(usage, power, spec.demand, spec.power_weight, budget)
             if new is not None:
                 usage = new
                 power += spec.power_weight
                 chosen.append(inst)
             elif scan_on and try_fit(
                 tuple(map(sub, usage, scan_d)), power - scan.power_weight,
-                spec.demand_tuple, spec.power_weight, budget,
+                spec.demand, spec.power_weight, budget,
             ) is not None:
                 events.append((t, "deferred-high-priority", spec.id))
             else:
@@ -624,12 +611,12 @@ def exact_schedule(
     if any(len(p) == 0 for p in task_pats):
         raise InfeasibleScheduleError("a stability quota exceeds the schedulable slots")
 
-    demands = [i.spec.demand for i in insts]
+    demands = [np.asarray(i.spec.demand) for i in insts]
     powers = [float(i.spec.power_weight) for i in insts]
 
     best = None  # (obj, scan_count, scan_idx, combo_index_tuple, usage)
     for scan_idx, scan_pat in enumerate(scan_pats):
-        usage = (scan_pat[:, None] * config.scan.demand[None, :])[None]
+        usage = (scan_pat[:, None] * np.asarray(config.scan.demand)[None, :])[None]
         power = (scan_pat * config.scan.power_weight)[None]
         index = np.zeros((1, 0), dtype=np.int64)
         dead = False

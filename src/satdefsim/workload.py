@@ -62,9 +62,9 @@ class Arrival:
 class TaskSpec:
     """Schedulable unit type.
 
-    ``demand`` is the per-resource usage fraction while active (kept as a
-    float tuple in ``demand_tuple`` for the scheduler's per-slot
-    arithmetic), ``power_weight`` the normalized power draw,
+    ``demand`` is the per-resource usage fraction while active, a float
+    tuple for the scheduler's per-slot arithmetic, ``power_weight`` the
+    normalized power draw,
     ``processing`` the total service slots required and
     ``relative_deadline`` the slots allowed
     between earliest start and completion.  ``mean_demand`` is the
@@ -77,20 +77,18 @@ class TaskSpec:
     nature: Nature
     priority: Priority
     arrival: Arrival
-    demand: np.ndarray
+    demand: tuple[float, ...]
     power_weight: float
     processing: int
     relative_deadline: int
     firm_deadline: bool = False
     mean_demand: float | None = None
-    demand_tuple: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a member, not its string value, so the scheduler can test ``is``
         object.__setattr__(self, "priority", Priority(self.priority))
-        object.__setattr__(self, "demand", np.asarray(self.demand, dtype=float))
-        object.__setattr__(self, "demand_tuple", tuple(map(float, self.demand)))
-        if not np.all((self.demand >= 0) & (self.demand <= 1)):  # NaN fails too
+        object.__setattr__(self, "demand", tuple(map(float, self.demand)))
+        if not all(0.0 <= d <= 1.0 for d in self.demand):  # NaN fails too
             raise ValueError(f"task {self.id}: demand components must lie in [0,1]")
         if self.processing < 1:
             raise ValueError(f"task {self.id}: processing must be >= 1 slot")

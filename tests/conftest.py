@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from satdefsim import engine
 from satdefsim.scheduler import ScanTask, SchedulerConfig, UtilityParams
 from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
+
+
+def signal_plan(cfg, policy):
+    """The engine's cached signal plan of a signaling policy in a scenario."""
+    return engine._signal_plan(
+        engine.persuasion_assets(cfg), policy, cfg.horizon, cfg.window, cfg.geometry,
+        cfg.channel, cfg.persuasion, cfg.proc_delay_ms, cfg.slot_ms,
+    )
 
 
 @pytest.fixture

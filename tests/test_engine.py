@@ -23,6 +23,7 @@ from satdefsim.engine import (
 )
 from satdefsim.persuasion import build_scan_game
 
+from conftest import signal_plan
 from test_golden import record
 
 
@@ -123,17 +124,18 @@ class TestAccounting:
 
 def clear_downlink_caches():
     engine._link_tables.cache_clear()
-    engine._stardis_schedule.cache_clear()
+    engine._signal_plan.cache_clear()
+
+
+#: the signaling policies whose plans read the downlink: the base delays
+#: and stardis's allocation and artificial delays
+LINK_POLICIES = ("star", "stardis")
 
 
 def downlink_tables(cfg):
-    """The cached link tables and stardis schedule of a scenario."""
+    """The cached link tables and the star and stardis signal plans of a scenario."""
     link = engine._link_tables(cfg.horizon, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms)
-    schedule = engine._stardis_schedule(
-        engine.persuasion_assets(cfg), cfg.horizon, cfg.window, cfg.geometry, cfg.channel,
-        cfg.persuasion, cfg.proc_delay_ms, cfg.slot_ms,
-    )
-    return link, schedule
+    return link, tuple(signal_plan(cfg, pol) for pol in LINK_POLICIES)
 
 
 #: a scenario in which each change of ``DOWNLINK_INPUTS`` changes a cached
@@ -153,12 +155,19 @@ KEY_SCENARIO = small_cfg(
 )
 
 
+def plan_facts(plan) -> tuple:
+    """Everything a signal plan fixes, as plain values."""
+    return (
+        plan.budgets.tolist(), plan.window_budgets.tolist(), plan.delays,
+        [table.policy.tolist() for table in plan.tables],
+    )
+
+
 def same_tables(x, y) -> bool:
-    (link_x, (levels_x, delays_x)), (link_y, (levels_y, delays_y)) = x, y
+    (link_x, plans_x), (link_y, plans_y) = x, y
     return (
         all(np.array_equal(u, v) for u, v in zip(link_x, link_y))
-        and np.array_equal(levels_x, levels_y)
-        and delays_x == delays_y
+        and list(map(plan_facts, plans_x)) == list(map(plan_facts, plans_y))
     )
 
 
@@ -188,8 +197,9 @@ DOWNLINK_INPUTS = {
 
 
 class TestDownlinkCache:
-    """The seed-independent downlink tables are built once per scenario
-    and must leave every episode as it would be without the cache."""
+    """The seed-independent downlink tables and signal plans are built
+    once per scenario and must leave every episode as it would be without
+    the cache."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_cold_and_warm_episodes_identical(self, policy):
@@ -203,12 +213,14 @@ class TestDownlinkCache:
     def test_cache_key_covers_every_input(self, field):
         a = KEY_SCENARIO
         b = DOWNLINK_INPUTS[field](a)
-        policies = ("star", "stardis")  # the base delays and stardis's schedule
-        first = [record(a, 2, pol) for pol in policies]
-        warm = [record(b, 2, pol) for pol in policies]  # caches hold a's tables too
+        clear_downlink_caches()
+        first = [record(a, 2, pol) for pol in LINK_POLICIES]
+        misses = engine._signal_plan.cache_info().misses
+        warm = [record(b, 2, pol) for pol in LINK_POLICIES]  # caches hold a's plans too
+        assert engine._signal_plan.cache_info().misses == misses + len(LINK_POLICIES)
         warm_tables = downlink_tables(b)
         clear_downlink_caches()
-        cold = [record(b, 2, pol) for pol in policies]
+        cold = [record(b, 2, pol) for pol in LINK_POLICIES]
         cold_tables = downlink_tables(b)
         assert warm == cold
         assert same_tables(warm_tables, cold_tables)
@@ -220,13 +232,20 @@ class TestDownlinkCache:
     def test_cached_tables_are_read_only(self):
         cfg = small_cfg()
         run_episode(cfg, 0, "stardis")
-        (mean_snr, prop_ms, delays), (levels, stardis_delays) = downlink_tables(cfg)
-        for table in (mean_snr, prop_ms, levels):
+        (mean_snr, prop_ms, delays), plans = downlink_tables(cfg)
+        arrays = [mean_snr, prop_ms]
+        for plan in plans:
+            arrays += [plan.budgets, plan.window_budgets]
+            assert isinstance(plan.tables, tuple) and isinstance(plan.delays, tuple)
+            assert len(plan.tables) == len(plan.budgets) == len(plan.delays) == cfg.horizon
+            assert len(plan.window_budgets) == -(-cfg.horizon // cfg.window)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                plan.budgets = None
+        for table in arrays:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = table[0]
-        assert isinstance(delays, tuple) and isinstance(stardis_delays, tuple)
-        assert len(levels) == len(delays) == len(stardis_delays) == cfg.horizon
+        assert isinstance(delays, tuple) and plans[0].delays is delays
         assert EpisodeRunner(cfg, 1, "stardis").mean_snr is mean_snr
 
     def test_built_once_per_scenario(self, monkeypatch):
@@ -248,6 +267,14 @@ class TestDownlinkCache:
         for policy in POLICIES:
             run_episode(cfg, 4, policy)
         assert built == {"outage": 1, "forecast": 1}
+
+    def test_sweep_builds_each_plan_once(self):
+        # seeds are the sweep's outer loop, so each seed cycles through all
+        # 4 x 3 (credibility, policy) plans: a smaller cache rebuilds them all
+        clear_downlink_caches()
+        sweep(small_cfg(horizon=100), "credibility", [0.01, 0.1, 0.2, 0.5], range(3))
+        info = engine._signal_plan.cache_info()
+        assert (info.misses, info.hits) == (12, 24)
 
 
 STAR_FAMILY = ("star", "star-static", "stardis")
@@ -859,6 +886,15 @@ class TestConfigValidation:
         path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
         assert load_config(path).to_jsonable() == default_scenario().to_jsonable()
 
+    def test_equal_configs_compare_and_hash_equal(self):
+        a, b = default_scenario(), default_scenario()
+        assert a == b and hash(a) == hash(b)
+        assert hash(a.tasks[0]) == hash(b.tasks[0]) and hash(a.scan) == hash(b.scan)
+        task = dataclasses.replace(a.tasks[0], demand=(0.06, 0.15))
+        assert task != b.tasks[0]
+        assert dataclasses.replace(a, tasks=(task,) + a.tasks[1:]) != b
+        assert dataclasses.replace(a, scan=dataclasses.replace(a.scan, demand=(0.15, 0.06))) != b
+
 
 #: every scenario key set to a value other than its default
 NON_DEFAULT_SCENARIO = {
@@ -912,9 +948,7 @@ def config_leaves(obj, prefix=""):
         for i, item in enumerate(obj):
             out.update(config_leaves(item, f"{prefix}{i}."))
         return out
-    if isinstance(obj, np.ndarray):
-        obj = tuple(obj.tolist())
-    elif isinstance(obj, enum.Enum):
+    if isinstance(obj, enum.Enum):
         obj = obj.value
     return {prefix.rstrip("."): obj}
 
@@ -944,18 +978,18 @@ def test_credibility_sweep_attacker_monotone():
 
 
 def test_stardis_dominates_star_at_every_budget():
-    # seed-paired sign comparison at each budget in the sweep range
+    # seed-paired sign comparison at each budget in the sweep range; the
+    # seeds are the outer loop, so each seed's defender schedule is built once
+    from scipy.stats import binomtest
+
     cfg = default_scenario()
-    seeds = range(8)
-    for c in (0.01, 0.1, 0.2, 0.5):
-        from dataclasses import replace
-
-        cfg_c = replace(cfg, persuasion=replace(cfg.persuasion, credibility=float(c)))
-        star = np.array([run_episode(cfg_c, s, "star")[0].attacker_realized for s in seeds])
-        dis = np.array([run_episode(cfg_c, s, "stardis")[0].attacker_realized for s in seeds])
+    budgets = (0.01, 0.1, 0.2, 0.5)
+    cfgs = [dataclasses.replace(cfg, persuasion=dataclasses.replace(cfg.persuasion, credibility=c))
+            for c in budgets]
+    for c, runs in zip(budgets, engine._run_by_seed(cfgs, ("star", "stardis"), range(8))):
+        star = np.array([m.attacker_realized for m in runs["star"]])
+        dis = np.array([m.attacker_realized for m in runs["stardis"]])
         wins = int(np.sum(dis < star))
-        from scipy.stats import binomtest
-
         assert np.mean(dis) <= np.mean(star)
         assert binomtest(wins, len(star), alternative="greater").pvalue < 0.05, (c, wins)
 

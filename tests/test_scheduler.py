@@ -145,16 +145,6 @@ class TestPlanHorizon:
                                 cfg.stability_targets())
         assert violations == []
 
-    def test_plan_json_roundtrip(self):
-        import json
-
-        w, cfg, insts, _ = micro_instance(np.random.default_rng(8))
-        plan = plan_horizon(insts, 0, w, UTIL, cfg)
-        doc = json.loads(json.dumps(plan.to_jsonable()))
-        assert doc["scan_on"] == plan.scan_on.tolist()
-        assert doc["running"] == plan.running
-        assert doc["objective"] == pytest.approx(plan.objective)
-
     def test_projected_arrivals_cover_periodic(self):
         spec = make_spec(tid="p", arrival=Arrival(kind="periodic", interval=10),
                          priority=Priority.HIGH, demand=(0.2, 0.1), processing=2,

@@ -1,6 +1,8 @@
 """Signal tables: the per-policy CDFs, posteriors and drift memo the
 episode's signaling loop reads instead of calling ``Generator.choice``,
 ``belief_update`` and ``lyapunov_drift`` on every slot."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from satdefsim.config import default_scenario
 from satdefsim.engine import SignalTable, choice_cdf, run_episode
 from satdefsim.persuasion import BudgetCurve, PersuasionGame, lyapunov_drift
 
+from conftest import signal_plan
 from test_golden import record
 
 ATOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -123,13 +126,21 @@ class TestDrawOracle:
         assert str(err.value) == message
 
 
+def with_persuasion(cfg, **values):
+    return dataclasses.replace(cfg, persuasion=dataclasses.replace(cfg.persuasion, **values))
+
+
+def distinct_tables(plan) -> list:
+    return list(dict.fromkeys(plan.tables))
+
+
 def all_default_tables(cfg):
-    """The reveal, static and every curve table of a scenario's assets."""
-    assets = engine.persuasion_assets(cfg)
-    points = cfg.persuasion.budget_points
-    return assets, [assets.reveal_table(), assets.static_table(cfg.persuasion.credibility)] + [
-        assets.curve_table(points, level) for level in range(points)
-    ]
+    """The distinct tables of a scenario's star, star-static and stardis
+    plans; stardis's at credibility 0.03, where each window gives some
+    slots budget level 0 and some level 1."""
+    plans = [signal_plan(cfg, "star"), signal_plan(cfg, "star-static"),
+             signal_plan(with_persuasion(cfg, credibility=0.03), "stardis")]
+    return engine.persuasion_assets(cfg), [t for plan in plans for t in distinct_tables(plan)]
 
 
 def count_calls(monkeypatch, name: str) -> dict:
@@ -149,7 +160,7 @@ class TestTables:
         cfg = default_scenario(horizon=200)
         assets, tables = all_default_tables(cfg)
         game = assets.game
-        assert len(tables) == 2 + cfg.persuasion.budget_points == 15
+        assert len(tables) == 4  # reveal, static, and curve levels 0 and 1
         zero_mass = 0
         for table in tables:
             for m in range(table.policy.shape[1]):
@@ -197,14 +208,13 @@ class TestTables:
         drifts = count_calls(monkeypatch, "lyapunov_drift")
         cfg = default_scenario(horizon=200)
         run_episode(cfg, 0, "stardis")
-        assets = engine.persuasion_assets(cfg)
-        built = list(assets._tables.values())
+        built = distinct_tables(signal_plan(cfg, "stardis"))
         assert built and updates["n"] == sum(len(t.posteriors) for t in built)
         first_drifts = drifts["n"]
         for seed in (1, 2):
             run_episode(cfg, seed, "stardis")
         assert updates["n"] == sum(len(t.posteriors) for t in built)
-        assert list(assets._tables.values()) == built
+        assert distinct_tables(signal_plan(cfg, "stardis")) == built
         # memo misses only: at most one per (table, distinct belief)
         assert 0 < first_drifts <= drifts["n"] <= sum(len(t.posteriors) + 1 for t in built)
         assert drifts["n"] == sum(len(t._drift) for t in built)
@@ -245,10 +255,10 @@ def test_rebuilt_curve_gets_fresh_tables(monkeypatch):
     assets = engine.persuasion_assets(cfg)
     assert record(cfg, 0, "stardis") == cold
     for p in (points, 5, points, 9, points):
+        plan = signal_plan(with_persuasion(cfg, budget_points=p), "stardis")
         curve = assets.curve(p)
-        for level in range(p):
-            table = assets.curve_table(p, level)
-            policy = curve.solutions[level].policy
+        for budget, table in zip(plan.budgets.tolist(), plan.tables):
+            policy = curve.solutions[curve.budgets.tolist().index(budget)].policy
             assert np.array_equal(table.policy, policy)
             for m, (belief, _, _) in table.posteriors.items():
                 assert np.array_equal(belief, belief_update(assets.game.prior, m, policy))

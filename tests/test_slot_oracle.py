@@ -47,7 +47,7 @@ class ReferencePlanner(GreedyPlanner):
             spec = inst.spec
             if id(spec) in rejected:
                 continue
-            new = _ref_try_fit(usage, power, spec.demand_tuple, spec.power_weight, budget)
+            new = _ref_try_fit(usage, power, spec.demand, spec.power_weight, budget)
             if new is None:
                 rejected.add(id(spec))
                 continue
@@ -68,7 +68,7 @@ class ReferencePlanner(GreedyPlanner):
         if not behind:
             return False, None
         scan = self.config.scan
-        fill_scan = self._fill_low(low, tuple(map(add, usage, scan.demand_tuple)), power + scan.power_weight)
+        fill_scan = self._fill_low(low, tuple(map(add, usage, scan.demand)), power + scan.power_weight)
         fill_idle = self._fill_low(low, usage, power)
         with_scan, without = fill_scan[3], fill_idle[3]
         if any(with_scan.get(s, 0) < without.get(s, 0) for s in behind):
@@ -78,7 +78,7 @@ class ReferencePlanner(GreedyPlanner):
     def schedule_slot(self, queue, t, forced_scan=None):
         cfg = self.config
         scan = cfg.scan
-        scan_d = scan.demand_tuple
+        scan_d = scan.demand
         budget = cfg.power_budget
         usage = (0.0,) * len(scan_d)
         power = 0.0
@@ -103,14 +103,14 @@ class ReferencePlanner(GreedyPlanner):
 
         for inst in high:
             spec = inst.spec
-            new = _ref_try_fit(usage, power, spec.demand_tuple, spec.power_weight, budget)
+            new = _ref_try_fit(usage, power, spec.demand, spec.power_weight, budget)
             if new is not None:
                 usage = new
                 power += spec.power_weight
                 chosen.append(inst)
             elif scan_on and _ref_try_fit(
                 tuple(map(sub, usage, scan_d)), power - scan.power_weight,
-                spec.demand_tuple, spec.power_weight, budget,
+                spec.demand, spec.power_weight, budget,
             ) is not None:
                 events.append((t, "deferred-high-priority", spec.id))
             else:

@@ -97,11 +97,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScanTask(demand=np.array([float("nan"), 0.1]), power_weight=0.1, duration=2)
 
-    def test_demand_tuple_matches_array(self):
+    def test_demand_is_a_float_tuple(self):
         spec = make_spec(demand=(0.05, 0.15))
-        assert spec.demand_tuple == (0.05, 0.15)
-        assert all(type(v) is float for v in spec.demand_tuple)
-        assert dataclasses.replace(spec, demand=np.array([0.2, 0.3])).demand_tuple == (0.2, 0.3)
+        assert spec.demand == (0.05, 0.15)
+        assert all(type(v) is float for v in spec.demand)
+        assert dataclasses.replace(spec, demand=np.array([0.2, 0.3])).demand == (0.2, 0.3)
+        scan = ScanTask(demand=np.array([0.15, 0.05]), power_weight=0.1, duration=2)
+        assert scan.demand == (0.15, 0.05) and all(type(v) is float for v in scan.demand)
 
     def test_priority_stored_as_member(self):
         # the slot solver partitions by identity with the Priority members
