@@ -6,7 +6,8 @@ a different experiment.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,8 @@ class PersuasionSettings:
             raise ConfigError(f"subdivisions must be omitted or an int >= 1, got {self.subdivisions!r}")
         if self.credibility < 0:
             raise ConfigError("credibility budget must be >= 0")
+        if self.budget_points < 1:
+            raise ConfigError("budget_points must be >= 1")
         if not (0.0 < self.prior_scan < 1.0):
             raise ConfigError("prior_scan must lie in (0,1)")
         if not (0.0 < self.belief_threshold < 1.0):
@@ -108,6 +111,25 @@ class ScenarioConfig:
             raise ConfigError("scan demand dimensionality mismatch")
         if self.scan.duration > self.window:
             raise ConfigError("scan duration must fit inside the window")
+        # NaN passes every comparison below, so finiteness goes first
+        non_finite = _non_finite(self)
+        if non_finite:
+            raise ConfigError(f"{', '.join(non_finite)} must be finite")
+        if self.slot_ms <= 0:
+            raise ConfigError("slot_ms must be > 0")
+        if self.proc_delay_ms < 0:
+            raise ConfigError("proc_delay_ms must be >= 0")
+        try:
+            self.scheduler_config()  # checks power_budget and scan_margin_rule
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # the farthest slant range: at the pass edge and outside the pass
+        edge_ms = max(self.geometry.propagation_delay_ms(t) for t in (0, self.geometry.pass_slots + 1))
+        if self.persuasion.delay_max_ms < edge_ms:
+            raise ConfigError(
+                f"delay_max_ms {self.persuasion.delay_max_ms} is below the "
+                f"{edge_ms:.3f} ms propagation delay at the pass edge"
+            )
 
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(
@@ -121,6 +143,15 @@ class ScenarioConfig:
 
     def to_jsonable(self) -> dict:
         return _scenario_to_dict(self)
+
+
+def _non_finite(obj, path: str = "") -> list[str]:
+    """Dotted field paths of the NaN and infinite floats in a config."""
+    if is_dataclass(obj):
+        return [bad for f in fields(obj) for bad in _non_finite(getattr(obj, f.name), f"{path}{f.name}.")]
+    if isinstance(obj, tuple):
+        return [bad for i, item in enumerate(obj) for bad in _non_finite(item, f"{path}{i}.")]
+    return [path[:-1]] if isinstance(obj, float) and not math.isfinite(obj) else []
 
 
 def _take(d: dict, key: str, default=None, required: bool = False):

@@ -14,19 +14,21 @@ Episodes are deterministic given (config, seed).
 
 Signaling shapes only the downlink, so star, star-static and stardis
 run the same defender pass on one seed.  ``defender_schedule`` keeps the
-star family's last schedule in a one-entry cache: further star-family
-episodes of that seed, and of configs ``dataclasses.replace`` derives
-with other persuasion, channel or attacker settings, skip the defender
-pass.  Several star-family policies or sweep values on one seed get
-faster; a lone episode on a fresh seed does not.  Suites and sweeps run
-seeds in the outer loop so that each seed's schedule is built once.
+star family's last schedule in a one-entry cache keyed by the values of
+the scheduling inputs and the seed: further star-family episodes of that
+seed skip the defender pass, also under configs that differ only in
+persuasion, channel or attacker settings.  Suites and sweeps run seeds
+in the outer loop so that each seed's schedule is built once.
 
-Only the fading draw depends on the seed.  The downlink forecast (mean
-SNR, propagation and delivery delays) is built once per scenario, and so
-is each policy's ``SignalPlan``: the ``SignalTable`` every slot's packet
-is drawn from, the slot's credibility budget and delivery delay, and
-each window's budget total.  Plans are built by the first episode that
-needs them and shared read-only by later episodes.
+Only the fading draw depends on the seed.  What else an episode reads
+is built once and shared read-only: the game and its solved policies
+(``persuasion_assets``), the downlink forecast (mean SNR, propagation
+and delivery delays, outage probability) and each policy's
+``SignalPlan``: the ``SignalTable`` every slot's packet is drawn from,
+the slot's credibility budget and delivery delay, and each window's
+budget total.  Each build is cached by value, a plan on its config and
+policy and the others on the config fields they read, so configs with
+equal values share every build.
 
 A ``SignalTable`` holds what signaling reads of one policy: per-state
 sampling CDFs, the interceptor's posterior after each signal with mass,
@@ -49,7 +51,7 @@ import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import add, is_
+from operator import add
 from types import MappingProxyType
 
 import numpy as np
@@ -70,7 +72,7 @@ from .channel import (
     predict_mean_snr,
     sample_envelope,
 )
-from .config import DECEPTION_POLICIES, POLICY_KINDS, PersuasionSettings, ScenarioConfig
+from .config import DECEPTION_POLICIES, POLICY_KINDS, ScenarioConfig
 from .persuasion import (
     BudgetCurve,
     PersuasionGame,
@@ -266,36 +268,30 @@ class SignalTable:
 
 
 # ---------------------------------------------------------------------------
-# Persuasion asset cache (game, solved policies, budget curve)
+# Seed-independent builds, each cached by the config values it reads
 # ---------------------------------------------------------------------------
+# Keys compare by value, so configs with equal values share a build however
+# they were made.  Every array is read-only and every sequence a tuple, so
+# episodes share the builds without copying.
 
 class PersuasionAssets:
-    """The game of a scenario and its solved policies: the static
-    solution per budget and the budget curve, built lazily."""
+    """A game and its solved policies: the static solution per budget and
+    the budget curve, built lazily."""
 
-    def __init__(self, cfg: ScenarioConfig):
-        p = cfg.persuasion
-        self.game: PersuasionGame = build_scan_game(
-            reward_weight=cfg.attacker.reward_weight,
-            base_cost=cfg.attacker.base_cost,
-            prior_scan=p.prior_scan,
-            z_bins=p.z_bins,
-            n_signals=p.n_signals,
-        )
-        n = self.game.n_states
-        self.reveal_policy = np.eye(n)
-        prior = self.game.prior.copy()  # the belief at the start and after an erasure
+    def __init__(self, game: PersuasionGame, subdivisions: int | None):
+        self.game = game
+        self.subdivisions = subdivisions
+        self.reveal_policy = np.eye(game.n_states)
+        prior = game.prior.copy()  # the belief at the start and after an erasure
         prior.flags.writeable = False
-        self.prior_entry = belief_entry(prior, self.game)
-        self.subdivisions = p.subdivisions
+        self.prior_entry = belief_entry(prior, game)
         self._static: dict[float, object] = {}
         self._curve: BudgetCurve | None = None
 
     def static_solution(self, budget: float):
-        key = round(budget, 12)
-        if key not in self._static:
-            self._static[key] = solve_persuasion(self.game, budget, self.subdivisions)
-        return self._static[key]
+        if budget not in self._static:
+            self._static[budget] = solve_persuasion(self.game, budget, self.subdivisions)
+        return self._static[budget]
 
     # ``units_per_slot`` is unused; perfbench/worker.py still passes it
     def curve(self, points: int, units_per_slot: int = 1) -> BudgetCurve:
@@ -304,25 +300,26 @@ class PersuasionAssets:
         return self._curve
 
 
-_ASSETS: dict[tuple, PersuasionAssets] = {}
-
-
 def persuasion_assets(cfg: ScenarioConfig) -> PersuasionAssets:
-    p = cfg.persuasion
-    key = (
-        p.z_bins, p.n_signals, round(p.prior_scan, 12), p.subdivisions,
-        round(cfg.attacker.reward_weight, 12), round(cfg.attacker.base_cost, 12),
-    )
-    if key not in _ASSETS:
-        _ASSETS[key] = PersuasionAssets(cfg)
-    return _ASSETS[key]
+    """The assets of the scenario's game, shared by every config with the
+    same game inputs."""
+    p, att = cfg.persuasion, cfg.attacker
+    return _game_assets(p.z_bins, p.n_signals, p.prior_scan, p.subdivisions, att.reward_weight, att.base_cost)
 
 
-# ---------------------------------------------------------------------------
-# Seed-independent downlink tables and signal plans, built once per scenario
-# ---------------------------------------------------------------------------
-# Keyed on the frozen sub-configs they read; every array is read-only and
-# every sequence a tuple, so episodes share them without copying.
+@lru_cache(maxsize=16)
+def _game_assets(z_bins, n_signals, prior_scan, subdivisions, reward_weight, base_cost) -> PersuasionAssets:
+    game = build_scan_game(reward_weight, base_cost, prior_scan, z_bins=z_bins, n_signals=n_signals)
+    return PersuasionAssets(game, subdivisions)
+
+
+@lru_cache(maxsize=8)
+def _mean_snr(horizon: int, geometry: PassGeometry) -> np.ndarray:
+    """Per-slot mean-SNR forecast (dB)."""
+    mean_snr = predict_mean_snr(0, horizon, geometry)
+    mean_snr.flags.writeable = False
+    return mean_snr
+
 
 @lru_cache(maxsize=8)
 def _link_tables(
@@ -330,12 +327,20 @@ def _link_tables(
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Per-slot mean-SNR forecast, propagation delay (ms) and delivery
     delay in slots without injected delay."""
-    mean_snr = predict_mean_snr(0, horizon, geometry)
     prop_ms = np.array([geometry.propagation_delay_ms(t) for t in range(horizon)])
+    prop_ms.flags.writeable = False
     delay_slots = tuple(delivery_delay_slots(prop_ms, proc_delay_ms, 0.0, slot_ms).tolist())
-    for table in (mean_snr, prop_ms):
-        table.flags.writeable = False
-    return mean_snr, prop_ms, delay_slots
+    return _mean_snr(horizon, geometry), prop_ms, delay_slots
+
+
+@lru_cache(maxsize=8)
+def _outage_forecast(horizon: int, geometry: PassGeometry, channel: ChannelParams) -> np.ndarray:
+    """Per-slot forecast outage probability, read from one ``OutageTable``
+    over the forecast's SNR range."""
+    mean_snr = _mean_snr(horizon, geometry)
+    pout = OutageTable(channel, float(mean_snr.min()), float(mean_snr.max()))(mean_snr)
+    pout.flags.writeable = False
+    return pout
 
 
 @dataclass(frozen=True)
@@ -358,18 +363,8 @@ class SignalPlan:
 # seed: a 4-value sweep over all 5 policies needs 16 entries (fcfs and sp
 # share the plan without signaling)
 @lru_cache(maxsize=16)
-def _signal_plan(
-    assets: PersuasionAssets | None,
-    policy: str | None,
-    horizon: int,
-    window: int,
-    geometry: PassGeometry,
-    channel: ChannelParams,
-    persuasion: PersuasionSettings,
-    proc_delay_ms: float,
-    slot_ms: float,
-) -> SignalPlan:
-    """The signal plan of ``policy``, or of no signaling for ``None``.
+def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
+    """The signal plan of ``policy`` in ``cfg``, or of no signaling for ``None``.
 
     star reveals the state in every slot.  star-static signals with the
     static solution at the credibility budget.  stardis allocates each
@@ -378,36 +373,37 @@ def _signal_plan(
     artificial delay that follows its forecast SNR.  The other plans have
     no tables, zero budgets and the base delays.
     """
-    mean_snr, prop_ms, delays = _link_tables(horizon, geometry, proc_delay_ms, slot_ms)
+    horizon, window, p = cfg.horizon, cfg.window, cfg.persuasion
+    mean_snr, prop_ms, delays = _link_tables(horizon, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms)
     tables: tuple[SignalTable, ...] = ()
     budgets = np.broadcast_to(0.0, horizon)  # a read-only view, one value stored
+    assets = persuasion_assets(cfg) if policy is not None else None
     if policy == "star":
         tables = (SignalTable(assets.reveal_policy, assets.game),) * horizon
     elif policy == "star-static":
-        table = SignalTable(assets.static_solution(persuasion.credibility).policy, assets.game)
+        table = SignalTable(assets.static_solution(p.credibility).policy, assets.game)
         tables = (table,) * horizon
-        budgets = np.broadcast_to(persuasion.credibility, horizon)
+        budgets = np.broadcast_to(p.credibility, horizon)
     elif policy == "stardis":
-        curve = assets.curve(persuasion.budget_points)
-        outage = OutageTable(channel, float(mean_snr.min()), float(mean_snr.max()))
+        curve = assets.curve(p.budget_points)
+        pout = _outage_forecast(horizon, cfg.geometry, cfg.channel)
         levels, delays = [], []
         for w_start in range(0, horizon, window):
-            w_len = min(window, horizon - w_start)
-            snr_hat = mean_snr[w_start : w_start + w_len]
-            levels.append(allocate_on_grid(outage(snr_hat), persuasion.credibility * w_len, curve))
+            w_end = min(w_start + window, horizon)
+            levels.append(allocate_on_grid(pout[w_start:w_end], p.credibility * (w_end - w_start), curve))
             slot_delays = [
                 choose_artificial_delay(
-                    float(snr_hat[k]),
-                    float(prop_ms[w_start + k]),
-                    persuasion.delay_max_ms,
-                    proc_delay_ms,
-                    persuasion.delay_snr_lo_db,
-                    persuasion.delay_snr_hi_db,
+                    float(mean_snr[t]),
+                    float(prop_ms[t]),
+                    p.delay_max_ms,
+                    cfg.proc_delay_ms,
+                    p.delay_snr_lo_db,
+                    p.delay_snr_hi_db,
                 )
-                for k in range(w_len)
+                for t in range(w_start, w_end)
             ]
             delays += delivery_delay_slots(
-                prop_ms[w_start : w_start + w_len], proc_delay_ms, slot_delays, slot_ms
+                prop_ms[w_start:w_end], cfg.proc_delay_ms, slot_delays, cfg.slot_ms
             ).tolist()
         level_of_slot = np.concatenate(levels)
         by_level = {
@@ -684,16 +680,9 @@ class DefenderPass:
                         scan_now = t < sp_scan_until
                     else:  # spec-literal marginal-utility trigger at full capacity
                         if t >= sp_planner.window_end:
-                            sp_planner = GreedyPlanner(
-                                util, sched_cfg, t, w_len_cfg, targets
-                            )
+                            sp_planner = GreedyPlanner(util, sched_cfg, t, w_len_cfg, targets)
                         planner = sp_planner
-                        if t >= sp_planner.scan_active_until and t + cfg.scan.duration <= sp_planner.window_end:
-                            z1 = 1.0 - max(cfg.scan.demand)
-                            if sp_planner._scan_margin(1.0, z1) > 0:
-                                sp_planner.scan_active_until = t + cfg.scan.duration
-                                sp_planner.scan_slots_committed += cfg.scan.duration
-                        scan_now = t < sp_planner.scan_active_until
+                        scan_now = sp_planner.delta_u_scan(t)
                     dec = planner.schedule_slot(live, t, forced_scan=scan_now)
                     running, usage, power = self._executed(dec, live, scan_now)
                     events_count += len(dec.events)
@@ -751,15 +740,9 @@ class DefenderPass:
         )
 
 
-# The star family's schedule of the last (scheduling inputs, seed) it was
-# built for, as one ``(objects, values, schedule)`` entry.  ``objects`` are
-# the scenario's ``tasks``, ``scan`` and ``utility`` themselves, held so
-# that their ids cannot be reused while the entry lives and compared by
-# identity: configs that ``dataclasses.replace`` derives from one
-# scenario share them and hit, a scenario loaded or built afresh misses
-# and runs its own defender pass.  ``values`` are the other inputs,
-# compared by value.
-_SCHEDULE_CACHE: list[tuple[tuple, tuple, DefenderSchedule]] = []
+# The star family's last schedule, under its key: the scheduling inputs
+# and the seed
+_SCHEDULE_CACHE: dict[tuple, DefenderSchedule] = {}
 
 
 def defender_schedule(cfg: ScenarioConfig, seed: int, policy: str) -> DefenderSchedule:
@@ -768,13 +751,15 @@ def defender_schedule(cfg: ScenarioConfig, seed: int, policy: str) -> DefenderSc
     last one built is kept and returned while the same inputs repeat."""
     if policy not in _STAR_FAMILY:
         return DefenderPass(cfg, seed, policy).run()
-    objects = (cfg.tasks, cfg.scan, cfg.utility)
-    values = (cfg.horizon, cfg.window, cfg.power_budget, cfg.scan_margin_rule, seed)
-    for cached_objects, cached_values, schedule in _SCHEDULE_CACHE:
-        if all(map(is_, cached_objects, objects)) and cached_values == values:
-            return schedule
-    schedule = DefenderPass(cfg, seed, policy).run()
-    _SCHEDULE_CACHE[:] = [(objects, values, schedule)]
+    key = (
+        cfg.tasks, cfg.scan, cfg.utility, cfg.horizon, cfg.window,
+        cfg.power_budget, cfg.scan_margin_rule, seed,
+    )
+    schedule = _SCHEDULE_CACHE.get(key)
+    if schedule is None:
+        schedule = DefenderPass(cfg, seed, policy).run()
+        _SCHEDULE_CACHE.clear()
+        _SCHEDULE_CACHE[key] = schedule
     return schedule
 
 
@@ -795,7 +780,7 @@ class EpisodeRunner:
         self.rng_signal = np.random.default_rng(kid_signal)
 
         h = cfg.horizon
-        self.mean_snr = _link_tables(h, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms)[0]
+        self.mean_snr = _mean_snr(h, cfg.geometry)
         self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
 
         # an interceptor runs only where a star-family policy signals to it
@@ -811,10 +796,7 @@ class EpisodeRunner:
         h, w_len_cfg = cfg.horizon, cfg.window
         pset = cfg.persuasion
         erased_slots = self.erased.tolist()
-        plan = _signal_plan(
-            self.assets, self.policy if self.signaling_on else None, h, w_len_cfg,
-            cfg.geometry, cfg.channel, pset, cfg.proc_delay_ms, cfg.slot_ms,
-        )
+        plan = _signal_plan(cfg, self.policy if self.signaling_on else None)
         delay_slots = plan.delays
         budget_totals = plan.window_budgets.tolist()
 

@@ -84,6 +84,8 @@ class ScanTask:
         object.__setattr__(self, "demand", tuple(map(float, self.demand)))
         if self.duration < 1:
             raise ValueError("scan duration must be >= 1 slot")
+        if self.power_weight < 0:
+            raise ValueError("scan power must be >= 0")
         if not all(0.0 <= d <= 1.0 for d in self.demand):  # NaN fails too
             raise ValueError("scan demand components must lie in [0,1]")
 
@@ -185,6 +187,17 @@ class GreedyPlanner:
         gain = w * (p.detect_reward * (y1 * y1 - y0 * y0) - p.scan_cost * (f1 - f0))
         penalty = w * p.load_penalty * (y1 * y1 * (1.0 - z_scan) - y0 * y0 * (1.0 - z_now))
         return gain - penalty
+
+    def delta_u_scan(self, t: int) -> bool:
+        """sp's delta-u rule: unless a scan block runs at ``t``, start one
+        when it fits in the window and its marginal utility from full idle
+        capacity is positive.  Returns whether a scan runs at ``t``."""
+        scan = self.config.scan
+        if t >= self.scan_active_until and t + scan.duration <= self.window_end:
+            if self._scan_margin(1.0, 1.0 - max(scan.demand)) > 0:
+                self.scan_active_until = t + scan.duration
+                self.scan_slots_committed += scan.duration
+        return t < self.scan_active_until
 
     # -- fill helpers ------------------------------------------------------
     def _fill_low(self, low: list[TaskInstance], usage: tuple, power: float):

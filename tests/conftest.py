@@ -6,12 +6,14 @@ from satdefsim.scheduler import ScanTask, SchedulerConfig, UtilityParams
 from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
 
 
-def signal_plan(cfg, policy):
-    """The engine's cached signal plan of a signaling policy in a scenario."""
-    return engine._signal_plan(
-        engine.persuasion_assets(cfg), policy, cfg.horizon, cfg.window, cfg.geometry,
-        cfg.channel, cfg.persuasion, cfg.proc_delay_ms, cfg.slot_ms,
-    )
+def clear_engine_caches():
+    """Empty every engine cache, so that the next episode builds cold."""
+    for cached in (
+        engine._game_assets, engine._mean_snr, engine._link_tables,
+        engine._outage_forecast, engine._signal_plan,
+    ):
+        cached.cache_clear()
+    engine._SCHEDULE_CACHE.clear()
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from satdefsim.engine import (
 )
 from satdefsim.persuasion import build_scan_game
 
-from conftest import signal_plan
+from conftest import clear_engine_caches
 from test_golden import record
 
 
@@ -59,22 +59,30 @@ class TestDeterminism:
         assert m1.to_row() != m2.to_row()
 
 
+def policy_cases(policies):
+    """``(policy, overrides)`` cases: ``policies`` on the default scenario,
+    and sp with its marginal-utility scan trigger instead of the periodic one."""
+    return [pytest.param(p, {}, id=p) for p in policies] + [
+        pytest.param("sp", {"sp_scan_rule": "delta-u"}, id="sp-delta-u")
+    ]
+
+
 class TestAccounting:
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_instance_identity(self, policy):
-        m, _ = run_episode(small_cfg(), 5, policy)
+    @pytest.mark.parametrize("policy,overrides", policy_cases(POLICIES))
+    def test_instance_identity(self, policy, overrides):
+        m, _ = run_episode(small_cfg(**overrides), 5, policy)
         assert m.generated == m.completed + m.dropped + m.missed + m.residual
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_capacity_and_power_never_violated(self, policy):
-        cfg = small_cfg()
+    @pytest.mark.parametrize("policy,overrides", policy_cases(POLICIES))
+    def test_capacity_and_power_never_violated(self, policy, overrides):
+        cfg = small_cfg(**overrides)
         _, tr = run_episode(cfg, 2, policy)
         assert min(tr.slots["z"]) >= -1e-9  # per-slot capacity
         assert max(tr.slots["power"]) <= cfg.power_budget + 1e-9
 
-    @pytest.mark.parametrize("policy", ("sp", "star", "star-static", "stardis"))
-    def test_scan_blocks_have_exact_duration(self, policy):
-        cfg = small_cfg()
+    @pytest.mark.parametrize("policy,overrides", policy_cases(("sp", "star", "star-static", "stardis")))
+    def test_scan_blocks_have_exact_duration(self, policy, overrides):
+        cfg = small_cfg(**overrides)
         _, tr = run_episode(cfg, 4, policy)
         scans = tr.slots["scan_on"]
         runs, run = [], 0
@@ -122,11 +130,6 @@ class TestAccounting:
                 assert 0.0 <= pct <= 100.0
 
 
-def clear_downlink_caches():
-    engine._link_tables.cache_clear()
-    engine._signal_plan.cache_clear()
-
-
 #: the signaling policies whose plans read the downlink: the base delays
 #: and stardis's allocation and artificial delays
 LINK_POLICIES = ("star", "stardis")
@@ -135,7 +138,7 @@ LINK_POLICIES = ("star", "stardis")
 def downlink_tables(cfg):
     """The cached link tables and the star and stardis signal plans of a scenario."""
     link = engine._link_tables(cfg.horizon, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms)
-    return link, tuple(signal_plan(cfg, pol) for pol in LINK_POLICIES)
+    return link, tuple(engine._signal_plan(cfg, pol) for pol in LINK_POLICIES)
 
 
 #: a scenario in which each change of ``DOWNLINK_INPUTS`` changes a cached
@@ -204,7 +207,7 @@ class TestDownlinkCache:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_cold_and_warm_episodes_identical(self, policy):
         cfg = small_cfg()
-        clear_downlink_caches()
+        clear_engine_caches()
         cold = record(cfg, 3, policy)
         warm = record(cfg, 3, policy)
         assert warm == cold
@@ -213,20 +216,20 @@ class TestDownlinkCache:
     def test_cache_key_covers_every_input(self, field):
         a = KEY_SCENARIO
         b = DOWNLINK_INPUTS[field](a)
-        clear_downlink_caches()
+        clear_engine_caches()
         first = [record(a, 2, pol) for pol in LINK_POLICIES]
         misses = engine._signal_plan.cache_info().misses
         warm = [record(b, 2, pol) for pol in LINK_POLICIES]  # caches hold a's plans too
         assert engine._signal_plan.cache_info().misses == misses + len(LINK_POLICIES)
         warm_tables = downlink_tables(b)
-        clear_downlink_caches()
+        clear_engine_caches()
         cold = [record(b, 2, pol) for pol in LINK_POLICIES]
         cold_tables = downlink_tables(b)
         assert warm == cold
         assert same_tables(warm_tables, cold_tables)
         # the input changes the episodes and a table, so a key without it fails
         assert cold != first
-        clear_downlink_caches()
+        clear_engine_caches()
         assert not same_tables(downlink_tables(a), cold_tables)
 
     def test_cached_tables_are_read_only(self):
@@ -259,7 +262,7 @@ class TestDownlinkCache:
 
         monkeypatch.setattr(engine, "OutageTable", counting("outage", engine.OutageTable))
         monkeypatch.setattr(engine, "predict_mean_snr", counting("forecast", engine.predict_mean_snr))
-        clear_downlink_caches()
+        clear_engine_caches()
         cfg = small_cfg()
         for seed in range(3):
             run_episode(cfg, seed, "stardis")
@@ -267,21 +270,36 @@ class TestDownlinkCache:
         for policy in POLICIES:
             run_episode(cfg, 4, policy)
         assert built == {"outage": 1, "forecast": 1}
+        # the outage forecast reads no persuasion setting
+        sweep(cfg, "credibility", [0.01, 0.1, 0.2, 0.5], range(2), policies=("stardis",))
+        assert built == {"outage": 1, "forecast": 1}
 
     def test_sweep_builds_each_plan_once(self):
         # seeds are the sweep's outer loop, so each seed cycles through all
         # 4 x 3 (credibility, policy) plans: a smaller cache rebuilds them all
-        clear_downlink_caches()
+        clear_engine_caches()
         sweep(small_cfg(horizon=100), "credibility", [0.01, 0.1, 0.2, 0.5], range(3))
         info = engine._signal_plan.cache_info()
         assert (info.misses, info.hits) == (12, 24)
 
 
+@pytest.mark.parametrize("order", [(0.5, 0.5 + 1e-13), (0.5 + 1e-13, 0.5)], ids=["exact-first", "nudged-first"])
+def test_nearby_priors_each_get_their_own_game(order):
+    def cfg(prior):
+        return small_cfg(persuasion={"prior_scan": prior})
+
+    cold = {}
+    for prior in order:
+        clear_engine_caches()
+        cold[prior] = record(cfg(prior), 0, "star-static")
+    clear_engine_caches()
+    for prior in order:
+        assert record(cfg(prior), 0, "star-static") == cold[prior]
+        expected = build_scan_game(10.0, 0.1, prior)  # the default attacker weights
+        assert engine.persuasion_assets(cfg(prior)).game.prior.tolist() == expected.prior.tolist()
+
+
 STAR_FAMILY = ("star", "star-static", "stardis")
-
-
-def clear_schedule_cache():
-    engine._SCHEDULE_CACHE.clear()
 
 
 def count_defender_calls(monkeypatch) -> dict[str, int]:
@@ -339,16 +357,16 @@ class TestScheduleCache:
     @pytest.mark.parametrize("policy", STAR_FAMILY)
     def test_cold_and_hit_episodes_identical(self, policy):
         cfg = small_cfg()
-        clear_schedule_cache()
+        clear_engine_caches()
         cold = record(cfg, 3, policy)
         for other in STAR_FAMILY:
-            clear_schedule_cache()
+            clear_engine_caches()
             run_episode(cfg, 3, other)  # builds the schedule
             assert record(cfg, 3, policy) == cold
 
     def test_hit_runs_no_defender_pass(self, monkeypatch):
         cfg = small_cfg()
-        clear_schedule_cache()
+        clear_engine_caches()
         calls = count_defender_calls(monkeypatch)
         run_episode(cfg, 3, "star")
         assert calls["plan_horizon"] == cfg.horizon // cfg.window
@@ -370,36 +388,40 @@ class TestScheduleCache:
     def test_each_scheduling_input_misses(self, field):
         a, seed_a = SCHEDULE_SCENARIO, 2
         b, seed_b = (a, 3) if field == "seed" else (SCHEDULE_INPUTS[field](a), seed_a)
-        clear_schedule_cache()
+        clear_engine_caches()
         first = record(a, seed_a, "star")
         warm = record(b, seed_b, "stardis")  # the cache holds a's schedule
-        clear_schedule_cache()
+        clear_engine_caches()
         cold = record(b, seed_b, "stardis")
         assert warm == cold
         # the input changes the defender trajectory, so a key without it fails
-        clear_schedule_cache()
+        clear_engine_caches()
         assert record(b, seed_b, "star")["metrics"] != first["metrics"]
 
     @pytest.mark.parametrize("field", sorted(SIGNALING_INPUTS))
     def test_signaling_inputs_hit(self, monkeypatch, field):
         a = small_cfg()
         b = SIGNALING_INPUTS[field](a)
-        clear_schedule_cache()
+        clear_engine_caches()
         cold = record(b, 3, "stardis")
         run_episode(a, 3, "star")
         calls = count_defender_calls(monkeypatch)
         assert record(b, 3, "stardis") == cold
         assert calls == {"plan_horizon": 0, "schedule_slot": 0, "generate_arrivals": 0}
 
-    def test_scenario_built_afresh_misses(self, monkeypatch):
-        run_episode(small_cfg(), 3, "star")
+    def test_equal_valued_configs_share_a_schedule(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+        clear_engine_caches()
+        run_episode(default_scenario(horizon=200), 3, "star")
         calls = count_defender_calls(monkeypatch)
-        run_episode(small_cfg(), 3, "star")  # equal values, new objects
-        assert calls["generate_arrivals"] == 1
+        run_episode(small_cfg(), 3, "stardis")  # equal values, new objects
+        loaded = dataclasses.replace(load_config(path), horizon=200)
+        run_episode(loaded, 3, "star-static")
+        assert calls == {"plan_horizon": 0, "schedule_slot": 0, "generate_arrivals": 0}
 
     def test_mutating_returned_traces_leaves_the_next_episode(self):
         cfg = small_cfg()
-        clear_schedule_cache()
+        clear_engine_caches()
         cold = record(cfg, 3, "star-static")
         metrics, traces = run_episode(cfg, 3, "star")
         for column in ("scan_on", "z", "power"):
@@ -413,8 +435,7 @@ class TestScheduleCache:
         cfg = small_cfg()
         for seed in range(3):
             run_episode(cfg, seed, "star")
-        assert len(engine._SCHEDULE_CACHE) == 1
-        schedule = engine._SCHEDULE_CACHE[0][-1]
+        [schedule] = engine._SCHEDULE_CACHE.values()
         assert all(isinstance(getattr(schedule, name), tuple) for name in ("scan_on", "z", "power", "usage_sum"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             schedule.completed = 0
@@ -472,7 +493,7 @@ def valid_scenarios(draw):
 def test_random_valid_scenarios_run_and_repeat(case):
     cfg, seed = case
     for policy in POLICIES:
-        clear_downlink_caches()
+        clear_engine_caches()
         cold = record(cfg, seed, policy)  # the engine checks the accounting identity
         m = cold["metrics"]
         assert m["generated"] == m["completed"] + m["dropped"] + m["missed"] + m["residual"]
@@ -505,7 +526,7 @@ def test_star_family_shares_one_defender_trajectory(case):
         cfg_m = dataclasses.replace(cfg, attacker_mode=mode)
         views = []
         for policy in STAR_FAMILY:
-            clear_schedule_cache()
+            clear_engine_caches()
             views.append(defender_view(*run_episode(cfg_m, seed, policy)))
         assert views[0] == views[1] == views[2], mode
 
@@ -517,7 +538,7 @@ def test_suite_and_sweep_equal_plain_episode_loops():
     def plain(cfg_v, policy):
         out = []
         for s in seeds:
-            clear_schedule_cache()
+            clear_engine_caches()
             out.append(run_episode(cfg_v, s, policy)[0])
         return out
 
@@ -870,6 +891,41 @@ class TestConfigValidation:
         raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
         raw["attacker"][key] = bad
         with pytest.raises(ConfigError, match="finite"):
+            from_dict(raw)
+
+    @pytest.mark.parametrize("key,bad,message", [
+        ("slot_ms", 0.0, "slot_ms"),
+        ("slot_ms", float("nan"), "slot_ms"),
+        ("power_budget", float("nan"), "power_budget"),
+        ("power_budget", 0.0, "power budget"),
+        ("scan_margin_rule", "both", "margin_rule"),
+        ("scan.power", -0.1, "scan power"),
+        ("scan.power", float("inf"), "scan.power_weight"),
+        ("tasks.0.power", float("nan"), "tasks.0.power_weight"),
+        ("tasks.1.arrival.rate", float("inf"), "tasks.1.arrival.rate"),
+        ("utility.load_penalty", float("nan"), "utility.load_penalty"),
+        ("channel.proc_delay_ms", float("nan"), "proc_delay_ms"),
+        ("channel.proc_delay_ms", -1.0, "proc_delay_ms"),
+        ("channel.snr_threshold_db", float("nan"), "channel.snr_threshold_db"),
+        ("channel.fading.omega", float("nan"), "channel.omega"),
+        ("channel.geometry.peak_snr_db", float("nan"), "geometry.peak_snr_db"),
+        ("channel.geometry.d_max_km", float("inf"), "geometry.d_max_km"),
+        ("persuasion.credibility", float("nan"), "persuasion.credibility"),
+        ("persuasion.credibility", float("inf"), "persuasion.credibility"),
+        ("persuasion.n_signals", float("nan"), "persuasion.n_signals"),
+        ("persuasion.budget_points", 0, "budget_points"),
+        ("persuasion.delay_snr_hi_db", float("nan"), "persuasion.delay_snr_hi_db"),
+        # the pass edge is 1,500 km away: 5.0 ms of propagation
+        ("persuasion.delay_max_ms", 4.0, "delay_max_ms 4.0 is below"),
+    ])
+    def test_non_finite_and_out_of_range_scalars_rejected(self, key, bad, message):
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        *parents, leaf = key.split(".")
+        target = raw
+        for k in parents:
+            target = target[int(k)] if k.isdigit() else target[k]
+        target[leaf] = bad
+        with pytest.raises(ConfigError, match=message):
             from_dict(raw)
 
     def test_config_echo_round_trips_every_field(self):

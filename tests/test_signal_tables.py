@@ -12,7 +12,7 @@ from satdefsim.config import default_scenario
 from satdefsim.engine import SignalTable, choice_cdf, run_episode
 from satdefsim.persuasion import BudgetCurve, PersuasionGame, lyapunov_drift
 
-from conftest import signal_plan
+from conftest import clear_engine_caches
 from test_golden import record
 
 ATOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -138,8 +138,8 @@ def all_default_tables(cfg):
     """The distinct tables of a scenario's star, star-static and stardis
     plans; stardis's at credibility 0.03, where each window gives some
     slots budget level 0 and some level 1."""
-    plans = [signal_plan(cfg, "star"), signal_plan(cfg, "star-static"),
-             signal_plan(with_persuasion(cfg, credibility=0.03), "stardis")]
+    plans = [engine._signal_plan(cfg, "star"), engine._signal_plan(cfg, "star-static"),
+             engine._signal_plan(with_persuasion(cfg, credibility=0.03), "stardis")]
     return engine.persuasion_assets(cfg), [t for plan in plans for t in distinct_tables(plan)]
 
 
@@ -203,18 +203,18 @@ class TestTables:
                 assert table.drift(belief) == lyapunov_drift(belief, table.policy, assets.game)
 
     def test_each_table_built_once(self, monkeypatch):
-        monkeypatch.setattr(engine, "_ASSETS", {})
+        clear_engine_caches()
         updates = count_calls(monkeypatch, "belief_update")
         drifts = count_calls(monkeypatch, "lyapunov_drift")
         cfg = default_scenario(horizon=200)
         run_episode(cfg, 0, "stardis")
-        built = distinct_tables(signal_plan(cfg, "stardis"))
+        built = distinct_tables(engine._signal_plan(cfg, "stardis"))
         assert built and updates["n"] == sum(len(t.posteriors) for t in built)
         first_drifts = drifts["n"]
         for seed in (1, 2):
             run_episode(cfg, seed, "stardis")
         assert updates["n"] == sum(len(t.posteriors) for t in built)
-        assert distinct_tables(signal_plan(cfg, "stardis")) == built
+        assert distinct_tables(engine._signal_plan(cfg, "stardis")) == built
         # memo misses only: at most one per (table, distinct belief)
         assert 0 < first_drifts <= drifts["n"] <= sum(len(t.posteriors) + 1 for t in built)
         assert drifts["n"] == sum(len(t._drift) for t in built)
@@ -246,16 +246,16 @@ def test_rebuilt_curve_gets_fresh_tables(monkeypatch):
     object (and so ``id``) a new policy has taken over."""
     cfg = default_scenario(horizon=200)
     points = cfg.persuasion.budget_points
-    monkeypatch.setattr(engine, "_ASSETS", {})
+    clear_engine_caches()
     cold = record(cfg, 0, "stardis")
 
-    monkeypatch.setattr(engine, "_ASSETS", {})
+    clear_engine_caches()
     monkeypatch.setattr(engine, "BudgetCurve", RecyclingCurve)
     monkeypatch.setattr(RecyclingCurve, "recycled", [])
     assets = engine.persuasion_assets(cfg)
     assert record(cfg, 0, "stardis") == cold
     for p in (points, 5, points, 9, points):
-        plan = signal_plan(with_persuasion(cfg, budget_points=p), "stardis")
+        plan = engine._signal_plan(with_persuasion(cfg, budget_points=p), "stardis")
         curve = assets.curve(p)
         for budget, table in zip(plan.budgets.tolist(), plan.tables):
             policy = curve.solutions[curve.budgets.tolist().index(budget)].policy
@@ -263,3 +263,4 @@ def test_rebuilt_curve_gets_fresh_tables(monkeypatch):
             for m, (belief, _, _) in table.posteriors.items():
                 assert np.array_equal(belief, belief_update(assets.game.prior, m, policy))
     assert record(cfg, 0, "stardis") == cold
+    clear_engine_caches()  # later tests get curves that recycle no arrays
