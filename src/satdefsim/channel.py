@@ -15,6 +15,7 @@ cancels catastrophically for moderate y.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,15 @@ class ChannelParams:
     snr_threshold_db: float = 5.0
 
     def __post_init__(self):
-        if self.b0 <= 0 or self.m <= 0 or self.omega < 0:
-            raise ValueError("require b0 > 0, m > 0, omega >= 0")
+        # each check passes only valid values, so NaN fails it
+        if not 0.0 < self.b0 < math.inf:
+            raise ValueError(f"b0 must be finite and > 0, got {self.b0}")
+        if not 0.0 < self.m < math.inf:
+            raise ValueError(f"m must be finite and > 0, got {self.m}")
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+        if not math.isfinite(self.snr_threshold_db):
+            raise ValueError(f"snr_threshold_db must be finite, got {self.snr_threshold_db}")
 
     @property
     def mean_envelope_power(self) -> float:

@@ -147,7 +147,7 @@ def _cmd_persuasion_solve(args) -> int:
     sol = solve_persuasion(game, budget, args.subdivisions)
     cost = sol.credibility
     doc = {
-        "schema_version": 2,
+        "schema_version": 3,
         "build_id": build_id(),
         "objective": sol.objective,
         "credibility_budget": budget,
@@ -155,7 +155,7 @@ def _cmd_persuasion_solve(args) -> int:
         "budget_slack": budget - cost,
         "support_size": len(sol.split.weights),
         "lp_columns": sol.lp_columns,
-        "pricing_rounds": sol.pricing_rounds,
+        "pivots": list(sol.pivots),
         "posteriors": [list(map(float, p)) for p in sol.split.posteriors],
         "weights": list(map(float, sol.split.weights)),
         "policy": [list(map(float, row)) for row in sol.policy],
@@ -164,7 +164,7 @@ def _cmd_persuasion_solve(args) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"objective={sol.objective:.6f} cost={cost:.6f} support={doc['support_size']} "
-          f"lp_columns={sol.lp_columns} pricing_rounds={sol.pricing_rounds}")
+          f"lp_columns={sol.lp_columns} pivots={sol.pivots[0]}+{sol.pivots[1]}")
     return 0
 
 

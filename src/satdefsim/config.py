@@ -37,7 +37,7 @@ class PersuasionSettings:
     credibility: float = 0.2
     prior_scan: float = 0.5
     belief_threshold: float = 0.55
-    subdivisions: int | None = None  # default: dimension-aware
+    subdivisions: int | None = None  # None: the exact candidates; an int: that simplex grid
     budget_points: int = 13
     units_per_slot: int = 32  # not parsed or used; perfbench/worker.py reads it
     delay_max_ms: float = 350.0
@@ -203,6 +203,14 @@ def _parse_task(raw: dict, power_scale: float) -> TaskSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _build(section: str, cls, **kwargs):
+    """``cls(**kwargs)``, with the field a ``ValueError`` names put under ``section``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
 def from_dict(raw: dict) -> ScenarioConfig:
     raw = dict(raw)
     try:
@@ -222,7 +230,8 @@ def from_dict(raw: dict) -> ScenarioConfig:
         _no_leftovers(scan_raw, "scan")
 
         util_raw = dict(_take(raw, "utility", {}))
-        utility = UtilityParams(
+        utility = _build(
+            "utility", UtilityParams,
             detect_reward=float(_take(util_raw, "detect_reward", 10.0)),
             scan_cost=float(_take(util_raw, "scan_cost", 0.5)),
             load_penalty=float(_take(util_raw, "load_penalty", 2.0)),
@@ -234,7 +243,8 @@ def from_dict(raw: dict) -> ScenarioConfig:
 
         chan_raw = dict(_take(raw, "channel", required=True))
         fading = dict(_take(chan_raw, "fading", required=True))
-        channel = ChannelParams(
+        channel = _build(
+            "channel", ChannelParams,
             b0=float(_take(fading, "b0", required=True)),
             m=float(_take(fading, "m", required=True)),
             omega=float(_take(fading, "omega", required=True)),

@@ -1,30 +1,26 @@
 """Credibility-constrained signaling: state quantization, policies and
-posterior splits, the constrained persuasion solve as a finite LP over a
-belief-simplex grid, channel-adaptive budget allocation, artificial
-delay selection, and belief-drift instrumentation.
+posterior splits, the constrained persuasion solve as a finite LP,
+channel-adaptive budget allocation, artificial delay selection, and
+belief-drift instrumentation.
 
-The sender minimizes the receiver's best-response value over
-Bayes-plausible distributions of posteriors subject to an expected
-self-information budget: E[-log mu_m(omega)] = E[H(mu_m)] <= C, which is
-linear in the split weights, so discretizing the simplex makes the whole
-problem a linear program with one column per grid posterior.
+The sender minimizes the receiver's best-response value
+``V(mu) = max(payoff @ mu, 0)`` over Bayes-plausible distributions of
+posteriors subject to an expected self-information budget:
+E[-log mu_m(omega)] = E[H(mu_m)] <= C.  Both terms are sums over the
+posteriors of a function of one posterior (Kamenica & Gentzkow 2011), so
+over a finite set of candidate posteriors the problem is a linear program
+with one weight per candidate.
 
-Both the objective and the budget are posterior-separable (a sum over
-posteriors of a function of that posterior; Kamenica & Gentzkow 2011),
-so a column's reduced cost depends on its own posterior alone.  The LP
-is therefore solved by column generation (Gilmore & Gomory 1961): a
-small restricted master LP over a subset of the grid, priced against
-every grid point in one vectorized expression.  A basic optimal split
-uses at most ``n_states + 1`` posteriors, so the master stays small
-while the optimum is that of the full grid.
-
-The master has ``n_states + 1`` rows and at most a few hundred columns,
-so it is solved by a built-in dense primal simplex (numpy only).  It
-starts from the fully revealing split, which is feasible at every budget
->= 0: the simplex vertices carry the prior as weights and the budget
-row's slack the whole budget, so no phase 1 is needed.  Pivots follow
-Dantzig's rule and fall back to Bland's (1977) lowest-index rule after a
-run of degenerate pivots, so the simplex cannot cycle.
+A small candidate set is exact (Caplin, Dean & Leahy 2022).  With duals
+``y`` of the mean rows and ``lam <= 0`` of the budget row, a posterior
+``mu`` prices at ``V(mu) - y @ mu - lam * H(mu)``.  ``V`` is linear on
+each of its two pieces, ``payoff @ mu >= 0`` and ``<= 0``, and ``H`` is
+concave, so the price is concave on each piece and smallest at a vertex
+of a piece: a simplex vertex, or a point where ``payoff @ mu = 0`` crosses
+the edge between a state of positive and one of negative payoff.  When
+none of these prices below zero, no posterior does, so the LP over them
+attains the optimum over every split.  The LPs are small and solved by a
+built-in dense simplex (numpy only).
 """
 from __future__ import annotations
 
@@ -39,28 +35,20 @@ import numpy as np
 
 _EPS = 1e-12
 
-#: grid subdivisions per state-space size; grids of tens of thousands of
-#: posteriors, priced in full but entering the master LP only on demand
-DEFAULT_SUBDIVISIONS = {1: 1, 2: 200, 3: 100, 4: 60, 5: 28, 6: 16, 7: 12, 8: 10}
-
-# Column generation: the starting master holds the grid points on a sub-grid
-# of at most this many subdivisions (the vertices always among them), and
-# each pricing round adds at most this many of the most negative columns.
-_COARSE_SUBDIVISIONS = 6
-_PRICING_BATCH = 50
-_PRICING_TOL = 1e-12
-
-# Master simplex: reduced costs and step lengths within _SIMPLEX_TOL of 0
-# count as 0, direction entries at or below _PIVOT_TOL cannot leave the
-# basis, and a solve gives up after _MAX_PIVOTS_PER_COLUMN pivots per
-# master column.
+# Simplex: reduced costs and step lengths within _SIMPLEX_TOL of 0 count as
+# 0, direction entries at or below _PIVOT_TOL cannot leave the basis, and a
+# solve gives up after _MAX_PIVOTS_PER_COLUMN pivots per column.  Stage 2
+# keeps the splits within _VALUE_SLACK of the optimal value, and its start
+# counts as singular above the condition number _MAX_CONDITION.
 _SIMPLEX_TOL = 1e-12
 _PIVOT_TOL = 1e-9
 _MAX_PIVOTS_PER_COLUMN = 50
+_VALUE_SLACK = 1e-12
+_MAX_CONDITION = 1e10
 
 
 class InfeasibleSplitError(RuntimeError):
-    """The master LP of the discretized split problem could not be solved."""
+    """A split LP could not be solved."""
 
 
 @dataclass(frozen=True)
@@ -199,17 +187,6 @@ def policy_from_split(split: PosteriorSplit, prior, n_signals: int = 0) -> np.nd
     return pol
 
 
-def split_from_policy(policy, prior) -> PosteriorSplit:
-    """Posterior-split view of a signaling matrix under a prior."""
-    pol = np.asarray(policy, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    joint = prior[:, None] * pol
-    q = joint.sum(axis=0)
-    keep = q > _EPS
-    posts = (joint[:, keep] / q[keep]).T
-    return PosteriorSplit(posteriors=posts, weights=q[keep])
-
-
 def credibility_cost(policy, prior) -> float:
     """Expected self-information of the true state under the induced
     posterior, E[-log mu_m(omega)]; equals the conditional entropy of the
@@ -252,64 +229,63 @@ def is_subdivision_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
+def _entropies(posteriors: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each row; 0 log 0 = 0."""
+    return -np.sum(posteriors * np.log(np.where(posteriors > 0, posteriors, 1.0)), axis=1)
+
+
+def _exact_candidates(payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate posteriors that make the split LP exact, and their
+    values: the simplex vertices in state order, then for each state ``i``
+    of positive and ``j`` of negative payoff, in ``(i, j)`` order, the point
+    of their edge where ``payoff @ mu = 0``, valued exactly 0."""
+    i, j = np.nonzero((payoff > 0)[:, None] & (payoff < 0)[None, :])
+    edges = np.zeros((len(i), len(payoff)))
+    edges[np.arange(len(i)), i] = -payoff[j] / (payoff[i] - payoff[j])
+    edges[np.arange(len(i)), j] = payoff[i] / (payoff[i] - payoff[j])
+    return np.vstack([np.eye(len(payoff)), edges]), np.append(np.maximum(payoff, 0.0), np.zeros(len(i)))
+
+
 @lru_cache(maxsize=8)
-def _grid_tables(
-    n_states: int, subdivisions: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The game-independent tables of one simplex grid, built once and
-    shared read-only by every solve on it: the points, each point's
-    entropy, the mask of the coarse sub-grid the master starts from, and
-    the grid index of each simplex vertex, in state order."""
+def _grid_tables(n_states: int, subdivisions: int) -> tuple[np.ndarray, ...]:
+    """The read-only tables of one simplex grid, shared by every solve on it:
+    the points, their entropies, the vertices' indices in state order, and
+    the points' tie-break ranks."""
     grid = simplex_grid(n_states, subdivisions)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.sum(np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0), axis=1)
-    # coarse sub-grid: every count a multiple of the smallest divisor of
-    # subdivisions that leaves at most _COARSE_SUBDIVISIONS steps per edge
-    stride = next(
-        d for d in range(1, subdivisions + 1)
-        if subdivisions % d == 0 and subdivisions // d <= _COARSE_SUBDIVISIONS
-    )
-    coarse = np.all(np.rint(grid * subdivisions).astype(np.int64) % stride == 0, axis=1)
     rows, states = np.nonzero(grid == 1.0)
-    vertices = rows[np.argsort(states)]
-    for table in (grid, ent, coarse, vertices):
+    tables = (grid, _entropies(grid), rows[np.argsort(states)], _ranks(grid))
+    for table in tables:
         table.flags.writeable = False
-    return grid, ent, coarse, vertices
+    return tables
 
 
-def _solve_master(cost, posteriors, ent, prior, budget, basis):
+def _solve_master(cost, posteriors, row, prior, bound, basis, ranks=None):
     """Minimize ``cost @ w`` over ``w >= 0`` with ``posteriors.T @ w ==
-    prior`` and ``ent @ w <= budget``: the restricted master LP, by a
-    dense revised primal simplex.
-
-    The budget row gets a slack, column ``k`` after the ``k`` master
+    prior`` and ``row @ w <= bound``, by a dense revised primal simplex.
+    The inequality's slack is column ``k``, after the ``k`` posterior
     columns.  ``basis`` holds ``n_states + 1`` column indices of a primal
-    feasible basis and is updated in place to an optimal one; a round of
-    column generation passes the previous round's optimum, which stays
-    feasible because rounds only add columns.
+    feasible basis and is updated in place to an optimal one.
 
-    - Entering column: the most negative reduced cost (Dantzig), lowest
-      index on ties.  Leaving row: the minimum ratio, lowest basic
-      column index on ties.
-    - After ``n_states + 1`` consecutive degenerate pivots both choices
-      follow Bland's rule (the lowest eligible index) until a pivot
-      moves the solution.  Bland's rule cannot cycle and every moving
-      pivot lowers the objective, so the loop ends.
+    Entering column: the most negative reduced cost (Dantzig), lowest index
+    on ties; leaving row: the minimum ratio, lowest basic column index on
+    ties.  After ``n_states + 1`` consecutive degenerate pivots both follow
+    Bland's rule (the lowest eligible index) until a pivot moves the
+    solution, so the simplex cannot cycle.  Given ``ranks``, pivots then go
+    on to the lexicographically largest optimum (``_lexicographic_column``).
 
-    Returns ``(w, fun, y, lam)`` with ``y`` the duals of the mean rows
-    and ``lam <= 0`` that of the budget row, signed like HiGHS's
-    marginals (the sensitivity of the optimum to each right-hand side).
+    Returns ``(w, fun, y, lam, pivots)``: ``y`` and ``lam <= 0`` are the duals
+    of the mean rows and the inequality, signed like HiGHS's marginals.
     """
     m = len(prior) + 1
     k = len(cost)
     a = np.zeros((m, k + 1))
     a[:-1, :k] = posteriors.T
-    a[-1, :k] = ent
+    a[-1, :k] = row
     a[-1, k] = 1.0
     c = np.append(cost, 0.0)
-    rhs = np.append(prior, budget)
+    rhs = np.append(prior, bound)
     degenerate = 0
-    for _ in range(_MAX_PIVOTS_PER_COLUMN * (k + 1)):
+    for pivots in range(_MAX_PIVOTS_PER_COLUMN * (k + 1)):
         binv = np.linalg.inv(a[:, basis])
         xb = binv @ rhs
         pi = c[basis] @ binv
@@ -317,26 +293,94 @@ def _solve_master(cost, posteriors, ent, prior, budget, basis):
         if degenerate < m:
             q = int(np.argmin(reduced))
             if reduced[q] >= -_SIMPLEX_TOL:
-                break
+                q = -1
         else:
             eligible = np.flatnonzero(reduced < -_SIMPLEX_TOL)
-            if len(eligible) == 0:
-                break
-            q = int(eligible[0])
+            q = int(eligible[0]) if len(eligible) else -1
+        if q < 0 and ranks is not None:
+            q = _lexicographic_column(binv, a, reduced, basis, ranks)
+        if q < 0:
+            break
         u = binv @ a[:, q]
         rows = np.flatnonzero(u > _PIVOT_TOL)
         if len(rows) == 0:
-            raise InfeasibleSplitError(f"master LP unbounded along column {q}")
+            raise InfeasibleSplitError(f"split LP unbounded along column {q}")
         ratios = np.maximum(xb[rows], 0.0) / u[rows]
         theta = ratios.min()
         ties = rows[ratios <= theta + _SIMPLEX_TOL]
         basis[ties[np.argmin(basis[ties])]] = q
         degenerate = degenerate + 1 if theta <= _SIMPLEX_TOL else 0
     else:
-        raise InfeasibleSplitError(f"master LP not solved in {_MAX_PIVOTS_PER_COLUMN * (k + 1)} pivots")
+        raise InfeasibleSplitError(f"split LP not solved in {_MAX_PIVOTS_PER_COLUMN * (k + 1)} pivots")
     w = np.zeros(k + 1)
     w[basis] = xb
-    return w[:k], float(c[basis] @ xb), pi[:-1], float(pi[-1])
+    return w[:k], float(c[basis] @ xb), pi[:-1], float(pi[-1]), pivots
+
+
+def _lexicographic_column(binv, a, reduced, basis, ranks) -> int:
+    """The lowest-index column that enters an optimum at no cost and makes
+    the weights lexicographically larger in rank order, or -1.  Column ``j``
+    raises ``w_j`` and moves basic weight ``b`` by ``-u[b]``, ``u = binv @
+    a[:, j]``; the lowest ranked change decides (the slack is unranked).
+    This is Bland's rule for the cost minus ``sum_r eps**(r + 1) *
+    w_(rank r)``, so it cannot cycle."""
+    free = np.abs(reduced) <= _SIMPLEX_TOL
+    free[basis] = False
+    ranked = np.append(ranks, np.inf)
+    for j in np.flatnonzero(free):
+        u = binv @ a[:, j]
+        moved = np.where(np.abs(u) > _PIVOT_TOL, ranked[basis], np.inf)
+        b = int(np.argmin(moved))
+        if ranked[j] < moved[b] or (moved[b] < np.inf and u[b] < 0):
+            return int(j)
+    return -1
+
+
+def _stage_two_start(values, posteriors, ent, prior, level, basis, w) -> None:
+    """Turn stage 1's optimal ``basis`` (weights ``w``) into a feasible start
+    for stage 2 in place, its slack now that of the value row.
+
+    A basic budget slack keeps stage 1's split: a feasible start.  Else the
+    start is singular when every basic posterior lies on one linear piece of
+    ``V``, and may be infeasible.  Then a crossover phase 1 moves stage 1's
+    split along the null direction of its basic posteriors' mean rows, the
+    way that does not raise the value (or, where the value stays, lowers
+    the entropy), until a weight vanishes; the other columns and the value
+    slack form a feasible basis.
+    """
+    k = len(values)
+    if k in basis:
+        return
+    start = np.vstack([posteriors.T, values])[:, basis]
+    if (np.linalg.cond(start) < _MAX_CONDITION
+            and np.linalg.solve(start, np.append(prior, level)).min() >= -_SIMPLEX_TOL):
+        return
+    d = np.linalg.svd(posteriors[basis].T)[2][-1]
+    slope = values[basis] @ d
+    if abs(slope) <= _SIMPLEX_TOL:
+        slope = ent[basis] @ d
+    if slope > 0:
+        d = -d
+    down = np.flatnonzero(d < -_PIVOT_TOL)
+    basis[down[np.argmin(np.maximum(w[basis[down]], 0.0) / -d[down])]] = k
+
+
+def _ranks(posteriors: np.ndarray) -> np.ndarray:
+    """Each posterior's rank in decreasing lexicographic order."""
+    return np.argsort(np.lexsort(posteriors.T[::-1])[::-1])
+
+
+def _split_lp(values, posteriors, ent, prior, budget, vertices, ranks):
+    """Both stages of the split LP over the given candidates, with
+    ``vertices`` the index of each simplex vertex in state order and
+    ``ranks`` the candidates' tie-break ranks (``_ranks``).  Returns the
+    weights, stage 1's optimum and each stage's pivots."""
+    basis = np.append(vertices, len(values))  # the fully revealing split
+    w, objective, _, _, first = _solve_master(values, posteriors, ent, prior, budget, basis)
+    level = objective + _VALUE_SLACK
+    _stage_two_start(values, posteriors, ent, prior, level, basis, w)
+    w, _, _, _, second = _solve_master(ent, posteriors, values, prior, level, basis, ranks)
+    return w, objective, (first, second)
 
 
 @dataclass
@@ -345,8 +389,8 @@ class PersuasionSolution:
     policy: np.ndarray
     objective: float
     credibility: float
-    lp_columns: int  # grid posteriors in the final master LP
-    pricing_rounds: int  # passes over the whole grid, the last one finding none
+    lp_columns: int  # candidate posteriors, one LP column each
+    pivots: tuple[int, int]  # simplex pivots of stage 1 and of stage 2 with its tie-break
 
 
 def solve_persuasion(
@@ -357,82 +401,41 @@ def solve_persuasion(
     """Minimize the receiver's expected best-response value over
     Bayes-plausible posterior splits with E[H(posterior)] <= budget.
 
-    The split LP has one weight per simplex grid point, one equality row
-    per state (the mean constraint; the sum-to-one row is implied) and
-    one budget inequality.  It is solved by column generation:
+    The candidates are, for ``subdivisions=None``, the exact set of the
+    module docstring (``_exact_candidates``).  An int is the grid oracle:
+    the points of ``simplex_grid(n_states, subdivisions)``, whose tables are
+    built once and shared, and whose optimum is never below the exact one.
+    The LP has a weight per candidate, a mean row per state and one
+    inequality, and is solved in two stages by ``_solve_master``:
 
-    - The restricted master is that LP over a subset of the grid, kept
-      in grid-index order.  It starts from the points of a coarse
-      sub-grid, which include the simplex vertices, so the fully
-      revealing split makes it feasible at every budget >= 0.
-    - Each master is solved by the built-in simplex of ``_solve_master``.
-      The first starts from the fully revealing basis (the vertices
-      weighted by the prior, the budget slack at the whole budget);
-      each later one from the previous round's optimal basis.  Pivots
-      follow Dantzig's rule, and Bland's after a run of degenerate
-      pivots, so no solve cycles.
-    - Pricing: with ``y`` the duals of the mean rows and ``lam <= 0``
-      that of the budget row, grid point ``mu`` has reduced cost
-      ``V(mu) - y @ mu - lam * H(mu)``, computed for the whole grid at
-      once.  Up to ``_PRICING_BATCH`` of the most negative points not yet
-      in the master are added (ties go to the lower grid index) and the
-      master is solved again.
-    - Stop when no grid point prices below ``-_PRICING_TOL``.  The
-      master's duals are then feasible for the dual of the full-grid LP,
-      so by LP duality the master's optimum is the full grid's.  Each
-      round adds a new column, so the loop ends.
+    1. Minimize the value within the budget, from the fully revealing basis
+       (the vertices at the prior, the budget slack at the whole budget),
+       feasible at every budget >= 0.  This optimum is ``objective``.
+    2. Minimize the expected entropy, the credibility spent, over the splits
+       of value at most stage 1's optimum + ``_VALUE_SLACK``, from stage 1's
+       basis (``_stage_two_start``).  A tie left goes to the split whose
+       weights, over the candidates in decreasing lexicographic order of
+       their posteriors, are lexicographically largest, so the split
+       depends on the candidate set, not on its order.
 
-    Support, weights and the policy (one signal per support posterior)
-    are read from the final master.  The grid, its entropies and the
-    starting master are built once per ``(n_states, subdivisions)`` and
-    shared by later solves; ``subdivisions`` must be None (the default
-    grid for ``n_states``) or an int >= 1.
+    The split and policy (a signal per support posterior) are stage 2's.
     """
     if budget < 0:
         raise ValueError("credibility budget must be >= 0")
     n = game.n_states
     if subdivisions is None:
-        subs = DEFAULT_SUBDIVISIONS.get(n)
-        if subs is None:
-            raise ValueError(f"no default grid for {n} states; pass subdivisions")
+        posteriors, values = _exact_candidates(game.attack_payoff)
+        ent, vertices, ranks = _entropies(posteriors), np.arange(n), _ranks(posteriors)
     elif not is_subdivision_count(subdivisions):
         raise ValueError(f"subdivisions must be None or an int >= 1, got {subdivisions!r}")
     else:
-        subs = int(subdivisions)
-    grid, ent, coarse, vertices = _grid_tables(n, subs)
-    values = np.maximum(grid @ game.attack_payoff, 0.0)
-    in_master = coarse.copy()
-    # the master's basis as grid indices, len(grid) standing for the
-    # budget slack; it starts at the fully revealing split
-    slack = len(grid)
-    basic = np.append(vertices, slack)
-    rounds = 0
-    while True:
-        cols = np.flatnonzero(in_master)
-        labels = np.append(cols, slack)
-        basis = np.searchsorted(labels, basic)
-        w, fun, y, lam = _solve_master(values[cols], grid[cols], ent[cols], game.prior, budget, basis)
-        basic = labels[basis]
-        rounds += 1
-        reduced = values - grid @ y - lam * ent
-        reduced[in_master] = np.inf
-        entering = np.flatnonzero(reduced < -_PRICING_TOL)
-        if len(entering) == 0:
-            break
-        in_master[entering[np.argsort(reduced[entering], kind="stable")[:_PRICING_BATCH]]] = True
+        posteriors, ent, vertices, ranks = _grid_tables(n, int(subdivisions))
+        values = np.maximum(posteriors @ game.attack_payoff, 0.0)
+    w, objective, pivots = _split_lp(values, posteriors, ent, game.prior, budget, vertices, ranks)
     support = w > 1e-10
-    weights = w[support]
-    weights = weights / weights.sum()
-    split = PosteriorSplit(posteriors=grid[cols[support]], weights=weights)
+    split = PosteriorSplit(posteriors=posteriors[support], weights=w[support] / w[support].sum())
     policy = policy_from_split(split, game.prior, game.n_signals)
-    return PersuasionSolution(
-        split=split,
-        policy=policy,
-        objective=fun,
-        credibility=credibility_cost(policy, game.prior),
-        lp_columns=len(cols),
-        pricing_rounds=rounds,
-    )
+    return PersuasionSolution(split, policy, objective, credibility_cost(policy, game.prior), len(values), pivots)
 
 
 def min_attacker_value(game: PersuasionGame) -> float:
@@ -442,11 +445,6 @@ def min_attacker_value(game: PersuasionGame) -> float:
     smallest at a vertex, so the minimum is ``max(min(payoff), 0)``.
     """
     return max(float(np.min(game.attack_payoff)), 0.0)
-
-
-def is_equilibrium_belief(belief, game: PersuasionGame, tol: float = 1e-9) -> bool:
-    """Membership in the set of beliefs attaining the minimal receiver value."""
-    return attacker_value(belief, game) <= min_attacker_value(game) + tol
 
 
 def lyapunov_drift(belief, policy, game: PersuasionGame) -> float:

@@ -67,8 +67,8 @@ class UtilityParams:
 
     def __post_init__(self):
         for name in ("detect_reward", "scan_cost", "load_penalty", "steepness", "midpoint", "ceiling"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.margin_rule not in ("window", "slot"):
             raise ValueError("margin_rule must be 'window' or 'slot'")
-        if self.power_budget <= 0:
-            raise ValueError("power budget must be positive")
+        if not 0.0 < self.power_budget < math.inf:  # NaN fails too
+            raise ValueError(f"power budget must be finite and positive, got {self.power_budget}")
 
 
 def detection_performance(scan_freq: float, scan_duration: int, p: UtilityParams) -> float:

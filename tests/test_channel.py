@@ -97,6 +97,13 @@ class TestDensity:
         with pytest.raises(ValueError):
             ChannelParams(b0=0.1, m=-1.0, omega=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["b0", "m", "omega", "snr_threshold_db"])
+    def test_non_finite_params_rejected(self, name, bad):
+        fields = {"b0": 0.158, "m": 19.4, "omega": 1.29, "snr_threshold_db": 5.0}
+        with pytest.raises(ValueError, match=name):
+            ChannelParams(**{**fields, name: bad})
+
 
 class TestSampler:
     def test_ks_distance_to_numeric_cdf(self):

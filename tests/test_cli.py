@@ -146,13 +146,14 @@ def test_persuasion_solve(tmp_path):
     doc = json.loads((out / "persuasion_solution.json").read_text())
     assert doc["objective"] == pytest.approx(0.5, abs=1e-6)
     assert doc["credibility_cost"] == pytest.approx(0.0, abs=1e-9)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["budget_slack"] == doc["credibility_budget"] - doc["credibility_cost"]
     assert doc["budget_slack"] >= -1e-9
     assert doc["support_size"] == len(doc["weights"]) == len(doc["posteriors"])
     assert 1 <= doc["support_size"] <= 3  # at most n_states + 1
-    assert doc["lp_columns"] >= doc["support_size"]
-    assert doc["pricing_rounds"] >= 1
+    assert doc["lp_columns"] == 3  # the 2 vertices and the edge point (.5, .5)
+    assert len(doc["pivots"]) == 2 and all(isinstance(p, int) and p >= 0 for p in doc["pivots"])
+    assert "pricing_rounds" not in doc
 
 
 def test_persuasion_solve_rejects_too_few_signals(tmp_path):
@@ -246,6 +247,18 @@ def test_channel_validate_rejects_bad_grid(tmp_path, capsys, flags, message):
     assert main(["channel-validate", "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "envelope_distribution.csv").exists()
+
+
+@pytest.mark.parametrize("flag,field", [
+    ("--b0", "b0"), ("--m", "m must"), ("--omega", "omega"), ("--threshold-db", "snr_threshold_db"),
+])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_channel_validate_rejects_non_finite_parameters(tmp_path, capsys, flag, field, bad):
+    out = tmp_path / "chan"
+    assert main(["channel-validate", "--out", str(out), flag, bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
 
 
 def test_channel_validate_accepts_two_points(tmp_path):

@@ -16,6 +16,7 @@ from satdefsim.engine import (
     Interceptor,
     SignalTable,
     belief_entry,
+    persuasion_assets,
     run_benchmark_suite,
     run_episode,
     sweep,
@@ -72,6 +73,16 @@ class TestAccounting:
     def test_instance_identity(self, policy, overrides):
         m, _ = run_episode(small_cfg(**overrides), 5, policy)
         assert m.generated == m.completed + m.dropped + m.missed + m.residual
+
+    @pytest.mark.parametrize("policy", ["star-static", "stardis"])
+    def test_five_load_bins(self, policy):
+        # 10 states: past the largest state count the old simplex grids covered
+        cfg = small_cfg(persuasion={"z_bins": 5})
+        m, tr = run_episode(cfg, 0, policy)
+        assert m.generated == m.completed + m.dropped + m.missed + m.residual
+        assert persuasion_assets(cfg).static_solution(0.2).lp_columns == 10 + 5 * 5
+        again = run_episode(cfg, 0, policy)
+        assert (m, tr.slots, tr.windows) == (again[0], again[1].slots, again[1].windows)
 
     @pytest.mark.parametrize("policy,overrides", policy_cases(POLICIES))
     def test_capacity_and_power_never_violated(self, policy, overrides):

@@ -6,9 +6,10 @@ import pytest
 from scipy import optimize, sparse
 from scipy import stats as scipy_stats
 
-from satdefsim import persuasion
+from satdefsim import engine, persuasion
+from satdefsim.config import default_scenario
+from satdefsim.engine import persuasion_assets
 from satdefsim.persuasion import (
-    DEFAULT_SUBDIVISIONS,
     BudgetCurve,
     InfeasibleSplitError,
     PersuasionGame,
@@ -19,15 +20,16 @@ from satdefsim.persuasion import (
     choose_artificial_delay,
     credibility_cost,
     entropy,
-    is_equilibrium_belief,
     lyapunov_drift,
     min_attacker_value,
     policy_from_split,
     quantize_state,
     simplex_grid,
     solve_persuasion,
-    split_from_policy,
 )
+
+from conftest import clear_engine_caches
+from oracles import is_equilibrium_belief, split_from_policy
 
 
 def two_state_game(payoff, prior=(0.5, 0.5), n_signals=4):
@@ -55,12 +57,11 @@ def _entropy_scalar(p):
     return -(p * math.log(p) + (1 - p) * math.log(1 - p))
 
 
-def full_grid_lp(game, budget, subdivisions=None):
-    """Oracle for the column-generation solver: the split LP over every
-    grid posterior at once, as one HiGHS solve.  Returns the optimum."""
-    n = game.n_states
-    subs = subdivisions or DEFAULT_SUBDIVISIONS[n]
-    grid = simplex_grid(n, subs)
+def full_grid_lp(game, budget, subdivisions):
+    """Grid oracle: the split LP over every posterior of a simplex grid, as
+    one HiGHS solve.  Returns the optimum, which the exact solver's can
+    only undercut."""
+    grid = simplex_grid(game.n_states, subdivisions)
     values = np.maximum(grid @ game.attack_payoff, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = -np.sum(np.where(grid > 0, grid * np.log(np.where(grid > 0, grid, 1.0)), 0.0), axis=1)
@@ -305,11 +306,72 @@ class TestSolver:
         assert np.all(sol.policy >= -1e-12)
 
 
-class TestColumnGeneration:
+def exact_lp(game):
+    """The exact candidates of a game as ``(values, posteriors, entropies)``."""
+    posteriors, values = persuasion._exact_candidates(game.attack_payoff)
+    return values, posteriors, np.array([entropy(mu) for mu in posteriors])
+
+
+def split_lp(values, posteriors, ent, prior, budget, vertices):
+    """Both stages of the split LP, with the tie-break ranks of the posteriors."""
+    return persuasion._split_lp(values, posteriors, ent, prior, budget, vertices, persuasion._ranks(posteriors))
+
+
+def highs_canonical_split(values, posteriors, ent, prior, budget):
+    """Oracle of the two-stage split LP and its tie rule, by HiGHS: the
+    least value within the budget, then the least expected entropy within
+    that value + 1e-12, then each weight in decreasing lexicographic order
+    of the posteriors maximized in turn.  Returns the weights and the
+    least value."""
+    lp = dict(A_eq=posteriors.T, b_eq=prior, bounds=(0, None), method="highs",
+              options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    first = optimize.linprog(values, A_ub=ent[None, :], b_ub=[budget], **lp)
+    assert first.status == 0, first.message
+    rows, rhs = [values], [first.fun + 1e-12]
+    res = optimize.linprog(ent, A_ub=np.array(rows), b_ub=rhs, **lp)
+    assert res.status == 0, res.message
+    rows.append(ent)
+    rhs.append(res.fun + 1e-10)
+    for c in np.lexsort(posteriors.T[::-1])[::-1]:
+        unit = -np.eye(len(values))[c]
+        res = optimize.linprog(unit, A_ub=np.array(rows), b_ub=rhs, **lp)
+        assert res.status == 0, res.message
+        rows.append(unit)
+        rhs.append(res.fun + 1e-9)
+    return res.x, float(first.fun)
+
+
+def exact_test_games(rng):
+    """Random 2- to 6-state games, some with a zero payoff, zero prior
+    entries or payoffs of one sign, and the default scan game."""
+    games = [build_scan_game(10.0, 0.1, 0.5, z_bins=2), build_scan_game(10.0, 0.1, 0.3, z_bins=3)]
+    for i in range(20):
+        n = 2 + i % 5
+        payoff = rng.uniform(-2, 2, n)
+        prior = rng.dirichlet(np.ones(n))
+        if i % 4 == 1:
+            payoff[rng.integers(n)] = 0.0
+        if i % 4 == 2:
+            prior[rng.integers(n)] = 0.0
+            prior /= prior.sum()
+        if i % 7 == 3:
+            payoff = np.abs(payoff) * (1 if i % 2 else -1)
+        games.append(PersuasionGame(attack_payoff=payoff, prior=prior, z_bins=n, z_rep=np.zeros(n),
+                                    scan_flag=np.zeros(n, dtype=int)))
+    return games
+
+
+#: the simplex-grid resolutions of the grid oracle, per number of states
+GRID_SUBDIVISIONS = {1: 1, 2: 200, 3: 100, 4: 60, 5: 28, 6: 16, 7: 12, 8: 10}
+
+
+class TestSplitLP:
     @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_matches_full_grid_lp(self, n):
+    def test_grid_path_matches_full_grid_lp(self, n):
+        # an int resolution solves over the whole grid, which the exact
+        # candidates can only undercut
         rng = np.random.default_rng(100 + n)
-        subs = DEFAULT_SUBDIVISIONS[n]
+        subs = GRID_SUBDIVISIONS[n]
         for g in range(3):
             prior = rng.dirichlet(np.ones(n))
             if g == 2:  # a state the sender never has to hide
@@ -323,15 +385,15 @@ class TestColumnGeneration:
                 scan_flag=np.zeros(n, dtype=int),
             )
             for budget in np.linspace(0.0, math.log(n), 5):
-                sol = solve_persuasion(game, float(budget))
-                assert sol.objective == pytest.approx(full_grid_lp(game, float(budget)), abs=1e-9)
+                sol = solve_persuasion(game, float(budget), subs)
+                assert sol.objective == pytest.approx(full_grid_lp(game, float(budget), subs), abs=1e-9)
+                assert solve_persuasion(game, float(budget)).objective <= sol.objective + 1e-12
                 sol.split.check_plausible(game.prior, tol=1e-9)
                 assert sol.credibility <= budget + 1e-9
                 counts = sol.split.posteriors * subs
                 np.testing.assert_allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
                 assert len(sol.split.weights) <= n + 1
-                assert sol.pricing_rounds >= 1
-                assert len(sol.split.weights) <= sol.lp_columns <= len(simplex_grid(n, subs))
+                assert sol.lp_columns == len(simplex_grid(n, subs))
 
     def test_budget_curve_uses_the_one_solve_path(self):
         game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
@@ -345,6 +407,143 @@ class TestColumnGeneration:
                 two_state_game([1.0, -1.0], n_signals=bad)
         for ok in (0, 3):
             assert two_state_game([1.0, -1.0], n_signals=ok).n_signals == ok
+
+    def test_candidates(self):
+        game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)  # payoffs 7.4, 2.4, -0.1, -0.1
+        values, posteriors, _ = exact_lp(game)
+        assert values.tolist() == [7.4, 2.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        np.testing.assert_allclose(posteriors[4:], [
+            [0.1 / 7.5, 0, 7.4 / 7.5, 0], [0.1 / 7.5, 0, 0, 7.4 / 7.5],
+            [0, 0.1 / 2.5, 2.4 / 2.5, 0], [0, 0.1 / 2.5, 0, 2.4 / 2.5],
+        ], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(posteriors[4:] @ game.attack_payoff, 0.0, atol=1e-15)
+        for payoff, count in (([1.0, 2.0], 2), ([-1.0, 0.0, -2.0], 3), ([0.5], 1), ([1.0, 0.0, -1.0, -2.0], 6)):
+            assert len(persuasion._exact_candidates(np.array(payoff))[0]) == count
+
+    def test_highs_returns_the_same_split(self):
+        rng = np.random.default_rng(71)
+        for game in exact_test_games(rng):
+            values, posteriors, ent = exact_lp(game)
+            n = game.n_states
+            for budget in (0.0, 0.03, 0.2, math.log(n)):
+                w, objective, _ = split_lp(values, posteriors, ent, game.prior, budget, np.arange(n))
+                oracle, least = highs_canonical_split(values, posteriors, ent, game.prior, budget)
+                assert objective == pytest.approx(least, abs=1e-9)
+                assert ent @ w == pytest.approx(ent @ oracle, abs=1e-9)
+                np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-6)
+
+    def test_permuted_candidates_give_the_same_split(self):
+        rng = np.random.default_rng(73)
+        for game in exact_test_games(rng):
+            values, posteriors, ent = exact_lp(game)
+            n = game.n_states
+            for budget in (0.0, 0.03, 0.2, math.log(n)):
+                w, objective, _ = split_lp(values, posteriors, ent, game.prior, budget, np.arange(n))
+                for _ in range(3):
+                    perm = rng.permutation(len(values))
+                    where = np.argsort(perm)  # the position of each candidate after the shuffle
+                    got, obj, _ = split_lp(values[perm], posteriors[perm], ent[perm], game.prior,
+                                                       budget, where[:n])
+                    assert obj == pytest.approx(objective, abs=1e-12)
+                    np.testing.assert_allclose(got[where], w, rtol=0, atol=1e-10)
+
+    def test_default_game_spends_the_least_credibility(self):
+        game = persuasion_assets(default_scenario()).game
+        sol = solve_persuasion(game, 0.2)
+        # each scan-on state pools all its mass with scan-off state 0 at the
+        # edge point mu_0 = 0.1 / 7.5, hiding 0.1 of value per unit of mass
+        mu = 0.1 / 7.5
+        spend = 2 * 0.25 / (1 - mu) * entropy([mu, 1 - mu])
+        assert sol.objective == pytest.approx(2.40, abs=1e-12)
+        assert sol.credibility == pytest.approx(spend, abs=1e-9)
+        assert round(sol.credibility, 4) == 0.0359
+        assert sol.lp_columns == 8 and len(sol.split.weights) == 4
+
+    def test_grid_lp_never_below_the_exact_optimum(self):
+        rng = np.random.default_rng(79)
+        subs = {2: 200, 3: 60, 4: 30, 5: 14, 6: 10, 7: 8, 8: 6}
+        for n in range(2, 9):
+            for _ in range(3):
+                game = random_game(rng, n)
+                for budget in (0.0, 0.05, 0.3, math.log(n)):
+                    exact = solve_persuasion(game, budget).objective
+                    assert exact <= full_grid_lp(game, budget, subs[n]) + 1e-9
+
+    def test_dual_certificate(self):
+        # stage 1's duals price every posterior, not only the candidates,
+        # at >= 0: the candidate LP's optimum is that over every split
+        rng = np.random.default_rng(83)
+        for game in exact_test_games(rng)[:8]:
+            values, posteriors, ent = exact_lp(game)
+            n = game.n_states
+            mus = np.vstack([rng.dirichlet(np.ones(n), 50_000), rng.dirichlet(np.full(n, 0.2), 50_000)])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = -np.sum(np.where(mus > 0, mus * np.log(mus), 0.0), axis=1)
+            for budget in (0.0, 0.03, 0.2):
+                basis = np.append(np.arange(n), len(values))
+                _, _, y, lam, _ = persuasion._solve_master(values, posteriors, ent, game.prior, budget, basis)
+                price = np.maximum(mus @ game.attack_payoff, 0.0) - mus @ y - lam * h
+                assert price.min() >= -1e-9
+
+    def test_singular_stage_two_start(self):
+        # payoffs 1, -1, -3: a stage-1 optimum whose 4 basic posteriors are
+        # all worth 0, so the value row of the stage-2 start is all zero
+        game = PersuasionGame(attack_payoff=[1.0, -1.0, -3.0], prior=[0.3, 0.35, 0.35], z_bins=3,
+                              z_rep=np.zeros(3), scan_flag=np.zeros(3, dtype=int))
+        values, posteriors, ent = exact_lp(game)  # e0, e1, e2, (.5, .5, 0), (.75, 0, .25)
+        basis = np.array([3, 4, 1, 2])
+        w = np.array([0.0, 0.2, 0.3, 0.3, 0.2])
+        np.testing.assert_allclose(posteriors.T @ w, game.prior, atol=1e-15)
+        assert np.linalg.cond(np.vstack([posteriors.T, ent])[:, basis]) < 100
+        assert np.linalg.cond(np.vstack([posteriors.T, values])[:, basis]) > persuasion._MAX_CONDITION
+        persuasion._stage_two_start(values, posteriors, ent, game.prior, 1e-12, basis, w)
+        assert 5 in basis  # the value slack
+        got, _, _, _, _ = persuasion._solve_master(ent, posteriors, values, game.prior, 1e-12, basis,
+                                                   persuasion._ranks(posteriors))
+        # state 0 is hidden at (.75, 0, .25), the cheaper edge per unit of its mass
+        np.testing.assert_allclose(got, [0.0, 0.35, 0.25, 0.0, 0.4], rtol=0, atol=1e-11)
+        oracle, _ = highs_canonical_split(values, posteriors, ent, game.prior, ent @ w)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-6)
+
+    def test_tie_goes_to_the_lexicographically_largest_split(self):
+        # payoffs 1, -1, -1: both edge points hide state 0 at the same
+        # entropy, so every mix of them spends the least credibility; the
+        # rule takes the most weight on (.5, .5, 0), the greater posterior
+        game = PersuasionGame(attack_payoff=[1.0, -1.0, -1.0], prior=[0.2, 0.4, 0.4], z_bins=3,
+                              z_rep=np.zeros(3), scan_flag=np.zeros(3, dtype=int))
+        sol = solve_persuasion(game, math.log(3))
+        np.testing.assert_allclose(sol.split.posteriors, [[0, 1, 0], [0, 0, 1], [0.5, 0.5, 0]], atol=1e-15)
+        np.testing.assert_allclose(sol.split.weights, [0.2, 0.4, 0.4], rtol=0, atol=1e-9)
+        assert sol.pivots[1] > 0
+        values, posteriors, ent = exact_lp(game)
+        oracle, _ = highs_canonical_split(values, posteriors, ent, game.prior, math.log(3))
+        w, _, _ = split_lp(values, posteriors, ent, game.prior, math.log(3), np.arange(3))
+        np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-6)
+
+    def test_cold_design_solves_exactly_without_a_grid(self, monkeypatch):
+        solves, grids = [], []
+        real_solve, real_grid = persuasion.solve_persuasion, persuasion.simplex_grid
+
+        def counting_solve(*args):
+            solves.append(real_solve(*args))
+            return solves[-1]
+
+        def counting_grid(*args):
+            grids.append(args)
+            return real_grid(*args)
+
+        for owner in (persuasion, engine):
+            monkeypatch.setattr(owner, "solve_persuasion", counting_solve)
+        monkeypatch.setattr(persuasion, "simplex_grid", counting_grid)
+        clear_engine_caches()
+        persuasion._grid_tables.cache_clear()
+        cfg = default_scenario()
+        assets = persuasion_assets(cfg)
+        assets.curve(cfg.persuasion.budget_points)
+        assets.static_solution(cfg.persuasion.credibility)
+        clear_engine_caches()
+        assert len(solves) == 14 and grids == []
+        assert [s.lp_columns for s in solves] == [8] * 14
 
 
 def master_lp(rng, n, extra, payoff=None, prior=None):
@@ -368,7 +567,7 @@ def master_lp(rng, n, extra, payoff=None, prior=None):
 
 def check_master_against_highs(cost, posteriors, ent, prior, budget, basis, tol=1e-9):
     start = basis.copy()
-    w, fun, y, lam = persuasion._solve_master(cost, posteriors, ent, prior, budget, basis)
+    w, fun, y, lam, _ = persuasion._solve_master(cost, posteriors, ent, prior, budget, basis)
     res = optimize.linprog(cost, A_ub=ent[None, :], b_ub=[budget], A_eq=posteriors.T, b_eq=prior,
                            bounds=(0, None), method="highs")
     assert res.status == 0, res.message
@@ -438,8 +637,8 @@ class TestMasterSimplex:
                 check_master_against_highs(cost, posteriors, ent, prior, budget, basis.copy())
 
     def test_warm_start_from_an_optimal_basis(self):
-        # a later pricing round starts from the previous optimum: adding
-        # columns keeps it feasible, and the warm solve matches a cold one
+        # an optimum over some of the columns stays feasible when the rest
+        # are added, and a warm solve from it matches a cold one
         rng = np.random.default_rng(53)
         for n in (2, 4, 6):
             cost, posteriors, ent, prior, basis = master_lp(rng, n, 90)
@@ -450,7 +649,7 @@ class TestMasterSimplex:
             sub = np.searchsorted(labels, basis)
             persuasion._solve_master(cost[head], posteriors[head], ent[head], prior, budget, sub)
             _, warm, _, _ = check_master_against_highs(cost, posteriors, ent, prior, budget, labels[sub])
-            _, cold, _, _ = persuasion._solve_master(cost, posteriors, ent, prior, budget, basis)
+            _, cold, _, _, _ = persuasion._solve_master(cost, posteriors, ent, prior, budget, basis)
             assert warm == pytest.approx(cold, abs=1e-12)
 
     def test_exhausted_pivots_raise(self, monkeypatch):
@@ -473,7 +672,7 @@ class TestEdgeGames:
         game = PersuasionGame(attack_payoff=payoff, prior=[0.3, 0.3, 0.4], z_bins=3, z_rep=np.zeros(3),
                               scan_flag=np.zeros(3, dtype=int))
         for budget in (0.0, 0.3, math.log(3)):
-            assert solve_persuasion(game, budget).objective == pytest.approx(full_grid_lp(game, budget), abs=1e-9)
+            assert solve_persuasion(game, budget).objective == pytest.approx(full_grid_lp(game, budget, 100), abs=1e-9)
 
 
 def old_min_attacker_value(game):
@@ -518,7 +717,7 @@ def random_game(rng, n):
 def assert_same_solution(a, b):
     assert a.objective == b.objective
     assert a.credibility == b.credibility
-    assert (a.lp_columns, a.pricing_rounds) == (b.lp_columns, b.pricing_rounds)
+    assert (a.lp_columns, a.pivots) == (b.lp_columns, b.pivots)
     for x, y in ((a.split.posteriors, b.split.posteriors), (a.split.weights, b.split.weights),
                  (a.policy, b.policy)):
         assert x.dtype == y.dtype and x.shape == y.shape
@@ -541,22 +740,22 @@ class TestGridTables:
 
         monkeypatch.setattr(persuasion, "simplex_grid", counting_grid)
         game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
-        BudgetCurve(game, 13)
-        solve_persuasion(game, 0.2)
-        assert calls == [(4, DEFAULT_SUBDIVISIONS[4])]
+        BudgetCurve(game, 13, subdivisions=60)
+        solve_persuasion(game, 0.2, 60)
+        assert calls == [(4, 60)]
 
     def test_tables_are_read_only(self):
-        solve_persuasion(build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2), 0.2)
-        for table in persuasion._grid_tables(4, DEFAULT_SUBDIVISIONS[4]):
+        solve_persuasion(build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2), 0.2, 60)
+        for table in persuasion._grid_tables(4, 60):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
 
     def test_solution_shares_no_memory_with_the_tables(self):
         game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
-        tables = persuasion._grid_tables(4, DEFAULT_SUBDIVISIONS[4])
+        tables = persuasion._grid_tables(4, 60)
         for budget in np.linspace(0.0, math.log(4), 5):
-            sol = solve_persuasion(game, float(budget))
+            sol = solve_persuasion(game, float(budget), 60)
             for out in (sol.split.posteriors, sol.split.weights, sol.policy):
                 assert not any(np.shares_memory(out, table) for table in tables)
 
@@ -564,11 +763,11 @@ class TestGridTables:
     def test_cold_and_warm_solves_are_identical(self, n):
         rng = np.random.default_rng(200 + n)
         game, other = random_game(rng, n), random_game(rng, n)
-        budget = 0.3 * math.log(n)
-        cold = solve_persuasion(game, budget)
+        budget, subs = 0.3 * math.log(n), GRID_SUBDIVISIONS[n]
+        cold = solve_persuasion(game, budget, subs)
         assert persuasion._grid_tables.cache_info().currsize == 1
-        solve_persuasion(other, 0.5 * budget)  # another game on the same tables
-        warm = solve_persuasion(game, budget)
+        solve_persuasion(other, 0.5 * budget, subs)  # another game on the same tables
+        warm = solve_persuasion(game, budget, subs)
         assert persuasion._grid_tables.cache_info().hits == 2
         assert_same_solution(cold, warm)
 

@@ -27,6 +27,15 @@ SCAN = ScanTask(demand=np.array([0.15, 0.05]), power_weight=0.1, duration=5)
 CFG = SchedulerConfig(scan=SCAN)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_invalid_weights_and_power_budget_rejected(bad):
+    for name in ("detect_reward", "scan_cost", "load_penalty", "steepness", "midpoint", "ceiling"):
+        with pytest.raises(ValueError, match=name):
+            UtilityParams(**{name: bad})
+    with pytest.raises(ValueError, match="power budget"):
+        SchedulerConfig(scan=SCAN, power_budget=bad)
+
+
 class TestDetectionCurve:
     def test_midpoint(self):
         assert detection_performance(0.1, 5, UTIL) == pytest.approx(0.5)  # f*d_s = theta
