@@ -38,13 +38,11 @@ _EPS = 1e-12
 # Simplex: reduced costs and step lengths within _SIMPLEX_TOL of 0 count as
 # 0, direction entries at or below _PIVOT_TOL cannot leave the basis, and a
 # solve gives up after _MAX_PIVOTS_PER_COLUMN pivots per column.  Stage 2
-# keeps the splits within _VALUE_SLACK of the optimal value, and its start
-# counts as singular above the condition number _MAX_CONDITION.
+# keeps the splits within _VALUE_SLACK of the optimal value.
 _SIMPLEX_TOL = 1e-12
 _PIVOT_TOL = 1e-9
 _MAX_PIVOTS_PER_COLUMN = 50
 _VALUE_SLACK = 1e-12
-_MAX_CONDITION = 1e10
 
 
 class InfeasibleSplitError(RuntimeError):
@@ -336,24 +334,22 @@ def _lexicographic_column(binv, a, reduced, basis, ranks) -> int:
     return -1
 
 
-def _stage_two_start(values, posteriors, ent, prior, level, basis, w) -> None:
+def _stage_two_start(values, posteriors, ent, basis, w) -> None:
     """Turn stage 1's optimal ``basis`` (weights ``w``) into a feasible start
     for stage 2 in place, its slack now that of the value row.
 
     A basic budget slack keeps stage 1's split: a feasible start.  Else the
-    start is singular when every basic posterior lies on one linear piece of
-    ``V``, and may be infeasible.  Then a crossover phase 1 moves stage 1's
-    split along the null direction of its basic posteriors' mean rows, the
-    way that does not raise the value (or, where the value stays, lowers
-    the entropy), until a weight vanishes; the other columns and the value
-    slack form a feasible basis.
+    ``n + 1`` basic posteriors alone may give a singular start (when all lie
+    on one linear piece of ``V``), so a crossover phase 1 moves stage 1's
+    split along the null direction ``d`` of their mean rows, the way that
+    does not raise the value (or, where the value stays, lowers the
+    entropy), until a weight vanishes.  The mean rows have rank ``n`` and
+    ``sum(d) = 0``, so some weight falls, and the column that leaves has
+    ``d != 0``: the other posteriors and the value slack form a feasible,
+    nonsingular basis.
     """
     k = len(values)
     if k in basis:
-        return
-    start = np.vstack([posteriors.T, values])[:, basis]
-    if (np.linalg.cond(start) < _MAX_CONDITION
-            and np.linalg.solve(start, np.append(prior, level)).min() >= -_SIMPLEX_TOL):
         return
     d = np.linalg.svd(posteriors[basis].T)[2][-1]
     slope = values[basis] @ d
@@ -378,7 +374,7 @@ def _split_lp(values, posteriors, ent, prior, budget, vertices, ranks):
     basis = np.append(vertices, len(values))  # the fully revealing split
     w, objective, _, _, first = _solve_master(values, posteriors, ent, prior, budget, basis)
     level = objective + _VALUE_SLACK
-    _stage_two_start(values, posteriors, ent, prior, level, basis, w)
+    _stage_two_start(values, posteriors, ent, basis, w)
     w, _, _, _, second = _solve_master(ent, posteriors, values, prior, level, basis, ranks)
     return w, objective, (first, second)
 

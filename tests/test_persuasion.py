@@ -495,8 +495,8 @@ class TestSplitLP:
         w = np.array([0.0, 0.2, 0.3, 0.3, 0.2])
         np.testing.assert_allclose(posteriors.T @ w, game.prior, atol=1e-15)
         assert np.linalg.cond(np.vstack([posteriors.T, ent])[:, basis]) < 100
-        assert np.linalg.cond(np.vstack([posteriors.T, values])[:, basis]) > persuasion._MAX_CONDITION
-        persuasion._stage_two_start(values, posteriors, ent, game.prior, 1e-12, basis, w)
+        assert np.linalg.matrix_rank(np.vstack([posteriors.T, values])[:, basis]) == 3
+        persuasion._stage_two_start(values, posteriors, ent, basis, w)
         assert 5 in basis  # the value slack
         got, _, _, _, _ = persuasion._solve_master(ent, posteriors, values, game.prior, 1e-12, basis,
                                                    persuasion._ranks(posteriors))

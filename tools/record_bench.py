@@ -3,15 +3,17 @@
 Run from the root of a checkout (a clone with its ``.git``):
 
     python3 tools/record_bench.py              # 5 seeds per workload
-    python3 tools/record_bench.py --seeds 3 --seconds 10
+    python3 tools/record_bench.py --seeds 3
 
 For each workload in ``BENCHMARK.json`` and each seed 1..N it runs the
 file's ``command`` with ``--workload W --seed S --seconds T --trace 0``
-and reads the ``info`` line and the final JSON line of its output.  The
-file it writes holds, per workload, the median and interquartile range
-of every end-to-end metric over the seeds, and each seed's digest,
-``host_slowdown``, correctness and operation counts; plus the commit,
-the versions and ``nproc`` of the first run.  A run takes about 5.5 min
+and reads the ``info`` line and the final JSON line of its output.  ``T``
+is always the file's ``run_seconds``, so that every record of the
+history is comparable.  The file it writes holds, per workload, the
+median and interquartile range of every end-to-end metric over the
+seeds, and each seed's digest, ``host_slowdown``, correctness and
+operation counts; plus the commit, the versions and ``nproc`` of the
+first run.  A run takes about 5.5 min
 for 2 workloads x 5 seeds.  A series of these files, one per
 performance or result-changing commit, is the project's performance
 history.
@@ -83,13 +85,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", type=Path, default=Path.cwd(), help="checkout to measure (default: .)")
     ap.add_argument("--seeds", type=int, default=5, help="seeds 1..N per workload")
-    ap.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json run_seconds")
     args = ap.parse_args(argv)
     if args.seeds < 1:
         ap.error("--seeds must be >= 1")
     root = args.root.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     commit = subprocess.run(["git", "rev-parse", "--short=7", "HEAD"], cwd=root, check=True,
                             capture_output=True, text=True).stdout.strip()
     workloads = {}
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
         runs = []
         for seed in range(1, args.seeds + 1):
             cmd = [*bench["command"], "--workload", wl["name"], "--seed", str(seed),
-                   "--seconds", repr(seconds), "--trace", "0"]
+                   "--seconds", str(bench["run_seconds"]), "--trace", "0"]
             out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
             info, result = parse_output(out)
             print(f"{wl['name']} seed {seed}: correct={result['correct']} digest={info['digest'][:8]}",
