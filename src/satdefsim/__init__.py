@@ -8,9 +8,7 @@ from .attacker import (
     AttackPlan,
     belief_update,
     best_response,
-    enumerate_best_response,
     intensity_update,
-    realized_utility,
     threshold_decision,
 )
 from .channel import (
@@ -45,9 +43,7 @@ from .scheduler import (
     HorizonPlan,
     SchedulerConfig,
     UtilityParams,
-    check_plan,
     detection_performance,
-    exact_schedule,
     plan_horizon,
     slot_utility,
 )

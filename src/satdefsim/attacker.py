@@ -1,6 +1,6 @@
-"""Rational interceptor: intensity dynamics, realized/believed utility,
-exact best response at any horizon, Bayesian belief updates under
-erasure, and the behavioral threshold rule.
+"""Rational interceptor: intensity dynamics, exact best response at any
+horizon, Bayesian belief updates under erasure, and the behavioral
+threshold rule.
 
 The attacker's per-slot reward scales with the defender's detection gap
 (1 - z) and is gated by successful telemetry interception; the cost is
@@ -31,11 +31,11 @@ class AttackerParams:
     memory: float = 0.1
 
     def __post_init__(self):
-        weights = (self.reward_weight, self.base_cost, self.cost_scale)
-        if not all(math.isfinite(w) and w > 0 for w in weights):
-            raise ValueError("reward_weight, base_cost and cost_scale must be positive and finite")
-        if not (0.0 < self.memory <= 1.0):
-            raise ValueError("memory factor must lie in (0, 1]")
+        for name in ("reward_weight", "base_cost", "cost_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0.0 < self.memory <= 1.0:
+            raise ValueError(f"memory must lie in (0, 1], got {self.memory}")
 
 
 @dataclass
@@ -47,46 +47,6 @@ class AttackPlan:
 def intensity_update(prev: float, attack: int | bool, memory: float) -> float:
     """Exponentially smoothed attack history; stays in [0,1] for binary inputs."""
     return (1.0 - memory) * prev + memory * (1.0 if attack else 0.0)
-
-
-def realized_utility(
-    attacks,
-    idle_capacity,
-    received,
-    params: AttackerParams,
-    scan_on=None,
-) -> float:
-    """Time-averaged realized utility of a 0/1 attack sequence.  Each
-    attack adds its reward minus its cost in one step, in slot order, as
-    the episode engine sums them, so an episode's total replays exactly.
-
-    Reward accrues only on slots with successful interception
-    (``received``); the history-amplified cost is paid regardless.  When
-    ``scan_on`` is given, attacks launched into an active scan realize
-    no reward either (they are detected and fail) but still pay.
-    """
-    attacks = np.asarray(attacks, dtype=float)
-    z = np.asarray(idle_capacity, dtype=float)
-    xi = np.asarray(received, dtype=float)
-    if not (len(attacks) == len(z) == len(xi)):
-        raise ValueError("sequence lengths differ")
-    if scan_on is not None:
-        scan_on = np.asarray(scan_on, dtype=float)
-        if len(scan_on) != len(attacks):
-            raise ValueError("sequence lengths differ")
-    n = len(attacks)
-    if n == 0:
-        return 0.0
-    total = 0.0
-    a_prev = 0.0
-    for t in range(n):
-        x = attacks[t]
-        if x:  # one addition per attack, in the engine's order
-            gate = xi[t] if scan_on is None else xi[t] * (1.0 - scan_on[t])
-            reward = params.reward_weight * (1.0 - z[t]) if gate else 0.0
-            total += reward - params.base_cost * (1.0 + params.cost_scale * a_prev)
-        a_prev = intensity_update(a_prev, x > 0, params.memory)
-    return total / n
 
 
 def best_response(
@@ -114,8 +74,9 @@ def best_response(
     where attacking is strictly better; exact ties wait.  A tie in real
     numbers that rounding splits can still go either way, between plans
     whose values differ in the last bits.  ``value`` is the plan's
-    attack terms folded back to front, in the operation order of
-    ``enumerate_best_response``, divided by the horizon.
+    attack terms folded back to front, in the operation order of the
+    brute-force oracle ``enumerate_best_response`` in ``tests/oracles.py``,
+    divided by the horizon.
     ``start_intensity`` must lie in [0, 1], where the envelopes are kept.
     """
     reward = np.asarray(gap_reward, dtype=float)
@@ -197,43 +158,6 @@ def _upper(first, second):
     while len(hull) > 1 and hull[-2][0] + hull[-2][1] >= hull[-1][0] + hull[-1][1]:
         hull.pop()
     return hull
-
-
-def enumerate_best_response(
-    gap_reward,
-    scan_on,
-    params: AttackerParams,
-    start_intensity: float = 0.0,
-) -> AttackPlan:
-    """Brute-force oracle: evaluates every feasible plan.
-
-    Plan values accumulate back-to-front with the same operation order
-    as the DP recursion, so value and tie-break comparisons are exact.
-    """
-    reward = np.asarray(gap_reward, dtype=float)
-    scan = np.asarray(scan_on, dtype=int)
-    n = len(reward)
-    if n > 22:
-        raise ValueError("enumeration horizon too large")
-    eta, beta, kk = params.memory, params.base_cost, params.cost_scale
-    best_plan, best_value = None, -np.inf
-    for bits in range(1 << n):
-        plan = [(bits >> t) & 1 for t in range(n)]
-        if any(x and s for x, s in zip(plan, scan)):
-            continue
-        intens = [start_intensity]
-        for t in range(n):
-            intens.append(intensity_update(intens[-1], plan[t], eta))
-        value = 0.0
-        for t in range(n - 1, -1, -1):
-            if plan[t]:
-                value = (reward[t] - beta * (1.0 + kk * intens[t])) + value
-        if value > best_value or (
-            value == best_value and best_plan is not None and plan < best_plan
-        ):
-            best_value = value
-            best_plan = plan
-    return AttackPlan(decisions=np.array(best_plan, dtype=int), value=best_value / n)
 
 
 def belief_update(prior: np.ndarray, signal: int | None, policy: np.ndarray) -> np.ndarray:

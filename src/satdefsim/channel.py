@@ -150,10 +150,16 @@ class PassGeometry:
     path_loss_exp: float = 2.0
 
     def __post_init__(self):
-        if not (0 < self.d_min_km <= self.d_max_km):
-            raise ValueError("require 0 < d_min_km <= d_max_km")
+        # each check passes only valid values, so NaN fails it
+        if not 0.0 < self.d_min_km < math.inf:
+            raise ValueError(f"d_min_km must be finite and > 0, got {self.d_min_km}")
+        if not self.d_min_km <= self.d_max_km < math.inf:
+            raise ValueError(f"d_max_km must be finite and >= d_min_km, got {self.d_max_km}")
         if self.pass_slots < 1:
-            raise ValueError("pass_slots must be >= 1")
+            raise ValueError(f"pass_slots must be >= 1, got {self.pass_slots}")
+        for name in ("peak_snr_db", "path_loss_exp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def slant_km(self, t: int) -> float:
         """Slant distance at slot t; clamped to the far edge outside the pass."""

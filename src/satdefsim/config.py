@@ -7,7 +7,7 @@ a different experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,55 +36,66 @@ class PersuasionSettings:
     n_signals: int | None = None  # default: |states| + 2
     credibility: float = 0.2
     prior_scan: float = 0.5
-    belief_threshold: float = 0.55
+    belief_threshold: float = 0.55  # read from the scenario's ``attacker`` section
     subdivisions: int | None = None  # None: the exact candidates; an int: that simplex grid
     budget_points: int = 13
-    units_per_slot: int = 32  # not parsed or used; perfbench/worker.py reads it
+    units_per_slot: int = field(default=32, init=False)  # not a scenario key; perfbench/worker.py reads it
     delay_max_ms: float = 350.0
     delay_snr_lo_db: float = 0.0
     delay_snr_hi_db: float = 15.0
 
     def __post_init__(self):
+        # each check passes only valid values, so NaN fails it
         if self.z_bins < 1:
             raise ConfigError("z_bins must be >= 1")
         # an optimal split over the 2 * z_bins states may use one more posterior
-        if self.n_signals is not None and (self.n_signals < 0 or 0 < self.n_signals < 2 * self.z_bins + 1):
+        n = self.n_signals
+        if n is not None and not (n == 0 or 2 * self.z_bins + 1 <= n < math.inf):
             raise ConfigError(
                 f"n_signals must be 0 (one per support posterior) or at least "
-                f"2 * z_bins + 1 = {2 * self.z_bins + 1}, got {self.n_signals}"
+                f"2 * z_bins + 1 = {2 * self.z_bins + 1}, got {n}"
             )
         if self.subdivisions is not None and not is_subdivision_count(self.subdivisions):
             raise ConfigError(f"subdivisions must be omitted or an int >= 1, got {self.subdivisions!r}")
-        if self.credibility < 0:
-            raise ConfigError("credibility budget must be >= 0")
+        if not 0.0 <= self.credibility < math.inf:
+            raise ConfigError(f"credibility budget must be finite and >= 0, got {self.credibility}")
         if self.budget_points < 1:
             raise ConfigError("budget_points must be >= 1")
         if not (0.0 < self.prior_scan < 1.0):
             raise ConfigError("prior_scan must lie in (0,1)")
         if not (0.0 < self.belief_threshold < 1.0):
-            raise ConfigError("belief_threshold must lie in (0,1)")
+            raise ConfigError("belief_threshold must lie in (0,1) (a scenario sets it under attacker)")
+        if not 0.0 <= self.delay_max_ms < math.inf:
+            raise ConfigError(f"delay_max_ms must be finite and >= 0, got {self.delay_max_ms}")
+        for name in ("delay_snr_lo_db", "delay_snr_hi_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
+    """A whole scenario.  The defaults are those of a scenario file that
+    leaves the key out; ``power_budget`` and ``scan_margin_rule`` take
+    ``SchedulerConfig``'s."""
+
     horizon: int
     window: int
-    slot_ms: float
-    resources: tuple[str, ...]
+    slot_ms: float = 100.0
+    resources: tuple[str, ...] = ("cpu", "fpga")
     tasks: tuple[TaskSpec, ...]
     scan: ScanTask
-    utility: UtilityParams
-    power_budget: float
-    scan_margin_rule: str
+    utility: UtilityParams = UtilityParams()
+    power_budget: float = SchedulerConfig.power_budget
+    scan_margin_rule: str = SchedulerConfig.margin_rule
     channel: ChannelParams
     geometry: PassGeometry
-    proc_delay_ms: float
-    attacker: AttackerParams
-    attacker_mode: str
-    persuasion: PersuasionSettings
-    policy: str
-    sp_scan_period: int
-    sp_scan_rule: str
+    proc_delay_ms: float = 1.0
+    attacker: AttackerParams = AttackerParams()
+    attacker_mode: str = "threshold"
+    persuasion: PersuasionSettings = PersuasionSettings()
+    policy: str = "star"
+    sp_scan_period: int = 20
+    sp_scan_rule: str = "periodic"
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -111,14 +122,11 @@ class ScenarioConfig:
             raise ConfigError("scan demand dimensionality mismatch")
         if self.scan.duration > self.window:
             raise ConfigError("scan duration must fit inside the window")
-        # NaN passes every comparison below, so finiteness goes first
-        non_finite = _non_finite(self)
-        if non_finite:
-            raise ConfigError(f"{', '.join(non_finite)} must be finite")
-        if self.slot_ms <= 0:
-            raise ConfigError("slot_ms must be > 0")
-        if self.proc_delay_ms < 0:
-            raise ConfigError("proc_delay_ms must be >= 0")
+        # each check passes only valid values, so NaN fails it
+        if not 0.0 < self.slot_ms < math.inf:
+            raise ConfigError(f"slot_ms must be finite and > 0, got {self.slot_ms}")
+        if not 0.0 <= self.proc_delay_ms < math.inf:
+            raise ConfigError(f"proc_delay_ms must be finite and >= 0, got {self.proc_delay_ms}")
         try:
             self.scheduler_config()  # checks power_budget and scan_margin_rule
         except ValueError as exc:
@@ -145,15 +153,6 @@ class ScenarioConfig:
         return _scenario_to_dict(self)
 
 
-def _non_finite(obj, path: str = "") -> list[str]:
-    """Dotted field paths of the NaN and infinite floats in a config."""
-    if is_dataclass(obj):
-        return [bad for f in fields(obj) for bad in _non_finite(getattr(obj, f.name), f"{path}{f.name}.")]
-    if isinstance(obj, tuple):
-        return [bad for i, item in enumerate(obj) for bad in _non_finite(item, f"{path}{i}.")]
-    return [path[:-1]] if isinstance(obj, float) and not math.isfinite(obj) else []
-
-
 def _take(d: dict, key: str, default=None, required: bool = False):
     if required and key not in d:
         raise ConfigError(f"missing required key {key!r}")
@@ -165,156 +164,115 @@ def _no_leftovers(d: dict, context: str):
         raise ConfigError(f"unknown keys in {context}: {sorted(d)}")
 
 
-def _parse_task(raw: dict, power_scale: float) -> TaskSpec:
+def _under(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+#: the casts of a scenario value, by the annotation of its field (a string:
+#: the config modules import ``annotations`` from ``__future__``)
+_CASTS = {"float": float, "int": int, "bool": bool, "tuple[str, ...]": tuple}
+
+
+def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **given):
+    """``cls`` from ``given`` and from the keys of the section ``raw``
+    named like its other init fields.
+
+    A value given as ``MISSING`` or absent from both takes the field's
+    default; a float, int, bool or tuple field is cast.  A leftover key of
+    ``raw`` is rejected, and a ``ValueError`` has the field it names put
+    under ``path``.  ``keys`` is where ``raw`` sits in the scenario, when
+    that is not ``path``.
+    """
+    raw = dict(raw or {})
+    keys = path if keys is None else keys
+    kwargs = {}
+    for f in fields(cls):
+        if not f.init:
+            continue
+        value = given.pop(f.name) if f.name in given else raw.pop(f.name, MISSING)
+        if value is MISSING:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing required key {_under(keys, f.name)!r}")
+            continue
+        cast = _CASTS.get(f.type)
+        kwargs[f.name] = value if cast is None else cast(value)
+    _no_leftovers(raw, keys or "scenario")
+    try:
+        return cls(**kwargs, **given)
+    except ValueError as exc:
+        raise ConfigError(_under(path, str(exc))) from exc
+
+
+def _parse_task(i: int, raw: dict, power_scale: float) -> TaskSpec:
+    path = f"tasks.{i}"
     raw = dict(raw)
-    tid = _take(raw, "id", required=True)
-    nature = Nature(_take(raw, "nature", "mission"))
     priority = Priority(_take(raw, "priority", required=True))
     arr_raw = dict(_take(raw, "arrival", required=True))
     kind = _take(arr_raw, "kind", required=True)
-    if kind == "periodic":
-        arrival = Arrival(kind="periodic", interval=int(_take(arr_raw, "interval", required=True)))
-    else:
-        arrival = Arrival(kind="aperiodic", rate=float(_take(arr_raw, "rate", required=True)))
-    _no_leftovers(arr_raw, f"tasks[{tid}].arrival")
+    value = "interval" if kind == "periodic" else "rate"
+    arrival = _build(f"{path}.arrival", Arrival, kind=kind, **{value: _take(arr_raw, value, required=True)})
+    _no_leftovers(arr_raw, f"{path}.arrival")
     demand = np.asarray(_take(raw, "demand", required=True), dtype=float)
     power = _take(raw, "power")
-    if power is None:
-        power = power_scale * float(np.mean(demand))
-    processing = int(_take(raw, "processing", required=True))
-    deadline = int(_take(raw, "deadline", required=True))
-    firm = bool(_take(raw, "firm_deadline", priority == Priority.HIGH))
     mean_demand = _take(raw, "mean_demand")
-    _no_leftovers(raw, f"tasks[{tid}]")
-    try:
-        return TaskSpec(
-            id=tid,
-            nature=nature,
-            priority=priority,
-            arrival=arrival,
-            demand=demand,
-            power_weight=float(power),
-            processing=processing,
-            relative_deadline=deadline,
-            firm_deadline=firm,
-            mean_demand=None if mean_demand is None else float(mean_demand),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build(section: str, cls, **kwargs):
-    """``cls(**kwargs)``, with the field a ``ValueError`` names put under ``section``."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
+    return _build(
+        path, TaskSpec, raw,
+        nature=Nature(_take(raw, "nature", "mission")),
+        priority=priority,
+        arrival=arrival,
+        demand=demand,
+        power_weight=power_scale * float(np.mean(demand)) if power is None else power,
+        relative_deadline=_take(raw, "deadline", required=True),
+        firm_deadline=_take(raw, "firm_deadline", priority == Priority.HIGH),
+        mean_demand=None if mean_demand is None else float(mean_demand),
+    )
 
 
 def from_dict(raw: dict) -> ScenarioConfig:
     raw = dict(raw)
     try:
         horizon = int(_take(raw, "horizon", required=True))
-        window = int(_take(raw, "window", required=True))
-        slot_ms = float(_take(raw, "slot_ms", 100.0))
-        resources = tuple(_take(raw, "resources", ["cpu", "fpga"]))
         power_scale = float(_take(raw, "power_scale", 1.0))
-        tasks = tuple(_parse_task(t, power_scale) for t in _take(raw, "tasks", required=True))
-
+        tasks = tuple(_parse_task(i, t, power_scale) for i, t in enumerate(_take(raw, "tasks", required=True)))
         scan_raw = dict(_take(raw, "scan", required=True))
-        scan = ScanTask(
-            demand=np.asarray(_take(scan_raw, "demand", required=True), dtype=float),
-            power_weight=float(_take(scan_raw, "power", 0.1)),
-            duration=int(_take(scan_raw, "duration", required=True)),
-        )
-        _no_leftovers(scan_raw, "scan")
-
-        util_raw = dict(_take(raw, "utility", {}))
-        utility = _build(
-            "utility", UtilityParams,
-            detect_reward=float(_take(util_raw, "detect_reward", 10.0)),
-            scan_cost=float(_take(util_raw, "scan_cost", 0.5)),
-            load_penalty=float(_take(util_raw, "load_penalty", 2.0)),
-            steepness=float(_take(util_raw, "steepness", 0.5)),
-            midpoint=float(_take(util_raw, "midpoint", 0.5)),
-            ceiling=float(_take(util_raw, "ceiling", 1.0)),
-        )
-        _no_leftovers(util_raw, "utility")
+        power = scan_raw.pop("power", MISSING)  # the scenario key of ScanTask.power_weight
+        scan = _build("scan", ScanTask, scan_raw, power_weight=power)
 
         chan_raw = dict(_take(raw, "channel", required=True))
-        fading = dict(_take(chan_raw, "fading", required=True))
-        channel = _build(
-            "channel", ChannelParams,
-            b0=float(_take(fading, "b0", required=True)),
-            m=float(_take(fading, "m", required=True)),
-            omega=float(_take(fading, "omega", required=True)),
-            snr_threshold_db=float(_take(chan_raw, "snr_threshold_db", 5.0)),
-        )
-        _no_leftovers(fading, "channel.fading")
         geo_raw = dict(_take(chan_raw, "geometry", required=True))
-        geometry = PassGeometry(
-            d_min_km=float(_take(geo_raw, "d_min_km", required=True)),
-            d_max_km=float(_take(geo_raw, "d_max_km", required=True)),
-            pass_slots=int(_take(geo_raw, "pass_slots", horizon)),
-            peak_snr_db=float(_take(geo_raw, "peak_snr_db", required=True)),
-            path_loss_exp=float(_take(geo_raw, "path_loss_exp", 2.0)),
-        )
-        _no_leftovers(geo_raw, "channel.geometry")
-        proc_delay_ms = float(_take(chan_raw, "proc_delay_ms", 1.0))
+        pass_slots = geo_raw.pop("pass_slots", horizon)  # by default the pass spans the horizon
+        geometry = _build("channel.geometry", PassGeometry, geo_raw, pass_slots=pass_slots)
+        fading = _take(chan_raw, "fading", required=True)
+        snr_threshold_db = chan_raw.pop("snr_threshold_db", MISSING)
+        channel = _build("channel", ChannelParams, fading, "channel.fading", snr_threshold_db=snr_threshold_db)
+        proc_delay_ms = chan_raw.pop("proc_delay_ms", MISSING)
         _no_leftovers(chan_raw, "channel")
 
-        att_raw = dict(_take(raw, "attacker", {}))
-        attacker_mode = _take(att_raw, "mode", "threshold")
-        attacker = AttackerParams(
-            reward_weight=float(_take(att_raw, "reward_weight", 10.0)),
-            base_cost=float(_take(att_raw, "base_cost", 0.1)),
-            cost_scale=float(_take(att_raw, "cost_scale", 0.5)),
-            memory=float(_take(att_raw, "memory", 0.1)),
+        att_raw = dict(_take(raw, "attacker") or {})
+        attacker_mode = att_raw.pop("mode", MISSING)
+        belief_threshold = att_raw.pop("belief_threshold", MISSING)
+        attacker = _build("attacker", AttackerParams, att_raw)
+        persuasion = _build(
+            "persuasion", PersuasionSettings, _take(raw, "persuasion", {}), belief_threshold=belief_threshold
         )
-        belief_threshold = float(_take(att_raw, "belief_threshold", 0.55))
-        _no_leftovers(att_raw, "attacker")
-
-        pers_raw = dict(_take(raw, "persuasion", {}))
-        persuasion = PersuasionSettings(
-            z_bins=int(_take(pers_raw, "z_bins", 2)),
-            n_signals=_take(pers_raw, "n_signals"),
-            credibility=float(_take(pers_raw, "credibility", 0.2)),
-            prior_scan=float(_take(pers_raw, "prior_scan", 0.5)),
-            belief_threshold=belief_threshold,
-            subdivisions=_take(pers_raw, "subdivisions"),
-            budget_points=int(_take(pers_raw, "budget_points", 13)),
-            delay_max_ms=float(_take(pers_raw, "delay_max_ms", 350.0)),
-            delay_snr_lo_db=float(_take(pers_raw, "delay_snr_lo_db", 0.0)),
-            delay_snr_hi_db=float(_take(pers_raw, "delay_snr_hi_db", 15.0)),
-        )
-        _no_leftovers(pers_raw, "persuasion")
-
-        cfg = ScenarioConfig(
+        utility = _build("utility", UtilityParams, _take(raw, "utility", {}))
+        return _build(
+            "", ScenarioConfig, raw,
             horizon=horizon,
-            window=window,
-            slot_ms=slot_ms,
-            resources=resources,
             tasks=tasks,
             scan=scan,
             utility=utility,
-            power_budget=float(_take(raw, "power_budget", 1.0)),
-            scan_margin_rule=_take(raw, "scan_margin_rule", "window"),
             channel=channel,
             geometry=geometry,
             proc_delay_ms=proc_delay_ms,
             attacker=attacker,
             attacker_mode=attacker_mode,
             persuasion=persuasion,
-            policy=_take(raw, "policy", "star"),
-            sp_scan_period=int(_take(raw, "sp_scan_period", 20)),
-            sp_scan_rule=_take(raw, "sp_scan_rule", "periodic"),
         )
     except (ValueError, TypeError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
-    _no_leftovers(raw, "scenario")
-    return cfg
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -416,8 +416,8 @@ def solve_persuasion(
 
     The split and policy (a signal per support posterior) are stage 2's.
     """
-    if budget < 0:
-        raise ValueError("credibility budget must be >= 0")
+    if not 0.0 <= budget < math.inf:  # NaN fails too
+        raise ValueError("credibility budget must be finite and >= 0")
     n = game.n_states
     if subdivisions is None:
         posteriors, values = _exact_candidates(game.attack_payoff)

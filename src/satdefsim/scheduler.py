@@ -1,6 +1,5 @@
-"""Defender-side scheduling: detection utility, the greedy slot solver,
-receding-horizon planning, an exact brute-force solver for small
-instances, and the constraint checker.
+"""Defender-side scheduling: detection utility, the greedy slot solver
+and receding-horizon planning.
 
 Per-slot hard constraints: capacity on every resource type (PS) and a
 normalized power budget (PC).  Scans run in fixed-length consecutive
@@ -9,7 +8,6 @@ specs carry a time-average service quota (TS).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from operator import add, attrgetter, sub
@@ -40,14 +38,6 @@ def try_fit(usage: tuple, power: float, demand: tuple, w: float, budget: float) 
     return new if max(new) <= _CAP and power + w <= budget + _EPS else None
 
 
-class InstanceTooLargeError(ValueError):
-    """Brute-force decision space exceeds the configured bound."""
-
-
-class InfeasibleScheduleError(RuntimeError):
-    """No decision sequence satisfies the hard constraints."""
-
-
 @dataclass(frozen=True)
 class UtilityParams:
     """Weights of the scheduling objective.
@@ -73,21 +63,22 @@ class UtilityParams:
 
 @dataclass(frozen=True)
 class ScanTask:
-    """The schedulable detection scan: demand (a float tuple), power draw,
-    block length."""
+    """The schedulable detection scan: demand (a float tuple), block
+    length and power draw."""
 
     demand: tuple[float, ...]
-    power_weight: float
     duration: int
+    power_weight: float = 0.1
 
     def __post_init__(self):
         object.__setattr__(self, "demand", tuple(map(float, self.demand)))
+        # each check passes only valid values, so NaN fails it
         if self.duration < 1:
-            raise ValueError("scan duration must be >= 1 slot")
-        if self.power_weight < 0:
-            raise ValueError("scan power must be >= 0")
-        if not all(0.0 <= d <= 1.0 for d in self.demand):  # NaN fails too
-            raise ValueError("scan demand components must lie in [0,1]")
+            raise ValueError(f"duration must be >= 1 slot, got {self.duration}")
+        if not 0.0 <= self.power_weight < math.inf:
+            raise ValueError(f"power_weight (the scan power) must be finite and >= 0, got {self.power_weight}")
+        if not all(0.0 <= d <= 1.0 for d in self.demand):
+            raise ValueError(f"demand components of the scan must lie in [0,1], got {self.demand}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ class SchedulerConfig:
         if self.margin_rule not in ("window", "slot"):
             raise ValueError("margin_rule must be 'window' or 'slot'")
         if not 0.0 < self.power_budget < math.inf:  # NaN fails too
-            raise ValueError(f"power budget must be finite and positive, got {self.power_budget}")
+            raise ValueError(f"power_budget (the per-slot power budget) must be finite and > 0, got {self.power_budget}")
 
 
 def detection_performance(scan_freq: float, scan_duration: int, p: UtilityParams) -> float:
@@ -432,256 +423,4 @@ def plan_horizon(
         z_avg=float(np.mean(z_arr)),  # numpy's summation, not Python's
         objective=objective,
         events=events,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Constraint checker
-# ---------------------------------------------------------------------------
-
-def check_plan(
-    plan: HorizonPlan,
-    instances: dict[int, TaskInstance],
-    config: SchedulerConfig,
-    stability_targets: dict[str, float] | None = None,
-) -> list[str]:
-    """Audit a plan against the hard constraints; returns violation strings.
-
-    Capacity and power are checked per slot; scan activations must be
-    consecutive blocks of the configured duration lying inside the
-    window.  A stability quota counts as violated only when the served
-    fraction is short AND some slot left capacity idle while an eligible
-    instance of that spec waited (work-conserving exemption).
-    """
-    violations: list[str] = []
-    n_res = len(config.scan.demand)
-    w = plan.length
-    stability_targets = stability_targets or {}
-
-    usage = np.zeros((w, n_res))
-    power = np.zeros(w)
-    served: dict[str, np.ndarray] = {s: np.zeros(w) for s in stability_targets}
-    # replay remaining work so eligibility at each slot is well defined
-    remaining = {uid: inst.remaining for uid, inst in instances.items()}
-    eligible_left: dict[str, list[list[int]]] = {s: [[] for _ in range(w)] for s in stability_targets}
-
-    for k in range(w):
-        t = plan.start + k
-        if plan.scan_on[k]:
-            usage[k] += config.scan.demand
-            power[k] += config.scan.power_weight
-        scheduled = set(plan.running[k])
-        for uid, inst in instances.items():
-            spec = inst.spec
-            if spec.id in stability_targets and uid not in scheduled:
-                expired = spec.firm_deadline and t > inst.deadline
-                if inst.start_after <= t and remaining[uid] > 0 and not expired:
-                    eligible_left[spec.id][k].append(uid)
-        for uid in plan.running[k]:
-            inst = instances[uid]
-            usage[k] += inst.spec.demand
-            power[k] += inst.spec.power_weight
-            if inst.spec.id in served:
-                served[inst.spec.id][k] += 1
-            remaining[uid] -= 1
-            if remaining[uid] < 0:
-                violations.append(f"instance {uid} scheduled beyond its total work at slot {t}")
-
-    for k in range(w):
-        if np.any(usage[k] > 1.0 + 1e-6):
-            violations.append(f"capacity exceeded at slot {plan.start + k}: {usage[k]}")
-        if power[k] > config.power_budget + 1e-6:
-            violations.append(f"power budget exceeded at slot {plan.start + k}: {power[k]:.3f}")
-
-    # scan blocks: maximal runs must be multiples of the block length
-    runs = []
-    run = 0
-    for k in range(w):
-        if plan.scan_on[k]:
-            run += 1
-        elif run:
-            runs.append(run)
-            run = 0
-    if run:
-        runs.append(run)
-    for r in runs:
-        if r % config.scan.duration != 0:
-            violations.append(f"scan run of {r} slots is not a multiple of {config.scan.duration}")
-
-    for spec_id, frac in stability_targets.items():
-        if frac <= 0:
-            continue
-        total = float(np.sum(served[spec_id])) / w
-        if total + _EPS >= frac:
-            continue
-        # exemption: short of quota is tolerated unless some slot left
-        # capacity idle while an eligible instance of the spec waited
-        wasted = False
-        for k in range(w):
-            for uid in eligible_left[spec_id][k]:
-                inst = instances[uid]
-                if np.all(usage[k] + inst.spec.demand <= 1.0 + _EPS) and (
-                    power[k] + inst.spec.power_weight <= config.power_budget + _EPS
-                ):
-                    wasted = True
-                    break
-            if wasted:
-                break
-        if wasted:
-            violations.append(
-                f"stability quota unmet for {spec_id}: served {total:.3f} < {frac:.3f} with idle slack"
-            )
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Exact brute-force solver for small instances
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OracleResult:
-    scan_on: np.ndarray
-    activations: dict[int, np.ndarray]  # uid -> {0,1} per slot
-    objective: float
-    z: np.ndarray
-
-
-def _scan_patterns(w: int, d_s: int, enabled: bool) -> list[np.ndarray]:
-    """All block placements: non-overlapping runs of exactly d_s slots."""
-    patterns: list[np.ndarray] = []
-
-    def rec(pos: int, current: np.ndarray):
-        patterns.append(current.copy())
-        for start in range(pos, w - d_s + 1):
-            nxt = current.copy()
-            nxt[start : start + d_s] = 1
-            rec(start + d_s, nxt)
-
-    rec(0, np.zeros(w, dtype=int))
-    if not enabled:
-        patterns = [p for p in patterns if not p.any()]
-    # dedupe (adjacent blocks reachable along multiple paths)
-    uniq = {tuple(p) for p in patterns}
-    return [np.array(u, dtype=int) for u in sorted(uniq)]
-
-
-def _task_patterns(inst: TaskInstance, w: int, min_slots: int = 0) -> np.ndarray:
-    """All activation subsets: within eligibility, at most the total work
-    and at least ``min_slots`` (the stability quota).  Rows are sorted
-    lexicographically."""
-    lo = max(inst.start_after, 0)
-    hi = min(w, inst.deadline + 1) if inst.spec.firm_deadline else w
-    slots = list(range(lo, hi))
-    rows = []
-    for count in range(max(min_slots, 0), min(inst.remaining, len(slots)) + 1):
-        for combo in itertools.combinations(slots, count):
-            pat = np.zeros(w, dtype=np.int8)
-            pat[list(combo)] = 1
-            rows.append(pat)
-    if not rows:
-        return np.zeros((0, w), dtype=np.int8)
-    pats = np.array(rows)
-    order = np.lexsort(pats.T[::-1])
-    return pats[order]
-
-
-def exact_schedule(
-    instances: list[TaskInstance],
-    window_len: int,
-    utility: UtilityParams,
-    config: SchedulerConfig,
-    stability_targets: dict[str, float] | None = None,
-    max_space: int = 1 << 24,
-) -> OracleResult:
-    """Exhaustive optimum of the window objective for a small instance.
-
-    Enumerates every scan-block placement and every per-task activation
-    subset, keeps those meeting capacity, power and the per-task
-    stability quotas, and maximizes the window objective.  Ties break
-    toward fewer scan slots, then the lexicographically smallest
-    decision string (scan row first, then task rows by uid).
-
-    Raises InstanceTooLargeError when the decision space exceeds
-    ``max_space`` and InfeasibleScheduleError when nothing satisfies the
-    constraints.
-    """
-    w = window_len
-    stability_targets = stability_targets or {}
-    insts = sorted(instances, key=lambda i: i.uid)
-    scan_pats = _scan_patterns(w, config.scan.duration, config.scan_enabled)
-
-    task_pats: list[np.ndarray] = []
-    for inst in insts:
-        frac = stability_targets.get(inst.spec.id, 0.0)
-        min_slots = int(math.ceil(frac * w - _EPS))
-        task_pats.append(_task_patterns(inst, w, min_slots))
-
-    space = len(scan_pats)
-    for pats in task_pats:
-        space *= max(len(pats), 1)
-        if space > max_space:
-            raise InstanceTooLargeError(f"decision space exceeds {max_space}")
-    if any(len(p) == 0 for p in task_pats):
-        raise InfeasibleScheduleError("a stability quota exceeds the schedulable slots")
-
-    demands = [np.asarray(i.spec.demand) for i in insts]
-    powers = [float(i.spec.power_weight) for i in insts]
-
-    best = None  # (obj, scan_count, scan_idx, combo_index_tuple, usage)
-    for scan_idx, scan_pat in enumerate(scan_pats):
-        usage = (scan_pat[:, None] * np.asarray(config.scan.demand)[None, :])[None]
-        power = (scan_pat * config.scan.power_weight)[None]
-        index = np.zeros((1, 0), dtype=np.int64)
-        dead = False
-        for pats, dem, pw in zip(task_pats, demands, powers):
-            usage = usage[:, None, :, :] + (pats[:, :, None] * dem[None, None, :])[None]
-            power = power[:, None, :] + (pats * pw)[None]
-            n_prev, n_pat = usage.shape[0], usage.shape[1]
-            usage = usage.reshape(n_prev * n_pat, w, -1)
-            power = power.reshape(n_prev * n_pat, w)
-            index = np.repeat(index, n_pat, axis=0)
-            index = np.hstack([index, np.tile(np.arange(n_pat), n_prev)[:, None]])
-            ok = np.all(usage <= 1.0 + _EPS, axis=(1, 2)) & np.all(
-                power <= config.power_budget + _EPS, axis=1
-            )
-            if not np.any(ok):
-                dead = True
-                break
-            usage, power, index = usage[ok], power[ok], index[ok]
-        if dead:
-            continue
-        z = 1.0 - usage.max(axis=2)
-        f = float(scan_pat.mean())
-        y = detection_performance(f, config.scan.duration, utility)
-        obj = (
-            w * utility.detect_reward * y * y
-            - utility.scan_cost * float(scan_pat.sum())
-            - utility.load_penalty * y * y * np.sum(1.0 - z, axis=1)
-        )
-        j = int(np.argmax(obj))  # first max = lexicographically smallest combo
-        cand = (
-            float(obj[j]),
-            -int(scan_pat.sum()),
-            tuple(-v for v in scan_pat.tolist()),
-            tuple(-v for v in index[j].tolist()),
-            scan_idx,
-            index[j].copy(),
-            z[j].copy(),
-        )
-        # maximize objective; then fewer scan slots; then lexicographically
-        # smallest scan row and task rows (encoded negated so max-compare works)
-        if best is None or cand[:4] > best[:4]:
-            best = cand
-    if best is None:
-        raise InfeasibleScheduleError("no feasible decision sequence")
-    _, _, _, _, scan_idx, combo, z_best = best
-    scan_pat = scan_pats[scan_idx]
-    return OracleResult(
-        scan_on=scan_pat.astype(int),
-        activations={
-            inst.uid: task_pats[i][combo[i]].astype(int)
-            for i, inst in enumerate(insts)
-        },
-        objective=best[0],
-        z=z_best,
     )

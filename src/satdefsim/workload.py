@@ -7,6 +7,7 @@ demand is a normalized usage vector over the scenario's resource types
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,14 +49,12 @@ class Arrival:
     rate: float = 0.0  # tasks/slot, aperiodic only
 
     def __post_init__(self):
-        if self.kind == "periodic":
-            if self.interval < 1:
-                raise ValueError("periodic interval must be >= 1 slot")
-        elif self.kind == "aperiodic":
-            if self.rate < 0:
-                raise ValueError("aperiodic rate must be >= 0")
-        else:
-            raise ValueError(f"unknown arrival kind {self.kind!r}")
+        if self.kind not in ("periodic", "aperiodic"):
+            raise ValueError(f"kind must be 'periodic' or 'aperiodic', got {self.kind!r}")
+        if self.kind == "periodic" and self.interval < 1:
+            raise ValueError(f"interval must be >= 1 slot for a periodic arrival, got {self.interval}")
+        if not 0.0 <= self.rate < math.inf:  # NaN fails too
+            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -88,19 +87,22 @@ class TaskSpec:
         # a member, not its string value, so the scheduler can test ``is``
         object.__setattr__(self, "priority", Priority(self.priority))
         object.__setattr__(self, "demand", tuple(map(float, self.demand)))
-        if not all(0.0 <= d <= 1.0 for d in self.demand):  # NaN fails too
-            raise ValueError(f"task {self.id}: demand components must lie in [0,1]")
+        # each check passes only valid values, so NaN fails it
+        if not all(0.0 <= d <= 1.0 for d in self.demand):
+            raise ValueError(f"demand components of task {self.id} must lie in [0,1], got {self.demand}")
         if self.processing < 1:
-            raise ValueError(f"task {self.id}: processing must be >= 1 slot")
+            raise ValueError(f"processing of task {self.id} must be >= 1 slot, got {self.processing}")
         if self.relative_deadline < self.processing:
             raise ValueError(
-                f"task {self.id}: relative_deadline {self.relative_deadline} < "
+                f"relative_deadline of task {self.id}: {self.relative_deadline} < "
                 f"processing {self.processing} is permanently unschedulable"
             )
-        if self.power_weight < 0:
-            raise ValueError(f"task {self.id}: power_weight must be >= 0")
+        if not 0.0 <= self.power_weight < math.inf:
+            raise ValueError(f"power_weight of task {self.id} must be finite and >= 0, got {self.power_weight}")
         if self.mean_demand is None:
             object.__setattr__(self, "mean_demand", float(self.processing))
+        elif not 0.0 <= self.mean_demand < math.inf:
+            raise ValueError(f"mean_demand of task {self.id} must be finite and >= 0, got {self.mean_demand}")
 
     @property
     def stability_fraction(self) -> float:

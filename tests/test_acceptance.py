@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from satdefsim.attacker import (
-    AttackerParams,
-    best_response,
-    enumerate_best_response,
-)
+from satdefsim.attacker import AttackerParams, best_response
 from satdefsim.channel import ChannelParams, sample_envelope, shadowed_rician_pdf
 from satdefsim.config import default_scenario
 from satdefsim.engine import run_episode
@@ -28,9 +24,10 @@ from satdefsim.persuasion import (
     lyapunov_drift,
     solve_persuasion,
 )
-from satdefsim.scheduler import UtilityParams, check_plan, exact_schedule, plan_horizon
+from satdefsim.scheduler import UtilityParams, plan_horizon
 
 from conftest import micro_instance
+from oracles import check_plan, enumerate_best_response, exact_schedule
 from test_engine import Window, scripted_trace
 from test_persuasion import brute_force_two_state, two_state_game
 

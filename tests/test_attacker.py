@@ -6,11 +6,11 @@ from satdefsim.attacker import (
     AttackerParams,
     belief_update,
     best_response,
-    enumerate_best_response,
     intensity_update,
-    realized_utility,
     threshold_decision,
 )
+
+from oracles import enumerate_best_response, realized_utility
 
 PARAMS = AttackerParams()  # reward 10, base cost 0.1, cost scale 0.5, memory 0.1
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from satdefsim import engine
 from satdefsim.attacker import AttackerParams, best_response
-from satdefsim.config import ConfigError, default_scenario, from_dict, load_config
+from satdefsim.config import ConfigError, PersuasionSettings, default_scenario, from_dict, load_config
 from satdefsim.engine import (
     EpisodeRunner,
     Interceptor,
@@ -23,6 +23,7 @@ from satdefsim.engine import (
     write_slot_traces,
 )
 from satdefsim.persuasion import build_scan_game
+from satdefsim.scheduler import UtilityParams
 
 from conftest import clear_engine_caches
 from test_golden import record
@@ -953,6 +954,56 @@ class TestConfigValidation:
         path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
         assert load_config(path).to_jsonable() == default_scenario().to_jsonable()
 
+    def test_every_config_dataclass_rejects_non_finite_floats(self):
+        # built directly, not loaded: each dataclass checks its own fields.
+        # No float field of a scenario is valid at +-inf, so none is left out
+        cfg = from_dict(NON_DEFAULT_SCENARIO)
+        checked = set()
+        for obj in config_dataclasses(cfg) + [cfg.scheduler_config()]:
+            for f in dataclasses.fields(obj):
+                if f.init and f.type in ("float", "float | None"):
+                    for bad in (float("nan"), float("inf"), float("-inf")):
+                        with pytest.raises(ValueError, match=f.name):
+                            dataclasses.replace(obj, **{f.name: bad})
+                    checked.add(f"{type(obj).__name__}.{f.name}")
+        assert {"ScenarioConfig.slot_ms", "ScenarioConfig.proc_delay_ms", "SchedulerConfig.power_budget",
+                "PassGeometry.d_max_km", "PassGeometry.peak_snr_db", "ScanTask.power_weight",
+                "TaskSpec.power_weight", "TaskSpec.mean_demand", "Arrival.rate",
+                "PersuasionSettings.credibility", "PersuasionSettings.delay_max_ms"} <= checked
+        assert len(checked) == 32
+
+    def test_sections_keep_their_casts_and_keys(self):
+        def ints(value):
+            """``value`` with every whole float written as an int."""
+            if isinstance(value, dict):
+                return {k: ints(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [ints(v) for v in value]
+            return int(value) if isinstance(value, float) and value.is_integer() else value
+
+        raw = ints(NON_DEFAULT_SCENARIO)
+        assert raw["utility"]["detect_reward"] == 8 and type(raw["utility"]["detect_reward"]) is int
+        cfg = from_dict(raw)
+        assert type(cfg.utility.detect_reward) is float
+        # a float field loads as a float: the echo prints 8.0, not 8
+        assert json.dumps(cfg.to_jsonable()) == json.dumps(from_dict(NON_DEFAULT_SCENARIO).to_jsonable())
+        raw["persuasion"]["budget_points"] = 7.0
+        assert type(from_dict(raw).persuasion.budget_points) is int
+        # an empty section (``utility:`` alone in YAML, or {}) or an absent
+        # one is the dataclass's defaults
+        for empty in ({}, None, "absent"):
+            raw = {**default_scenario().to_jsonable(), "utility": empty, "persuasion": empty, "attacker": empty}
+            if empty == "absent":
+                del raw["utility"], raw["persuasion"], raw["attacker"]
+            cfg = from_dict(raw)
+            assert cfg.utility == UtilityParams() and cfg.attacker == AttackerParams()
+            assert cfg.persuasion == PersuasionSettings()
+        # the belief threshold is an attacker key only
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        raw["persuasion"]["belief_threshold"] = 0.6
+        with pytest.raises(ConfigError, match="unknown keys in persuasion: \\['belief_threshold'\\]"):
+            from_dict(raw)
+
     def test_equal_configs_compare_and_hash_equal(self):
         a, b = default_scenario(), default_scenario()
         assert a == b and hash(a) == hash(b)
@@ -1018,6 +1069,17 @@ def config_leaves(obj, prefix=""):
     if isinstance(obj, enum.Enum):
         obj = obj.value
     return {prefix.rstrip("."): obj}
+
+
+def config_dataclasses(obj) -> list:
+    """``obj`` and every dataclass nested in its fields."""
+    found = [obj]
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(item):
+                found += config_dataclasses(item)
+    return found
 
 
 def test_sp_scan_preempts_routine_work():

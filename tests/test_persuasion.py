@@ -293,6 +293,11 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_persuasion(two_state_game([1, -1]), -0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, bad):
+        with pytest.raises(ValueError, match="credibility budget must be finite and >= 0"):
+            solve_persuasion(build_scan_game(10.0, 0.1, 0.5), bad)
+
     def test_four_state_scan_game(self):
         game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
         sol = solve_persuasion(game, 0.2)

@@ -30,7 +30,6 @@ import json
 import numpy as np
 import pytest
 
-from satdefsim.attacker import realized_utility
 from satdefsim.channel import OutageTable, delivery_delay_slots, predict_mean_snr
 from satdefsim.config import default_scenario
 from satdefsim.engine import (
@@ -43,6 +42,7 @@ from satdefsim.engine import (
 from satdefsim.persuasion import BudgetCurve, allocate_on_grid, build_scan_game, choose_artificial_delay
 from satdefsim.scheduler import detection_performance, slot_utility
 
+from oracles import realized_utility
 from test_golden import CASES, GOLDEN, POLICIES, key, scenarios
 
 

@@ -7,20 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from satdefsim.scheduler import (
     GreedyPlanner,
-    InfeasibleScheduleError,
-    InstanceTooLargeError,
     ScanTask,
     SchedulerConfig,
     UtilityParams,
-    check_plan,
     detection_performance,
-    exact_schedule,
     plan_horizon,
     slot_utility,
 )
 from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
 
 from conftest import make_instance, make_spec, micro_instance
+from oracles import InfeasibleScheduleError, InstanceTooLargeError, check_plan, exact_schedule
 
 UTIL = UtilityParams()
 SCAN = ScanTask(demand=np.array([0.15, 0.05]), power_weight=0.1, duration=5)
