@@ -68,7 +68,12 @@ def best_response(
     the lines (slope, intercept) that are on top somewhere in [0, 1].
     No bound on their number is known; it stays at a few lines on random
     rewards, but a constant reward just above the base cost can need
-    hundreds over thousands of slots.
+    hundreds over thousands of slots.  The layers depend on the rewards,
+    the scan mask and ``params`` only, not on the start intensity, so
+    they are memoized under those inputs (``_LAYER_CACHE``: at most 64
+    entries of at most 512 lines, so calls of 512 slots or more are
+    always computed afresh); the interceptor's replans repeat a few of
+    them many times.
 
     The plan is read forward at the exact intensity and attacks only
     where attacking is strictly better; exact ties wait.  A tie in real
@@ -89,22 +94,18 @@ def best_response(
     if not 0.0 <= start_intensity <= 1.0:
         raise ValueError("start_intensity must lie in [0, 1]")
     eta, beta, kk = params.memory, params.base_cost, params.cost_scale
+    key = (reward.tobytes(), scan.tobytes(), eta, beta, kk)
     reward, scan = reward.tolist(), scan.tolist()
     # intensity_update inlined: (1 - eta) * a + eta * x with x in {0.0, 1.0},
     # the same operations in the same order
     keep, rest, hit = 1.0 - eta, eta * 0.0, eta * 1.0
-    slope_cost = beta * kk
-    # layers[t]: V_t(a) = max over lines of s * a + c; V_n = 0.  The plan
-    # starts from a known intensity, so V_0 is never needed
-    layers = [[(0.0, 0.0)]] * (n + 1)
-    for t in range(n - 1, 0, -1):
-        nxt = layers[t + 1]
-        wait = [(s * keep, c) for s, c in nxt]  # V_{t+1}(keep * a)
-        attack = []
-        if not scan[t]:  # r_t - beta (1 + kk a) + V_{t+1}(keep * a + eta)
-            r = reward[t] - beta
-            attack = [(s * keep - slope_cost, c + s * eta + r) for s, c in nxt]
-        layers[t] = _upper(wait, attack)
+    layers = _LAYER_CACHE.get(key)
+    if layers is None:
+        layers = _backward_layers(reward, scan, keep, eta, beta, beta * kk)
+        if sum(map(len, layers)) <= _LAYER_CACHE_LINES:
+            if len(_LAYER_CACHE) >= _LAYER_CACHE_SIZE:
+                del _LAYER_CACHE[next(iter(_LAYER_CACHE))]  # the oldest
+            _LAYER_CACHE[key] = layers
     plan = [0] * n
     intensity = [0.0] * n
     a = float(start_intensity)
@@ -126,6 +127,33 @@ def best_response(
         if plan[t]:
             value = (reward[t] - beta * (1.0 + kk * intensity[t])) + value
     return AttackPlan(decisions=np.array(plan, dtype=int), value=value / n)
+
+
+# Backward layers of recent best_response calls, keyed by the exact bytes of
+# the rewards and scan mask and by the parameters.  At most 64 entries of at
+# most 512 lines each are kept (a layer has at least one line, so a call of
+# 512 slots or more is never kept), oldest out first.
+_LAYER_CACHE: dict[tuple, list] = {}
+_LAYER_CACHE_SIZE = 64
+_LAYER_CACHE_LINES = 512
+
+
+def _backward_layers(reward: list, scan: list, keep: float, eta: float, beta: float, slope_cost: float) -> list:
+    """layers[t]: V_t(a) = max over lines of s * a + c, for t = 1..n, with
+    V_n = 0.  The plan starts from a known intensity, so V_0 is never
+    needed (layers[0] is a placeholder).  The layers are shared by later
+    calls with the same inputs and must not be changed."""
+    n = len(reward)
+    layers = [[(0.0, 0.0)]] * (n + 1)
+    for t in range(n - 1, 0, -1):
+        nxt = layers[t + 1]
+        wait = [(s * keep, c) for s, c in nxt]  # V_{t+1}(keep * a)
+        attack = []
+        if not scan[t]:  # r_t - beta (1 + kk a) + V_{t+1}(keep * a + eta)
+            r = reward[t] - beta
+            attack = [(s * keep - slope_cost, c + s * eta + r) for s, c in nxt]
+        layers[t] = _upper(wait, attack)
+    return layers
 
 
 def _upper(first, second):

@@ -114,6 +114,11 @@ class ScenarioConfig:
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ConfigError(f"duplicate task ids {dup}: per-task quotas and counts are keyed by id")
+        # a string would pass for its characters
+        resources = self.resources
+        if not (isinstance(resources, (list, tuple)) and resources and all(isinstance(r, str) for r in resources)):
+            raise ConfigError(f"resources must be a non-empty list of strings, got {resources!r}")
+        object.__setattr__(self, "resources", tuple(resources))
         n_res = len(self.resources)
         for spec in self.tasks:
             if len(spec.demand) != n_res:
@@ -170,7 +175,7 @@ def _under(path: str, name: str) -> str:
 
 #: the casts of a scenario value, by the annotation of its field (a string:
 #: the config modules import ``annotations`` from ``__future__``)
-_CASTS = {"float": float, "int": int, "bool": bool, "tuple[str, ...]": tuple}
+_CASTS = {"float": float, "int": int, "bool": bool}
 
 
 def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **given):
@@ -178,7 +183,7 @@ def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **g
     named like its other init fields.
 
     A value given as ``MISSING`` or absent from both takes the field's
-    default; a float, int, bool or tuple field is cast.  A leftover key of
+    default; a float, int or bool field is cast.  A leftover key of
     ``raw`` is rejected, and a ``ValueError`` has the field it names put
     under ``path``.  ``keys`` is where ``raw`` sits in the scenario, when
     that is not ``path``.

@@ -587,11 +587,14 @@ class DefenderPass:
             running.append(inst)
         return running, usage, power
 
-    def _executed(self, dec, live, scan_now):
+    def _executed(self, dec, scan_now):
         """Instances a planner decision runs, in ``live`` order, with the
-        slot's usage and power: task demands first, the scan's last."""
-        chosen = set(dec.running)
-        running = [i for i in live if i.uid in chosen]
+        slot's usage and power: task demands first, the scan's last.
+        An instance's uid is its index in ``self.instances``, the arrival
+        stream in request order, and arrivals join ``live`` slot by slot,
+        so ``live`` is in uid order and the sorted uids give it."""
+        instances = self.instances
+        running = [instances[uid] for uid in sorted(dec.running)]
         scan = self.cfg.scan
         usage = (0.0,) * len(self.cfg.resources)
         power = scan.power_weight if scan_now else 0.0
@@ -684,7 +687,7 @@ class DefenderPass:
                         planner = sp_planner
                         scan_now = sp_planner.delta_u_scan(t)
                     dec = planner.schedule_slot(live, t, forced_scan=scan_now)
-                    running, usage, power = self._executed(dec, live, scan_now)
+                    running, usage, power = self._executed(dec, scan_now)
                     events_count += len(dec.events)
 
                 z = 1.0 - max(usage)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import add, attrgetter, sub
 
 import numpy as np
@@ -30,12 +31,36 @@ def try_fit(usage: tuple, power: float, demand: tuple, w: float, budget: float) 
 
     Usage and demand are float tuples, one entry per resource type: plain
     float arithmetic is the same IEEE addition numpy would do, without the
-    per-call array overhead on vectors of length 2.  ``GreedyPlanner._fill_low``
-    repeats these operations inline, its loop being the hottest caller:
-    change both together.
+    per-call array overhead on vectors of length 2.  It is the one
+    capacity and power check: the fcfs rule, the high-priority step and,
+    through the memoized ``_fill_chain``, the low-priority fill use it.
     """
     new = tuple(map(add, usage, demand))
     return new if max(new) <= _CAP and power + w <= budget + _EPS else None
+
+
+_CHAIN_MAX = 32  # states per fill chain
+
+
+@lru_cache(maxsize=256)
+def _fill_chain(demand: tuple, w: float, usage: tuple, power: float, budget: float) -> tuple:
+    """The ``(usage, power)`` states that adding instances of one spec
+    (``demand``, power ``w``) one at a time reaches from ``(usage, power)``
+    under ``try_fit``, up to the first that does not fit or ``_CHAIN_MAX``
+    states.
+
+    A chain is a function of its arguments alone, so one is computed per
+    spec and start state and then read by every slot that starts there.
+    The cache holds at most 256 chains of at most ``_CHAIN_MAX`` states.
+    """
+    chain = []
+    while len(chain) < _CHAIN_MAX:
+        usage = try_fit(usage, power, demand, w, budget)
+        if usage is None:
+            break
+        power += w
+        chain.append((usage, power))
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -144,6 +169,13 @@ class GreedyPlanner:
     positive, capacity allows and no stability quota would be displaced;
     (3) fill remaining capacity with low-priority work, earliest
     deadline first.
+
+    The low-priority queue is filled by runs: consecutive instances (in
+    earliest-deadline-first order) of one spec.  A run takes as many
+    instances as its spec's memoized fill chain from the current usage
+    and power allows (``_fill_chain``, bounded in entries and length), so
+    a slot costs one cache read per run instead of one capacity check
+    per instance, with the same sums in the same order.
     """
 
     def __init__(
@@ -191,35 +223,41 @@ class GreedyPlanner:
         return t < self.scan_active_until
 
     # -- fill helpers ------------------------------------------------------
-    def _fill_low(self, low: list[TaskInstance], usage: tuple, power: float):
-        """Fill in the given (earliest-deadline-first) order; returns the
-        chosen instances, final usage and power, and served counts per spec."""
+    def _fill_low(self, runs: list[list[TaskInstance]], usage: tuple, power: float):
+        """Fill in the given (earliest-deadline-first) order, given as runs
+        of one spec; returns the chosen instances, final usage and power,
+        and served counts per spec."""
         chosen = []
         counts: dict[str, int] = {}
-        limit = self.config.power_budget + _EPS
+        budget = self.config.power_budget
         # Usage and power only grow during the fill, so a spec that did not
         # fit once cannot fit later in it (keyed by identity: every spec is
-        # alive in ``low`` for the whole call).
+        # alive in ``runs`` for the whole call).
         rejected: set[int] = set()
-        for inst in low:
-            spec = inst.spec
+        for run in runs:
+            spec = run[0].spec
             key = id(spec)
             if key in rejected:
                 continue
-            # try_fit inlined (the call cost shows here): the same sums and
-            # comparisons, power first so a rejection skips the tuple
-            new_power = power + spec.power_weight
-            if new_power <= limit:
-                new = tuple(map(add, usage, spec.demand))
-                if max(new) <= _CAP:
-                    usage, power = new, new_power
-                    chosen.append(inst)
-                    counts[spec.id] = counts.get(spec.id, 0) + 1
-                    continue
-            rejected.add(key)
+            demand, w = spec.demand, spec.power_weight
+            n = len(run)
+            taken = 0
+            while True:  # a run longer than one chain goes on from its end
+                chain = _fill_chain(demand, w, usage, power, budget)
+                k = min(n - taken, len(chain))
+                if k:
+                    usage, power = chain[k - 1]
+                    taken += k
+                if taken == n or k < _CHAIN_MAX:
+                    break
+            if taken:
+                chosen.extend(run if taken == n else run[:taken])
+                counts[spec.id] = counts.get(spec.id, 0) + taken
+            if taken < n:
+                rejected.add(key)
         return chosen, usage, power, counts
 
-    def _quota_displaced(self, t: int, low: list[TaskInstance], usage: tuple, power: float):
+    def _quota_displaced(self, t: int, runs: list[list[TaskInstance]], usage: tuple, power: float):
         """Would the scan displace work needed by a behind-quota spec?
 
         Returns the answer and, when both fills were computed, the one
@@ -236,8 +274,8 @@ class GreedyPlanner:
         if not behind:
             return False, None
         scan = self.config.scan
-        fill_scan = self._fill_low(low, tuple(map(add, usage, scan.demand)), power + scan.power_weight)
-        fill_idle = self._fill_low(low, usage, power)
+        fill_scan = self._fill_low(runs, tuple(map(add, usage, scan.demand)), power + scan.power_weight)
+        fill_idle = self._fill_low(runs, usage, power)
         with_scan, without = fill_scan[3], fill_idle[3]
         if any(with_scan.get(s, 0) < without.get(s, 0) for s in behind):
             return True, fill_idle
@@ -260,15 +298,22 @@ class GreedyPlanner:
         events: list[tuple[int, str, str]] = []
         chosen: list[TaskInstance] = []
 
-        # one earliest-deadline-first order for both priority classes
+        # one earliest-deadline-first order for both priority classes; the
+        # low-priority instances in runs of one spec (high-priority ones
+        # between two instances of a low spec do not split its run)
         high: list[TaskInstance] = []
-        low: list[TaskInstance] = []
+        runs: list[list[TaskInstance]] = []
+        run_spec = None
         for inst in sorted(queue, key=_EDF_KEY):
-            priority = inst.spec.priority
-            if priority is _HIGH:
+            spec = inst.spec
+            if spec is run_spec:
+                run.append(inst)
+            elif spec.priority is _HIGH:
                 high.append(inst)
-            elif priority is _LOW:
-                low.append(inst)
+            elif spec.priority is _LOW:
+                run_spec = spec
+                run = [inst]
+                runs.append(run)
 
         if forced_scan is not None:
             scan_on = bool(forced_scan)
@@ -308,7 +353,7 @@ class GreedyPlanner:
         ):
             z_scan = min(1.0 - u - s for u, s in zip(usage, scan_d))
             if self._scan_margin(z_now, z_scan) > 0:
-                displaced, fill = self._quota_displaced(t, low, usage, power)
+                displaced, fill = self._quota_displaced(t, runs, usage, power)
                 if not displaced:
                     scan_on = True
                     usage = tuple(map(add, usage, scan_d))
@@ -318,7 +363,7 @@ class GreedyPlanner:
 
         # Step 3: fill with low-priority work.
         if fill is None:
-            fill = self._fill_low(low, usage, power)
+            fill = self._fill_low(runs, usage, power)
         low_chosen, usage, power, counts = fill
         served = self.served_in_window
         for spec_id, c in counts.items():

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from satdefsim import engine
+from satdefsim import attacker, engine, scheduler
 from satdefsim.scheduler import ScanTask, SchedulerConfig, UtilityParams
 from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
 
 
 def clear_engine_caches():
-    """Empty every engine cache, so that the next episode builds cold."""
+    """Empty every engine cache and the slot solvers' memos, so that the
+    next episode builds cold."""
     for cached in (
         engine._game_assets, engine._mean_snr, engine._link_tables,
-        engine._outage_forecast, engine._signal_plan,
+        engine._outage_forecast, engine._signal_plan, scheduler._fill_chain,
     ):
         cached.cache_clear()
     engine._SCHEDULE_CACHE.clear()
+    attacker._LAYER_CACHE.clear()
 
 
 @pytest.fixture

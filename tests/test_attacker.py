@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from satdefsim import attacker
 from satdefsim.attacker import (
     AttackerParams,
     belief_update,
@@ -259,6 +260,96 @@ class TestBestResponse:
     def test_empty_horizon_rejected(self):
         with pytest.raises(ValueError):
             best_response([], [], PARAMS)
+
+
+class TestLayerCache:
+    """best_response keeps the backward layers of recent calls; a warm
+    cache must give the cold answer, bit for bit, from any start."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        attacker._LAYER_CACHE.clear()
+        yield
+        attacker._LAYER_CACHE.clear()
+
+    @staticmethod
+    def _counting(monkeypatch):
+        builds = []
+        build = attacker._backward_layers
+
+        def counting(*args):
+            builds.append(len(args[0]))
+            return build(*args)
+
+        monkeypatch.setattr(attacker, "_backward_layers", counting)
+        return builds
+
+    @pytest.mark.parametrize("shape", ["constant", "random"])
+    def test_warm_equals_cold_over_start_intensities(self, shape, monkeypatch):
+        rng = np.random.default_rng({"constant": 31, "random": 32}[shape])
+        builds = self._counting(monkeypatch)
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            if shape == "constant":  # the interceptor's replans
+                rewards, scans = np.full(n, float(rng.uniform(0.0, 3.0))), np.zeros(n, dtype=int)
+            else:
+                rewards, scans = rng.uniform(-0.5, 3.0, n), (rng.random(n) < 0.25).astype(int)
+            params = random_params(rng)
+            starts = [0.0, 1.0, 0.5, float(rng.random()), float(rng.random())]
+            cold = []
+            for start in starts:
+                attacker._LAYER_CACHE.clear()
+                cold.append(best_response(rewards, scans, params, start_intensity=start))
+            attacker._LAYER_CACHE.clear()
+            del builds[:]
+            warm = [best_response(rewards, scans, params, start_intensity=start) for start in starts]
+            assert builds == [n]  # built once, then read
+            for c, w in zip(cold, warm):
+                assert w.decisions.tolist() == c.decisions.tolist()
+                assert w.value.hex() == c.value.hex()
+
+    def test_warm_cache_matches_enumeration(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        builds = self._counting(monkeypatch)
+        cases = []
+        for _ in range(12):
+            n = int(rng.integers(1, 11))
+            cases.append((rng.uniform(-0.5, 3.0, n), (rng.random(n) < 0.25).astype(int), random_params(rng)))
+        for rewards, scans, params in cases:  # warm every entry first
+            best_response(rewards, scans, params)
+        del builds[:]
+        for rewards, scans, params in cases:
+            for start in (0.0, 1.0, float(rng.random()), 1e-300):
+                dp = best_response(rewards, scans, params, start_intensity=start)
+                brute = enumerate_best_response(rewards, scans, params, start_intensity=start)
+                assert dp.value.hex() == brute.value.hex()
+                assert dp.decisions.tolist() == brute.decisions.tolist()
+        assert builds == []
+
+    def test_keyed_by_rewards_scans_and_params(self, monkeypatch):
+        builds = self._counting(monkeypatch)
+        rewards, scans = [1.0, 2.0, 0.5], [0, 0, 0]
+        best_response(rewards, scans, PARAMS)
+        best_response([1.0, 2.0, 0.5 + 1e-15], scans, PARAMS)
+        best_response(rewards, [0, 1, 0], PARAMS)
+        for changed in ({"memory": 0.2}, {"base_cost": 0.2}, {"cost_scale": 0.7}):
+            best_response(rewards, scans, AttackerParams(**changed))
+        # the same bytes, and reward_weight does not enter the layers
+        best_response(np.array(rewards), np.array(scans, dtype=bool), PARAMS)
+        best_response(rewards, scans, AttackerParams(reward_weight=3.0))
+        assert builds == [3] * 6
+
+    def test_long_calls_not_kept_and_entries_bounded(self):
+        rng = np.random.default_rng(34)
+        best_response(rng.uniform(-0.5, 3.0, 2000), np.zeros(2000, dtype=int), PARAMS, start_intensity=0.5)
+        assert attacker._LAYER_CACHE == {}
+        for k in range(3 * attacker._LAYER_CACHE_SIZE):
+            best_response([1.0 + k, 2.0], [0, 0], PARAMS)
+        assert len(attacker._LAYER_CACHE) == attacker._LAYER_CACHE_SIZE
+        assert all(sum(map(len, v)) <= attacker._LAYER_CACHE_LINES for v in attacker._LAYER_CACHE.values())
+        # the oldest go first
+        assert (np.array([1.0 + 3 * attacker._LAYER_CACHE_SIZE - 1, 2.0]).tobytes()
+                == next(reversed(attacker._LAYER_CACHE))[0])
 
 
 class TestBelief:

@@ -940,6 +940,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             from_dict(raw)
 
+    @pytest.mark.parametrize("bad", ["cf", "cpu", ["cpu", 1], [], 2, None])
+    def test_resources_must_be_a_list_of_strings(self, bad):
+        # a string once loaded as its characters: "cf" became ("c", "f")
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        raw["resources"] = bad
+        with pytest.raises(ConfigError, match="resources"):
+            from_dict(raw)
+        with pytest.raises(ConfigError, match="resources"):
+            default_scenario(resources=bad)
+        with pytest.raises(ConfigError, match="resources"):
+            dataclasses.replace(default_scenario(), resources=bad)
+        listed = dataclasses.replace(default_scenario(), resources=["cpu", "fpga"])
+        assert listed.resources == ("cpu", "fpga")
+
     def test_config_echo_round_trips_every_field(self):
         cfg = from_dict(NON_DEFAULT_SCENARIO)
         leaves = config_leaves(cfg)

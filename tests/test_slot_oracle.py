@@ -249,3 +249,76 @@ def test_slot_solver_matches_reference(forcing):
     if forcing == "forced":
         del checked["quota_displaced"], checked["quota_kept"]
     assert all(v > 0 for v in checked.values()), checked
+
+
+def _shape_spec(spec_id, priority, demand, power):
+    return TaskSpec(
+        id=spec_id, nature=Nature.MISSION, priority=priority,
+        arrival=Arrival(kind="aperiodic", rate=0.2), demand=demand,
+        power_weight=power, processing=4, relative_deadline=30,
+    )
+
+
+def _shape_queues():
+    """Queues whose low-priority part falls into runs of one spec in
+    earliest-deadline-first order, by the shapes the run fill depends on."""
+    def instances(spec, reqs, uid0):
+        return [TaskInstance(uid=uid0 + k, spec=spec, req=r, start_after=r) for k, r in enumerate(reqs)]
+
+    low, high = Priority.LOW, Priority.HIGH
+    # 45 small instances of one spec all fit: the run outlasts one chain
+    small = _shape_spec("small", low, [0.02, 0.01], 0.01)
+    # exactly 32 of these fill the first resource to 1.0, the 33rd does not
+    exact = _shape_spec("exact", low, [0.03125, 0.0], 0.0)
+    # no demand and no power: its chain never ends by itself
+    free = _shape_spec("free", low, [0.0, 0.0], 0.0)
+    big = _shape_spec("big", low, [0.3, 0.2], 0.2)
+    mid = _shape_spec("mid", low, [0.1, 0.25], 0.1)
+    urgent = _shape_spec("urgent", high, [0.15, 0.1], 0.15)
+    return {
+        "one spec, 45 instances": instances(small, [0] * 45, 0),
+        "one spec, 32 fit of 40": instances(exact, [0] * 40, 0),
+        "zero demand and power": instances(free, [0] * 70, 0) + instances(big, [1] * 5, 70),
+        # high-priority deadlines fall between those of one low spec
+        "high splits a low run": instances(mid, [0, 0, 1, 1, 2, 2, 3, 3], 0)
+        + instances(urgent, [0, 1, 2], 100),
+        # three low specs take turns by deadline
+        "interleaved low specs": instances(big, [0, 3, 6, 9], 0)
+        + instances(mid, [1, 4, 7, 10], 10) + instances(small, [2, 5, 8, 11] * 3, 20),
+    }
+
+
+@pytest.mark.parametrize("shape", list(_shape_queues()))
+def test_run_fill_matches_reference_on_queue_shapes(shape):
+    queue = _shape_queues()[shape]
+    scan = ScanTask(demand=[0.15, 0.05], power_weight=0.25, duration=2)
+    longest = 0
+    left_out = False
+    for budget in (0.6, 1.0, 3.0):
+        for scan_enabled in (True, False):
+            config = SchedulerConfig(scan=scan, power_budget=budget, scan_enabled=scan_enabled)
+            # a large target keeps every low spec behind its quota, so a
+            # scan start weighs both fills
+            targets = {s.id: 5.0 for s in {i.spec for i in queue}}
+            live = GreedyPlanner(UtilityParams(), config, 0, 6, targets)
+            ref = ReferencePlanner(UtilityParams(), config, 0, 6, targets)
+            for t, forced in enumerate((None, None, True, False, None, None)):
+                got = live.schedule_slot(list(queue), t, forced)
+                want = ref.schedule_slot(list(queue), t, forced)
+                assert got.running == want.running
+                assert got.scan_on is want.scan_on
+                assert got.z.hex() == want.z.hex()
+                assert got.events == want.events
+                assert _planner_state(live) == _planner_state(ref)
+                ran = [i.spec.id for i in queue if i.uid in want.running]
+                longest = max(longest, max((ran.count(s) for s in set(ran)), default=0))
+                left_out = left_out or any(
+                    i.spec.priority is Priority.LOW and i.uid not in want.running for i in queue
+                )
+    if shape == "one spec, 45 instances":
+        assert longest == 45  # more than one chain's length in one run
+    elif shape == "one spec, 32 fit of 40":
+        assert longest == 32
+    elif shape == "zero demand and power":
+        assert longest == 70
+    assert left_out
