@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from satdefsim import attacker
+from satdefsim import attacker, engine
 from satdefsim.attacker import (
     AttackerParams,
     belief_update,
@@ -11,6 +11,9 @@ from satdefsim.attacker import (
     threshold_decision,
 )
 
+from satdefsim.config import default_scenario
+
+from conftest import clear_engine_caches
 from oracles import enumerate_best_response, realized_utility
 
 PARAMS = AttackerParams()  # reward 10, base cost 0.1, cost scale 0.5, memory 0.1
@@ -350,6 +353,16 @@ class TestLayerCache:
         # the oldest go first
         assert (np.array([1.0 + 3 * attacker._LAYER_CACHE_SIZE - 1, 2.0]).tobytes()
                 == next(reversed(attacker._LAYER_CACHE))[0])
+
+    def test_interceptor_replans_reuse_layers(self, monkeypatch):
+        # a dp episode builds each distinct (remaining, gap) pair's layers once
+        builds = self._counting(monkeypatch)
+        calls = []
+        monkeypatch.setattr(engine, "best_response", lambda *a, **k: calls.append(1) or best_response(*a, **k))
+        cfg = default_scenario(horizon=200, attacker={"mode": "dp"})
+        clear_engine_caches()
+        engine.run_episode(cfg, 3, "stardis")
+        assert 0 < len(builds) < len(calls) / 4
 
 
 class TestBelief:
