@@ -10,7 +10,6 @@ from satdefsim.attacker import (
     intensity_update,
     threshold_decision,
 )
-
 from satdefsim.config import default_scenario
 
 from conftest import clear_engine_caches
@@ -350,9 +349,9 @@ class TestLayerCache:
             best_response([1.0 + k, 2.0], [0, 0], PARAMS)
         assert len(attacker._LAYER_CACHE) == attacker._LAYER_CACHE_SIZE
         assert all(sum(map(len, v)) <= attacker._LAYER_CACHE_LINES for v in attacker._LAYER_CACHE.values())
-        # the oldest go first
-        assert (np.array([1.0 + 3 * attacker._LAYER_CACHE_SIZE - 1, 2.0]).tobytes()
-                == next(reversed(attacker._LAYER_CACHE))[0])
+        # oldest out first: the entries left are those of the last calls
+        oldest = next(iter(attacker._LAYER_CACHE))[0]
+        assert oldest == np.array([1.0 + 2 * attacker._LAYER_CACHE_SIZE, 2.0]).tobytes()
 
     def test_interceptor_replans_reuse_layers(self, monkeypatch):
         # a dp episode builds each distinct (remaining, gap) pair's layers once
