@@ -8,6 +8,7 @@ from .attacker import (
     AttackPlan,
     belief_update,
     best_response,
+    dp_decision,
     intensity_update,
     threshold_decision,
 )

@@ -68,21 +68,19 @@ def best_response(
     the lines (slope, intercept) that are on top somewhere in [0, 1].
     No bound on their number is known; it stays at a few lines on random
     rewards, but a constant reward just above the base cost can need
-    hundreds over thousands of slots.  The layers depend on the rewards,
-    the scan mask and ``params`` only, not on the start intensity, so
-    they are memoized under those inputs (``_LAYER_CACHE``: at most 64
-    entries of at most 512 lines, so calls of 512 slots or more are
-    always computed afresh); the interceptor's replans repeat a few of
-    them many times.
+    hundreds over thousands of slots.  Every call builds its layers
+    afresh; the interceptor decides its slots with ``dp_decision``,
+    which memoizes the layers of its constant-reward windows.
 
-    The plan is read forward at the exact intensity and attacks only
-    where attacking is strictly better; exact ties wait.  A tie in real
-    numbers that rounding splits can still go either way, between plans
-    whose values differ in the last bits.  ``value`` is the plan's
-    attack terms folded back to front, in the operation order of the
-    brute-force oracle ``enumerate_best_response`` in ``tests/oracles.py``,
-    divided by the horizon.
-    ``start_intensity`` must lie in [0, 1], where the envelopes are kept.
+    The plan is read forward at the exact intensity, one ``_attacks``
+    step per slot, and attacks only where attacking is strictly better;
+    exact ties wait.  A tie in real numbers that rounding splits can
+    still go either way, between plans whose values differ in the last
+    bits.  ``value`` is the plan's attack terms folded back to front, in
+    the operation order of the brute-force oracle
+    ``enumerate_best_response`` in ``tests/oracles.py``, divided by the
+    horizon.  ``start_intensity`` must lie in [0, 1], where the
+    envelopes are kept.
     """
     reward = np.asarray(gap_reward, dtype=float)
     scan = np.asarray(scan_on, dtype=int)
@@ -94,34 +92,19 @@ def best_response(
     if not 0.0 <= start_intensity <= 1.0:
         raise ValueError("start_intensity must lie in [0, 1]")
     eta, beta, kk = params.memory, params.base_cost, params.cost_scale
-    key = (reward.tobytes(), scan.tobytes(), eta, beta, kk)
     reward, scan = reward.tolist(), scan.tolist()
-    # intensity_update inlined: (1 - eta) * a + eta * x with x in {0.0, 1.0},
-    # the same operations in the same order
-    keep, rest, hit = 1.0 - eta, eta * 0.0, eta * 1.0
-    layers = _LAYER_CACHE.get(key)
-    if layers is None:
-        layers = _backward_layers(reward, scan, keep, eta, beta, beta * kk)
-        if sum(map(len, layers)) <= _LAYER_CACHE_LINES:
-            if len(_LAYER_CACHE) >= _LAYER_CACHE_SIZE:
-                del _LAYER_CACHE[next(iter(_LAYER_CACHE))]  # the oldest
-            _LAYER_CACHE[key] = layers
+    keep, slope_cost = 1.0 - eta, beta * kk
+    layers = [_ZERO_LAYER] * (n + 1)  # layers[t] = V_t; V_0 is never read
+    for t in range(n - 1, 0, -1):
+        layers[t] = _earlier_layer(layers[t + 1], reward[t], scan[t], keep, eta, beta, slope_cost)
     plan = [0] * n
     intensity = [0.0] * n
     a = float(start_intensity)
     for t in range(n):
         intensity[t] = a
-        a_wait = keep * a + rest
-        if not scan[t]:
-            nxt = layers[t + 1]
-            a_hit = keep * a + hit
-            v_wait = max([s * a_wait + c for s, c in nxt])
-            v_att = (reward[t] - beta * (1.0 + kk * a)) + max([s * a_hit + c for s, c in nxt])
-            if v_att > v_wait:  # ties keep wait
-                plan[t] = 1
-                a = a_hit
-                continue
-        a = a_wait
+        if not scan[t] and _attacks(layers[t + 1], reward[t], a, eta, beta, kk):
+            plan[t] = 1
+        a = intensity_update(a, plan[t], eta)
     value = 0.0
     for t in range(n - 1, -1, -1):
         if plan[t]:
@@ -129,31 +112,104 @@ def best_response(
     return AttackPlan(decisions=np.array(plan, dtype=int), value=value / n)
 
 
-# Backward layers of recent best_response calls, keyed by the exact bytes of
-# the rewards and scan mask and by the parameters.  At most 64 entries of at
-# most 512 lines each are kept (a layer has at least one line, so a call of
-# 512 slots or more is never kept), oldest out first.
+def dp_decision(gap: float, remaining: int, params: AttackerParams, intensity: float) -> int:
+    """The dp interceptor's decision in a slot with ``remaining`` slots
+    left in its window: the first decision of
+    ``best_response([gap] * remaining, [0] * remaining, params,
+    start_intensity=intensity)``, bit for bit, without building the plan.
+
+    The plan is time-consistent (Bellman's principle of optimality): with
+    a constant reward and no scan mask, the layers of a window from its
+    k-th slot on are the layers of a window k slots shorter, the same
+    floats from the same operations, and the plan's intensity recursion
+    is ``intensity_update``.  So the decision a plan takes at any offset
+    is the first decision of a fresh plan from that slot and intensity,
+    and a slot needs only the value layer of the slots after it.  That
+    layer depends on ``gap``, ``remaining`` and the three dynamics
+    parameters only, and is read from ``_LAYER_CACHE``; a miss builds it
+    on the nearest layer of the same gap held below it, one backward step
+    per slot.  Ties wait.
+    """
+    if not remaining >= 1:
+        raise ValueError(f"remaining must be >= 1, got {remaining}")
+    if not 0.0 <= intensity <= 1.0:
+        raise ValueError("intensity must lie in [0, 1]")
+    eta, beta, kk = params.memory, params.base_cost, params.cost_scale
+    rest = _LAYER_CACHE.get((gap, remaining, eta, beta, kk))
+    if rest is None:
+        rest = _rest_layer(gap, remaining, eta, beta, kk)
+    return 1 if _attacks(rest, gap, intensity, eta, beta, kk) else 0
+
+
+# The value layers of recent dp_decision windows: (gap, remaining, memory,
+# base_cost, cost_scale) -> V_{remaining - 1}, the value of the slots after
+# the current one as the upper envelope of its lines.  At most 64 entries
+# of at most 512 lines each are kept, oldest out first; a longer layer is
+# built afresh whenever it is needed.  Entries are shared and must not be
+# changed.
 _LAYER_CACHE: dict[tuple, list] = {}
 _LAYER_CACHE_SIZE = 64
 _LAYER_CACHE_LINES = 512
+_ZERO_LAYER = [(0.0, 0.0)]  # V_0: no slot left
 
 
-def _backward_layers(reward: list, scan: list, keep: float, eta: float, beta: float, slope_cost: float) -> list:
-    """layers[t]: V_t(a) = max over lines of s * a + c, for t = 1..n, with
-    V_n = 0.  The plan starts from a known intensity, so V_0 is never
-    needed (layers[0] is a placeholder).  The layers are shared by later
-    calls with the same inputs and must not be changed."""
-    n = len(reward)
-    layers = [[(0.0, 0.0)]] * (n + 1)
-    for t in range(n - 1, 0, -1):
-        nxt = layers[t + 1]
-        wait = [(s * keep, c) for s, c in nxt]  # V_{t+1}(keep * a)
-        attack = []
-        if not scan[t]:  # r_t - beta (1 + kk a) + V_{t+1}(keep * a + eta)
-            r = reward[t] - beta
-            attack = [(s * keep - slope_cost, c + s * eta + r) for s, c in nxt]
-        layers[t] = _upper(wait, attack)
-    return layers
+def _rest_layer(gap: float, remaining: int, eta: float, beta: float, kk: float) -> list:
+    """V_{remaining - 1} of a constant-``gap`` window without scans, built
+    on the nearest layer of the same gap held below it (or on V_0) and
+    memoized with every layer built on the way."""
+    keys = []
+    rest = _ZERO_LAYER
+    for r in range(remaining, 0, -1):
+        key = (gap, r, eta, beta, kk)
+        held = _LAYER_CACHE.get(key)
+        if held is not None:
+            rest = held
+            break
+        keys.append(key)
+    keep, slope_cost = 1.0 - eta, beta * kk
+    for key in reversed(keys):
+        if key[1] > 1:  # V_{r-1} from V_{r-2}; the key of remaining 1 holds V_0
+            rest = _earlier_layer(rest, gap, 0, keep, eta, beta, slope_cost)
+        if len(rest) <= _LAYER_CACHE_LINES:
+            if len(_LAYER_CACHE) >= _LAYER_CACHE_SIZE:
+                del _LAYER_CACHE[next(iter(_LAYER_CACHE))]  # the oldest
+            _LAYER_CACHE[key] = rest
+    return rest
+
+
+def _attacks(rest: list, reward: float, a: float, eta: float, beta: float, kk: float) -> bool:
+    """One forward step: at intensity ``a``, attacking for ``reward`` is
+    strictly better than waiting, where ``rest`` is the value layer of
+    the slots after this one.  Exact ties wait."""
+    # intensity_update inlined: (1 - eta) * a + eta * x with x in {0.0, 1.0},
+    # the same operations in the same order
+    keep = 1.0 - eta
+    a_wait, a_hit = keep * a + eta * 0.0, keep * a + eta * 1.0
+    # the upper envelope at a_wait and at a_hit, in one pass; max's rule:
+    # the first of equal maxima stays
+    v_wait = v_hit = -math.inf
+    for s, c in rest:
+        v = s * a_wait + c
+        if v > v_wait:
+            v_wait = v
+        v = s * a_hit + c
+        if v > v_hit:
+            v_hit = v
+    return (reward - beta * (1.0 + kk * a)) + v_hit > v_wait
+
+
+def _earlier_layer(
+    nxt: list, reward: float, scanned: int, keep: float, eta: float, beta: float, slope_cost: float
+) -> list:
+    """One backward step: V_t(a) = max over lines of s * a + c from
+    V_{t+1} = ``nxt``, by waiting or, unless the slot is ``scanned``,
+    attacking for ``reward``."""
+    wait = [(s * keep, c) for s, c in nxt]  # V_{t+1}(keep * a)
+    attack = []
+    if not scanned:  # r_t - beta (1 + kk a) + V_{t+1}(keep * a + eta)
+        r = reward - beta
+        attack = [(s * keep - slope_cost, c + s * eta + r) for s, c in nxt]
+    return _upper(wait, attack)
 
 
 def _upper(first, second):

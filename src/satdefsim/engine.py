@@ -58,8 +58,11 @@ import numpy as np
 
 from . import __version__
 from .attacker import (
-    best_response,
     belief_update,
+    # unused here, but perfbench/tracing.py patches engine.best_response by
+    # name (PATCH_POINTS), so the name must stay importable from this module
+    best_response,  # noqa: F401
+    dp_decision,
     intensity_update,
     threshold_decision,
 )
@@ -428,12 +431,14 @@ class Interceptor:
 
     ``params`` are the ``AttackerParams``; ``belief, p_scan, idle_gap``
     is the current ``belief_entry``, the prior's at the start and after
-    an erasure; ``threshold`` selects the threshold rule, ``None`` the dp plan, which
-    is replanned only when the belief changes or the plan is used up.
-    The totals are the realized and believed attack utilities summed
-    over the slots.  ``best_response`` and ``threshold_decision`` are
-    looked up in this module, so patching them (as a tracer does) sees
-    every call.
+    an erasure; ``threshold`` selects the threshold rule, ``None`` the dp
+    rule.  The dp rule decides every slot afresh with ``dp_decision``:
+    the first decision of the optimal plan for the rest of the window
+    from the current belief and intensity, which is the decision a plan
+    made earlier would take there while the belief stays the same.  The
+    totals are the realized and believed attack utilities summed over
+    the slots.  ``dp_decision`` and ``threshold_decision`` are looked up
+    in this module, so patching them sees every call.
     """
 
     def __init__(self, params, prior_entry: tuple, threshold: float | None):
@@ -446,9 +451,6 @@ class Interceptor:
         self.believed = 0.0
         self.attacks = 0
         self.blocked = 0
-        self._plan: list[int] | None = None
-        self._offset = 0
-        self._plan_belief: np.ndarray | None = None
 
     def receive(self, erased: bool, due) -> str:
         """Take a slot's telemetry: ``due`` holds the ``(generated_at,
@@ -474,24 +476,7 @@ class Interceptor:
         if self.threshold is not None:
             x_att = int(threshold_decision(self.p_scan, self.threshold))
         else:
-            # beliefs are read-only table entries: the same object is the
-            # same belief, and is kept, not copied (lists compare element
-            # by element as array_equal does, for two beliefs of one game)
-            belief = self.belief
-            if (
-                self._plan is None
-                or self._offset >= len(self._plan)
-                or (self._plan_belief is not belief and self._plan_belief.tolist() != belief.tolist())
-            ):
-                plan = best_response(
-                    np.full(remaining, gap), np.zeros(remaining, dtype=int),
-                    att, start_intensity=self.intensity,
-                )
-                self._plan = plan.decisions.tolist()
-                self._offset = 0
-                self._plan_belief = belief
-            x_att = self._plan[self._offset]
-            self._offset += 1
+            x_att = dp_decision(gap, remaining, att, self.intensity)
         blocked = 0
         reward = 0.0
         if x_att:

@@ -70,8 +70,18 @@ class PersuasionGame:
         object.__setattr__(self, "prior", np.asarray(self.prior, dtype=float))
         object.__setattr__(self, "z_rep", np.asarray(self.z_rep, dtype=float))
         object.__setattr__(self, "scan_flag", np.asarray(self.scan_flag, dtype=int))
-        if abs(self.prior.sum() - 1.0) > 1e-9 or np.any(self.prior < -_EPS):
-            raise ValueError("prior must be a distribution")
+        prior = self.prior
+        if (
+            prior.ndim != 1 or not np.all(np.isfinite(prior))
+            or not (abs(prior.sum() - 1.0) <= 1e-9) or not np.all(prior >= -_EPS)  # NaN-safe
+        ):
+            raise ValueError(f"prior must be a finite distribution, got {prior}")
+        for name in ("attack_payoff", "z_rep", "scan_flag"):
+            value = getattr(self, name)
+            if value.shape != self.prior.shape:
+                raise ValueError(f"{name} must have one entry per state of the prior ({self.n_states}), got {value}")
+        if not np.all(np.isfinite(self.attack_payoff)):
+            raise ValueError(f"attack_payoff must be finite, got {self.attack_payoff}")
         # an optimal split may use n_states + 1 posteriors, one signal each
         if self.n_signals < 0 or 0 < self.n_signals < self.n_states + 1:
             raise ValueError(

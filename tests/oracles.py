@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from satdefsim.attacker import AttackerParams, AttackPlan, intensity_update
+from satdefsim.attacker import AttackerParams, AttackPlan, best_response, intensity_update, threshold_decision
+from satdefsim.engine import Interceptor
 from satdefsim.persuasion import PersuasionGame, PosteriorSplit, attacker_value, min_attacker_value
 from satdefsim.scheduler import _EPS, HorizonPlan, SchedulerConfig, UtilityParams, detection_performance
 from satdefsim.workload import TaskInstance
@@ -364,3 +365,56 @@ def exact_schedule(
         objective=best[0],
         z=z_best,
     )
+
+
+class ReferenceInterceptor(Interceptor):
+    """The dp interceptor as it stood before it decided each slot with
+    ``dp_decision``: it plans the rest of the window with ``best_response``
+    and follows that plan, replanning only when the belief changes or the
+    plan is used up.  The threshold rule, ``receive`` and the settling of
+    a slot are unchanged.  Do not edit it to make a change pass: a change
+    of decisions is a change of results."""
+
+    def __init__(self, params, prior_entry: tuple, threshold: float | None):
+        super().__init__(params, prior_entry, threshold)
+        self._plan: list[int] | None = None
+        self._offset = 0
+        self._plan_belief: np.ndarray | None = None
+
+    def act(self, scan_now: bool, z: float, erased: bool, remaining: int) -> tuple[int, int, float]:
+        att = self.params
+        gap = att.reward_weight * self.idle_gap  # believed attack gap
+        if self.threshold is not None:
+            x_att = int(threshold_decision(self.p_scan, self.threshold))
+        else:
+            # beliefs are read-only table entries: the same object is the
+            # same belief, and is kept, not copied (lists compare element
+            # by element as array_equal does, for two beliefs of one game)
+            belief = self.belief
+            if (
+                self._plan is None
+                or self._offset >= len(self._plan)
+                or (self._plan_belief is not belief and self._plan_belief.tolist() != belief.tolist())
+            ):
+                plan = best_response(
+                    np.full(remaining, gap), np.zeros(remaining, dtype=int),
+                    att, start_intensity=self.intensity,
+                )
+                self._plan = plan.decisions.tolist()
+                self._offset = 0
+                self._plan_belief = belief
+            x_att = self._plan[self._offset]
+            self._offset += 1
+        blocked = 0
+        reward = 0.0
+        if x_att:
+            self.attacks += 1
+            cost = att.base_cost * (1.0 + att.cost_scale * self.intensity)
+            blocked = int(scan_now)
+            self.blocked += blocked
+            gate = (not erased) and not scan_now
+            reward = (att.reward_weight * (1.0 - z)) if gate else 0.0
+            self.realized += reward - cost
+            self.believed += gap - cost
+        self.intensity = intensity_update(self.intensity, x_att, att.memory)
+        return x_att, blocked, reward

@@ -7,6 +7,7 @@ from satdefsim.attacker import (
     AttackerParams,
     belief_update,
     best_response,
+    dp_decision,
     intensity_update,
     threshold_decision,
 )
@@ -265,8 +266,9 @@ class TestBestResponse:
 
 
 class TestLayerCache:
-    """best_response keeps the backward layers of recent calls; a warm
-    cache must give the cold answer, bit for bit, from any start."""
+    """dp_decision keeps the value layers of recent windows, keyed by
+    (gap, remaining) and the dynamics parameters; a warm memo must give
+    the cold answer, bit for bit, from any start."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
@@ -277,91 +279,121 @@ class TestLayerCache:
     @staticmethod
     def _counting(monkeypatch):
         builds = []
-        build = attacker._backward_layers
+        build = attacker._earlier_layer
 
         def counting(*args):
-            builds.append(len(args[0]))
+            builds.append(args[1])  # the gap
             return build(*args)
 
-        monkeypatch.setattr(attacker, "_backward_layers", counting)
+        monkeypatch.setattr(attacker, "_earlier_layer", counting)
         return builds
 
     @pytest.mark.parametrize("shape", ["constant", "random"])
     def test_warm_equals_cold_over_start_intensities(self, shape, monkeypatch):
+        # "constant": the interceptor's believed gaps; "random": gaps over
+        # the range of random rewards, negative ones included
         rng = np.random.default_rng({"constant": 31, "random": 32}[shape])
         builds = self._counting(monkeypatch)
         for _ in range(20):
             n = int(rng.integers(1, 40))
-            if shape == "constant":  # the interceptor's replans
-                rewards, scans = np.full(n, float(rng.uniform(0.0, 3.0))), np.zeros(n, dtype=int)
-            else:
-                rewards, scans = rng.uniform(-0.5, 3.0, n), (rng.random(n) < 0.25).astype(int)
+            gap = float(rng.uniform(0.0, 3.0) if shape == "constant" else rng.uniform(-0.5, 3.0))
             params = random_params(rng)
             starts = [0.0, 1.0, 0.5, float(rng.random()), float(rng.random())]
             cold = []
             for start in starts:
                 attacker._LAYER_CACHE.clear()
-                cold.append(best_response(rewards, scans, params, start_intensity=start))
+                cold.append(dp_decision(gap, n, params, start))
+            plans = [best_response([gap] * n, [0] * n, params, start_intensity=start) for start in starts]
+            assert cold == [plan.decisions[0] for plan in plans]
             attacker._LAYER_CACHE.clear()
             del builds[:]
-            warm = [best_response(rewards, scans, params, start_intensity=start) for start in starts]
-            assert builds == [n]  # built once, then read
-            for c, w in zip(cold, warm):
-                assert w.decisions.tolist() == c.decisions.tolist()
-                assert w.value.hex() == c.value.hex()
+            warm = [dp_decision(gap, n, params, start) for start in starts]
+            assert builds == [gap] * (n - 1)  # V_1 .. V_{n-1}, built once, then read
+            assert warm == cold
+            # every shorter window of the gap is held too
+            for r in range(1, n):
+                dp_decision(gap, r, params, 0.5)
+            assert len(builds) == n - 1
 
     def test_warm_cache_matches_enumeration(self, monkeypatch):
+        # slot by slot from a warm memo, the decisions form an optimal plan
         rng = np.random.default_rng(33)
         builds = self._counting(monkeypatch)
+        monkeypatch.setattr(attacker, "_LAYER_CACHE_SIZE", 256)  # room for every window's layers
         cases = []
         for _ in range(12):
             n = int(rng.integers(1, 11))
-            cases.append((rng.uniform(-0.5, 3.0, n), (rng.random(n) < 0.25).astype(int), random_params(rng)))
-        for rewards, scans, params in cases:  # warm every entry first
-            best_response(rewards, scans, params)
+            cases.append((float(rng.uniform(-0.5, 3.0)), n, random_params(rng)))
+        for gap, n, params in cases:  # warm every entry first
+            dp_decision(gap, n, params, 0.0)
         del builds[:]
-        for rewards, scans, params in cases:
+        walked = []
+        for gap, n, params in cases:
             for start in (0.0, 1.0, float(rng.random()), 1e-300):
-                dp = best_response(rewards, scans, params, start_intensity=start)
-                brute = enumerate_best_response(rewards, scans, params, start_intensity=start)
-                assert dp.value.hex() == brute.value.hex()
-                assert dp.decisions.tolist() == brute.decisions.tolist()
+                plan, a = [], start
+                for k in range(n):
+                    plan.append(dp_decision(gap, n - k, params, a))
+                    a = intensity_update(a, plan[-1], params.memory)
+                walked.append((gap, n, params, start, plan))
         assert builds == []
+        for gap, n, params, start, plan in walked:
+            rewards = [gap] * n
+            dp = best_response(rewards, [0] * n, params, start_intensity=start)
+            brute = enumerate_best_response(rewards, [0] * n, params, start_intensity=start)
+            assert plan == dp.decisions.tolist()
+            # constant rewards tie in real numbers, so only the value is compared
+            assert abs(folded_value(plan, rewards, params, start) - brute.value) <= 1e-12
 
-    def test_keyed_by_rewards_scans_and_params(self, monkeypatch):
+    def test_keyed_by_gap_remaining_and_params(self, monkeypatch):
         builds = self._counting(monkeypatch)
-        rewards, scans = [1.0, 2.0, 0.5], [0, 0, 0]
-        best_response(rewards, scans, PARAMS)
-        best_response([1.0, 2.0, 0.5 + 1e-15], scans, PARAMS)
-        best_response(rewards, [0, 1, 0], PARAMS)
+        dp_decision(1.0, 3, PARAMS, 0.0)
+        assert len(builds) == 2  # V_1 and V_2
+        dp_decision(1.0 + 1e-15, 3, PARAMS, 0.0)
+        assert len(builds) == 4
+        dp_decision(1.0, 4, PARAMS, 0.0)  # V_3, on the V_2 held
+        assert len(builds) == 5
         for changed in ({"memory": 0.2}, {"base_cost": 0.2}, {"cost_scale": 0.7}):
-            best_response(rewards, scans, AttackerParams(**changed))
-        # the same bytes, and reward_weight does not enter the layers
-        best_response(np.array(rewards), np.array(scans, dtype=bool), PARAMS)
-        best_response(rewards, scans, AttackerParams(reward_weight=3.0))
-        assert builds == [3] * 6
+            dp_decision(1.0, 3, AttackerParams(**changed), 0.0)
+        assert len(builds) == 11
+        # the same key: another start, a numpy gap, and reward_weight does
+        # not enter the layers
+        dp_decision(1.0, 3, PARAMS, 0.7)
+        dp_decision(np.float64(1.0), 2, PARAMS, 0.0)
+        dp_decision(1.0, 4, AttackerParams(reward_weight=3.0), 0.0)
+        assert len(builds) == 11
 
-    def test_long_calls_not_kept_and_entries_bounded(self):
+    def test_long_calls_not_kept_and_entries_bounded(self, monkeypatch):
         rng = np.random.default_rng(34)
-        best_response(rng.uniform(-0.5, 3.0, 2000), np.zeros(2000, dtype=int), PARAMS, start_intensity=0.5)
-        assert attacker._LAYER_CACHE == {}
+        monkeypatch.setattr(attacker, "_LAYER_CACHE_LINES", 1)
+        for _ in range(20):  # layers of more lines than the bound are not kept
+            gap, n, start = float(rng.uniform(0.0, 3.0)), int(rng.integers(1, 40)), float(rng.random())
+            plan = best_response([gap] * n, [0] * n, PARAMS, start_intensity=start)
+            assert dp_decision(gap, n, PARAMS, start) == plan.decisions[0]
+        assert all(len(layer) <= 1 for layer in attacker._LAYER_CACHE.values())
+        monkeypatch.undo()
+        attacker._LAYER_CACHE.clear()
         for k in range(3 * attacker._LAYER_CACHE_SIZE):
-            best_response([1.0 + k, 2.0], [0, 0], PARAMS)
+            dp_decision(1.0 + k, 2, PARAMS, 0.0)  # holds V_0 and V_1 of the gap
         assert len(attacker._LAYER_CACHE) == attacker._LAYER_CACHE_SIZE
-        assert all(sum(map(len, v)) <= attacker._LAYER_CACHE_LINES for v in attacker._LAYER_CACHE.values())
         # oldest out first: the entries left are those of the last calls
-        oldest = next(iter(attacker._LAYER_CACHE))[0]
-        assert oldest == np.array([1.0 + 2 * attacker._LAYER_CACHE_SIZE, 2.0]).tobytes()
+        last = 3 * attacker._LAYER_CACHE_SIZE - attacker._LAYER_CACHE_SIZE // 2
+        assert list(attacker._LAYER_CACHE)[:2] == [
+            (1.0 + last, r, PARAMS.memory, PARAMS.base_cost, PARAMS.cost_scale) for r in (1, 2)
+        ]
 
-    def test_interceptor_replans_reuse_layers(self, monkeypatch):
-        # a dp episode builds each distinct (remaining, gap) pair's layers once
+    def test_dp_episode_builds_few_layers_and_no_plan(self, monkeypatch):
+        # the layers of each distinct (gap, remaining) pair are built once,
+        # and a dp episode never builds an AttackPlan
         builds = self._counting(monkeypatch)
-        calls = []
-        monkeypatch.setattr(engine, "best_response", lambda *a, **k: calls.append(1) or best_response(*a, **k))
+        decisions, plans = [], []
+        monkeypatch.setattr(engine, "dp_decision", lambda *a: decisions.append(1) or dp_decision(*a))
+        monkeypatch.setattr(attacker, "AttackPlan", lambda **k: plans.append(1))
         cfg = default_scenario(horizon=200, attacker={"mode": "dp"})
         clear_engine_caches()
         engine.run_episode(cfg, 3, "stardis")
-        assert 0 < len(builds) < len(calls) / 4
+        assert len(decisions) == cfg.horizon
+        assert 0 < len(builds) < cfg.horizon / 4
+        assert plans == []
 
 
 class TestBelief:

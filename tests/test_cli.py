@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 import yaml
@@ -160,6 +161,22 @@ def test_persuasion_solve_rejects_too_few_signals(tmp_path):
     game = tmp_path / "game.yaml"
     game.write_text(yaml.safe_dump({"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5], "n_signals": 2}))
     assert main(["persuasion-solve", "--game", str(game), "--out", str(tmp_path / "pers")]) == 2
+
+
+@pytest.mark.parametrize("field, game", [
+    ("attack_payoff", {"attack_payoff": [math.nan, -1.0], "prior": [0.5, 0.5]}),
+    ("prior", {"attack_payoff": [1.0, -1.0], "prior": [math.nan, 0.5]}),
+    ("prior", {"attack_payoff": [1.0, -1.0], "prior": [0.6, 0.6]}),
+    ("attack_payoff", {"attack_payoff": [1.0, -1.0, 0.5], "prior": [0.5, 0.5]}),
+    ("attack_payoff", {"attack_payoff": [1.0], "prior": [0.5, 0.5]}),
+])
+def test_persuasion_solve_rejects_malformed_games(tmp_path, capsys, field, game):
+    path = tmp_path / "game.yaml"
+    path.write_text(yaml.safe_dump(game))
+    out = tmp_path / "pers"
+    assert main(["persuasion-solve", "--game", str(path), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "persuasion_solution.json").exists()
 
 
 def test_persuasion_solve_rejects_zero_subdivisions(tmp_path, capsys):

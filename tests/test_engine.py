@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satdefsim import engine
-from satdefsim.attacker import AttackerParams, best_response
+from satdefsim import attacker, engine
+from satdefsim.attacker import AttackerParams, best_response, dp_decision
 from satdefsim.config import ConfigError, PersuasionSettings, default_scenario, from_dict, load_config
 from satdefsim.engine import (
     EpisodeRunner,
@@ -806,26 +806,36 @@ class TestInterceptorStep:
         assert step.realized == -params.base_cost + (reward - cost)
         assert (step.attacks, step.blocked) == (2, 1)
 
-    def test_dp_replans_only_on_a_new_belief_or_a_used_up_plan(self, monkeypatch):
-        calls = []
+    def test_dp_decides_every_slot_from_memoized_layers(self, monkeypatch):
+        # one dp_decision per slot, whose layers are built once per
+        # distinct (gap, remaining): the first decision of a fresh plan
+        calls, builds = [], []
+        build = attacker._earlier_layer
+        monkeypatch.setattr(attacker, "_earlier_layer", lambda *a: builds.append(1) or build(*a))
+        monkeypatch.setattr(attacker, "_LAYER_CACHE", {})
 
-        def counted(gap, scan_on, params, start_intensity=0.0):
-            calls.append(len(gap))
-            return best_response(gap, scan_on, params, start_intensity=start_intensity)
+        def counted(*args):
+            x = dp_decision(*args)
+            calls.append((args, x))
+            return x
 
-        monkeypatch.setattr(engine, "best_response", counted)
+        monkeypatch.setattr(engine, "dp_decision", counted)
         table, _, step = self.make(threshold=None)
-        for remaining in (3, 2, 1):  # the prior's plan covers the window
+        for remaining in (3, 2, 1):  # the prior's gap: V_1 and V_2 are built
             step.receive(False, None)
             step.act(False, 0.2, False, remaining)
         step.receive(False, [(3, 1, table)])
-        step.act(False, 0.2, False, 4)
-        # an equal belief from another table: the plan goes on
+        step.act(False, 0.2, False, 4)  # a new gap: V_1, V_2 and V_3
+        # an equal belief from another table, and the prior after an erasure
         step.receive(False, [(4, 1, SignalTable(self.POLICY, self.GAME))])
         step.act(False, 0.2, False, 3)
         step.receive(True, None)
         step.act(False, 0.2, True, 2)
-        assert calls == [3, 4, 2]
+        assert len(builds) == 5
+        assert [remaining for (_, remaining, _, _), _ in calls] == [3, 2, 1, 4, 3, 2]
+        for (gap, remaining, params, intensity), x in calls:
+            plan = best_response([gap] * remaining, [0] * remaining, params, start_intensity=intensity)
+            assert x == plan.decisions[0]
 
 
 class TestConfigValidation:

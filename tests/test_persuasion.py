@@ -413,6 +413,28 @@ class TestSplitLP:
         for ok in (0, 3):
             assert two_state_game([1.0, -1.0], n_signals=ok).n_signals == ok
 
+    @pytest.mark.parametrize("field, changes", [
+        ("attack_payoff", {"attack_payoff": [math.nan, -1.0]}),
+        ("attack_payoff", {"attack_payoff": [math.inf, -1.0]}),
+        ("attack_payoff", {"attack_payoff": [1.0, -math.inf]}),
+        ("prior", {"prior": [math.nan, 0.5]}),
+        ("prior", {"prior": [0.5, math.nan]}),
+        ("prior", {"prior": [math.inf, -math.inf]}),
+        ("prior", {"prior": [0.6, 0.6]}),
+        ("prior", {"prior": [1.5, -0.5]}),
+        ("prior", {"prior": [[0.5, 0.5]]}),
+        ("attack_payoff", {"attack_payoff": [1.0, -1.0, 0.5]}),
+        ("attack_payoff", {"attack_payoff": [1.0]}),
+        ("z_rep", {"z_rep": [0.0, 0.0, 0.0]}),
+        ("scan_flag", {"scan_flag": [0]}),
+    ])
+    def test_malformed_game_rejected(self, field, changes):
+        game = {
+            "attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5], "z_bins": 2, "z_rep": [0.0, 0.0], "scan_flag": [0, 0],
+        }
+        with pytest.raises(ValueError, match=field):
+            PersuasionGame(**{**game, **changes})
+
     def test_candidates(self):
         game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)  # payoffs 7.4, 2.4, -0.1, -0.1
         values, posteriors, _ = exact_lp(game)
