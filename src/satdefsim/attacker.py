@@ -130,7 +130,7 @@ def dp_decision(gap: float, remaining: int, params: AttackerParams, intensity: f
     on the nearest layer of the same gap held below it, one backward step
     per slot.  Ties wait.
     """
-    if not remaining >= 1:
+    if remaining < 1:
         raise ValueError(f"remaining must be >= 1, got {remaining}")
     if not 0.0 <= intensity <= 1.0:
         raise ValueError("intensity must lie in [0, 1]")
@@ -141,22 +141,22 @@ def dp_decision(gap: float, remaining: int, params: AttackerParams, intensity: f
     return 1 if _attacks(rest, gap, intensity, eta, beta, kk) else 0
 
 
-# The value layers of recent dp_decision windows: (gap, remaining, memory,
-# base_cost, cost_scale) -> V_{remaining - 1}, the value of the slots after
-# the current one as the upper envelope of its lines.  At most 64 entries
-# of at most 512 lines each are kept, oldest out first; a longer layer is
-# built afresh whenever it is needed.  Entries are shared and must not be
-# changed.
+# The value layers of recent dp_decision slots: (gap, remaining, memory,
+# base_cost, cost_scale) -> the value of the remaining - 1 slots after the
+# current one, as the upper envelope of its lines.  At most 64 entries of at
+# most 512 lines each are kept, oldest out first; a longer layer is built
+# afresh whenever it is needed.  Entries are shared and must not be changed.
 _LAYER_CACHE: dict[tuple, list] = {}
 _LAYER_CACHE_SIZE = 64
 _LAYER_CACHE_LINES = 512
-_ZERO_LAYER = [(0.0, 0.0)]  # V_0: no slot left
+_ZERO_LAYER = [(0.0, 0.0)]  # the value of no slots
 
 
 def _rest_layer(gap: float, remaining: int, eta: float, beta: float, kk: float) -> list:
-    """V_{remaining - 1} of a constant-``gap`` window without scans, built
-    on the nearest layer of the same gap held below it (or on V_0) and
-    memoized with every layer built on the way."""
+    """The value layer of ``remaining - 1`` slots of reward ``gap`` without
+    scans, built on the nearest layer of the same gap held for fewer slots
+    (or on the value of none), and memoized with every layer built on the
+    way."""
     keys = []
     rest = _ZERO_LAYER
     for r in range(remaining, 0, -1):
@@ -168,7 +168,7 @@ def _rest_layer(gap: float, remaining: int, eta: float, beta: float, kk: float) 
         keys.append(key)
     keep, slope_cost = 1.0 - eta, beta * kk
     for key in reversed(keys):
-        if key[1] > 1:  # V_{r-1} from V_{r-2}; the key of remaining 1 holds V_0
+        if key[1] > 1:  # one slot more; the key of remaining 1 holds the value of none
             rest = _earlier_layer(rest, gap, 0, keep, eta, beta, slope_cost)
         if len(rest) <= _LAYER_CACHE_LINES:
             if len(_LAYER_CACHE) >= _LAYER_CACHE_SIZE:

@@ -7,8 +7,8 @@ from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
 
 
 def clear_engine_caches():
-    """Empty every engine cache and the slot solvers' memos, so that the
-    next episode builds cold."""
+    """Empty every engine cache, the slot solver's fill chains and the
+    interceptor's layer memo, so that the next episode builds cold."""
     for cached in (
         engine._game_assets, engine._mean_snr, engine._link_tables,
         engine._outage_forecast, engine._signal_plan, scheduler._fill_chain,

@@ -308,7 +308,7 @@ class TestLayerCache:
             attacker._LAYER_CACHE.clear()
             del builds[:]
             warm = [dp_decision(gap, n, params, start) for start in starts]
-            assert builds == [gap] * (n - 1)  # V_1 .. V_{n-1}, built once, then read
+            assert builds == [gap] * (n - 1)  # the value of 1 .. n - 1 slots, built once, then read
             assert warm == cold
             # every shorter window of the gap is held too
             for r in range(1, n):
@@ -347,10 +347,10 @@ class TestLayerCache:
     def test_keyed_by_gap_remaining_and_params(self, monkeypatch):
         builds = self._counting(monkeypatch)
         dp_decision(1.0, 3, PARAMS, 0.0)
-        assert len(builds) == 2  # V_1 and V_2
+        assert len(builds) == 2  # the value of 1 and of 2 slots
         dp_decision(1.0 + 1e-15, 3, PARAMS, 0.0)
         assert len(builds) == 4
-        dp_decision(1.0, 4, PARAMS, 0.0)  # V_3, on the V_2 held
+        dp_decision(1.0, 4, PARAMS, 0.0)  # the value of 3 slots, on the 2 held
         assert len(builds) == 5
         for changed in ({"memory": 0.2}, {"base_cost": 0.2}, {"cost_scale": 0.7}):
             dp_decision(1.0, 3, AttackerParams(**changed), 0.0)
@@ -373,7 +373,7 @@ class TestLayerCache:
         monkeypatch.undo()
         attacker._LAYER_CACHE.clear()
         for k in range(3 * attacker._LAYER_CACHE_SIZE):
-            dp_decision(1.0 + k, 2, PARAMS, 0.0)  # holds V_0 and V_1 of the gap
+            dp_decision(1.0 + k, 2, PARAMS, 0.0)  # holds the value of 0 and of 1 slot
         assert len(attacker._LAYER_CACHE) == attacker._LAYER_CACHE_SIZE
         # oldest out first: the entries left are those of the last calls
         last = 3 * attacker._LAYER_CACHE_SIZE - attacker._LAYER_CACHE_SIZE // 2

@@ -821,11 +821,11 @@ class TestInterceptorStep:
 
         monkeypatch.setattr(engine, "dp_decision", counted)
         table, _, step = self.make(threshold=None)
-        for remaining in (3, 2, 1):  # the prior's gap: V_1 and V_2 are built
+        for remaining in (3, 2, 1):  # the prior's gap: the value of 1 and of 2 slots is built
             step.receive(False, None)
             step.act(False, 0.2, False, remaining)
         step.receive(False, [(3, 1, table)])
-        step.act(False, 0.2, False, 4)  # a new gap: V_1, V_2 and V_3
+        step.act(False, 0.2, False, 4)  # a new gap: of 1, 2 and 3 slots
         # an equal belief from another table, and the prior after an erasure
         step.receive(False, [(4, 1, SignalTable(self.POLICY, self.GAME))])
         step.act(False, 0.2, False, 3)
