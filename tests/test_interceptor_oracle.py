@@ -23,6 +23,7 @@ from satdefsim.config import load_config
 
 from conftest import clear_engine_caches
 from oracles import ReferenceInterceptor
+from test_attacker import random_params
 from test_engine import valid_scenarios
 
 STAR_FAMILY = ("star", "star-static", "stardis")
@@ -71,14 +72,6 @@ def test_random_dp_episodes_match_the_replanning_interceptor(case):
 def test_benchmark_episodes_match_the_replanning_interceptor(workload, monkeypatch):
     # suite-default runs the threshold interceptor; here it runs dp
     assert_same_episodes(load_config(BENCH_SCENARIOS / f"{workload}.yaml"), [1, 2], monkeypatch)
-
-
-def random_params(rng) -> AttackerParams:
-    return AttackerParams(
-        base_cost=float(rng.uniform(0.05, 0.5)),
-        cost_scale=float(rng.uniform(0.1, 1.0)),
-        memory=float(rng.choice([rng.uniform(0.05, 1.0), 0.1, 0.5, 1.0])),
-    )
 
 
 def assert_decides_as_the_plan(gap, n, params, start):
