@@ -16,7 +16,7 @@ import yaml
 from .attacker import AttackerParams
 from .channel import ChannelParams, PassGeometry
 from .persuasion import is_subdivision_count
-from .scheduler import ScanTask, SchedulerConfig, UtilityParams
+from .scheduler import ScanTask, SchedulerConfig, UtilityParams, stability_targets_of
 from .workload import Arrival, Nature, Priority, TaskSpec
 
 POLICY_KINDS = ("fcfs", "sp", "star", "star-static", "stardis")
@@ -75,8 +75,7 @@ class PersuasionSettings:
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     """A whole scenario.  The defaults are those of a scenario file that
-    leaves the key out; ``power_budget`` and ``scan_margin_rule`` take
-    ``SchedulerConfig``'s."""
+    leaves the key out; ``power_budget`` takes ``SchedulerConfig``'s."""
 
     horizon: int
     window: int
@@ -86,7 +85,6 @@ class ScenarioConfig:
     scan: ScanTask
     utility: UtilityParams = UtilityParams()
     power_budget: float = SchedulerConfig.power_budget
-    scan_margin_rule: str = SchedulerConfig.margin_rule
     channel: ChannelParams
     geometry: PassGeometry
     proc_delay_ms: float = 1.0
@@ -95,7 +93,6 @@ class ScenarioConfig:
     persuasion: PersuasionSettings = PersuasionSettings()
     policy: str = "star"
     sp_scan_period: int = 20
-    sp_scan_rule: str = "periodic"
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -106,8 +103,6 @@ class ScenarioConfig:
             raise ConfigError(f"policy must be one of {POLICY_KINDS}")
         if self.attacker_mode not in ATTACKER_MODES:
             raise ConfigError(f"attacker mode must be one of {ATTACKER_MODES}")
-        if self.sp_scan_rule not in ("periodic", "delta-u"):
-            raise ConfigError("sp_scan_rule must be 'periodic' or 'delta-u'")
         if self.sp_scan_period < 1:
             raise ConfigError("sp_scan_period must be >= 1")
         ids = [spec.id for spec in self.tasks]
@@ -133,7 +128,7 @@ class ScenarioConfig:
         if not 0.0 <= self.proc_delay_ms < math.inf:
             raise ConfigError(f"proc_delay_ms must be finite and >= 0, got {self.proc_delay_ms}")
         try:
-            self.scheduler_config()  # checks power_budget and scan_margin_rule
+            self.scheduler_config()  # checks power_budget
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # the farthest slant range: at the pass edge and outside the pass
@@ -145,14 +140,10 @@ class ScenarioConfig:
             )
 
     def scheduler_config(self) -> SchedulerConfig:
-        return SchedulerConfig(
-            scan=self.scan,
-            power_budget=self.power_budget,
-            margin_rule=self.scan_margin_rule,
-        )
+        return SchedulerConfig(scan=self.scan, power_budget=self.power_budget)
 
     def stability_targets(self) -> dict[str, float]:
-        return {s.id: s.stability_fraction for s in self.tasks if s.stability_fraction > 0}
+        return stability_targets_of(self.tasks)
 
     def to_jsonable(self) -> dict:
         return _scenario_to_dict(self)
@@ -296,9 +287,7 @@ def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "resources": list(cfg.resources),
         "policy": cfg.policy,
         "power_budget": cfg.power_budget,
-        "scan_margin_rule": cfg.scan_margin_rule,
         "sp_scan_period": cfg.sp_scan_period,
-        "sp_scan_rule": cfg.sp_scan_rule,
         "tasks": [
             {
                 "id": s.id,

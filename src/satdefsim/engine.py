@@ -602,7 +602,10 @@ class DefenderPass:
 
         live: list[TaskInstance] = []
         sp_scan_until = 0
-        sp_planner = GreedyPlanner(util, sched_cfg, 0, w_len_cfg, targets)
+        # Every slot executes a decided scan state.  A forced decision reads
+        # only the planner's config, and the served counts it writes are
+        # never read, so one planner executes every window.
+        planner = GreedyPlanner(util, sched_cfg, 0, w_len_cfg)
 
         usage_sum = [0.0] * len(cfg.resources)
         events_count = 0
@@ -627,7 +630,6 @@ class DefenderPass:
                 has_scan.append(plan.has_scan)
                 z_avg.append(plan.z_avg)
                 scan_plan = plan.scan_on.tolist()
-                exec_planner = GreedyPlanner(util, sched_cfg, w_start, w_len, targets)
 
             for k in range(w_len):
                 t = w_start + k
@@ -659,18 +661,11 @@ class DefenderPass:
                     scan_now = False
                 else:
                     if plans:  # committed scan pattern, live task fill
-                        planner = exec_planner
                         scan_now = bool(scan_plan[k])
-                    elif cfg.sp_scan_rule == "periodic":
-                        planner = sp_planner
+                    else:  # sp: a scan block every sp_scan_period slots
                         if t % cfg.sp_scan_period == 0 and t >= sp_scan_until:
                             sp_scan_until = t + cfg.scan.duration
                         scan_now = t < sp_scan_until
-                    else:  # spec-literal marginal-utility trigger at full capacity
-                        if t >= sp_planner.window_end:
-                            sp_planner = GreedyPlanner(util, sched_cfg, t, w_len_cfg, targets)
-                        planner = sp_planner
-                        scan_now = sp_planner.delta_u_scan(t)
                     dec = planner.schedule_slot(live, t, forced_scan=scan_now)
                     running, usage, power = self._executed(dec, scan_now)
                     events_count += len(dec.events)
@@ -741,7 +736,7 @@ def defender_schedule(cfg: ScenarioConfig, seed: int, policy: str) -> DefenderSc
         return DefenderPass(cfg, seed, policy).run()
     key = (
         cfg.tasks, cfg.scan, cfg.utility, cfg.horizon, cfg.window,
-        cfg.power_budget, cfg.scan_margin_rule, seed,
+        cfg.power_budget, seed,
     )
     schedule = _SCHEDULE_CACHE.get(key)
     if schedule is None:

@@ -110,12 +110,8 @@ class ScanTask:
 class SchedulerConfig:
     scan: ScanTask
     power_budget: float = 1.0
-    scan_enabled: bool = True
-    margin_rule: str = "window"  # "window" | "slot"
 
     def __post_init__(self):
-        if self.margin_rule not in ("window", "slot"):
-            raise ValueError("margin_rule must be 'window' or 'slot'")
         if not 0.0 < self.power_budget < math.inf:  # NaN fails too
             raise ValueError(f"power_budget (the per-slot power budget) must be finite and > 0, got {self.power_budget}")
 
@@ -205,22 +201,9 @@ class GreedyPlanner:
         f1 = (self.scan_slots_committed + d_s) / w
         y0 = detection_performance(f0, d_s, p)
         y1 = detection_performance(f1, d_s, p)
-        if cfg.margin_rule == "slot":
-            return slot_utility(y1, True, z_scan, p) - slot_utility(y0, False, z_now, p)
         gain = w * (p.detect_reward * (y1 * y1 - y0 * y0) - p.scan_cost * (f1 - f0))
         penalty = w * p.load_penalty * (y1 * y1 * (1.0 - z_scan) - y0 * y0 * (1.0 - z_now))
         return gain - penalty
-
-    def delta_u_scan(self, t: int) -> bool:
-        """sp's delta-u rule: unless a scan block runs at ``t``, start one
-        when it fits in the window and its marginal utility from full idle
-        capacity is positive.  Returns whether a scan runs at ``t``."""
-        scan = self.config.scan
-        if t >= self.scan_active_until and t + scan.duration <= self.window_end:
-            if self._scan_margin(1.0, 1.0 - max(scan.demand)) > 0:
-                self.scan_active_until = t + scan.duration
-                self.scan_slots_committed += scan.duration
-        return t < self.scan_active_until
 
     # -- fill helpers ------------------------------------------------------
     def _fill_low(self, runs: list[list[TaskInstance]], usage: tuple, power: float):
@@ -318,7 +301,7 @@ class GreedyPlanner:
         if forced_scan is not None:
             scan_on = bool(forced_scan)
         else:
-            scan_on = cfg.scan_enabled and t < self.scan_active_until
+            scan_on = t < self.scan_active_until
         if scan_on:  # mid-flight or committed block: demand reserved first
             usage = tuple(map(add, usage, scan_d))
             power += scan.power_weight
@@ -345,7 +328,6 @@ class GreedyPlanner:
         fill = None
         if (
             forced_scan is None
-            and cfg.scan_enabled
             and not scan_on
             and t + scan.duration <= self.window_end
             and z_now >= max(scan_d) - _EPS
@@ -379,6 +361,12 @@ class GreedyPlanner:
         return SlotDecision(t=t, running=[i.uid for i in chosen], scan_on=bool(scan_on), z=z, events=events)
 
 
+def stability_targets_of(specs) -> dict[str, float]:
+    """The service quota of each spec that has one: its id and its
+    ``stability_fraction`` where that is positive."""
+    return {s.id: s.stability_fraction for s in specs if s.stability_fraction > 0}
+
+
 def _project_aperiodic(spec, window_start: int, window_len: int, uid_base: int) -> list[TaskInstance]:
     """Deterministic evenly spaced stand-ins for an aperiodic stream."""
     rate = spec.arrival.rate
@@ -408,11 +396,7 @@ def plan_horizon(
     instances are left untouched.
     """
     if stability_targets is None:
-        stability_targets = {}
-        for spec in specs or []:
-            frac = spec.stability_fraction
-            if frac > 0:
-                stability_targets[spec.id] = frac
+        stability_targets = stability_targets_of(specs or ())
 
     sim = [inst for inst in queue if inst.active]
     uid_base = -1_000_000  # projected instances use negative uids

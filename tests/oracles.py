@@ -226,7 +226,7 @@ class OracleResult:
     z: np.ndarray
 
 
-def _scan_patterns(w: int, d_s: int, enabled: bool) -> list[np.ndarray]:
+def _scan_patterns(w: int, d_s: int) -> list[np.ndarray]:
     """All block placements: non-overlapping runs of exactly d_s slots."""
     patterns: list[np.ndarray] = []
 
@@ -238,8 +238,6 @@ def _scan_patterns(w: int, d_s: int, enabled: bool) -> list[np.ndarray]:
             rec(start + d_s, nxt)
 
     rec(0, np.zeros(w, dtype=int))
-    if not enabled:
-        patterns = [p for p in patterns if not p.any()]
     # dedupe (adjacent blocks reachable along multiple paths)
     uniq = {tuple(p) for p in patterns}
     return [np.array(u, dtype=int) for u in sorted(uniq)]
@@ -288,7 +286,7 @@ def exact_schedule(
     w = window_len
     stability_targets = stability_targets or {}
     insts = sorted(instances, key=lambda i: i.uid)
-    scan_pats = _scan_patterns(w, config.scan.duration, config.scan_enabled)
+    scan_pats = _scan_patterns(w, config.scan.duration)
 
     task_pats: list[np.ndarray] = []
     for inst in insts:
@@ -311,6 +309,8 @@ def exact_schedule(
     for scan_idx, scan_pat in enumerate(scan_pats):
         usage = (scan_pat[:, None] * np.asarray(config.scan.demand)[None, :])[None]
         power = (scan_pat * config.scan.power_weight)[None]
+        if np.any(power > config.power_budget + _EPS):
+            continue  # the scan alone breaks the power budget
         index = np.zeros((1, 0), dtype=np.int64)
         dead = False
         for pats, dem, pw in zip(task_pats, demands, powers):

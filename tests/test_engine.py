@@ -61,18 +61,10 @@ class TestDeterminism:
         assert m1.to_row() != m2.to_row()
 
 
-def policy_cases(policies):
-    """``(policy, overrides)`` cases: ``policies`` on the default scenario,
-    and sp with its marginal-utility scan trigger instead of the periodic one."""
-    return [pytest.param(p, {}, id=p) for p in policies] + [
-        pytest.param("sp", {"sp_scan_rule": "delta-u"}, id="sp-delta-u")
-    ]
-
-
 class TestAccounting:
-    @pytest.mark.parametrize("policy,overrides", policy_cases(POLICIES))
-    def test_instance_identity(self, policy, overrides):
-        m, _ = run_episode(small_cfg(**overrides), 5, policy)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_instance_identity(self, policy):
+        m, _ = run_episode(small_cfg(), 5, policy)
         assert m.generated == m.completed + m.dropped + m.missed + m.residual
 
     @pytest.mark.parametrize("policy", ["star-static", "stardis"])
@@ -85,16 +77,16 @@ class TestAccounting:
         again = run_episode(cfg, 0, policy)
         assert (m, tr.slots, tr.windows) == (again[0], again[1].slots, again[1].windows)
 
-    @pytest.mark.parametrize("policy,overrides", policy_cases(POLICIES))
-    def test_capacity_and_power_never_violated(self, policy, overrides):
-        cfg = small_cfg(**overrides)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_capacity_and_power_never_violated(self, policy):
+        cfg = small_cfg()
         _, tr = run_episode(cfg, 2, policy)
         assert min(tr.slots["z"]) >= -1e-9  # per-slot capacity
         assert max(tr.slots["power"]) <= cfg.power_budget + 1e-9
 
-    @pytest.mark.parametrize("policy,overrides", policy_cases(("sp", "star", "star-static", "stardis")))
-    def test_scan_blocks_have_exact_duration(self, policy, overrides):
-        cfg = small_cfg(**overrides)
+    @pytest.mark.parametrize("policy", ["sp", "star", "star-static", "stardis"])
+    def test_scan_blocks_have_exact_duration(self, policy):
+        cfg = small_cfg()
         _, tr = run_episode(cfg, 4, policy)
         scans = tr.slots["scan_on"]
         runs, run = [], 0
@@ -334,8 +326,8 @@ def count_defender_calls(monkeypatch) -> dict[str, int]:
 
 
 #: a scenario in which each change of ``SCHEDULE_INPUTS`` changes the
-#: defender's trajectory: with a window twice the scan's length and a
-#: weak detection reward, the window and the slot margin rules disagree
+#: defender's trajectory: a window twice the scan's length and a weak
+#: detection reward
 SCHEDULE_SCENARIO = small_cfg(window=10, utility={"detect_reward": 3.0})
 
 #: one-input changes of the scenario, each read by the defender pass
@@ -348,7 +340,6 @@ SCHEDULE_INPUTS = {
     "scan": _change("scan", power_weight=0.7),
     "utility": _change("utility", load_penalty=20.0),
     "power_budget": _change(power_budget=0.6),
-    "scan_margin_rule": _change(scan_margin_rule="slot"),
 }
 
 #: changes that leave the defender pass alone: signaling, channel and interceptor
@@ -899,11 +890,17 @@ class TestConfigValidation:
         ("geometry", "tx_gain_dbi"),
         ("geometry", "rx_gain_dbi"),
         ("geometry", "noise_w"),
+        # retired top-level keys, at values they once took
+        pytest.param(None, "scan_margin_rule", id="top-scan_margin_rule"),
+        pytest.param(None, "sp_scan_rule", id="top-sp_scan_rule"),
     ])
     def test_unused_keys_rejected(self, section, key):
         raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
-        target = raw["channel"]["geometry"] if section == "geometry" else raw[section]
-        target[key] = 1.0
+        if section is None:
+            raw[key] = {"scan_margin_rule": "window", "sp_scan_rule": "periodic"}[key]
+        else:
+            target = raw["channel"]["geometry"] if section == "geometry" else raw[section]
+            target[key] = 1.0
         with pytest.raises(ConfigError, match=key):
             from_dict(raw)
 
@@ -920,7 +917,6 @@ class TestConfigValidation:
         ("slot_ms", float("nan"), "slot_ms"),
         ("power_budget", float("nan"), "power_budget"),
         ("power_budget", 0.0, "power budget"),
-        ("scan_margin_rule", "both", "margin_rule"),
         ("scan.power", -0.1, "scan power"),
         ("scan.power", float("inf"), "scan.power_weight"),
         ("tasks.0.power", float("nan"), "tasks.0.power_weight"),
@@ -1058,7 +1054,6 @@ NON_DEFAULT_SCENARIO = {
     "utility": {"detect_reward": 8.0, "scan_cost": 0.4, "load_penalty": 1.5,
                 "steepness": 0.6, "midpoint": 0.4, "ceiling": 0.9},
     "power_budget": 0.9,
-    "scan_margin_rule": "slot",
     "channel": {
         "fading": {"b0": 0.2, "m": 5.0, "omega": 1.0},
         "snr_threshold_db": 4.0,
@@ -1073,7 +1068,6 @@ NON_DEFAULT_SCENARIO = {
                    "delay_snr_lo_db": 1.0, "delay_snr_hi_db": 12.0},
     "policy": "stardis",
     "sp_scan_period": 25,
-    "sp_scan_rule": "delta-u",
 }
 
 

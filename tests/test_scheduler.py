@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from oracles import InfeasibleScheduleError, InstanceTooLargeError, check_plan, 
 UTIL = UtilityParams()
 SCAN = ScanTask(demand=np.array([0.15, 0.05]), power_weight=0.1, duration=5)
 CFG = SchedulerConfig(scan=SCAN)
+#: a scan that alone exceeds the power budget can never start
+NO_SCAN_CFG = SchedulerConfig(scan=dataclasses.replace(SCAN, power_weight=2.0))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
@@ -73,8 +76,7 @@ class TestGreedySlot:
         assert dec.z == pytest.approx(1.0 - 0.15)
 
     def test_scan_disabled(self):
-        cfg = SchedulerConfig(scan=SCAN, scan_enabled=False)
-        dec = GreedyPlanner(UTIL, cfg, 0, SCAN.duration).schedule_slot([], 0)
+        dec = GreedyPlanner(UTIL, CFG, 0, SCAN.duration).schedule_slot([], 0, forced_scan=False)
         assert not dec.scan_on and dec.z == 1.0
 
     def test_relay_first_routine_deferred(self):
@@ -86,8 +88,8 @@ class TestGreedySlot:
             make_instance(uid=k + 1, tid="routine", demand=(0.05, 0.15), processing=4, deadline=12)
             for k in range(7)
         ]
-        planner = GreedyPlanner(UTIL, SchedulerConfig(scan=SCAN, scan_enabled=False), 0, 5)
-        dec = planner.schedule_slot([relay] + routines, 0)
+        planner = GreedyPlanner(UTIL, CFG, 0, 5)
+        dec = planner.schedule_slot([relay] + routines, 0, forced_scan=False)
         assert relay.uid in dec.running
         # FPGA: 0.10 + n*0.15 <= 1 -> at most 6 routines
         assert len(dec.running) == 7
@@ -106,17 +108,15 @@ class TestGreedySlot:
         big = make_instance(uid=0, tid="big", priority=Priority.HIGH,
                             demand=(0.9, 0.9), processing=1, deadline=1, firm=True,
                             power=2.0)
-        cfg = SchedulerConfig(scan=SCAN, power_budget=1.0, scan_enabled=False)
-        planner = GreedyPlanner(UTIL, cfg, 0, 5)
-        dec = planner.schedule_slot([big], 0)
+        planner = GreedyPlanner(UTIL, CFG, 0, 5)
+        dec = planner.schedule_slot([big], 0, forced_scan=False)
         assert big.uid not in dec.running
         assert any(kind == "infeasible-slot" for _, kind, _ in dec.events)
 
 
 class TestPlanHorizon:
     def test_no_arrivals_no_scan(self):
-        cfg = SchedulerConfig(scan=SCAN, scan_enabled=False)
-        plan = plan_horizon([], 0, 20, UTIL, cfg, specs=[])
+        plan = plan_horizon([], 0, 20, UTIL, NO_SCAN_CFG, specs=[])
         assert np.all(plan.z == 1.0)
         assert plan.scan_freq == 0.0
 
@@ -172,11 +172,10 @@ class TestChecker:
 
     def test_flags_capacity_violation(self):
         inst = make_instance(uid=0, demand=(0.7, 0.7), processing=2, deadline=8)
-        plan = plan_horizon([copy.deepcopy(inst)], 0, 4, UTIL,
-                            SchedulerConfig(scan=SCAN, scan_enabled=False))
+        plan = plan_horizon([copy.deepcopy(inst)], 0, 4, UTIL, NO_SCAN_CFG)
         plan.running[0] = [0, 0]  # forge a double allocation
         bad = check_plan(plan, {0: make_instance(uid=0, demand=(0.7, 0.7), processing=2, deadline=8)},
-                         SchedulerConfig(scan=SCAN, scan_enabled=False))
+                         NO_SCAN_CFG)
         assert any("capacity" in v for v in bad)
 
     def test_flags_broken_scan_block(self):
@@ -188,10 +187,9 @@ class TestChecker:
     def test_flags_wasted_slack_under_quota(self):
         spec = make_spec(tid="q", demand=(0.1, 0.1), processing=6, deadline=12)
         inst = TaskInstance(uid=0, spec=spec, req=0, start_after=0)
-        cfg = SchedulerConfig(scan=SCAN, scan_enabled=False)
-        plan = plan_horizon([copy.deepcopy(inst)], 0, 6, UTIL, cfg)
+        plan = plan_horizon([copy.deepcopy(inst)], 0, 6, UTIL, NO_SCAN_CFG)
         plan.running = [[] for _ in range(6)]  # forge idleness
-        bad = check_plan(plan, {0: inst}, cfg, {"q": 0.5})
+        bad = check_plan(plan, {0: inst}, NO_SCAN_CFG, {"q": 0.5})
         assert any("stability" in v for v in bad)
 
 
@@ -233,11 +231,16 @@ class TestExactOracle:
         with pytest.raises(InstanceTooLargeError):
             exact_schedule(insts, 12, UTIL, CFG, max_space=1 << 10)
 
+    def test_scan_over_power_budget_never_placed(self):
+        res = exact_schedule([], 8, UTIL, NO_SCAN_CFG)
+        y = detection_performance(0.0, SCAN.duration, UTIL)
+        assert not res.scan_on.any()
+        assert res.objective == pytest.approx(8 * UTIL.detect_reward * y * y)
+
     def test_oracle_respects_firm_deadlines(self):
         inst = make_instance(uid=0, priority=Priority.HIGH, demand=(0.3, 0.3),
                              processing=2, deadline=2, firm=True)
-        res = exact_schedule([copy.deepcopy(inst)], 8,
-                             UTIL, SchedulerConfig(scan=SCAN, scan_enabled=False))
+        res = exact_schedule([copy.deepcopy(inst)], 8, UTIL, NO_SCAN_CFG)
         pat = res.activations[0]
         assert pat[3:].sum() == 0  # nothing past the absolute deadline
 
@@ -253,8 +256,10 @@ def random_window(draw):
         power_weight=draw(st.floats(0.0, 0.6)),
         duration=draw(st.integers(1, w)),
     )
-    cfg = SchedulerConfig(scan=scan, power_budget=draw(st.floats(0.2, 1.5)),
-                          scan_enabled=draw(st.booleans()))
+    budget = draw(st.floats(0.2, 1.5))
+    if not draw(st.booleans()):  # a scan over the power budget never starts
+        scan = dataclasses.replace(scan, power_weight=budget + 0.5)
+    cfg = SchedulerConfig(scan=scan, power_budget=budget)
     insts = []
     for uid in range(draw(st.integers(0, 8))):
         processing = draw(st.integers(1, 4))

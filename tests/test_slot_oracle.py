@@ -11,6 +11,7 @@ a change of decisions is a change of results.
 """
 from __future__ import annotations
 
+import dataclasses
 from operator import add, attrgetter, sub
 
 import numpy as np
@@ -96,7 +97,7 @@ class ReferencePlanner(GreedyPlanner):
         if forced_scan is not None:
             scan_on = bool(forced_scan)
         else:
-            scan_on = cfg.scan_enabled and t < self.scan_active_until
+            scan_on = t < self.scan_active_until
         if scan_on:
             usage = tuple(map(add, usage, scan_d))
             power += scan.power_weight
@@ -121,7 +122,6 @@ class ReferencePlanner(GreedyPlanner):
         fill = None
         if (
             forced_scan is None
-            and cfg.scan_enabled
             and not scan_on
             and t + scan.duration <= self.window_end
             and z_now >= max(scan_d) - _EPS
@@ -181,12 +181,10 @@ def _random_case(rng):
         power_weight=round(float(rng.uniform(0.05, 0.4)), 2),
         duration=int(rng.integers(1, 4)),
     )
-    config = SchedulerConfig(
-        scan=scan,
-        power_budget=round(float(rng.uniform(0.5, 1.5)), 2),
-        scan_enabled=bool(rng.random() < 0.85),
-        margin_rule=str(rng.choice(["window", "slot"])),
-    )
+    budget = round(float(rng.uniform(0.5, 1.5)), 2)
+    if rng.random() >= 0.85:  # a scan over the power budget never starts
+        scan = dataclasses.replace(scan, power_weight=budget + 0.5)
+    config = SchedulerConfig(scan=scan, power_budget=budget)
     # stability targets on some specs, some above what a window can serve
     targets = {s.id: float(rng.uniform(0.0, 1.5)) for s in specs if rng.random() < 0.6}
     # cheap scans and steep utility make scan activation a live choice
@@ -291,12 +289,13 @@ def _shape_queues():
 @pytest.mark.parametrize("shape", list(_shape_queues()))
 def test_run_fill_matches_reference_on_queue_shapes(shape):
     queue = _shape_queues()[shape]
-    scan = ScanTask(demand=[0.15, 0.05], power_weight=0.25, duration=2)
     longest = 0
     left_out = False
     for budget in (0.6, 1.0, 3.0):
-        for scan_enabled in (True, False):
-            config = SchedulerConfig(scan=scan, power_budget=budget, scan_enabled=scan_enabled)
+        # the second scan is over the power budget, so it never starts
+        for scan_power in (0.25, budget + 0.5):
+            scan = ScanTask(demand=[0.15, 0.05], power_weight=scan_power, duration=2)
+            config = SchedulerConfig(scan=scan, power_budget=budget)
             # a large target keeps every low spec behind its quota, so a
             # scan start weighs both fills
             targets = {s.id: 5.0 for s in {i.spec for i in queue}}
@@ -322,3 +321,33 @@ def test_run_fill_matches_reference_on_queue_shapes(shape):
     elif shape == "zero demand and power":
         assert longest == 70
     assert left_out
+
+
+def test_forced_decisions_read_only_the_config():
+    """The defender pass executes every slot with one planner, built at
+    ``(0, w)`` without targets.  A forced decision must not depend on the
+    planner's window, its stability targets, the service it has counted
+    or the scan slots it has committed."""
+    rng = np.random.default_rng(4)
+    seen = dict.fromkeys(("committed", "forced on", "forced off"), 0)
+    for _ in range(150):
+        utility, config, targets, pool = _random_case(rng)
+        one = GreedyPlanner(utility, config, 0, int(rng.integers(1, 9)))
+        w_start, w_len = int(rng.integers(0, 10)), int(rng.integers(2, 9))
+        window = GreedyPlanner(utility, config, w_start, w_len, targets)
+        for k in range(w_len):
+            t = w_start + k
+            queue = [pool[i] for i in rng.permutation(len(pool))[: int(rng.integers(0, len(pool) + 1))]]
+            if k < w_len // 2:  # free slots: the window planner commits scans and counts service
+                window.schedule_slot(list(queue), t)
+                continue
+            seen["committed"] += window.scan_slots_committed > 0
+            forced = bool(rng.random() < 0.5)
+            seen["forced on" if forced else "forced off"] += 1
+            got = one.schedule_slot(list(queue), t, forced)
+            want = window.schedule_slot(list(queue), t, forced)
+            assert got.running == want.running
+            assert got.scan_on is want.scan_on
+            assert got.z.hex() == want.z.hex()
+            assert got.events == want.events
+    assert all(v > 0 for v in seen.values()), seen
