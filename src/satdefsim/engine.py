@@ -548,6 +548,10 @@ class DefenderPass:
         self.arrivals_by_slot: dict[int, list[TaskInstance]] = defaultdict(list)
         for inst in self.instances:
             self.arrivals_by_slot[inst.req].append(inst)
+        # (usage, power) of the executed instances, by the scan state and
+        # the identities of their specs in uid order: the specs are the
+        # scenario's, alive for the whole pass
+        self._usage_memo: dict[tuple, tuple] = {}
 
     # -- policy-specific slot scheduling ------------------------------------
     # ``live`` holds only active instances here (the reaper ran first).
@@ -577,19 +581,25 @@ class DefenderPass:
         slot's usage and power: task demands first, the scan's last.
         An instance's uid is its index in ``self.instances``, the arrival
         stream in request order, and arrivals join ``live`` slot by slot,
-        so ``live`` is in uid order and the sorted uids give it."""
+        so ``live`` is in uid order and the sorted uids give it.  The
+        sums read only the scan state and the specs in that order, so
+        they are computed once per distinct pair in a pass."""
         instances = self.instances
         running = [instances[uid] for uid in sorted(dec.running)]
-        scan = self.cfg.scan
-        usage = (0.0,) * len(self.cfg.resources)
-        power = scan.power_weight if scan_now else 0.0
-        for i in running:
-            spec = i.spec
-            usage = tuple(map(add, usage, spec.demand))
-            power += spec.power_weight
-        if scan_now:
-            usage = tuple(map(add, usage, scan.demand))
-        return running, usage, power
+        key = (scan_now, tuple([id(i.spec) for i in running]))
+        sums = self._usage_memo.get(key)
+        if sums is None:
+            scan = self.cfg.scan
+            usage = (0.0,) * len(self.cfg.resources)
+            power = scan.power_weight if scan_now else 0.0
+            for i in running:
+                spec = i.spec
+                usage = tuple(map(add, usage, spec.demand))
+                power += spec.power_weight
+            if scan_now:
+                usage = tuple(map(add, usage, scan.demand))
+            sums = self._usage_memo[key] = (usage, power)
+        return running, *sums
 
     def run(self) -> DefenderSchedule:
         cfg = self.cfg

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import add, attrgetter, sub
+from functools import cached_property, lru_cache
+from operator import add, attrgetter, is_, sub
 
 import numpy as np
 
-from .workload import Priority, TaskInstance
+from .workload import Arrival, Priority, TaskInstance, TaskSpec
 
 _EPS = 1e-9
 _CAP = 1.0 + _EPS  # per-resource capacity with the feasibility tolerance
@@ -32,35 +32,23 @@ def try_fit(usage: tuple, power: float, demand: tuple, w: float, budget: float) 
     Usage and demand are float tuples, one entry per resource type: plain
     float arithmetic is the same IEEE addition numpy would do, without the
     per-call array overhead on vectors of length 2.  It is the one
-    capacity and power check: the fcfs rule, the high-priority step and,
-    through the memoized ``_fill_chain``, the low-priority fill use it.
+    capacity and power check: the fcfs rule and both priority steps of
+    the greedy slot solver use it.
     """
     new = tuple(map(add, usage, demand))
     return new if max(new) <= _CAP and power + w <= budget + _EPS else None
 
 
-_CHAIN_MAX = 32  # states per fill chain
+_MEMO_MAX = 1024  # slot decisions per memo scope
 
 
-@lru_cache(maxsize=256)
-def _fill_chain(demand: tuple, w: float, usage: tuple, power: float, budget: float) -> tuple:
-    """The ``(usage, power)`` states that adding instances of one spec
-    (``demand``, power ``w``) one at a time reaches from ``(usage, power)``
-    under ``try_fit``, up to the first that does not fit or ``_CHAIN_MAX``
-    states.
-
-    A chain is a function of its arguments alone, so one is computed per
-    spec and start state and then read by every slot that starts there.
-    The cache holds at most 256 chains of at most ``_CHAIN_MAX`` states.
-    """
-    chain = []
-    while len(chain) < _CHAIN_MAX:
-        usage = try_fit(usage, power, demand, w, budget)
-        if usage is None:
-            break
-        power += w
-        chain.append((usage, power))
-    return tuple(chain)
+@lru_cache(maxsize=8)
+def _slot_memo(utility: UtilityParams, config: SchedulerConfig, window_len: int, targets: tuple) -> dict:
+    """The memo of slot decisions shared by every planner of one scope:
+    utility, config, window length and stability targets (as sorted
+    items), all compared by value.  ``schedule_slot`` empties a memo
+    that reaches ``_MEMO_MAX`` decisions; the cache keeps 8 scopes."""
+    return {}
 
 
 @dataclass(frozen=True)
@@ -148,13 +136,24 @@ class HorizonPlan:
     z: np.ndarray
     scan_freq: float
     z_avg: float
-    objective: float
+    utility: UtilityParams
+    scan_duration: int
     events: list[tuple[int, str, str]] = field(default_factory=list)
 
     @property
     def has_scan(self) -> bool:
         return bool(self.scan_on.any())
 
+    @cached_property
+    def objective(self) -> float:
+        """The window's utility: ``slot_utility`` of every slot at the
+        detection performance of the window's scan frequency.  Computed
+        on first read: the episode engine never reads it."""
+        y = detection_performance(self.scan_freq, self.scan_duration, self.utility)
+        objective = 0.0  # a plain loop: from Python 3.12 on, sum() of floats is compensated
+        for x, z in zip(self.scan_on.tolist(), self.z.tolist()):
+            objective += slot_utility(y, x, z, self.utility)
+        return objective
 
 
 class GreedyPlanner:
@@ -166,12 +165,17 @@ class GreedyPlanner:
     (3) fill remaining capacity with low-priority work, earliest
     deadline first.
 
-    The low-priority queue is filled by runs: consecutive instances (in
-    earliest-deadline-first order) of one spec.  A run takes as many
-    instances as its spec's memoized fill chain from the current usage
-    and power allows (``_fill_chain``, bounded in entries and length), so
-    a slot costs one cache read per run instead of one capacity check
-    per instance, with the same sums in the same order.
+    A decision reads the queue only through its shape: the specs of the
+    high-priority instances and the ``(spec, length)`` of each
+    low-priority run (consecutive instances of one spec in
+    earliest-deadline-first order).  Besides the shape, it reads the
+    scan state, whether a scan can start, the scan slots committed and
+    which specs are behind their quota.  Decisions are memoized on these
+    in ``_slot_memo``, shared by every planner of the same utility,
+    config, window length and targets.  A hit replays the stored
+    positions, events, served counts and scan commit on the current
+    queue.  The last queue's split into high-priority instances and runs
+    is kept, and reused while the same instances come in the same order.
     """
 
     def __init__(
@@ -191,6 +195,9 @@ class GreedyPlanner:
         self.scan_slots_committed = 0  # total scan slots this window (past + committed)
         self.scan_active_until = window_start  # exclusive
         self.served_in_window: dict[str, int] = {}
+        self._memo = _slot_memo(utility, config, window_len, tuple(sorted(self.stability_targets.items())))
+        self._last_queue: tuple | None = None
+        self._last_split = None
 
     # -- marginal utility -------------------------------------------------
     def _scan_margin(self, z_now: float, z_scan: float) -> float:
@@ -206,54 +213,55 @@ class GreedyPlanner:
         return gain - penalty
 
     # -- fill helpers ------------------------------------------------------
-    def _fill_low(self, runs: list[list[TaskInstance]], usage: tuple, power: float):
-        """Fill in the given (earliest-deadline-first) order, given as runs
-        of one spec; returns the chosen instances, final usage and power,
-        and served counts per spec."""
-        chosen = []
+    def _fill_low(self, runs: list[tuple[TaskSpec, int]], usage: tuple, power: float):
+        """Fill in earliest-deadline-first order, given as runs ``(spec,
+        n)`` of n consecutive instances of one spec: each run takes
+        instances until the next does not fit.  Returns the instances
+        taken as ``(run index, count)`` pairs for the runs that took
+        any, the final usage and power, and served counts per spec."""
+        taken = []
         counts: dict[str, int] = {}
         budget = self.config.power_budget
         # Usage and power only grow during the fill, so a spec that did not
         # fit once cannot fit later in it (keyed by identity: every spec is
         # alive in ``runs`` for the whole call).
         rejected: set[int] = set()
-        for run in runs:
-            spec = run[0].spec
-            key = id(spec)
-            if key in rejected:
+        for j, (spec, n) in enumerate(runs):
+            if id(spec) in rejected:
                 continue
             demand, w = spec.demand, spec.power_weight
-            n = len(run)
-            taken = 0
-            while True:  # a run longer than one chain goes on from its end
-                chain = _fill_chain(demand, w, usage, power, budget)
-                k = min(n - taken, len(chain))
-                if k:
-                    usage, power = chain[k - 1]
-                    taken += k
-                if taken == n or k < _CHAIN_MAX:
+            k = 0
+            while k < n:
+                new = try_fit(usage, power, demand, w, budget)
+                if new is None:
                     break
-            if taken:
-                chosen.extend(run if taken == n else run[:taken])
-                counts[spec.id] = counts.get(spec.id, 0) + taken
-            if taken < n:
-                rejected.add(key)
-        return chosen, usage, power, counts
+                usage = new
+                power += w
+                k += 1
+            if k:
+                taken.append((j, k))
+                counts[spec.id] = counts.get(spec.id, 0) + k
+            if k < n:
+                rejected.add(id(spec))
+        return tuple(taken), usage, power, counts
 
-    def _quota_displaced(self, t: int, runs: list[list[TaskInstance]], usage: tuple, power: float):
-        """Would the scan displace work needed by a behind-quota spec?
+    def _behind(self, t: int) -> tuple[str, ...]:
+        """The specs whose service so far this window is short of their
+        quota at slot t."""
+        elapsed = t - self.window_start + 1
+        served = self.served_in_window
+        return tuple(
+            spec_id for spec_id, frac in self.stability_targets.items()
+            if frac > 0 and served.get(spec_id, 0) + _EPS < frac * elapsed
+        )
+
+    def _quota_displaced(self, behind: tuple[str, ...], runs: list[tuple[TaskSpec, int]], usage: tuple, power: float):
+        """Would the scan displace work needed by a spec in ``behind``?
 
         Returns the answer and, when both fills were computed, the one
         that matches it (with the scan if not displaced, else without),
         so the caller can reuse it as its low-priority fill.
         """
-        behind = set()
-        elapsed = t - self.window_start + 1
-        for spec_id, frac in self.stability_targets.items():
-            if frac <= 0:
-                continue
-            if self.served_in_window.get(spec_id, 0) + _EPS < frac * elapsed:
-                behind.add(spec_id)
         if not behind:
             return False, None
         scan = self.config.scan
@@ -265,6 +273,108 @@ class GreedyPlanner:
         return False, fill_scan
 
     # -- the slot solver ---------------------------------------------------
+    def _edf_split(self, queue: list[TaskInstance]):
+        """The queue in one earliest-deadline-first order, split into the
+        high-priority uids and the low-priority runs of one spec (uid
+        lists; high-priority instances between two instances of a low
+        spec do not split its run), with their specs and the shape key.
+        The last split is returned again for the same instances in the
+        same order."""
+        last = self._last_queue
+        if last is not None and len(last) == len(queue) and all(map(is_, queue, last)):
+            return self._last_split
+        high_uids: list[int] = []
+        high_specs: list[TaskSpec] = []
+        run_uids: list[list[int]] = []
+        run_specs: list[TaskSpec] = []
+        run_spec = None
+        for inst in sorted(queue, key=_EDF_KEY):
+            spec = inst.spec
+            if spec is run_spec:
+                run.append(inst.uid)
+            elif spec.priority is _HIGH:
+                high_uids.append(inst.uid)
+                high_specs.append(spec)
+            elif spec.priority is _LOW:
+                run_spec = spec
+                run = [inst.uid]
+                run_uids.append(run)
+                run_specs.append(spec)
+        runs = [(spec, len(uids)) for spec, uids in zip(run_specs, run_uids)]
+        shape = (tuple(map(id, high_specs)), tuple((id(spec), n) for spec, n in runs))
+        self._last_queue = tuple(queue)
+        self._last_split = split = (high_uids, run_uids, high_specs, runs, shape)
+        return split
+
+    def _decide(self, high_specs: list[TaskSpec], runs: list[tuple[TaskSpec, int]], scan_on: bool, can_start: bool, behind: tuple[str, ...]):
+        """One slot's decision from the queue's shape, as the memo stores
+        it: the positions of the high-priority instances run, the low
+        runs' ``(index, count)`` pairs, the scan state, whether the scan
+        starts, the idle capacity, the events as ``(kind, spec id)``,
+        the served counts as ``(spec id, count)`` and the specs the
+        shape names (kept alive, since the memo keys them by identity)."""
+        cfg = self.config
+        scan = cfg.scan
+        scan_d = scan.demand
+        budget = cfg.power_budget
+        usage = (0.0,) * len(scan_d)
+        power = 0.0
+        if scan_on:  # mid-flight or committed block: demand reserved first
+            usage = tuple(map(add, usage, scan_d))
+            power += scan.power_weight
+
+        # Step 1: high-priority work, earliest deadline first.
+        high_pos: list[int] = []
+        events: list[tuple[str, str]] = []
+        for pos, spec in enumerate(high_specs):
+            new = try_fit(usage, power, spec.demand, spec.power_weight, budget)
+            if new is not None:
+                usage = new
+                power += spec.power_weight
+                high_pos.append(pos)
+            elif scan_on and try_fit(
+                tuple(map(sub, usage, scan_d)), power - scan.power_weight,
+                spec.demand, spec.power_weight, budget,
+            ) is not None:
+                events.append(("deferred-high-priority", spec.id))
+            else:
+                events.append(("infeasible-slot", spec.id))
+
+        z_now = 1.0 - max(usage)
+
+        # Step 2: conditional scan activation.
+        fill = None
+        started = False
+        if (
+            can_start
+            and z_now >= max(scan_d) - _EPS
+            and power + scan.power_weight <= budget + _EPS
+        ):
+            z_scan = min(1.0 - u - s for u, s in zip(usage, scan_d))
+            if self._scan_margin(z_now, z_scan) > 0:
+                displaced, fill = self._quota_displaced(behind, runs, usage, power)
+                if not displaced:
+                    started = scan_on = True
+                    usage = tuple(map(add, usage, scan_d))
+                    power += scan.power_weight
+
+        # Step 3: fill with low-priority work.
+        if fill is None:
+            fill = self._fill_low(runs, usage, power)
+        taken, usage, power, counts = fill
+        served = dict(counts)
+        targets = self.stability_targets
+        for pos in high_pos:
+            spec_id = high_specs[pos].id
+            if spec_id in targets:
+                served[spec_id] = served.get(spec_id, 0) + 1
+
+        z = 1.0 - max(usage)  # = min(1 - usage): rounding is monotone
+        return (
+            tuple(high_pos), taken, scan_on, started, z, tuple(events),
+            tuple(served.items()), (tuple(high_specs), tuple(runs)),
+        )
+
     def schedule_slot(self, queue: list[TaskInstance], t: int, forced_scan: bool | None = None) -> SlotDecision:
         """Decide one slot.  ``queue`` holds admitted instances eligible at t.
 
@@ -272,93 +382,36 @@ class GreedyPlanner:
         activation step is skipped); the scan demand is still reserved
         ahead of everything else.
         """
-        cfg = self.config
-        scan = cfg.scan
-        scan_d = scan.demand
-        budget = cfg.power_budget
-        usage = (0.0,) * len(scan_d)
-        power = 0.0
-        events: list[tuple[int, str, str]] = []
-        chosen: list[TaskInstance] = []
-
-        # one earliest-deadline-first order for both priority classes; the
-        # low-priority instances in runs of one spec (high-priority ones
-        # between two instances of a low spec do not split its run)
-        high: list[TaskInstance] = []
-        runs: list[list[TaskInstance]] = []
-        run_spec = None
-        for inst in sorted(queue, key=_EDF_KEY):
-            spec = inst.spec
-            if spec is run_spec:
-                run.append(inst)
-            elif spec.priority is _HIGH:
-                high.append(inst)
-            elif spec.priority is _LOW:
-                run_spec = spec
-                run = [inst]
-                runs.append(run)
-
+        high_uids, run_uids, high_specs, runs, shape = self._edf_split(queue)
         if forced_scan is not None:
-            scan_on = bool(forced_scan)
+            scan_on, can_start = bool(forced_scan), False
         else:
             scan_on = t < self.scan_active_until
-        if scan_on:  # mid-flight or committed block: demand reserved first
-            usage = tuple(map(add, usage, scan_d))
-            power += scan.power_weight
+            can_start = not scan_on and t + self.config.scan.duration <= self.window_end
+        # where no scan can start, the commitment and the quotas are unread
+        behind = self._behind(t) if can_start else ()
+        key = (scan_on, can_start, self.scan_slots_committed if can_start else 0, behind, shape)
+        memo = self._memo
+        decision = memo.get(key)
+        if decision is None:
+            if len(memo) >= _MEMO_MAX:
+                memo.clear()
+            decision = memo[key] = self._decide(high_specs, runs, scan_on, can_start, behind)
+        high_pos, taken, scan_on, started, z, events, served_add, _ = decision
 
-        # Step 1: high-priority work, earliest deadline first.
-        for inst in high:
-            spec = inst.spec
-            new = try_fit(usage, power, spec.demand, spec.power_weight, budget)
-            if new is not None:
-                usage = new
-                power += spec.power_weight
-                chosen.append(inst)
-            elif scan_on and try_fit(
-                tuple(map(sub, usage, scan_d)), power - scan.power_weight,
-                spec.demand, spec.power_weight, budget,
-            ) is not None:
-                events.append((t, "deferred-high-priority", spec.id))
-            else:
-                events.append((t, "infeasible-slot", spec.id))
-
-        z_now = 1.0 - max(usage)
-
-        # Step 2: conditional scan activation.
-        fill = None
-        if (
-            forced_scan is None
-            and not scan_on
-            and t + scan.duration <= self.window_end
-            and z_now >= max(scan_d) - _EPS
-            and power + scan.power_weight <= budget + _EPS
-        ):
-            z_scan = min(1.0 - u - s for u, s in zip(usage, scan_d))
-            if self._scan_margin(z_now, z_scan) > 0:
-                displaced, fill = self._quota_displaced(t, runs, usage, power)
-                if not displaced:
-                    scan_on = True
-                    usage = tuple(map(add, usage, scan_d))
-                    power += scan.power_weight
-                    self.scan_active_until = t + scan.duration
-                    self.scan_slots_committed += scan.duration
-
-        # Step 3: fill with low-priority work.
-        if fill is None:
-            fill = self._fill_low(runs, usage, power)
-        low_chosen, usage, power, counts = fill
+        if started:
+            self.scan_active_until = t + self.config.scan.duration
+            self.scan_slots_committed += self.config.scan.duration
         served = self.served_in_window
-        for spec_id, c in counts.items():
+        for spec_id, c in served_add:
             served[spec_id] = served.get(spec_id, 0) + c
-        targets = self.stability_targets
-        for inst in chosen:  # high priority so far
-            spec_id = inst.spec.id
-            if spec_id in targets:
-                served[spec_id] = served.get(spec_id, 0) + 1
-        chosen.extend(low_chosen)
-
-        z = 1.0 - max(usage)  # = min(1 - usage): rounding is monotone
-        return SlotDecision(t=t, running=[i.uid for i in chosen], scan_on=bool(scan_on), z=z, events=events)
+        running = [high_uids[i] for i in high_pos]
+        for j, k in taken:
+            running += run_uids[j][:k]
+        return SlotDecision(
+            t=t, running=running, scan_on=scan_on, z=z,
+            events=[(t, kind, spec_id) for kind, spec_id in events],
+        )
 
 
 def stability_targets_of(specs) -> dict[str, float]:
@@ -367,16 +420,17 @@ def stability_targets_of(specs) -> dict[str, float]:
     return {s.id: s.stability_fraction for s in specs if s.stability_fraction > 0}
 
 
-def _project_aperiodic(spec, window_start: int, window_len: int, uid_base: int) -> list[TaskInstance]:
-    """Deterministic evenly spaced stand-ins for an aperiodic stream."""
-    rate = spec.arrival.rate
+@lru_cache(maxsize=64)
+def _release_offsets(arrival: Arrival, window_len: int, phase: int) -> tuple[int, ...]:
+    """The slots, as offsets from the window start, at which a window
+    projects a spec's arrivals: a periodic stream exactly, from the
+    window start's ``phase`` (its remainder by the interval), an
+    aperiodic one at evenly spaced stand-ins at the expected rate."""
+    if arrival.kind == "periodic":
+        return tuple(range(-phase % arrival.interval, window_len, arrival.interval))
+    rate = arrival.rate
     n = int(math.floor(rate * window_len + 0.5))
-    out = []
-    for i in range(n):
-        t = window_start + int(math.floor((i + 0.5) / rate)) if rate > 0 else window_start
-        t = min(t, window_start + window_len - 1)
-        out.append(TaskInstance(uid=uid_base + i, spec=spec, req=t, start_after=t))
-    return out
+    return tuple(min(int(math.floor((i + 0.5) / rate)), window_len - 1) for i in range(n))
 
 
 def plan_horizon(
@@ -399,31 +453,45 @@ def plan_horizon(
         stability_targets = stability_targets_of(specs or ())
 
     sim = [inst for inst in queue if inst.active]
-    uid_base = -1_000_000  # projected instances use negative uids
-    if specs:
-        for spec in sorted(specs, key=lambda s: s.id):
-            if spec.arrival.kind == "periodic":
-                first = window_start + (-window_start) % spec.arrival.interval
-                for t in range(first, window_start + window_len, spec.arrival.interval):
-                    sim.append(TaskInstance(uid=uid_base, spec=spec, req=t, start_after=t))
-                    uid_base -= 1
-            elif spec.arrival.rate > 0:
-                proj = _project_aperiodic(spec, window_start, window_len, uid_base)
-                sim.extend(proj)
-                uid_base -= len(proj)
+    # Projected instances take the negative uids from -1,000,000 down, a
+    # block per spec that rises with the release slot, so no two share one.
+    uid_top = -1_000_000
+    for spec in sorted(specs or (), key=lambda s: s.id):
+        arrival = spec.arrival
+        if arrival.kind == "periodic":
+            offsets = _release_offsets(arrival, window_len, window_start % arrival.interval)
+        elif arrival.rate > 0:
+            offsets = _release_offsets(arrival, window_len, 0)
+        else:
+            continue
+        uid = uid_top - len(offsets)
+        for off in offsets:
+            uid += 1
+            t = window_start + off
+            sim.append(TaskInstance(uid=uid, spec=spec, req=t, start_after=t))
+        uid_top -= len(offsets)
+    sim.sort(key=_EDF_KEY)
 
     planner = GreedyPlanner(utility, config, window_start, window_len, stability_targets)
+    window_end = window_start + window_len
     scan_on: list[int] = []
     zs: list[float] = []
     running: list[list[int]] = []
     events: list[tuple[int, str, str]] = []
     left = {i.uid: i.remaining for i in sim}
+    # The eligible set changes only where an instance is released, the slot
+    # after a firm deadline, or after a completion; in every other slot the
+    # planner is handed the same list again.
+    changes = {i.start_after for i in sim}
+    changes.update(i.deadline + 1 for i in sim if i.spec.firm_deadline)
+    eligible = None
 
-    for t in range(window_start, window_start + window_len):
-        eligible = [
-            i for i in sim
-            if i.start_after <= t and not (i.spec.firm_deadline and t > i.deadline)
-        ]
+    for t in range(window_start, window_end):
+        if eligible is None or t in changes:
+            eligible = [
+                i for i in sim
+                if i.start_after <= t and not (i.spec.firm_deadline and t > i.deadline)
+            ]
         dec = planner.schedule_slot(eligible, t)
         scan_on.append(int(dec.scan_on))
         zs.append(dec.z)
@@ -435,12 +503,8 @@ def plan_horizon(
             finished = finished or left[uid] == 0
         if finished:  # sim holds only instances with work left
             sim = [i for i in sim if left[i.uid]]
+            eligible = None
 
-    f = sum(scan_on) / window_len  # exact: an integer count over the length
-    y = detection_performance(f, config.scan.duration, utility)
-    objective = 0.0  # a plain loop: from Python 3.12 on, sum() of floats is compensated
-    for x, z in zip(scan_on, zs):
-        objective += slot_utility(y, x, z, utility)
     z_arr = np.array(zs)
     return HorizonPlan(
         start=window_start,
@@ -448,8 +512,9 @@ def plan_horizon(
         scan_on=np.array(scan_on, dtype=int),
         running=running,
         z=z_arr,
-        scan_freq=f,
+        scan_freq=sum(scan_on) / window_len,  # exact: an integer count over the length
         z_avg=float(np.mean(z_arr)),  # numpy's summation, not Python's
-        objective=objective,
+        utility=utility,
+        scan_duration=config.scan.duration,
         events=events,
     )

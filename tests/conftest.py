@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,15 @@ from satdefsim import attacker, engine, scheduler
 from satdefsim.scheduler import ScanTask, SchedulerConfig, UtilityParams
 from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
 
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+
 
 def clear_engine_caches():
-    """Empty every engine cache, the slot solver's fill chains and the
+    """Empty every engine cache, the slot solver's decision memos and the
     interceptor's layer memo, so that the next episode builds cold."""
     for cached in (
         engine._game_assets, engine._mean_snr, engine._link_tables,
-        engine._outage_forecast, engine._signal_plan, scheduler._fill_chain,
+        engine._outage_forecast, engine._signal_plan, scheduler._slot_memo,
     ):
         cached.cache_clear()
     engine._SCHEDULE_CACHE.clear()

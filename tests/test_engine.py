@@ -25,7 +25,7 @@ from satdefsim.engine import (
 from satdefsim.persuasion import build_scan_game
 from satdefsim.scheduler import UtilityParams
 
-from conftest import clear_engine_caches
+from conftest import BENCH_SCENARIOS, clear_engine_caches
 from test_golden import record
 
 
@@ -323,6 +323,47 @@ def count_defender_calls(monkeypatch) -> dict[str, int]:
         counting("schedule_slot", engine.GreedyPlanner.schedule_slot),
     )
     return calls
+
+
+@pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
+@pytest.mark.parametrize("policy", ["sp", "star"])
+def test_executed_usage_is_a_fresh_sum(policy, workload, monkeypatch):
+    """The defender pass memoizes each slot's executed usage and power.
+    In every slot they must equal a fresh sum over the running instances
+    in uid order (the scan's power first, its demand last), and the
+    schedule's z, power and usage total must follow from them.  On
+    suite-default some slots run the same specs with and without a scan."""
+    cfg = load_config(BENCH_SCENARIOS / f"{workload}.yaml")
+    slots = []
+    executed = engine.DefenderPass._executed
+
+    def checked(self, dec, scan_now):
+        running, usage, power = executed(self, dec, scan_now)
+        fresh = [self.instances[uid] for uid in sorted(dec.running)]
+        want_usage = (0.0,) * len(cfg.resources)
+        want_power = cfg.scan.power_weight if scan_now else 0.0
+        for inst in fresh:
+            want_usage = tuple(u + d for u, d in zip(want_usage, inst.spec.demand))
+            want_power += inst.spec.power_weight
+        if scan_now:
+            want_usage = tuple(u + d for u, d in zip(want_usage, cfg.scan.demand))
+        assert running == fresh
+        assert usage == want_usage
+        assert power == want_power
+        slots.append((usage, power))
+        return running, usage, power
+
+    monkeypatch.setattr(engine.DefenderPass, "_executed", checked)
+    defender = engine.DefenderPass(cfg, 1, policy)
+    schedule = defender.run()
+    assert len(slots) == cfg.horizon
+    assert len(defender._usage_memo) < cfg.horizon / 2  # most slots hit
+    assert list(schedule.z) == [1.0 - max(usage) for usage, _ in slots]
+    assert list(schedule.power) == [power for _, power in slots]
+    usage_sum = (0.0,) * len(cfg.resources)
+    for usage, _ in slots:
+        usage_sum = tuple(a + b for a, b in zip(usage_sum, usage))
+    assert schedule.usage_sum == usage_sum
 
 
 #: a scenario in which each change of ``SCHEDULE_INPUTS`` changes the

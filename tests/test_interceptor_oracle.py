@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +20,12 @@ from satdefsim import engine
 from satdefsim.attacker import AttackerParams, best_response, dp_decision, intensity_update
 from satdefsim.config import load_config
 
-from conftest import clear_engine_caches
+from conftest import BENCH_SCENARIOS, clear_engine_caches
 from oracles import ReferenceInterceptor
 from test_attacker import random_params
 from test_engine import valid_scenarios
 
 STAR_FAMILY = ("star", "star-static", "stardis")
-BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 
 
 def interceptor_view(cfg, seed, policy, monkeypatch, cls) -> tuple:

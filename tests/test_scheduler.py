@@ -151,6 +151,22 @@ class TestPlanHorizon:
                                 cfg.stability_targets())
         assert violations == []
 
+    def test_stand_ins_have_their_own_uids(self):
+        """The first default window projects a relay and two routine
+        stand-ins.  Each keeps its own remaining work, so a relay of
+        2 slots leaves the plan after its second slot."""
+        from satdefsim.config import default_scenario
+
+        cfg = default_scenario()
+        tasks = [dataclasses.replace(s, processing=2) if s.id == "relay" else s for s in cfg.tasks]
+        plan = plan_horizon([], 0, 5, cfg.utility, cfg.scheduler_config(), specs=tasks,
+                            stability_targets=cfg.stability_targets())
+        relay, = plan.running[0]
+        assert [relay in uids for uids in plan.running] == [True, True, False, False, False]
+        assert all(len(set(uids)) == len(uids) for uids in plan.running)
+        assert len({uid for uids in plan.running for uid in uids}) == 3
+        assert plan.z_avg == pytest.approx(0.7)
+
     def test_projected_arrivals_cover_periodic(self):
         spec = make_spec(tid="p", arrival=Arrival(kind="periodic", interval=10),
                          priority=Priority.HIGH, demand=(0.2, 0.1), processing=2,

@@ -8,23 +8,37 @@ make the same decision (running uids, scan state, idle capacity, events,
 compared bit for bit) and leave the planner in the same state, slot after
 slot through a window.  Do not edit the reference to make a change pass:
 a change of decisions is a change of results.
+
+``reference_plan_horizon`` does the same for the receding-horizon plan:
+``plan_horizon`` as it stood before it kept its eligible set between
+slots and projected arrivals from templates, solving each slot with
+``ReferencePlanner``.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from operator import add, attrgetter, sub
 
 import numpy as np
 import pytest
 
+from satdefsim import engine, scheduler
+from satdefsim.config import load_config
 from satdefsim.scheduler import (
     GreedyPlanner,
     ScanTask,
     SchedulerConfig,
     SlotDecision,
     UtilityParams,
+    detection_performance,
+    plan_horizon,
+    slot_utility,
+    stability_targets_of,
 )
-from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
+from satdefsim.workload import Arrival, InstanceState, Nature, Priority, TaskInstance, TaskSpec
+
+from conftest import BENCH_SCENARIOS
 
 _EPS = 1e-9
 _CAP = 1.0 + _EPS
@@ -155,6 +169,15 @@ def _planner_state(p: GreedyPlanner):
     return (p.scan_slots_committed, p.scan_active_until, dict(p.served_in_window))
 
 
+def _assert_same_decision(got, want, live, ref):
+    assert got.t == want.t
+    assert got.running == want.running
+    assert got.scan_on is want.scan_on
+    assert got.z.hex() == want.z.hex()
+    assert got.events == want.events
+    assert _planner_state(live) == _planner_state(ref)
+
+
 def _random_specs(rng, n_res):
     specs = []
     n_low, n_high = int(rng.integers(1, 4)), int(rng.integers(0, 3))
@@ -176,6 +199,16 @@ def _random_specs(rng, n_res):
 def _random_case(rng):
     n_res = int(rng.integers(1, 4))
     specs = _random_specs(rng, n_res)
+    utility, config, targets = _random_scope(rng, specs, n_res)
+    pool = []
+    for uid in rng.permutation(np.arange(-40, 40))[: int(rng.integers(1, 30))]:
+        spec = specs[int(rng.integers(len(specs)))]
+        req = int(rng.integers(0, 12))
+        pool.append(TaskInstance(uid=int(uid), spec=spec, req=req, start_after=req))
+    return utility, config, targets, pool
+
+
+def _random_scope(rng, specs, n_res):
     scan = ScanTask(
         demand=rng.uniform(0.0, 0.4, n_res).round(2),
         power_weight=round(float(rng.uniform(0.05, 0.4)), 2),
@@ -193,12 +226,7 @@ def _random_case(rng):
         scan_cost=float(rng.uniform(0.05, 2.0)),
         load_penalty=float(rng.uniform(0.1, 4.0)),
     )
-    pool = []
-    for uid in rng.permutation(np.arange(-40, 40))[: int(rng.integers(1, 30))]:
-        spec = specs[int(rng.integers(len(specs)))]
-        req = int(rng.integers(0, 12))
-        pool.append(TaskInstance(uid=int(uid), spec=spec, req=req, start_after=req))
-    return utility, config, targets, pool
+    return utility, config, targets
 
 
 @pytest.mark.parametrize("forcing", ["free", "forced", "mixed"])
@@ -230,12 +258,7 @@ def test_slot_solver_matches_reference(forcing):
                 forced = bool(rng.random() < 0.5)
             got = live.schedule_slot(list(queue), t, forced)
             want = ref.schedule_slot(list(queue), t, forced)
-            assert got.t == want.t
-            assert got.running == want.running
-            assert got.scan_on is want.scan_on
-            assert got.z.hex() == want.z.hex()
-            assert got.events == want.events
-            assert _planner_state(live) == _planner_state(ref)
+            _assert_same_decision(got, want, live, ref)
             checked["scan"] += want.scan_on
             checked["deferred"] += sum(e[1] == "deferred-high-priority" for e in want.events)
             checked["infeasible"] += sum(e[1] == "infeasible-slot" for e in want.events)
@@ -304,11 +327,7 @@ def test_run_fill_matches_reference_on_queue_shapes(shape):
             for t, forced in enumerate((None, None, True, False, None, None)):
                 got = live.schedule_slot(list(queue), t, forced)
                 want = ref.schedule_slot(list(queue), t, forced)
-                assert got.running == want.running
-                assert got.scan_on is want.scan_on
-                assert got.z.hex() == want.z.hex()
-                assert got.events == want.events
-                assert _planner_state(live) == _planner_state(ref)
+                _assert_same_decision(got, want, live, ref)
                 ran = [i.spec.id for i in queue if i.uid in want.running]
                 longest = max(longest, max((ran.count(s) for s in set(ran)), default=0))
                 left_out = left_out or any(
@@ -351,3 +370,245 @@ def test_forced_decisions_read_only_the_config():
             assert got.z.hex() == want.z.hex()
             assert got.events == want.events
     assert all(v > 0 for v in seen.values()), seen
+
+
+# -- the reuse paths: the queue's split and the slot memo ---------------------------
+
+@pytest.mark.parametrize("forcing", ["free", "forced"])
+def test_repeated_queues_match_reference(forcing):
+    """The same instances handed in slot after slot, in the same list or
+    a copy (the split is reused) or in a new order (it is not), decide
+    as the reference does."""
+    rng = np.random.default_rng({"free": 5, "forced": 6}[forcing])
+    seen = dict.fromkeys(("same list", "copy", "new order", "split reused"), 0)
+    for _ in range(100):
+        utility, config, targets, pool = _random_case(rng)
+        if rng.random() < 0.5:  # no quota, so a scan block can follow another
+            targets = {}
+        w_start, w_len = int(rng.integers(0, 10)), int(rng.integers(2, 13))
+        live = GreedyPlanner(utility, config, w_start, w_len, targets)
+        ref = ReferencePlanner(utility, config, w_start, w_len, targets)
+        queue = list(pool)
+        for k in range(w_len):
+            how = ("same list", "copy", "new order")[int(rng.integers(3))]
+            if how == "copy":
+                queue = list(queue)
+            elif how == "new order":
+                queue = [queue[i] for i in rng.permutation(len(queue))]
+            seen[how] += 1
+            forced = None if forcing == "free" else bool(rng.random() < 0.5)
+            split = live._last_split
+            got = live.schedule_slot(queue, w_start + k, forced)
+            want = ref.schedule_slot(list(queue), w_start + k, forced)
+            _assert_same_decision(got, want, live, ref)
+            if k and how != "new order":
+                assert live._last_split is split
+                seen["split reused"] += 1
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_window_planners_share_decisions_by_scope():
+    """A fresh planner per window, as ``plan_horizon`` makes them, built
+    from equal but new values: the windows of one length share one memo
+    and replay its decisions, the short last window has its own, and
+    every slot decides as the reference does."""
+    rng = np.random.default_rng(7)
+    replayed = 0
+    for _ in range(60):
+        utility, config, targets, pool = _random_case(rng)
+        w_len = int(rng.integers(2, 6))
+        horizon = 3 * w_len + int(rng.integers(1, w_len))  # a short last window
+        queue = [pool[i] for i in rng.permutation(len(pool))[: int(rng.integers(0, len(pool) + 1))]]
+        memos = set()
+        for w_start in range(0, horizon, w_len):
+            n = min(w_len, horizon - w_start)
+            live = GreedyPlanner(
+                dataclasses.replace(utility), dataclasses.replace(config), w_start, n, dict(targets),
+            )
+            ref = ReferencePlanner(utility, config, w_start, n, targets)
+            stored = len(live._memo)
+            for t in range(w_start, w_start + n):
+                got = live.schedule_slot(list(queue), t)
+                want = ref.schedule_slot(list(queue), t)
+                _assert_same_decision(got, want, live, ref)
+            memos.add(id(live._memo))
+            # the queue repeats, so every later full window replays the first
+            replayed += 0 < w_start and n == w_len and len(live._memo) == stored
+        assert len(memos) == 2
+    assert replayed > 0
+
+
+def test_a_full_memo_is_emptied(monkeypatch):
+    monkeypatch.setattr(scheduler, "_MEMO_MAX", 3)
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        utility, config, targets, pool = _random_case(rng)
+        live = GreedyPlanner(utility, config, 0, 8, targets)
+        ref = ReferencePlanner(utility, config, 0, 8, targets)
+        for t in range(8):
+            queue = [pool[i] for i in rng.permutation(len(pool))[: int(rng.integers(0, len(pool) + 1))]]
+            _assert_same_decision(live.schedule_slot(queue, t), ref.schedule_slot(queue, t), live, ref)
+            assert 0 < len(live._memo) <= 3
+
+
+# -- the receding-horizon plan ---------------------------------------------------
+
+def _ref_project_aperiodic(spec, window_start: int, window_len: int, uid_base: int) -> list[TaskInstance]:
+    """Deterministic evenly spaced stand-ins for an aperiodic stream."""
+    rate = spec.arrival.rate
+    n = int(math.floor(rate * window_len + 0.5))
+    out = []
+    for i in range(n):
+        t = window_start + int(math.floor((i + 0.5) / rate)) if rate > 0 else window_start
+        t = min(t, window_start + window_len - 1)
+        out.append(TaskInstance(uid=uid_base - n + 1 + i, spec=spec, req=t, start_after=t))
+    return out
+
+
+def reference_plan_horizon(queue, window_start, window_len, utility, config, specs=None, stability_targets=None):
+    """``plan_horizon`` with ``_project_aperiodic`` as they stood before
+    the reuse paths, solving each slot with ``ReferencePlanner``.  The
+    stand-in uids are the one change: each spec's stand-ins take the
+    next block of uids below the last, rising with the release slot.
+    Before, an aperiodic spec numbered its stand-ins up from the next
+    free uid, so one could share the uid of the stand-in above it."""
+    if stability_targets is None:
+        stability_targets = stability_targets_of(specs or ())
+
+    sim = [inst for inst in queue if inst.active]
+    uid_base = -1_000_000  # projected instances use negative uids
+    if specs:
+        for spec in sorted(specs, key=lambda s: s.id):
+            if spec.arrival.kind == "periodic":
+                first = window_start + (-window_start) % spec.arrival.interval
+                releases = range(first, window_start + window_len, spec.arrival.interval)
+                for k, t in enumerate(releases):
+                    sim.append(TaskInstance(uid=uid_base - len(releases) + 1 + k, spec=spec, req=t, start_after=t))
+                uid_base -= len(releases)
+            elif spec.arrival.rate > 0:
+                proj = _ref_project_aperiodic(spec, window_start, window_len, uid_base)
+                sim.extend(proj)
+                uid_base -= len(proj)
+
+    planner = ReferencePlanner(utility, config, window_start, window_len, stability_targets)
+    scan_on: list[int] = []
+    zs: list[float] = []
+    running: list[list[int]] = []
+    events: list[tuple[int, str, str]] = []
+    left = {i.uid: i.remaining for i in sim}
+
+    for t in range(window_start, window_start + window_len):
+        eligible = [
+            i for i in sim
+            if i.start_after <= t and not (i.spec.firm_deadline and t > i.deadline)
+        ]
+        dec = planner.schedule_slot(eligible, t)
+        scan_on.append(int(dec.scan_on))
+        zs.append(dec.z)
+        running.append(dec.running)
+        events.extend(dec.events)
+        finished = False
+        for uid in dec.running:
+            left[uid] -= 1
+            finished = finished or left[uid] == 0
+        if finished:  # sim holds only instances with work left
+            sim = [i for i in sim if left[i.uid]]
+
+    f = sum(scan_on) / window_len  # exact: an integer count over the length
+    y = detection_performance(f, config.scan.duration, utility)
+    objective = 0.0  # a plain loop: from Python 3.12 on, sum() of floats is compensated
+    for x, z in zip(scan_on, zs):
+        objective += slot_utility(y, x, z, utility)
+    z_arr = np.array(zs)
+    return dict(
+        scan_on=scan_on, running=running, z=zs, scan_freq=f,
+        z_avg=float(np.mean(z_arr)), objective=objective, events=events,
+    )
+
+
+def _assert_same_plan(got, want):
+    assert got.scan_on.tolist() == want["scan_on"]
+    assert got.running == want["running"]
+    assert [z.hex() for z in got.z.tolist()] == [z.hex() for z in want["z"]]
+    assert got.scan_freq.hex() == want["scan_freq"].hex()
+    assert got.z_avg.hex() == want["z_avg"].hex()
+    assert got.objective.hex() == want["objective"].hex()
+    assert got.events == want["events"]
+    for uids in got.running:
+        assert len(set(uids)) == len(uids)
+
+
+def _random_window(rng):
+    """Specs with aperiodic streams at random rates and periodic ones,
+    half with firm deadlines that pass inside a window, and a backlog
+    with partial work left, some of it no longer active or released
+    later."""
+    n_res = int(rng.integers(1, 4))
+    specs = [
+        dataclasses.replace(
+            s, arrival=Arrival(kind="aperiodic", rate=round(float(rng.uniform(0.0, 0.8)), 2)),
+            firm_deadline=bool(rng.random() < 0.5),
+        )
+        for s in _random_specs(rng, n_res)
+    ]
+    for j in range(int(rng.integers(0, 3))):
+        processing = int(rng.integers(1, 4))
+        specs.append(TaskSpec(
+            id=f"periodic{j}",
+            nature=Nature.MISSION,
+            priority=Priority.HIGH if rng.random() < 0.5 else Priority.LOW,
+            arrival=Arrival(kind="periodic", interval=int(rng.integers(1, 8))),
+            demand=rng.uniform(0.0, 0.5, n_res).round(2),
+            power_weight=round(float(rng.uniform(0.0, 0.4)), 2),
+            processing=processing,
+            relative_deadline=processing + int(rng.integers(0, 4)),
+            firm_deadline=bool(rng.random() < 0.6),
+        ))
+    utility, config, targets = _random_scope(rng, specs, n_res)
+    w_start, w_len = int(rng.integers(0, 40)), int(rng.integers(1, 11))
+    queue = []
+    for uid in range(int(rng.integers(0, 25))):
+        spec = specs[int(rng.integers(len(specs)))]
+        req = w_start + int(rng.integers(-12, 3))
+        inst = TaskInstance(uid=uid, spec=spec, req=req, start_after=req)
+        inst.remaining = int(rng.integers(1, spec.processing + 1))
+        if rng.random() < 0.1:
+            inst.state = InstanceState.COMPLETED
+        queue.append(inst)
+    return queue, w_start, w_len, utility, config, specs, targets
+
+
+def test_plan_matches_reference_on_random_windows():
+    rng = np.random.default_rng(8)
+    seen = dict.fromkeys(("scan", "events", "stand-in runs", "firm expiry"), 0)
+    for _ in range(400):
+        queue, w_start, w_len, utility, config, specs, targets = _random_window(rng)
+        with_targets = rng.random() < 0.5  # or the targets plan_horizon derives from the specs
+        kwargs = dict(specs=specs, stability_targets=targets if with_targets else None)
+        want = reference_plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        got = plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        _assert_same_plan(got, want)
+        seen["scan"] += any(want["scan_on"])
+        seen["events"] += bool(want["events"])
+        seen["stand-in runs"] += any(uid < 0 for uids in want["running"] for uid in uids)
+        seen["firm expiry"] += any(
+            i.active and i.spec.firm_deadline and w_start <= i.deadline < w_start + w_len - 1 for i in queue
+        )
+    assert all(v > 0 for v in seen.values()), seen
+
+
+@pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
+def test_plan_matches_reference_on_benchmark_episodes(workload, monkeypatch):
+    cfg = load_config(BENCH_SCENARIOS / f"{workload}.yaml")
+    compared = []
+
+    def both(queue, *args, **kwargs):
+        want = reference_plan_horizon(queue, *args, **kwargs)
+        got = plan_horizon(queue, *args, **kwargs)
+        _assert_same_plan(got, want)
+        compared.append(got.start)
+        return got
+
+    monkeypatch.setattr(engine, "plan_horizon", both)
+    engine.DefenderPass(cfg, 1, "star").run()
+    assert compared == list(range(0, cfg.horizon, cfg.window))
