@@ -473,7 +473,6 @@ def plan_horizon(
     sim.sort(key=_EDF_KEY)
 
     planner = GreedyPlanner(utility, config, window_start, window_len, stability_targets)
-    window_end = window_start + window_len
     scan_on: list[int] = []
     zs: list[float] = []
     running: list[list[int]] = []
@@ -486,7 +485,7 @@ def plan_horizon(
     changes.update(i.deadline + 1 for i in sim if i.spec.firm_deadline)
     eligible = None
 
-    for t in range(window_start, window_end):
+    for t in range(window_start, window_start + window_len):
         if eligible is None or t in changes:
             eligible = [
                 i for i in sim
