@@ -115,12 +115,14 @@ def _cmd_persuasion_solve(args) -> int:
     with open(args.game) as fh:
         raw = yaml.safe_load(fh)
     try:
-        payoff = np.asarray(raw["attack_payoff"], dtype=float)
-        prior = np.asarray(raw["prior"], dtype=float)
-        budget = float(raw.get("credibility", 0.2))
-        n_signals = int(raw.get("n_signals", len(prior) + 2))
+        raw = dict(raw)
+        payoff = np.asarray(raw.pop("attack_payoff"), dtype=float)
+        prior = np.asarray(raw.pop("prior"), dtype=float)
+        budget = float(raw.pop("credibility", 0.2))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad game description: {exc}") from exc
+    if raw:
+        raise ConfigError(f"unknown keys in the game file: {sorted(map(str, raw))}")
     if args.sweep and args.sweep_points < 1:
         raise ConfigError(f"--sweep-points must be >= 1, got {args.sweep_points}")
     n = len(prior)
@@ -130,7 +132,6 @@ def _cmd_persuasion_solve(args) -> int:
         z_bins=n,
         z_rep=np.zeros(n),
         scan_flag=np.zeros(n, dtype=int),
-        n_signals=n_signals,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

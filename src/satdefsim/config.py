@@ -33,7 +33,6 @@ class PersuasionSettings:
     """Signal-design knobs: quantization, budget, priors, solver grid."""
 
     z_bins: int = 2
-    n_signals: int | None = None  # default: |states| + 2
     credibility: float = 0.2
     prior_scan: float = 0.5
     belief_threshold: float = 0.55  # read from the scenario's ``attacker`` section
@@ -48,13 +47,6 @@ class PersuasionSettings:
         # each check passes only valid values, so NaN fails it
         if self.z_bins < 1:
             raise ConfigError("z_bins must be >= 1")
-        # an optimal split over the 2 * z_bins states may use one more posterior
-        n = self.n_signals
-        if n is not None and not (n == 0 or 2 * self.z_bins + 1 <= n < math.inf):
-            raise ConfigError(
-                f"n_signals must be 0 (one per support posterior) or at least "
-                f"2 * z_bins + 1 = {2 * self.z_bins + 1}, got {n}"
-            )
         if self.subdivisions is not None and not is_subdivision_count(self.subdivisions):
             raise ConfigError(f"subdivisions must be omitted or an int >= 1, got {self.subdivisions!r}")
         if not 0.0 <= self.credibility < math.inf:
@@ -342,7 +334,6 @@ def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
         },
         "persuasion": {
             "z_bins": cfg.persuasion.z_bins,
-            "n_signals": cfg.persuasion.n_signals,
             "credibility": cfg.persuasion.credibility,
             "prior_scan": cfg.persuasion.prior_scan,
             "subdivisions": cfg.persuasion.subdivisions,

@@ -307,12 +307,12 @@ def persuasion_assets(cfg: ScenarioConfig) -> PersuasionAssets:
     """The assets of the scenario's game, shared by every config with the
     same game inputs."""
     p, att = cfg.persuasion, cfg.attacker
-    return _game_assets(p.z_bins, p.n_signals, p.prior_scan, p.subdivisions, att.reward_weight, att.base_cost)
+    return _game_assets(p.z_bins, p.prior_scan, p.subdivisions, att.reward_weight, att.base_cost)
 
 
 @lru_cache(maxsize=16)
-def _game_assets(z_bins, n_signals, prior_scan, subdivisions, reward_weight, base_cost) -> PersuasionAssets:
-    game = build_scan_game(reward_weight, base_cost, prior_scan, z_bins=z_bins, n_signals=n_signals)
+def _game_assets(z_bins, prior_scan, subdivisions, reward_weight, base_cost) -> PersuasionAssets:
+    game = build_scan_game(reward_weight, base_cost, prior_scan, z_bins=z_bins)
     return PersuasionAssets(game, subdivisions)
 
 

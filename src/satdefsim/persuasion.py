@@ -63,7 +63,6 @@ class PersuasionGame:
     z_bins: int
     z_rep: np.ndarray  # representative idle-capacity level per state
     scan_flag: np.ndarray  # {0,1} per state
-    n_signals: int = 0  # 0 -> support-sized policies
 
     def __post_init__(self):
         object.__setattr__(self, "attack_payoff", np.asarray(self.attack_payoff, dtype=float))
@@ -82,12 +81,6 @@ class PersuasionGame:
                 raise ValueError(f"{name} must have one entry per state of the prior ({self.n_states}), got {value}")
         if not np.all(np.isfinite(self.attack_payoff)):
             raise ValueError(f"attack_payoff must be finite, got {self.attack_payoff}")
-        # an optimal split may use n_states + 1 posteriors, one signal each
-        if self.n_signals < 0 or 0 < self.n_signals < self.n_states + 1:
-            raise ValueError(
-                f"n_signals must be 0 (one per support posterior) or at least "
-                f"n_states + 1 = {self.n_states + 1}, got {self.n_signals}"
-            )
 
     @property
     def n_states(self) -> int:
@@ -115,7 +108,6 @@ def build_scan_game(
     base_cost: float,
     prior_scan: float,
     z_bins: int = 2,
-    n_signals: int | None = None,
 ) -> PersuasionGame:
     """Payoffs bridged from the scheduling layer.
 
@@ -134,15 +126,7 @@ def build_scan_game(
         -base_cost,
     )
     prior = np.concatenate([(1.0 - prior_scan) * prior_z, prior_scan * prior_z])
-    n_sig = (2 * z_bins + 2) if n_signals is None else n_signals
-    return PersuasionGame(
-        attack_payoff=payoff,
-        prior=prior,
-        z_bins=z_bins,
-        z_rep=z_rep,
-        scan_flag=scan_flag,
-        n_signals=n_sig,
-    )
+    return PersuasionGame(attack_payoff=payoff, prior=prior, z_bins=z_bins, z_rep=z_rep, scan_flag=scan_flag)
 
 
 def attacker_value(belief, game: PersuasionGame) -> float:
@@ -177,19 +161,18 @@ class PosteriorSplit:
         return float(sum(w * entropy(mu) for w, mu in zip(self.weights, self.posteriors)))
 
 
-def policy_from_split(split: PosteriorSplit, prior, n_signals: int = 0) -> np.ndarray:
+def policy_from_split(split: PosteriorSplit, prior) -> np.ndarray:
     """Recover the row-stochastic signaling matrix, one signal per
     support posterior; states with zero prior mass get a uniform row."""
     prior = np.asarray(prior, dtype=float)
     k = len(split.weights)
-    cols = max(k, n_signals)
-    pol = np.zeros((len(prior), cols))
+    pol = np.zeros((len(prior), k))
     for i, (w, mu) in enumerate(zip(split.weights, split.posteriors)):
         pol[:, i] = w * mu
     with np.errstate(divide="ignore", invalid="ignore"):
         pol = pol / prior[:, None]
     zero = prior <= _EPS
-    pol[zero] = 1.0 / cols
+    pol[zero] = 1.0 / k
     # guard rounding: renormalize rows
     pol = pol / pol.sum(axis=1, keepdims=True)
     return pol
@@ -440,7 +423,7 @@ def solve_persuasion(
     w, objective, pivots = _split_lp(values, posteriors, ent, game.prior, budget, vertices, ranks)
     support = w > 1e-10
     split = PosteriorSplit(posteriors=posteriors[support], weights=w[support] / w[support].sum())
-    policy = policy_from_split(split, game.prior, game.n_signals)
+    policy = policy_from_split(split, game.prior)
     return PersuasionSolution(split, policy, objective, credibility_cost(policy, game.prior), len(values), pivots)
 
 

@@ -468,7 +468,7 @@ def plan_horizon(
         for off in offsets:
             uid += 1
             t = window_start + off
-            sim.append(TaskInstance(uid=uid, spec=spec, req=t, start_after=t))
+            sim.append(TaskInstance(uid=uid, spec=spec, req=t))
         uid_top -= len(offsets)
     sim.sort(key=_EDF_KEY)
 
@@ -481,7 +481,7 @@ def plan_horizon(
     # The eligible set changes only where an instance is released, the slot
     # after a firm deadline, or after a completion; in every other slot the
     # planner is handed the same list again.
-    changes = {i.start_after for i in sim}
+    changes = {i.req for i in sim}
     changes.update(i.deadline + 1 for i in sim if i.spec.firm_deadline)
     eligible = None
 
@@ -489,7 +489,7 @@ def plan_horizon(
         if eligible is None or t in changes:
             eligible = [
                 i for i in sim
-                if i.start_after <= t and not (i.spec.firm_deadline and t > i.deadline)
+                if i.req <= t and not (i.spec.firm_deadline and t > i.deadline)
             ]
         dec = planner.schedule_slot(eligible, t)
         scan_on.append(int(dec.scan_on))

@@ -66,7 +66,7 @@ class TaskSpec:
     normalized power draw,
     ``processing`` the total service slots required and
     ``relative_deadline`` the slots allowed
-    between earliest start and completion.  ``mean_demand`` is the
+    between request and completion.  ``mean_demand`` is the
     activation-requirement factor used by the stability constraint
     (defaults to ``processing``, so rate x mean_demand is the required
     time-average service fraction).
@@ -116,24 +116,21 @@ class TaskSpec:
 class TaskInstance:
     """One released job of a spec.
 
-    ``req`` is the request slot, ``start_after`` the earliest feasible
-    start and ``deadline`` the absolute deadline slot (work finishing in
-    slot t is on time iff t <= deadline).
+    ``req`` is the request slot, also the earliest start, and
+    ``deadline`` the absolute deadline slot (work finishing in slot t is
+    on time iff t <= deadline).
     """
 
     uid: int
     spec: TaskSpec
     req: int
-    start_after: int
     deadline: int = field(init=False)
     remaining: int = field(init=False)
     state: InstanceState = InstanceState.QUEUED
     service: int = 0  # slots of service received
 
     def __post_init__(self):
-        if self.start_after < self.req:
-            raise ValueError("earliest start precedes request slot")
-        self.deadline = self.start_after + self.spec.relative_deadline
+        self.deadline = self.req + self.spec.relative_deadline
         self.remaining = self.spec.processing
 
     @property
@@ -178,7 +175,7 @@ def generate_arrivals(specs: list[TaskSpec], horizon: int, seed) -> list[TaskIns
                     releases.append((int(t), 0 if spec.priority is _HIGH else 1, spec.id, spec))
     releases.sort(key=lambda r: (r[0], r[1], r[2]))
     return [
-        TaskInstance(uid=i, spec=spec, req=t, start_after=t)
+        TaskInstance(uid=i, spec=spec, req=t)
         for i, (t, _, _, spec) in enumerate(releases)
     ]
 

@@ -54,7 +54,7 @@ def make_spec(
 
 
 def make_instance(uid=0, req=0, **spec_kwargs):
-    return TaskInstance(uid=uid, spec=make_spec(**spec_kwargs), req=req, start_after=req)
+    return TaskInstance(uid=uid, spec=make_spec(**spec_kwargs), req=req)
 
 
 def micro_instance(rng, max_tasks=2, with_quota=False):
@@ -82,7 +82,7 @@ def micro_instance(rng, max_tasks=2, with_quota=False):
             deadline=int(rng.integers(p, w + 3)),
             firm=firm,
         )
-        insts.append(TaskInstance(uid=j, spec=spec, req=arr, start_after=arr))
+        insts.append(TaskInstance(uid=j, spec=spec, req=arr))
         if with_quota and not firm and rng.random() < 0.5:
             targets[spec.id] = float(rng.uniform(0.05, min(0.3, p / w)))
     return w, cfg, insts, targets

@@ -155,7 +155,7 @@ def check_plan(
             spec = inst.spec
             if spec.id in stability_targets and uid not in scheduled:
                 expired = spec.firm_deadline and t > inst.deadline
-                if inst.start_after <= t and remaining[uid] > 0 and not expired:
+                if inst.req <= t and remaining[uid] > 0 and not expired:
                     eligible_left[spec.id][k].append(uid)
         for uid in plan.running[k]:
             inst = instances[uid]
@@ -247,7 +247,7 @@ def _task_patterns(inst: TaskInstance, w: int, min_slots: int = 0) -> np.ndarray
     """All activation subsets: within eligibility, at most the total work
     and at least ``min_slots`` (the stability quota).  Rows are sorted
     lexicographically."""
-    lo = max(inst.start_after, 0)
+    lo = max(inst.req, 0)
     hi = min(w, inst.deadline + 1) if inst.spec.firm_deadline else w
     slots = list(range(lo, hi))
     rows = []

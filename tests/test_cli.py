@@ -157,10 +157,15 @@ def test_persuasion_solve(tmp_path):
     assert "pricing_rounds" not in doc
 
 
-def test_persuasion_solve_rejects_too_few_signals(tmp_path):
+@pytest.mark.parametrize("key, value", [("credibilty", 0.01), ("n_signals", 3)])
+def test_persuasion_solve_rejects_unknown_keys(tmp_path, capsys, key, value):
+    # a misspelled key must not leave its value at the default; n_signals is retired
     game = tmp_path / "game.yaml"
-    game.write_text(yaml.safe_dump({"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5], "n_signals": 2}))
-    assert main(["persuasion-solve", "--game", str(game), "--out", str(tmp_path / "pers")]) == 2
+    game.write_text(yaml.safe_dump({"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5], key: value}))
+    out = tmp_path / "pers"
+    assert main(["persuasion-solve", "--game", str(game), "--out", str(out)]) == 2
+    assert f"unknown keys in the game file: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, game", [

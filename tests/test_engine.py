@@ -1,6 +1,7 @@
 import dataclasses
 import enum
 import json
+import re
 from collections import namedtuple
 from pathlib import Path
 
@@ -905,14 +906,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="duplicate task ids"):
             dataclasses.replace(base, tasks=base.tasks + base.tasks[:1])
 
-    def test_n_signals_below_split_support_rejected(self):
-        # 2 * z_bins = 4 states: an optimal split may need 5 signals
-        for bad in (-1, 1, 4):
-            with pytest.raises(ConfigError, match="n_signals"):
-                default_scenario(persuasion={"z_bins": 2, "n_signals": bad})
-        for ok in (0, 5, 6):
-            assert default_scenario(persuasion={"z_bins": 2, "n_signals": ok}).persuasion.n_signals == ok
-
     @pytest.mark.parametrize("bad", [0, -2, 2.5, "6", True])
     def test_bad_subdivisions_rejected(self, bad):
         with pytest.raises(ConfigError, match="subdivisions"):
@@ -924,6 +917,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section,key", [
         ("persuasion", "units_per_slot"),
+        ("persuasion", "n_signals"),
         ("attacker", "dp_grid"),
         ("attacker", "exact_horizon"),
         ("channel", "series_truncation"),
@@ -942,7 +936,7 @@ class TestConfigValidation:
         else:
             target = raw["channel"]["geometry"] if section == "geometry" else raw[section]
             target[key] = 1.0
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=rf"unknown keys in [\w.]+: \['{key}'\]"):
             from_dict(raw)
 
     @pytest.mark.parametrize("key", ["reward_weight", "base_cost", "cost_scale"])
@@ -971,7 +965,6 @@ class TestConfigValidation:
         ("channel.geometry.d_max_km", float("inf"), "geometry.d_max_km"),
         ("persuasion.credibility", float("nan"), "persuasion.credibility"),
         ("persuasion.credibility", float("inf"), "persuasion.credibility"),
-        ("persuasion.n_signals", float("nan"), "persuasion.n_signals"),
         ("persuasion.budget_points", 0, "budget_points"),
         ("persuasion.delay_snr_hi_db", float("nan"), "persuasion.delay_snr_hi_db"),
         # the pass edge is 1,500 km away: 5.0 ms of propagation
@@ -979,11 +972,7 @@ class TestConfigValidation:
     ])
     def test_non_finite_and_out_of_range_scalars_rejected(self, key, bad, message):
         raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
-        *parents, leaf = key.split(".")
-        target = raw
-        for k in parents:
-            target = target[int(k)] if k.isdigit() else target[k]
-        target[leaf] = bad
+        set_scenario_value(raw, key, bad)
         with pytest.raises(ConfigError, match=message):
             from_dict(raw)
 
@@ -1104,12 +1093,22 @@ NON_DEFAULT_SCENARIO = {
     },
     "attacker": {"mode": "dp", "reward_weight": 9.0, "base_cost": 0.2, "cost_scale": 0.4,
                  "memory": 0.2, "belief_threshold": 0.6},
-    "persuasion": {"z_bins": 3, "n_signals": 9, "credibility": 0.3, "prior_scan": 0.4,
+    "persuasion": {"z_bins": 3, "credibility": 0.3, "prior_scan": 0.4,
                    "subdivisions": 20, "budget_points": 7, "delay_max_ms": 300.0,
                    "delay_snr_lo_db": 1.0, "delay_snr_hi_db": 12.0},
     "policy": "stardis",
     "sp_scan_period": 25,
 }
+
+
+def set_scenario_value(raw: dict, path: str, value) -> None:
+    """Set the key at the dotted ``path`` of a raw scenario (a digit
+    indexes a list)."""
+    *parents, leaf = path.split(".")
+    target = raw
+    for k in parents:
+        target = target[int(k)] if k.isdigit() else target[k]
+    target[leaf] = value
 
 
 def config_leaves(obj, prefix=""):
@@ -1139,6 +1138,125 @@ def config_dataclasses(obj) -> list:
             if dataclasses.is_dataclass(item):
                 found += config_dataclasses(item)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Knob liveness: every scenario key moves some episode
+# ---------------------------------------------------------------------------
+
+def scenario_keys() -> set[str]:
+    """Every scenario key, by its config field path, with the task index
+    written as ``*``; ``power_scale`` is read at load only."""
+    leaves = config_leaves(from_dict(NON_DEFAULT_SCENARIO))
+    keys = {re.sub(r"^tasks\.\d+\.", "tasks.*.", k) for k in leaves}
+    return keys - {"persuasion.units_per_slot"} | {"power_scale"}
+
+
+def liveness_outputs(*changes) -> tuple:
+    """Metrics (without their labels), slot columns and window rows of a
+    seed-1 episode of ``NON_DEFAULT_SCENARIO`` cut to 120 slots and a
+    4-step grid, with each change (scenario path -> value) applied."""
+    raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+    raw["horizon"] = 120
+    raw["channel"]["geometry"]["pass_slots"] = 100
+    raw["persuasion"]["subdivisions"] = 4
+    for change in changes:
+        for path, value in change.items():
+            set_scenario_value(raw, path, value)
+    metrics, traces = run_episode(from_dict(raw), 1)
+    values = {k: v for k, v in dataclasses.asdict(metrics).items() if k not in ("policy", "seed")}
+    return values, traces.slots, traces.windows
+
+
+#: (key, the scenario as changes to the base, a change of the key that
+#: moves its episode).  The base runs stardis against the dp interceptor;
+#: bulk (tasks.1) is the aperiodic low-priority task, beacon (tasks.0)
+#: the periodic high-priority one.
+LIVENESS_CASES = [
+    ("horizon", {}, {"horizon": 90}),
+    ("window", {"policy": "star"}, {"window": 5}),
+    ("slot_ms", {}, {"slot_ms": 2.0}),
+    ("resources", {}, {"resources": ["cpu", "fpga", "npu"]}),  # the names label the utilization metrics
+    # ids order the per-spec arrival draws: two aperiodic tasks swap turns
+    ("tasks.*.id", {"tasks.0.arrival": {"kind": "aperiodic", "rate": 0.3}}, {"tasks.0.id": "zulu"}),
+    ("tasks.*.nature", {"policy": "star"}, {"tasks.1.nature": "mission"}),  # gives bulk a quota
+    ("tasks.*.priority", {"policy": "star"}, {"tasks.1.priority": "high"}),
+    ("tasks.*.arrival.kind", {}, {"tasks.1.arrival": {"kind": "periodic", "interval": 5}}),
+    ("tasks.*.arrival.interval", {}, {"tasks.0.arrival.interval": 5}),
+    ("tasks.*.arrival.rate", {}, {"tasks.1.arrival.rate": 0.5}),
+    ("tasks.*.demand", {}, {"tasks.1.demand": [0.3, 0.05, 0.5]}),
+    ("tasks.*.power_weight", {}, {"tasks.1.power": 0.5}),
+    ("tasks.*.processing", {}, {"tasks.1.processing": 6}),
+    # deadlines bind only on an overloaded queue
+    ("tasks.*.relative_deadline", {"policy": "fcfs", "tasks.1.arrival.rate": 1.5}, {"tasks.1.deadline": 6}),
+    ("tasks.*.firm_deadline", {"policy": "fcfs", "tasks.1.arrival.rate": 1.5}, {"tasks.1.firm_deadline": True}),
+    # the quota's size matters where a scan can start after a window's first slot
+    ("tasks.*.mean_demand",
+     {"policy": "star", "window": 10, "scan.duration": 4, "tasks.1.nature": "mission", "tasks.1.arrival.rate": 1.5},
+     {"tasks.1.mean_demand": 0.5}),
+    ("scan.demand", {}, {"scan.demand": [0.3, 0.1, 0.2]}),
+    ("scan.duration", {}, {"scan.duration": 2}),
+    ("scan.power_weight", {}, {"scan.power": 0.7}),
+    ("utility.detect_reward", {}, {"utility.detect_reward": 2.0}),
+    ("utility.scan_cost", {}, {"utility.scan_cost": 0.1}),
+    ("utility.load_penalty", {}, {"utility.load_penalty": 0.5}),
+    ("utility.steepness", {}, {"utility.steepness": 0.9}),
+    ("utility.midpoint", {}, {"utility.midpoint": 0.6}),
+    ("utility.ceiling", {}, {"utility.ceiling": 0.5}),
+    ("power_budget", {}, {"power_budget": 0.6}),
+    ("power_scale", {"tasks.1.power": None}, {"power_scale": 3.0}),  # scales a task without a power
+    ("channel.b0", {}, {"channel.fading.b0": 0.1}),
+    ("channel.m", {}, {"channel.fading.m": 2.0}),
+    ("channel.omega", {}, {"channel.fading.omega": 0.5}),
+    ("channel.snr_threshold_db", {}, {"channel.snr_threshold_db": 8.0}),
+    ("geometry.d_min_km", {}, {"channel.geometry.d_min_km": 500.0}),
+    ("geometry.d_max_km", {}, {"channel.geometry.d_max_km": 1800.0}),
+    ("geometry.pass_slots", {}, {"channel.geometry.pass_slots": 80}),
+    ("geometry.peak_snr_db", {}, {"channel.geometry.peak_snr_db": 14.0}),
+    ("geometry.path_loss_exp", {}, {"channel.geometry.path_loss_exp": 3.0}),
+    ("proc_delay_ms", {}, {"channel.proc_delay_ms": 60.0}),
+    ("attacker.reward_weight", {}, {"attacker.reward_weight": 2.0}),
+    ("attacker.base_cost", {}, {"attacker.base_cost": 1.0}),
+    ("attacker.cost_scale", {}, {"attacker.cost_scale": 2.0}),
+    ("attacker.memory", {}, {"attacker.memory": 0.8}),
+    ("attacker_mode", {}, {"attacker.mode": "threshold"}),
+    ("persuasion.z_bins", {}, {"persuasion.z_bins": 2}),
+    ("persuasion.credibility", {}, {"persuasion.credibility": 0.05}),
+    ("persuasion.prior_scan", {}, {"persuasion.prior_scan": 0.7}),
+    # the posteriors must fall on both sides of the threshold
+    ("persuasion.belief_threshold",
+     {"attacker.mode": "threshold", "persuasion.prior_scan": 0.6}, {"attacker.belief_threshold": 0.8}),
+    ("persuasion.subdivisions", {}, {"persuasion.subdivisions": 2}),
+    ("persuasion.budget_points", {}, {"persuasion.budget_points": 3}),
+    ("persuasion.delay_max_ms", {}, {"persuasion.delay_max_ms": 100.0}),
+    ("persuasion.delay_snr_lo_db", {}, {"persuasion.delay_snr_lo_db": 8.0}),
+    ("persuasion.delay_snr_hi_db", {}, {"persuasion.delay_snr_hi_db": 9.0}),
+    ("policy", {}, {"policy": "star"}),
+    ("sp_scan_period", {"policy": "sp"}, {"sp_scan_period": 10}),
+]
+
+
+def test_every_scenario_key_has_a_liveness_case():
+    assert {key for key, _, _ in LIVENESS_CASES} == scenario_keys()
+
+
+@pytest.mark.parametrize("key,scenario,change", [pytest.param(*case, id=case[0]) for case in LIVENESS_CASES] + [
+    pytest.param(
+        "tasks.*.mean_demand",
+        {"policy": "star", "window": 10, "scan.duration": 10, "tasks.1.nature": "mission", "tasks.1.arrival.rate": 1.5},
+        {"tasks.1.mean_demand": 0.5},
+        id="tasks.*.mean_demand-scan-fills-window",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 3: with scan.duration == window the quota is checked only at a window's "
+            "first slot, where every positive target is behind, so its size cannot move an episode"
+        )),
+    ),
+])
+def test_scenario_key_moves_an_episode(key, scenario, change):
+    base = liveness_outputs(scenario)
+    # values, compared after a second run: a NaN would pass for a change
+    assert liveness_outputs(scenario) == base
+    assert liveness_outputs(scenario, change) != base
 
 
 def test_sp_scan_preempts_routine_work():

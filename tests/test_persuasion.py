@@ -32,14 +32,13 @@ from conftest import clear_engine_caches
 from oracles import is_equilibrium_belief, split_from_policy
 
 
-def two_state_game(payoff, prior=(0.5, 0.5), n_signals=4):
+def two_state_game(payoff, prior=(0.5, 0.5)):
     return PersuasionGame(
         attack_payoff=np.asarray(payoff, dtype=float),
         prior=np.asarray(prior, dtype=float),
         z_bins=2,
         z_rep=np.zeros(2),
         scan_flag=np.array([0, 1]),
-        n_signals=n_signals,
     )
 
 
@@ -405,13 +404,6 @@ class TestSplitLP:
         curve = BudgetCurve(game, 13)
         for b, got in zip(curve.budgets, curve.solutions):
             assert_same_solution(got, solve_persuasion(game, b))
-
-    def test_fewer_signals_than_split_support_rejected(self):
-        for bad in (-1, 1, 2):
-            with pytest.raises(ValueError, match="n_signals"):
-                two_state_game([1.0, -1.0], n_signals=bad)
-        for ok in (0, 3):
-            assert two_state_game([1.0, -1.0], n_signals=ok).n_signals == ok
 
     @pytest.mark.parametrize("field, changes", [
         ("attack_payoff", {"attack_payoff": [math.nan, -1.0]}),
@@ -816,6 +808,22 @@ class TestSplitPolicyRoundtrip:
         back = policy_from_split(split, prior)
         split2 = split_from_policy(back, prior)
         assert split2.expected_entropy() == pytest.approx(split.expected_entropy(), abs=1e-9)
+
+    def test_zero_prior_state_gets_a_uniform_row(self):
+        prior = np.array([0.5, 0.0, 0.5])
+        split = PosteriorSplit(
+            posteriors=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]]),
+            weights=np.array([0.25, 0.25, 0.5]),
+        )
+        split.check_plausible(prior)
+        pol = policy_from_split(split, prior)
+        # one column per support posterior, no padding
+        assert pol.shape == (3, 3)
+        assert np.array_equal(pol[1], np.full(3, 1 / 3))
+        np.testing.assert_allclose(pol.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(pol >= 0)
+        np.testing.assert_allclose(pol[0], [0.5, 0.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(pol[2], [0.0, 0.5, 0.5], atol=1e-12)
 
     def test_plausibility_guard(self):
         split = PosteriorSplit(posteriors=np.array([[1.0, 0.0]]), weights=np.array([1.0]))

@@ -147,7 +147,6 @@ def budget_curve(cfg) -> BudgetCurve:
         base_cost=cfg.attacker.base_cost,
         prior_scan=p.prior_scan,
         z_bins=p.z_bins,
-        n_signals=p.n_signals,
     )
     return BudgetCurve(game, points=p.budget_points, subdivisions=p.subdivisions)
 

@@ -202,7 +202,7 @@ class TestChecker:
 
     def test_flags_wasted_slack_under_quota(self):
         spec = make_spec(tid="q", demand=(0.1, 0.1), processing=6, deadline=12)
-        inst = TaskInstance(uid=0, spec=spec, req=0, start_after=0)
+        inst = TaskInstance(uid=0, spec=spec, req=0)
         plan = plan_horizon([copy.deepcopy(inst)], 0, 6, UTIL, NO_SCAN_CFG)
         plan.running = [[] for _ in range(6)]  # forge idleness
         bad = check_plan(plan, {0: inst}, NO_SCAN_CFG, {"q": 0.5})
@@ -292,7 +292,7 @@ def random_window(draw):
             firm_deadline=high and draw(st.booleans()),
         )
         req = draw(st.integers(0, w - 1))
-        insts.append(TaskInstance(uid=uid, spec=spec, req=req, start_after=req))
+        insts.append(TaskInstance(uid=uid, spec=spec, req=req))
     targets = {
         i.spec.id: draw(st.floats(0.05, 0.5))
         for i in insts if i.spec.priority == Priority.LOW and draw(st.booleans())

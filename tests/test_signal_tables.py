@@ -161,8 +161,12 @@ class TestTables:
         assets, tables = all_default_tables(cfg)
         game = assets.game
         assert len(tables) == 4  # reveal, static, and curve levels 0 and 1
+        # one signal per support posterior leaves none unused, so a copy of
+        # each table with a column of zeros appended has the one dead signal
+        dead = np.zeros((game.n_states, 1))
+        padded = [SignalTable(np.hstack([table.policy, dead]), game) for table in tables]
         zero_mass = 0
-        for table in tables:
+        for table in tables + padded:
             for m in range(table.policy.shape[1]):
                 if (game.prior * table.policy[:, m]).sum() > 0:
                     expected = belief_update(game.prior, m, table.policy)
@@ -178,7 +182,7 @@ class TestTables:
                         table.receive(m)
                     with pytest.raises(ValueError, match="zero probability"):
                         belief_update(game.prior, m, table.policy)
-        assert zero_mass > 0  # the default curve leaves signals unused
+        assert zero_mass == len(padded)
 
     def test_tables_are_read_only(self):
         cfg = default_scenario(horizon=200)

@@ -204,7 +204,7 @@ def _random_case(rng):
     for uid in rng.permutation(np.arange(-40, 40))[: int(rng.integers(1, 30))]:
         spec = specs[int(rng.integers(len(specs)))]
         req = int(rng.integers(0, 12))
-        pool.append(TaskInstance(uid=int(uid), spec=spec, req=req, start_after=req))
+        pool.append(TaskInstance(uid=int(uid), spec=spec, req=req))
     return utility, config, targets, pool
 
 
@@ -284,7 +284,7 @@ def _shape_queues():
     """Queues whose low-priority part falls into runs of one spec in
     earliest-deadline-first order, by the shapes the run fill depends on."""
     def instances(spec, reqs, uid0):
-        return [TaskInstance(uid=uid0 + k, spec=spec, req=r, start_after=r) for k, r in enumerate(reqs)]
+        return [TaskInstance(uid=uid0 + k, spec=spec, req=r) for k, r in enumerate(reqs)]
 
     low, high = Priority.LOW, Priority.HIGH
     # 45 small instances of one spec all fit: the run outlasts one chain
@@ -461,7 +461,7 @@ def _ref_project_aperiodic(spec, window_start: int, window_len: int, uid_base: i
     for i in range(n):
         t = window_start + int(math.floor((i + 0.5) / rate)) if rate > 0 else window_start
         t = min(t, window_start + window_len - 1)
-        out.append(TaskInstance(uid=uid_base - n + 1 + i, spec=spec, req=t, start_after=t))
+        out.append(TaskInstance(uid=uid_base - n + 1 + i, spec=spec, req=t))
     return out
 
 
@@ -483,7 +483,7 @@ def reference_plan_horizon(queue, window_start, window_len, utility, config, spe
                 first = window_start + (-window_start) % spec.arrival.interval
                 releases = range(first, window_start + window_len, spec.arrival.interval)
                 for k, t in enumerate(releases):
-                    sim.append(TaskInstance(uid=uid_base - len(releases) + 1 + k, spec=spec, req=t, start_after=t))
+                    sim.append(TaskInstance(uid=uid_base - len(releases) + 1 + k, spec=spec, req=t))
                 uid_base -= len(releases)
             elif spec.arrival.rate > 0:
                 proj = _ref_project_aperiodic(spec, window_start, window_len, uid_base)
@@ -500,7 +500,7 @@ def reference_plan_horizon(queue, window_start, window_len, utility, config, spe
     for t in range(window_start, window_start + window_len):
         eligible = [
             i for i in sim
-            if i.start_after <= t and not (i.spec.firm_deadline and t > i.deadline)
+            if i.req <= t and not (i.spec.firm_deadline and t > i.deadline)
         ]
         dec = planner.schedule_slot(eligible, t)
         scan_on.append(int(dec.scan_on))
@@ -570,7 +570,7 @@ def _random_window(rng):
     for uid in range(int(rng.integers(0, 25))):
         spec = specs[int(rng.integers(len(specs)))]
         req = w_start + int(rng.integers(-12, 3))
-        inst = TaskInstance(uid=uid, spec=spec, req=req, start_after=req)
+        inst = TaskInstance(uid=uid, spec=spec, req=req)
         inst.remaining = int(rng.integers(1, spec.processing + 1))
         if rng.random() < 0.1:
             inst.state = InstanceState.COMPLETED
