@@ -51,6 +51,7 @@ import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import islice
 from operator import add
 from types import MappingProxyType
 
@@ -538,7 +539,23 @@ class DefenderPass:
     and the interceptor, so ``run`` is a function of the scenario's
     scheduling inputs, the seed and the policy (all star-family policies
     give the same schedule).  Arrivals come from the first of the
-    episode's three random streams."""
+    episode's three random streams.
+
+    ``live`` holds the admitted, unfinished instances in uid order: an
+    instance's uid is its index in ``self.instances``, the arrival stream
+    in request order, arrivals join ``live`` slot by slot and every
+    removal keeps the order.  Two more facts keep a slot's bookkeeping
+    to what changed:
+
+    - Expiry: an instance is reaped only at the start of slot
+      ``deadline + 1``.  Admission in slot t needs ``deadline >= t +
+      remaining``, so that slot is still ahead; a firm instance still
+      live then is missed, a soft one dropped unless it has started, and
+      as ``service`` never falls a started soft one is never reaped.
+    - fcfs prefix: non-preemptive head-of-line fcfs starts a prefix of
+      the waiting instances in ``live`` order, so by induction over the
+      slots every started instance (``service > 0``) comes before every
+      waiting one in ``live``."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, policy: str):
         self.cfg = cfg
@@ -548,44 +565,17 @@ class DefenderPass:
         self.arrivals_by_slot: dict[int, list[TaskInstance]] = defaultdict(list)
         for inst in self.instances:
             self.arrivals_by_slot[inst.req].append(inst)
-        # (usage, power) of the executed instances, by the scan state and
+        # (usage, power) of the running instances, by the scan state and
         # the identities of their specs in uid order: the specs are the
-        # scenario's, alive for the whole pass
+        # scenario's, alive for the whole pass.  An fcfs slot looks up its
+        # started prefix of ``live`` with the scan off.
         self._usage_memo: dict[tuple, tuple] = {}
 
-    # -- policy-specific slot scheduling ------------------------------------
-    # ``live`` holds only active instances here (the reaper ran first).
-    def _fcfs_slot(self, live):
-        """Non-preemptive first come, first served: every started instance
-        (service > 0) keeps running, then queued ones start in request
-        order until the first that does not fit."""
-        usage = (0.0,) * len(self.cfg.resources)
-        power = 0.0
-        running = [i for i in live if i.service > 0]
-        for inst in running:
-            usage = tuple(map(add, usage, inst.spec.demand))
-            power += inst.spec.power_weight
-        queue = [i for i in live if i.service == 0]
-        queue.sort(key=lambda i: (i.req, i.uid))
-        for inst in queue:  # head-of-line: stop at the first non-fit
-            new = try_fit(usage, power, inst.spec.demand, inst.spec.power_weight, self.cfg.power_budget)
-            if new is None:
-                break
-            usage = new
-            power += inst.spec.power_weight
-            running.append(inst)
-        return running, usage, power
-
-    def _executed(self, dec, scan_now):
-        """Instances a planner decision runs, in ``live`` order, with the
-        slot's usage and power: task demands first, the scan's last.
-        An instance's uid is its index in ``self.instances``, the arrival
-        stream in request order, and arrivals join ``live`` slot by slot,
-        so ``live`` is in uid order and the sorted uids give it.  The
-        sums read only the scan state and the specs in that order, so
-        they are computed once per distinct pair in a pass."""
-        instances = self.instances
-        running = [instances[uid] for uid in sorted(dec.running)]
+    def _sums(self, scan_now, running):
+        """The usage and power of ``running`` (in uid order) and the scan
+        if it is on: task demands first, the scan's last.  The sums read
+        only the scan state and the specs in that order, so they are
+        computed once per distinct pair in a pass."""
         key = (scan_now, tuple([id(i.spec) for i in running]))
         sums = self._usage_memo.get(key)
         if sums is None:
@@ -599,7 +589,41 @@ class DefenderPass:
             if scan_now:
                 usage = tuple(map(add, usage, scan.demand))
             sums = self._usage_memo[key] = (usage, power)
-        return running, *sums
+        return sums
+
+    # -- policy-specific slot scheduling ------------------------------------
+    # ``live`` holds only active instances here (the reaper ran first).
+    def _fcfs_slot(self, live):
+        """Non-preemptive first come, first served: every started instance
+        (service > 0) keeps running, then queued ones start in request
+        order until the first that does not fit.  The started instances
+        are the head of ``live`` and the queue its rest, both in request
+        order (see the class docstring)."""
+        n = 0
+        for inst in live:
+            if inst.service == 0:
+                break
+            n += 1
+        running = live[:n]
+        usage, power = self._sums(False, running)
+        budget = self.cfg.power_budget
+        for inst in islice(live, n, None):  # head-of-line: stop at the first non-fit
+            spec = inst.spec
+            new = try_fit(usage, power, spec.demand, spec.power_weight, budget)
+            if new is None:
+                break
+            usage = new
+            power += spec.power_weight
+            running.append(inst)
+        return running, usage, power
+
+    def _executed(self, dec, scan_now):
+        """Instances a planner decision runs, in ``live`` order, with the
+        slot's usage and power.  ``live`` is in uid order, so the sorted
+        uids give it."""
+        instances = self.instances
+        running = [instances[uid] for uid in sorted(dec.running)]
+        return running, *self._sums(scan_now, running)
 
     def run(self) -> DefenderSchedule:
         cfg = self.cfg
@@ -611,6 +635,8 @@ class DefenderPass:
         plans = policy in _STAR_FAMILY
 
         live: list[TaskInstance] = []
+        # admitted instances by the one slot that can reap them
+        reap_at: dict[int, list[TaskInstance]] = defaultdict(list)
         sp_scan_until = 0
         # Every slot executes a decided scan state.  A forced decision reads
         # only the planner's config, and the served counts it writes are
@@ -647,13 +673,15 @@ class DefenderPass:
                 for inst in self.arrivals_by_slot.get(t, ()):
                     if admit(inst, t) is _ADMITTED:
                         live.append(inst)
+                        reap_at[inst.deadline + 1].append(inst)
                     else:
                         counts["dropped"] += 1
-                # deadline reapers (live holds only active instances); live
-                # is rebuilt only in a slot where some instance expires
-                expired = [
-                    i for i in live
-                    if t > i.deadline and i.remaining > 0 and (i.spec.firm_deadline or i.service == 0)
+                # deadline reapers: only this slot's bucket can expire, and
+                # live is rebuilt only in a slot where some instance does
+                due = reap_at.pop(t, None)
+                expired = due and [
+                    i for i in due
+                    if i.state is _ADMITTED and (i.spec.firm_deadline or i.service == 0)
                 ]
                 if expired:
                     for inst in expired:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from satdefsim import attacker, engine, scheduler
+from satdefsim.config import from_dict
 from satdefsim.scheduler import ScanTask, SchedulerConfig, UtilityParams
 from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
 
@@ -20,6 +21,32 @@ def clear_engine_caches():
         cached.cache_clear()
     engine._SCHEDULE_CACHE.clear()
     attacker._LAYER_CACHE.clear()
+
+
+def head_of_line_scenario():
+    """A 30-slot fcfs scenario whose first slot queues a CPU hog, a second
+    hog and an FPGA-only task, in that order: the second hog blocks the
+    light task although the FPGA sits idle."""
+    return from_dict({
+        "horizon": 30,
+        "window": 5,
+        "tasks": [
+            {"id": "hog", "nature": "mission", "priority": "low",
+             "arrival": {"kind": "periodic", "interval": 25},
+             "demand": [0.8, 0.0], "power": 0.2, "processing": 10, "deadline": 30},
+            {"id": "hog2", "nature": "mission", "priority": "low",
+             "arrival": {"kind": "periodic", "interval": 26},
+             "demand": [0.8, 0.0], "power": 0.2, "processing": 10, "deadline": 30},
+            {"id": "light", "nature": "mission", "priority": "low",
+             "arrival": {"kind": "periodic", "interval": 27},
+             "demand": [0.0, 0.3], "power": 0.1, "processing": 5, "deadline": 30},
+        ],
+        "scan": {"demand": [0.15, 0.05], "power": 0.1, "duration": 5},
+        "channel": {"fading": {"b0": 0.158, "m": 19.4, "omega": 1.29},
+                    "geometry": {"d_min_km": 550, "d_max_km": 1600, "peak_snr_db": 12}},
+        "attacker": {"mode": "none"},
+        "policy": "fcfs",
+    })
 
 
 @pytest.fixture

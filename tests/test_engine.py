@@ -26,7 +26,7 @@ from satdefsim.engine import (
 from satdefsim.persuasion import build_scan_game
 from satdefsim.scheduler import UtilityParams
 
-from conftest import BENCH_SCENARIOS, clear_engine_caches
+from conftest import BENCH_SCENARIOS, clear_engine_caches, head_of_line_scenario
 from test_golden import record
 
 
@@ -630,26 +630,7 @@ class TestBaselines:
     def test_fcfs_head_of_line_blocking(self):
         # a CPU-hogging head blocks FPGA-only followers although the FPGA
         # sits idle
-        cfg = from_dict({
-            "horizon": 30,
-            "window": 5,
-            "tasks": [
-                {"id": "hog", "nature": "mission", "priority": "low",
-                 "arrival": {"kind": "periodic", "interval": 25},
-                 "demand": [0.8, 0.0], "power": 0.2, "processing": 10, "deadline": 30},
-                {"id": "hog2", "nature": "mission", "priority": "low",
-                 "arrival": {"kind": "periodic", "interval": 26},
-                 "demand": [0.8, 0.0], "power": 0.2, "processing": 10, "deadline": 30},
-                {"id": "light", "nature": "mission", "priority": "low",
-                 "arrival": {"kind": "periodic", "interval": 27},
-                 "demand": [0.0, 0.3], "power": 0.1, "processing": 5, "deadline": 30},
-            ],
-            "scan": {"demand": [0.15, 0.05], "power": 0.1, "duration": 5},
-            "channel": {"fading": {"b0": 0.158, "m": 19.4, "omega": 1.29},
-                        "geometry": {"d_min_km": 550, "d_max_km": 1600, "peak_snr_db": 12}},
-            "attacker": {"mode": "none"},
-            "policy": "fcfs",
-        })
+        cfg = head_of_line_scenario()
         runner = engine.DefenderPass(cfg, 0, "fcfs")
         live = []
         for inst in runner.arrivals_by_slot[0]:
