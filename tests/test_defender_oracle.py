@@ -85,12 +85,6 @@ def expiry_edge_scenario():
     })
 
 
-def assert_started_prefix(live):
-    """No waiting instance comes before a started one in ``live``."""
-    started = [i.service > 0 for i in live]
-    assert started == sorted(started, reverse=True)
-
-
 # ---------------------------------------------------------------------------
 # fcfs
 # ---------------------------------------------------------------------------
@@ -102,7 +96,8 @@ def run_fcfs_against_reference(cfg, seed, monkeypatch) -> int:
     slots = []
 
     def checked(self, live):
-        assert_started_prefix(live)
+        started = [i.service > 0 for i in live]
+        assert started == sorted(started, reverse=True)  # no waiting one before a started one
         want = reference_fcfs_slot(self, live)
         running, usage, power = fcfs_slot(self, live)
         assert [i.uid for i in running] == [i.uid for i in want[0]]
@@ -241,8 +236,8 @@ def test_reaper_matches_full_scan_on_benchmark_episodes(policy, workload, monkey
     for seed in (1, 2):
         oracle, _ = run_reaper_oracle(cfg, seed, policy, monkeypatch)
         reaped += len(oracle.reaped)
-    if policy == "fcfs":
-        assert reaped > 0  # fcfs drops queued work on both workloads
+    if policy == "fcfs" or workload == "congested-dp":
+        assert reaped > 0  # every policy reaps on congested-dp, fcfs on both
 
 
 @pytest.mark.parametrize("policy", ["fcfs", "sp", "star"])
