@@ -7,6 +7,7 @@ a different experiment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -156,9 +157,19 @@ def _under(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
-#: the casts of a scenario value, by the annotation of its field (a string:
-#: the config modules import ``annotations`` from ``__future__``)
-_CASTS = {"float": float, "int": int, "bool": bool}
+def _cast(key: str, annotation: str, value):
+    """``value`` cast to its field's annotation (a string), unless that
+    would change it: an int field takes a whole number but no bool, a
+    bool field only a bool; else a ``ConfigError`` names ``key``."""
+    if annotation == "float":
+        return float(value)
+    if annotation == "int":  # a fractional part, inf and NaN leave value % 1 non-zero
+        if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)) or value % 1:
+            raise ConfigError(f"{key} must be a whole number, got {value!r}")
+        return int(value)
+    if annotation == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **given):
@@ -166,10 +177,10 @@ def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **g
     named like its other init fields.
 
     A value given as ``MISSING`` or absent from both takes the field's
-    default; a float, int or bool field is cast.  A leftover key of
-    ``raw`` is rejected, and a ``ValueError`` has the field it names put
-    under ``path``.  ``keys`` is where ``raw`` sits in the scenario, when
-    that is not ``path``.
+    default; a float, int or bool field is cast by ``_cast``.  A
+    leftover key of ``raw`` is rejected, and a ``ValueError`` has the
+    field it names put under ``path``.  ``keys`` is where ``raw`` sits
+    in the scenario, when that is not ``path``.
     """
     raw = dict(raw or {})
     keys = path if keys is None else keys
@@ -182,8 +193,7 @@ def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **g
             if f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"missing required key {_under(keys, f.name)!r}")
             continue
-        cast = _CASTS.get(f.type)
-        kwargs[f.name] = value if cast is None else cast(value)
+        kwargs[f.name] = _cast(_under(keys, f.name), f.type, value)
     _no_leftovers(raw, keys or "scenario")
     try:
         return cls(**kwargs, **given)
@@ -210,7 +220,7 @@ def _parse_task(i: int, raw: dict, power_scale: float) -> TaskSpec:
         arrival=arrival,
         demand=demand,
         power_weight=power_scale * float(np.mean(demand)) if power is None else power,
-        relative_deadline=_take(raw, "deadline", required=True),
+        relative_deadline=_cast(f"{path}.deadline", "int", _take(raw, "deadline", required=True)),
         firm_deadline=_take(raw, "firm_deadline", priority == Priority.HIGH),
         mean_demand=None if mean_demand is None else float(mean_demand),
     )
@@ -219,7 +229,7 @@ def _parse_task(i: int, raw: dict, power_scale: float) -> TaskSpec:
 def from_dict(raw: dict) -> ScenarioConfig:
     raw = dict(raw)
     try:
-        horizon = int(_take(raw, "horizon", required=True))
+        horizon = _cast("horizon", "int", _take(raw, "horizon", required=True))
         power_scale = float(_take(raw, "power_scale", 1.0))
         tasks = tuple(_parse_task(i, t, power_scale) for i, t in enumerate(_take(raw, "tasks", required=True)))
         scan_raw = dict(_take(raw, "scan", required=True))

@@ -535,11 +535,12 @@ class DefenderSchedule:
 class DefenderPass:
     """The defender side of one episode: arrivals, admission, deadline
     reaping, the receding-horizon plan (star family), the slot solver or
-    the fcfs rule, and task progress.  It reads nothing of the telemetry
-    and the interceptor, so ``run`` is a function of the scenario's
-    scheduling inputs, the seed and the policy (all star-family policies
-    give the same schedule).  Arrivals come from the first of the
-    episode's three random streams.
+    the fcfs rule, and task progress.  sp and the star family run each
+    slot's ``SlotDecision`` with the usage, power and ``z`` it carries.
+    The pass reads nothing of the telemetry and the interceptor, so
+    ``run`` is a function of the scenario's scheduling inputs, the seed
+    and the policy (all star-family policies give the same schedule).
+    Arrivals come from the first of the episode's three random streams.
 
     ``live`` holds the admitted, unfinished instances in uid order: an
     instance's uid is its index in ``self.instances``, the arrival stream
@@ -565,29 +566,22 @@ class DefenderPass:
         self.arrivals_by_slot: dict[int, list[TaskInstance]] = defaultdict(list)
         for inst in self.instances:
             self.arrivals_by_slot[inst.req].append(inst)
-        # (usage, power) of the running instances, by the scan state and
-        # the identities of their specs in uid order: the specs are the
-        # scenario's, alive for the whole pass.  An fcfs slot looks up its
-        # started prefix of ``live`` with the scan off.
         self._usage_memo: dict[tuple, tuple] = {}
 
-    def _sums(self, scan_now, running):
-        """The usage and power of ``running`` (in uid order) and the scan
-        if it is on: task demands first, the scan's last.  The sums read
-        only the scan state and the specs in that order, so they are
-        computed once per distinct pair in a pass."""
-        key = (scan_now, tuple([id(i.spec) for i in running]))
+    def _sums(self, running):
+        """The usage and power of ``running``, an fcfs slot's started
+        prefix of ``live``, summed in uid order.  They read only the specs
+        in that order, so ``_usage_memo`` keeps them by the specs'
+        identities (the scenario's, alive for the whole pass)."""
+        key = tuple([id(i.spec) for i in running])
         sums = self._usage_memo.get(key)
         if sums is None:
-            scan = self.cfg.scan
             usage = (0.0,) * len(self.cfg.resources)
-            power = scan.power_weight if scan_now else 0.0
+            power = 0.0
             for i in running:
                 spec = i.spec
                 usage = tuple(map(add, usage, spec.demand))
                 power += spec.power_weight
-            if scan_now:
-                usage = tuple(map(add, usage, scan.demand))
             sums = self._usage_memo[key] = (usage, power)
         return sums
 
@@ -605,7 +599,7 @@ class DefenderPass:
                 break
             n += 1
         running = live[:n]
-        usage, power = self._sums(False, running)
+        usage, power = self._sums(running)
         budget = self.cfg.power_budget
         for inst in islice(live, n, None):  # head-of-line: stop at the first non-fit
             spec = inst.spec
@@ -617,14 +611,6 @@ class DefenderPass:
             running.append(inst)
         return running, usage, power
 
-    def _executed(self, dec, scan_now):
-        """Instances a planner decision runs, in ``live`` order, with the
-        slot's usage and power.  ``live`` is in uid order, so the sorted
-        uids give it."""
-        instances = self.instances
-        running = [instances[uid] for uid in sorted(dec.running)]
-        return running, *self._sums(scan_now, running)
-
     def run(self) -> DefenderSchedule:
         cfg = self.cfg
         h, w_len_cfg = cfg.horizon, cfg.window
@@ -634,6 +620,7 @@ class DefenderPass:
         policy = self.policy
         plans = policy in _STAR_FAMILY
 
+        instances = self.instances
         live: list[TaskInstance] = []
         # admitted instances by the one slot that can reap them
         reap_at: dict[int, list[TaskInstance]] = defaultdict(list)
@@ -669,13 +656,11 @@ class DefenderPass:
 
             for k in range(w_len):
                 t = w_start + k
-                # arrivals + admission
+                # arrivals, all admitted: TaskSpec requires relative_deadline >= processing
                 for inst in self.arrivals_by_slot.get(t, ()):
-                    if admit(inst, t) is _ADMITTED:
-                        live.append(inst)
-                        reap_at[inst.deadline + 1].append(inst)
-                    else:
-                        counts["dropped"] += 1
+                    admit(inst, t)
+                    live.append(inst)
+                    reap_at[inst.deadline + 1].append(inst)
                 # deadline reapers: only this slot's bucket can expire, and
                 # live is rebuilt only in a slot where some instance does
                 due = reap_at.pop(t, None)
@@ -697,6 +682,7 @@ class DefenderPass:
                 if policy == "fcfs":
                     running, usage, power = self._fcfs_slot(live)
                     scan_now = False
+                    z = 1.0 - max(usage)
                 else:
                     if plans:  # committed scan pattern, live task fill
                         scan_now = bool(scan_plan[k])
@@ -705,10 +691,10 @@ class DefenderPass:
                             sp_scan_until = t + cfg.scan.duration
                         scan_now = t < sp_scan_until
                     dec = planner.schedule_slot(live, t, forced_scan=scan_now)
-                    running, usage, power = self._executed(dec, scan_now)
+                    running = [instances[uid] for uid in dec.running]
+                    usage, power, z = dec.usage, dec.power, dec.z
                     events_count += len(dec.events)
 
-                z = 1.0 - max(usage)
                 usage_sum = list(map(add, usage_sum, usage))
                 scan_col.append(int(scan_now))
                 z_col.append(z)
@@ -732,7 +718,6 @@ class DefenderPass:
                 defender_total += slot_utility(y_w, scan_on, z, util)
             scan_freq.append(f_w)
 
-        instances = self.instances
         generated = len(instances)
         residual = sum(1 for i in instances if i.active)
         if counts["completed"] + counts["dropped"] + counts["missed"] + residual != generated:

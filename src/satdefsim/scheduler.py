@@ -118,10 +118,14 @@ def slot_utility(y: float, scan_on: bool | int, z: float, p: UtilityParams) -> f
 
 @dataclass
 class SlotDecision:
+    """One slot as decided, usage and power summed in the solver's order."""
+
     t: int
     running: list[int]  # instance uids scheduled this slot
     scan_on: bool
-    z: float  # idle capacity after all allocations
+    z: float  # idle capacity after all allocations: 1 - max(usage)
+    usage: tuple[float, ...]  # per-resource usage after all allocations
+    power: float  # power drawn after all allocations
     events: list[tuple[int, str, str]] = field(default_factory=list)
 
 
@@ -173,9 +177,9 @@ class GreedyPlanner:
     which specs are behind their quota.  Decisions are memoized on these
     in ``_slot_memo``, shared by every planner of the same utility,
     config, window length and targets.  A hit replays the stored
-    positions, events, served counts and scan commit on the current
-    queue.  The last queue's split into high-priority instances and runs
-    is kept, and reused while the same instances come in the same order.
+    positions, usage, power, events, served counts and scan commit on
+    the current queue.  The last queue's split into high-priority
+    instances and runs is kept for the same instances in the same order.
     """
 
     def __init__(
@@ -310,9 +314,9 @@ class GreedyPlanner:
         """One slot's decision from the queue's shape, as the memo stores
         it: the positions of the high-priority instances run, the low
         runs' ``(index, count)`` pairs, the scan state, whether the scan
-        starts, the idle capacity, the events as ``(kind, spec id)``,
-        the served counts as ``(spec id, count)`` and the specs the
-        shape names (kept alive, since the memo keys them by identity)."""
+        starts, the idle capacity, usage and power, the events as ``(kind,
+        spec id)``, the served counts as ``(spec id, count)`` and the specs
+        the shape names (kept alive, since the memo keys them by identity)."""
         cfg = self.config
         scan = cfg.scan
         scan_d = scan.demand
@@ -371,7 +375,7 @@ class GreedyPlanner:
 
         z = 1.0 - max(usage)  # = min(1 - usage): rounding is monotone
         return (
-            tuple(high_pos), taken, scan_on, started, z, tuple(events),
+            tuple(high_pos), taken, scan_on, started, z, usage, power, tuple(events),
             tuple(served.items()), (tuple(high_specs), tuple(runs)),
         )
 
@@ -397,7 +401,7 @@ class GreedyPlanner:
             if len(memo) >= _MEMO_MAX:
                 memo.clear()
             decision = memo[key] = self._decide(high_specs, runs, scan_on, can_start, behind)
-        high_pos, taken, scan_on, started, z, events, served_add, _ = decision
+        high_pos, taken, scan_on, started, z, usage, power, events, served_add, _ = decision
 
         if started:
             self.scan_active_until = t + self.config.scan.duration
@@ -409,7 +413,7 @@ class GreedyPlanner:
         for j, k in taken:
             running += run_uids[j][:k]
         return SlotDecision(
-            t=t, running=running, scan_on=scan_on, z=z,
+            t=t, running=running, scan_on=scan_on, z=z, usage=usage, power=power,
             events=[(t, kind, spec_id) for kind, spec_id in events],
         )
 

@@ -126,16 +126,15 @@ def test_fcfs_slot_matches_reference_behind_a_blocked_head(monkeypatch):
 
 @pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
 def test_fcfs_running_sums_are_a_fresh_sum(workload, monkeypatch):
-    """An fcfs slot memoizes the usage and power of its started prefix
-    with the scan off.  In every slot they must equal a fresh sum over
-    the prefix in uid order, and a pass must hold few distinct prefixes."""
+    """An fcfs slot memoizes the usage and power of its started prefix.
+    In every slot they must equal a fresh sum over the prefix in uid
+    order, and a pass must hold few distinct prefixes."""
     cfg = bench_cfg(workload)
     sums = engine.DefenderPass._sums
     calls = []
 
-    def checked(self, scan_now, running):
-        usage, power = sums(self, scan_now, running)
-        assert scan_now is False
+    def checked(self, running):
+        usage, power = sums(self, running)
         assert [i.uid for i in running] == sorted(i.uid for i in running)
         want_usage = (0.0,) * len(cfg.resources)
         want_power = 0.0

@@ -25,6 +25,7 @@ from satdefsim.engine import (
 )
 from satdefsim.persuasion import build_scan_game
 from satdefsim.scheduler import UtilityParams
+from satdefsim.workload import InstanceState, admit
 
 from conftest import BENCH_SCENARIOS, clear_engine_caches, head_of_line_scenario
 from test_golden import record
@@ -328,43 +329,43 @@ def count_defender_calls(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
 @pytest.mark.parametrize("policy", ["sp", "star"])
-def test_executed_usage_is_a_fresh_sum(policy, workload, monkeypatch):
-    """The defender pass memoizes each slot's executed usage and power.
-    In every slot they must equal a fresh sum over the running instances
-    in uid order (the scan's power first, its demand last), and the
-    schedule's z, power and usage total must follow from them.  On
-    suite-default some slots run the same specs with and without a scan."""
+def test_executed_slots_are_the_decisions(policy, workload, monkeypatch):
+    """sp and the star family execute each slot's forced decision as
+    decided: the schedule's z, power and usage total are the decisions',
+    and each decision's usage and power are a fresh sum in decision
+    order, the scan's demand and power first."""
     cfg = load_config(BENCH_SCENARIOS / f"{workload}.yaml")
-    slots = []
-    executed = engine.DefenderPass._executed
+    decisions = []
+    schedule_slot = engine.GreedyPlanner.schedule_slot
 
-    def checked(self, dec, scan_now):
-        running, usage, power = executed(self, dec, scan_now)
-        fresh = [self.instances[uid] for uid in sorted(dec.running)]
-        want_usage = (0.0,) * len(cfg.resources)
-        want_power = cfg.scan.power_weight if scan_now else 0.0
-        for inst in fresh:
-            want_usage = tuple(u + d for u, d in zip(want_usage, inst.spec.demand))
-            want_power += inst.spec.power_weight
-        if scan_now:
-            want_usage = tuple(u + d for u, d in zip(want_usage, cfg.scan.demand))
-        assert running == fresh
-        assert usage == want_usage
-        assert power == want_power
-        slots.append((usage, power))
-        return running, usage, power
+    def recording(self, queue, t, forced_scan=None):
+        dec = schedule_slot(self, queue, t, forced_scan)
+        if forced_scan is not None:  # the execution path, not a window plan
+            decisions.append(dec)
+        return dec
 
-    monkeypatch.setattr(engine.DefenderPass, "_executed", checked)
+    monkeypatch.setattr(engine.GreedyPlanner, "schedule_slot", recording)
     defender = engine.DefenderPass(cfg, 1, policy)
     schedule = defender.run()
-    assert len(slots) == cfg.horizon
-    assert len(defender._usage_memo) < cfg.horizon / 2  # most slots hit
-    assert list(schedule.z) == [1.0 - max(usage) for usage, _ in slots]
-    assert list(schedule.power) == [power for _, power in slots]
+    assert [dec.t for dec in decisions] == list(range(cfg.horizon))
     usage_sum = (0.0,) * len(cfg.resources)
-    for usage, _ in slots:
-        usage_sum = tuple(a + b for a, b in zip(usage_sum, usage))
+    for dec in decisions:
+        want_usage = cfg.scan.demand if dec.scan_on else (0.0,) * len(cfg.resources)
+        want_power = cfg.scan.power_weight if dec.scan_on else 0.0
+        for uid in dec.running:
+            spec = defender.instances[uid].spec
+            want_usage = tuple(u + d for u, d in zip(want_usage, spec.demand))
+            want_power += spec.power_weight
+        assert dec.usage == want_usage
+        assert dec.power == want_power
+        assert dec.z == 1.0 - max(dec.usage)
+        assert schedule.z[dec.t] == dec.z
+        assert schedule.power[dec.t] == dec.power
+        assert schedule.scan_on[dec.t] == int(dec.scan_on)
+        usage_sum = tuple(a + b for a, b in zip(usage_sum, dec.usage))
     assert schedule.usage_sum == usage_sum
+    assert any(dec.scan_on and dec.running for dec in decisions)
+    assert defender._usage_memo == {}  # only fcfs sums a slot itself
 
 
 #: a scenario in which each change of ``SCHEDULE_INPUTS`` changes the
@@ -539,9 +540,21 @@ def test_random_valid_scenarios_run_and_repeat(case):
     cfg, seed = case
     for policy in POLICIES:
         clear_engine_caches()
-        cold = record(cfg, seed, policy)  # the engine checks the accounting identity
+        admissions = []
+
+        def admitting(inst, t):
+            state = admit(inst, t)
+            admissions.append((inst.req, t, state))
+            return state
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "admit", admitting)
+            cold = record(cfg, seed, policy)  # the engine checks the accounting identity
         m = cold["metrics"]
         assert m["generated"] == m["completed"] + m["dropped"] + m["missed"] + m["residual"]
+        # every generated instance is admitted, in its request slot
+        assert len(admissions) == m["generated"]
+        assert all(t == req and state is InstanceState.ADMITTED for req, t, state in admissions)
         assert record(cfg, seed, policy) == cold
 
 
@@ -634,7 +647,6 @@ class TestBaselines:
         runner = engine.DefenderPass(cfg, 0, "fcfs")
         live = []
         for inst in runner.arrivals_by_slot[0]:
-            from satdefsim.workload import admit
             admit(inst, 0)
             live.append(inst)
         running, usage, _ = runner._fcfs_slot(live)
@@ -956,6 +968,40 @@ class TestConfigValidation:
         set_scenario_value(raw, key, bad)
         with pytest.raises(ConfigError, match=message):
             from_dict(raw)
+
+    @pytest.mark.parametrize("key,bad", [
+        # each loaded as another value: int() truncates, bool() is true for any non-empty string
+        ("window", 5.9),
+        ("horizon", 2000.7),
+        ("tasks.1.processing", 8.9),
+        ("scan.duration", 4.5),
+        ("persuasion.z_bins", 2.9),
+        ("window", True),
+        ("tasks.1.firm_deadline", "false"),
+        ("tasks.1.firm_deadline", 0),
+        ("tasks.0.deadline", 9.5),
+        ("tasks.0.arrival.interval", 7.5),
+        ("channel.geometry.pass_slots", False),
+        ("persuasion.budget_points", "7"),
+    ])
+    def test_casts_that_change_a_value_rejected(self, key, bad):
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        set_scenario_value(raw, key, bad)
+        expected = "true or false" if key.endswith("firm_deadline") else "a whole number"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be {expected}, got {re.escape(repr(bad))}$"):
+            from_dict(raw)
+
+    @pytest.mark.parametrize("key,value,leaf,loaded", [
+        ("window", 6.0, "window", 6),
+        ("horizon", 300.0, "horizon", 300),
+        ("tasks.0.deadline", 9.0, "tasks.0.relative_deadline", 9),
+        ("tasks.1.firm_deadline", False, "tasks.1.firm_deadline", False),
+    ])
+    def test_casts_that_keep_the_value_accepted(self, key, value, leaf, loaded):
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        set_scenario_value(raw, key, value)
+        got = config_leaves(from_dict(raw))[leaf]
+        assert got == loaded and type(got) is type(loaded)
 
     @pytest.mark.parametrize("bad", ["cf", "cpu", ["cpu", 1], [], 2, None])
     def test_resources_must_be_a_list_of_strings(self, bad):

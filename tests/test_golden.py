@@ -9,6 +9,9 @@ alone (a refactor or a speed-up) must keep this test passing unchanged.
 Regenerate the file only for an intended change of results:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each key whose record differs from the file it replaces, with
+the fields that changed, for the change's notes.
 """
 from __future__ import annotations
 
@@ -101,8 +104,40 @@ def test_dp_attacker_acts_in_congested_episodes(golden):
             assert golden[key("congested-dp", seed, pol)]["metrics"]["attack_count"] > 0
 
 
+def changed_fields(old: dict | None, new: dict | None) -> list[str]:
+    """The fields of two records that differ, metrics by name as
+    ``metrics.<name>``; ``["(added)"]`` or ``["(removed)"]`` where one
+    side has no record."""
+    if old is None or new is None:
+        return ["(added)" if old is None else "(removed)"]
+    fields = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if name == "metrics" and isinstance(a, dict) and isinstance(b, dict):
+            fields += [f"metrics.{m}" for m in sorted(a.keys() | b.keys()) if a.get(m) != b.get(m)]
+        elif a != b:
+            fields.append(name)
+    return fields
+
+
+def test_changed_fields_names_each_difference():
+    old = {"metrics": {"completed": 3, "utilization": {"cpu": 1.0}}, "slots_sha256": "a", "windows_sha256": "b"}
+    new = {"metrics": {"completed": 3, "utilization": {"cpu": 1.5}}, "slots_sha256": "c", "windows_sha256": "b"}
+    assert changed_fields(old, new) == ["metrics.utilization", "slots_sha256"]
+    assert changed_fields(old, old) == []
+    assert changed_fields(None, new) == ["(added)"] and changed_fields(old, None) == ["(removed)"]
+
+
 if __name__ == "__main__":
     cfgs = scenarios()
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     out = {key(sc, seed, pol): record(cfgs[sc], seed, pol) for sc, seed, pol in CASES}
+    changed = {
+        k: changed_fields(previous.get(k), out.get(k))
+        for k in sorted(previous.keys() | out.keys())
+        if previous.get(k) != out.get(k)
+    }
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(out)} episodes to {GOLDEN}")
+    print(f"wrote {len(out)} episodes to {GOLDEN}; {len(changed)} changed")
+    for k, names in changed.items():
+        print(f"  {k}: {', '.join(names)}")

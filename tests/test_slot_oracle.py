@@ -3,11 +3,13 @@
 ``ReferencePlanner`` keeps ``schedule_slot``, ``_fill_low`` and
 ``_quota_displaced`` exactly as they were before the solver moved onto
 plain locals (enum members bound at module level, ``try_fit`` inlined),
-with ``try_fit`` copied alongside.  On random queues the live solver must
-make the same decision (running uids, scan state, idle capacity, events,
-compared bit for bit) and leave the planner in the same state, slot after
-slot through a window.  Do not edit the reference to make a change pass:
-a change of decisions is a change of results.
+with ``try_fit`` copied alongside; its ``SlotDecision`` also returns the
+usage and power it summed, which decide nothing.  On random queues the
+live solver must make the same decision (running uids, scan state, idle
+capacity, usage, power, events, compared bit for bit) and leave the
+planner in the same state, slot after slot through a window.  Do not
+edit the reference to make a change pass: a change of decisions is a
+change of results.
 
 ``reference_plan_horizon`` does the same for the receding-horizon plan:
 ``plan_horizon`` as it stood before it kept its eligible set between
@@ -162,7 +164,10 @@ class ReferencePlanner(GreedyPlanner):
         chosen.extend(low_chosen)
 
         z = 1.0 - max(usage)
-        return SlotDecision(t=t, running=[i.uid for i in chosen], scan_on=bool(scan_on), z=z, events=events)
+        return SlotDecision(
+            t=t, running=[i.uid for i in chosen], scan_on=bool(scan_on), z=z,
+            usage=usage, power=power, events=events,
+        )
 
 
 def _planner_state(p: GreedyPlanner):
@@ -174,6 +179,8 @@ def _assert_same_decision(got, want, live, ref):
     assert got.running == want.running
     assert got.scan_on is want.scan_on
     assert got.z.hex() == want.z.hex()
+    assert got.usage == want.usage
+    assert got.power == want.power
     assert got.events == want.events
     assert _planner_state(live) == _planner_state(ref)
 
@@ -368,6 +375,8 @@ def test_forced_decisions_read_only_the_config():
             assert got.running == want.running
             assert got.scan_on is want.scan_on
             assert got.z.hex() == want.z.hex()
+            assert got.usage == want.usage
+            assert got.power == want.power
             assert got.events == want.events
     assert all(v > 0 for v in seen.values()), seen
 
