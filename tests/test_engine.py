@@ -991,18 +991,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be {expected}, got {re.escape(repr(bad))}$"):
             from_dict(raw)
 
-    @pytest.mark.parametrize("key,value,leaf,loaded", [
-        ("window", 6.0, "window", 6),
-        ("horizon", 300.0, "horizon", 300),
-        ("tasks.0.deadline", 9.0, "tasks.0.relative_deadline", 9),
-        ("tasks.1.firm_deadline", False, "tasks.1.firm_deadline", False),
-    ])
-    def test_casts_that_keep_the_value_accepted(self, key, value, leaf, loaded):
-        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
-        set_scenario_value(raw, key, value)
-        got = config_leaves(from_dict(raw))[leaf]
-        assert got == loaded and type(got) is type(loaded)
-
     @pytest.mark.parametrize("bad", ["cf", "cpu", ["cpu", 1], [], 2, None])
     def test_resources_must_be_a_list_of_strings(self, bad):
         # a string once loaded as its characters: "cf" became ("c", "f")
@@ -1064,8 +1052,11 @@ class TestConfigValidation:
         assert type(cfg.utility.detect_reward) is float
         # a float field loads as a float: the echo prints 8.0, not 8
         assert json.dumps(cfg.to_jsonable()) == json.dumps(from_dict(NON_DEFAULT_SCENARIO).to_jsonable())
-        raw["persuasion"]["budget_points"] = 7.0
-        assert type(from_dict(raw).persuasion.budget_points) is int
+        # a whole float loads as an int, also where the loader casts the key itself
+        raw["persuasion"]["budget_points"], raw["horizon"], raw["tasks"][0]["deadline"] = 7.0, 300.0, 9.0
+        cfg = from_dict(raw)
+        assert (cfg.persuasion.budget_points, cfg.horizon, cfg.tasks[0].relative_deadline) == (7, 300, 9)
+        assert all(type(v) is int for v in (cfg.persuasion.budget_points, cfg.horizon, cfg.tasks[0].relative_deadline))
         # an empty section (``utility:`` alone in YAML, or {}) or an absent
         # one is the dataclass's defaults
         for empty in ({}, None, "absent"):
