@@ -159,10 +159,18 @@ def _under(path: str, name: str) -> str:
 
 def _cast(key: str, annotation: str, value):
     """``value`` cast to its field's annotation (a string), unless that
-    would change it: an int field takes a whole number but no bool, a
-    bool field only a bool; else a ``ConfigError`` names ``key``."""
-    if annotation == "float":
+    would change it: a float field takes a number but no bool (``float |
+    None`` also None), a float tuple a list of such numbers, an int field
+    a whole number but no bool, a bool field only a bool; else a
+    ``ConfigError`` names ``key`` (a list entry by its index)."""
+    if annotation == "float" or (annotation == "float | None" and value is not None):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
         return float(value)
+    if annotation == "tuple[float, ...]":
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+        return tuple(_cast(f"{key}.{i}", "float", v) for i, v in enumerate(value))
     if annotation == "int":  # a fractional part, inf and NaN leave value % 1 non-zero
         if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)) or value % 1:
             raise ConfigError(f"{key} must be a whole number, got {value!r}")
@@ -172,12 +180,18 @@ def _cast(key: str, annotation: str, value):
     return value
 
 
+def _pop_float(raw: dict, key: str, path: str):
+    """``raw[key]`` popped and cast as a float named by ``path``, or ``MISSING``."""
+    value = raw.pop(key, MISSING)
+    return value if value is MISSING else _cast(path, "float", value)
+
+
 def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **given):
     """``cls`` from ``given`` and from the keys of the section ``raw``
     named like its other init fields.
 
     A value given as ``MISSING`` or absent from both takes the field's
-    default; a float, int or bool field is cast by ``_cast``.  A
+    default; a float, float tuple, int or bool field is cast by ``_cast``.  A
     leftover key of ``raw`` is rejected, and a ``ValueError`` has the
     field it names put under ``path``.  ``keys`` is where ``raw`` sits
     in the scenario, when that is not ``path``.
@@ -210,9 +224,8 @@ def _parse_task(i: int, raw: dict, power_scale: float) -> TaskSpec:
     value = "interval" if kind == "periodic" else "rate"
     arrival = _build(f"{path}.arrival", Arrival, kind=kind, **{value: _take(arr_raw, value, required=True)})
     _no_leftovers(arr_raw, f"{path}.arrival")
-    demand = np.asarray(_take(raw, "demand", required=True), dtype=float)
-    power = _take(raw, "power")
-    mean_demand = _take(raw, "mean_demand")
+    demand = _cast(f"{path}.demand", "tuple[float, ...]", _take(raw, "demand", required=True))
+    power = _cast(f"{path}.power", "float | None", _take(raw, "power"))  # None: from the demand
     return _build(
         path, TaskSpec, raw,
         nature=Nature(_take(raw, "nature", "mission")),
@@ -222,7 +235,6 @@ def _parse_task(i: int, raw: dict, power_scale: float) -> TaskSpec:
         power_weight=power_scale * float(np.mean(demand)) if power is None else power,
         relative_deadline=_cast(f"{path}.deadline", "int", _take(raw, "deadline", required=True)),
         firm_deadline=_take(raw, "firm_deadline", priority == Priority.HIGH),
-        mean_demand=None if mean_demand is None else float(mean_demand),
     )
 
 
@@ -230,10 +242,10 @@ def from_dict(raw: dict) -> ScenarioConfig:
     raw = dict(raw)
     try:
         horizon = _cast("horizon", "int", _take(raw, "horizon", required=True))
-        power_scale = float(_take(raw, "power_scale", 1.0))
+        power_scale = _cast("power_scale", "float", _take(raw, "power_scale", 1.0))
         tasks = tuple(_parse_task(i, t, power_scale) for i, t in enumerate(_take(raw, "tasks", required=True)))
         scan_raw = dict(_take(raw, "scan", required=True))
-        power = scan_raw.pop("power", MISSING)  # the scenario key of ScanTask.power_weight
+        power = _pop_float(scan_raw, "power", "scan.power")  # the scenario key of ScanTask.power_weight
         scan = _build("scan", ScanTask, scan_raw, power_weight=power)
 
         chan_raw = dict(_take(raw, "channel", required=True))
@@ -241,14 +253,14 @@ def from_dict(raw: dict) -> ScenarioConfig:
         pass_slots = geo_raw.pop("pass_slots", horizon)  # by default the pass spans the horizon
         geometry = _build("channel.geometry", PassGeometry, geo_raw, pass_slots=pass_slots)
         fading = _take(chan_raw, "fading", required=True)
-        snr_threshold_db = chan_raw.pop("snr_threshold_db", MISSING)
+        snr_threshold_db = _pop_float(chan_raw, "snr_threshold_db", "channel.snr_threshold_db")
         channel = _build("channel", ChannelParams, fading, "channel.fading", snr_threshold_db=snr_threshold_db)
-        proc_delay_ms = chan_raw.pop("proc_delay_ms", MISSING)
+        proc_delay_ms = _pop_float(chan_raw, "proc_delay_ms", "channel.proc_delay_ms")
         _no_leftovers(chan_raw, "channel")
 
         att_raw = dict(_take(raw, "attacker") or {})
         attacker_mode = att_raw.pop("mode", MISSING)
-        belief_threshold = att_raw.pop("belief_threshold", MISSING)
+        belief_threshold = _pop_float(att_raw, "belief_threshold", "attacker.belief_threshold")
         attacker = _build("attacker", AttackerParams, att_raw)
         persuasion = _build(
             "persuasion", PersuasionSettings, _take(raw, "persuasion", {}), belief_threshold=belief_threshold

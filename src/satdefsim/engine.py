@@ -89,10 +89,9 @@ from .persuasion import (
 )
 from .scheduler import (
     GreedyPlanner,
-    detection_performance,
     plan_horizon,
-    slot_utility,
     try_fit,
+    window_utility,
 )
 from .workload import InstanceState, Priority, TaskInstance, admit, generate_arrivals
 
@@ -566,24 +565,8 @@ class DefenderPass:
         self.arrivals_by_slot: dict[int, list[TaskInstance]] = defaultdict(list)
         for inst in self.instances:
             self.arrivals_by_slot[inst.req].append(inst)
-        self._usage_memo: dict[tuple, tuple] = {}
-
-    def _sums(self, running):
-        """The usage and power of ``running``, an fcfs slot's started
-        prefix of ``live``, summed in uid order.  They read only the specs
-        in that order, so ``_usage_memo`` keeps them by the specs'
-        identities (the scenario's, alive for the whole pass)."""
-        key = tuple([id(i.spec) for i in running])
-        sums = self._usage_memo.get(key)
-        if sums is None:
-            usage = (0.0,) * len(self.cfg.resources)
-            power = 0.0
-            for i in running:
-                spec = i.spec
-                usage = tuple(map(add, usage, spec.demand))
-                power += spec.power_weight
-            sums = self._usage_memo[key] = (usage, power)
-        return sums
+        # the last fcfs slot's running count, usage and power
+        self._carried = (0, (0.0,) * len(cfg.resources), 0.0)
 
     # -- policy-specific slot scheduling ------------------------------------
     # ``live`` holds only active instances here (the reaper ran first).
@@ -592,14 +575,23 @@ class DefenderPass:
         (service > 0) keeps running, then queued ones start in request
         order until the first that does not fit.  The started instances
         are the head of ``live`` and the queue its rest, both in request
-        order (see the class docstring)."""
+        order (see the class docstring).  Nothing starts between slots, so
+        a started prefix as long as the last slot's running list is that
+        list, and its uid-order sums are the ones carried from that slot;
+        any other prefix is summed afresh in uid order."""
         n = 0
         for inst in live:
             if inst.service == 0:
                 break
             n += 1
         running = live[:n]
-        usage, power = self._sums(running)
+        carried_n, usage, power = self._carried
+        if n != carried_n:
+            usage = (0.0,) * len(self.cfg.resources)
+            power = 0.0
+            for inst in running:
+                usage = tuple(map(add, usage, inst.spec.demand))
+                power += inst.spec.power_weight
         budget = self.cfg.power_budget
         for inst in islice(live, n, None):  # head-of-line: stop at the first non-fit
             spec = inst.spec
@@ -609,6 +601,7 @@ class DefenderPass:
             usage = new
             power += spec.power_weight
             running.append(inst)
+        self._carried = (len(running), usage, power)
         return running, usage, power
 
     def run(self) -> DefenderSchedule:
@@ -712,11 +705,8 @@ class DefenderPass:
 
             # defender utility for the window (window-level scan frequency)
             w_scan = scan_col[w_start:]
-            f_w = sum(w_scan) / w_len  # exact: an integer count over the length
-            y_w = detection_performance(f_w, cfg.scan.duration, util)
-            for scan_on, z in zip(w_scan, z_col[w_start:]):
-                defender_total += slot_utility(y_w, scan_on, z, util)
-            scan_freq.append(f_w)
+            defender_total = window_utility(w_scan, z_col[w_start:], cfg.scan.duration, util, defender_total)
+            scan_freq.append(sum(w_scan) / w_len)  # exact: an integer count over the length
 
         generated = len(instances)
         residual = sum(1 for i in instances if i.active)

@@ -19,7 +19,10 @@ concave, so the price is concave on each piece and smallest at a vertex
 of a piece: a simplex vertex, or a point where ``payoff @ mu = 0`` crosses
 the edge between a state of positive and one of negative payoff.  When
 none of these prices below zero, no posterior does, so the LP over them
-attains the optimum over every split.  The LPs are small and solved by a
+attains the optimum over every split.  The same prices fix the optimal
+splits: those that weigh only candidates priced at zero (complementary
+slackness).  The split reported spends the least credibility, its
+expected entropy, among them.  The LPs are small and solved by a
 built-in dense simplex (numpy only).
 """
 from __future__ import annotations
@@ -37,12 +40,10 @@ _EPS = 1e-12
 
 # Simplex: reduced costs and step lengths within _SIMPLEX_TOL of 0 count as
 # 0, direction entries at or below _PIVOT_TOL cannot leave the basis, and a
-# solve gives up after _MAX_PIVOTS_PER_COLUMN pivots per column.  Stage 2
-# keeps the splits within _VALUE_SLACK of the optimal value.
+# solve gives up after _MAX_PIVOTS_PER_COLUMN pivots per column.
 _SIMPLEX_TOL = 1e-12
 _PIVOT_TOL = 1e-9
 _MAX_PIVOTS_PER_COLUMN = 50
-_VALUE_SLACK = 1e-12
 
 
 class InfeasibleSplitError(RuntimeError):
@@ -250,12 +251,13 @@ def _grid_tables(n_states: int, subdivisions: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _solve_master(cost, posteriors, row, prior, bound, basis, ranks=None):
+def _solve_master(cost, posteriors, row, prior, bound, basis, ranks=None, allowed=None):
     """Minimize ``cost @ w`` over ``w >= 0`` with ``posteriors.T @ w ==
     prior`` and ``row @ w <= bound``, by a dense revised primal simplex.
     The inequality's slack is column ``k``, after the ``k`` posterior
     columns.  ``basis`` holds ``n_states + 1`` column indices of a primal
-    feasible basis and is updated in place to an optimal one.
+    feasible basis and is updated in place to an optimal one.  Given a
+    mask ``allowed`` over all ``k + 1`` columns, the others never enter.
 
     Entering column: the most negative reduced cost (Dantzig), lowest index
     on ties; leaving row: the minimum ratio, lowest basic column index on
@@ -281,6 +283,8 @@ def _solve_master(cost, posteriors, row, prior, bound, basis, ranks=None):
         xb = binv @ rhs
         pi = c[basis] @ binv
         reduced = c - pi @ a
+        if allowed is not None:
+            reduced[~allowed] = np.inf
         if degenerate < m:
             q = int(np.argmin(reduced))
             if reduced[q] >= -_SIMPLEX_TOL:
@@ -327,33 +331,6 @@ def _lexicographic_column(binv, a, reduced, basis, ranks) -> int:
     return -1
 
 
-def _stage_two_start(values, posteriors, ent, basis, w) -> None:
-    """Turn stage 1's optimal ``basis`` (weights ``w``) into a feasible start
-    for stage 2 in place, its slack now that of the value row.
-
-    A basic budget slack keeps stage 1's split: a feasible start.  Else the
-    ``n + 1`` basic posteriors alone may give a singular start (when all lie
-    on one linear piece of ``V``), so a crossover phase 1 moves stage 1's
-    split along the null direction ``d`` of their mean rows, the way that
-    does not raise the value (or, where the value stays, lowers the
-    entropy), until a weight vanishes.  The mean rows have rank ``n`` and
-    ``sum(d) = 0``, so some weight falls, and the column that leaves has
-    ``d != 0``: the other posteriors and the value slack form a feasible,
-    nonsingular basis.
-    """
-    k = len(values)
-    if k in basis:
-        return
-    d = np.linalg.svd(posteriors[basis].T)[2][-1]
-    slope = values[basis] @ d
-    if abs(slope) <= _SIMPLEX_TOL:
-        slope = ent[basis] @ d
-    if slope > 0:
-        d = -d
-    down = np.flatnonzero(d < -_PIVOT_TOL)
-    basis[down[np.argmin(np.maximum(w[basis[down]], 0.0) / -d[down])]] = k
-
-
 def _ranks(posteriors: np.ndarray) -> np.ndarray:
     """Each posterior's rank in decreasing lexicographic order."""
     return np.argsort(np.lexsort(posteriors.T[::-1])[::-1])
@@ -363,12 +340,14 @@ def _split_lp(values, posteriors, ent, prior, budget, vertices, ranks):
     """Both stages of the split LP over the given candidates, with
     ``vertices`` the index of each simplex vertex in state order and
     ``ranks`` the candidates' tie-break ranks (``_ranks``).  Returns the
-    weights, stage 1's optimum and each stage's pivots."""
+    weights, stage 1's optimum and each stage's pivots.  A feasible split
+    is value-optimal iff it weighs only columns of zero reduced cost under
+    stage 1's duals (the budget slack's is ``-lam``), so stage 2 solves the
+    same LP from stage 1's optimal basis with only those columns free."""
     basis = np.append(vertices, len(values))  # the fully revealing split
-    w, objective, _, _, first = _solve_master(values, posteriors, ent, prior, budget, basis)
-    level = objective + _VALUE_SLACK
-    _stage_two_start(values, posteriors, ent, basis, w)
-    w, _, _, _, second = _solve_master(ent, posteriors, values, prior, level, basis, ranks)
+    _, objective, y, lam, first = _solve_master(values, posteriors, ent, prior, budget, basis)
+    optimal = np.append(values - posteriors @ y - lam * ent, -lam) <= _SIMPLEX_TOL
+    w, _, _, _, second = _solve_master(ent, posteriors, ent, prior, budget, basis, ranks, optimal)
     return w, objective, (first, second)
 
 
@@ -400,14 +379,16 @@ def solve_persuasion(
     1. Minimize the value within the budget, from the fully revealing basis
        (the vertices at the prior, the budget slack at the whole budget),
        feasible at every budget >= 0.  This optimum is ``objective``.
-    2. Minimize the expected entropy, the credibility spent, over the splits
-       of value at most stage 1's optimum + ``_VALUE_SLACK``, from stage 1's
-       basis (``_stage_two_start``).  A tie left goes to the split whose
-       weights, over the candidates in decreasing lexicographic order of
-       their posteriors, are lexicographically largest, so the split
+    2. Minimize the expected entropy, the credibility spent, over stage 1's
+       optimal splits: the same constraints, started from stage 1's optimal
+       basis, with only the columns of zero reduced cost under stage 1's
+       duals free to enter (``_split_lp``).  A tie left goes to the split
+       whose weights, over the candidates in decreasing lexicographic order
+       of their posteriors, are lexicographically largest, so the split
        depends on the candidate set, not on its order.
 
-    The split and policy (a signal per support posterior) are stage 2's.
+    The split and policy (a signal per support posterior) are stage 2's,
+    and ``credibility`` is the split's expected posterior entropy.
     """
     if not 0.0 <= budget < math.inf:  # NaN fails too
         raise ValueError("credibility budget must be finite and >= 0")
@@ -424,7 +405,7 @@ def solve_persuasion(
     support = w > 1e-10
     split = PosteriorSplit(posteriors=posteriors[support], weights=w[support] / w[support].sum())
     policy = policy_from_split(split, game.prior)
-    return PersuasionSolution(split, policy, objective, credibility_cost(policy, game.prior), len(values), pivots)
+    return PersuasionSolution(split, policy, objective, float(ent[support] @ split.weights), len(values), pivots)
 
 
 def min_attacker_value(game: PersuasionGame) -> float:

@@ -116,6 +116,17 @@ def slot_utility(y: float, scan_on: bool | int, z: float, p: UtilityParams) -> f
     return p.detect_reward * y * y - p.scan_cost * x * x - p.load_penalty * y * y * (1.0 - z)
 
 
+def window_utility(scan_on, z, scan_duration: int, p: UtilityParams, start: float = 0.0) -> float:
+    """``start`` plus each slot's ``slot_utility`` at the detection
+    performance of the window's scan frequency, as a plain running sum in
+    slot order (from Python 3.12 on, ``sum()`` of floats is compensated)."""
+    y = detection_performance(sum(scan_on) / len(scan_on), scan_duration, p)
+    total = start
+    for x, zt in zip(scan_on, z):
+        total += slot_utility(y, x, zt, p)
+    return total
+
+
 @dataclass
 class SlotDecision:
     """One slot as decided, usage and power summed in the solver's order."""
@@ -153,11 +164,7 @@ class HorizonPlan:
         """The window's utility: ``slot_utility`` of every slot at the
         detection performance of the window's scan frequency.  Computed
         on first read: the episode engine never reads it."""
-        y = detection_performance(self.scan_freq, self.scan_duration, self.utility)
-        objective = 0.0  # a plain loop: from Python 3.12 on, sum() of floats is compensated
-        for x, z in zip(self.scan_on.tolist(), self.z.tolist()):
-            objective += slot_utility(y, x, z, self.utility)
-        return objective
+        return window_utility(self.scan_on.tolist(), self.z.tolist(), self.scan_duration, self.utility)
 
 
 class GreedyPlanner:

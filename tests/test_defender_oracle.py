@@ -1,7 +1,7 @@
 """Defender-pass oracles: the fcfs rule and the deadline reaper.
 
 ``reference_fcfs_slot`` is ``DefenderPass._fcfs_slot`` as it stood before
-the fcfs slot read its started prefix of ``live`` and memoized its usage:
+the fcfs slot read its started prefix of ``live`` and reused its usage:
 it scans all of ``live`` for started instances and sorts the queue by
 ``(req, uid)``, with ``try_fit`` copied alongside.  ``ReaperOracle``
 applies the reaper's old full-scan predicate (``t > deadline and
@@ -126,15 +126,23 @@ def test_fcfs_slot_matches_reference_behind_a_blocked_head(monkeypatch):
 
 @pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
 def test_fcfs_running_sums_are_a_fresh_sum(workload, monkeypatch):
-    """An fcfs slot memoizes the usage and power of its started prefix.
-    In every slot they must equal a fresh sum over the prefix in uid
-    order, and a pass must hold few distinct prefixes."""
+    """An fcfs slot carries the usage and power of its running list to
+    the next slot.  In every slot they must equal a fresh sum over the
+    running list in uid order, and a pass must both reuse a carried sum
+    (the started prefix is the last running list) and sum afresh (an
+    instance left)."""
     cfg = bench_cfg(workload)
-    sums = engine.DefenderPass._sums
-    calls = []
+    fcfs_slot = engine.DefenderPass._fcfs_slot
+    last = []
+    kept = left = 0
 
-    def checked(self, running):
-        usage, power = sums(self, running)
+    def checked(self, live):
+        nonlocal kept, left
+        started = sum(1 for i in live if i.service > 0)
+        if last:
+            kept += started == last[-1]
+            left += started < last[-1]
+        running, usage, power = fcfs_slot(self, live)
         assert [i.uid for i in running] == sorted(i.uid for i in running)
         want_usage = (0.0,) * len(cfg.resources)
         want_power = 0.0
@@ -143,15 +151,13 @@ def test_fcfs_running_sums_are_a_fresh_sum(workload, monkeypatch):
             want_power += inst.spec.power_weight
         assert usage == want_usage
         assert power == want_power
-        calls.append(len(running))
-        return usage, power
+        last.append(len(running))
+        return running, usage, power
 
-    monkeypatch.setattr(engine.DefenderPass, "_sums", checked)
-    defender = engine.DefenderPass(cfg, 1, "fcfs")
-    defender.run()
-    assert len(calls) == cfg.horizon
-    assert max(calls) > 0
-    assert len(defender._usage_memo) < cfg.horizon / 20  # far fewer prefixes than slots
+    monkeypatch.setattr(engine.DefenderPass, "_fcfs_slot", checked)
+    engine.DefenderPass(cfg, 1, "fcfs").run()
+    assert len(last) == cfg.horizon
+    assert max(last) > 0 and kept > 0 and left > 0
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,6 @@ def test_executed_slots_are_the_decisions(policy, workload, monkeypatch):
         usage_sum = tuple(a + b for a, b in zip(usage_sum, dec.usage))
     assert schedule.usage_sum == usage_sum
     assert any(dec.scan_on and dec.running for dec in decisions)
-    assert defender._usage_memo == {}  # only fcfs sums a slot itself
 
 
 #: a scenario in which each change of ``SCHEDULE_INPUTS`` changes the
@@ -969,6 +968,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             from_dict(raw)
 
+    #: the int fields among the cases below; the others are floats
+    INT_KEYS = {"window", "horizon", "tasks.1.processing", "scan.duration", "persuasion.z_bins",
+                "tasks.0.deadline", "tasks.0.arrival.interval", "channel.geometry.pass_slots",
+                "persuasion.budget_points"}
+
     @pytest.mark.parametrize("key,bad", [
         # each loaded as another value: int() truncates, bool() is true for any non-empty string
         ("window", 5.9),
@@ -983,11 +987,33 @@ class TestConfigValidation:
         ("tasks.0.arrival.interval", 7.5),
         ("channel.geometry.pass_slots", False),
         ("persuasion.budget_points", "7"),
+        # float() takes a bool and a numeric string
+        ("slot_ms", True),
+        ("slot_ms", "50"),
+        ("utility.load_penalty", True),
+        ("power_scale", True),
+        ("tasks.0.mean_demand", "2.5"),
+        ("tasks.0.power", "0.05"),
+        ("tasks.1.demand.2", True),
+        ("tasks.1.arrival.rate", "0.2"),
+        ("scan.power", "0.25"),
+        ("scan.demand.0", True),
+        ("scan.demand.1", "0.05"),
+        ("channel.snr_threshold_db", True),
+        ("channel.proc_delay_ms", "2.0"),
+        ("channel.fading.m", "5.0"),
+        ("attacker.belief_threshold", "0.6"),
+        ("persuasion.credibility", False),
     ])
     def test_casts_that_change_a_value_rejected(self, key, bad):
         raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
         set_scenario_value(raw, key, bad)
-        expected = "true or false" if key.endswith("firm_deadline") else "a whole number"
+        if key.endswith("firm_deadline"):
+            expected = "true or false"
+        elif key not in self.INT_KEYS:
+            expected = "a number"
+        else:
+            expected = "a whole number"
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be {expected}, got {re.escape(repr(bad))}$"):
             from_dict(raw)
 
@@ -1126,7 +1152,7 @@ def set_scenario_value(raw: dict, path: str, value) -> None:
     target = raw
     for k in parents:
         target = target[int(k)] if k.isdigit() else target[k]
-    target[leaf] = value
+    target[int(leaf) if leaf.isdigit() else leaf] = value
 
 
 def config_leaves(obj, prefix=""):

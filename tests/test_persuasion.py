@@ -504,40 +504,78 @@ class TestSplitLP:
                 price = np.maximum(mus @ game.attack_payoff, 0.0) - mus @ y - lam * h
                 assert price.min() >= -1e-9
 
-    def test_singular_stage_two_start(self):
-        # payoffs 1, -1, -3: a stage-1 optimum whose 4 basic posteriors are
-        # all worth 0, so the value row of the stage-2 start is all zero
+    def test_optimum_worth_zero_on_every_basic_posterior(self):
+        # payoffs 1, -1, -3: an optimum whose basic posteriors are all worth
+        # 0, so no value row can tell the optimal splits apart.  State 0 is
+        # hidden at (.75, 0, .25), the cheaper edge per unit of its mass,
+        # and no weight moves off the optimal face
         game = PersuasionGame(attack_payoff=[1.0, -1.0, -3.0], prior=[0.3, 0.35, 0.35], z_bins=3,
                               z_rep=np.zeros(3), scan_flag=np.zeros(3, dtype=int))
         values, posteriors, ent = exact_lp(game)  # e0, e1, e2, (.5, .5, 0), (.75, 0, .25)
-        basis = np.array([3, 4, 1, 2])
-        w = np.array([0.0, 0.2, 0.3, 0.3, 0.2])
-        np.testing.assert_allclose(posteriors.T @ w, game.prior, atol=1e-15)
-        assert np.linalg.cond(np.vstack([posteriors.T, ent])[:, basis]) < 100
-        assert np.linalg.matrix_rank(np.vstack([posteriors.T, values])[:, basis]) == 3
-        persuasion._stage_two_start(values, posteriors, ent, basis, w)
-        assert 5 in basis  # the value slack
-        got, _, _, _, _ = persuasion._solve_master(ent, posteriors, values, game.prior, 1e-12, basis,
-                                                   persuasion._ranks(posteriors))
-        # state 0 is hidden at (.75, 0, .25), the cheaper edge per unit of its mass
-        np.testing.assert_allclose(got, [0.0, 0.35, 0.25, 0.0, 0.4], rtol=0, atol=1e-11)
-        oracle, _ = highs_canonical_split(values, posteriors, ent, game.prior, ent @ w)
-        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-6)
+        start = np.array([0.0, 0.2, 0.3, 0.3, 0.2])  # a value-0 split pooling at both edges
+        np.testing.assert_allclose(posteriors.T @ start, game.prior, atol=1e-15)
+        for budget in (ent @ start, math.log(3)):
+            sol = solve_persuasion(game, budget)
+            np.testing.assert_allclose(sol.split.posteriors, posteriors[[1, 2, 4]], rtol=0, atol=0)
+            np.testing.assert_allclose(sol.split.weights, [0.35, 0.25, 0.4], rtol=0, atol=1e-15)
+            oracle, least = highs_canonical_split(values, posteriors, ent, game.prior, budget)
+            assert sol.objective == 0.0 and least == pytest.approx(0.0, abs=1e-9)
+            w, _, _ = split_lp(values, posteriors, ent, game.prior, budget, np.arange(3))
+            np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-6)
 
     def test_tie_goes_to_the_lexicographically_largest_split(self):
         # payoffs 1, -1, -1: both edge points hide state 0 at the same
-        # entropy, so every mix of them spends the least credibility; the
-        # rule takes the most weight on (.5, .5, 0), the greater posterior
-        game = PersuasionGame(attack_payoff=[1.0, -1.0, -1.0], prior=[0.2, 0.4, 0.4], z_bins=3,
-                              z_rep=np.zeros(3), scan_flag=np.zeros(3, dtype=int))
-        sol = solve_persuasion(game, math.log(3))
-        np.testing.assert_allclose(sol.split.posteriors, [[0, 1, 0], [0, 0, 1], [0.5, 0.5, 0]], atol=1e-15)
-        np.testing.assert_allclose(sol.split.weights, [0.2, 0.4, 0.4], rtol=0, atol=1e-9)
-        assert sol.pivots[1] > 0
-        values, posteriors, ent = exact_lp(game)
-        oracle, _ = highs_canonical_split(values, posteriors, ent, game.prior, math.log(3))
-        w, _, _ = split_lp(values, posteriors, ent, game.prior, math.log(3), np.arange(3))
-        np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-6)
+        # entropy, so every mix of them spends the least credibility; in
+        # this state order the rule takes the most weight on (.5, .5, 0),
+        # the greater posterior.  States 1 and 2 are interchangeable and
+        # the rule ranks posteriors in state order, so each order of the
+        # states gives this split or its mirror, the oracle's in that order
+        payoff, prior = np.array([1.0, -1.0, -1.0]), np.array([0.2, 0.4, 0.4])
+        want = {((0, 1, 0), 0.2), ((0, 0, 1), 0.4), ((0.5, 0.5, 0), 0.4)}
+        mirror = {((mu[0], mu[2], mu[1]), w) for mu, w in want}
+        stage_two = []
+        for order in itertools.permutations(range(3)):
+            order = list(order)
+            game = PersuasionGame(attack_payoff=payoff[order], prior=prior[order], z_bins=3,
+                                  z_rep=np.zeros(3), scan_flag=np.zeros(3, dtype=int))
+            sol = solve_persuasion(game, math.log(3))
+            back = sol.split.posteriors[:, np.argsort(order)]  # in the original state order
+            got = {(tuple(mu), round(float(w), 9)) for mu, w in zip(back.tolist(), sol.split.weights)}
+            assert got == want if order == [0, 1, 2] else got in (want, mirror), order
+            values, posteriors, ent = exact_lp(game)
+            oracle, _ = highs_canonical_split(values, posteriors, ent, game.prior, math.log(3))
+            w, _, _ = split_lp(values, posteriors, ent, game.prior, math.log(3), np.arange(3))
+            np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-6)
+            stage_two.append(sol.pivots[1])
+        assert max(stage_two) > 0  # the tie-break pivots in some order
+
+    def test_support_stays_on_stage_one_optimal_face(self):
+        # every posterior of the split has zero reduced cost under stage 1's
+        # duals, so no near-zero weight buys entropy with value; and the
+        # reported credibility is the policy's.  The two literal games once
+        # put 5.9e-9 and 6.5e-10 of weight on a posterior of reduced cost
+        # 1.7e-4 and 1.5e-3
+        rng = np.random.default_rng(89)
+        games = exact_test_games(rng) + [
+            PersuasionGame(attack_payoff=payoff, prior=prior, z_bins=len(prior), z_rep=np.zeros(len(prior)),
+                           scan_flag=np.zeros(len(prior), dtype=int))
+            for payoff, prior in (
+                ([1.8285922839233208, -0.00016999206131718125], [0.9723036207201549, 0.02769637927984509]),
+                ([-1.0068893931272167, 0.0015317627992059712, 1.764909783765106],
+                 [0.2552255190289436, 0.7082089153886966, 0.03656556558235989]),
+            )
+        ]
+        for game in games:
+            values, posteriors, ent = exact_lp(game)
+            n = game.n_states
+            for budget in (0.0, 0.03, 0.2, math.log(n)):
+                basis = np.append(np.arange(n), len(values))
+                _, _, y, lam, _ = persuasion._solve_master(values, posteriors, ent, game.prior, budget, basis)
+                sol = solve_persuasion(game, budget)
+                mus = sol.split.posteriors
+                reduced = np.maximum(mus @ game.attack_payoff, 0.0) - mus @ y - lam * persuasion._entropies(mus)
+                assert np.all(np.abs(reduced) <= 1e-9), (budget, reduced)
+                assert sol.credibility == pytest.approx(credibility_cost(sol.policy, game.prior), abs=1e-12)
 
     def test_cold_design_solves_exactly_without_a_grid(self, monkeypatch):
         solves, grids = [], []
