@@ -18,7 +18,7 @@ import yaml
 
 from . import __version__
 from .channel import ChannelParams, shadowed_rician_pdf
-from .config import POLICY_KINDS, ConfigError, default_scenario, load_config
+from .config import POLICY_KINDS, ConfigError, _cast, _take, default_scenario, load_config
 from .engine import (
     build_id,
     run_benchmark_suite,
@@ -114,13 +114,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_persuasion_solve(args) -> int:
     with open(args.game) as fh:
         raw = yaml.safe_load(fh)
-    try:
-        raw = dict(raw)
-        payoff = np.asarray(raw.pop("attack_payoff"), dtype=float)
-        prior = np.asarray(raw.pop("prior"), dtype=float)
-        budget = float(raw.pop("credibility", 0.2))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad game description: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"bad game description: top level must be a mapping, got {raw!r}")
+    payoff = _cast("attack_payoff", "tuple[float, ...]", _take(raw, "attack_payoff", required=True))
+    prior = _cast("prior", "tuple[float, ...]", _take(raw, "prior", required=True))
+    budget = _cast("credibility", "float", _take(raw, "credibility", 0.2))
     if raw:
         raise ConfigError(f"unknown keys in the game file: {sorted(map(str, raw))}")
     if args.sweep and args.sweep_points < 1:

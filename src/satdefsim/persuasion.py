@@ -24,6 +24,9 @@ splits: those that weigh only candidates priced at zero (complementary
 slackness).  The split reported spends the least credibility, its
 expected entropy, among them.  The LPs are small and solved by a
 built-in dense simplex (numpy only).
+
+``PersuasionGame.attack_values`` is the one receiver rule: every ``V``
+in this module comes from it, but the edge candidates' exact 0.
 """
 from __future__ import annotations
 
@@ -90,6 +93,14 @@ class PersuasionGame:
     def p_scan(self, belief: np.ndarray) -> float:
         return float(np.sum(np.asarray(belief)[self.scan_flag == 1]))
 
+    def attack_values(self, posteriors) -> np.ndarray:
+        """The receiver's best-response value ``max(attack_payoff @ mu, 0)``
+        of one posterior ``mu``, or of each row of a matrix of them.  Each
+        row's dot product is the 1-D ``mu @ attack_payoff``, bit for bit (a
+        plain matrix-vector product would round some rows differently)."""
+        mu = np.ascontiguousarray(posteriors, dtype=float)
+        return np.maximum(np.matmul(mu[..., None, :], self.attack_payoff[:, None])[..., 0, 0], 0.0)
+
 
 def quantize_capacity(z_avg: float, z_bins: int) -> int:
     """Bin index of an idle-capacity level; boundaries go to the upper bin."""
@@ -131,16 +142,16 @@ def build_scan_game(
 
 
 def attacker_value(belief, game: PersuasionGame) -> float:
-    """Receiver's best-response value: max(attack payoff, 0) in expectation."""
-    mu = np.asarray(belief, dtype=float)
-    return float(max(float(mu @ game.attack_payoff), 0.0))
+    """Receiver's best-response value at one belief (``game.attack_values``)."""
+    return float(game.attack_values(belief))
 
 
-def entropy(dist) -> float:
-    """Shannon entropy in nats; 0 log 0 = 0."""
+def entropy(dist):
+    """Shannon entropy in nats, 0 log 0 = 0: a float for one distribution,
+    an array for the rows of a matrix of them."""
     p = np.asarray(dist, dtype=float)
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+    h = -np.sum(p * np.log(np.where(p > 0, p, 1.0)), axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 @dataclass
@@ -157,9 +168,6 @@ class PosteriorSplit:
         gap = np.max(np.abs(self.mean() - np.asarray(prior)))
         if gap > tol:
             raise ValueError(f"split is not Bayes-plausible: deviation {gap:.2e}")
-
-    def expected_entropy(self) -> float:
-        return float(sum(w * entropy(mu) for w, mu in zip(self.weights, self.posteriors)))
 
 
 def policy_from_split(split: PosteriorSplit, prior) -> np.ndarray:
@@ -179,23 +187,24 @@ def policy_from_split(split: PosteriorSplit, prior) -> np.ndarray:
     return pol
 
 
+def _signal_split(belief, policy) -> tuple[np.ndarray, np.ndarray]:
+    """The split a signaling matrix makes of a belief: the masses of the
+    signals sent with positive probability, and their posteriors as
+    C-contiguous rows."""
+    joint = np.asarray(belief, dtype=float)[:, None] * np.asarray(policy, dtype=float)
+    q = joint.sum(axis=0)
+    sent = q > 0
+    return q[sent], np.ascontiguousarray((joint[:, sent] / q[sent]).T)
+
+
 def credibility_cost(policy, prior) -> float:
     """Expected self-information of the true state under the induced
-    posterior, E[-log mu_m(omega)]; equals the conditional entropy of the
-    state given the signal.  Zero-probability signals contribute nothing.
+    posterior, E[-log mu_m(omega)] = sum_m q_m H(mu_m); equals the
+    conditional entropy of the state given the signal.  Zero-probability
+    signals contribute nothing.
     """
-    pol = np.asarray(policy, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    joint = prior[:, None] * pol
-    q = joint.sum(axis=0)
-    cost = 0.0
-    for m in range(pol.shape[1]):
-        if q[m] <= _EPS:
-            continue
-        mu = joint[:, m] / q[m]
-        nz = joint[:, m] > 0
-        cost -= float(np.sum(joint[nz, m] * np.log(mu[nz])))
-    return cost
+    q, posteriors = _signal_split(prior, policy)
+    return float(q @ entropy(posteriors))
 
 
 def simplex_grid(n_states: int, subdivisions: int) -> np.ndarray:
@@ -221,21 +230,19 @@ def is_subdivision_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
-def _entropies(posteriors: np.ndarray) -> np.ndarray:
-    """Entropy in nats of each row; 0 log 0 = 0."""
-    return -np.sum(posteriors * np.log(np.where(posteriors > 0, posteriors, 1.0)), axis=1)
-
-
-def _exact_candidates(payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exact_candidates(game: PersuasionGame) -> tuple[np.ndarray, np.ndarray]:
     """The candidate posteriors that make the split LP exact, and their
     values: the simplex vertices in state order, then for each state ``i``
     of positive and ``j`` of negative payoff, in ``(i, j)`` order, the point
-    of their edge where ``payoff @ mu = 0``, valued exactly 0."""
+    of their edge where ``payoff @ mu = 0`` (a kink of the receiver's
+    value), valued exactly 0."""
+    payoff = game.attack_payoff
     i, j = np.nonzero((payoff > 0)[:, None] & (payoff < 0)[None, :])
     edges = np.zeros((len(i), len(payoff)))
     edges[np.arange(len(i)), i] = -payoff[j] / (payoff[i] - payoff[j])
     edges[np.arange(len(i)), j] = payoff[i] / (payoff[i] - payoff[j])
-    return np.vstack([np.eye(len(payoff)), edges]), np.append(np.maximum(payoff, 0.0), np.zeros(len(i)))
+    vertices = np.eye(len(payoff))
+    return np.vstack([vertices, edges]), np.append(game.attack_values(vertices), np.zeros(len(i)))
 
 
 @lru_cache(maxsize=8)
@@ -245,7 +252,7 @@ def _grid_tables(n_states: int, subdivisions: int) -> tuple[np.ndarray, ...]:
     the points' tie-break ranks."""
     grid = simplex_grid(n_states, subdivisions)
     rows, states = np.nonzero(grid == 1.0)
-    tables = (grid, _entropies(grid), rows[np.argsort(states)], _ranks(grid))
+    tables = (grid, entropy(grid), rows[np.argsort(states)], _ranks(grid))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -394,13 +401,13 @@ def solve_persuasion(
         raise ValueError("credibility budget must be finite and >= 0")
     n = game.n_states
     if subdivisions is None:
-        posteriors, values = _exact_candidates(game.attack_payoff)
-        ent, vertices, ranks = _entropies(posteriors), np.arange(n), _ranks(posteriors)
+        posteriors, values = _exact_candidates(game)
+        ent, vertices, ranks = entropy(posteriors), np.arange(n), _ranks(posteriors)
     elif not is_subdivision_count(subdivisions):
         raise ValueError(f"subdivisions must be None or an int >= 1, got {subdivisions!r}")
     else:
         posteriors, ent, vertices, ranks = _grid_tables(n, int(subdivisions))
-        values = np.maximum(posteriors @ game.attack_payoff, 0.0)
+        values = game.attack_values(posteriors)
     w, objective, pivots = _split_lp(values, posteriors, ent, game.prior, budget, vertices, ranks)
     support = w > 1e-10
     split = PosteriorSplit(posteriors=posteriors[support], weights=w[support] / w[support].sum())
@@ -409,27 +416,20 @@ def solve_persuasion(
 
 
 def min_attacker_value(game: PersuasionGame) -> float:
-    """Global minimum of the best-response value over the belief simplex.
-
-    ``max(payoff @ mu, 0)`` is convex in ``mu``, and ``payoff @ mu`` is
-    smallest at a vertex, so the minimum is ``max(min(payoff), 0)``.
-    """
-    return max(float(np.min(game.attack_payoff)), 0.0)
+    """Global minimum of the best-response value over the belief simplex:
+    the least vertex value, since ``payoff @ mu`` is smallest at a vertex
+    and ``max(., 0)`` is non-decreasing."""
+    return float(np.min(game.attack_values(np.eye(game.n_states))))
 
 
 def lyapunov_drift(belief, policy, game: PersuasionGame) -> float:
     """Expected change of the receiver's value under one signaling round:
     E_[m | belief, policy] V(posterior) - V(belief)."""
-    mu = np.asarray(belief, dtype=float)
-    pol = np.asarray(policy, dtype=float)
-    joint = mu[:, None] * pol
-    q = joint.sum(axis=0)
+    q, posteriors = _signal_split(belief, policy)
     expected = 0.0
-    for m in range(pol.shape[1]):
-        if q[m] <= 0:
-            continue
-        expected += q[m] * attacker_value(joint[:, m] / q[m], game)
-    return float(expected - attacker_value(mu, game))
+    for q_m, value in zip(q, game.attack_values(posteriors)):  # q @ values rounds differently
+        expected += q_m * value
+    return float(expected - attacker_value(belief, game))
 
 
 # ---------------------------------------------------------------------------

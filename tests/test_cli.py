@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from satdefsim.cli import main
+from satdefsim.config import from_dict, load_config
 
 SMALL_SCENARIO = {
     "horizon": 120,
@@ -42,6 +43,7 @@ def test_simulate_writes_traces(tmp_path, scenario_file, capsys):
     assert (out / "windows.csv").exists()
     doc = json.loads((out / "episode.json").read_text())
     assert doc["config"]["horizon"] == 120
+    assert from_dict(doc["config"]) == load_config(scenario_file)
     assert "build_id" in doc
     assert "defender_utility" in capsys.readouterr().out
 
@@ -181,6 +183,24 @@ def test_persuasion_solve_rejects_malformed_games(tmp_path, capsys, field, game)
     out = tmp_path / "pers"
     assert main(["persuasion-solve", "--game", str(path), "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
+    assert not (out / "persuasion_solution.json").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("credibility", True, "credibility must be a number, got True"),
+    ("credibility", "0.5", "credibility must be a number, got '0.5'"),
+    ("prior", ["0.5", 0.5], "prior.0 must be a number, got '0.5'"),
+    ("attack_payoff", [True, -1.0], "attack_payoff.0 must be a number, got True"),
+    ("attack_payoff", 1.0, "attack_payoff must be a list of numbers, got 1.0"),
+])
+def test_persuasion_solve_rejects_casts_that_change_a_value(tmp_path, capsys, key, value, message):
+    # a bool or a numeric string must not load as a number (credibility: true solved at budget 1)
+    game = {"attack_payoff": [1.0, -1.0], "prior": [0.5, 0.5], key: value}
+    path = tmp_path / "game.yaml"
+    path.write_text(yaml.safe_dump(game))
+    out = tmp_path / "pers"
+    assert main(["persuasion-solve", "--game", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not (out / "persuasion_solution.json").exists()
 
 

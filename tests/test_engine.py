@@ -1041,6 +1041,24 @@ class TestConfigValidation:
         echo = json.loads(json.dumps(cfg.to_jsonable()))
         assert config_leaves(from_dict(echo)) == leaves
 
+    @pytest.mark.parametrize("source", [
+        "default_scenario", "configs/default.yaml", "suite-default.yaml", "congested-dp.yaml", "power_scale",
+    ])
+    def test_config_block_round_trips(self, source):
+        # the block episode.json echoes under "config" loads back as the same scenario
+        if source == "default_scenario":
+            cfg = default_scenario()
+        elif source == "power_scale":  # the echo writes the relay's scaled power, and no power_scale
+            raw = default_scenario().to_jsonable()
+            del raw["tasks"][1]["power"]
+            cfg = from_dict({**raw, "power_scale": 3.0})
+            assert cfg.tasks[1].power_weight == pytest.approx(3.0 * 0.15)
+        elif source == "configs/default.yaml":
+            cfg = load_config(Path(__file__).resolve().parent.parent / source)
+        else:
+            cfg = load_config(BENCH_SCENARIOS / source)
+        assert from_dict(json.loads(json.dumps(cfg.to_jsonable()))) == cfg
+
     def test_default_yaml_is_the_default_scenario(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
         assert load_config(path).to_jsonable() == default_scenario().to_jsonable()

@@ -100,26 +100,27 @@ def brute_force_two_state(payoff, prior, budget, grid=2000, tri_grid=120):
             np.where(b_grid > 0, b_grid * np.log(b_grid), 0.0)
             + np.where(b_grid < 1, (1 - b_grid) * np.log(1 - b_grid), 0.0)
         )
-    for a in np.linspace(0.0, mu, grid + 1):
-        ha = _entropy_scalar(a)
-        va = max(a * payoff[0] + (1 - a) * payoff[1], 0.0)
+    # every left posterior a against every b of the grid, a few rows at a time
+    a_all = np.linspace(0.0, mu, grid + 1)
+    h_a = np.array([_entropy_scalar(a) for a in a_all])
+    v_a = np.maximum(a_all * payoff[0] + (1 - a_all) * payoff[1], 0.0)
+    for rows in np.array_split(np.arange(grid + 1), max(1, (grid + 1) // 16)):
+        a, ha, va = a_all[rows, None], h_a[rows, None], v_a[rows, None]
         gap = b_grid - a
         w = np.where(gap > 1e-12, (b_grid - mu) / np.maximum(gap, 1e-12), 1.0)
         ok = (w >= -1e-12) & (w <= 1 + 1e-12)
         ent = w * ha + (1 - w) * h_b
         val = w * va + (1 - w) * v_b
-        feas = ok & (ent <= budget + 1e-12)
-        if np.any(feas):
-            best = min(best, float(val[feas].min()))
+        best = min(best, float(np.min(val, where=ok & (ent <= budget + 1e-12), initial=np.inf)))
         # budget-binding pairs between grid neighbours: interpolate the root
         diff = ent - budget
-        cross = np.flatnonzero(ok[:-1] & ok[1:] & (diff[:-1] * diff[1:] < 0))
+        r, cross = np.nonzero(ok[:, :-1] & ok[:, 1:] & (diff[:, :-1] * diff[:, 1:] < 0))
         if len(cross):
-            frac = diff[cross] / (diff[cross] - diff[cross + 1])
+            frac = diff[r, cross] / (diff[r, cross] - diff[r, cross + 1])
             b_star = b_grid[cross] + frac * (b_grid[cross + 1] - b_grid[cross])
             v_star = np.maximum(b_star * payoff[0] + (1 - b_star) * payoff[1], 0.0)
-            w_star = np.where(b_star - a > 1e-12, (b_star - mu) / np.maximum(b_star - a, 1e-12), 1.0)
-            vals = w_star * va + (1 - w_star) * v_star
+            w_star = np.where(b_star - a[r, 0] > 1e-12, (b_star - mu) / np.maximum(b_star - a[r, 0], 1e-12), 1.0)
+            vals = w_star * va[r, 0] + (1 - w_star) * v_star
             keep = (w_star >= -1e-12) & (w_star <= 1 + 1e-12)
             if np.any(keep):
                 best = min(best, float(vals[keep].min()))
@@ -129,10 +130,9 @@ def brute_force_two_state(payoff, prior, budget, grid=2000, tri_grid=120):
     # mean, so this family is essential, not a corner case
     def _three_point_scan(a_pts, b_pts, c_pts):
         nonlocal best
-        aa, bb, cc = np.meshgrid(a_pts, b_pts, c_pts, indexing="ij")
-        aa, bb, cc = aa.ravel(), bb.ravel(), cc.ravel()
-        keep = (aa < bb - 1e-12) & (bb < cc - 1e-12)
-        aa, bb, cc = aa[keep], bb[keep], cc[keep]
+        i, j, k = np.nonzero(
+            (a_pts[:, None, None] < b_pts[None, :, None] - 1e-12) & (b_pts[:, None] < c_pts[None, :] - 1e-12)
+        )  # the triples in (a, b, c) order
 
         def hv(x):
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -142,9 +142,10 @@ def brute_force_two_state(payoff, prior, budget, grid=2000, tri_grid=120):
                 )
             return h, np.maximum(x * payoff[0] + (1 - x) * payoff[1], 0.0)
 
-        ha, va = hv(aa)
-        hb, vb = hv(bb)
-        hc, vc = hv(cc)
+        ha, va = (t[i] for t in hv(a_pts))
+        hb, vb = (t[j] for t in hv(b_pts))
+        hc, vc = (t[k] for t in hv(c_pts))
+        aa, bb, cc = a_pts[i], b_pts[j], c_pts[k]
         det = (bb - aa) * (hc - ha) - (cc - aa) * (hb - ha)
         with np.errstate(divide="ignore", invalid="ignore"):
             wb = ((mu - aa) * (hc - ha) - (cc - aa) * (budget - ha)) / det
@@ -312,7 +313,7 @@ class TestSolver:
 
 def exact_lp(game):
     """The exact candidates of a game as ``(values, posteriors, entropies)``."""
-    posteriors, values = persuasion._exact_candidates(game.attack_payoff)
+    posteriors, values = persuasion._exact_candidates(game)
     return values, posteriors, np.array([entropy(mu) for mu in posteriors])
 
 
@@ -437,7 +438,10 @@ class TestSplitLP:
         ], rtol=0, atol=1e-15)
         np.testing.assert_allclose(posteriors[4:] @ game.attack_payoff, 0.0, atol=1e-15)
         for payoff, count in (([1.0, 2.0], 2), ([-1.0, 0.0, -2.0], 3), ([0.5], 1), ([1.0, 0.0, -1.0, -2.0], 6)):
-            assert len(persuasion._exact_candidates(np.array(payoff))[0]) == count
+            n = len(payoff)
+            game = PersuasionGame(attack_payoff=payoff, prior=np.full(n, 1 / n), z_bins=n, z_rep=np.zeros(n),
+                                  scan_flag=np.zeros(n, dtype=int))
+            assert len(persuasion._exact_candidates(game)[0]) == count
 
     def test_highs_returns_the_same_split(self):
         rng = np.random.default_rng(71)
@@ -573,7 +577,7 @@ class TestSplitLP:
                 _, _, y, lam, _ = persuasion._solve_master(values, posteriors, ent, game.prior, budget, basis)
                 sol = solve_persuasion(game, budget)
                 mus = sol.split.posteriors
-                reduced = np.maximum(mus @ game.attack_payoff, 0.0) - mus @ y - lam * persuasion._entropies(mus)
+                reduced = np.maximum(mus @ game.attack_payoff, 0.0) - mus @ y - lam * entropy(mus)
                 assert np.all(np.abs(reduced) <= 1e-9), (budget, reduced)
                 assert sol.credibility == pytest.approx(credibility_cost(sol.policy, game.prior), abs=1e-12)
 
@@ -845,7 +849,8 @@ class TestSplitPolicyRoundtrip:
         split.check_plausible(prior, tol=1e-9)
         back = policy_from_split(split, prior)
         split2 = split_from_policy(back, prior)
-        assert split2.expected_entropy() == pytest.approx(split.expected_entropy(), abs=1e-9)
+        assert entropy(split2.posteriors) @ split2.weights == pytest.approx(
+            entropy(split.posteriors) @ split.weights, abs=1e-9)
 
     def test_zero_prior_state_gets_a_uniform_row(self):
         prior = np.array([0.5, 0.0, 0.5])
@@ -1001,6 +1006,54 @@ class TestDrift:
             pol = rng.dirichlet(np.ones(int(rng.integers(2, 6))), size=n)
             mu = rng.dirichlet(np.ones(n))
             assert lyapunov_drift(mu, pol, game) >= -1e-9
+
+    @staticmethod
+    def random_games(seed):
+        """Random games of 2 to 8 states, with random beliefs and policies
+        (some states of zero belief, some signals never sent)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            game = PersuasionGame(attack_payoff=rng.uniform(-2, 2, n), prior=rng.dirichlet(np.ones(n)), z_bins=n,
+                                  z_rep=np.zeros(n), scan_flag=np.zeros(n, dtype=int))
+            mu = rng.dirichlet(np.ones(n))
+            mu[rng.random(n) < 0.2] = 0.0
+            mu = game.prior if mu.sum() == 0 else mu / mu.sum()
+            pol = rng.dirichlet(np.ones(int(rng.integers(1, 7))), size=n)
+            pol[:, rng.random(pol.shape[1]) < 0.2] = 0.0
+            pol[pol.sum(axis=1) == 0, 0] = 1.0
+            yield game, mu, pol / pol.sum(axis=1, keepdims=True)
+
+    def test_attack_values_of_rows_are_each_rows_value(self):
+        # the drift trace column's bits: a batch of rows is valued as each row alone, by the 1-D dot product
+        for game, mu, pol in self.random_games(31):
+            joint = mu[:, None] * pol
+            q = joint.sum(axis=0)
+            rows = np.vstack([np.eye(game.n_states), mu, (joint[:, q > 0] / q[q > 0]).T])
+            values = game.attack_values(rows)
+            for i, row in enumerate(rows):
+                assert values[i] == attacker_value(row, game) == max(float(row @ game.attack_payoff), 0.0)
+
+    def test_drift_is_bit_identical_to_the_signal_loop(self):
+        def loop_drift(belief, policy, payoff):
+            # each sent signal's posterior a column of the joint over its mass, valued
+            # by a 1-D dot product and summed in signal order
+            joint = belief[:, None] * policy
+            q = joint.sum(axis=0)
+            expected = 0.0
+            for m in range(policy.shape[1]):
+                if q[m] <= 0:
+                    continue
+                expected += q[m] * max(float(joint[:, m] / q[m] @ payoff), 0.0)
+            return float(expected - max(float(belief @ payoff), 0.0))
+
+        cases = list(self.random_games(37))
+        assets = persuasion_assets(default_scenario())
+        game = assets.game
+        for sol in [*assets.curve(13).solutions, assets.static_solution(0.2)]:
+            cases += [(game, mu, sol.policy) for mu in (game.prior, *sol.split.posteriors)]
+        for game, mu, pol in cases:
+            assert lyapunov_drift(mu, pol, game) == loop_drift(mu, pol, game.attack_payoff)
 
     def test_equilibrium_membership(self):
         game = self.GAME
