@@ -242,7 +242,7 @@ class OutageTable:
     The budget allocation reads outage for every slot of a scenario;
     this holds one cumulative Simpson integral of the envelope density
     on a fine amplitude grid, read by interpolation.  The engine
-    builds one table per scenario, with the scenario's downlink schedule.
+    builds one table per stardis signal plan, over its forecast's range.
     """
 
     def __init__(self, params: ChannelParams, snr_db_lo: float, snr_db_hi: float, points: int = 256):

@@ -176,17 +176,16 @@ def _cmd_channel_validate(args) -> int:
                            snr_threshold_db=args.threshold_db)
     r = np.linspace(0.0, args.r_max, args.points)
     pdf = shadowed_rician_pdf(r, params)
-    rows = []
-    cdf_val = 0.0
-    for i in range(len(r)):
-        if i > 0:  # trapezoid accumulation for the table; quadrature in tests
-            cdf_val += 0.5 * (pdf[i] + pdf[i - 1]) * (r[i] - r[i - 1])
-        rows.append({"r": float(r[i]), "pdf": float(pdf[i]), "cdf": min(cdf_val, 1.0)})
+    # running trapezoid integrals of the pdf and of r^2 pdf, summed in grid
+    # order; quadrature in tests
+    f = np.stack([pdf, r * r * pdf])
+    running = np.cumsum(0.5 * (f[:, 1:] + f[:, :-1]) * np.diff(r), axis=1)
+    cdf = np.minimum(np.concatenate(([0.0], running[0])), 1.0)
+    rows = [{"r": x, "pdf": y, "cdf": c} for x, y, c in zip(r.tolist(), pdf.tolist(), cdf.tolist())]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(rows, ["r", "pdf", "cdf"], out / "envelope_distribution.csv")
-    total = float(np.trapezoid(pdf, r))
-    second = float(np.trapezoid(r * r * pdf, r))
+    total, second = running[:, -1].tolist()
     print(f"integral[0,{args.r_max}]={total:.6f} E[r^2]~{second:.4f} "
           f"(model second moment {params.mean_envelope_power:.4f})")
     print(f"wrote {out / 'envelope_distribution.csv'}")

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,22 @@ class ScenarioConfig:
         return stability_targets_of(self.tasks)
 
     def to_jsonable(self) -> dict:
-        return _scenario_to_dict(self)
+        """The scenario file of this config: ``from_dict`` of it gives it back."""
+        doc = _section(self, skip=("geometry", "proc_delay_ms", "attacker_mode"))
+        for task, spec in zip(doc["tasks"], self.tasks):
+            unused = "rate" if spec.arrival.kind == "periodic" else "interval"
+            task["arrival"] = _section(spec.arrival, skip=(unused,))
+        # the keys a scenario file keeps in another section than the dataclasses
+        channel = doc["channel"]
+        doc["channel"] = {
+            "fading": {name: channel.pop(name) for name in ("b0", "m", "omega")},
+            **channel,
+            "proc_delay_ms": self.proc_delay_ms,
+            "geometry": _section(self.geometry),
+        }
+        belief_threshold = doc["persuasion"].pop("belief_threshold")
+        doc["attacker"] = {"mode": self.attacker_mode, **doc["attacker"], "belief_threshold": belief_threshold}
+        return doc
 
 
 def _take(d: dict, key: str, default=None, required: bool = False):
@@ -293,77 +309,25 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return from_dict(raw)
 
 
-def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
+#: scenario keys that differ from their dataclass fields
+_RENAMED = {"power_weight": "power", "relative_deadline": "deadline"}
+
+
+def _section(obj, skip=()) -> dict:
+    """The init fields of a config dataclass as a scenario section, the
+    inverse of ``_build``: renamed fields under their scenario keys,
+    tuples as lists, enums as their values, dataclasses as sections."""
+    def plain(value):
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        if isinstance(value, Enum):
+            return value.value
+        return _section(value) if is_dataclass(value) else value
+
     return {
-        "horizon": cfg.horizon,
-        "window": cfg.window,
-        "slot_ms": cfg.slot_ms,
-        "resources": list(cfg.resources),
-        "policy": cfg.policy,
-        "power_budget": cfg.power_budget,
-        "sp_scan_period": cfg.sp_scan_period,
-        "tasks": [
-            {
-                "id": s.id,
-                "nature": s.nature.value,
-                "priority": s.priority.value,
-                "arrival": (
-                    {"kind": "periodic", "interval": s.arrival.interval}
-                    if s.arrival.kind == "periodic"
-                    else {"kind": "aperiodic", "rate": s.arrival.rate}
-                ),
-                "demand": list(map(float, s.demand)),
-                "power": s.power_weight,
-                "processing": s.processing,
-                "deadline": s.relative_deadline,
-                "firm_deadline": s.firm_deadline,
-                "mean_demand": s.mean_demand,
-            }
-            for s in cfg.tasks
-        ],
-        "scan": {
-            "demand": list(map(float, cfg.scan.demand)),
-            "power": cfg.scan.power_weight,
-            "duration": cfg.scan.duration,
-        },
-        "utility": {
-            "detect_reward": cfg.utility.detect_reward,
-            "scan_cost": cfg.utility.scan_cost,
-            "load_penalty": cfg.utility.load_penalty,
-            "steepness": cfg.utility.steepness,
-            "midpoint": cfg.utility.midpoint,
-            "ceiling": cfg.utility.ceiling,
-        },
-        "channel": {
-            "fading": {"b0": cfg.channel.b0, "m": cfg.channel.m, "omega": cfg.channel.omega},
-            "snr_threshold_db": cfg.channel.snr_threshold_db,
-            "proc_delay_ms": cfg.proc_delay_ms,
-            "geometry": {
-                "d_min_km": cfg.geometry.d_min_km,
-                "d_max_km": cfg.geometry.d_max_km,
-                "pass_slots": cfg.geometry.pass_slots,
-                "peak_snr_db": cfg.geometry.peak_snr_db,
-                "path_loss_exp": cfg.geometry.path_loss_exp,
-            },
-        },
-        "attacker": {
-            "mode": cfg.attacker_mode,
-            "reward_weight": cfg.attacker.reward_weight,
-            "base_cost": cfg.attacker.base_cost,
-            "cost_scale": cfg.attacker.cost_scale,
-            "memory": cfg.attacker.memory,
-            "belief_threshold": cfg.persuasion.belief_threshold,
-        },
-        "persuasion": {
-            "z_bins": cfg.persuasion.z_bins,
-            "credibility": cfg.persuasion.credibility,
-            "prior_scan": cfg.persuasion.prior_scan,
-            "subdivisions": cfg.persuasion.subdivisions,
-            "budget_points": cfg.persuasion.budget_points,
-            "delay_max_ms": cfg.persuasion.delay_max_ms,
-            "delay_snr_lo_db": cfg.persuasion.delay_snr_lo_db,
-            "delay_snr_hi_db": cfg.persuasion.delay_snr_hi_db,
-        },
+        _RENAMED.get(f.name, f.name): plain(getattr(obj, f.name))
+        for f in fields(obj)
+        if f.init and f.name not in skip
     }
 
 

@@ -22,13 +22,15 @@ in the outer loop so that each seed's schedule is built once.
 
 Only the fading draw depends on the seed.  What else an episode reads
 is built once and shared read-only: the game and its solved policies
-(``persuasion_assets``), the downlink forecast (mean SNR, propagation
-and delivery delays, outage probability) and each policy's
-``SignalPlan``: the ``SignalTable`` every slot's packet is drawn from,
-the slot's credibility budget and delivery delay, and each window's
-budget total.  Each build is cached by value, a plan on its config and
-policy and the others on the config fields they read, so configs with
-equal values share every build.
+(``persuasion_assets``) and each policy's ``SignalPlan``: the mean-SNR
+forecast, the ``SignalTable`` every slot's packet is drawn from, the
+slot's credibility budget and delivery delay, and each window's budget
+total.  A plan builds its own downlink forecast (mean SNR, propagation
+and delivery delays, and for stardis the outage probability).  Both
+builds are cached by value, the assets on the game's config fields and
+a plan on its whole config and policy, so configs with equal values
+share them; with the star family's schedule these are the module's
+only caches.
 
 A ``SignalTable`` holds what signaling reads of one policy: per-state
 sampling CDFs, the interceptor's posterior after each signal with mass,
@@ -68,9 +70,7 @@ from .attacker import (
     threshold_decision,
 )
 from .channel import (
-    ChannelParams,
     OutageTable,
-    PassGeometry,
     delivery_delay_slots,
     erasures,
     predict_mean_snr,
@@ -316,46 +316,18 @@ def _game_assets(z_bins, prior_scan, subdivisions, reward_weight, base_cost) -> 
     return PersuasionAssets(game, subdivisions)
 
 
-@lru_cache(maxsize=8)
-def _mean_snr(horizon: int, geometry: PassGeometry) -> np.ndarray:
-    """Per-slot mean-SNR forecast (dB)."""
-    mean_snr = predict_mean_snr(0, horizon, geometry)
-    mean_snr.flags.writeable = False
-    return mean_snr
-
-
-@lru_cache(maxsize=8)
-def _link_tables(
-    horizon: int, geometry: PassGeometry, proc_delay_ms: float, slot_ms: float
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Per-slot mean-SNR forecast, propagation delay (ms) and delivery
-    delay in slots without injected delay."""
-    prop_ms = np.array([geometry.propagation_delay_ms(t) for t in range(horizon)])
-    prop_ms.flags.writeable = False
-    delay_slots = tuple(delivery_delay_slots(prop_ms, proc_delay_ms, 0.0, slot_ms).tolist())
-    return _mean_snr(horizon, geometry), prop_ms, delay_slots
-
-
-@lru_cache(maxsize=8)
-def _outage_forecast(horizon: int, geometry: PassGeometry, channel: ChannelParams) -> np.ndarray:
-    """Per-slot forecast outage probability, read from one ``OutageTable``
-    over the forecast's SNR range."""
-    mean_snr = _mean_snr(horizon, geometry)
-    pout = OutageTable(channel, float(mean_snr.min()), float(mean_snr.max()))(mean_snr)
-    pout.flags.writeable = False
-    return pout
-
-
 @dataclass(frozen=True)
 class SignalPlan:
     """How one policy signals in a scenario, read-only.
 
-    Per slot: the ``tables`` its packet is drawn from (empty where no
-    interceptor is signaled to), its credibility ``budgets`` and its
-    delivery ``delays`` in slots.  Per window: ``window_budgets``, the
-    budget total.  Both budget arrays are read-only.
+    The downlink forecast it was built from: ``mean_snr``, the per-slot
+    mean SNR (dB).  Per slot: the ``tables`` its packet is drawn from
+    (empty where no interceptor is signaled to), its credibility
+    ``budgets`` and its delivery ``delays`` in slots.  Per window:
+    ``window_budgets``, the budget total.  Every array is read-only.
     """
 
+    mean_snr: np.ndarray
     tables: tuple[SignalTable, ...]
     budgets: np.ndarray
     delays: tuple[int, ...]
@@ -369,15 +341,20 @@ class SignalPlan:
 def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
     """The signal plan of ``policy`` in ``cfg``, or of no signaling for ``None``.
 
+    Every plan forecasts the pass's mean SNR and propagation delay.
     star reveals the state in every slot.  star-static signals with the
-    static solution at the credibility budget.  stardis allocates each
-    window's budget over its forecast outage, signals with the curve
-    level each slot gets, and delays each slot's telemetry by an
+    static solution at the credibility budget.  stardis reads each
+    slot's forecast outage from one ``OutageTable`` over the forecast's
+    SNR range, allocates each window's budget over it, signals with the
+    curve level each slot gets, and delays each slot's telemetry by an
     artificial delay that follows its forecast SNR.  The other plans have
     no tables, zero budgets and the base delays.
     """
-    horizon, window, p = cfg.horizon, cfg.window, cfg.persuasion
-    mean_snr, prop_ms, delays = _link_tables(horizon, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms)
+    horizon, window, p, geometry = cfg.horizon, cfg.window, cfg.persuasion, cfg.geometry
+    mean_snr = predict_mean_snr(0, horizon, geometry)
+    mean_snr.flags.writeable = False
+    prop_ms = [geometry.propagation_delay_ms(t) for t in range(horizon)]
+    added_ms = 0.0
     tables: tuple[SignalTable, ...] = ()
     budgets = np.broadcast_to(0.0, horizon)  # a read-only view, one value stored
     assets = persuasion_assets(cfg) if policy is not None else None
@@ -389,36 +366,25 @@ def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
         budgets = np.broadcast_to(p.credibility, horizon)
     elif policy == "stardis":
         curve = assets.curve(p.budget_points)
-        pout = _outage_forecast(horizon, cfg.geometry, cfg.channel)
-        levels, delays = [], []
-        for w_start in range(0, horizon, window):
-            w_end = min(w_start + window, horizon)
-            levels.append(allocate_on_grid(pout[w_start:w_end], p.credibility * (w_end - w_start), curve))
-            slot_delays = [
-                choose_artificial_delay(
-                    float(mean_snr[t]),
-                    float(prop_ms[t]),
-                    p.delay_max_ms,
-                    cfg.proc_delay_ms,
-                    p.delay_snr_lo_db,
-                    p.delay_snr_hi_db,
-                )
-                for t in range(w_start, w_end)
-            ]
-            delays += delivery_delay_slots(
-                prop_ms[w_start:w_end], cfg.proc_delay_ms, slot_delays, cfg.slot_ms
-            ).tolist()
-        level_of_slot = np.concatenate(levels)
+        pout = OutageTable(cfg.channel, float(mean_snr.min()), float(mean_snr.max()))(mean_snr)
+        level_of_slot = np.concatenate([
+            allocate_on_grid(pout_w, p.credibility * len(pout_w), curve)
+            for pout_w in np.split(pout, range(window, horizon, window))
+        ])
         by_level = {
             l: SignalTable(curve.solutions[l].policy, assets.game) for l in np.unique(level_of_slot).tolist()
         }
         tables = tuple(by_level[l] for l in level_of_slot.tolist())
         budgets = curve.budgets[level_of_slot]
         budgets.flags.writeable = False
-        delays = tuple(delays)
+        added_ms = [
+            choose_artificial_delay(snr, prop, p.delay_max_ms, cfg.proc_delay_ms, p.delay_snr_lo_db, p.delay_snr_hi_db)
+            for snr, prop in zip(mean_snr.tolist(), prop_ms)
+        ]
+    delays = tuple(delivery_delay_slots(prop_ms, cfg.proc_delay_ms, added_ms, cfg.slot_ms).tolist())
     window_budgets = np.array([float(np.sum(budgets[w : w + window])) for w in range(0, horizon, window)])
     window_budgets.flags.writeable = False
-    return SignalPlan(tables, budgets, delays, window_budgets)
+    return SignalPlan(mean_snr, tables, budgets, delays, window_budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -775,13 +741,12 @@ class EpisodeRunner:
         self.rng_channel = np.random.default_rng(kid_channel)
         self.rng_signal = np.random.default_rng(kid_signal)
 
-        h = cfg.horizon
-        self.mean_snr = _mean_snr(h, cfg.geometry)
-        self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=h), cfg.channel)
-
         # an interceptor runs only where a star-family policy signals to it
         self.signaling_on = cfg.attacker_mode != "none" and self.policy in _STAR_FAMILY
         self.assets = persuasion_assets(cfg) if self.signaling_on else None
+        self.plan = _signal_plan(cfg, self.policy if self.signaling_on else None)
+        self.mean_snr = self.plan.mean_snr
+        self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=cfg.horizon), cfg.channel)
 
     def run(self) -> tuple[EpisodeMetrics, EpisodeTraces]:
         """The defender pass (or its shared schedule), then the telemetry
@@ -792,7 +757,7 @@ class EpisodeRunner:
         h, w_len_cfg = cfg.horizon, cfg.window
         pset = cfg.persuasion
         erased_slots = self.erased.tolist()
-        plan = _signal_plan(cfg, self.policy if self.signaling_on else None)
+        plan = self.plan
         delay_slots = plan.delays
         budget_totals = plan.window_budgets.tolist()
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -235,6 +236,22 @@ def test_channel_validate(tmp_path):
     lines = (out / "envelope_distribution.csv").read_text().strip().splitlines()
     assert lines[0] == "r,pdf,cdf"
     assert len(lines) == 402
+
+
+def test_channel_validate_runs_without_numpy_trapezoid(tmp_path, monkeypatch):
+    # np.trapezoid is new in numpy 2.0, and the package supports numpy 1.24
+    name = "envelope_distribution.csv"
+    assert main(["channel-validate", "--out", str(tmp_path / "a"), "--points", "401"]) == 0
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    assert main(["channel-validate", "--out", str(tmp_path / "b"), "--points", "401"]) == 0
+    text = (tmp_path / "b" / name).read_text()
+    assert text == (tmp_path / "a" / name).read_text()
+    # the cdf column is the running trapezoid sum of the pdf column, in grid order
+    rows = [list(map(float, line.split(","))) for line in text.strip().splitlines()[1:]]
+    cdf = 0.0
+    for (r0, pdf0, _), (r1, pdf1, got) in zip(rows, rows[1:]):
+        cdf += 0.5 * (pdf1 + pdf0) * (r1 - r0)
+        assert got == min(cdf, 1.0)
 
 
 def test_bad_config_exits_nonzero(tmp_path):

@@ -142,13 +142,12 @@ LINK_POLICIES = ("star", "stardis")
 
 
 def downlink_tables(cfg):
-    """The cached link tables and the star and stardis signal plans of a scenario."""
-    link = engine._link_tables(cfg.horizon, cfg.geometry, cfg.proc_delay_ms, cfg.slot_ms)
-    return link, tuple(engine._signal_plan(cfg, pol) for pol in LINK_POLICIES)
+    """The star and stardis signal plans of a scenario."""
+    return tuple(engine._signal_plan(cfg, pol) for pol in LINK_POLICIES)
 
 
-#: a scenario in which each change of ``DOWNLINK_INPUTS`` changes a cached
-#: table: the budget curve falls in unequal steps and the 12 dB threshold
+#: a scenario in which each change of ``DOWNLINK_INPUTS`` changes a
+#: signal plan: the budget curve falls in unequal steps and the 12 dB threshold
 #: puts the pass edges near certain outage, so the allocation weighs
 #: outage values, not only their order; the 60 ms processing delay puts
 #: the base latency near a slot boundary
@@ -167,17 +166,13 @@ KEY_SCENARIO = small_cfg(
 def plan_facts(plan) -> tuple:
     """Everything a signal plan fixes, as plain values."""
     return (
-        plan.budgets.tolist(), plan.window_budgets.tolist(), plan.delays,
+        plan.mean_snr.tolist(), plan.budgets.tolist(), plan.window_budgets.tolist(), plan.delays,
         [table.policy.tolist() for table in plan.tables],
     )
 
 
 def same_tables(x, y) -> bool:
-    (link_x, plans_x), (link_y, plans_y) = x, y
-    return (
-        all(np.array_equal(u, v) for u, v in zip(link_x, link_y))
-        and list(map(plan_facts, plans_x)) == list(map(plan_facts, plans_y))
-    )
+    return list(map(plan_facts, x)) == list(map(plan_facts, y))
 
 
 def _change(section=None, **values):
@@ -188,7 +183,7 @@ def _change(section=None, **values):
     return lambda c: dataclasses.replace(c, **{section: dataclasses.replace(getattr(c, section), **values)})
 
 
-#: one-input changes of the scenario, each read by the downlink tables
+#: one-input changes of the scenario, each read by the signal plans
 DOWNLINK_INPUTS = {
     "geometry.peak_snr_db": _change("geometry", peak_snr_db=8.0),
     "geometry.pass_slots": _change("geometry", pass_slots=120),
@@ -206,9 +201,9 @@ DOWNLINK_INPUTS = {
 
 
 class TestDownlinkCache:
-    """The seed-independent downlink tables and signal plans are built
-    once per scenario and must leave every episode as it would be without
-    the cache."""
+    """The seed-independent signal plans, with the downlink forecast each
+    holds, are built once per (scenario, policy) and must leave every
+    episode as it would be without the cache."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_cold_and_warm_episodes_identical(self, policy):
@@ -225,7 +220,7 @@ class TestDownlinkCache:
         clear_engine_caches()
         first = [record(a, 2, pol) for pol in LINK_POLICIES]
         misses = engine._signal_plan.cache_info().misses
-        warm = [record(b, 2, pol) for pol in LINK_POLICIES]  # caches hold a's plans too
+        warm = [record(b, 2, pol) for pol in LINK_POLICIES]  # the cache holds a's plans too
         assert engine._signal_plan.cache_info().misses == misses + len(LINK_POLICIES)
         warm_tables = downlink_tables(b)
         clear_engine_caches()
@@ -241,21 +236,17 @@ class TestDownlinkCache:
     def test_cached_tables_are_read_only(self):
         cfg = small_cfg()
         run_episode(cfg, 0, "stardis")
-        (mean_snr, prop_ms, delays), plans = downlink_tables(cfg)
-        arrays = [mean_snr, prop_ms]
-        for plan in plans:
-            arrays += [plan.budgets, plan.window_budgets]
+        for plan in downlink_tables(cfg):
             assert isinstance(plan.tables, tuple) and isinstance(plan.delays, tuple)
-            assert len(plan.tables) == len(plan.budgets) == len(plan.delays) == cfg.horizon
+            assert len(plan.mean_snr) == len(plan.tables) == len(plan.budgets) == len(plan.delays) == cfg.horizon
             assert len(plan.window_budgets) == -(-cfg.horizon // cfg.window)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 plan.budgets = None
-        for table in arrays:
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = table[0]
-        assert isinstance(delays, tuple) and plans[0].delays is delays
-        assert EpisodeRunner(cfg, 1, "stardis").mean_snr is mean_snr
+            for array in (plan.mean_snr, plan.budgets, plan.window_budgets):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = array[0]
+        assert EpisodeRunner(cfg, 1, "stardis").mean_snr is engine._signal_plan(cfg, "stardis").mean_snr
 
     def test_built_once_per_scenario(self, monkeypatch):
         built = {"outage": 0, "forecast": 0}
@@ -273,12 +264,17 @@ class TestDownlinkCache:
         for seed in range(3):
             run_episode(cfg, seed, "stardis")
         assert built == {"outage": 1, "forecast": 1}
+        # one forecast per plan: star, star-static and the plan without
+        # signaling, which fcfs and sp share
         for policy in POLICIES:
             run_episode(cfg, 4, policy)
-        assert built == {"outage": 1, "forecast": 1}
-        # the outage forecast reads no persuasion setting
+        assert built == {"outage": 1, "forecast": 4}
+        for policy in POLICIES:
+            run_episode(cfg, 5, policy)
+        assert built == {"outage": 1, "forecast": 4}
+        # each new credibility is a stardis plan of its own; 0.2 is cfg's
         sweep(cfg, "credibility", [0.01, 0.1, 0.2, 0.5], range(2), policies=("stardis",))
-        assert built == {"outage": 1, "forecast": 1}
+        assert built == {"outage": 4, "forecast": 7}
 
     def test_sweep_builds_each_plan_once(self):
         # seeds are the sweep's outer loop, so each seed cycles through all
