@@ -202,9 +202,13 @@ def _pop_float(raw: dict, key: str, path: str):
     return value if value is MISSING else _cast(path, "float", value)
 
 
+#: scenario keys that differ from their dataclass fields
+_RENAMED = {"power_weight": "power", "relative_deadline": "deadline"}
+
+
 def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **given):
     """``cls`` from ``given`` and from the keys of the section ``raw``
-    named like its other init fields.
+    named like its other init fields, or as ``_RENAMED`` renames them.
 
     A value given as ``MISSING`` or absent from both takes the field's
     default; a float, float tuple, int or bool field is cast by ``_cast``.  A
@@ -218,12 +222,13 @@ def _build(path: str, cls, raw: dict | None = None, keys: str | None = None, **g
     for f in fields(cls):
         if not f.init:
             continue
-        value = given.pop(f.name) if f.name in given else raw.pop(f.name, MISSING)
+        key = _RENAMED.get(f.name, f.name)
+        value = given.pop(f.name) if f.name in given else raw.pop(key, MISSING)
         if value is MISSING:
             if f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"missing required key {_under(keys, f.name)!r}")
+                raise ConfigError(f"missing required key {_under(keys, key)!r}")
             continue
-        kwargs[f.name] = _cast(_under(keys, f.name), f.type, value)
+        kwargs[f.name] = _cast(_under(keys, key), f.type, value)
     _no_leftovers(raw, keys or "scenario")
     try:
         return cls(**kwargs, **given)
@@ -241,15 +246,14 @@ def _parse_task(i: int, raw: dict, power_scale: float) -> TaskSpec:
     arrival = _build(f"{path}.arrival", Arrival, kind=kind, **{value: _take(arr_raw, value, required=True)})
     _no_leftovers(arr_raw, f"{path}.arrival")
     demand = _cast(f"{path}.demand", "tuple[float, ...]", _take(raw, "demand", required=True))
-    power = _cast(f"{path}.power", "float | None", _take(raw, "power"))  # None: from the demand
+    if raw.get("power") is None:  # absent or null: from the demand
+        raw["power"] = power_scale * float(np.mean(demand))
     return _build(
         path, TaskSpec, raw,
         nature=Nature(_take(raw, "nature", "mission")),
         priority=priority,
         arrival=arrival,
         demand=demand,
-        power_weight=power_scale * float(np.mean(demand)) if power is None else power,
-        relative_deadline=_cast(f"{path}.deadline", "int", _take(raw, "deadline", required=True)),
         firm_deadline=_take(raw, "firm_deadline", priority == Priority.HIGH),
     )
 
@@ -260,9 +264,7 @@ def from_dict(raw: dict) -> ScenarioConfig:
         horizon = _cast("horizon", "int", _take(raw, "horizon", required=True))
         power_scale = _cast("power_scale", "float", _take(raw, "power_scale", 1.0))
         tasks = tuple(_parse_task(i, t, power_scale) for i, t in enumerate(_take(raw, "tasks", required=True)))
-        scan_raw = dict(_take(raw, "scan", required=True))
-        power = _pop_float(scan_raw, "power", "scan.power")  # the scenario key of ScanTask.power_weight
-        scan = _build("scan", ScanTask, scan_raw, power_weight=power)
+        scan = _build("scan", ScanTask, _take(raw, "scan", required=True))
 
         chan_raw = dict(_take(raw, "channel", required=True))
         geo_raw = dict(_take(chan_raw, "geometry", required=True))
@@ -307,10 +309,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return from_dict(raw)
-
-
-#: scenario keys that differ from their dataclass fields
-_RENAMED = {"power_weight": "power", "relative_deadline": "deadline"}
 
 
 def _section(obj, skip=()) -> dict:

@@ -6,11 +6,11 @@ arrivals, admission, deadline reaping, the receding-horizon plan of each
 window, the slot solver or the fcfs rule and task progress, and returns
 a read-only ``DefenderSchedule``.  The telemetry pass (``EpisodeRunner``)
 reads that schedule and its policy's ``SignalPlan`` and writes to
-neither: each window it quantizes the planned (scan, load) state and
-samples one deceptive signal per slot from the plan's tables; then slot
-by slot it delivers or erases telemetry, updates the interceptor's
-belief and lets it act.
-Episodes are deterministic given (config, seed).
+neither: it quantizes each window's planned (scan, load) state, draws
+one deceptive signal per slot from the plan's tables, then runs one loop
+over the slots that delivers or erases telemetry, updates the
+interceptor's belief and lets it act.  Episodes are deterministic given
+(config, seed).
 
 Signaling shapes only the downlink, so star, star-static and stardis
 run the same defender pass on one seed.  ``defender_schedule`` keeps the
@@ -24,13 +24,13 @@ Only the fading draw depends on the seed.  What else an episode reads
 is built once and shared read-only: the game and its solved policies
 (``persuasion_assets``) and each policy's ``SignalPlan``: the mean-SNR
 forecast, the ``SignalTable`` every slot's packet is drawn from, the
-slot's credibility budget and delivery delay, and each window's budget
-total.  A plan builds its own downlink forecast (mean SNR, propagation
-and delivery delays, and for stardis the outage probability).  Both
-builds are cached by value, the assets on the game's config fields and
-a plan on its whole config and policy, so configs with equal values
-share them; with the star family's schedule these are the module's
-only caches.
+slot's credibility budget, delivery delay and received packet, and each
+window's budget total.  A plan builds its own downlink forecast (mean
+SNR, propagation and delivery delays, and for stardis the outage
+probability).  Both builds are cached by value, the assets on the
+game's config fields and a plan on its whole config and policy, so
+configs with equal values share them; with the star family's schedule
+these are the module's only caches.
 
 A ``SignalTable`` holds what signaling reads of one policy: per-state
 sampling CDFs, the interceptor's posterior after each signal with mass,
@@ -41,7 +41,7 @@ packet is a table read and an erasure resets to the shared read-only
 prior.
 
 The interceptor's slot is one ``Interceptor`` step: ``receive`` the
-slot's telemetry, then ``act`` on the belief it leaves.  Episodes run
+slot's packet, then ``act`` on the belief it leaves.  Episodes run
 every slot through it, and so do the scripted belief-dynamics checks
 (acceptance criterion 9), which deliver forced signals slot by slot.
 """
@@ -119,7 +119,7 @@ def build_id() -> str:
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or it timed out
         pass
     return f"satdefsim-{__version__}"
 
@@ -323,14 +323,16 @@ class SignalPlan:
     The downlink forecast it was built from: ``mean_snr``, the per-slot
     mean SNR (dB).  Per slot: the ``tables`` its packet is drawn from
     (empty where no interceptor is signaled to), its credibility
-    ``budgets`` and its delivery ``delays`` in slots.  Per window:
-    ``window_budgets``, the budget total.  Every array is read-only.
+    ``budgets``, its delivery ``delays`` in slots and ``delivered``: the
+    generation slot of the newest packet arriving in it, or -1.  Per
+    window: ``window_budgets``, the budget total.  All are read-only.
     """
 
     mean_snr: np.ndarray
     tables: tuple[SignalTable, ...]
     budgets: np.ndarray
     delays: tuple[int, ...]
+    delivered: tuple[int, ...]
     window_budgets: np.ndarray
 
 
@@ -382,9 +384,14 @@ def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
             for snr, prop in zip(mean_snr.tolist(), prop_ms)
         ]
     delays = tuple(delivery_delay_slots(prop_ms, cfg.proc_delay_ms, added_ms, cfg.slot_ms).tolist())
+    # later packets overwrite, so each slot keeps the newest arriving there
+    delivered = [-1] * horizon
+    for s, d in enumerate(delays):
+        if s + d < horizon:
+            delivered[s + d] = s
     window_budgets = np.array([float(np.sum(budgets[w : w + window])) for w in range(0, horizon, window)])
     window_budgets.flags.writeable = False
-    return SignalPlan(mean_snr, tables, budgets, delays, window_budgets)
+    return SignalPlan(mean_snr, tables, budgets, delays, tuple(delivered), window_budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +400,7 @@ def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
 
 class Interceptor:
     """The interceptor of one episode, one slot at a time: ``receive``
-    the slot's telemetry, then ``act`` against the belief it leaves.
+    the slot's packet, then ``act`` against the belief it leaves.
 
     ``params`` are the ``AttackerParams``; ``belief, p_scan, idle_gap``
     is the current ``belief_entry``, the prior's at the start and after
@@ -418,15 +425,13 @@ class Interceptor:
         self.attacks = 0
         self.blocked = 0
 
-    def receive(self, erased: bool, due) -> str:
-        """Take a slot's telemetry: ``due`` holds the ``(generated_at,
-        signal, table)`` packets arriving in it.  An erased slot resets
-        the belief to the prior and loses them; otherwise the newest sets
-        the belief.  Returns the received signal, or "" for none."""
+    def receive(self, erased: bool, m: int, table: SignalTable | None) -> str:
+        """Take a slot's packet, signal ``m`` of ``table`` (-1 for none).
+        An erased slot resets the belief to the prior and loses the packet;
+        otherwise the packet sets the belief.  Returns the signal, or ""."""
         if erased:
             self.belief, self.p_scan, self.idle_gap = self.prior_entry
-        elif due:
-            _, m, table = max(due, key=lambda d: d[0])
+        elif m >= 0:
             self.belief, self.p_scan, self.idle_gap = table.receive(m)
             return str(m)
         return ""
@@ -583,7 +588,9 @@ class DefenderPass:
         live: list[TaskInstance] = []
         # admitted instances by the one slot that can reap them
         reap_at: dict[int, list[TaskInstance]] = defaultdict(list)
-        sp_scan_until = 0
+        # sp starts a scan block at each multiple of sp_scan_period that no block covers
+        duration = cfg.scan.duration
+        sp_every = cfg.sp_scan_period * -(-duration // cfg.sp_scan_period)
         # Every slot executes a decided scan state.  A forced decision reads
         # only the planner's config, and the served counts it writes are
         # never read, so one planner executes every window.
@@ -645,10 +652,8 @@ class DefenderPass:
                 else:
                     if plans:  # committed scan pattern, live task fill
                         scan_now = bool(scan_plan[k])
-                    else:  # sp: a scan block every sp_scan_period slots
-                        if t % cfg.sp_scan_period == 0 and t >= sp_scan_until:
-                            sp_scan_until = t + cfg.scan.duration
-                        scan_now = t < sp_scan_until
+                    else:  # sp: a scan block every sp_every slots
+                        scan_now = t % sp_every < duration
                     dec = planner.schedule_slot(live, t, forced_scan=scan_now)
                     running = [instances[uid] for uid in dec.running]
                     usage, power, z = dec.usage, dec.power, dec.z
@@ -671,7 +676,7 @@ class DefenderPass:
 
             # defender utility for the window (window-level scan frequency)
             w_scan = scan_col[w_start:]
-            defender_total = window_utility(w_scan, z_col[w_start:], cfg.scan.duration, util, defender_total)
+            defender_total = window_utility(w_scan, z_col[w_start:], duration, util, defender_total)
             scan_freq.append(sum(w_scan) / w_len)  # exact: an integer count over the length
 
         generated = len(instances)
@@ -750,66 +755,56 @@ class EpisodeRunner:
 
     def run(self) -> tuple[EpisodeMetrics, EpisodeTraces]:
         """The defender pass (or its shared schedule), then the telemetry
-        pass over it with the policy's signal plan: state quantization,
-        signal draws, deliveries, the interceptor's slots and drift."""
+        pass over it with the policy's signal plan: window states, slot
+        signals, then one loop over the slots (each window's drift at its
+        first slot) that delivers the packets the plan fixes."""
         cfg = self.cfg
         schedule = defender_schedule(cfg, self.seed, self.policy)
         h, w_len_cfg = cfg.horizon, cfg.window
         pset = cfg.persuasion
-        erased_slots = self.erased.tolist()
+        erased = self.erased.tolist()
         plan = self.plan
-        delay_slots = plan.delays
-        budget_totals = plan.window_budgets.tolist()
+        states, drifts = [""] * len(schedule.scan_freq), [0.0] * len(schedule.scan_freq)
 
-        interceptor = None
         if self.signaling_on:
             threshold = pset.belief_threshold if cfg.attacker_mode == "threshold" else None
             interceptor = Interceptor(cfg.attacker, self.assets.prior_entry, threshold)
-            # telemetry in flight: arrival slot -> list of (generated_at, signal, table)
-            deliveries: dict[int, list] = defaultdict(list)
-            # one uniform per slot, consumed as Generator.choice would, one per signal
+            states = [
+                quantize_state(has_scan, min(max(z_avg, 0.0), 1.0), pset.z_bins)
+                for has_scan, z_avg in zip(schedule.has_scan, schedule.z_avg)
+            ]
+            tables, scan_on, z = plan.tables, schedule.scan_on, schedule.z
+            # one uniform per slot, consumed as Generator.choice would
             uniforms = self.rng_signal.random(h).tolist()
-            scan_on, z = schedule.scan_on, schedule.z
-            received, p_scan, x_att, blocked, rewards, intensity = ([] for _ in range(6))
+            signals = [tables[t].draw(states[t // w_len_cfg], u) for t, u in enumerate(uniforms)]
+            rows, w_end = [], 0
+            for t, gen in enumerate(plan.delivered):
+                if t == w_end:
+                    drifts[t // w_len_cfg] = tables[t].drift(interceptor.belief)
+                    w_end = min(t + w_len_cfg, h)
+                got = interceptor.receive(erased[t], signals[gen] if gen >= 0 else -1, tables[gen])
+                x, b, r = interceptor.act(bool(scan_on[t]), z[t], erased[t], w_end - t)
+                rows.append((got, interceptor.p_scan, x, b, r, interceptor.intensity))
+            received, p_scan, x_att, blocked, rewards, intensity = map(list, zip(*rows))
+            totals = (interceptor.realized, interceptor.believed, interceptor.attacks, interceptor.blocked)
         else:
             received, p_scan = [""] * h, [""] * h
             x_att, blocked, rewards, intensity = [0] * h, [0] * h, [0.0] * h, [0.0] * h
+            totals = (0.0, 0.0, 0, 0)
 
+        budget_totals = plan.window_budgets.tolist()
         windows = []
-        for window_index, w_start in enumerate(range(0, h, w_len_cfg)):
-            w_len = min(w_len_cfg, h - w_start)
-            state, drift = "", 0.0
-            if interceptor is not None:
-                state = quantize_state(
-                    schedule.has_scan[window_index],
-                    min(max(schedule.z_avg[window_index], 0.0), 1.0),
-                    pset.z_bins,
-                )
-                tables = plan.tables[w_start : w_start + w_len]
-                for k, tab in enumerate(tables):
-                    t = w_start + k
-                    deliveries[t + delay_slots[t]].append((t, tab.draw(state, uniforms[t]), tab))
-                drift = tables[0].drift(interceptor.belief)
-                w_end = w_start + w_len
-                for t in range(w_start, w_end):
-                    erased = erased_slots[t]  # packets due in an erased slot are lost with it
-                    received.append(interceptor.receive(erased, deliveries.pop(t, None)))
-                    x, b, r = interceptor.act(bool(scan_on[t]), z[t], erased, w_end - t)
-                    p_scan.append(interceptor.p_scan)
-                    x_att.append(x)
-                    blocked.append(b)
-                    rewards.append(r)
-                    intensity.append(interceptor.intensity)
+        for i, w_start in enumerate(range(0, h, w_len_cfg)):
             windows.append({
-                "window": window_index,
+                "window": i,
                 "start": w_start,
-                "length": w_len,
-                "state": state,
-                "scan_planned": int(schedule.has_scan[window_index]) if schedule.has_scan is not None else "",
-                "z_avg_planned": schedule.z_avg[window_index] if schedule.z_avg is not None else "",
-                "scan_freq_realized": schedule.scan_freq[window_index],
-                "budget_total": budget_totals[window_index],
-                "drift": drift,
+                "length": min(w_len_cfg, h - w_start),
+                "state": states[i],
+                "scan_planned": int(schedule.has_scan[i]) if schedule.has_scan is not None else "",
+                "z_avg_planned": schedule.z_avg[i] if schedule.z_avg is not None else "",
+                "scan_freq_realized": schedule.scan_freq[i],
+                "budget_total": budget_totals[i],
+                "drift": drifts[i],
             })
 
         columns = {
@@ -818,8 +813,8 @@ class EpisodeRunner:
             "z": list(schedule.z),
             "power": list(schedule.power),
             "mean_snr_db": self.mean_snr.tolist(),
-            "received": [int(not e) for e in erased_slots],
-            "delay_slots": list(delay_slots),
+            "received": [int(not e) for e in erased],
+            "delay_slots": list(plan.delays),
             "signal": received,
             "belief_scan": p_scan,
             "x_att": x_att,
@@ -830,10 +825,7 @@ class EpisodeRunner:
         }
         traces = EpisodeTraces(slots={k: columns[k] for k in SLOT_TRACE_COLUMNS}, windows=windows)
 
-        realized, believed, attacks, n_blocked = (
-            (0.0, 0.0, 0, 0) if interceptor is None
-            else (interceptor.realized, interceptor.believed, interceptor.attacks, interceptor.blocked)
-        )
+        realized, believed, attacks, n_blocked = totals
         s = schedule
         metrics = EpisodeMetrics(
             policy=self.policy,

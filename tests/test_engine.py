@@ -2,13 +2,15 @@ import dataclasses
 import enum
 import json
 import re
-from collections import namedtuple
+import subprocess
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import satdefsim
 from satdefsim import attacker, engine
 from satdefsim.attacker import AttackerParams, best_response, dp_decision
 from satdefsim.config import ConfigError, PersuasionSettings, default_scenario, from_dict, load_config
@@ -167,7 +169,7 @@ def plan_facts(plan) -> tuple:
     """Everything a signal plan fixes, as plain values."""
     return (
         plan.mean_snr.tolist(), plan.budgets.tolist(), plan.window_budgets.tolist(), plan.delays,
-        [table.policy.tolist() for table in plan.tables],
+        plan.delivered, [table.policy.tolist() for table in plan.tables],
     )
 
 
@@ -553,6 +555,43 @@ def test_random_valid_scenarios_run_and_repeat(case):
         assert record(cfg, seed, policy) == cold
 
 
+def newest_arrivals(delays) -> tuple[int, ...]:
+    """Brute force: the generation slot of each slot's newest arriving
+    packet, or -1."""
+    h = len(delays)
+    return tuple(max((s for s in range(h) if s + delays[s] == t), default=-1) for t in range(h))
+
+
+class TestPlanDeliveries:
+    """Each plan fixes which packet every slot receives: the newest of
+    those its delays bring to that slot."""
+
+    @pytest.mark.parametrize("scenario", ["default", "horizon-3000", "congested-dp"])
+    def test_delivered_is_the_newest_arriving_packet(self, scenario):
+        cfg = {
+            "default": default_scenario,
+            "horizon-3000": lambda: default_scenario(horizon=3000),
+            "congested-dp": lambda: load_config(BENCH_SCENARIOS / "congested-dp.yaml"),
+        }[scenario]()
+        for policy in STAR_FAMILY:
+            plan = engine._signal_plan(cfg, policy)
+            assert plan.delivered == newest_arrivals(plan.delays), policy
+
+    def test_some_default_stardis_slot_receives_two_packets(self):
+        # where two packets arrive in one slot, the older one is never read
+        delays = engine._signal_plan(default_scenario(), "stardis").delays
+        arrivals = Counter(s + d for s, d in enumerate(delays))
+        assert max(arrivals.values()) >= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(valid_scenarios())
+def test_random_stardis_plans_deliver_the_newest_packet(case):
+    cfg, _ = case
+    plan = engine._signal_plan(cfg, "stardis")
+    assert plan.delivered == newest_arrivals(plan.delays)
+
+
 DEFENDER_METRICS = (
     "utilization", "routine_completion_pct", "relay_miss_pct", "defender_utility", "scan_freq",
     "generated", "completed", "dropped", "missed", "residual", "infeasible_events",
@@ -659,6 +698,19 @@ class TestBaselines:
         scans = np.array(tr.slots["scan_on"], dtype=bool)
         assert scans.any() and (~scans).any()
 
+    @pytest.mark.parametrize("period,duration", [(3, 5), (4, 6), (5, 5), (20, 5)])
+    def test_sp_scan_cadence_matches_the_stateful_rule(self, period, duration):
+        # sp's rule as a loop with state: a block starts at a multiple of
+        # the period once the last block has ended
+        cfg = small_cfg(window=10, sp_scan_period=period,
+                        scan={"demand": [0.15, 0.05], "power": 0.25, "duration": duration})
+        want, until = [], 0
+        for t in range(cfg.horizon):
+            if t % period == 0 and t >= until:
+                until = t + duration
+            want.append(int(t < until))
+        assert list(engine.DefenderPass(cfg, 3, "sp").run().scan_on) == want
+
     def test_empty_task_list_all_zero(self):
         cfg = default_scenario(horizon=40, tasks=[], attacker={"mode": "none"})
         m, tr = run_episode(cfg, 0, "fcfs")
@@ -666,6 +718,15 @@ class TestBaselines:
         assert all(z == 1.0 for z in tr.slots["z"])
         m2, _ = run_episode(cfg, 0, "sp")
         assert m2.generated == 0
+
+
+@pytest.mark.parametrize("error", [OSError("no git"), subprocess.TimeoutExpired(["git"], 5)], ids=["no-git", "timeout"])
+def test_build_id_falls_back_to_the_version(monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(engine.subprocess, "run", failing)
+    assert engine.build_id() == f"satdefsim-{satdefsim.__version__}"
 
 
 class TestSuite:
@@ -736,8 +797,8 @@ Window = namedtuple("Window", "erased scan_true z_true signal", defaults=(None,)
 
 def scripted_trace(windows, policy, game, params, threshold, window_len):
     """Drive the engine's threshold interceptor through scripted windows.
-    Delivery is immediate: each slot's packet carries its window's signal
-    and arrives in that slot, so the belief's response to each forced
+    Delivery is immediate: each slot receives its window's signal (none
+    where the window has none), so the belief's response to each forced
     channel state is isolated.  A row's ``utility`` is the change of the
     interceptor's realized total in its slot."""
     table = SignalTable(policy, game)
@@ -746,7 +807,7 @@ def scripted_trace(windows, policy, game, params, threshold, window_len):
     for wi, win in enumerate(windows):
         for k in range(window_len):
             t = wi * window_len + k
-            step.receive(win.erased, [] if win.signal is None else [(t, win.signal, table)])
+            step.receive(win.erased, -1 if win.signal is None else win.signal, table)
             before = step.realized
             x_att, _, _ = step.act(win.scan_true, win.z_true, win.erased, window_len - k)
             rows.append({
@@ -791,25 +852,28 @@ class TestInterceptorStep:
         prior = belief_entry(self.GAME.prior, self.GAME)
         return SignalTable(self.POLICY, self.GAME), prior, Interceptor(AttackerParams(), prior, threshold)
 
-    def test_newest_packet_sets_the_belief(self):
+    def test_received_signal_sets_the_belief(self):
         table, _, step = self.make()
-        assert step.receive(False, [(5, 1, table), (3, 0, table)]) == "1"
+        assert step.receive(False, 1, table) == "1"
         assert step.p_scan == 0.0
-        assert step.receive(False, [(3, 1, table), (5, 0, table)]) == "0"
+        assert step.receive(False, 0, table) == "0"
         assert step.belief is table.posteriors[0][0]
         assert step.p_scan == pytest.approx(0.6)
 
     def test_erased_slot_resets_to_prior_and_drops_its_packets(self):
         table, prior, step = self.make()
-        step.receive(False, [(0, 0, table)])
-        assert step.receive(True, [(1, 1, table), (2, 0, table)]) == ""
+        step.receive(False, 0, table)
+        assert step.receive(True, 1, table) == ""
         assert step.belief is prior[0] and step.p_scan == prior[1] and step.idle_gap == prior[2]
+        step.receive(False, 0, table)
+        assert step.receive(True, -1, None) == ""
+        assert step.belief is prior[0]
 
     def test_slot_with_nothing_due_keeps_the_belief(self):
         table, _, step = self.make()
-        step.receive(False, [(0, 0, table)])
-        for due in (None, []):
-            assert step.receive(False, due) == ""
+        step.receive(False, 0, table)
+        for other in (table, None):
+            assert step.receive(False, -1, other) == ""
             assert step.belief is table.posteriors[0][0]
 
     def test_attack_into_a_scan_is_blocked_and_still_pays(self):
@@ -843,14 +907,14 @@ class TestInterceptorStep:
         monkeypatch.setattr(engine, "dp_decision", counted)
         table, _, step = self.make(threshold=None)
         for remaining in (3, 2, 1):  # the prior's gap: the value of 1 and of 2 slots is built
-            step.receive(False, None)
+            step.receive(False, -1, None)
             step.act(False, 0.2, False, remaining)
-        step.receive(False, [(3, 1, table)])
+        step.receive(False, 1, table)
         step.act(False, 0.2, False, 4)  # a new gap: of 1, 2 and 3 slots
         # an equal belief from another table, and the prior after an erasure
-        step.receive(False, [(4, 1, SignalTable(self.POLICY, self.GAME))])
+        step.receive(False, 1, SignalTable(self.POLICY, self.GAME))
         step.act(False, 0.2, False, 3)
-        step.receive(True, None)
+        step.receive(True, -1, None)
         step.act(False, 0.2, True, 2)
         assert len(builds) == 5
         assert [remaining for (_, remaining, _, _), _ in calls] == [3, 2, 1, 4, 3, 2]
@@ -884,6 +948,11 @@ class TestConfigValidation:
     def test_missing_required(self):
         with pytest.raises(ConfigError):
             from_dict({"horizon": 100})
+        # a renamed key is named by its scenario path
+        raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))
+        del raw["tasks"][0]["deadline"]
+        with pytest.raises(ConfigError, match=r"^missing required key 'tasks\.0\.deadline'$"):
+            from_dict(raw)
 
     def test_duplicate_task_ids_rejected(self):
         raw = json.loads(json.dumps(NON_DEFAULT_SCENARIO))

@@ -56,3 +56,24 @@ def test_record_aggregates_each_workload():
     assert [r["host_slowdown"] for r in wl["runs"]] == [1.1, 1.2, 1.3, 1.4, 1.5]
     assert all(r["correct"] and r["failed"] == 0 and r["attempted"] == 40 for r in wl["runs"])
     json.dumps(doc)  # the record is plain JSON
+
+
+def test_failed_run_reports_its_stderr_and_exits_non_zero(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"], "run_seconds": 30,
+        "workloads": [{"name": "congested-dp"}],
+    }))
+    stderr = "".join(f"noise {i}\n" for i in range(40)) + "Traceback (most recent call last):\nValueError: boom\n"
+
+    def fake_run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return record_bench.subprocess.CompletedProcess(cmd, 0, "abc1234\n", "")
+        return record_bench.subprocess.CompletedProcess(cmd, 3, "", stderr)
+
+    monkeypatch.setattr(record_bench.subprocess, "run", fake_run)
+    assert record_bench.main(["--root", str(tmp_path), "--seeds", "2"]) != 0
+    err = capsys.readouterr().err
+    assert "congested-dp seed 1: exit code 3" in err
+    assert "ValueError: boom" in err and "noise 39" in err
+    assert "noise 0\n" not in err  # only the tail
+    assert not list(tmp_path.glob("BENCH_*.json"))

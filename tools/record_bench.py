@@ -13,10 +13,11 @@ history is comparable.  The file it writes holds, per workload, the
 median and interquartile range of every end-to-end metric over the
 seeds, and each seed's digest, ``host_slowdown``, correctness and
 operation counts; plus the commit, the versions and ``nproc`` of the
-first run.  A run takes about 5.5 min
-for 2 workloads x 5 seeds.  A series of these files, one per
-performance or result-changing commit, is the project's performance
-history.
+first run.  It stops at the first run that exits non-zero and prints
+that run's workload, seed, exit code and the end of its stderr.  A run
+takes about 5.5 min for 2 workloads x 5 seeds.  A series of these
+files, one per performance or result-changing commit, is the project's
+performance history.
 """
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+STDERR_TAIL_LINES = 20  # of a failed run, printed before exiting
 
 
 def parse_output(text: str) -> tuple[dict, dict]:
@@ -98,8 +101,13 @@ def main(argv=None) -> int:
         for seed in range(1, args.seeds + 1):
             cmd = [*bench["command"], "--workload", wl["name"], "--seed", str(seed),
                    "--seconds", str(bench["run_seconds"]), "--trace", "0"]
-            out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
-            info, result = parse_output(out)
+            run = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+            if run.returncode != 0:
+                tail = "\n".join(run.stderr.splitlines()[-STDERR_TAIL_LINES:])
+                print(f"{wl['name']} seed {seed}: exit code {run.returncode}; the end of its stderr:\n{tail}",
+                      file=sys.stderr)
+                return 1
+            info, result = parse_output(run.stdout)
             print(f"{wl['name']} seed {seed}: correct={result['correct']} digest={info['digest'][:8]}",
                   file=sys.stderr)
             runs.append((info, result))
