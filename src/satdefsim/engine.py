@@ -88,6 +88,7 @@ from .persuasion import (
     solve_persuasion,
 )
 from .scheduler import (
+    EdfQueue,
     GreedyPlanner,
     plan_horizon,
     try_fit,
@@ -512,11 +513,14 @@ class DefenderPass:
     and the policy (all star-family policies give the same schedule).
     Arrivals come from the first of the episode's three random streams.
 
-    ``live`` holds the admitted, unfinished instances in uid order: an
-    instance's uid is its index in ``self.instances``, the arrival stream
-    in request order, arrivals join ``live`` slot by slot and every
-    removal keeps the order.  Two more facts keep a slot's bookkeeping
-    to what changed:
+    The admitted, unfinished instances wait in one queue per policy.
+    fcfs keeps them in ``live``, in uid order: an instance's uid is its index in
+    ``self.instances``, the arrival stream in request order, arrivals join
+    ``live`` slot by slot and every removal keeps the order.  sp and the
+    star family keep them in the slot solver's ``EdfQueue`` instead, which
+    each arrival joins and each reaped or completed instance leaves, and
+    the star family's plan reads that queue's instances.  Two more facts
+    keep a slot's bookkeeping to what changed:
 
     - Expiry: an instance is reaped only at the start of slot
       ``deadline + 1``.  Admission in slot t needs ``deadline >= t +
@@ -585,7 +589,9 @@ class DefenderPass:
         plans = policy in _STAR_FAMILY
 
         instances = self.instances
-        live: list[TaskInstance] = []
+        fcfs = policy == "fcfs"
+        live: list[TaskInstance] = []  # fcfs's queue
+        queue = EdfQueue()  # the slot solver's queue, for every other policy
         # admitted instances by the one slot that can reap them
         reap_at: dict[int, list[TaskInstance]] = defaultdict(list)
         # sp starts a scan block at each multiple of sp_scan_period that no block covers
@@ -613,7 +619,7 @@ class DefenderPass:
             # receding-horizon plan: the star family commits to its scan pattern
             if plans:
                 plan = plan_horizon(
-                    live, w_start, w_len, util, sched_cfg,
+                    queue, w_start, w_len, util, sched_cfg,
                     specs=cfg.tasks, stability_targets=targets,
                 )
                 has_scan.append(plan.has_scan)
@@ -625,10 +631,13 @@ class DefenderPass:
                 # arrivals, all admitted: TaskSpec requires relative_deadline >= processing
                 for inst in self.arrivals_by_slot.get(t, ()):
                     admit(inst, t)
-                    live.append(inst)
+                    if fcfs:
+                        live.append(inst)
+                    else:
+                        queue.add(inst)
                     reap_at[inst.deadline + 1].append(inst)
                 # deadline reapers: only this slot's bucket can expire, and
-                # live is rebuilt only in a slot where some instance does
+                # a queue changes only in a slot where some instance does
                 due = reap_at.pop(t, None)
                 expired = due and [
                     i for i in due
@@ -642,10 +651,14 @@ class DefenderPass:
                         else:
                             inst.state = _DROPPED
                             counts["dropped"] += 1
-                    live = [i for i in live if i.state is _ADMITTED]
+                    if fcfs:
+                        live = [i for i in live if i.state is _ADMITTED]
+                    else:
+                        for inst in expired:
+                            queue.discard(inst)
 
                 # schedule
-                if policy == "fcfs":
+                if fcfs:
                     running, usage, power = self._fcfs_slot(live)
                     scan_now = False
                     z = 1.0 - max(usage)
@@ -654,7 +667,7 @@ class DefenderPass:
                         scan_now = bool(scan_plan[k])
                     else:  # sp: a scan block every sp_every slots
                         scan_now = t % sp_every < duration
-                    dec = planner.schedule_slot(live, t, forced_scan=scan_now)
+                    dec = planner.schedule_slot(queue, t, forced_scan=scan_now)
                     running = [instances[uid] for uid in dec.running]
                     usage, power, z = dec.usage, dec.power, dec.z
                     events_count += len(dec.events)
@@ -671,7 +684,9 @@ class DefenderPass:
                     if inst.state is _COMPLETED:
                         counts["completed"] += 1
                         finished = True
-                if finished:  # completion is the only way out of live here
+                        if not fcfs:
+                            queue.discard(inst)
+                if finished and fcfs:  # completion is the only way out of live here
                     live = [i for i in live if i.state is not _COMPLETED]
 
             # defender utility for the window (window-level scan frequency)

@@ -9,9 +9,12 @@ specs carry a time-average service quota (TS).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import add, attrgetter, is_, sub
+from operator import add, attrgetter, sub
 
 import numpy as np
 
@@ -20,9 +23,9 @@ from .workload import Arrival, Priority, TaskInstance, TaskSpec
 _EPS = 1e-9
 _CAP = 1.0 + _EPS  # per-resource capacity with the feasibility tolerance
 _EDF_KEY = attrgetter("deadline", "uid")
-# priority members bound once: a class-attribute lookup on an Enum costs
-# several times a module global, and the slot solver makes two per instance
-_HIGH, _LOW = Priority.HIGH, Priority.LOW
+# bound once: a class-attribute lookup on an Enum costs several times a
+# module global, and the queue makes one per update
+_HIGH = Priority.HIGH
 
 
 def try_fit(usage: tuple, power: float, demand: tuple, w: float, budget: float) -> tuple | None:
@@ -167,6 +170,163 @@ class HorizonPlan:
         return window_utility(self.scan_on.tolist(), self.z.tolist(), self.scan_duration, self.utility)
 
 
+class EdfQueue:
+    """The slot solver's queue in one earliest-deadline-first order, by
+    ``(deadline, uid)``, kept split the way the solver reads it: the
+    high-priority instances, and the low-priority runs.  A run is a
+    maximal sequence of consecutive low-priority instances of one spec in
+    that order; high-priority instances between two of them do not split
+    it.
+
+    ``add`` and ``discard`` find an instance's place by bisection on its
+    key, so uids are unique within a queue (``add`` refuses a uid the
+    queue holds, ``discard`` an instance it does not hold) and an
+    instance's deadline must not change while it is queued.  An instance
+    that lands inside a run of another spec splits that run in two; a
+    discard that empties a run between two runs of one spec merges them.
+
+    ``split()`` returns ``(high_uids, run_uids, high_specs, runs, shape)``:
+    the high-priority uids and specs in order, each run's uids, each run as
+    ``(spec, length)``, and the shape key the slot memo reads, the ids of
+    the high specs and ``(id(spec), length)`` of each run.  The same tuple
+    is returned until the next ``add`` or ``discard``; its lists are the
+    queue's own and change with it.  Iteration yields the instances in the
+    order they were added, and ``len`` counts them.
+    """
+
+    __slots__ = (
+        "_members", "_high_keys", "_high_uids", "_high_specs",
+        "_run_specs", "_run_keys", "_run_uids", "_run_lasts", "_split",
+    )
+
+    def __init__(self, instances=()):
+        """A queue of ``instances``, split in one walk of their
+        earliest-deadline-first order."""
+        members: dict[int, TaskInstance] = {}
+        high_keys: list[tuple[int, int]] = []
+        high_uids: list[int] = []
+        high_specs: list[TaskSpec] = []
+        run_specs: list[TaskSpec] = []
+        run_keys: list[list[tuple[int, int]]] = []
+        run_uids: list[list[int]] = []
+        run_spec = None
+        for inst in sorted(instances, key=_EDF_KEY):
+            uid = inst.uid
+            if uid in members:
+                raise ValueError(f"uid {uid} is already queued")
+            members[uid] = inst
+            key = (inst.deadline, uid)
+            spec = inst.spec
+            if spec is run_spec:
+                keys.append(key)
+                uids.append(uid)
+            elif spec.priority is _HIGH:
+                high_keys.append(key)
+                high_uids.append(uid)
+                high_specs.append(spec)
+            else:
+                run_spec = spec
+                keys, uids = [key], [uid]
+                run_specs.append(spec)
+                run_keys.append(keys)
+                run_uids.append(uids)
+        self._members = members
+        self._high_keys, self._high_uids, self._high_specs = high_keys, high_uids, high_specs
+        self._run_specs, self._run_keys, self._run_uids = run_specs, run_keys, run_uids
+        self._run_lasts = [keys[-1] for keys in run_keys]  # each run's last key, ascending
+        self._split = None
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __iter__(self):
+        return iter(self._members.values())
+
+    def _insert_run(self, j: int, spec: TaskSpec, keys: list, uids: list) -> None:
+        self._run_specs.insert(j, spec)
+        self._run_keys.insert(j, keys)
+        self._run_uids.insert(j, uids)
+        self._run_lasts.insert(j, keys[-1])
+
+    def add(self, inst: TaskInstance) -> None:
+        uid = inst.uid
+        members = self._members
+        if uid in members:
+            raise ValueError(f"uid {uid} is already queued")
+        members[uid] = inst
+        self._split = None
+        key = (inst.deadline, uid)
+        spec = inst.spec
+        if spec.priority is _HIGH:
+            i = bisect_left(self._high_keys, key)
+            self._high_keys.insert(i, key)
+            self._high_uids.insert(i, uid)
+            self._high_specs.insert(i, spec)
+            return
+        specs, lasts = self._run_specs, self._run_lasts
+        j = bisect_left(lasts, key)  # the first run that ends after key
+        if j < len(lasts):
+            keys, uids = self._run_keys[j], self._run_uids[j]
+            if keys[0] < key:  # inside run j
+                i = bisect_left(keys, key)
+                if specs[j] is spec:
+                    keys.insert(i, key)
+                    uids.insert(i, uid)
+                    return
+                # another spec's instance splits run j around it
+                self._insert_run(j + 1, specs[j], keys[i:], uids[i:])
+                del keys[i:], uids[i:]
+                lasts[j] = keys[-1]
+                self._insert_run(j + 1, spec, [key], [uid])
+                return
+            if specs[j] is spec:  # just ahead of a run of its spec
+                keys.insert(0, key)
+                uids.insert(0, uid)
+                return
+        if j and specs[j - 1] is spec:  # just behind a run of its spec
+            self._run_keys[j - 1].append(key)
+            self._run_uids[j - 1].append(uid)
+            lasts[j - 1] = key
+            return
+        self._insert_run(j, spec, [key], [uid])
+
+    def discard(self, inst: TaskInstance) -> None:
+        uid = inst.uid
+        members = self._members
+        if members.get(uid) is not inst:
+            raise KeyError(f"instance {uid} is not queued")
+        del members[uid]
+        self._split = None
+        key = (inst.deadline, uid)
+        if inst.spec.priority is _HIGH:
+            i = bisect_left(self._high_keys, key)
+            del self._high_keys[i], self._high_uids[i], self._high_specs[i]
+            return
+        specs, lasts, run_keys, run_uids = self._run_specs, self._run_lasts, self._run_keys, self._run_uids
+        j = bisect_left(lasts, key)  # the run that holds key
+        keys, uids = run_keys[j], run_uids[j]
+        i = bisect_left(keys, key)
+        del keys[i], uids[i]
+        if keys:
+            lasts[j] = keys[-1]
+            return
+        del specs[j], run_keys[j], run_uids[j], lasts[j]
+        if 0 < j < len(specs) and specs[j - 1] is specs[j]:  # the runs either side merge
+            run_keys[j - 1] += run_keys.pop(j)
+            run_uids[j - 1] += run_uids.pop(j)
+            lasts[j - 1] = lasts.pop(j)
+            del specs[j]
+
+    def split(self):
+        split = self._split
+        if split is None:
+            counts = list(map(len, self._run_uids))
+            runs = list(zip(self._run_specs, counts))
+            shape = (tuple(map(id, self._high_specs)), tuple(zip(map(id, self._run_specs), counts)))
+            split = self._split = (self._high_uids, self._run_uids, self._high_specs, runs, shape)
+        return split
+
+
 class GreedyPlanner:
     """Window-scoped greedy slot solver.
 
@@ -185,8 +345,10 @@ class GreedyPlanner:
     in ``_slot_memo``, shared by every planner of the same utility,
     config, window length and targets.  A hit replays the stored
     positions, usage, power, events, served counts and scan commit on
-    the current queue.  The last queue's split into high-priority
-    instances and runs is kept for the same instances in the same order.
+    the current queue.  The queue is an ``EdfQueue``, which keeps its
+    split up to date as instances join and leave it and hands the same
+    split back until the next change, so a slot whose queue did not
+    change reads its shape without a walk.
     """
 
     def __init__(
@@ -207,8 +369,6 @@ class GreedyPlanner:
         self.scan_active_until = window_start  # exclusive
         self.served_in_window: dict[str, int] = {}
         self._memo = _slot_memo(utility, config, window_len, tuple(sorted(self.stability_targets.items())))
-        self._last_queue: tuple | None = None
-        self._last_split = None
 
     # -- marginal utility -------------------------------------------------
     def _scan_margin(self, z_now: float, z_scan: float) -> float:
@@ -284,39 +444,6 @@ class GreedyPlanner:
         return False, fill_scan
 
     # -- the slot solver ---------------------------------------------------
-    def _edf_split(self, queue: list[TaskInstance]):
-        """The queue in one earliest-deadline-first order, split into the
-        high-priority uids and the low-priority runs of one spec (uid
-        lists; high-priority instances between two instances of a low
-        spec do not split its run), with their specs and the shape key.
-        The last split is returned again for the same instances in the
-        same order."""
-        last = self._last_queue
-        if last is not None and len(last) == len(queue) and all(map(is_, queue, last)):
-            return self._last_split
-        high_uids: list[int] = []
-        high_specs: list[TaskSpec] = []
-        run_uids: list[list[int]] = []
-        run_specs: list[TaskSpec] = []
-        run_spec = None
-        for inst in sorted(queue, key=_EDF_KEY):
-            spec = inst.spec
-            if spec is run_spec:
-                run.append(inst.uid)
-            elif spec.priority is _HIGH:
-                high_uids.append(inst.uid)
-                high_specs.append(spec)
-            elif spec.priority is _LOW:
-                run_spec = spec
-                run = [inst.uid]
-                run_uids.append(run)
-                run_specs.append(spec)
-        runs = [(spec, len(uids)) for spec, uids in zip(run_specs, run_uids)]
-        shape = (tuple(map(id, high_specs)), tuple((id(spec), n) for spec, n in runs))
-        self._last_queue = tuple(queue)
-        self._last_split = split = (high_uids, run_uids, high_specs, runs, shape)
-        return split
-
     def _decide(self, high_specs: list[TaskSpec], runs: list[tuple[TaskSpec, int]], scan_on: bool, can_start: bool, behind: tuple[str, ...]):
         """One slot's decision from the queue's shape, as the memo stores
         it: the positions of the high-priority instances run, the low
@@ -386,14 +513,14 @@ class GreedyPlanner:
             tuple(served.items()), (tuple(high_specs), tuple(runs)),
         )
 
-    def schedule_slot(self, queue: list[TaskInstance], t: int, forced_scan: bool | None = None) -> SlotDecision:
+    def schedule_slot(self, queue: EdfQueue, t: int, forced_scan: bool | None = None) -> SlotDecision:
         """Decide one slot.  ``queue`` holds admitted instances eligible at t.
 
         ``forced_scan`` executes a pre-committed scan pattern (the scan
         activation step is skipped); the scan demand is still reserved
         ahead of everything else.
         """
-        high_uids, run_uids, high_specs, runs, shape = self._edf_split(queue)
+        high_uids, run_uids, high_specs, runs, shape = queue.split()
         if forced_scan is not None:
             scan_on, can_start = bool(forced_scan), False
         else:
@@ -445,7 +572,7 @@ def _release_offsets(arrival: Arrival, window_len: int, phase: int) -> tuple[int
 
 
 def plan_horizon(
-    queue: list[TaskInstance],
+    queue: Iterable[TaskInstance],
     window_start: int,
     window_len: int,
     utility: UtilityParams,
@@ -458,7 +585,13 @@ def plan_horizon(
     exact, aperiodic at the expected rate).  Re-solved every window by the
     caller (receding horizon); deterministic for fixed inputs.  The
     window is simulated on a map of remaining work, so the caller's
-    instances are left untouched.
+    instances are left untouched.  ``queue`` is any iterable of instances;
+    the inactive ones are skipped.
+
+    The window's ``EdfQueue`` is built once, from the instances eligible at
+    the window start, and then kept in step: each release is added in its
+    slot, each firm instance still unfinished is discarded at ``deadline +
+    1``, and each completion is discarded after the slot that completes it.
     """
     if stability_targets is None:
         stability_targets = stability_targets_of(specs or ())
@@ -481,7 +614,6 @@ def plan_horizon(
             t = window_start + off
             sim.append(TaskInstance(uid=uid, spec=spec, req=t))
         uid_top -= len(offsets)
-    sim.sort(key=_EDF_KEY)
 
     planner = GreedyPlanner(utility, config, window_start, window_len, stability_targets)
     scan_on: list[int] = []
@@ -489,31 +621,38 @@ def plan_horizon(
     running: list[list[int]] = []
     events: list[tuple[int, str, str]] = []
     left = {i.uid: i.remaining for i in sim}
+    by_uid = {i.uid: i for i in sim}
     # The eligible set changes only where an instance is released, the slot
-    # after a firm deadline, or after a completion; in every other slot the
-    # planner is handed the same list again.
-    changes = {i.req for i in sim}
-    changes.update(i.deadline + 1 for i in sim if i.spec.firm_deadline)
-    eligible = None
+    # after a firm deadline, or after a completion, so the window's queue is
+    # built once and then follows those changes.
+    released: dict[int, list[TaskInstance]] = defaultdict(list)
+    expiring: dict[int, list[TaskInstance]] = defaultdict(list)
+    first = []
+    for inst in sim:
+        firm = inst.spec.firm_deadline
+        if inst.req > window_start:
+            released[inst.req].append(inst)
+        elif not (firm and window_start > inst.deadline):
+            first.append(inst)
+        if firm and inst.deadline >= window_start:
+            expiring[inst.deadline + 1].append(inst)  # released by then: deadline >= req + 1
+    eligible = EdfQueue(first)
 
     for t in range(window_start, window_start + window_len):
-        if eligible is None or t in changes:
-            eligible = [
-                i for i in sim
-                if i.req <= t and not (i.spec.firm_deadline and t > i.deadline)
-            ]
+        for inst in released.get(t, ()):
+            eligible.add(inst)
+        for inst in expiring.get(t, ()):
+            if left[inst.uid]:  # a completed instance has left already
+                eligible.discard(inst)
         dec = planner.schedule_slot(eligible, t)
         scan_on.append(int(dec.scan_on))
         zs.append(dec.z)
         running.append(dec.running)
         events.extend(dec.events)
-        finished = False
         for uid in dec.running:
             left[uid] -= 1
-            finished = finished or left[uid] == 0
-        if finished:  # sim holds only instances with work left
-            sim = [i for i in sim if left[i.uid]]
-            eligible = None
+            if not left[uid]:
+                eligible.discard(by_uid[uid])
 
     z_arr = np.array(zs)
     return HorizonPlan(

@@ -12,7 +12,7 @@ change pass: a change of decisions is a change of results.
 """
 from __future__ import annotations
 
-from operator import add
+from operator import add, attrgetter
 
 import pytest
 
@@ -221,7 +221,9 @@ def run_reaper_oracle(cfg, seed, policy, monkeypatch):
         def checked_slot(self, queue, t, forced_scan=None):
             dec = schedule_slot(self, queue, t, forced_scan=forced_scan)
             if forced_scan is not None:  # the pass's execution, not a plan
-                oracle.check(queue, t)
+                # the EDF queue keeps no uid order, so its contents are
+                # checked in uid order
+                oracle.check(sorted(queue, key=attrgetter("uid")), t)
                 ran.append(set(dec.running))
             return dec
 

@@ -689,14 +689,32 @@ class TestBaselines:
         assert "light" not in ids  # blocked behind hog2 despite idle fpga
         assert usage[1] == 0.0
 
-    def test_sp_preempts_routine_for_scan(self):
+    def test_sp_preempts_routine_for_scan(self, monkeypatch):
         # saturate the fpga with routine work; when the periodic scan
-        # fires, fewer routine instances run
+        # fires, fewer routine instances run: counted from each executed
+        # slot decision, both the most and the mean routine instances in a
+        # scan slot are below those in a slot without one
         cfg = small_cfg(sp_scan_period=30)
-        _, tr = run_episode(cfg, 7, "sp")
-        z = np.array(tr.slots["z"])
-        scans = np.array(tr.slots["scan_on"], dtype=bool)
-        assert scans.any() and (~scans).any()
+        decisions = []
+        schedule_slot = engine.GreedyPlanner.schedule_slot
+
+        def recording(self, queue, t, forced_scan=None):
+            dec = schedule_slot(self, queue, t, forced_scan)
+            decisions.append(dec)
+            return dec
+
+        monkeypatch.setattr(engine.GreedyPlanner, "schedule_slot", recording)
+        defender = engine.DefenderPass(cfg, 7, "sp")
+        schedule = defender.run()
+        assert [dec.t for dec in decisions] == list(range(cfg.horizon))  # sp makes no plan
+        routine = {True: [], False: []}
+        for dec in decisions:
+            ran = [defender.instances[uid].spec.id for uid in dec.running]
+            routine[dec.scan_on].append(ran.count("routine"))
+        assert [int(dec.scan_on) for dec in decisions] == list(schedule.scan_on)
+        assert routine[True] and routine[False]
+        assert max(routine[True]) < max(routine[False])
+        assert np.mean(routine[True]) < np.mean(routine[False])
 
     @pytest.mark.parametrize("period,duration", [(3, 5), (4, 6), (5, 5), (20, 5)])
     def test_sp_scan_cadence_matches_the_stateful_rule(self, period, duration):
@@ -1387,16 +1405,16 @@ def test_scenario_key_moves_an_episode(key, scenario, change):
 
 
 def test_sp_scan_preempts_routine_work():
-    from satdefsim.scheduler import GreedyPlanner, UtilityParams
+    from satdefsim.scheduler import EdfQueue, GreedyPlanner, UtilityParams
     from conftest import make_instance
 
     cfg = default_scenario()
     sched = cfg.scheduler_config()
-    queue = [
+    queue = EdfQueue(
         make_instance(uid=k, tid="routine", demand=(0.05, 0.15), power=0.13,
                       processing=18, deadline=50)
         for k in range(8)
-    ]
+    )
     with_scan = GreedyPlanner(UtilityParams(), sched, 0, 5).schedule_slot(queue, 0, forced_scan=True)
     without = GreedyPlanner(UtilityParams(), sched, 0, 5).schedule_slot(queue, 0, forced_scan=False)
     assert len(with_scan.running) < len(without.running)

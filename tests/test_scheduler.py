@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satdefsim.scheduler import (
+    EdfQueue,
     GreedyPlanner,
     ScanTask,
     SchedulerConfig,
@@ -71,12 +72,12 @@ class TestSlotUtility:
 
 class TestGreedySlot:
     def test_empty_queue_scan_activates(self):
-        dec = GreedyPlanner(UTIL, CFG, 0, SCAN.duration).schedule_slot([], 0)
+        dec = GreedyPlanner(UTIL, CFG, 0, SCAN.duration).schedule_slot(EdfQueue(), 0)
         assert dec.scan_on and dec.running == []
         assert dec.z == pytest.approx(1.0 - 0.15)
 
     def test_scan_disabled(self):
-        dec = GreedyPlanner(UTIL, CFG, 0, SCAN.duration).schedule_slot([], 0, forced_scan=False)
+        dec = GreedyPlanner(UTIL, CFG, 0, SCAN.duration).schedule_slot(EdfQueue(), 0, forced_scan=False)
         assert not dec.scan_on and dec.z == 1.0
 
     def test_relay_first_routine_deferred(self):
@@ -89,18 +90,18 @@ class TestGreedySlot:
             for k in range(7)
         ]
         planner = GreedyPlanner(UTIL, CFG, 0, 5)
-        dec = planner.schedule_slot([relay] + routines, 0, forced_scan=False)
+        dec = planner.schedule_slot(EdfQueue([relay] + routines), 0, forced_scan=False)
         assert relay.uid in dec.running
         # FPGA: 0.10 + n*0.15 <= 1 -> at most 6 routines
         assert len(dec.running) == 7
 
     def test_scan_midflight_with_arriving_high_priority(self):
         planner = GreedyPlanner(UTIL, CFG, 0, 10)
-        dec0 = planner.schedule_slot([], 0)
+        dec0 = planner.schedule_slot(EdfQueue(), 0)
         assert dec0.scan_on
         relay = make_instance(uid=0, tid="relay", priority=Priority.HIGH,
                               demand=(0.20, 0.10), processing=2, deadline=2, firm=True)
-        dec1 = planner.schedule_slot([relay], 1)
+        dec1 = planner.schedule_slot(EdfQueue([relay]), 1)
         assert dec1.scan_on and relay.uid in dec1.running
         assert dec1.z == pytest.approx(1.0 - 0.35)
 
@@ -109,7 +110,7 @@ class TestGreedySlot:
                             demand=(0.9, 0.9), processing=1, deadline=1, firm=True,
                             power=2.0)
         planner = GreedyPlanner(UTIL, CFG, 0, 5)
-        dec = planner.schedule_slot([big], 0, forced_scan=False)
+        dec = planner.schedule_slot(EdfQueue([big]), 0, forced_scan=False)
         assert big.uid not in dec.running
         assert any(kind == "infeasible-slot" for _, kind, _ in dec.events)
 

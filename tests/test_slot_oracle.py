@@ -15,6 +15,11 @@ change of results.
 ``plan_horizon`` as it stood before it kept its eligible set between
 slots and projected arrivals from templates, solving each slot with
 ``ReferencePlanner``.
+
+``_ref_edf_split`` is the slot solver's split of its queue as it stood
+before ``EdfQueue`` kept the split up to date: a full sort and one walk.
+After every ``add`` and ``discard`` of random sequences, the queue's
+split must equal the walk's and that of a queue built afresh.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ import pytest
 from satdefsim import engine, scheduler
 from satdefsim.config import load_config
 from satdefsim.scheduler import (
+    EdfQueue,
     GreedyPlanner,
     ScanTask,
     SchedulerConfig,
@@ -263,7 +269,7 @@ def test_slot_solver_matches_reference(forcing):
                 forced = None
             else:
                 forced = bool(rng.random() < 0.5)
-            got = live.schedule_slot(list(queue), t, forced)
+            got = live.schedule_slot(EdfQueue(queue), t, forced)
             want = ref.schedule_slot(list(queue), t, forced)
             _assert_same_decision(got, want, live, ref)
             checked["scan"] += want.scan_on
@@ -332,7 +338,7 @@ def test_run_fill_matches_reference_on_queue_shapes(shape):
             live = GreedyPlanner(UtilityParams(), config, 0, 6, targets)
             ref = ReferencePlanner(UtilityParams(), config, 0, 6, targets)
             for t, forced in enumerate((None, None, True, False, None, None)):
-                got = live.schedule_slot(list(queue), t, forced)
+                got = live.schedule_slot(EdfQueue(queue), t, forced)
                 want = ref.schedule_slot(list(queue), t, forced)
                 _assert_same_decision(got, want, live, ref)
                 ran = [i.spec.id for i in queue if i.uid in want.running]
@@ -365,13 +371,13 @@ def test_forced_decisions_read_only_the_config():
             t = w_start + k
             queue = [pool[i] for i in rng.permutation(len(pool))[: int(rng.integers(0, len(pool) + 1))]]
             if k < w_len // 2:  # free slots: the window planner commits scans and counts service
-                window.schedule_slot(list(queue), t)
+                window.schedule_slot(EdfQueue(queue), t)
                 continue
             seen["committed"] += window.scan_slots_committed > 0
             forced = bool(rng.random() < 0.5)
             seen["forced on" if forced else "forced off"] += 1
-            got = one.schedule_slot(list(queue), t, forced)
-            want = window.schedule_slot(list(queue), t, forced)
+            got = one.schedule_slot(EdfQueue(queue), t, forced)
+            want = window.schedule_slot(EdfQueue(queue), t, forced)
             assert got.running == want.running
             assert got.scan_on is want.scan_on
             assert got.z.hex() == want.z.hex()
@@ -383,13 +389,150 @@ def test_forced_decisions_read_only_the_config():
 
 # -- the reuse paths: the queue's split and the slot memo ---------------------------
 
+def _ref_edf_split(queue):
+    """The queue's split as ``GreedyPlanner._edf_split`` built it before
+    the queue kept its own: one full earliest-deadline-first sort, then
+    one walk that appends each low-priority instance to the open run of
+    its spec or opens a new run."""
+    high_uids, high_specs, run_uids, run_specs = [], [], [], []
+    run_spec = None
+    for inst in sorted(queue, key=_EDF_KEY):
+        spec = inst.spec
+        if spec is run_spec:
+            run.append(inst.uid)
+        elif spec.priority is Priority.HIGH:
+            high_uids.append(inst.uid)
+            high_specs.append(spec)
+        elif spec.priority is Priority.LOW:
+            run_spec = spec
+            run = [inst.uid]
+            run_uids.append(run)
+            run_specs.append(spec)
+    runs = [(spec, len(uids)) for spec, uids in zip(run_specs, run_uids)]
+    shape = (tuple(map(id, high_specs)), tuple((id(spec), n) for spec, n in runs))
+    return high_uids, run_uids, high_specs, runs, shape
+
+
+def _split_by_identity(split):
+    """A split with its specs replaced by their ids, so that two splits
+    compare equal only if they name the same spec objects."""
+    high_uids, run_uids, high_specs, runs, shape = split
+    return (
+        list(high_uids), [list(uids) for uids in run_uids], [id(s) for s in high_specs],
+        [(id(s), n) for s, n in runs], shape,
+    )
+
+
+def _edf_spec(spec_id, priority, relative_deadline):
+    return TaskSpec(
+        id=spec_id, nature=Nature.MISSION, priority=priority,
+        arrival=Arrival(kind="aperiodic", rate=0.2), demand=[0.1, 0.1],
+        power_weight=0.05, processing=1, relative_deadline=relative_deadline,
+    )
+
+
+def _high_inside_a_run(queue) -> bool:
+    """Does a high-priority instance fall between two instances of one
+    low-priority run in earliest-deadline-first order?"""
+    last_low, high_since = None, False
+    for inst in sorted(queue, key=_EDF_KEY):
+        if inst.spec.priority is Priority.HIGH:
+            high_since = True
+        elif inst.spec is last_low and high_since:
+            return True
+        else:
+            last_low, high_since = inst.spec, False
+    return False
+
+
+def test_queue_split_matches_a_fresh_build_and_the_reference_walk():
+    """Random add and discard sequences: after every update the queue's
+    split equals that of a queue built afresh from the same instances and
+    that of the reference walk.  Arrivals come in time order, as in an
+    episode, with some out of uid order; "long" arrivals have deadlines
+    far enough ahead that a "short" arrival lands in the middle of a
+    "long" run and splits it."""
+    rng = np.random.default_rng(11)
+    low, high = Priority.LOW, Priority.HIGH
+    seen = dict.fromkeys(("run split", "runs merged", "high inside a run", "out of uid order"), 0)
+    for _ in range(200):
+        specs = [_edf_spec("long", low, 12), _edf_spec("short", low, 2), _edf_spec("mid", low, 5)]
+        specs = specs[: int(rng.integers(2, 4))]
+        specs += [_edf_spec("urgent", high, 3), _edf_spec("relay", high, 8)][: int(rng.integers(0, 3))]
+        queue = EdfQueue()
+        held: dict[int, TaskInstance] = {}
+        t, next_uid = 0, 0
+        for _ in range(60):
+            runs_before = len(queue.split()[3])
+            if held and rng.random() < 0.4:
+                inst = held.pop(int(rng.choice(list(held))))
+                queue.discard(inst)
+                spec = inst.spec
+                seen["runs merged"] += spec.priority is low and len(queue.split()[3]) == runs_before - 2
+            else:
+                t += int(rng.integers(0, 2))
+                if rng.random() < 0.1:  # a uid below every other, as the plan's stand-ins take
+                    uid = -1 - next_uid
+                    seen["out of uid order"] += 1
+                else:
+                    uid = next_uid
+                next_uid += 1
+                spec = specs[int(rng.integers(len(specs)))]
+                inst = held[uid] = TaskInstance(uid=uid, spec=spec, req=t)
+                queue.add(inst)
+                seen["run split"] += spec.priority is low and len(queue.split()[3]) == runs_before + 2
+            want = _split_by_identity(_ref_edf_split(list(held.values())))
+            assert _split_by_identity(queue.split()) == want
+            assert _split_by_identity(EdfQueue(held.values()).split()) == want
+            assert len(queue) == len(held)
+            assert sorted(i.uid for i in queue) == sorted(held)
+            seen["high inside a run"] += _high_inside_a_run(held.values())
+    assert all(v > 0 for v in seen.values()), seen
+
+
+def test_queue_refuses_a_uid_it_holds_and_an_instance_it_does_not():
+    spec = _edf_spec("long", Priority.LOW, 12)
+    inst = TaskInstance(uid=3, spec=spec, req=0)
+    queue = EdfQueue([inst])
+    with pytest.raises(ValueError):
+        queue.add(TaskInstance(uid=3, spec=spec, req=1))
+    with pytest.raises(KeyError):
+        queue.discard(TaskInstance(uid=4, spec=spec, req=0))
+    with pytest.raises(KeyError):  # the same uid, another instance
+        queue.discard(TaskInstance(uid=3, spec=spec, req=0))
+    queue.discard(inst)
+    with pytest.raises(KeyError):
+        queue.discard(inst)
+    assert len(queue) == 0 and _split_by_identity(queue.split()) == _split_by_identity(_ref_edf_split([]))
+
+
+def test_an_unchanged_queue_reuses_its_split():
+    """The split is built once per change: an unchanged queue hands back
+    the same split object, and an add or a discard makes a new one."""
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        _, _, _, pool = _random_case(rng)
+        queue = EdfQueue(pool)
+        split = queue.split()
+        assert queue.split() is split
+        inst = pool[int(rng.integers(len(pool)))]
+        queue.discard(inst)
+        assert queue.split() is not split
+        split = queue.split()
+        assert queue.split() is split
+        queue.add(inst)
+        assert queue.split() is not split
+        assert _split_by_identity(queue.split()) == _split_by_identity(_ref_edf_split(pool))
+
+
 @pytest.mark.parametrize("forcing", ["free", "forced"])
-def test_repeated_queues_match_reference(forcing):
-    """The same instances handed in slot after slot, in the same list or
-    a copy (the split is reused) or in a new order (it is not), decide
-    as the reference does."""
+def test_queue_updates_decide_as_reference(forcing):
+    """One queue kept slot after slot by adds and discards, as the
+    defender pass and the plan keep theirs, decides as the reference
+    does on a list of the same instances; a slot whose queue did not
+    change reuses its split."""
     rng = np.random.default_rng({"free": 5, "forced": 6}[forcing])
-    seen = dict.fromkeys(("same list", "copy", "new order", "split reused"), 0)
+    seen = dict.fromkeys(("added", "discarded", "split reused"), 0)
     for _ in range(100):
         utility, config, targets, pool = _random_case(rng)
         if rng.random() < 0.5:  # no quota, so a scan block can follow another
@@ -397,21 +540,26 @@ def test_repeated_queues_match_reference(forcing):
         w_start, w_len = int(rng.integers(0, 10)), int(rng.integers(2, 13))
         live = GreedyPlanner(utility, config, w_start, w_len, targets)
         ref = ReferencePlanner(utility, config, w_start, w_len, targets)
-        queue = list(pool)
+        queue = EdfQueue()
+        held: dict[int, TaskInstance] = {}
         for k in range(w_len):
-            how = ("same list", "copy", "new order")[int(rng.integers(3))]
-            if how == "copy":
-                queue = list(queue)
-            elif how == "new order":
-                queue = [queue[i] for i in rng.permutation(len(queue))]
-            seen[how] += 1
+            split = queue.split()
+            changed = rng.random() < 0.7
+            for j in rng.permutation(len(pool))[: int(rng.integers(1, 4))] if changed else ():
+                inst = pool[j]
+                if held.pop(inst.uid, None) is None:
+                    queue.add(inst)
+                    held[inst.uid] = inst
+                    seen["added"] += 1
+                else:
+                    queue.discard(inst)
+                    seen["discarded"] += 1
             forced = None if forcing == "free" else bool(rng.random() < 0.5)
-            split = live._last_split
             got = live.schedule_slot(queue, w_start + k, forced)
-            want = ref.schedule_slot(list(queue), w_start + k, forced)
+            want = ref.schedule_slot(list(held.values()), w_start + k, forced)
             _assert_same_decision(got, want, live, ref)
-            if k and how != "new order":
-                assert live._last_split is split
+            if not changed:
+                assert queue.split() is split
                 seen["split reused"] += 1
     assert all(v > 0 for v in seen.values()), seen
 
@@ -437,7 +585,7 @@ def test_window_planners_share_decisions_by_scope():
             ref = ReferencePlanner(utility, config, w_start, n, targets)
             stored = len(live._memo)
             for t in range(w_start, w_start + n):
-                got = live.schedule_slot(list(queue), t)
+                got = live.schedule_slot(EdfQueue(queue), t)
                 want = ref.schedule_slot(list(queue), t)
                 _assert_same_decision(got, want, live, ref)
             memos.add(id(live._memo))
@@ -456,7 +604,7 @@ def test_a_full_memo_is_emptied(monkeypatch):
         ref = ReferencePlanner(utility, config, 0, 8, targets)
         for t in range(8):
             queue = [pool[i] for i in rng.permutation(len(pool))[: int(rng.integers(0, len(pool) + 1))]]
-            _assert_same_decision(live.schedule_slot(queue, t), ref.schedule_slot(queue, t), live, ref)
+            _assert_same_decision(live.schedule_slot(EdfQueue(queue), t), ref.schedule_slot(queue, t), live, ref)
             assert 0 < len(live._memo) <= 3
 
 
