@@ -3,14 +3,14 @@ policies, metric aggregation, benchmark suites and parameter sweeps.
 
 An episode is two passes.  The defender pass (``DefenderPass``) runs
 arrivals, admission, deadline reaping, the receding-horizon plan of each
-window, the slot solver or the fcfs rule and task progress, and returns
-a read-only ``DefenderSchedule``.  The telemetry pass (``EpisodeRunner``)
-reads that schedule and its policy's ``SignalPlan`` and writes to
-neither: it quantizes each window's planned (scan, load) state, draws
-one deceptive signal per slot from the plan's tables, then runs one loop
-over the slots that delivers or erases telemetry, updates the
-interceptor's belief and lets it act.  Episodes are deterministic given
-(config, seed).
+window, the slot solver or the fcfs rule and task progress over one
+instance queue, and returns a read-only ``DefenderSchedule``.  The
+telemetry pass (``EpisodeRunner``) reads that schedule and its policy's
+``SignalPlan`` and writes to neither: it quantizes each window's
+planned (scan, load) state, draws one deceptive signal per slot from the
+plan's tables, then runs one loop over the slots that delivers or erases
+telemetry, updates the interceptor's belief and lets it act.  Episodes
+are deterministic given (config, seed).
 
 Signaling shapes only the downlink, so star, star-static and stardis
 run the same defender pass on one seed.  ``defender_schedule`` keeps the
@@ -53,7 +53,7 @@ import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import islice
+from itertools import chain
 from operator import add
 from types import MappingProxyType
 
@@ -513,24 +513,23 @@ class DefenderPass:
     and the policy (all star-family policies give the same schedule).
     Arrivals come from the first of the episode's three random streams.
 
-    The admitted, unfinished instances wait in one queue per policy.
-    fcfs keeps them in ``live``, in uid order: an instance's uid is its index in
-    ``self.instances``, the arrival stream in request order, arrivals join
-    ``live`` slot by slot and every removal keeps the order.  sp and the
-    star family keep them in the slot solver's ``EdfQueue`` instead, which
-    each arrival joins and each reaped or completed instance leaves, and
-    the star family's plan reads that queue's instances.  Two more facts
-    keep a slot's bookkeeping to what changed:
+    The admitted, unfinished instances wait in one ``EdfQueue``, which
+    each arrival joins and each reaped or completed instance leaves; the
+    slot solver and the star family's plan read it in EDF order, fcfs in
+    the order instances joined.  That order is uid order: an instance's
+    uid is its index in ``self.instances``, the arrival stream in request
+    order, arrivals join slot by slot and a discard keeps the order.  Two
+    more facts keep a slot's bookkeeping to what changed:
 
     - Expiry: an instance is reaped only at the start of slot
       ``deadline + 1``.  Admission in slot t needs ``deadline >= t +
       remaining``, so that slot is still ahead; a firm instance still
-      live then is missed, a soft one dropped unless it has started, and
+      queued then is missed, a soft one dropped unless it has started, and
       as ``service`` never falls a started soft one is never reaped.
     - fcfs prefix: non-preemptive head-of-line fcfs starts a prefix of
-      the waiting instances in ``live`` order, so by induction over the
-      slots every started instance (``service > 0``) comes before every
-      waiting one in ``live``."""
+      the waiting instances in uid order, so by induction over the slots
+      every started instance (``service > 0``) comes before every waiting
+      one in the queue's iteration."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, policy: str):
         self.cfg = cfg
@@ -544,31 +543,32 @@ class DefenderPass:
         self._carried = (0, (0.0,) * len(cfg.resources), 0.0)
 
     # -- policy-specific slot scheduling ------------------------------------
-    # ``live`` holds only active instances here (the reaper ran first).
-    def _fcfs_slot(self, live):
+    # ``queue`` holds only active instances here (the reaper ran first).
+    def _fcfs_slot(self, queue):
         """Non-preemptive first come, first served: every started instance
         (service > 0) keeps running, then queued ones start in request
         order until the first that does not fit.  The started instances
-        are the head of ``live`` and the queue its rest, both in request
-        order (see the class docstring).  Nothing starts between slots, so
-        a started prefix as long as the last slot's running list is that
-        list, and its uid-order sums are the ones carried from that slot;
-        any other prefix is summed afresh in uid order."""
-        n = 0
-        for inst in live:
-            if inst.service == 0:
+        head the queue's iteration and the waiting ones follow, both in
+        request order (see the class docstring).  Nothing starts between
+        slots, so a started prefix as long as the last slot's running list
+        is that list, and its uid-order sums are the ones carried from that
+        slot; any other prefix is summed afresh in uid order."""
+        running = []
+        waiting = iter(queue)
+        for inst in waiting:
+            if inst.service == 0:  # the first waiting instance heads the rest
+                waiting = chain((inst,), waiting)
                 break
-            n += 1
-        running = live[:n]
+            running.append(inst)
         carried_n, usage, power = self._carried
-        if n != carried_n:
+        if len(running) != carried_n:
             usage = (0.0,) * len(self.cfg.resources)
             power = 0.0
             for inst in running:
                 usage = tuple(map(add, usage, inst.spec.demand))
                 power += inst.spec.power_weight
         budget = self.cfg.power_budget
-        for inst in islice(live, n, None):  # head-of-line: stop at the first non-fit
+        for inst in waiting:  # head-of-line: stop at the first non-fit
             spec = inst.spec
             new = try_fit(usage, power, spec.demand, spec.power_weight, budget)
             if new is None:
@@ -590,8 +590,7 @@ class DefenderPass:
 
         instances = self.instances
         fcfs = policy == "fcfs"
-        live: list[TaskInstance] = []  # fcfs's queue
-        queue = EdfQueue()  # the slot solver's queue, for every other policy
+        queue = EdfQueue()
         # admitted instances by the one slot that can reap them
         reap_at: dict[int, list[TaskInstance]] = defaultdict(list)
         # sp starts a scan block at each multiple of sp_scan_period that no block covers
@@ -631,39 +630,29 @@ class DefenderPass:
                 # arrivals, all admitted: TaskSpec requires relative_deadline >= processing
                 for inst in self.arrivals_by_slot.get(t, ()):
                     admit(inst, t)
-                    if fcfs:
-                        live.append(inst)
-                    else:
-                        queue.add(inst)
+                    queue.add(inst)
                     reap_at[inst.deadline + 1].append(inst)
-                # deadline reapers: only this slot's bucket can expire, and
-                # a queue changes only in a slot where some instance does
-                due = reap_at.pop(t, None)
-                expired = due and [
-                    i for i in due
-                    if i.state is _ADMITTED and (i.spec.firm_deadline or i.service == 0)
-                ]
-                if expired:
-                    for inst in expired:
-                        if inst.spec.firm_deadline:
-                            inst.state = _MISSED
-                            counts["missed"] += 1
-                        else:
-                            inst.state = _DROPPED
-                            counts["dropped"] += 1
-                    if fcfs:
-                        live = [i for i in live if i.state is _ADMITTED]
-                    else:
-                        for inst in expired:
-                            queue.discard(inst)
+                # deadline reaper: only this slot's bucket can expire
+                for inst in reap_at.pop(t, ()):
+                    if inst.state is not _ADMITTED:
+                        continue
+                    if inst.spec.firm_deadline:
+                        inst.state = _MISSED
+                        counts["missed"] += 1
+                    elif inst.service == 0:
+                        inst.state = _DROPPED
+                        counts["dropped"] += 1
+                    else:  # a started soft instance runs on
+                        continue
+                    queue.discard(inst)
 
                 # schedule
                 if fcfs:
-                    running, usage, power = self._fcfs_slot(live)
+                    running, usage, power = self._fcfs_slot(queue)
                     scan_now = False
                     z = 1.0 - max(usage)
                 else:
-                    if plans:  # committed scan pattern, live task fill
+                    if plans:  # committed scan pattern, queued task fill
                         scan_now = bool(scan_plan[k])
                     else:  # sp: a scan block every sp_every slots
                         scan_now = t % sp_every < duration
@@ -678,16 +667,11 @@ class DefenderPass:
                 power_col.append(float(power))
 
                 # advance work; instances left out keep theirs for later
-                finished = False
                 for inst in running:
                     inst.run_one_slot()
                     if inst.state is _COMPLETED:
                         counts["completed"] += 1
-                        finished = True
-                        if not fcfs:
-                            queue.discard(inst)
-                if finished and fcfs:  # completion is the only way out of live here
-                    live = [i for i in live if i.state is not _COMPLETED]
+                        queue.discard(inst)
 
             # defender utility for the window (window-level scan frequency)
             w_scan = scan_col[w_start:]
@@ -937,7 +921,8 @@ def _stats(episodes: list[EpisodeMetrics]) -> dict[str, tuple[float, float]]:
 def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult:
     """Per-policy mean and standard deviation of every episode metric over
     shared seeds; defender utility additionally normalized to the
-    first-come-first-served mean when that baseline is included."""
+    first-come-first-served mean when that baseline is included and its
+    mean is positive (otherwise no policy is normalized)."""
     policies = list(policies)
     seeds = list(seeds)
     _check_policies(policies)
@@ -945,10 +930,8 @@ def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult
     [episodes] = _run_by_seed([cfg], policies, seeds)
     stats = {pol: _stats(runs) for pol, runs in episodes.items()}
     normalized = {}
-    if "fcfs" in stats:
-        base = stats["fcfs"]["defender_utility"][0]
-        if base <= 0:
-            raise RuntimeError("normalization divisor must be positive")
+    base = stats["fcfs"]["defender_utility"][0] if "fcfs" in stats else 0.0
+    if base > 0:
         for pol in policies:
             normalized[pol] = stats[pol]["defender_utility"][0] / base
     return BenchmarkResult(

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, attrgetter, sub
 
 import numpy as np
@@ -154,20 +154,11 @@ class HorizonPlan:
     z: np.ndarray
     scan_freq: float
     z_avg: float
-    utility: UtilityParams
-    scan_duration: int
     events: list[tuple[int, str, str]] = field(default_factory=list)
 
     @property
     def has_scan(self) -> bool:
         return bool(self.scan_on.any())
-
-    @cached_property
-    def objective(self) -> float:
-        """The window's utility: ``slot_utility`` of every slot at the
-        detection performance of the window's scan frequency.  Computed
-        on first read: the episode engine never reads it."""
-        return window_utility(self.scan_on.tolist(), self.z.tolist(), self.scan_duration, self.utility)
 
 
 class EdfQueue:
@@ -190,8 +181,11 @@ class EdfQueue:
     ``(spec, length)``, and the shape key the slot memo reads, the ids of
     the high specs and ``(id(spec), length)`` of each run.  The same tuple
     is returned until the next ``add`` or ``discard``; its lists are the
-    queue's own and change with it.  Iteration yields the instances in the
-    order they were added, and ``len`` counts them.
+    queue's own and change with it.  ``len`` counts the instances, and
+    iteration yields them in the order they were added (a built queue's in
+    EDF order); a discard keeps the order of the rest.  The defender pass
+    adds arrivals in uid order, so its fcfs rule reads them in request
+    order.
     """
 
     __slots__ = (
@@ -663,7 +657,5 @@ def plan_horizon(
         z=z_arr,
         scan_freq=sum(scan_on) / window_len,  # exact: an integer count over the length
         z_avg=float(np.mean(z_arr)),  # numpy's summation, not Python's
-        utility=utility,
-        scan_duration=config.scan.duration,
         events=events,
     )

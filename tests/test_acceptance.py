@@ -24,7 +24,7 @@ from satdefsim.persuasion import (
     lyapunov_drift,
     solve_persuasion,
 )
-from satdefsim.scheduler import UtilityParams, plan_horizon
+from satdefsim.scheduler import UtilityParams, plan_horizon, window_utility
 
 from conftest import micro_instance
 from oracles import check_plan, enumerate_best_response, exact_schedule
@@ -190,9 +190,10 @@ def test_criterion_6_scheduler_quality():
             w, cfg, insts, _ = micro_instance(rng, max_tasks=2)
             res = exact_schedule(copy.deepcopy(insts), w, UTIL, cfg)
             plan = plan_horizon(insts, 0, w, UTIL, cfg)
-            assert plan.objective <= res.objective + 1e-9, k
+            objective = window_utility(plan.scan_on.tolist(), plan.z.tolist(), cfg.scan.duration, UTIL)
+            assert objective <= res.objective + 1e-9, k
             if res.objective > 1e-9:
-                ratios.append(plan.objective / res.objective)
+                ratios.append(objective / res.objective)
         mean_ratio = float(np.mean(ratios))
         assert mean_ratio >= 0.85
         elapsed = time.time() - t0

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ def test_benchmark_table(tmp_path, scenario_file):
     assert "defender_utility" in text and "fcfs" in text
     doc = json.loads((out / "benchmark.json").read_text())
     assert doc["normalized_defender_utility"]["fcfs"] == pytest.approx(1.0)
+
+
+def test_benchmark_skips_normalization_when_fcfs_utility_is_not_positive(tmp_path, capsys):
+    doc = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "default.yaml").read_text())
+    doc["utility"].update(detect_reward=1.0, load_penalty=20.0)
+    doc["horizon"] = 200
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", str(path), "--seeds", "1..2", "--out", str(out)]) == 0
+    doc = json.loads((out / "benchmark.json").read_text())
+    assert doc["stats"]["fcfs"]["defender_utility"]["mean"] <= 0
+    assert doc["normalized_defender_utility"] == {}
+    assert "(norm" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", [

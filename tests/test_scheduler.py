@@ -15,6 +15,7 @@ from satdefsim.scheduler import (
     detection_performance,
     plan_horizon,
     slot_utility,
+    window_utility,
 )
 from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
 
@@ -132,12 +133,14 @@ class TestPlanHorizon:
         p2 = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg)
         assert np.array_equal(p1.scan_on, p2.scan_on)
         assert p1.running == p2.running
-        assert p1.objective == p2.objective
+        objective = window_utility(p1.scan_on.tolist(), p1.z.tolist(), cfg.scan.duration, UTIL)
+        assert window_utility(p2.scan_on.tolist(), p2.z.tolist(), cfg.scan.duration, UTIL) == objective
         # planning on the caller's own instances leaves them untouched
         before = [(i.state, i.remaining, i.service) for i in insts]
         for _ in range(2):
             p = plan_horizon(insts, 0, w, UTIL, cfg)
-            assert p.running == p1.running and p.objective == p1.objective
+            assert p.running == p1.running
+            assert window_utility(p.scan_on.tolist(), p.z.tolist(), cfg.scan.duration, UTIL) == objective
         assert [(i.state, i.remaining, i.service) for i in insts] == before
 
     def test_benchmark_workload_plan_is_clean(self):
@@ -217,7 +220,8 @@ class TestExactOracle:
             w, cfg, insts, _ = micro_instance(rng)
             res = exact_schedule(copy.deepcopy(insts), w, UTIL, cfg)
             plan = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg)
-            assert plan.objective <= res.objective + 1e-9
+            objective = window_utility(plan.scan_on.tolist(), plan.z.tolist(), cfg.scan.duration, UTIL)
+            assert objective <= res.objective + 1e-9
 
     def test_empty_instance_packs_scans(self):
         # positive net gain for every extra block: the oracle fills all

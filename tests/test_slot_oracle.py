@@ -43,6 +43,7 @@ from satdefsim.scheduler import (
     plan_horizon,
     slot_utility,
     stability_targets_of,
+    window_utility,
 )
 from satdefsim.workload import Arrival, InstanceState, Nature, Priority, TaskInstance, TaskSpec
 
@@ -485,7 +486,7 @@ def test_queue_split_matches_a_fresh_build_and_the_reference_walk():
             assert _split_by_identity(queue.split()) == want
             assert _split_by_identity(EdfQueue(held.values()).split()) == want
             assert len(queue) == len(held)
-            assert sorted(i.uid for i in queue) == sorted(held)
+            assert [i.uid for i in queue] == list(held)  # the order of adding
             seen["high inside a run"] += _high_inside_a_run(held.values())
     assert all(v > 0 for v in seen.values()), seen
 
@@ -683,13 +684,14 @@ def reference_plan_horizon(queue, window_start, window_len, utility, config, spe
     )
 
 
-def _assert_same_plan(got, want):
+def _assert_same_plan(got, want, utility, config):
     assert got.scan_on.tolist() == want["scan_on"]
     assert got.running == want["running"]
     assert [z.hex() for z in got.z.tolist()] == [z.hex() for z in want["z"]]
     assert got.scan_freq.hex() == want["scan_freq"].hex()
     assert got.z_avg.hex() == want["z_avg"].hex()
-    assert got.objective.hex() == want["objective"].hex()
+    objective = window_utility(got.scan_on.tolist(), got.z.tolist(), config.scan.duration, utility)
+    assert objective.hex() == want["objective"].hex()
     assert got.events == want["events"]
     for uids in got.running:
         assert len(set(uids)) == len(uids)
@@ -744,7 +746,7 @@ def test_plan_matches_reference_on_random_windows():
         kwargs = dict(specs=specs, stability_targets=targets if with_targets else None)
         want = reference_plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
         got = plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
-        _assert_same_plan(got, want)
+        _assert_same_plan(got, want, utility, config)
         seen["scan"] += any(want["scan_on"])
         seen["events"] += bool(want["events"])
         seen["stand-in runs"] += any(uid < 0 for uids in want["running"] for uid in uids)
@@ -759,10 +761,10 @@ def test_plan_matches_reference_on_benchmark_episodes(workload, monkeypatch):
     cfg = load_config(BENCH_SCENARIOS / f"{workload}.yaml")
     compared = []
 
-    def both(queue, *args, **kwargs):
-        want = reference_plan_horizon(queue, *args, **kwargs)
-        got = plan_horizon(queue, *args, **kwargs)
-        _assert_same_plan(got, want)
+    def both(queue, w_start, w_len, utility, config, **kwargs):
+        want = reference_plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        got = plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        _assert_same_plan(got, want, utility, config)
         compared.append(got.start)
         return got
 
