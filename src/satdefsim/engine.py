@@ -476,11 +476,12 @@ class DefenderSchedule:
     """What the defender does in one episode, read-only.
 
     Per slot: ``scan_on`` (0 or 1), the idle capacity ``z`` and the
-    ``power`` drawn.  Per window: the plan's ``has_scan`` and ``z_avg``
-    (``None`` for fcfs and sp, which do not plan) and the realized scan
-    frequency ``scan_freq``.  Then the summed defender utility and
-    per-resource usage, the instance counts and the low-priority and firm
-    counts behind the completion and miss percentages.
+    ``power`` drawn.  Per window: ``has_scan``, whether the plan scans in
+    any slot, and its ``z_avg`` (``None`` for fcfs and sp, which do not
+    plan) and the realized scan frequency ``scan_freq``.  Then the summed
+    defender utility and per-resource usage, the instance counts and the
+    low-priority and firm counts behind the completion and miss
+    percentages.
     """
 
     scan_on: tuple[int, ...]
@@ -621,9 +622,9 @@ class DefenderPass:
                     queue, w_start, w_len, util, sched_cfg,
                     specs=cfg.tasks, stability_targets=targets,
                 )
-                has_scan.append(plan.has_scan)
-                z_avg.append(plan.z_avg)
                 scan_plan = plan.scan_on.tolist()
+                has_scan.append(1 in scan_plan)
+                z_avg.append(plan.z_avg)
 
             for k in range(w_len):
                 t = w_start + k

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, attrgetter, sub
 
 import numpy as np
 
-from .workload import Arrival, Priority, TaskInstance, TaskSpec
+from .workload import Priority, TaskInstance, TaskSpec
 
 _EPS = 1e-9
 _CAP = 1.0 + _EPS  # per-resource capacity with the feasibility tolerance
 _EDF_KEY = attrgetter("deadline", "uid")
+_SPEC_ID = attrgetter("id")
 # bound once: a class-attribute lookup on an Enum costs several times a
 # module global, and the queue makes one per update
 _HIGH = Priority.HIGH
@@ -130,7 +129,7 @@ def window_utility(scan_on, z, scan_duration: int, p: UtilityParams, start: floa
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotDecision:
     """One slot as decided, usage and power summed in the solver's order."""
 
@@ -143,7 +142,7 @@ class SlotDecision:
     events: list[tuple[int, str, str]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class HorizonPlan:
     """One window's decisions and realized planning quantities."""
 
@@ -156,10 +155,6 @@ class HorizonPlan:
     z_avg: float
     events: list[tuple[int, str, str]] = field(default_factory=list)
 
-    @property
-    def has_scan(self) -> bool:
-        return bool(self.scan_on.any())
-
 
 class EdfQueue:
     """The slot solver's queue in one earliest-deadline-first order, by
@@ -169,10 +164,10 @@ class EdfQueue:
     that order; high-priority instances between two of them do not split
     it.
 
-    ``add`` and ``discard`` find an instance's place by bisection on its
-    key, so uids are unique within a queue (``add`` refuses a uid the
-    queue holds, ``discard`` an instance it does not hold) and an
-    instance's deadline must not change while it is queued.  An instance
+    ``add`` and ``discard`` (or ``pop`` by uid) find an instance's place
+    by bisection on its key, so uids are unique within a queue (``add``
+    refuses a uid the queue holds, ``discard`` an instance it does not
+    hold) and an instance's deadline must not change while it is queued.  An instance
     that lands inside a run of another spec splits that run in two; a
     discard that empties a run between two runs of one spec merges them.
 
@@ -183,9 +178,9 @@ class EdfQueue:
     is returned until the next ``add`` or ``discard``; its lists are the
     queue's own and change with it.  ``len`` counts the instances, and
     iteration yields them in the order they were added (a built queue's in
-    EDF order); a discard keeps the order of the rest.  The defender pass
-    adds arrivals in uid order, so its fcfs rule reads them in request
-    order.
+    EDF order); a discard keeps the order of the rest, and ``copy()``
+    keeps the order too.  The defender pass adds arrivals in uid order, so
+    its fcfs rule reads them in request order.
     """
 
     __slots__ = (
@@ -311,6 +306,26 @@ class EdfQueue:
             lasts[j - 1] = lasts.pop(j)
             del specs[j]
 
+    def copy(self) -> EdfQueue:
+        """A queue of the same instances, in the same order, that changes
+        apart from this one."""
+        new = EdfQueue.__new__(EdfQueue)
+        new._members = self._members.copy()
+        new._high_keys, new._high_uids, new._high_specs = (
+            self._high_keys.copy(), self._high_uids.copy(), self._high_specs.copy()
+        )
+        new._run_specs, new._run_lasts = self._run_specs.copy(), self._run_lasts.copy()
+        new._run_keys = list(map(list.copy, self._run_keys))
+        new._run_uids = list(map(list.copy, self._run_uids))
+        new._split = None
+        return new
+
+    def pop(self, uid: int) -> TaskInstance:
+        """Remove the instance with this uid and return it."""
+        inst = self._members[uid]
+        self.discard(inst)
+        return inst
+
     def split(self):
         split = self._split
         if split is None:
@@ -322,7 +337,10 @@ class EdfQueue:
 
 
 class GreedyPlanner:
-    """Window-scoped greedy slot solver.
+    """Greedy slot solver of one scope: utility, config, window length and
+    stability targets.  It decides the slots of one window at a time;
+    ``open_window`` starts the next window of the same scope, so that
+    ``plan_horizon`` keeps one planner while the scope repeats.
 
     Per slot: (1) high-priority work first, earliest deadline first;
     (2) conditionally start a scan block when the marginal utility is
@@ -355,14 +373,19 @@ class GreedyPlanner:
     ):
         self.utility = utility
         self.config = config
-        self.window_start = window_start
         self.window_len = window_len
-        self.window_end = window_start + window_len
         self.stability_targets = stability_targets or {}
+        self._memo = _slot_memo(utility, config, window_len, tuple(sorted(self.stability_targets.items())))
+        self.open_window(window_start)
+
+    def open_window(self, window_start: int) -> None:
+        """Start the window at ``window_start``: no scan slot committed or
+        running, no service counted."""
+        self.window_start = window_start
+        self.window_end = window_start + self.window_len
         self.scan_slots_committed = 0  # total scan slots this window (past + committed)
         self.scan_active_until = window_start  # exclusive
         self.served_in_window: dict[str, int] = {}
-        self._memo = _slot_memo(utility, config, window_len, tuple(sorted(self.stability_targets.items())))
 
     # -- marginal utility -------------------------------------------------
     def _scan_margin(self, z_now: float, z_scan: float) -> float:
@@ -541,8 +564,8 @@ class GreedyPlanner:
         for j, k in taken:
             running += run_uids[j][:k]
         return SlotDecision(
-            t=t, running=running, scan_on=scan_on, z=z, usage=usage, power=power,
-            events=[(t, kind, spec_id) for kind, spec_id in events],
+            t, running, scan_on, z, usage, power,
+            [(t, kind, spec_id) for kind, spec_id in events] if events else [],
         )
 
 
@@ -553,20 +576,36 @@ def stability_targets_of(specs) -> dict[str, float]:
 
 
 @lru_cache(maxsize=64)
-def _release_offsets(arrival: Arrival, window_len: int, phase: int) -> tuple[int, ...]:
-    """The slots, as offsets from the window start, at which a window
-    projects a spec's arrivals: a periodic stream exactly, from the
-    window start's ``phase`` (its remainder by the interval), an
-    aperiodic one at evenly spaced stand-ins at the expected rate."""
-    if arrival.kind == "periodic":
-        return tuple(range(-phase % arrival.interval, window_len, arrival.interval))
-    rate = arrival.rate
+def _aperiodic_offsets(rate: float, window_len: int) -> tuple[int, ...]:
+    """The slots, as offsets from the window start, of a window's evenly
+    spaced stand-ins for an aperiodic stream at the expected rate."""
     n = int(math.floor(rate * window_len + 0.5))
     return tuple(min(int(math.floor((i + 0.5) / rate)), window_len - 1) for i in range(n))
 
 
+# The last plan's planner, reused while the next plan has the same scope.
+_held_planner: list[GreedyPlanner] = []
+
+
+def _window_planner(utility, config, window_start: int, window_len: int, stability_targets: dict) -> GreedyPlanner:
+    """A planner of this scope opened at ``window_start``: the last plan's
+    while utility and config are the same objects (both are frozen) and
+    the window length and the targets are equal, else a new one, which
+    shares the scope's slot memo all the same."""
+    planner = _held_planner[0] if _held_planner else None
+    if (
+        planner is None or planner.utility is not utility or planner.config is not config
+        or planner.window_len != window_len or planner.stability_targets != stability_targets
+    ):
+        planner = GreedyPlanner(utility, config, window_start, window_len, dict(stability_targets))
+        _held_planner[:] = [planner]
+    else:
+        planner.open_window(window_start)
+    return planner
+
+
 def plan_horizon(
-    queue: Iterable[TaskInstance],
+    queue: EdfQueue,
     window_start: int,
     window_len: int,
     utility: UtilityParams,
@@ -577,85 +616,101 @@ def plan_horizon(
     """Plan one window by applying the greedy slot solver against the
     current backlog plus arrivals projected from ``specs`` (periodic
     exact, aperiodic at the expected rate).  Re-solved every window by the
-    caller (receding horizon); deterministic for fixed inputs.  The
-    window is simulated on a map of remaining work, so the caller's
-    instances are left untouched.  ``queue`` is any iterable of instances;
-    the inactive ones are skipped.
+    caller (receding horizon); deterministic for fixed inputs.
 
-    The window's ``EdfQueue`` is built once, from the instances eligible at
-    the window start, and then kept in step: each release is added in its
-    slot, each firm instance still unfinished is discarded at ``deadline +
-    1``, and each completion is discarded after the slot that completes it.
+    ``queue`` is the caller's backlog.  The window is simulated on a copy
+    of it and on a map of remaining work, so the queue and its instances
+    are left untouched.  The copy drops the instances that cannot run at
+    the window start: inactive ones, firm ones whose deadline passed
+    before it, and those released later, which join in their release
+    slot.  Then it follows the window: each release is added in its slot,
+    each firm instance still unfinished is discarded at ``deadline + 1``,
+    and each completion is discarded after the slot that completes it.
+
+    One planner of the scope (``_window_planner``) decides every window,
+    so two plans must not run at the same time (from two threads).
     """
     if stability_targets is None:
         stability_targets = stability_targets_of(specs or ())
+    planner = _window_planner(utility, config, window_start, window_len, stability_targets)
+    window_end = window_start + window_len
 
-    sim = [inst for inst in queue if inst.active]
+    # The eligible set changes only where an instance is released, the slot
+    # after a firm deadline, or after a completion, so the window's queue
+    # starts as a copy of the caller's and then follows those changes.
+    # ``left`` is the work left of each instance that can finish inside the
+    # window; the others run on past its end.
+    left: dict[int, int] = {}
+    released: dict[int, list[TaskInstance]] = {}
+    expiring: dict[int, list[TaskInstance]] = {}
+    eligible = queue.copy()
+    for inst in queue:
+        req, deadline = inst.req, inst.deadline
+        firm = inst.spec.firm_deadline
+        if not inst.active or req >= window_end or (firm and deadline < window_start):
+            eligible.discard(inst)  # never runs in the window
+            continue
+        if req > window_start:  # joins in its release slot
+            eligible.discard(inst)
+            released.setdefault(req, []).append(inst)
+        if inst.remaining <= window_len:
+            left[inst.uid] = inst.remaining
+        if firm and deadline + 1 < window_end:
+            expiring.setdefault(deadline + 1, []).append(inst)  # released by then: deadline >= req + 1
+
     # Projected instances take the negative uids from -1,000,000 down, a
     # block per spec that rises with the release slot, so no two share one.
     uid_top = -1_000_000
-    for spec in sorted(specs or (), key=lambda s: s.id):
+    for spec in sorted(specs or (), key=_SPEC_ID):
         arrival = spec.arrival
-        if arrival.kind == "periodic":
-            offsets = _release_offsets(arrival, window_len, window_start % arrival.interval)
+        if arrival.kind == "periodic":  # exact, from the window start's phase
+            offsets = range(-window_start % arrival.interval, window_len, arrival.interval)
         elif arrival.rate > 0:
-            offsets = _release_offsets(arrival, window_len, 0)
+            offsets = _aperiodic_offsets(arrival.rate, window_len)
         else:
             continue
-        uid = uid_top - len(offsets)
+        uid = uid_top = uid_top - len(offsets)
+        finishes = spec.processing <= window_len
+        firm = spec.firm_deadline
         for off in offsets:
             uid += 1
-            t = window_start + off
-            sim.append(TaskInstance(uid=uid, spec=spec, req=t))
-        uid_top -= len(offsets)
+            inst = TaskInstance(uid, spec, window_start + off)
+            released.setdefault(inst.req, []).append(inst)
+            if finishes:
+                left[uid] = inst.remaining
+            if firm and inst.deadline + 1 < window_end:
+                expiring.setdefault(inst.deadline + 1, []).append(inst)
 
-    planner = GreedyPlanner(utility, config, window_start, window_len, stability_targets)
-    scan_on: list[int] = []
+    scan_on: list[bool] = []
     zs: list[float] = []
     running: list[list[int]] = []
     events: list[tuple[int, str, str]] = []
-    left = {i.uid: i.remaining for i in sim}
-    by_uid = {i.uid: i for i in sim}
-    # The eligible set changes only where an instance is released, the slot
-    # after a firm deadline, or after a completion, so the window's queue is
-    # built once and then follows those changes.
-    released: dict[int, list[TaskInstance]] = defaultdict(list)
-    expiring: dict[int, list[TaskInstance]] = defaultdict(list)
-    first = []
-    for inst in sim:
-        firm = inst.spec.firm_deadline
-        if inst.req > window_start:
-            released[inst.req].append(inst)
-        elif not (firm and window_start > inst.deadline):
-            first.append(inst)
-        if firm and inst.deadline >= window_start:
-            expiring[inst.deadline + 1].append(inst)  # released by then: deadline >= req + 1
-    eligible = EdfQueue(first)
-
-    for t in range(window_start, window_start + window_len):
+    for t in range(window_start, window_end):
         for inst in released.get(t, ()):
             eligible.add(inst)
         for inst in expiring.get(t, ()):
-            if left[inst.uid]:  # a completed instance has left already
+            if left.get(inst.uid, 1):  # a completed one has left already
                 eligible.discard(inst)
         dec = planner.schedule_slot(eligible, t)
-        scan_on.append(int(dec.scan_on))
+        scan_on.append(dec.scan_on)
         zs.append(dec.z)
         running.append(dec.running)
-        events.extend(dec.events)
+        events += dec.events
         for uid in dec.running:
-            left[uid] -= 1
-            if not left[uid]:
-                eligible.discard(by_uid[uid])
+            if uid in left:
+                n = left[uid] = left[uid] - 1
+                if not n:
+                    eligible.pop(uid)
 
-    z_arr = np.array(zs)
+    z = np.array(zs)
     return HorizonPlan(
         start=window_start,
         length=window_len,
         scan_on=np.array(scan_on, dtype=int),
         running=running,
-        z=z_arr,
+        z=z,
         scan_freq=sum(scan_on) / window_len,  # exact: an integer count over the length
-        z_avg=float(np.mean(z_arr)),  # numpy's summation, not Python's
+        # np.mean's bits: it divides this same sum by the count
+        z_avg=float(np.add.reduce(z)) / window_len,
         events=events,
     )

@@ -24,7 +24,7 @@ from satdefsim.persuasion import (
     lyapunov_drift,
     solve_persuasion,
 )
-from satdefsim.scheduler import UtilityParams, plan_horizon, window_utility
+from satdefsim.scheduler import EdfQueue, UtilityParams, plan_horizon, window_utility
 
 from conftest import micro_instance
 from oracles import check_plan, enumerate_best_response, exact_schedule
@@ -181,7 +181,7 @@ def test_criterion_6_scheduler_quality():
         for k in range(1000):
             w, cfg, insts, targets = micro_instance(rng, max_tasks=3, with_quota=True)
             snapshot = {i.uid: copy.deepcopy(i) for i in insts}
-            plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets)
+            plan = plan_horizon(EdfQueue(insts), 0, w, UTIL, cfg, stability_targets=targets)
             violations = check_plan(plan, snapshot, cfg, targets)
             assert violations == [], (k, violations)
 
@@ -189,7 +189,7 @@ def test_criterion_6_scheduler_quality():
         for k in range(100):
             w, cfg, insts, _ = micro_instance(rng, max_tasks=2)
             res = exact_schedule(copy.deepcopy(insts), w, UTIL, cfg)
-            plan = plan_horizon(insts, 0, w, UTIL, cfg)
+            plan = plan_horizon(EdfQueue(insts), 0, w, UTIL, cfg)
             objective = window_utility(plan.scan_on.tolist(), plan.z.tolist(), cfg.scan.duration, UTIL)
             assert objective <= res.objective + 1e-9, k
             if res.objective > 1e-9:

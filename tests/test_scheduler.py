@@ -118,19 +118,19 @@ class TestGreedySlot:
 
 class TestPlanHorizon:
     def test_no_arrivals_no_scan(self):
-        plan = plan_horizon([], 0, 20, UTIL, NO_SCAN_CFG, specs=[])
+        plan = plan_horizon(EdfQueue(), 0, 20, UTIL, NO_SCAN_CFG, specs=[])
         assert np.all(plan.z == 1.0)
         assert plan.scan_freq == 0.0
 
     def test_window_equal_to_scan_duration(self):
-        plan = plan_horizon([], 0, SCAN.duration, UTIL, CFG, specs=[])
+        plan = plan_horizon(EdfQueue(), 0, SCAN.duration, UTIL, CFG, specs=[])
         assert plan.scan_freq == 1.0
-        assert plan.has_scan
+        assert plan.scan_on.tolist() == [1] * SCAN.duration
 
     def test_deterministic(self):
         w, cfg, insts, _ = micro_instance(np.random.default_rng(5))
-        p1 = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg)
-        p2 = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg)
+        p1 = plan_horizon(EdfQueue(copy.deepcopy(insts)), 0, w, UTIL, cfg)
+        p2 = plan_horizon(EdfQueue(copy.deepcopy(insts)), 0, w, UTIL, cfg)
         assert np.array_equal(p1.scan_on, p2.scan_on)
         assert p1.running == p2.running
         objective = window_utility(p1.scan_on.tolist(), p1.z.tolist(), cfg.scan.duration, UTIL)
@@ -138,7 +138,7 @@ class TestPlanHorizon:
         # planning on the caller's own instances leaves them untouched
         before = [(i.state, i.remaining, i.service) for i in insts]
         for _ in range(2):
-            p = plan_horizon(insts, 0, w, UTIL, cfg)
+            p = plan_horizon(EdfQueue(insts), 0, w, UTIL, cfg)
             assert p.running == p1.running
             assert window_utility(p.scan_on.tolist(), p.z.tolist(), cfg.scan.duration, UTIL) == objective
         assert [(i.state, i.remaining, i.service) for i in insts] == before
@@ -149,7 +149,7 @@ class TestPlanHorizon:
 
         cfg = default_scenario(horizon=100, window=100)
         insts = generate_arrivals(list(cfg.tasks), 100, seed=3)
-        plan = plan_horizon(insts, 0, 100, UTIL, cfg.scheduler_config(),
+        plan = plan_horizon(EdfQueue(insts), 0, 100, UTIL, cfg.scheduler_config(),
                             stability_targets=cfg.stability_targets())
         violations = check_plan(plan, {i.uid: i for i in insts}, cfg.scheduler_config(),
                                 cfg.stability_targets())
@@ -163,7 +163,7 @@ class TestPlanHorizon:
 
         cfg = default_scenario()
         tasks = [dataclasses.replace(s, processing=2) if s.id == "relay" else s for s in cfg.tasks]
-        plan = plan_horizon([], 0, 5, cfg.utility, cfg.scheduler_config(), specs=tasks,
+        plan = plan_horizon(EdfQueue(), 0, 5, cfg.utility, cfg.scheduler_config(), specs=tasks,
                             stability_targets=cfg.stability_targets())
         relay, = plan.running[0]
         assert [relay in uids for uids in plan.running] == [True, True, False, False, False]
@@ -175,7 +175,7 @@ class TestPlanHorizon:
         spec = make_spec(tid="p", arrival=Arrival(kind="periodic", interval=10),
                          priority=Priority.HIGH, demand=(0.2, 0.1), processing=2,
                          deadline=9, firm=True)
-        plan = plan_horizon([], 0, 30, UTIL, CFG, specs=[spec])
+        plan = plan_horizon(EdfQueue(), 0, 30, UTIL, CFG, specs=[spec])
         used_slots = [k for k, uids in enumerate(plan.running) if uids]
         assert used_slots[0] == 0 and any(k >= 10 for k in used_slots)
 
@@ -186,20 +186,20 @@ class TestChecker:
         for _ in range(100):
             w, cfg, insts, targets = micro_instance(rng, max_tasks=3, with_quota=True)
             snapshot = {i.uid: copy.deepcopy(i) for i in insts}
-            plan = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg,
+            plan = plan_horizon(EdfQueue(copy.deepcopy(insts)), 0, w, UTIL, cfg,
                                 stability_targets=targets)
             assert check_plan(plan, snapshot, cfg, targets) == []
 
     def test_flags_capacity_violation(self):
         inst = make_instance(uid=0, demand=(0.7, 0.7), processing=2, deadline=8)
-        plan = plan_horizon([copy.deepcopy(inst)], 0, 4, UTIL, NO_SCAN_CFG)
+        plan = plan_horizon(EdfQueue([copy.deepcopy(inst)]), 0, 4, UTIL, NO_SCAN_CFG)
         plan.running[0] = [0, 0]  # forge a double allocation
         bad = check_plan(plan, {0: make_instance(uid=0, demand=(0.7, 0.7), processing=2, deadline=8)},
                          NO_SCAN_CFG)
         assert any("capacity" in v for v in bad)
 
     def test_flags_broken_scan_block(self):
-        plan = plan_horizon([], 0, 6, UTIL, CFG, specs=[])
+        plan = plan_horizon(EdfQueue(), 0, 6, UTIL, CFG, specs=[])
         plan.scan_on = np.array([1, 1, 0, 0, 0, 0])  # 2-slot fragment, duration 5
         bad = check_plan(plan, {}, CFG)
         assert any("scan run" in v for v in bad)
@@ -207,7 +207,7 @@ class TestChecker:
     def test_flags_wasted_slack_under_quota(self):
         spec = make_spec(tid="q", demand=(0.1, 0.1), processing=6, deadline=12)
         inst = TaskInstance(uid=0, spec=spec, req=0)
-        plan = plan_horizon([copy.deepcopy(inst)], 0, 6, UTIL, NO_SCAN_CFG)
+        plan = plan_horizon(EdfQueue([copy.deepcopy(inst)]), 0, 6, UTIL, NO_SCAN_CFG)
         plan.running = [[] for _ in range(6)]  # forge idleness
         bad = check_plan(plan, {0: inst}, NO_SCAN_CFG, {"q": 0.5})
         assert any("stability" in v for v in bad)
@@ -219,7 +219,7 @@ class TestExactOracle:
         for _ in range(20):
             w, cfg, insts, _ = micro_instance(rng)
             res = exact_schedule(copy.deepcopy(insts), w, UTIL, cfg)
-            plan = plan_horizon(copy.deepcopy(insts), 0, w, UTIL, cfg)
+            plan = plan_horizon(EdfQueue(copy.deepcopy(insts)), 0, w, UTIL, cfg)
             objective = window_utility(plan.scan_on.tolist(), plan.z.tolist(), cfg.scan.duration, UTIL)
             assert objective <= res.objective + 1e-9
 
@@ -311,7 +311,7 @@ class TestScalarPathProperties:
     def test_plans_respect_capacity_and_power(self, window):
         w, cfg, insts, targets = window
         snapshot = {i.uid: copy.deepcopy(i) for i in insts}
-        plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets)
+        plan = plan_horizon(EdfQueue(insts), 0, w, UTIL, cfg, stability_targets=targets)
         violations = check_plan(plan, snapshot, cfg, targets)
         assert [v for v in violations if "stability" not in v] == []
 
@@ -320,7 +320,7 @@ class TestScalarPathProperties:
     def test_decision_z_is_min_idle_capacity(self, window):
         w, cfg, insts, targets = window
         specs = {i.uid: i.spec for i in insts}
-        plan = plan_horizon(insts, 0, w, UTIL, cfg, stability_targets=targets)
+        plan = plan_horizon(EdfQueue(insts), 0, w, UTIL, cfg, stability_targets=targets)
         for k in range(w):
             usage = np.zeros(len(cfg.scan.demand))
             if plan.scan_on[k]:

@@ -23,6 +23,7 @@ split must equal the walk's and that of a queue built afresh.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from operator import add, attrgetter, sub
@@ -47,7 +48,7 @@ from satdefsim.scheduler import (
 )
 from satdefsim.workload import Arrival, InstanceState, Nature, Priority, TaskInstance, TaskSpec
 
-from conftest import BENCH_SCENARIOS
+from conftest import BENCH_SCENARIOS, clear_engine_caches
 
 _EPS = 1e-9
 _CAP = 1.0 + _EPS
@@ -745,7 +746,7 @@ def test_plan_matches_reference_on_random_windows():
         with_targets = rng.random() < 0.5  # or the targets plan_horizon derives from the specs
         kwargs = dict(specs=specs, stability_targets=targets if with_targets else None)
         want = reference_plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
-        got = plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        got = plan_horizon(EdfQueue(queue), w_start, w_len, utility, config, **kwargs)
         _assert_same_plan(got, want, utility, config)
         seen["scan"] += any(want["scan_on"])
         seen["events"] += bool(want["events"])
@@ -758,6 +759,8 @@ def test_plan_matches_reference_on_random_windows():
 
 @pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
 def test_plan_matches_reference_on_benchmark_episodes(workload, monkeypatch):
+    """Every plan of seeds 1-3, ``z_avg`` bit for bit against the
+    reference's ``np.mean``."""
     cfg = load_config(BENCH_SCENARIOS / f"{workload}.yaml")
     compared = []
 
@@ -769,5 +772,58 @@ def test_plan_matches_reference_on_benchmark_episodes(workload, monkeypatch):
         return got
 
     monkeypatch.setattr(engine, "plan_horizon", both)
+    for seed in (1, 2, 3):
+        compared.clear()
+        engine.DefenderPass(cfg, seed, "star").run()
+        assert compared == list(range(0, cfg.horizon, cfg.window))
+
+
+def _plan_fields(plan):
+    """A plan's fields, floats as hex, so that ``==`` compares bits."""
+    return (
+        plan.start, plan.length, plan.scan_on.dtype, plan.scan_on.tolist(), plan.running,
+        [z.hex() for z in plan.z.tolist()], plan.scan_freq.hex(), plan.z_avg.hex(), plan.events,
+    )
+
+
+def _queue_state(queue):
+    return (
+        _split_by_identity(queue.split()), len(queue),
+        [(i.uid, i.remaining, i.state, i.service) for i in queue],
+    )
+
+
+def test_plans_do_not_depend_on_the_plans_before_them(monkeypatch):
+    """A plan reuses the planner of its scope and copies the caller's
+    queue.  Replanning one default episode's windows in reverse order,
+    every other one right after a plan of another scope (another window
+    length and other targets), gives the plans of the episode's in-order
+    run; and no plan changes the caller's queue or its instances."""
+    cfg = load_config(BENCH_SCENARIOS / "suite-default.yaml")
+    clear_engine_caches()
+    windows = []
+
+    def recording(queue, w_start, w_len, utility, config, **kwargs):
+        before = _queue_state(queue)
+        plan = plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        assert _queue_state(queue) == before
+        snapshot = EdfQueue(map(copy.copy, queue))
+        windows.append((snapshot, w_start, w_len, utility, config, kwargs, _plan_fields(plan)))
+        return plan
+
+    monkeypatch.setattr(engine, "plan_horizon", recording)
     engine.DefenderPass(cfg, 1, "star").run()
-    assert compared == list(range(0, cfg.horizon, cfg.window))
+    assert len(windows) == cfg.horizon // cfg.window
+
+    other_targets = {"routine": 0.3, "relay": 0.2}
+    reused = 0
+    for k, (queue, w_start, w_len, utility, config, kwargs, want) in enumerate(reversed(windows)):
+        before = _queue_state(queue)
+        if k % 2:
+            plan_horizon(queue, w_start, w_len + 3, utility, config, specs=cfg.tasks, stability_targets=other_targets)
+        held = scheduler._held_planner[0]
+        got = plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        reused += scheduler._held_planner[0] is held
+        assert _plan_fields(got) == want, w_start
+        assert _queue_state(queue) == before
+    assert reused == len(windows) // 2  # the windows planned right after one of their scope
