@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Subcommands: ``simulate`` (one episode with full traces), ``benchmark``
-(policy comparison table), ``sweep`` (credibility/prior parameter
-sweeps), ``persuasion-solve`` (standalone signal design), and
+(policy comparison table), ``sweep`` (the comparison at each value of one
+dotted scenario key, such as ``persuasion.credibility`` or
+``attacker.mode``; each ``--values`` entry is read as a YAML scalar, as
+in a scenario file), ``persuasion-solve`` (standalone signal design), and
 ``channel-validate`` (fading PDF/CDF tables).  Exit code 0 on success,
 2 on configuration or validation failure.
 """
@@ -95,7 +97,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     seeds = _parse_seeds(args.seeds)
-    values = [float(v) for v in args.values.split(",") if v]
+    values = [yaml.safe_load(v) for v in args.values.split(",") if v]
     policies = args.policies.split(",")
     rows = sweep(cfg, args.param, values, seeds, policies)
     out = Path(args.out)
@@ -106,7 +108,7 @@ def _cmd_sweep(args) -> int:
         write_csv(rows, cols, out / f"sweep_{args.param}.csv")
     write_json({"rows": rows}, cfg, out / f"sweep_{args.param}.json")
     for r in rows:
-        print(f"{r['param']}={r['value']:<6g} {r['policy']:12s} "
+        print(f"{r['param']}={r['value']!s:<6} {r['policy']:12s} "
               f"attacker={r['attacker_realized_mean']: .4f}")
     return 0
 
@@ -212,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", type=str, default="fcfs,sp,star")
     p.set_defaults(func=_cmd_benchmark)
 
-    p = sub.add_parser("sweep", parents=[common], help="credibility/prior sweeps")
-    p.add_argument("--param", choices=("credibility", "prior"), required=True)
-    p.add_argument("--values", type=str, default="0.01,0.1,0.2,0.5")
+    p = sub.add_parser("sweep", parents=[common], help="policy comparison at each value of one scenario key")
+    p.add_argument("--param", required=True,
+                   help="dotted scenario key, such as persuasion.credibility or tasks.0.arrival.rate")
+    p.add_argument("--values", type=str, default="0.01,0.1,0.2,0.5", help="comma list of YAML scalars")
     p.add_argument("--seeds", type=str, default="0..19")
     p.add_argument("--policies", type=str, default="star,star-static,stardis")
     p.set_defaults(func=_cmd_sweep)
@@ -242,7 +245,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

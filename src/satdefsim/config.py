@@ -303,6 +303,42 @@ def from_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def set_scenario_value(raw: dict, path: str, value) -> None:
+    """Set the key at the dotted ``path`` of a raw scenario (a digit
+    indexes a list).  A path that ``raw`` does not hold is a
+    ``ConfigError``, so a typo cannot add a key."""
+    *parents, leaf = path.split(".")
+    target = raw
+    for k in parents:
+        target = _entry(target, k)
+    if _entry(target, leaf) is MISSING:
+        raise ConfigError(f"the scenario holds no key {path!r}")
+    target[int(leaf) if isinstance(target, list) else leaf] = value
+
+
+def _entry(section, k: str):
+    """``section[k]`` of a scenario section, or of a list by the index
+    ``k``; else ``MISSING``."""
+    if isinstance(section, dict):
+        return section.get(k, MISSING)
+    if isinstance(section, list) and k.isdigit() and int(k) < len(section):
+        return section[int(k)]
+    return MISSING
+
+
+def with_scenario_values(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
+    """``cfg`` with each dotted scenario key of ``changes`` set: ``from_dict``
+    of its echo (``to_jsonable``) with those keys set, so that every value
+    is checked as a scenario file's would be.  The echo holds every key
+    that the config keeps, so a key it lacks is rejected rather than
+    ignored: ``power_scale`` is read at load only, and the belief threshold
+    is ``attacker.belief_threshold``."""
+    raw = cfg.to_jsonable()
+    for path, value in changes.items():
+        set_scenario_value(raw, path, value)
+    return from_dict(raw)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh)

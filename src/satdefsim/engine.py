@@ -51,7 +51,7 @@ import csv
 import json
 import subprocess
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import add
@@ -76,7 +76,7 @@ from .channel import (
     predict_mean_snr,
     sample_envelope,
 )
-from .config import DECEPTION_POLICIES, POLICY_KINDS, ScenarioConfig
+from .config import DECEPTION_POLICIES, POLICY_KINDS, ScenarioConfig, with_scenario_values
 from .persuasion import (
     BudgetCurve,
     PersuasionGame,
@@ -338,9 +338,9 @@ class SignalPlan:
 
 
 # ``_run_by_seed`` cycles through every (scenario, policy) plan for each
-# seed: a 4-value sweep over all 5 policies needs 16 entries (fcfs and sp
-# share the plan without signaling)
-@lru_cache(maxsize=16)
+# seed: a sweep of up to 16 values over all 5 policies needs 4 entries a
+# value (fcfs and sp share the plan without signaling)
+@lru_cache(maxsize=64)
 def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
     """The signal plan of ``policy`` in ``cfg``, or of no signaling for ``None``.
 
@@ -941,29 +941,30 @@ def run_benchmark_suite(cfg: ScenarioConfig, policies, seeds) -> BenchmarkResult
     )
 
 
-_SWEEP_FIELDS = {"credibility": "credibility", "prior": "prior_scan"}
-
-
-def sweep(cfg: ScenarioConfig, param: str, values, seeds, policies=("star", "star-static", "stardis")):
-    """Vary the credibility budget or the prior over scan activity and
-    re-run the benchmark comparison at each value.  Every argument is
-    checked before any episode runs."""
-    if param not in _SWEEP_FIELDS:
-        raise ValueError("sweep param must be 'credibility' or 'prior'")
-    values = [float(v) for v in values]
+def sweep(cfg: ScenarioConfig, key: str, values, seeds, policies=_STAR_FAMILY):
+    """Re-run the benchmark comparison of ``policies`` with the dotted
+    scenario key ``key`` set to each of ``values``, such as
+    ``persuasion.credibility``, ``attacker.mode`` or
+    ``tasks.0.arrival.rate``.  Each config is ``with_scenario_values`` of
+    ``cfg``: a value is checked as a scenario file's would be, and a key
+    that the config's echo does not hold is rejected.  So is ``policy``,
+    which ``policies`` overrides in every episode.  Every argument is
+    checked, and every config built, before any episode runs."""
+    values = list(values)
     seeds = list(seeds)
     _check_policies(policies)
     if not values:
         raise ValueError("need at least one sweep value")
     _check_seeds(seeds)
-    field_name = _SWEEP_FIELDS[param]
-    cfgs = [replace(cfg, persuasion=replace(cfg.persuasion, **{field_name: v})) for v in values]
+    if key == "policy":
+        raise ValueError("sweep key 'policy' would be ignored: the policies argument sets each episode's")
+    cfgs = [with_scenario_values(cfg, {key: v}) for v in values]
     rows = []
     for v, episodes in zip(values, _run_by_seed(cfgs, policies, seeds)):
         stats = {pol: _stats(runs) for pol, runs in episodes.items()}
         for pol in policies:
             rows.append({
-                "param": param,
+                "param": key,
                 "value": v,
                 "policy": pol,
                 "attacker_realized_mean": stats[pol]["attacker_realized"][0],

@@ -87,7 +87,7 @@ def test_benchmark_skips_normalization_when_fcfs_utility_is_not_positive(tmp_pat
 
 @pytest.mark.parametrize("command", [
     ["benchmark", "--seeds", "0..3", "--policies", "fcfs,sp,stra"],
-    ["sweep", "--param", "credibility", "--seeds", "0..3", "--policies", "star,stra"],
+    ["sweep", "--param", "persuasion.credibility", "--seeds", "0..3", "--policies", "star,stra"],
 ], ids=["benchmark", "sweep"])
 def test_unknown_policy_fails_before_any_episode(tmp_path, scenario_file, monkeypatch, capsys, command):
     from satdefsim import engine
@@ -125,13 +125,61 @@ def test_benchmark_summary_has_one_utilization_per_resource(tmp_path, capsys, re
 def test_sweep_credibility(tmp_path, scenario_file):
     out = tmp_path / "sweep"
     rc = main([
-        "sweep", "--config", scenario_file, "--param", "credibility",
+        "sweep", "--config", scenario_file, "--param", "persuasion.credibility",
         "--values", "0.05,0.3", "--seeds", "0,1", "--policies", "stardis",
         "--out", str(out),
     ])
     assert rc == 0
-    lines = (out / "sweep_credibility.csv").read_text().strip().splitlines()
+    lines = (out / "sweep_persuasion.credibility.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 rows
+
+
+def test_sweep_of_a_string_key(tmp_path, scenario_file, capsys):
+    out = tmp_path / "sweep"
+    rc = main([
+        "sweep", "--config", scenario_file, "--param", "attacker.mode",
+        "--values", "dp,threshold", "--seeds", "0", "--policies", "star,stardis", "--out", str(out),
+    ])
+    assert rc == 0
+    header, *lines = (out / "sweep_attacker.mode.csv").read_text().strip().splitlines()
+    assert header.startswith("param,value,policy,")
+    assert [line.split(",")[:3] for line in lines] == [
+        ["attacker.mode", mode, pol] for mode in ("dp", "threshold") for pol in ("star", "stardis")
+    ]
+    doc = json.loads((out / "sweep_attacker.mode.json").read_text())
+    assert [(r["value"], r["policy"]) for r in doc["rows"]] == [
+        (mode, pol) for mode in ("dp", "threshold") for pol in ("star", "stardis")
+    ]
+    assert from_dict(doc["config"]) == load_config(scenario_file)  # the swept key is not echoed
+    assert capsys.readouterr().out.startswith("attacker.mode=dp ")
+
+
+@pytest.mark.parametrize("param,values,message", [
+    ("credibility", "0.1", "the scenario holds no key 'credibility'"),
+    ("policy", "fcfs", "sweep key 'policy' would be ignored"),
+    ("power_scale", "2", "the scenario holds no key 'power_scale'"),
+    ("persuasion.belief_threshold", "0.6", "the scenario holds no key 'persuasion.belief_threshold'"),
+    ("window", "5,3", "scan duration must fit inside the window"),
+    # each value is read as a scenario file's: YAML 1.1 reads 1e-3 as a string
+    ("persuasion.credibility", "0.1,true", "persuasion.credibility must be a number, got True"),
+    ("persuasion.credibility", "'0.3'", "persuasion.credibility must be a number, got '0.3'"),
+    ("persuasion.credibility", "1e-3", "persuasion.credibility must be a number, got '1e-3'"),
+    ("persuasion.credibility", "[1", "expected ',' or ']'"),
+], ids=["former-name", "policy", "power_scale", "belief_threshold-under-persuasion", "window-below-scan",
+        "bool", "quoted-number", "1e-3", "malformed"])
+def test_sweep_rejects_a_key_or_value_before_any_episode(tmp_path, scenario_file, monkeypatch, capsys,
+                                                          param, values, message):
+    from satdefsim import engine
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran before the sweep arguments were checked")
+
+    monkeypatch.setattr(engine, "run_episode", no_episode)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", scenario_file, "--param", param, "--values", values, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -146,7 +194,7 @@ def test_empty_sweep_fails_before_any_episode(tmp_path, scenario_file, monkeypat
 
     monkeypatch.setattr(engine, "run_episode", no_episode)
     out = tmp_path / "out"
-    rc = main(["sweep", "--config", scenario_file, "--param", "credibility", *flags, "--out", str(out)])
+    rc = main(["sweep", "--config", scenario_file, "--param", "persuasion.credibility", *flags, "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -13,7 +13,15 @@ from hypothesis import given, settings, strategies as st
 import satdefsim
 from satdefsim import attacker, engine
 from satdefsim.attacker import AttackerParams, best_response, dp_decision
-from satdefsim.config import ConfigError, PersuasionSettings, default_scenario, from_dict, load_config
+from satdefsim.config import (
+    ConfigError,
+    PersuasionSettings,
+    default_scenario,
+    from_dict,
+    load_config,
+    set_scenario_value,
+    with_scenario_values,
+)
 from satdefsim.engine import (
     EpisodeRunner,
     Interceptor,
@@ -275,16 +283,17 @@ class TestDownlinkCache:
             run_episode(cfg, 5, policy)
         assert built == {"outage": 1, "forecast": 4}
         # each new credibility is a stardis plan of its own; 0.2 is cfg's
-        sweep(cfg, "credibility", [0.01, 0.1, 0.2, 0.5], range(2), policies=("stardis",))
+        sweep(cfg, "persuasion.credibility", [0.01, 0.1, 0.2, 0.5], range(2), policies=("stardis",))
         assert built == {"outage": 4, "forecast": 7}
 
     def test_sweep_builds_each_plan_once(self):
         # seeds are the sweep's outer loop, so each seed cycles through all
-        # 4 x 3 (credibility, policy) plans: a smaller cache rebuilds them all
+        # 5 x 4 (credibility, plan) plans, fcfs and sp sharing the one
+        # without signaling: a smaller cache rebuilds them all
         clear_engine_caches()
-        sweep(small_cfg(horizon=100), "credibility", [0.01, 0.1, 0.2, 0.5], range(3))
+        sweep(small_cfg(horizon=100), "persuasion.credibility", [0.01, 0.05, 0.1, 0.2, 0.5], range(4), POLICIES)
         info = engine._signal_plan.cache_info()
-        assert (info.misses, info.hits) == (12, 24)
+        assert (info.misses, info.hits) == (20, 80)
 
 
 @pytest.mark.parametrize("order", [(0.5, 0.5 + 1e-13), (0.5 + 1e-13, 0.5)], ids=["exact-first", "nudged-first"])
@@ -644,10 +653,10 @@ def test_suite_and_sweep_equal_plain_episode_loops():
             assert (mean, std) == (float(np.mean(column)), float(np.std(column))), (policy, key)
 
     values = [0.05, 0.3]
-    rows = sweep(cfg, "credibility", values, seeds)
+    rows = sweep(cfg, "persuasion.credibility", values, seeds)
     assert [(r["value"], r["policy"]) for r in rows] == [(v, p) for v in values for p in STAR_FAMILY]
     for row in rows:
-        cfg_v = dataclasses.replace(cfg, persuasion=dataclasses.replace(cfg.persuasion, credibility=row["value"]))
+        cfg_v = with_scenario_values(cfg, {"persuasion.credibility": row["value"]})
         episodes = plain(cfg_v, row["policy"])
         realized = [m.attacker_realized for m in episodes]
         assert row["attacker_realized_mean"] == float(np.mean(realized))
@@ -767,31 +776,47 @@ class TestSuite:
             run_benchmark_suite(small_cfg(), [], [0])
 
     def test_sweep_param_validation(self):
-        with pytest.raises(ValueError):
-            sweep(small_cfg(), "nonsense", [0.1], [0])
+        # the sweep's former short names are no scenario keys
+        for key in ("nonsense", "credibility", "prior"):
+            with pytest.raises(ValueError, match=f"the scenario holds no key '{key}'"):
+                sweep(small_cfg(), key, [0.1], [0])
 
     @pytest.mark.parametrize("args,message", [
-        (("nonsense", [], [0]), "sweep param"),
-        (("nonsense", [0.1], []), "sweep param"),
-        (("credibility", [], [0]), "at least one sweep value"),
-        (("prior", [0.3], []), "at least one seed"),
-        (("credibility", [0.1, -1.0], [0]), "credibility budget"),
-    ], ids=["bad-param-no-values", "bad-param-no-seeds", "no-values", "no-seeds", "bad-value"])
+        (("nonsense", [], [0]), "at least one sweep value"),
+        (("nonsense", [0.1], []), "at least one seed"),
+        (("persuasion.credibility", [], [0]), "at least one sweep value"),
+        (("persuasion.prior_scan", [0.3], []), "at least one seed"),
+        (("persuasion.credibility", [0.1, -1.0], [0]), "credibility budget"),
+        # the policies argument sets each episode's policy
+        (("policy", ["fcfs"], [0]), "sweep key 'policy' would be ignored"),
+        # keys the echo does not hold: read at load only, or kept under attacker
+        (("power_scale", [2.0], [0]), "the scenario holds no key 'power_scale'"),
+        (("persuasion.belief_threshold", [0.6], [0]), "no key 'persuasion.belief_threshold'"),
+        (("tasks.0.arrival.interval", [4], [0]), "no key 'tasks.0.arrival.interval'"),  # routine is aperiodic
+        (("tasks.2.arrival.rate", [0.1], [0]), "no key 'tasks.2.arrival.rate'"),
+        (("window", [5, 3], [0]), "scan duration must fit inside the window"),
+        # checked as a scenario file's values are
+        (("persuasion.credibility", [0.1, True], [0]), "persuasion.credibility must be a number, got True"),
+        (("persuasion.prior_scan", ["0.3"], [0]), "persuasion.prior_scan must be a number, got '0.3'"),
+        (("window", [5.5], [0]), "window must be a whole number, got 5.5"),
+    ], ids=["bad-param-no-values", "bad-param-no-seeds", "no-values", "no-seeds", "bad-value", "policy",
+            "power_scale", "belief_threshold-under-persuasion", "unused-arrival-key", "no-such-task",
+            "window-below-scan", "bool", "quoted-number", "fractional-int"])
     def test_sweep_arguments_rejected_before_any_episode(self, monkeypatch, args, message):
         def no_episode(*a, **kw):
             raise AssertionError("an episode ran before the sweep arguments were checked")
 
         monkeypatch.setattr(engine, "run_episode", no_episode)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             sweep(small_cfg(), *args)
 
     def test_empty_sweep_policy_list_rejected(self):
         with pytest.raises(ValueError, match="empty policy list"):
-            sweep(small_cfg(), "credibility", [0.1], [0], policies=())
+            sweep(small_cfg(), "persuasion.credibility", [0.1], [0], policies=())
 
     @pytest.mark.parametrize("run", [
         lambda cfg: run_benchmark_suite(cfg, ["fcfs", "sp", "stra"], range(4)),
-        lambda cfg: sweep(cfg, "credibility", [0.1, 0.2], range(4), policies=("star", "stra")),
+        lambda cfg: sweep(cfg, "persuasion.credibility", [0.1, 0.2], range(4), policies=("star", "stra")),
     ], ids=["suite", "sweep"])
     def test_unknown_policy_rejected_before_any_episode(self, monkeypatch, run):
         def no_episode(*args, **kwargs):
@@ -802,9 +827,26 @@ class TestSuite:
             run(small_cfg())
 
     def test_prior_sweep_runs(self):
-        rows = sweep(small_cfg(horizon=100), "prior", [0.3, 0.7], [0], policies=("star",))
+        rows = sweep(small_cfg(horizon=100), "persuasion.prior_scan", [0.3, 0.7], [0], policies=("star",))
         assert len(rows) == 2
         assert {r["value"] for r in rows} == {0.3, 0.7}
+
+    @pytest.mark.parametrize("key,values,read", [
+        ("window", [5, 10], lambda c: c.window),
+        ("tasks.0.arrival.rate", [0.1, 0.5], lambda c: c.tasks[0].arrival.rate),
+        ("attacker.mode", ["none", "dp"], lambda c: c.attacker_mode),
+    ], ids=["int", "list-indexed", "string"])
+    def test_sweep_of_any_key_equals_episodes_of_its_configs(self, key, values, read):
+        cfg = small_cfg(horizon=100)
+        rows = sweep(cfg, key, values, [0, 1], policies=("stardis",))
+        assert [(r["param"], r["value"]) for r in rows] == [(key, v) for v in values]
+        for row in rows:
+            cfg_v = with_scenario_values(cfg, {key: row["value"]})
+            assert read(cfg_v) == row["value"]
+            realized = [run_episode(cfg_v, s, "stardis")[0].attacker_realized for s in (0, 1)]
+            assert row["attacker_realized_mean"] == float(np.mean(realized))
+        # each value moves the episodes, so the key was set
+        assert rows[0]["attacker_realized_mean"] != rows[1]["attacker_realized_mean"]
 
 
 # One window of a scripted interaction: the channel state and the scan
@@ -1212,6 +1254,7 @@ class TestConfigValidation:
 #: every scenario key set to a value other than its default
 NON_DEFAULT_SCENARIO = {
     "horizon": 300,
+    "power_scale": 2.0,  # scales only a task without a power
     "window": 6,
     "slot_ms": 50.0,
     "resources": ["cpu", "fpga", "gpu"],
@@ -1244,16 +1287,6 @@ NON_DEFAULT_SCENARIO = {
     "policy": "stardis",
     "sp_scan_period": 25,
 }
-
-
-def set_scenario_value(raw: dict, path: str, value) -> None:
-    """Set the key at the dotted ``path`` of a raw scenario (a digit
-    indexes a list)."""
-    *parents, leaf = path.split(".")
-    target = raw
-    for k in parents:
-        target = target[int(k)] if k.isdigit() else target[k]
-    target[int(leaf) if leaf.isdigit() else leaf] = value
 
 
 def config_leaves(obj, prefix=""):
@@ -1423,7 +1456,7 @@ def test_sp_scan_preempts_routine_work():
 def test_credibility_sweep_attacker_monotone():
     # end-to-end consequence of solver monotonicity, seed-paired episodes
     cfg = default_scenario()
-    rows = sweep(cfg, "credibility", [0.01, 0.1, 0.2, 0.5], range(8), policies=("stardis",))
+    rows = sweep(cfg, "persuasion.credibility", [0.01, 0.1, 0.2, 0.5], range(8), policies=("stardis",))
     means = [r["attacker_realized_mean"] for r in rows]
     assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
 
@@ -1435,8 +1468,7 @@ def test_stardis_dominates_star_at_every_budget():
 
     cfg = default_scenario()
     budgets = (0.01, 0.1, 0.2, 0.5)
-    cfgs = [dataclasses.replace(cfg, persuasion=dataclasses.replace(cfg.persuasion, credibility=c))
-            for c in budgets]
+    cfgs = [with_scenario_values(cfg, {"persuasion.credibility": c}) for c in budgets]
     for c, runs in zip(budgets, engine._run_by_seed(cfgs, ("star", "stardis"), range(8))):
         star = np.array([m.attacker_realized for m in runs["star"]])
         dis = np.array([m.attacker_realized for m in runs["stardis"]])
