@@ -332,11 +332,16 @@ def with_scenario_values(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
     is checked as a scenario file's would be.  The echo holds every key
     that the config keeps, so a key it lacks is rejected rather than
     ignored: ``power_scale`` is read at load only, and the belief threshold
-    is ``attacker.belief_threshold``."""
+    is ``attacker.belief_threshold``.  A rejection's message starts with
+    the changed ``key=value`` pairs."""
     raw = cfg.to_jsonable()
-    for path, value in changes.items():
-        set_scenario_value(raw, path, value)
-    return from_dict(raw)
+    try:
+        for path, value in changes.items():
+            set_scenario_value(raw, path, value)
+        return from_dict(raw)
+    except ConfigError as exc:
+        changed = ", ".join(f"{path}={value!r}" for path, value in changes.items())
+        raise ConfigError(f"{changed}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -5,12 +5,11 @@ An episode is two passes.  The defender pass (``DefenderPass``) runs
 arrivals, admission, deadline reaping, the receding-horizon plan of each
 window, the slot solver or the fcfs rule and task progress over one
 instance queue, and returns a read-only ``DefenderSchedule``.  The
-telemetry pass (``EpisodeRunner``) reads that schedule and its policy's
-``SignalPlan`` and writes to neither: it quantizes each window's
+telemetry pass (``EpisodeRunner.telemetry``) reads that schedule and its
+policy's ``SignalPlan`` and writes to neither: it quantizes each window's
 planned (scan, load) state, draws one deceptive signal per slot from the
-plan's tables, then runs one loop over the slots that delivers or erases
-telemetry, updates the interceptor's belief and lets it act.  Episodes
-are deterministic given (config, seed).
+plan's tables, and runs the interceptor over the slots (``intercept``).
+Episodes are deterministic given (config, seed).
 
 Signaling shapes only the downlink, so star, star-static and stardis
 run the same defender pass on one seed.  ``defender_schedule`` keeps the
@@ -23,7 +22,7 @@ in the outer loop so that each seed's schedule is built once.
 Only the fading draw depends on the seed.  What else an episode reads
 is built once and shared read-only: the game and its solved policies
 (``persuasion_assets``) and each policy's ``SignalPlan``: the mean-SNR
-forecast, the ``SignalTable`` every slot's packet is drawn from, the
+forecast, the ``SlotTables`` every slot's packet is drawn from, the
 slot's credibility budget, delivery delay and received packet, and each
 window's budget total.  A plan builds its own downlink forecast (mean
 SNR, propagation and delivery delays, and for stardis the outage
@@ -34,16 +33,21 @@ these are the module's only caches.
 
 A ``SignalTable`` holds what signaling reads of one policy: per-state
 sampling CDFs, the interceptor's posterior after each signal with mass,
-and a memo of the window drift.  An episode draws its signal uniforms in
-one ``rng_signal.random(horizon)`` call and turns each into a signal
-with the row's CDF, exactly as ``Generator.choice`` would; a received
-packet is a table read and an erasure resets to the shared read-only
-prior.
-
-The interceptor's slot is one ``Interceptor`` step: ``receive`` the
-slot's packet, then ``act`` on the belief it leaves.  Episodes run
-every slot through it, and so do the scripted belief-dynamics checks
-(acceptance criterion 9), which deliver forced signals slot by slot.
+and a memo of the window drift.  A plan's ``SlotTables`` holds its
+distinct tables, each slot's index into them and, per belief (the prior
+and each posterior), the scan probability, idle gap and whether the
+signal has mass.  So the telemetry pass works on arrays: an episode
+draws its signal uniforms in one ``rng_signal.random(horizon)`` call and
+turns them into signals with one ``searchsorted`` per (table, state),
+exactly as ``Generator.choice`` would; each slot's belief is a forward
+fill over the slots that receive a packet or lose one to an erasure;
+threshold-mode attacks are decided in one ``threshold_decision`` call.
+Only what runs in slot order stays a loop: the intensity recursion, the
+attack-cost totals and the dp interceptor's ``dp_decision``, so every
+float sum keeps the order and bits of a slot-by-slot interceptor
+(``tests/oracles.py`` keeps that interceptor as the pass's oracle).  The
+scripted belief-dynamics checks (acceptance criterion 9) call
+``intercept`` with forced signals delivered in their own slots.
 """
 from __future__ import annotations
 
@@ -66,7 +70,6 @@ from .attacker import (
     # name (PATCH_POINTS), so the name must stay importable from this module
     best_response,  # noqa: F401
     dp_decision,
-    intensity_update,
     threshold_decision,
 )
 from .channel import (
@@ -176,7 +179,7 @@ class EpisodeTraces:
 
 
 # ---------------------------------------------------------------------------
-# Signal tables: what the signaling loop reads for one policy
+# Signal tables: what the telemetry pass reads for one policy
 # ---------------------------------------------------------------------------
 
 _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -225,11 +228,11 @@ def belief_entry(belief: np.ndarray, game: PersuasionGame) -> tuple[np.ndarray, 
 class SignalTable:
     """Read-only tables of one signaling policy under its game's prior.
 
-    - ``cdf[state]``: the row's sampling CDF (``choice_cdf``), so a draw
-      is one ``searchsorted``;
+    - ``cdf[state]``: the row's sampling CDF (``choice_cdf``), so draws
+      are one ``searchsorted``;
     - ``posteriors[m]``: the ``belief_entry`` of ``belief_update(prior, m,
-      policy)`` for every signal ``m`` with mass under the prior, so a
-      received packet is a table read; a zero-mass signal has no entry;
+      policy)`` for every signal ``m`` with mass under the prior; a
+      zero-mass signal has no entry;
     - a memo of ``lyapunov_drift(belief, policy, game)`` keyed by the
       belief's bytes.
 
@@ -252,23 +255,67 @@ class SignalTable:
         self.posteriors = MappingProxyType(posteriors)
         self._drift: dict[bytes, float] = {}
 
-    def draw(self, state: int, u: float) -> int:
-        """The signal ``Generator.choice`` draws in ``state`` from uniform ``u``."""
-        return int(self.cdf[state].searchsorted(u, side="right"))
-
-    def receive(self, m: int) -> tuple[np.ndarray, float, float]:
-        """The interceptor's ``belief_entry`` after signal ``m``."""
-        entry = self.posteriors.get(m)
-        if entry is None:
-            raise ValueError(f"signal {m} has zero probability under the prior")
-        return entry
-
     def drift(self, belief: np.ndarray) -> float:
         key = belief.tobytes()
         value = self._drift.get(key)
         if value is None:
             value = self._drift[key] = lyapunov_drift(belief, self.policy, self.game)
         return value
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class SlotTables:
+    """The signal tables of a plan's slots, with what the telemetry pass
+    reads of them as flat arrays, read-only.
+
+    ``distinct`` holds the plan's distinct tables and ``index`` each slot's
+    index into them, so ``self[t]`` is slot t's table.  Beliefs are
+    numbered: 0 is the prior (``prior_entry``), and ``1 + i * signals + m``
+    is the posterior after signal m of table i, where ``signals`` is the
+    widest table's signal count.  Per belief: ``beliefs`` (``None`` where
+    the signal has no mass under the prior or lies beyond its table),
+    ``p_scan``, ``idle_gap`` and ``has_mass``.
+    """
+
+    def __init__(self, slot_tables, prior_entry: tuple):
+        self.distinct = tuple(dict.fromkeys(slot_tables))
+        where = {table: i for i, table in enumerate(self.distinct)}
+        self.index = _read_only(np.array([where[table] for table in slot_tables], dtype=np.intp))
+        self.signals = max(table.policy.shape[1] for table in self.distinct)
+        entries = [prior_entry] + [
+            table.posteriors.get(m) for table in self.distinct for m in range(self.signals)
+        ]
+        self.beliefs = tuple(None if e is None else e[0] for e in entries)
+        self.p_scan = _read_only(np.array([np.nan if e is None else e[1] for e in entries]))
+        self.idle_gap = _read_only(np.array([np.nan if e is None else e[2] for e in entries]))
+        self.has_mass = _read_only(np.array([e is not None for e in entries]))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, t: int) -> SignalTable:
+        return self.distinct[self.index[t]]
+
+    def __iter__(self):
+        return map(self.distinct.__getitem__, self.index.tolist())
+
+    def draw(self, states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Each slot's signal in its state from its uniform, with one
+        ``searchsorted`` per (table, state) pair: the signal
+        ``Generator.choice`` draws with the row's probabilities from the
+        stream the uniforms came from."""
+        n_states = len(self.distinct[0].cdf)
+        group = self.index * n_states + states
+        signals = np.empty(len(group), dtype=np.intp)
+        for g in np.unique(group).tolist():
+            at = group == g
+            table, state = divmod(g, n_states)
+            signals[at] = self.distinct[table].cdf[state].searchsorted(uniforms[at], side="right")
+        return signals
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +358,9 @@ def persuasion_assets(cfg: ScenarioConfig) -> PersuasionAssets:
     return _game_assets(p.z_bins, p.prior_scan, p.subdivisions, att.reward_weight, att.base_cost)
 
 
-@lru_cache(maxsize=16)
+# a sweep of a game input (the prior, say) cycles through one game per
+# value for each seed: as many entries as ``_signal_plan`` keeps plans
+@lru_cache(maxsize=64)
 def _game_assets(z_bins, prior_scan, subdivisions, reward_weight, base_cost) -> PersuasionAssets:
     game = build_scan_game(reward_weight, base_cost, prior_scan, z_bins=z_bins)
     return PersuasionAssets(game, subdivisions)
@@ -322,18 +371,18 @@ class SignalPlan:
     """How one policy signals in a scenario, read-only.
 
     The downlink forecast it was built from: ``mean_snr``, the per-slot
-    mean SNR (dB).  Per slot: the ``tables`` its packet is drawn from
-    (empty where no interceptor is signaled to), its credibility
+    mean SNR (dB).  Per slot: the ``SlotTables`` its packet is drawn from
+    (``None`` where no interceptor is signaled to), its credibility
     ``budgets``, its delivery ``delays`` in slots and ``delivered``: the
     generation slot of the newest packet arriving in it, or -1.  Per
     window: ``window_budgets``, the budget total.  All are read-only.
     """
 
     mean_snr: np.ndarray
-    tables: tuple[SignalTable, ...]
+    tables: SlotTables | None
     budgets: np.ndarray
     delays: tuple[int, ...]
-    delivered: tuple[int, ...]
+    delivered: np.ndarray
     window_budgets: np.ndarray
 
 
@@ -358,14 +407,13 @@ def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
     mean_snr.flags.writeable = False
     prop_ms = [geometry.propagation_delay_ms(t) for t in range(horizon)]
     added_ms = 0.0
-    tables: tuple[SignalTable, ...] = ()
+    tables = None
     budgets = np.broadcast_to(0.0, horizon)  # a read-only view, one value stored
     assets = persuasion_assets(cfg) if policy is not None else None
     if policy == "star":
         tables = (SignalTable(assets.reveal_policy, assets.game),) * horizon
     elif policy == "star-static":
-        table = SignalTable(assets.static_solution(p.credibility).policy, assets.game)
-        tables = (table,) * horizon
+        tables = (SignalTable(assets.static_solution(p.credibility).policy, assets.game),) * horizon
         budgets = np.broadcast_to(p.credibility, horizon)
     elif policy == "stardis":
         curve = assets.curve(p.budget_points)
@@ -386,82 +434,144 @@ def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
         ]
     delays = tuple(delivery_delay_slots(prop_ms, cfg.proc_delay_ms, added_ms, cfg.slot_ms).tolist())
     # later packets overwrite, so each slot keeps the newest arriving there
-    delivered = [-1] * horizon
+    delivered = np.full(horizon, -1)
     for s, d in enumerate(delays):
         if s + d < horizon:
             delivered[s + d] = s
     window_budgets = np.array([float(np.sum(budgets[w : w + window])) for w in range(0, horizon, window)])
     window_budgets.flags.writeable = False
-    return SignalPlan(mean_snr, tables, budgets, delays, tuple(delivered), window_budgets)
+    if tables is not None:
+        tables = SlotTables(tables, assets.prior_entry)
+    return SignalPlan(mean_snr, tables, budgets, delays, _read_only(delivered), window_budgets)
 
 
 # ---------------------------------------------------------------------------
-# Interceptor step
+# Interceptor pass
 # ---------------------------------------------------------------------------
 
-class Interceptor:
-    """The interceptor of one episode, one slot at a time: ``receive``
-    the slot's packet, then ``act`` against the belief it leaves.
+@dataclass(frozen=True)
+class Interception:
+    """What the interceptor does in one episode.  Per slot, as the slot
+    trace's columns: the ``signal`` it received ("" for none), the
+    ``belief_scan`` it acts on, ``x_att``, ``attack_blocked``,
+    ``realized_reward`` and the ``intensity`` after the slot.  Per window:
+    the ``drift`` of its first slot's table at the belief the window
+    opens with.  Totals: the ``realized`` and ``believed`` attack
+    utilities summed over the slots, and the ``attacks`` and ``blocked``
+    counts."""
 
-    ``params`` are the ``AttackerParams``; ``belief, p_scan, idle_gap``
-    is the current ``belief_entry``, the prior's at the start and after
-    an erasure; ``threshold`` selects the threshold rule, ``None`` the dp
-    rule.  The dp rule decides every slot afresh with ``dp_decision``:
-    the first decision of the optimal plan for the rest of the window
-    from the current belief and intensity, which is the decision a plan
-    made earlier would take there while the belief stays the same.  The
-    totals are the realized and believed attack utilities summed over
-    the slots.  ``dp_decision`` and ``threshold_decision`` are looked up
-    in this module, so patching them sees every call.
+    signal: list[str]
+    belief_scan: list[float]
+    x_att: list[int]
+    attack_blocked: list[int]
+    realized_reward: list[float]
+    intensity: list[float]
+    drift: list[float]
+    realized: float
+    believed: float
+    attacks: int
+    blocked: int
+
+
+def intercept(
+    tables: SlotTables, delivered, signals, erased, scan_on, z, window: int, att, threshold: float | None,
+) -> Interception:
+    """The interceptor over one episode's slots, with arrays.
+
+    Slot t receives the packet generated in slot ``delivered[t]`` (-1 for
+    none): signal ``signals[delivered[t]]`` of that slot's table, which
+    sets the belief, unless the slot is ``erased``: then the packet is
+    lost and the belief resets to the prior.  A slot with neither keeps
+    its belief, so each slot's belief is a forward fill over the slots
+    that receive or erase, from the prior at the start.  A received
+    signal with no mass under the prior raises ``ValueError``.
+
+    The interceptor then acts on that belief.  The threshold rule attacks
+    iff ``p_scan < threshold``, decided for every slot in one
+    ``threshold_decision`` call.  The dp rule (``threshold`` None) takes
+    ``dp_decision`` at the belief's attack gap, the slots left in the
+    window and the current intensity: the first decision of the optimal
+    plan for the rest of the window, which is the decision a plan made
+    earlier would take there while the belief stays the same.  An attack
+    pays its intensity-amplified cost; it earns ``reward_weight * (1 -
+    z)`` only when the slot was not erased and no scan runs, and an
+    attack into a scan counts as blocked.  The intensity recursion, the
+    dp decisions and the totals run in one loop in slot order, so each
+    sum adds the same floats in the same order as a slot-by-slot
+    interceptor.  ``dp_decision`` and ``threshold_decision`` are looked
+    up in this module, so patching them sees every call.
     """
+    h = len(tables)
+    erased = np.asarray(erased, dtype=bool)
+    scan = np.asarray(scan_on, dtype=bool)
+    got = ~erased & (delivered >= 0)
+    gen = delivered[got]
+    signal = signals[gen]
+    belief = 1 + tables.index[gen] * tables.signals + signal
+    lost = ~tables.has_mass[belief]
+    if lost.any():
+        raise ValueError(f"signal {signal[lost][0]} has zero probability under the prior")
+    # sets[t + 1]: the belief slot t sets, -1 where it keeps its belief;
+    # held[t]: the belief slot t opens with, held[t + 1] the one it acts on
+    sets = np.full(h + 1, -1)
+    sets[0] = 0  # the prior at the start
+    sets[1:][erased] = 0
+    sets[1:][got] = belief
+    held = sets[np.maximum.accumulate(np.where(sets >= 0, np.arange(h + 1), 0))]
+    acting = held[1:]
+    p_scan = tables.p_scan[acting]
+    gap = (att.reward_weight * tables.idle_gap[acting]).tolist()  # believed attack gap
+    pay = np.where(erased | scan, 0.0, att.reward_weight * (1.0 - np.asarray(z, dtype=float))).tolist()
 
-    def __init__(self, params, prior_entry: tuple, threshold: float | None):
-        self.params = params
-        self.threshold = threshold
-        self.prior_entry = prior_entry
-        self.belief, self.p_scan, self.idle_gap = prior_entry
-        self.intensity = 0.0
-        self.realized = 0.0
-        self.believed = 0.0
-        self.attacks = 0
-        self.blocked = 0
+    # each window's drift, once per distinct (table, opening belief)
+    starts = np.arange(0, h, window)
+    n_beliefs = len(tables.beliefs)
+    pairs, where = np.unique(tables.index[starts] * n_beliefs + held[starts], return_inverse=True)
+    drifts = [tables.distinct[k // n_beliefs].drift(tables.beliefs[k % n_beliefs]) for k in pairs.tolist()]
 
-    def receive(self, erased: bool, m: int, table: SignalTable | None) -> str:
-        """Take a slot's packet, signal ``m`` of ``table`` (-1 for none).
-        An erased slot resets the belief to the prior and loses the packet;
-        otherwise the packet sets the belief.  Returns the signal, or ""."""
-        if erased:
-            self.belief, self.p_scan, self.idle_gap = self.prior_entry
-        elif m >= 0:
-            self.belief, self.p_scan, self.idle_gap = table.receive(m)
-            return str(m)
-        return ""
-
-    def act(self, scan_now: bool, z: float, erased: bool, remaining: int) -> tuple[int, int, float]:
-        """Decide and settle one slot with ``remaining`` slots left in its
-        window; returns ``(x_att, blocked, reward)``.  An attack pays its
-        intensity-amplified cost; it earns ``reward_weight * (1 - z)``
-        only when the slot's telemetry was intercepted and no scan runs,
-        and an attack into a scan counts as blocked."""
-        att = self.params
-        gap = att.reward_weight * self.idle_gap  # believed attack gap
-        if self.threshold is not None:
-            x_att = int(threshold_decision(self.p_scan, self.threshold))
+    dp = threshold is None
+    if dp:
+        x_att = [0] * h
+        t = np.arange(h)
+        remaining = (np.minimum(t - t % window + window, h) - t).tolist()
+    else:
+        x_att = threshold_decision(p_scan, threshold).astype(int).tolist()
+    eta, base, scale = att.memory, att.base_cost, att.cost_scale
+    keep = 1.0 - eta
+    a = realized = believed = 0.0
+    intensity = [0.0] * h
+    for t in range(h):
+        if dp:
+            x_att[t] = dp_decision(gap[t], remaining[t], att, a)
+        # intensity_update inlined: (1 - eta) * a + eta * x with x in {0.0,
+        # 1.0}, where eta * 1.0 is eta and adding eta * 0.0 to a >= 0 is exact
+        if x_att[t]:
+            cost = base * (1.0 + scale * a)
+            realized += pay[t] - cost
+            believed += gap[t] - cost
+            a = keep * a + eta
         else:
-            x_att = dp_decision(gap, remaining, att, self.intensity)
-        blocked = 0
-        reward = 0.0
-        if x_att:
-            self.attacks += 1
-            cost = att.base_cost * (1.0 + att.cost_scale * self.intensity)
-            blocked = int(scan_now)
-            self.blocked += blocked
-            gate = (not erased) and not scan_now
-            reward = (att.reward_weight * (1.0 - z)) if gate else 0.0
-            self.realized += reward - cost
-            self.believed += gap - cost
-        self.intensity = intensity_update(self.intensity, x_att, att.memory)
-        return x_att, blocked, reward
+            a = keep * a
+        intensity[t] = a
+
+    x = np.array(x_att, dtype=bool)
+    blocked = x & scan
+    shown = np.zeros(h, dtype=np.intp)
+    shown[got] = signal + 1
+    labels = np.array([""] + [str(m) for m in range(tables.signals)])
+    return Interception(
+        signal=labels[shown].tolist(),
+        belief_scan=p_scan.tolist(),
+        x_att=x_att,
+        attack_blocked=blocked.astype(int).tolist(),
+        realized_reward=np.where(x, pay, 0.0).tolist(),
+        intensity=intensity,
+        drift=[drifts[i] for i in where.tolist()],
+        realized=realized,
+        believed=believed,
+        attacks=int(x.sum()),
+        blocked=int(blocked.sum()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -748,49 +858,49 @@ class EpisodeRunner:
 
         # an interceptor runs only where a star-family policy signals to it
         self.signaling_on = cfg.attacker_mode != "none" and self.policy in _STAR_FAMILY
-        self.assets = persuasion_assets(cfg) if self.signaling_on else None
         self.plan = _signal_plan(cfg, self.policy if self.signaling_on else None)
         self.mean_snr = self.plan.mean_snr
         self.erased = erasures(self.mean_snr, sample_envelope(cfg.channel, self.rng_channel, size=cfg.horizon), cfg.channel)
 
+    def telemetry(self, schedule: DefenderSchedule) -> tuple[list[int], Interception]:
+        """The telemetry pass over ``schedule`` where an interceptor is
+        signaled to: each window's quantized planned state, each slot's
+        signal drawn from one uniform of the signal stream, and the
+        interceptor's pass over the packets the plan delivers."""
+        cfg = self.cfg
+        pset = cfg.persuasion
+        h, window = cfg.horizon, cfg.window
+        states = [
+            quantize_state(has_scan, min(max(z_avg, 0.0), 1.0), pset.z_bins)
+            for has_scan, z_avg in zip(schedule.has_scan, schedule.z_avg)
+        ]
+        tables = self.plan.tables
+        signals = tables.draw(np.repeat(states, window)[:h], self.rng_signal.random(h))
+        threshold = pset.belief_threshold if cfg.attacker_mode == "threshold" else None
+        seen = intercept(
+            tables, self.plan.delivered, signals, self.erased, schedule.scan_on, schedule.z,
+            window, cfg.attacker, threshold,
+        )
+        return states, seen
+
     def run(self) -> tuple[EpisodeMetrics, EpisodeTraces]:
         """The defender pass (or its shared schedule), then the telemetry
-        pass over it with the policy's signal plan: window states, slot
-        signals, then one loop over the slots (each window's drift at its
-        first slot) that delivers the packets the plan fixes."""
+        pass over it with the policy's signal plan."""
         cfg = self.cfg
         schedule = defender_schedule(cfg, self.seed, self.policy)
         h, w_len_cfg = cfg.horizon, cfg.window
-        pset = cfg.persuasion
-        erased = self.erased.tolist()
         plan = self.plan
-        states, drifts = [""] * len(schedule.scan_freq), [0.0] * len(schedule.scan_freq)
+        n_windows = len(schedule.scan_freq)
 
         if self.signaling_on:
-            threshold = pset.belief_threshold if cfg.attacker_mode == "threshold" else None
-            interceptor = Interceptor(cfg.attacker, self.assets.prior_entry, threshold)
-            states = [
-                quantize_state(has_scan, min(max(z_avg, 0.0), 1.0), pset.z_bins)
-                for has_scan, z_avg in zip(schedule.has_scan, schedule.z_avg)
-            ]
-            tables, scan_on, z = plan.tables, schedule.scan_on, schedule.z
-            # one uniform per slot, consumed as Generator.choice would
-            uniforms = self.rng_signal.random(h).tolist()
-            signals = [tables[t].draw(states[t // w_len_cfg], u) for t, u in enumerate(uniforms)]
-            rows, w_end = [], 0
-            for t, gen in enumerate(plan.delivered):
-                if t == w_end:
-                    drifts[t // w_len_cfg] = tables[t].drift(interceptor.belief)
-                    w_end = min(t + w_len_cfg, h)
-                got = interceptor.receive(erased[t], signals[gen] if gen >= 0 else -1, tables[gen])
-                x, b, r = interceptor.act(bool(scan_on[t]), z[t], erased[t], w_end - t)
-                rows.append((got, interceptor.p_scan, x, b, r, interceptor.intensity))
-            received, p_scan, x_att, blocked, rewards, intensity = map(list, zip(*rows))
-            totals = (interceptor.realized, interceptor.believed, interceptor.attacks, interceptor.blocked)
+            states, seen = self.telemetry(schedule)
         else:
-            received, p_scan = [""] * h, [""] * h
-            x_att, blocked, rewards, intensity = [0] * h, [0] * h, [0.0] * h, [0.0] * h
-            totals = (0.0, 0.0, 0, 0)
+            states = [""] * n_windows
+            seen = Interception(
+                signal=[""] * h, belief_scan=[""] * h, x_att=[0] * h, attack_blocked=[0] * h,
+                realized_reward=[0.0] * h, intensity=[0.0] * h, drift=[0.0] * n_windows,
+                realized=0.0, believed=0.0, attacks=0, blocked=0,
+            )
 
         budget_totals = plan.window_budgets.tolist()
         windows = []
@@ -804,7 +914,7 @@ class EpisodeRunner:
                 "z_avg_planned": schedule.z_avg[i] if schedule.z_avg is not None else "",
                 "scan_freq_realized": schedule.scan_freq[i],
                 "budget_total": budget_totals[i],
-                "drift": drifts[i],
+                "drift": seen.drift[i],
             })
 
         columns = {
@@ -813,19 +923,18 @@ class EpisodeRunner:
             "z": list(schedule.z),
             "power": list(schedule.power),
             "mean_snr_db": self.mean_snr.tolist(),
-            "received": [int(not e) for e in erased],
+            "received": (~self.erased).astype(int).tolist(),
             "delay_slots": list(plan.delays),
-            "signal": received,
-            "belief_scan": p_scan,
-            "x_att": x_att,
-            "attack_blocked": blocked,
-            "realized_reward": rewards,
-            "intensity": intensity,
+            "signal": seen.signal,
+            "belief_scan": seen.belief_scan,
+            "x_att": seen.x_att,
+            "attack_blocked": seen.attack_blocked,
+            "realized_reward": seen.realized_reward,
+            "intensity": seen.intensity,
             "budget": plan.budgets.tolist(),
         }
         traces = EpisodeTraces(slots={k: columns[k] for k in SLOT_TRACE_COLUMNS}, windows=windows)
 
-        realized, believed, attacks, n_blocked = totals
         s = schedule
         metrics = EpisodeMetrics(
             policy=self.policy,
@@ -836,12 +945,12 @@ class EpisodeRunner:
             routine_completion_pct=(100.0 * s.low_done / s.low_total) if s.low_total else 100.0,
             relay_miss_pct=(100.0 * s.firm_missed / s.firm_total) if s.firm_total else 0.0,
             defender_utility=s.defender_total / h,
-            attacker_realized=realized / h,
-            attacker_believed=believed / h,
+            attacker_realized=seen.realized / h,
+            attacker_believed=seen.believed / h,
             scan_freq=float(np.mean(s.scan_on)),
             erasure_count=int(np.sum(self.erased)),
-            attack_count=attacks,
-            blocked_attacks=n_blocked,
+            attack_count=seen.attacks,
+            blocked_attacks=seen.blocked,
             generated=s.generated,
             completed=s.completed,
             dropped=s.dropped,

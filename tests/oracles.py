@@ -7,9 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from satdefsim.attacker import AttackerParams, AttackPlan, best_response, intensity_update, threshold_decision
-from satdefsim.engine import Interceptor
-from satdefsim.persuasion import PersuasionGame, PosteriorSplit, attacker_value, min_attacker_value
+from satdefsim.attacker import (
+    AttackerParams,
+    AttackPlan,
+    best_response,
+    dp_decision,
+    intensity_update,
+    threshold_decision,
+)
+from satdefsim.engine import DefenderSchedule, EpisodeRunner, Interception, persuasion_assets
+from satdefsim.persuasion import PersuasionGame, PosteriorSplit, attacker_value, min_attacker_value, quantize_state
 from satdefsim.scheduler import _EPS, HorizonPlan, SchedulerConfig, UtilityParams, detection_performance
 from satdefsim.workload import TaskInstance
 
@@ -364,6 +371,120 @@ def exact_schedule(
         },
         objective=best[0],
         z=z_best,
+    )
+
+
+class Interceptor:
+    """The interceptor of one episode, one slot at a time, as the engine
+    ran it before its telemetry pass took arrays: ``receive`` the slot's
+    packet, then ``act`` against the belief it leaves.
+
+    ``params`` are the ``AttackerParams``; ``belief, p_scan, idle_gap``
+    is the current ``belief_entry``, the prior's at the start and after
+    an erasure; ``threshold`` selects the threshold rule, ``None`` the dp
+    rule, which decides every slot afresh with ``dp_decision``.  The
+    totals are the realized and believed attack utilities summed over
+    the slots.  Do not edit it to make a change pass: it is the oracle of
+    ``engine.intercept``."""
+
+    def __init__(self, params, prior_entry: tuple, threshold: float | None):
+        self.params = params
+        self.threshold = threshold
+        self.prior_entry = prior_entry
+        self.belief, self.p_scan, self.idle_gap = prior_entry
+        self.intensity = 0.0
+        self.realized = 0.0
+        self.believed = 0.0
+        self.attacks = 0
+        self.blocked = 0
+
+    def receive(self, erased: bool, m: int, table) -> str:
+        """Take a slot's packet, signal ``m`` of ``table`` (-1 for none).
+        An erased slot resets the belief to the prior and loses the packet;
+        otherwise the packet sets the belief.  Returns the signal, or ""."""
+        if erased:
+            self.belief, self.p_scan, self.idle_gap = self.prior_entry
+        elif m >= 0:
+            entry = table.posteriors.get(m)
+            if entry is None:
+                raise ValueError(f"signal {m} has zero probability under the prior")
+            self.belief, self.p_scan, self.idle_gap = entry
+            return str(m)
+        return ""
+
+    def act(self, scan_now: bool, z: float, erased: bool, remaining: int) -> tuple[int, int, float]:
+        """Decide and settle one slot with ``remaining`` slots left in its
+        window; returns ``(x_att, blocked, reward)``.  An attack pays its
+        intensity-amplified cost; it earns ``reward_weight * (1 - z)``
+        only when the slot's telemetry was intercepted and no scan runs,
+        and an attack into a scan counts as blocked."""
+        att = self.params
+        gap = att.reward_weight * self.idle_gap  # believed attack gap
+        if self.threshold is not None:
+            x_att = int(threshold_decision(self.p_scan, self.threshold))
+        else:
+            x_att = dp_decision(gap, remaining, att, self.intensity)
+        blocked = 0
+        reward = 0.0
+        if x_att:
+            self.attacks += 1
+            cost = att.base_cost * (1.0 + att.cost_scale * self.intensity)
+            blocked = int(scan_now)
+            self.blocked += blocked
+            gate = (not erased) and not scan_now
+            reward = (att.reward_weight * (1.0 - z)) if gate else 0.0
+            self.realized += reward - cost
+            self.believed += gap - cost
+        self.intensity = intensity_update(self.intensity, x_att, att.memory)
+        return x_att, blocked, reward
+
+
+def reference_intercept(
+    tables, delivered, signals, erased, scan_on, z, window, params, threshold, prior_entry, interceptor=Interceptor,
+) -> Interception:
+    """``engine.intercept`` as the engine ran it slot by slot: one loop
+    over the slots (each window's drift at its first slot) that delivers
+    the packets to an ``interceptor`` starting from ``prior_entry``."""
+    h = len(tables)
+    erased = [bool(e) for e in erased]
+    step = interceptor(params, prior_entry, threshold)
+    drifts = [0.0] * -(-h // window)
+    rows, w_end = [], 0
+    for t, gen in enumerate(list(delivered)):
+        if t == w_end:
+            drifts[t // window] = tables[t].drift(step.belief)
+            w_end = min(t + window, h)
+        got = step.receive(erased[t], int(signals[gen]) if gen >= 0 else -1, tables[gen])
+        x, b, r = step.act(bool(scan_on[t]), float(z[t]), erased[t], w_end - t)
+        rows.append((got, step.p_scan, x, b, r, step.intensity))
+    received, p_scan, x_att, blocked, rewards, intensity = map(list, zip(*rows))
+    return Interception(
+        signal=received, belief_scan=p_scan, x_att=x_att, attack_blocked=blocked,
+        realized_reward=rewards, intensity=intensity, drift=drifts,
+        realized=step.realized, believed=step.believed, attacks=step.attacks, blocked=step.blocked,
+    )
+
+
+def reference_telemetry(
+    runner: EpisodeRunner, schedule: DefenderSchedule, interceptor=Interceptor,
+) -> tuple[list[int], Interception]:
+    """``runner.telemetry(schedule)`` as the engine computed it slot by
+    slot: window states, one ``searchsorted`` draw per slot from the
+    runner's signal stream, then ``reference_intercept``."""
+    cfg = runner.cfg
+    h, window = cfg.horizon, cfg.window
+    pset = cfg.persuasion
+    tables = runner.plan.tables
+    states = [
+        quantize_state(has_scan, min(max(z_avg, 0.0), 1.0), pset.z_bins)
+        for has_scan, z_avg in zip(schedule.has_scan, schedule.z_avg)
+    ]
+    uniforms = runner.rng_signal.random(h).tolist()
+    signals = [int(tables[t].cdf[states[t // window]].searchsorted(u, side="right")) for t, u in enumerate(uniforms)]
+    threshold = pset.belief_threshold if cfg.attacker_mode == "threshold" else None
+    return states, reference_intercept(
+        tables, runner.plan.delivered.tolist(), signals, runner.erased.tolist(), schedule.scan_on, schedule.z,
+        window, cfg.attacker, threshold, persuasion_assets(cfg).prior_entry, interceptor,
     )
 
 

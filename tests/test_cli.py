@@ -182,6 +182,15 @@ def test_sweep_rejects_a_key_or_value_before_any_episode(tmp_path, scenario_file
     assert not out.exists()
 
 
+def test_sweep_error_names_the_failing_value(tmp_path, scenario_file, capsys):
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", scenario_file, "--param", "window", "--values", "5,3", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "window=3: " in err and "scan duration must fit inside the window" in err
+    assert "window=5" not in err
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--values", ""], "need at least one sweep value"),
     (["--seeds", "3..2"], "need at least one seed"),

@@ -24,9 +24,10 @@ from satdefsim.config import (
 )
 from satdefsim.engine import (
     EpisodeRunner,
-    Interceptor,
     SignalTable,
+    SlotTables,
     belief_entry,
+    intercept,
     persuasion_assets,
     run_benchmark_suite,
     run_episode,
@@ -177,7 +178,7 @@ def plan_facts(plan) -> tuple:
     """Everything a signal plan fixes, as plain values."""
     return (
         plan.mean_snr.tolist(), plan.budgets.tolist(), plan.window_budgets.tolist(), plan.delays,
-        plan.delivered, [table.policy.tolist() for table in plan.tables],
+        plan.delivered.tolist(), [table.policy.tolist() for table in plan.tables],
     )
 
 
@@ -247,12 +248,16 @@ class TestDownlinkCache:
         cfg = small_cfg()
         run_episode(cfg, 0, "stardis")
         for plan in downlink_tables(cfg):
-            assert isinstance(plan.tables, tuple) and isinstance(plan.delays, tuple)
+            assert isinstance(plan.tables, SlotTables) and isinstance(plan.delays, tuple)
+            assert isinstance(plan.tables.distinct, tuple) and isinstance(plan.tables.beliefs, tuple)
             assert len(plan.mean_snr) == len(plan.tables) == len(plan.budgets) == len(plan.delays) == cfg.horizon
+            assert len(plan.delivered) == cfg.horizon
             assert len(plan.window_budgets) == -(-cfg.horizon // cfg.window)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 plan.budgets = None
-            for array in (plan.mean_snr, plan.budgets, plan.window_budgets):
+            tables = plan.tables
+            for array in (plan.mean_snr, plan.budgets, plan.window_budgets, plan.delivered,
+                          tables.index, tables.p_scan, tables.idle_gap, tables.has_mass):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = array[0]
@@ -584,7 +589,7 @@ class TestPlanDeliveries:
         }[scenario]()
         for policy in STAR_FAMILY:
             plan = engine._signal_plan(cfg, policy)
-            assert plan.delivered == newest_arrivals(plan.delays), policy
+            assert plan.delivered.tolist() == list(newest_arrivals(plan.delays)), policy
 
     def test_some_default_stardis_slot_receives_two_packets(self):
         # where two packets arrive in one slot, the older one is never read
@@ -598,7 +603,7 @@ class TestPlanDeliveries:
 def test_random_stardis_plans_deliver_the_newest_packet(case):
     cfg, _ = case
     plan = engine._signal_plan(cfg, "stardis")
-    assert plan.delivered == newest_arrivals(plan.delays)
+    assert plan.delivered.tolist() == list(newest_arrivals(plan.delays))
 
 
 DEFENDER_METRICS = (
@@ -826,6 +831,17 @@ class TestSuite:
         with pytest.raises(ValueError, match="unknown policy 'stra'"):
             run(small_cfg())
 
+    def test_game_sweep_builds_each_game_once(self, monkeypatch):
+        # seeds are the outer loop, so each seed cycles through all 17
+        # games: a cache of 16 would rebuild them in every seed
+        built = []
+        build = engine.build_scan_game
+        monkeypatch.setattr(engine, "build_scan_game", lambda *a, **kw: built.append(1) or build(*a, **kw))
+        clear_engine_caches()
+        priors = np.linspace(0.1, 0.9, 17).tolist()
+        sweep(small_cfg(horizon=100), "persuasion.prior_scan", priors, range(3), policies=("star-static",))
+        assert len(built) == 17
+
     def test_prior_sweep_runs(self):
         rows = sweep(small_cfg(horizon=100), "persuasion.prior_scan", [0.3, 0.7], [0], policies=("star",))
         assert len(rows) == 2
@@ -856,26 +872,32 @@ Window = namedtuple("Window", "erased scan_true z_true signal", defaults=(None,)
 
 
 def scripted_trace(windows, policy, game, params, threshold, window_len):
-    """Drive the engine's threshold interceptor through scripted windows.
-    Delivery is immediate: each slot receives its window's signal (none
-    where the window has none), so the belief's response to each forced
-    channel state is isolated.  A row's ``utility`` is the change of the
-    interceptor's realized total in its slot."""
-    table = SignalTable(policy, game)
-    step = Interceptor(params, belief_entry(game.prior, game), threshold)
+    """Drive the engine's telemetry pass (``intercept``) through scripted
+    windows.  Delivery is immediate: each slot receives its window's
+    signal (none where the window has none), so the belief's response to
+    each forced channel state is isolated.  A row's ``utility`` is the
+    slot's realized attack utility: its reward less the attack's cost at
+    the intensity the slot opens with."""
+    slots = [win for win in windows for _ in range(window_len)]
+    tables = SlotTables([SignalTable(policy, game)] * len(slots), belief_entry(game.prior, game))
+    seen = intercept(
+        tables,
+        np.array([-1 if win.signal is None else t for t, win in enumerate(slots)]),
+        np.array([0 if win.signal is None else win.signal for win in slots]),
+        [win.erased for win in slots], [win.scan_true for win in slots], [win.z_true for win in slots],
+        window_len, params, threshold,
+    )
     rows = []
-    for wi, win in enumerate(windows):
-        for k in range(window_len):
-            t = wi * window_len + k
-            step.receive(win.erased, -1 if win.signal is None else win.signal, table)
-            before = step.realized
-            x_att, _, _ = step.act(win.scan_true, win.z_true, win.erased, window_len - k)
-            rows.append({
-                "window": wi,
-                "belief_scan": step.p_scan,
-                "x_att": x_att,
-                "utility": step.realized - before,
-            })
+    opened = 0.0  # the intensity a slot opens with
+    for t, x_att in enumerate(seen.x_att):
+        cost = params.base_cost * (1.0 + params.cost_scale * opened) if x_att else 0.0
+        rows.append({
+            "window": t // window_len,
+            "belief_scan": seen.belief_scan[t],
+            "x_att": x_att,
+            "utility": seen.realized_reward[t] - cost,
+        })
+        opened = seen.intensity[t]
     return rows
 
 
@@ -904,52 +926,58 @@ class TestScriptedBeliefDynamics:
 
 
 class TestInterceptorStep:
+    """The interceptor's slot rules in ``intercept``, on scripted slots."""
+
     GAME = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=1)
     # signal 0 pools (scan probability 0.6), signal 1 reveals a vulnerable state
     POLICY = np.array([[2 / 3, 1 / 3], [1.0, 0.0]])
+    PRIOR = belief_entry(GAME.prior, GAME)
 
-    def make(self, threshold=0.55):
-        prior = belief_entry(self.GAME.prior, self.GAME)
-        return SignalTable(self.POLICY, self.GAME), prior, Interceptor(AttackerParams(), prior, threshold)
+    def run(self, delivered, signals, erased, scan_on=None, z=None, threshold=0.55, window=None, tables=None):
+        """``intercept`` over ``len(delivered)`` slots of one table (no
+        scans, idle capacity 0.2 and one window unless given)."""
+        n = len(delivered)
+        if tables is None:
+            tables = SlotTables([SignalTable(self.POLICY, self.GAME)] * n, self.PRIOR)
+        return tables, intercept(
+            tables, np.array(delivered), np.array(signals), erased,
+            [False] * n if scan_on is None else scan_on, [0.2] * n if z is None else z,
+            window or n, AttackerParams(), threshold,
+        )
 
     def test_received_signal_sets_the_belief(self):
-        table, _, step = self.make()
-        assert step.receive(False, 1, table) == "1"
-        assert step.p_scan == 0.0
-        assert step.receive(False, 0, table) == "0"
-        assert step.belief is table.posteriors[0][0]
-        assert step.p_scan == pytest.approx(0.6)
+        tables, seen = self.run([0, 1], [1, 0], [False, False])
+        table = tables.distinct[0]
+        assert seen.signal == ["1", "0"]
+        assert seen.belief_scan[0] == 0.0
+        assert seen.belief_scan[1] == table.posteriors[0][1] == pytest.approx(0.6)
 
     def test_erased_slot_resets_to_prior_and_drops_its_packets(self):
-        table, prior, step = self.make()
-        step.receive(False, 0, table)
-        assert step.receive(True, 1, table) == ""
-        assert step.belief is prior[0] and step.p_scan == prior[1] and step.idle_gap == prior[2]
-        step.receive(False, 0, table)
-        assert step.receive(True, -1, None) == ""
-        assert step.belief is prior[0]
+        # slot 1's packet is lost with its slot; slot 3 has none due
+        tables, seen = self.run([0, 1, 2, -1], [0, 1, 0, 0], [False, True, False, True])
+        pooled = tables.distinct[0].posteriors[0][1]
+        assert seen.signal == ["0", "", "0", ""]
+        assert seen.belief_scan == [pooled, self.PRIOR[1], pooled, self.PRIOR[1]]
 
     def test_slot_with_nothing_due_keeps_the_belief(self):
-        table, _, step = self.make()
-        step.receive(False, 0, table)
-        for other in (table, None):
-            assert step.receive(False, -1, other) == ""
-            assert step.belief is table.posteriors[0][0]
+        tables, seen = self.run([0, -1, -1], [0, 1, 1], [False, False, False])
+        assert seen.signal == ["0", "", ""]
+        assert seen.belief_scan == [tables.distinct[0].posteriors[0][1]] * 3
 
     def test_attack_into_a_scan_is_blocked_and_still_pays(self):
         params = AttackerParams()
-        _, prior, step = self.make()  # prior scan probability 0.5 < 0.55: attack
-        assert step.act(True, 0.2, False, 1) == (1, 1, 0.0)
-        assert (step.attacks, step.blocked) == (1, 1)
-        assert step.realized == -params.base_cost
-        assert step.believed == params.reward_weight * prior[2] - params.base_cost
-        assert step.intensity == params.memory
-        # the next attack lands: no scan and intercepted telemetry
-        x_att, blocked, reward = step.act(False, 0.2, False, 1)
-        assert (x_att, blocked, reward) == (1, 0, params.reward_weight * (1.0 - 0.2))
+        # nothing received: prior scan probability 0.5 < 0.55, so attack
+        _, seen = self.run([-1, -1], [0, 0], [False, False], scan_on=[True, False], window=1)
+        assert seen.x_att == [1, 1] and seen.attack_blocked == [1, 0]
+        assert (seen.attacks, seen.blocked) == (2, 1)
+        assert seen.intensity[0] == params.memory
+        # the second attack lands: no scan and intercepted telemetry
+        reward = params.reward_weight * (1.0 - 0.2)
+        assert seen.realized_reward == [0.0, reward]
         cost = params.base_cost * (1.0 + params.cost_scale * params.memory)
-        assert step.realized == -params.base_cost + (reward - cost)
-        assert (step.attacks, step.blocked) == (2, 1)
+        assert seen.realized == (0.0 - params.base_cost) + (reward - cost)
+        gap = params.reward_weight * self.PRIOR[2]
+        assert seen.believed == (gap - params.base_cost) + (gap - cost)
 
     def test_dp_decides_every_slot_from_memoized_layers(self, monkeypatch):
         # one dp_decision per slot, whose layers are built once per
@@ -965,19 +993,17 @@ class TestInterceptorStep:
             return x
 
         monkeypatch.setattr(engine, "dp_decision", counted)
-        table, _, step = self.make(threshold=None)
-        for remaining in (3, 2, 1):  # the prior's gap: the value of 1 and of 2 slots is built
-            step.receive(False, -1, None)
-            step.act(False, 0.2, False, remaining)
-        step.receive(False, 1, table)
-        step.act(False, 0.2, False, 4)  # a new gap: of 1, 2 and 3 slots
-        # an equal belief from another table, and the prior after an erasure
-        step.receive(False, 1, SignalTable(self.POLICY, self.GAME))
-        step.act(False, 0.2, False, 3)
-        step.receive(True, -1, None)
-        step.act(False, 0.2, True, 2)
-        assert len(builds) == 5
-        assert [remaining for (_, remaining, _, _), _ in calls] == [3, 2, 1, 4, 3, 2]
+        # two windows of 4 slots, one table each, both with POLICY
+        first, second = SignalTable(self.POLICY, self.GAME), SignalTable(self.POLICY, self.GAME)
+        tables = SlotTables([first] * 4 + [second] * 4, self.PRIOR)
+        # slots 0-3 keep the prior (its gap: the value of 1, 2 and 3 slots
+        # is built); slot 4 receives slot 0's signal 1 (a new gap: of 1, 2
+        # and 3 slots); slot 5 an equal belief from the other table; slot 6
+        # is erased and slot 7 keeps the prior
+        self.run([-1, -1, -1, -1, 0, 5, -1, -1], [1, 0, 0, 0, 0, 1, 0, 0], [False] * 6 + [True, False],
+                 threshold=None, window=4, tables=tables)
+        assert len(builds) == 6
+        assert [remaining for (_, remaining, _, _), _ in calls] == [4, 3, 2, 1, 4, 3, 2, 1]
         for (gap, remaining, params, intensity), x in calls:
             plan = best_response([gap] * remaining, [0] * remaining, params, start_intensity=intensity)
             assert x == plan.decisions[0]

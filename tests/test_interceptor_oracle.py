@@ -2,7 +2,7 @@
 
 ``ReferenceInterceptor`` (in ``oracles.py``) plans the rest of the window
 with ``best_response`` and follows the plan until the belief changes or
-the plan is used up.  The live interceptor decides every slot with
+the plan is used up.  The engine's telemetry pass decides every slot with
 ``dp_decision``.  By the principle of optimality the two must take the
 same decisions, so whole episodes must match bit for bit, and
 ``dp_decision`` must take a plan's decision at every offset.
@@ -21,40 +21,36 @@ from satdefsim.attacker import AttackerParams, best_response, dp_decision, inten
 from satdefsim.config import load_config
 
 from conftest import BENCH_SCENARIOS, clear_engine_caches
-from oracles import ReferenceInterceptor
+from oracles import ReferenceInterceptor, reference_telemetry
 from test_attacker import random_params
 from test_engine import valid_scenarios
 
 STAR_FAMILY = ("star", "star-static", "stardis")
 
 
-def interceptor_view(cfg, seed, policy, monkeypatch, cls) -> tuple:
-    """What the interceptor of one episode does, run with ``cls``: its
-    per-slot decisions, intensities and beliefs, and its totals."""
-    made = []
-
-    def make(*args):
-        made.append(cls(*args))
-        return made[-1]
-
-    monkeypatch.setattr(engine, "Interceptor", make)
-    _, traces = engine.run_episode(cfg, seed, policy)
-    monkeypatch.undo()
-    [step] = made
-    slots = traces.slots
+def interceptor_view(cfg, seed, policy, interceptor=None) -> tuple:
+    """What the interceptor of one episode does: its per-slot decisions,
+    intensities and beliefs, and its totals; from the engine's telemetry
+    pass, or from the slot-by-slot reference with ``interceptor``."""
+    schedule = engine.defender_schedule(cfg, seed, policy)
+    runner = engine.EpisodeRunner(cfg, seed, policy)
+    if interceptor is None:
+        _, seen = runner.telemetry(schedule)
+    else:
+        _, seen = reference_telemetry(runner, schedule, interceptor)
     return (
-        slots["x_att"], slots["intensity"], slots["belief_scan"],
-        step.realized.hex(), step.believed.hex(), step.attacks, step.blocked,
+        seen.x_att, seen.intensity, seen.belief_scan,
+        seen.realized.hex(), seen.believed.hex(), seen.attacks, seen.blocked,
     )
 
 
-def assert_same_episodes(cfg, seeds, monkeypatch):
+def assert_same_episodes(cfg, seeds):
     cfg = dataclasses.replace(cfg, attacker_mode="dp")
     for seed in seeds:
         for policy in STAR_FAMILY:
             clear_engine_caches()
-            live = interceptor_view(cfg, seed, policy, monkeypatch, engine.Interceptor)
-            reference = interceptor_view(cfg, seed, policy, monkeypatch, ReferenceInterceptor)
+            live = interceptor_view(cfg, seed, policy)
+            reference = interceptor_view(cfg, seed, policy, ReferenceInterceptor)
             assert live == reference, (seed, policy)
 
 
@@ -62,14 +58,13 @@ def assert_same_episodes(cfg, seeds, monkeypatch):
 @given(valid_scenarios())
 def test_random_dp_episodes_match_the_replanning_interceptor(case):
     cfg, seed = case
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        assert_same_episodes(cfg, [seed], monkeypatch)
+    assert_same_episodes(cfg, [seed])
 
 
 @pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
-def test_benchmark_episodes_match_the_replanning_interceptor(workload, monkeypatch):
+def test_benchmark_episodes_match_the_replanning_interceptor(workload):
     # suite-default runs the threshold interceptor; here it runs dp
-    assert_same_episodes(load_config(BENCH_SCENARIOS / f"{workload}.yaml"), [1, 2], monkeypatch)
+    assert_same_episodes(load_config(BENCH_SCENARIOS / f"{workload}.yaml"), [1, 2])
 
 
 def assert_decides_as_the_plan(gap, n, params, start):

@@ -1,5 +1,5 @@
 """Signal tables: the per-policy CDFs, posteriors and drift memo the
-episode's signaling loop reads instead of calling ``Generator.choice``,
+episode's telemetry pass reads instead of calling ``Generator.choice``,
 ``belief_update`` and ``lyapunov_drift`` on every slot."""
 import dataclasses
 
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from satdefsim import engine
-from satdefsim.attacker import belief_update
+from satdefsim.attacker import AttackerParams, belief_update
 from satdefsim.config import default_scenario
-from satdefsim.engine import SignalTable, choice_cdf, run_episode
+from satdefsim.engine import SignalTable, SlotTables, belief_entry, choice_cdf, intercept, run_episode
 from satdefsim.persuasion import BudgetCurve, PersuasionGame, lyapunov_drift
 
 from conftest import clear_engine_caches
@@ -74,14 +74,15 @@ class TestDrawOracle:
         game, pol = random_game_and_policy(seed)
         table = SignalTable(pol, game)
         n = 300
-        states = np.random.default_rng(seed + 1000).integers(0, len(pol), size=n).tolist()
+        states = np.random.default_rng(seed + 1000).integers(0, len(pol), size=n)
         rng = np.random.default_rng(seed)
-        expected = [int(rng.choice(len(pol[s]), p=pol[s])) for s in states]
-        uniforms = np.random.default_rng(seed).random(n).tolist()
-        assert [table.draw(s, u) for s, u in zip(states, uniforms)] == expected
+        expected = [int(rng.choice(len(pol[s]), p=pol[s])) for s in states.tolist()]
+        uniforms = np.random.default_rng(seed).random(n)
+        tables = SlotTables([table] * n, belief_entry(game.prior, game))
+        assert tables.draw(states, uniforms).tolist() == expected
         for m in range(pol.shape[1]):  # zero-prior states leave signals without mass
             if (game.prior * pol[:, m]).sum() > 0:
-                assert table.receive(m)[0].tobytes() == belief_update(game.prior, m, pol).tobytes()
+                assert table.posteriors[m][0].tobytes() == belief_update(game.prior, m, pol).tobytes()
             else:
                 assert m not in table.posteriors
 
@@ -143,6 +144,12 @@ def all_default_tables(cfg):
     return engine.persuasion_assets(cfg), [t for plan in plans for t in distinct_tables(plan)]
 
 
+def receive_one(table, m: int):
+    """One slot that receives signal ``m`` of ``table``."""
+    tables = SlotTables([table], belief_entry(table.game.prior, table.game))
+    return intercept(tables, np.array([0]), np.array([m]), [False], [False], [0.5], 1, AttackerParams(), 0.55)
+
+
 def count_calls(monkeypatch, name: str) -> dict:
     calls = {"n": 0}
     fn = getattr(engine, name)
@@ -170,7 +177,7 @@ class TestTables:
             for m in range(table.policy.shape[1]):
                 if (game.prior * table.policy[:, m]).sum() > 0:
                     expected = belief_update(game.prior, m, table.policy)
-                    belief, p_scan, idle_gap = table.receive(m)
+                    belief, p_scan, idle_gap = table.posteriors[m]
                     assert belief.tobytes() == expected.tobytes()
                     assert p_scan == game.p_scan(expected)
                     off = game.scan_flag == 0
@@ -178,8 +185,8 @@ class TestTables:
                 else:
                     zero_mass += 1
                     assert m not in table.posteriors
-                    with pytest.raises(ValueError, match="zero probability"):
-                        table.receive(m)
+                    with pytest.raises(ValueError, match=f"signal {m} has zero probability"):
+                        receive_one(table, m)
                     with pytest.raises(ValueError, match="zero probability"):
                         belief_update(game.prior, m, table.policy)
         assert zero_mass == len(padded)
