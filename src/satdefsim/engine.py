@@ -4,12 +4,14 @@ policies, metric aggregation, benchmark suites and parameter sweeps.
 An episode is two passes.  The defender pass (``DefenderPass``) runs
 arrivals, admission, deadline reaping, the receding-horizon plan of each
 window, the slot solver or the fcfs rule and task progress over one
-instance queue, and returns a read-only ``DefenderSchedule``.  The
-telemetry pass (``EpisodeRunner.telemetry``) reads that schedule and its
-policy's ``SignalPlan`` and writes to neither: it quantizes each window's
-planned (scan, load) state, draws one deceptive signal per slot from the
-plan's tables, and runs the interceptor over the slots (``intercept``).
-Episodes are deterministic given (config, seed).
+instance queue, and returns a read-only ``DefenderSchedule`` whose slot
+and window columns are arrays.  The telemetry pass
+(``EpisodeRunner.telemetry``) reads that schedule and its policy's
+``SignalPlan`` and writes to neither: it quantizes every window's planned
+(scan, load) state in one ``quantize_state`` call, draws one deceptive
+signal per slot from the plan's tables, and runs the interceptor over
+the slots (``intercept``).  The episode's trace takes each column as a
+list once.  Episodes are deterministic given (config, seed).
 
 Signaling shapes only the downlink, so star, star-static and stardis
 run the same defender pass on one seed.  ``defender_schedule`` keeps the
@@ -381,7 +383,7 @@ class SignalPlan:
     mean_snr: np.ndarray
     tables: SlotTables | None
     budgets: np.ndarray
-    delays: tuple[int, ...]
+    delays: np.ndarray
     delivered: np.ndarray
     window_budgets: np.ndarray
 
@@ -432,10 +434,10 @@ def _signal_plan(cfg: ScenarioConfig, policy: str | None) -> SignalPlan:
             choose_artificial_delay(snr, prop, p.delay_max_ms, cfg.proc_delay_ms, p.delay_snr_lo_db, p.delay_snr_hi_db)
             for snr, prop in zip(mean_snr.tolist(), prop_ms)
         ]
-    delays = tuple(delivery_delay_slots(prop_ms, cfg.proc_delay_ms, added_ms, cfg.slot_ms).tolist())
+    delays = _read_only(delivery_delay_slots(prop_ms, cfg.proc_delay_ms, added_ms, cfg.slot_ms))
     # later packets overwrite, so each slot keeps the newest arriving there
     delivered = np.full(horizon, -1)
-    for s, d in enumerate(delays):
+    for s, d in enumerate(delays.tolist()):
         if s + d < horizon:
             delivered[s + d] = s
     window_budgets = np.array([float(np.sum(budgets[w : w + window])) for w in range(0, horizon, window)])
@@ -585,21 +587,21 @@ _STAR_FAMILY = ("star",) + DECEPTION_POLICIES
 class DefenderSchedule:
     """What the defender does in one episode, read-only.
 
-    Per slot: ``scan_on`` (0 or 1), the idle capacity ``z`` and the
-    ``power`` drawn.  Per window: ``has_scan``, whether the plan scans in
-    any slot, and its ``z_avg`` (``None`` for fcfs and sp, which do not
-    plan) and the realized scan frequency ``scan_freq``.  Then the summed
-    defender utility and per-resource usage, the instance counts and the
-    low-priority and firm counts behind the completion and miss
-    percentages.
+    Per slot, as arrays: ``scan_on`` (0 or 1), the idle capacity ``z`` and
+    the ``power`` drawn.  Per window, as arrays: the plan's ``z_avg``
+    (``None`` for fcfs and sp, which do not plan) and the realized scan
+    frequency ``scan_freq``; the star family executes its plan's scan
+    pattern, so a window's plan scans iff its ``scan_freq`` is positive.
+    Then the summed defender utility and per-resource usage, the instance
+    counts and the low-priority and firm counts behind the completion and
+    miss percentages.
     """
 
-    scan_on: tuple[int, ...]
-    z: tuple[float, ...]
-    power: tuple[float, ...]
-    has_scan: tuple[bool, ...] | None
-    z_avg: tuple[float, ...] | None
-    scan_freq: tuple[float, ...]
+    scan_on: np.ndarray
+    z: np.ndarray
+    power: np.ndarray
+    z_avg: np.ndarray | None
+    scan_freq: np.ndarray
     defender_total: float
     usage_sum: tuple[float, ...]
     generated: int
@@ -718,7 +720,6 @@ class DefenderPass:
         scan_col: list[int] = []
         z_col: list[float] = []
         power_col: list[float] = []
-        has_scan: list[bool] = []
         z_avg: list[float] = []
         scan_freq: list[float] = []
         defender_total = 0.0
@@ -733,7 +734,6 @@ class DefenderPass:
                     specs=cfg.tasks, stability_targets=targets,
                 )
                 scan_plan = plan.scan_on.tolist()
-                has_scan.append(1 in scan_plan)
                 z_avg.append(plan.z_avg)
 
             for k in range(w_len):
@@ -796,12 +796,12 @@ class DefenderPass:
         low = [i for i in instances if i.spec.priority == Priority.LOW]
         firm = [i for i in instances if i.spec.firm_deadline]
         return DefenderSchedule(
-            scan_on=tuple(scan_col),
-            z=tuple(z_col),
-            power=tuple(power_col),
-            has_scan=tuple(has_scan) if plans else None,
-            z_avg=tuple(z_avg) if plans else None,
-            scan_freq=tuple(scan_freq),
+            # a given dtype spares numpy a pass that infers one
+            scan_on=_read_only(np.array(scan_col, dtype=int)),
+            z=_read_only(np.array(z_col, dtype=float)),
+            power=_read_only(np.array(power_col, dtype=float)),
+            z_avg=_read_only(np.array(z_avg, dtype=float)) if plans else None,
+            scan_freq=_read_only(np.array(scan_freq, dtype=float)),
             defender_total=defender_total,
             usage_sum=tuple(usage_sum),
             generated=generated,
@@ -870,10 +870,7 @@ class EpisodeRunner:
         cfg = self.cfg
         pset = cfg.persuasion
         h, window = cfg.horizon, cfg.window
-        states = [
-            quantize_state(has_scan, min(max(z_avg, 0.0), 1.0), pset.z_bins)
-            for has_scan, z_avg in zip(schedule.has_scan, schedule.z_avg)
-        ]
+        states = quantize_state(schedule.scan_freq > 0, np.clip(schedule.z_avg, 0.0, 1.0), pset.z_bins)
         tables = self.plan.tables
         signals = tables.draw(np.repeat(states, window)[:h], self.rng_signal.random(h))
         threshold = pset.belief_threshold if cfg.attacker_mode == "threshold" else None
@@ -881,7 +878,7 @@ class EpisodeRunner:
             tables, self.plan.delivered, signals, self.erased, schedule.scan_on, schedule.z,
             window, cfg.attacker, threshold,
         )
-        return states, seen
+        return states.tolist(), seen
 
     def run(self) -> tuple[EpisodeMetrics, EpisodeTraces]:
         """The defender pass (or its shared schedule), then the telemetry
@@ -903,6 +900,12 @@ class EpisodeRunner:
             )
 
         budget_totals = plan.window_budgets.tolist()
+        scan_freq = schedule.scan_freq.tolist()
+        if schedule.z_avg is None:
+            scan_planned = z_avg = [""] * n_windows
+        else:
+            scan_planned = (schedule.scan_freq > 0).astype(int).tolist()
+            z_avg = schedule.z_avg.tolist()
         windows = []
         for i, w_start in enumerate(range(0, h, w_len_cfg)):
             windows.append({
@@ -910,21 +913,21 @@ class EpisodeRunner:
                 "start": w_start,
                 "length": min(w_len_cfg, h - w_start),
                 "state": states[i],
-                "scan_planned": int(schedule.has_scan[i]) if schedule.has_scan is not None else "",
-                "z_avg_planned": schedule.z_avg[i] if schedule.z_avg is not None else "",
-                "scan_freq_realized": schedule.scan_freq[i],
+                "scan_planned": scan_planned[i],
+                "z_avg_planned": z_avg[i],
+                "scan_freq_realized": scan_freq[i],
                 "budget_total": budget_totals[i],
                 "drift": seen.drift[i],
             })
 
         columns = {
             "t": list(range(h)),
-            "scan_on": list(schedule.scan_on),
-            "z": list(schedule.z),
-            "power": list(schedule.power),
+            "scan_on": schedule.scan_on.tolist(),
+            "z": schedule.z.tolist(),
+            "power": schedule.power.tolist(),
             "mean_snr_db": self.mean_snr.tolist(),
             "received": (~self.erased).astype(int).tolist(),
-            "delay_slots": list(plan.delays),
+            "delay_slots": plan.delays.tolist(),
             "signal": seen.signal,
             "belief_scan": seen.belief_scan,
             "x_att": seen.x_att,

@@ -102,17 +102,16 @@ class PersuasionGame:
         return np.maximum(np.matmul(mu[..., None, :], self.attack_payoff[:, None])[..., 0, 0], 0.0)
 
 
-def quantize_capacity(z_avg: float, z_bins: int) -> int:
-    """Bin index of an idle-capacity level; boundaries go to the upper bin."""
-    if not (0.0 <= z_avg <= 1.0 + 1e-9):
+def quantize_state(scan_on, z_avg, z_bins: int = 2):
+    """Map a window's (scan status, average idle capacity) to a state
+    index, elementwise over arrays: ``z_bins`` more with a scan, plus the
+    capacity's bin, where a level on a bin boundary goes to the upper
+    bin.  A scalar input gives an ``int``."""
+    z = np.asarray(z_avg, dtype=float)
+    if not np.all((0.0 <= z) & (z <= 1.0 + 1e-9)):
         raise ValueError("idle capacity must lie in [0,1]")
-    idx = int(np.floor(z_avg * z_bins + 1e-12))
-    return min(idx, z_bins - 1)
-
-
-def quantize_state(scan_on: bool, z_avg: float, z_bins: int = 2) -> int:
-    """Map a window's (scan status, average idle capacity) to a state index."""
-    return (z_bins if scan_on else 0) + quantize_capacity(z_avg, z_bins)
+    state = np.minimum(np.floor(z * z_bins + 1e-12).astype(int), z_bins - 1) + np.where(scan_on, z_bins, 0)
+    return int(state) if state.ndim == 0 else state
 
 
 def build_scan_game(

@@ -189,41 +189,14 @@ class EdfQueue:
     )
 
     def __init__(self, instances=()):
-        """A queue of ``instances``, split in one walk of their
-        earliest-deadline-first order."""
-        members: dict[int, TaskInstance] = {}
-        high_keys: list[tuple[int, int]] = []
-        high_uids: list[int] = []
-        high_specs: list[TaskSpec] = []
-        run_specs: list[TaskSpec] = []
-        run_keys: list[list[tuple[int, int]]] = []
-        run_uids: list[list[int]] = []
-        run_spec = None
-        for inst in sorted(instances, key=_EDF_KEY):
-            uid = inst.uid
-            if uid in members:
-                raise ValueError(f"uid {uid} is already queued")
-            members[uid] = inst
-            key = (inst.deadline, uid)
-            spec = inst.spec
-            if spec is run_spec:
-                keys.append(key)
-                uids.append(uid)
-            elif spec.priority is _HIGH:
-                high_keys.append(key)
-                high_uids.append(uid)
-                high_specs.append(spec)
-            else:
-                run_spec = spec
-                keys, uids = [key], [uid]
-                run_specs.append(spec)
-                run_keys.append(keys)
-                run_uids.append(uids)
-        self._members = members
-        self._high_keys, self._high_uids, self._high_specs = high_keys, high_uids, high_specs
-        self._run_specs, self._run_keys, self._run_uids = run_specs, run_keys, run_uids
-        self._run_lasts = [keys[-1] for keys in run_keys]  # each run's last key, ascending
+        """A queue of ``instances``, added in earliest-deadline-first order."""
+        self._members: dict[int, TaskInstance] = {}
+        self._high_keys, self._high_uids, self._high_specs = [], [], []
+        self._run_specs, self._run_keys, self._run_uids = [], [], []
+        self._run_lasts = []  # each run's last key, ascending
         self._split = None
+        for inst in sorted(instances, key=_EDF_KEY):
+            self.add(inst)
 
     def __len__(self) -> int:
         return len(self._members)

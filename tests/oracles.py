@@ -476,8 +476,8 @@ def reference_telemetry(
     pset = cfg.persuasion
     tables = runner.plan.tables
     states = [
-        quantize_state(has_scan, min(max(z_avg, 0.0), 1.0), pset.z_bins)
-        for has_scan, z_avg in zip(schedule.has_scan, schedule.z_avg)
+        quantize_state(scans, min(max(z_avg, 0.0), 1.0), pset.z_bins)
+        for scans, z_avg in zip(schedule.scan_freq > 0, schedule.z_avg)
     ]
     uniforms = runner.rng_signal.random(h).tolist()
     signals = [int(tables[t].cdf[states[t // window]].searchsorted(u, side="right")) for t, u in enumerate(uniforms)]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import satdefsim
 from satdefsim import attacker, engine
@@ -34,8 +34,8 @@ from satdefsim.engine import (
     sweep,
     write_slot_traces,
 )
-from satdefsim.persuasion import build_scan_game
-from satdefsim.scheduler import UtilityParams
+from satdefsim.persuasion import build_scan_game, quantize_state
+from satdefsim.scheduler import UtilityParams, plan_horizon
 from satdefsim.workload import InstanceState, admit
 
 from conftest import BENCH_SCENARIOS, clear_engine_caches, head_of_line_scenario
@@ -177,7 +177,7 @@ KEY_SCENARIO = small_cfg(
 def plan_facts(plan) -> tuple:
     """Everything a signal plan fixes, as plain values."""
     return (
-        plan.mean_snr.tolist(), plan.budgets.tolist(), plan.window_budgets.tolist(), plan.delays,
+        plan.mean_snr.tolist(), plan.budgets.tolist(), plan.window_budgets.tolist(), plan.delays.tolist(),
         plan.delivered.tolist(), [table.policy.tolist() for table in plan.tables],
     )
 
@@ -248,7 +248,7 @@ class TestDownlinkCache:
         cfg = small_cfg()
         run_episode(cfg, 0, "stardis")
         for plan in downlink_tables(cfg):
-            assert isinstance(plan.tables, SlotTables) and isinstance(plan.delays, tuple)
+            assert isinstance(plan.tables, SlotTables)
             assert isinstance(plan.tables.distinct, tuple) and isinstance(plan.tables.beliefs, tuple)
             assert len(plan.mean_snr) == len(plan.tables) == len(plan.budgets) == len(plan.delays) == cfg.horizon
             assert len(plan.delivered) == cfg.horizon
@@ -256,7 +256,7 @@ class TestDownlinkCache:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 plan.budgets = None
             tables = plan.tables
-            for array in (plan.mean_snr, plan.budgets, plan.window_budgets, plan.delivered,
+            for array in (plan.mean_snr, plan.budgets, plan.window_budgets, plan.delays, plan.delivered,
                           tables.index, tables.p_scan, tables.idle_gap, tables.has_mass):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -493,7 +493,9 @@ class TestScheduleCache:
         for seed in range(3):
             run_episode(cfg, seed, "star")
         [schedule] = engine._SCHEDULE_CACHE.values()
-        assert all(isinstance(getattr(schedule, name), tuple) for name in ("scan_on", "z", "power", "usage_sum"))
+        for name in ("scan_on", "z", "power", "z_avg", "scan_freq"):
+            assert isinstance(getattr(schedule, name), np.ndarray) and not getattr(schedule, name).flags.writeable
+        assert isinstance(schedule.usage_sum, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
             schedule.completed = 0
 
@@ -572,6 +574,7 @@ def test_random_valid_scenarios_run_and_repeat(case):
 def newest_arrivals(delays) -> tuple[int, ...]:
     """Brute force: the generation slot of each slot's newest arriving
     packet, or -1."""
+    delays = delays.tolist()  # Python ints: the loop below runs h * h times
     h = len(delays)
     return tuple(max((s for s in range(h) if s + delays[s] == t), default=-1) for t in range(h))
 
@@ -635,6 +638,46 @@ def test_star_family_shares_one_defender_trajectory(case):
             clear_engine_caches()
             views.append(defender_view(*run_episode(cfg_m, seed, policy)))
         assert views[0] == views[1] == views[2], mode
+
+
+def assert_window_rows_carry_the_plan(cfg, seed):
+    """A cold star episode's window rows hold what each window's
+    ``plan_horizon`` returned: whether it scans, its ``z_avg`` bit for bit
+    and the state quantized from the two."""
+    plans = []
+
+    def recording(*args, **kwargs):
+        plans.append(plan_horizon(*args, **kwargs))
+        return plans[-1]
+
+    clear_engine_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "plan_horizon", recording)
+        _, traces = run_episode(cfg, seed, "star")
+    assert len(plans) == len(traces.windows)
+    for row, plan in zip(traces.windows, plans):
+        scans = bool(plan.scan_on.any())
+        assert (row["start"], row["length"]) == (plan.start, plan.length)
+        assert row["scan_planned"] == int(scans)
+        assert row["z_avg_planned"].hex() == plan.z_avg.hex()
+        assert row["state"] == quantize_state(scans, min(max(plan.z_avg, 0.0), 1.0), cfg.persuasion.z_bins)
+
+
+@pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
+def test_benchmark_window_rows_carry_the_plan(workload):
+    cfg = load_config(BENCH_SCENARIOS / f"{workload}.yaml")
+    for seed in (1, 2, 3):
+        assert_window_rows_carry_the_plan(cfg, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(valid_scenarios())
+def test_random_window_rows_carry_the_plan(case):
+    cfg, seed = case
+    assume(cfg.horizon % cfg.window)  # a short last window
+    if cfg.attacker_mode == "none":
+        cfg = dataclasses.replace(cfg, attacker_mode="threshold")
+    assert_window_rows_carry_the_plan(cfg, seed)
 
 
 def test_suite_and_sweep_equal_plain_episode_loops():

@@ -193,6 +193,38 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize_state(False, 1.5, 2)
 
+    @pytest.mark.parametrize("z_bins", [1, 2, 3, 4])
+    def test_arrays_quantize_as_scalars(self, z_bins):
+        edges = [k / z_bins for k in range(z_bins + 1)]
+        # within 1e-12 below an edge, the nudge decides the bin
+        nudged = [e - d / z_bins for e in edges[1:] for d in (1e-13, 5e-13, 9e-13)]
+        z = np.array(edges + nudged + [np.nextafter(e, 0.0) for e in edges[1:]]
+                     + [1.0 + 1e-10] + np.linspace(0.0, 1.0, 101).tolist())
+        z_grid = np.concatenate([z, z])
+        scan = np.repeat([False, True], len(z))
+        got = quantize_state(scan, z_grid, z_bins).tolist()
+        assert got == [quantize_state(bool(s), float(v), z_bins) for s, v in zip(scan, z_grid)]
+        # the scalar rule in Python floats
+        assert got == [
+            (z_bins if s else 0) + min(math.floor(v * z_bins + 1e-12), z_bins - 1)
+            for s, v in zip(scan.tolist(), z_grid.tolist())
+        ]
+        # the nudge does lift a level just below an inner edge to the upper bin
+        inner = [quantize_state(False, k / z_bins - 5e-13 / z_bins, z_bins) for k in range(1, z_bins)]
+        assert inner == list(range(1, z_bins))
+
+    @pytest.mark.parametrize("z", [1.5, -0.1, float("nan")])
+    def test_out_of_range_array_raises_as_a_scalar(self, z):
+        with pytest.raises(ValueError) as scalar:
+            quantize_state(False, z, 2)
+        with pytest.raises(ValueError) as array:
+            quantize_state(np.array([False, True]), np.array([0.5, z]), 2)
+        assert str(array.value) == str(scalar.value)
+
+    def test_scalar_input_gives_an_int(self):
+        for z in (0.3, np.float64(0.3), 1.0):
+            assert type(quantize_state(True, z, 3)) is int
+
 
 class TestCredibility:
     def test_fully_revealing_costs_nothing(self):
