@@ -906,19 +906,20 @@ class EpisodeRunner:
         else:
             scan_planned = (schedule.scan_freq > 0).astype(int).tolist()
             z_avg = schedule.z_avg.tolist()
-        windows = []
-        for i, w_start in enumerate(range(0, h, w_len_cfg)):
-            windows.append({
-                "window": i,
-                "start": w_start,
-                "length": min(w_len_cfg, h - w_start),
-                "state": states[i],
-                "scan_planned": scan_planned[i],
-                "z_avg_planned": z_avg[i],
-                "scan_freq_realized": scan_freq[i],
-                "budget_total": budget_totals[i],
-                "drift": seen.drift[i],
-            })
+        # every window is full but the last, which ends at the horizon
+        lengths = [w_len_cfg] * n_windows
+        lengths[-1] = h - (n_windows - 1) * w_len_cfg
+        windows = [
+            {
+                "window": i, "start": w_start, "length": n, "state": state,
+                "scan_planned": planned, "z_avg_planned": z, "scan_freq_realized": freq,
+                "budget_total": budget, "drift": drift,
+            }
+            for i, w_start, n, state, planned, z, freq, budget, drift in zip(
+                range(n_windows), range(0, h, w_len_cfg), lengths, states, scan_planned,
+                z_avg, scan_freq, budget_totals, seen.drift, strict=True,
+            )
+        ]
 
         columns = {
             "t": list(range(h)),

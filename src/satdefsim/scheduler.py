@@ -16,7 +16,7 @@ from operator import add, attrgetter, sub
 
 import numpy as np
 
-from .workload import Priority, TaskInstance, TaskSpec
+from .workload import InstanceState, Priority, TaskInstance, TaskSpec
 
 _EPS = 1e-9
 _CAP = 1.0 + _EPS  # per-resource capacity with the feasibility tolerance
@@ -25,6 +25,7 @@ _SPEC_ID = attrgetter("id")
 # bound once: a class-attribute lookup on an Enum costs several times a
 # module global, and the queue makes one per update
 _HIGH = Priority.HIGH
+_QUEUED, _ADMITTED = InstanceState.QUEUED, InstanceState.ADMITTED
 
 
 def try_fit(usage: tuple, power: float, demand: tuple, w: float, budget: float) -> tuple | None:
@@ -171,28 +172,32 @@ class EdfQueue:
     that lands inside a run of another spec splits that run in two; a
     discard that empties a run between two runs of one spec merges them.
 
-    ``split()`` returns ``(high_uids, run_uids, high_specs, runs, shape)``:
-    the high-priority uids and specs in order, each run's uids, each run as
-    ``(spec, length)``, and the shape key the slot memo reads, the ids of
-    the high specs and ``(id(spec), length)`` of each run.  The same tuple
-    is returned until the next ``add`` or ``discard``; its lists are the
-    queue's own and change with it.  ``len`` counts the instances, and
-    iteration yields them in the order they were added (a built queue's in
-    EDF order); a discard keeps the order of the rest, and ``copy()``
-    keeps the order too.  The defender pass adds arrivals in uid order, so
-    its fcfs rule reads them in request order.
+    ``split()`` returns ``(high_uids, run_uids, high_specs, run_specs,
+    shape)``: the high-priority uids and specs in order, each run's uids
+    and spec, and the shape key the slot memo reads, the ids of the high
+    specs and ``(id(spec), length)`` of each run.  The queue keeps the ids
+    as it changes (a tuple of the high specs' ids, rebuilt only on a
+    high-priority update, and a list of the run specs' ids), so a split
+    builds only the shape.  The same tuple is returned until the next
+    ``add`` or ``discard``; its lists are the queue's own and change with
+    it.  ``len`` counts the instances, and iteration yields them in the
+    order they were added (a built queue's in EDF order); a discard keeps
+    the order of the rest, and ``copy()`` keeps the order too.  The
+    defender pass adds arrivals in uid order, so its fcfs rule reads them
+    in request order.
     """
 
     __slots__ = (
-        "_members", "_high_keys", "_high_uids", "_high_specs",
-        "_run_specs", "_run_keys", "_run_uids", "_run_lasts", "_split",
+        "_members", "_high_keys", "_high_uids", "_high_specs", "_high_ids",
+        "_run_specs", "_run_ids", "_run_keys", "_run_uids", "_run_lasts", "_split",
     )
 
     def __init__(self, instances=()):
         """A queue of ``instances``, added in earliest-deadline-first order."""
         self._members: dict[int, TaskInstance] = {}
         self._high_keys, self._high_uids, self._high_specs = [], [], []
-        self._run_specs, self._run_keys, self._run_uids = [], [], []
+        self._high_ids = ()
+        self._run_specs, self._run_ids, self._run_keys, self._run_uids = [], [], [], []
         self._run_lasts = []  # each run's last key, ascending
         self._split = None
         for inst in sorted(instances, key=_EDF_KEY):
@@ -206,6 +211,7 @@ class EdfQueue:
 
     def _insert_run(self, j: int, spec: TaskSpec, keys: list, uids: list) -> None:
         self._run_specs.insert(j, spec)
+        self._run_ids.insert(j, id(spec))
         self._run_keys.insert(j, keys)
         self._run_uids.insert(j, uids)
         self._run_lasts.insert(j, keys[-1])
@@ -224,6 +230,7 @@ class EdfQueue:
             self._high_keys.insert(i, key)
             self._high_uids.insert(i, uid)
             self._high_specs.insert(i, spec)
+            self._high_ids = tuple(map(id, self._high_specs))
             return
         specs, lasts = self._run_specs, self._run_lasts
         j = bisect_left(lasts, key)  # the first run that ends after key
@@ -263,8 +270,10 @@ class EdfQueue:
         if inst.spec.priority is _HIGH:
             i = bisect_left(self._high_keys, key)
             del self._high_keys[i], self._high_uids[i], self._high_specs[i]
+            self._high_ids = tuple(map(id, self._high_specs))
             return
-        specs, lasts, run_keys, run_uids = self._run_specs, self._run_lasts, self._run_keys, self._run_uids
+        specs, ids, lasts = self._run_specs, self._run_ids, self._run_lasts
+        run_keys, run_uids = self._run_keys, self._run_uids
         j = bisect_left(lasts, key)  # the run that holds key
         keys, uids = run_keys[j], run_uids[j]
         i = bisect_left(keys, key)
@@ -272,12 +281,12 @@ class EdfQueue:
         if keys:
             lasts[j] = keys[-1]
             return
-        del specs[j], run_keys[j], run_uids[j], lasts[j]
+        del specs[j], ids[j], run_keys[j], run_uids[j], lasts[j]
         if 0 < j < len(specs) and specs[j - 1] is specs[j]:  # the runs either side merge
             run_keys[j - 1] += run_keys.pop(j)
             run_uids[j - 1] += run_uids.pop(j)
             lasts[j - 1] = lasts.pop(j)
-            del specs[j]
+            del specs[j], ids[j]
 
     def copy(self) -> EdfQueue:
         """A queue of the same instances, in the same order, that changes
@@ -287,7 +296,9 @@ class EdfQueue:
         new._high_keys, new._high_uids, new._high_specs = (
             self._high_keys.copy(), self._high_uids.copy(), self._high_specs.copy()
         )
-        new._run_specs, new._run_lasts = self._run_specs.copy(), self._run_lasts.copy()
+        new._high_ids = self._high_ids
+        new._run_specs, new._run_ids = self._run_specs.copy(), self._run_ids.copy()
+        new._run_lasts = self._run_lasts.copy()
         new._run_keys = list(map(list.copy, self._run_keys))
         new._run_uids = list(map(list.copy, self._run_uids))
         new._split = None
@@ -302,10 +313,9 @@ class EdfQueue:
     def split(self):
         split = self._split
         if split is None:
-            counts = list(map(len, self._run_uids))
-            runs = list(zip(self._run_specs, counts))
-            shape = (tuple(map(id, self._high_specs)), tuple(zip(map(id, self._run_specs), counts)))
-            split = self._split = (self._high_uids, self._run_uids, self._high_specs, runs, shape)
+            run_uids = self._run_uids
+            shape = (self._high_ids, tuple(zip(self._run_ids, map(len, run_uids))))
+            split = self._split = (self._high_uids, run_uids, self._high_specs, self._run_specs, shape)
         return split
 
 
@@ -349,6 +359,7 @@ class GreedyPlanner:
         self.window_len = window_len
         self.stability_targets = stability_targets or {}
         self._memo = _slot_memo(utility, config, window_len, tuple(sorted(self.stability_targets.items())))
+        self._stand_ins = None  # the plan's stand-in templates of this scope
         self.open_window(window_start)
 
     def open_window(self, window_start: int) -> None:
@@ -509,8 +520,13 @@ class GreedyPlanner:
         ``forced_scan`` executes a pre-committed scan pattern (the scan
         activation step is skipped); the scan demand is still reserved
         ahead of everything else.
+
+        The slot reads ``queue.split()``, ``(high_uids, run_uids,
+        high_specs, run_specs, shape)``, and looks its decision up by the
+        shape; only a memo miss pairs each run spec with its length for
+        ``_decide``.
         """
-        high_uids, run_uids, high_specs, runs, shape = queue.split()
+        high_uids, run_uids, high_specs, run_specs, shape = queue.split()
         if forced_scan is not None:
             scan_on, can_start = bool(forced_scan), False
         else:
@@ -524,6 +540,7 @@ class GreedyPlanner:
         if decision is None:
             if len(memo) >= _MEMO_MAX:
                 memo.clear()
+            runs = list(zip(run_specs, map(len, run_uids)))
             decision = memo[key] = self._decide(high_specs, runs, scan_on, can_start, behind)
         high_pos, taken, scan_on, started, z, usage, power, events, served_add, _ = decision
 
@@ -554,6 +571,59 @@ def _aperiodic_offsets(rate: float, window_len: int) -> tuple[int, ...]:
     spaced stand-ins for an aperiodic stream at the expected rate."""
     n = int(math.floor(rate * window_len + 0.5))
     return tuple(min(int(math.floor((i + 0.5) / rate)), window_len - 1) for i in range(n))
+
+
+def _stand_in_template(planner: GreedyPlanner, specs, window_start: int) -> tuple:
+    """The projected arrivals of the window of ``planner``'s scope that
+    starts at ``window_start``, as ``(uid, spec, offset, work, expiry)``:
+    the stand-in's uid, its spec and its release slot as an offset from
+    the window start; its work where it can finish inside the window,
+    else 0; and the offset of the slot after its deadline where it is
+    firm and that slot falls inside the window, else None.
+
+    A stand-in's offsets and uid depend only on the specs, the window
+    length and the phase of the window start against each periodic spec's
+    interval, so the planner keeps one template per phase.  Its templates
+    are keyed on the identities of the spec objects, which are frozen and
+    which the planner keeps alive: an equal spec list of other objects, or
+    a list changed in place, starts them afresh."""
+    ids = tuple(map(id, specs))
+    held = planner._stand_ins
+    if held is None or held[0] != ids:
+        ordered = sorted(specs, key=_SPEC_ID)
+        intervals = tuple(s.arrival.interval for s in ordered if s.arrival.kind == "periodic")
+        held = planner._stand_ins = (ids, ordered, intervals, {})
+    _, ordered, intervals, templates = held
+    phases = tuple(window_start % interval for interval in intervals)
+    template = templates.get(phases)
+    if template is None:
+        if len(templates) >= _MEMO_MAX:
+            templates.clear()
+        template = templates[phases] = _build_stand_ins(ordered, planner.window_len, window_start)
+    return template
+
+
+def _build_stand_ins(ordered, window_len: int, window_start: int) -> tuple:
+    """The stand-in template of ``_stand_in_template``.  Stand-ins take
+    the negative uids from -1,000,000 down, a block per spec (in id order)
+    that rises with the release slot, so no two share one."""
+    out = []
+    uid_top = -1_000_000
+    for spec in ordered:
+        arrival = spec.arrival
+        if arrival.kind == "periodic":  # exact, from the window start's phase
+            offsets = range(-window_start % arrival.interval, window_len, arrival.interval)
+        elif arrival.rate > 0:
+            offsets = _aperiodic_offsets(arrival.rate, window_len)
+        else:
+            continue
+        uid = uid_top = uid_top - len(offsets)
+        work = spec.processing if spec.processing <= window_len else 0
+        for off in offsets:
+            uid += 1
+            expiry = off + spec.relative_deadline + 1
+            out.append((uid, spec, off, work, expiry if spec.firm_deadline and expiry < window_len else None))
+    return tuple(out)
 
 
 # The last plan's planner, reused while the next plan has the same scope.
@@ -600,8 +670,10 @@ def plan_horizon(
     each firm instance still unfinished is discarded at ``deadline + 1``,
     and each completion is discarded after the slot that completes it.
 
-    One planner of the scope (``_window_planner``) decides every window,
-    so two plans must not run at the same time (from two threads).
+    One planner of the scope (``_window_planner``) decides every window
+    and keeps the templates of its projected arrivals
+    (``_stand_in_template``), so two plans must not run at the same time
+    (from two threads).
     """
     if stability_targets is None:
         stability_targets = stability_targets_of(specs or ())
@@ -618,9 +690,10 @@ def plan_horizon(
     expiring: dict[int, list[TaskInstance]] = {}
     eligible = queue.copy()
     for inst in queue:
-        req, deadline = inst.req, inst.deadline
+        req, deadline, state = inst.req, inst.deadline, inst.state
         firm = inst.spec.firm_deadline
-        if not inst.active or req >= window_end or (firm and deadline < window_start):
+        # inactive: neither queued nor admitted
+        if not (state is _QUEUED or state is _ADMITTED) or req >= window_end or (firm and deadline < window_start):
             eligible.discard(inst)  # never runs in the window
             continue
         if req > window_start:  # joins in its release slot
@@ -631,28 +704,15 @@ def plan_horizon(
         if firm and deadline + 1 < window_end:
             expiring.setdefault(deadline + 1, []).append(inst)  # released by then: deadline >= req + 1
 
-    # Projected instances take the negative uids from -1,000,000 down, a
-    # block per spec that rises with the release slot, so no two share one.
-    uid_top = -1_000_000
-    for spec in sorted(specs or (), key=_SPEC_ID):
-        arrival = spec.arrival
-        if arrival.kind == "periodic":  # exact, from the window start's phase
-            offsets = range(-window_start % arrival.interval, window_len, arrival.interval)
-        elif arrival.rate > 0:
-            offsets = _aperiodic_offsets(arrival.rate, window_len)
-        else:
-            continue
-        uid = uid_top = uid_top - len(offsets)
-        finishes = spec.processing <= window_len
-        firm = spec.firm_deadline
-        for off in offsets:
-            uid += 1
-            inst = TaskInstance(uid, spec, window_start + off)
-            released.setdefault(inst.req, []).append(inst)
-            if finishes:
-                left[uid] = inst.remaining
-            if firm and inst.deadline + 1 < window_end:
-                expiring.setdefault(inst.deadline + 1, []).append(inst)
+    # projected arrivals, from the scope's template for this window
+    for uid, spec, off, work, expiry in _stand_in_template(planner, specs or (), window_start):
+        req = window_start + off
+        inst = TaskInstance(uid, spec, req)
+        released.setdefault(req, []).append(inst)
+        if work:
+            left[uid] = work
+        if expiry is not None:
+            expiring.setdefault(window_start + expiry, []).append(inst)
 
     scan_on: list[bool] = []
     zs: list[float] = []

@@ -112,13 +112,14 @@ class TaskSpec:
         return self.arrival.rate * float(self.mean_demand)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskInstance:
     """One released job of a spec.
 
     ``req`` is the request slot, also the earliest start, and
     ``deadline`` the absolute deadline slot (work finishing in slot t is
-    on time iff t <= deadline).
+    on time iff t <= deadline).  The fields are slots: an episode builds
+    thousands of instances and the per-slot code reads them often.
     """
 
     uid: int

@@ -417,8 +417,15 @@ def _ref_edf_split(queue):
 
 def _split_by_identity(split):
     """A split with its specs replaced by their ids, so that two splits
-    compare equal only if they name the same spec objects."""
+    compare equal only if they name the same spec objects.  Each run
+    becomes ``(id(spec), length)``: the reference walk gives its runs as
+    ``(spec, length)`` pairs, a queue its run specs, whose lengths are
+    those of its run uid lists."""
     high_uids, run_uids, high_specs, runs, shape = split
+    runs = [
+        run if isinstance(run, tuple) else (run, len(uids))
+        for run, uids in zip(runs, run_uids, strict=True)
+    ]
     return (
         list(high_uids), [list(uids) for uids in run_uids], [id(s) for s in high_specs],
         [(id(s), n) for s, n in runs], shape,
@@ -449,11 +456,12 @@ def _high_inside_a_run(queue) -> bool:
 
 def test_queue_split_matches_a_fresh_build_and_the_reference_walk():
     """Random add and discard sequences: after every update the queue's
-    split equals that of a queue built afresh from the same instances and
-    that of the reference walk.  Arrivals come in time order, as in an
-    episode, with some out of uid order; "long" arrivals have deadlines
-    far enough ahead that a "short" arrival lands in the middle of a
-    "long" run and splits it."""
+    split equals that of a queue built afresh from the same instances,
+    that of the reference walk and that of the queue's copy; the next
+    update of the queue leaves the copy's split as it was.  Arrivals come
+    in time order, as in an episode, with some out of uid order; "long"
+    arrivals have deadlines far enough ahead that a "short" arrival lands
+    in the middle of a "long" run and splits it."""
     rng = np.random.default_rng(11)
     low, high = Priority.LOW, Priority.HIGH
     seen = dict.fromkeys(("run split", "runs merged", "high inside a run", "out of uid order"), 0)
@@ -464,6 +472,7 @@ def test_queue_split_matches_a_fresh_build_and_the_reference_walk():
         queue = EdfQueue()
         held: dict[int, TaskInstance] = {}
         t, next_uid = 0, 0
+        dup, dup_want = queue.copy(), _split_by_identity(_ref_edf_split([]))
         for _ in range(60):
             runs_before = len(queue.split()[3])
             if held and rng.random() < 0.4:
@@ -483,9 +492,12 @@ def test_queue_split_matches_a_fresh_build_and_the_reference_walk():
                 inst = held[uid] = TaskInstance(uid=uid, spec=spec, req=t)
                 queue.add(inst)
                 seen["run split"] += spec.priority is low and len(queue.split()[3]) == runs_before + 2
+            assert _split_by_identity(dup.split()) == dup_want  # the copy kept its split
             want = _split_by_identity(_ref_edf_split(list(held.values())))
             assert _split_by_identity(queue.split()) == want
             assert _split_by_identity(EdfQueue(held.values()).split()) == want
+            assert _split_by_identity(queue.copy().split()) == want
+            dup, dup_want = queue.copy(), want  # split only after the next update
             assert len(queue) == len(held)
             assert [i.uid for i in queue] == list(held)  # the order of adding
             seen["high inside a run"] += _high_inside_a_run(held.values())
@@ -827,3 +839,70 @@ def test_plans_do_not_depend_on_the_plans_before_them(monkeypatch):
         assert _plan_fields(got) == want, w_start
         assert _queue_state(queue) == before
     assert reused == len(windows) // 2  # the windows planned right after one of their scope
+
+
+def _template_specs():
+    """Two periodic specs of coprime intervals, one of them firm with a
+    deadline that passes inside a window, and an aperiodic stream; built
+    afresh on every call."""
+    return [
+        TaskSpec(
+            id="relay", nature=Nature.MISSION, priority=Priority.HIGH,
+            arrival=Arrival(kind="periodic", interval=7), demand=[0.9, 0.2],
+            power_weight=0.15, processing=1, relative_deadline=2, firm_deadline=True,
+        ),
+        TaskSpec(
+            id="sweep", nature=Nature.SECURITY, priority=Priority.LOW,
+            arrival=Arrival(kind="periodic", interval=30), demand=[0.4, 0.3],
+            power_weight=0.2, processing=12, relative_deadline=40,
+        ),
+        TaskSpec(
+            id="routine", nature=Nature.MISSION, priority=Priority.LOW,
+            arrival=Arrival(kind="aperiodic", rate=0.6), demand=[0.05, 0.15],
+            power_weight=0.13, processing=2, relative_deadline=10,
+        ),
+    ]
+
+
+def _template_plan(specs, w_start, w_len, utility, config):
+    """The plan of one window over a backlog of the specs' instances."""
+    backlog = [TaskInstance(uid=1, spec=specs[2], req=0), TaskInstance(uid=2, spec=specs[1], req=0)]
+    for inst in backlog:
+        inst.state = InstanceState.ADMITTED
+    return _plan_fields(plan_horizon(EdfQueue(backlog), w_start, w_len, utility, config, specs=specs))
+
+
+def test_stand_in_templates_plan_as_fresh_specs(monkeypatch):
+    """Every window phase of the two periodic specs (7 x 30 window
+    starts), at window lengths 5 and 8: the plans of one spec list, which
+    reuse the planner's template of each phase, equal the plans of equal
+    specs built afresh for each call.  A spec replaced in the list in
+    place is followed by the next plan."""
+    utility = UtilityParams()
+    config = SchedulerConfig(scan=ScanTask(demand=[0.15, 0.05], duration=2, power_weight=0.25))
+    built = []
+    build = scheduler._build_stand_ins
+
+    def counting(*args):
+        built.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(scheduler, "_build_stand_ins", counting)
+    starts = range(7 * 30)
+    for w_len in (5, 8):
+        specs = _template_specs()
+        built.clear()
+        kept = [_template_plan(specs, w_start, w_len, utility, config) for w_start in starts]
+        assert [_template_plan(specs, w_start, w_len, utility, config) for w_start in starts] == kept
+        assert len(built) == len(starts)  # one template per phase, reused in the second pass
+        fresh = [_template_plan(_template_specs(), w_start, w_len, utility, config) for w_start in starts]
+        assert fresh == kept
+        assert any(uid < 0 for plan in kept for uids in plan[4] for uid in uids)
+        assert any(any(plan[3]) for plan in kept) and any(plan[-1] for plan in kept)  # scans, events
+
+        w_start = 14  # both periodic specs release in the window
+        before = _template_plan(specs, w_start, w_len, utility, config)
+        specs[0] = dataclasses.replace(specs[0], arrival=Arrival(kind="periodic", interval=3))
+        after = _template_plan(specs, w_start, w_len, utility, config)
+        want = _template_plan([dataclasses.replace(s) for s in specs], w_start, w_len, utility, config)
+        assert after == want and after != before

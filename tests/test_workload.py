@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -137,3 +139,24 @@ def test_stability_fraction_uses_rate_times_processing():
     assert spec.stability_fraction == pytest.approx(5.4)
     periodic = make_spec(arrival=Arrival(kind="periodic", interval=10))
     assert periodic.stability_fraction == 0.0
+
+
+def test_instance_copies_keep_every_field():
+    """Instances have slots, not a ``__dict__``: a shallow copy, a deep
+    copy and a pickle round trip keep every field, and an unknown
+    attribute cannot be set."""
+    inst = make_instance(uid=7, req=3, processing=4, deadline=9)
+    admit(inst, 3)
+    inst.run_one_slot()
+    fields = [f.name for f in dataclasses.fields(TaskInstance)]
+    want = [getattr(inst, name) for name in fields]
+    assert want == [7, inst.spec, 3, 12, 3, InstanceState.ADMITTED, 1]
+    shallow = copy.copy(inst)
+    assert shallow.spec is inst.spec
+    for other in (shallow, copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert other is not inst
+        assert [getattr(other, name) for name in fields] == want
+        assert other.state is InstanceState.ADMITTED
+    assert not hasattr(inst, "__dict__")
+    with pytest.raises(AttributeError):
+        inst.priority = Priority.HIGH
