@@ -884,7 +884,7 @@ def test_stand_in_templates_plan_as_fresh_specs(monkeypatch):
     build = scheduler._build_stand_ins
 
     def counting(*args):
-        built.append(args[1:])
+        built.append(args)
         return build(*args)
 
     monkeypatch.setattr(scheduler, "_build_stand_ins", counting)
@@ -900,7 +900,7 @@ def test_stand_in_templates_plan_as_fresh_specs(monkeypatch):
         assert any(uid < 0 for plan in kept for uids in plan[4] for uid in uids)
         assert any(any(plan[3]) for plan in kept) and any(plan[-1] for plan in kept)  # scans, events
 
-        w_start = 14  # both periodic specs release in the window
+        w_start = 14  # the window opens with a release of the replaced spec
         before = _template_plan(specs, w_start, w_len, utility, config)
         specs[0] = dataclasses.replace(specs[0], arrival=Arrival(kind="periodic", interval=3))
         after = _template_plan(specs, w_start, w_len, utility, config)
