@@ -58,7 +58,7 @@ import json
 import subprocess
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import add
 from types import MappingProxyType
@@ -95,11 +95,11 @@ from .persuasion import (
 from .scheduler import (
     EdfQueue,
     GreedyPlanner,
+    episode_utility,
     plan_horizon,
     try_fit,
-    window_utility,
 )
-from .workload import InstanceState, Priority, TaskInstance, admit, generate_arrivals
+from .workload import InstanceState, Priority, TaskInstance, admit, generate_arrivals, run_slot
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -642,7 +642,17 @@ class DefenderPass:
     - fcfs prefix: non-preemptive head-of-line fcfs starts a prefix of
       the waiting instances in uid order, so by induction over the slots
       every started instance (``service > 0``) comes before every waiting
-      one in the queue's iteration."""
+      one in the queue's iteration.
+
+    Until an instance joins or leaves the queue, ``queue.split()`` hands
+    back the same tuple, and both the fcfs rule and the slot solver take
+    that tuple as the token of a slot whose inputs did not change (their
+    repeat rules): such a slot returns the last slot's result.  Where the
+    solver hands back the last slot's ``running`` list, the pass reuses
+    its instances too.  A slot's running instances advance in one
+    ``run_slot`` call.  The books are totalled once per episode, in slot
+    order: the defender utility as ``episode_utility`` of the scan and
+    ``z`` columns, and the usage per resource."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, policy: str):
         self.cfg = cfg
@@ -652,12 +662,12 @@ class DefenderPass:
         self.arrivals_by_slot: dict[int, list[TaskInstance]] = defaultdict(list)
         for inst in self.instances:
             self.arrivals_by_slot[inst.req].append(inst)
-        # the last fcfs slot's running count, usage and power
-        self._carried = (0, (0.0,) * len(cfg.resources), 0.0)
+        # the last fcfs slot's queue split, running list, usage and power
+        self._carried = (None, [], (0.0,) * len(cfg.resources), 0.0)
 
     # -- policy-specific slot scheduling ------------------------------------
     # ``queue`` holds only active instances here (the reaper ran first).
-    def _fcfs_slot(self, queue):
+    def _fcfs_slot(self, queue: EdfQueue):
         """Non-preemptive first come, first served: every started instance
         (service > 0) keeps running, then queued ones start in request
         order until the first that does not fit.  The started instances
@@ -665,7 +675,18 @@ class DefenderPass:
         request order (see the class docstring).  Nothing starts between
         slots, so a started prefix as long as the last slot's running list
         is that list, and its uid-order sums are the ones carried from that
-        slot; any other prefix is summed afresh in uid order."""
+        slot; any other prefix is summed afresh in uid order.
+
+        Repeat rule: where the queue's split is the very tuple of the last
+        slot's, no instance joined or left the queue since, so none of the
+        last slot's running instances completed.  Its running list is then
+        the started prefix, and the head-of-line instance that did not fit
+        it does not fit again: the slot returns the last slot's result,
+        its running list included."""
+        split = queue.split()
+        last_split, last_running, usage, power = self._carried
+        if split is last_split:
+            return last_running, usage, power
         running = []
         waiting = iter(queue)
         for inst in waiting:
@@ -673,8 +694,7 @@ class DefenderPass:
                 waiting = chain((inst,), waiting)
                 break
             running.append(inst)
-        carried_n, usage, power = self._carried
-        if len(running) != carried_n:
+        if len(running) != len(last_running):
             usage = (0.0,) * len(self.cfg.resources)
             power = 0.0
             for inst in running:
@@ -689,7 +709,9 @@ class DefenderPass:
             usage = new
             power += spec.power_weight
             running.append(inst)
-        self._carried = (len(running), usage, power)
+        # held here, the split stays alive, so the identity test above
+        # cannot meet a new tuple at a freed address
+        self._carried = (split, running, usage, power)
         return running, usage, power
 
     def run(self) -> DefenderSchedule:
@@ -714,15 +736,15 @@ class DefenderPass:
         # never read, so one planner executes every window.
         planner = GreedyPlanner(util, sched_cfg, 0, w_len_cfg)
 
-        usage_sum = [0.0] * len(cfg.resources)
         events_count = 0
         counts = {"completed": 0, "dropped": 0, "missed": 0}
-        scan_col: list[int] = []
+        scan_col: list[bool] = []
         z_col: list[float] = []
         power_col: list[float] = []
+        usage_col: list[tuple[float, ...]] = []
         z_avg: list[float] = []
-        scan_freq: list[float] = []
-        defender_total = 0.0
+        # the last executed slot's running uids and their instances
+        ran_uids = ran = None
 
         for w_start in range(0, h, w_len_cfg):
             w_len = min(w_len_cfg, h - w_start)
@@ -768,27 +790,29 @@ class DefenderPass:
                     else:  # sp: a scan block every sp_every slots
                         scan_now = t % sp_every < duration
                     dec = planner.schedule_slot(queue, t, forced_scan=scan_now)
-                    running = [instances[uid] for uid in dec.running]
+                    if dec.running is not ran_uids:  # a repeated slot hands back its list
+                        ran_uids = dec.running
+                        ran = [instances[uid] for uid in ran_uids]
+                    running = ran
                     usage, power, z = dec.usage, dec.power, dec.z
                     events_count += len(dec.events)
 
-                usage_sum = list(map(add, usage_sum, usage))
-                scan_col.append(int(scan_now))
+                usage_col.append(usage)
+                scan_col.append(scan_now)
                 z_col.append(z)
-                power_col.append(float(power))
+                power_col.append(power)
 
                 # advance work; instances left out keep theirs for later
-                for inst in running:
-                    inst.run_one_slot()
-                    if inst.state is _COMPLETED:
-                        counts["completed"] += 1
-                        queue.discard(inst)
+                for inst in run_slot(running):
+                    counts["completed"] += 1
+                    queue.discard(inst)
 
-            # defender utility for the window (window-level scan frequency)
-            w_scan = scan_col[w_start:]
-            defender_total = window_utility(w_scan, z_col[w_start:], duration, util, defender_total)
-            scan_freq.append(sum(w_scan) / w_len)  # exact: an integer count over the length
-
+        # a given dtype spares numpy a pass that infers one
+        scan_on = np.array(scan_col, dtype=int)
+        z_arr = np.array(z_col, dtype=float)
+        starts = np.arange(0, h, w_len_cfg)
+        # exact: each window's integer scan count over its length
+        scan_freq = np.add.reduceat(scan_on, starts) / np.diff(starts, append=h)
         generated = len(instances)
         residual = sum(1 for i in instances if i.active)
         if counts["completed"] + counts["dropped"] + counts["missed"] + residual != generated:
@@ -796,14 +820,14 @@ class DefenderPass:
         low = [i for i in instances if i.spec.priority == Priority.LOW]
         firm = [i for i in instances if i.spec.firm_deadline]
         return DefenderSchedule(
-            # a given dtype spares numpy a pass that infers one
-            scan_on=_read_only(np.array(scan_col, dtype=int)),
-            z=_read_only(np.array(z_col, dtype=float)),
+            scan_on=_read_only(scan_on),
+            z=_read_only(z_arr),
             power=_read_only(np.array(power_col, dtype=float)),
             z_avg=_read_only(np.array(z_avg, dtype=float)) if plans else None,
-            scan_freq=_read_only(np.array(scan_freq, dtype=float)),
-            defender_total=defender_total,
-            usage_sum=tuple(usage_sum),
+            scan_freq=_read_only(scan_freq),
+            defender_total=episode_utility(scan_on, z_arr, w_len_cfg, duration, util),
+            # per resource, a running sum in slot order
+            usage_sum=tuple(reduce(add, column, 0.0) for column in zip(*usage_col)),
             generated=generated,
             completed=counts["completed"],
             dropped=counts["dropped"],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add, attrgetter, sub
 
 import numpy as np
@@ -113,21 +113,43 @@ def detection_performance(scan_freq: float, scan_duration: int, p: UtilityParams
     return p.ceiling / (1.0 + math.exp(-p.steepness * (effort - p.midpoint)))
 
 
-def slot_utility(y: float, scan_on: bool | int, z: float, p: UtilityParams) -> float:
-    """One slot's utility: reward minus scan cost minus load-adaptive penalty."""
-    x = 1.0 if scan_on else 0.0
+def slot_utility(y, scan_on, z, p: UtilityParams):
+    """One slot's utility: reward minus scan cost minus load-adaptive penalty.
+
+    ``y``, ``scan_on`` and ``z`` may also be numpy arrays with one entry
+    per slot (``scan_on`` of flags), and the result is then each slot's
+    utility as an array: every entry is computed with the float
+    operations of the scalar form in the same order, so it has its bits.
+    """
+    x = np.where(scan_on, 1.0, 0.0) if isinstance(scan_on, np.ndarray) else (1.0 if scan_on else 0.0)
     return p.detect_reward * y * y - p.scan_cost * x * x - p.load_penalty * y * y * (1.0 - z)
 
 
-def window_utility(scan_on, z, scan_duration: int, p: UtilityParams, start: float = 0.0) -> float:
-    """``start`` plus each slot's ``slot_utility`` at the detection
-    performance of the window's scan frequency, as a plain running sum in
-    slot order (from Python 3.12 on, ``sum()`` of floats is compensated)."""
-    y = detection_performance(sum(scan_on) / len(scan_on), scan_duration, p)
-    total = start
-    for x, zt in zip(scan_on, z):
-        total += slot_utility(y, x, zt, p)
-    return total
+def window_utility(scan_on, z, scan_duration: int, p: UtilityParams) -> float:
+    """The ``episode_utility`` of one window: each slot's ``slot_utility``
+    at the detection performance of the window's scan frequency, summed in
+    slot order.  ``scan_on`` and ``z`` are per-slot sequences or arrays."""
+    return episode_utility(scan_on, z, len(scan_on), scan_duration, p)
+
+
+def episode_utility(scan_on, z, window: int, scan_duration: int, p: UtilityParams) -> float:
+    """The defender utility of the slots ``scan_on`` and ``z`` (per-slot
+    flags and idle capacities, as sequences or arrays), taken in windows of
+    ``window`` slots from the first (the last may be shorter): each slot's
+    ``slot_utility`` at the detection performance of its window's scan
+    frequency.  The slots' utilities are computed as one array and added
+    as a plain running sum from 0.0 in slot order, so the total has the
+    bits of a loop over the slots (``sum()`` is not used: from Python 3.12
+    on it compensates a float sum)."""
+    flags = np.asarray(scan_on, dtype=bool)
+    h = len(flags)
+    starts = np.arange(0, h, window)
+    lengths = np.diff(starts, append=h)
+    # each window's scan frequency: its integer scan count over its length
+    freq, where = np.unique(np.add.reduceat(flags, starts, dtype=int) / lengths, return_inverse=True)
+    y = np.array([detection_performance(f, scan_duration, p) for f in freq.tolist()])
+    utility = slot_utility(np.repeat(y[where], lengths), flags, np.asarray(z, dtype=float), p)
+    return reduce(add, utility.tolist(), 0.0)
 
 
 @dataclass(slots=True)
@@ -344,6 +366,15 @@ class GreedyPlanner:
     split up to date as instances join and leave it and hands the same
     split back until the next change, so a slot whose queue did not
     change reads its shape without a walk.
+
+    Repeat rule: where no scan can start, a decision reads only the scan
+    state and the shape.  So a slot in which no scan can start, whose
+    split is the very tuple of the last call and whose scan state is the
+    last call's, in which no scan could start either, repeats that call:
+    it replays the last decision and returns the last ``running`` list
+    itself, and only its served counts are added again.  The planner
+    holds that split, so the identity test cannot meet a new tuple at a
+    freed address.  ``open_window`` forgets the last call.
     """
 
     def __init__(
@@ -370,6 +401,9 @@ class GreedyPlanner:
         self.scan_slots_committed = 0  # total scan slots this window (past + committed)
         self.scan_active_until = window_start  # exclusive
         self.served_in_window: dict[str, int] = {}
+        # the last slot's split, scan state, decision and running list, kept
+        # only where no scan could start in it (see the repeat rule)
+        self._last = None
 
     # -- marginal utility -------------------------------------------------
     def _scan_margin(self, z_now: float, z_scan: float) -> float:
@@ -524,25 +558,35 @@ class GreedyPlanner:
         The slot reads ``queue.split()``, ``(high_uids, run_uids,
         high_specs, run_specs, shape)``, and looks its decision up by the
         shape; only a memo miss pairs each run spec with its length for
-        ``_decide``.
+        ``_decide``.  A slot that repeats the last one (the class's repeat
+        rule) reads neither, and its ``running`` is the last slot's list.
         """
-        high_uids, run_uids, high_specs, run_specs, shape = queue.split()
+        split = queue.split()
         if forced_scan is not None:
             scan_on, can_start = bool(forced_scan), False
         else:
             scan_on = t < self.scan_active_until
             can_start = not scan_on and t + self.config.scan.duration <= self.window_end
-        # where no scan can start, the commitment and the quotas are unread
-        behind = self._behind(t) if can_start else ()
-        key = (scan_on, can_start, self.scan_slots_committed if can_start else 0, behind, shape)
-        memo = self._memo
-        decision = memo.get(key)
-        if decision is None:
-            if len(memo) >= _MEMO_MAX:
-                memo.clear()
-            runs = list(zip(run_specs, map(len, run_uids)))
-            decision = memo[key] = self._decide(high_specs, runs, scan_on, can_start, behind)
-        high_pos, taken, scan_on, started, z, usage, power, events, served_add, _ = decision
+        last = self._last
+        if not can_start and last is not None and last[0] is split and last[1] is scan_on:
+            _, _, decision, running = last
+        else:
+            high_uids, run_uids, high_specs, run_specs, shape = split
+            # where no scan can start, the commitment and the quotas are unread
+            behind = self._behind(t) if can_start else ()
+            key = (scan_on, can_start, self.scan_slots_committed if can_start else 0, behind, shape)
+            memo = self._memo
+            decision = memo.get(key)
+            if decision is None:
+                if len(memo) >= _MEMO_MAX:
+                    memo.clear()
+                runs = list(zip(run_specs, map(len, run_uids)))
+                decision = memo[key] = self._decide(high_specs, runs, scan_on, can_start, behind)
+            running = [high_uids[i] for i in decision[0]]
+            for j, k in decision[1]:
+                running += run_uids[j][:k]
+            self._last = None if can_start else (split, scan_on, decision, running)
+        _, _, scan_on, started, z, usage, power, events, served_add, _ = decision
 
         if started:
             self.scan_active_until = t + self.config.scan.duration
@@ -550,9 +594,6 @@ class GreedyPlanner:
         served = self.served_in_window
         for spec_id, c in served_add:
             served[spec_id] = served.get(spec_id, 0) + c
-        running = [high_uids[i] for i in high_pos]
-        for j, k in taken:
-            running += run_uids[j][:k]
         return SlotDecision(
             t, running, scan_on, z, usage, power,
             [(t, kind, spec_id) for kind, spec_id in events] if events else [],
@@ -565,7 +606,6 @@ def stability_targets_of(specs) -> dict[str, float]:
     return {s.id: s.stability_fraction for s in specs if s.stability_fraction > 0}
 
 
-@lru_cache(maxsize=64)
 def _aperiodic_offsets(rate: float, window_len: int) -> tuple[int, ...]:
     """The slots, as offsets from the window start, of a window's evenly
     spaced stand-ins for an aperiodic stream at the expected rate."""

@@ -141,12 +141,22 @@ class TaskInstance:
         return state is _QUEUED or state is _ADMITTED
 
     def run_one_slot(self) -> None:
-        if self.remaining <= 0:
-            raise RuntimeError(f"instance {self.uid} ran with no remaining work")
-        self.remaining -= 1
-        self.service += 1
-        if self.remaining == 0:
-            self.state = _COMPLETED
+        run_slot((self,))
+
+
+def run_slot(instances) -> list[TaskInstance]:
+    """Give each instance one slot of service, in order, and return those
+    it completes.  An instance with no work left raises ``RuntimeError``."""
+    completed = []
+    for inst in instances:
+        if inst.remaining <= 0:
+            raise RuntimeError(f"instance {inst.uid} ran with no remaining work")
+        inst.remaining -= 1
+        inst.service += 1
+        if not inst.remaining:
+            inst.state = _COMPLETED
+            completed.append(inst)
+    return completed
 
 
 def generate_arrivals(specs: list[TaskSpec], horizon: int, seed) -> list[TaskInstance]:

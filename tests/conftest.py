@@ -13,11 +13,9 @@ BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios
 
 def clear_engine_caches():
     """Empty every engine cache, the slot solver's decision memos, the
-    plan's held planner and aperiodic stand-in offsets and the
-    interceptor's layer memo, so that the next episode builds cold."""
-    for cached in (
-        engine._game_assets, engine._signal_plan, scheduler._slot_memo, scheduler._aperiodic_offsets,
-    ):
+    plan's held planner and the interceptor's layer memo, so that the
+    next episode builds cold."""
+    for cached in (engine._game_assets, engine._signal_plan, scheduler._slot_memo):
         cached.cache_clear()
     scheduler._held_planner.clear()
     engine._SCHEDULE_CACHE.clear()

@@ -12,12 +12,13 @@ change pass: a change of decisions is a change of results.
 """
 from __future__ import annotations
 
+import copy
 from operator import add
 
 import pytest
 
 from satdefsim import engine
-from satdefsim.config import from_dict, load_config
+from satdefsim.config import default_scenario, from_dict, load_config
 from satdefsim.scheduler import GreedyPlanner
 from satdefsim.workload import InstanceState
 
@@ -264,3 +265,92 @@ def test_reaper_matches_full_scan_at_the_expiry_edges(policy, monkeypatch):
     assert runs[0] <= soft.deadline < runs[-1]
     assert any(t not in runs for t in range(runs[0], runs[-1]))
     assert soft.state is _COMPLETED
+
+
+# ---------------------------------------------------------------------------
+# Repeat rules
+# ---------------------------------------------------------------------------
+
+def run_against_bypassed_repeats(cfg, seed, policy, monkeypatch) -> dict[str, int]:
+    """One defender pass in which every slot, of the pass and of its
+    plans, is checked against the same slot decided with the repeat rule
+    bypassed: the slot solver on a copy of the planner that remembers no
+    last call, the fcfs rule with no last split.  Returns the slots that
+    repeated (handed back the last call's running list), by caller."""
+    fired = {"exec": 0, "plan": 0, "fcfs": 0}
+    schedule_slot = GreedyPlanner.schedule_slot
+    fcfs_slot = engine.DefenderPass._fcfs_slot
+    last_running = {}
+
+    def checked_slot(self, queue, t, forced_scan=None):
+        fresh = copy.copy(self)
+        fresh._last = None
+        fresh.served_in_window = dict(self.served_in_window)
+        want = schedule_slot(fresh, queue, t, forced_scan)
+        got = schedule_slot(self, queue, t, forced_scan)
+        assert (got.t, got.running, got.scan_on, got.events) == (want.t, want.running, want.scan_on, want.events)
+        assert (got.z.hex(), got.power.hex()) == (want.z.hex(), want.power.hex())
+        assert [u.hex() for u in got.usage] == [u.hex() for u in want.usage]
+        assert self.served_in_window == fresh.served_in_window
+        assert (self.scan_active_until, self.scan_slots_committed) == (
+            fresh.scan_active_until, fresh.scan_slots_committed,
+        )
+        fired["exec" if forced_scan is not None else "plan"] += got.running is last_running.get(id(self))
+        last_running[id(self)] = got.running
+        return got
+
+    def checked_fcfs(self, queue):
+        carried = self._carried
+        self._carried = (None, *carried[1:])
+        want = fcfs_slot(self, queue)
+        self._carried = carried
+        got = fcfs_slot(self, queue)
+        assert [i.uid for i in got[0]] == [i.uid for i in want[0]]
+        assert [u.hex() for u in got[1]] == [u.hex() for u in want[1]]
+        assert got[2].hex() == want[2].hex()
+        fired["fcfs"] += got[0] is carried[1]
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GreedyPlanner, "schedule_slot", checked_slot)
+        patch.setattr(engine.DefenderPass, "_fcfs_slot", checked_fcfs)
+        engine.DefenderPass(cfg, seed, policy).run()
+    return fired
+
+
+@pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
+def test_repeated_slots_decide_as_a_fresh_slot(workload, monkeypatch):
+    """The repeat rules of the slot solver and the fcfs rule are exact:
+    on the benchmark's scenarios, every slot of fcfs, sp and star (their
+    plans included) decides the uids, usage, power, z, events and served
+    counts of the same slot decided afresh, and each rule fires."""
+    cfg = bench_cfg(workload)
+    fired = {"exec": 0, "plan": 0, "fcfs": 0}
+    for seed in (1, 2):
+        for policy in ("fcfs", "sp", "star"):
+            for caller, n in run_against_bypassed_repeats(cfg, seed, policy, monkeypatch).items():
+                fired[caller] += n
+    assert min(fired.values()) > 0, fired
+
+
+def test_slots_that_can_start_a_scan_are_decided_afresh(monkeypatch):
+    """With 2-slot scan blocks in 8-slot windows, a plan's slots can start
+    a scan one after another, and a small quota (rate 0.6 x mean demand
+    0.3) is met in some slots and not in others, so the specs behind it
+    change between slots of one split.  Such slots must not repeat the
+    last one."""
+    cfg = default_scenario(
+        horizon=400,
+        window=8,
+        tasks=[
+            {"id": "routine", "nature": "mission", "priority": "low",
+             "arrival": {"kind": "aperiodic", "rate": 0.6}, "demand": [0.3, 0.45], "power": 0.13,
+             "processing": 4, "deadline": 20, "mean_demand": 0.3},
+            {"id": "relay", "nature": "mission", "priority": "high",
+             "arrival": {"kind": "periodic", "interval": 30}, "demand": [0.2, 0.1], "power": 0.15,
+             "processing": 8, "deadline": 15, "firm_deadline": True},
+        ],
+        scan={"demand": [0.3, 0.3], "power": 0.25, "duration": 2},
+    )
+    for seed in (1, 2):
+        assert run_against_bypassed_repeats(cfg, seed, "star", monkeypatch)["exec"] > 0

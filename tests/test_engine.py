@@ -35,7 +35,7 @@ from satdefsim.engine import (
     write_slot_traces,
 )
 from satdefsim.persuasion import build_scan_game, quantize_state
-from satdefsim.scheduler import UtilityParams, plan_horizon
+from satdefsim.scheduler import EdfQueue, UtilityParams, plan_horizon
 from satdefsim.workload import InstanceState, admit
 
 from conftest import BENCH_SCENARIOS, clear_engine_caches, head_of_line_scenario
@@ -736,10 +736,10 @@ class TestBaselines:
         # sits idle
         cfg = head_of_line_scenario()
         runner = engine.DefenderPass(cfg, 0, "fcfs")
-        live = []
+        live = EdfQueue()  # filled in uid order, as the pass fills it
         for inst in runner.arrivals_by_slot[0]:
             admit(inst, 0)
-            live.append(inst)
+            live.add(inst)
         running, usage, _ = runner._fcfs_slot(live)
         ids = {i.spec.id for i in running}
         assert "hog" in ids and "hog2" not in ids

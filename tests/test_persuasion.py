@@ -1087,6 +1087,26 @@ class TestDrift:
         for game, mu, pol in cases:
             assert lyapunov_drift(mu, pol, game) == loop_drift(mu, pol, game.attack_payoff)
 
+    def test_value_at_the_prior_plus_drift_is_the_lp_objective(self):
+        # the Lyapunov form at the prior: the receiver's value there plus a
+        # policy's drift there is the value the LP gives that policy, for
+        # star's revealing policy, star-static's split and every curve level
+        cfg = default_scenario()
+        assets = persuasion_assets(cfg)
+        game = assets.game
+        cases = [
+            (assets.reveal_policy, solve_persuasion(game, 0.0).objective),
+            *[(sol.policy, sol.objective) for sol in (
+                assets.static_solution(cfg.persuasion.credibility), *assets.curve(cfg.persuasion.budget_points).solutions,
+            )],
+        ]
+        for policy, objective in cases:
+            value = attacker_value(game.prior, game) + lyapunov_drift(game.prior, policy, game)
+            assert value == pytest.approx(objective, abs=1e-12, rel=0)
+        # the cases differ: revealing is worth more to the receiver than the
+        # split at the credibility budget
+        assert cases[0][1] > cases[1][1]
+
     def test_equilibrium_membership(self):
         game = self.GAME
         floor = min_attacker_value(game)
