@@ -582,8 +582,9 @@ class GreedyPlanner:
                     memo.clear()
                 runs = list(zip(run_specs, map(len, run_uids)))
                 decision = memo[key] = self._decide(high_specs, runs, scan_on, can_start, behind)
-            running = [high_uids[i] for i in decision[0]]
-            for j, k in decision[1]:
+            high_pos, taken = decision[0], decision[1]
+            running = [high_uids[i] for i in high_pos]
+            for j, k in taken:
                 running += run_uids[j][:k]
             self._last = None if can_start else (split, scan_on, decision, running)
         _, _, scan_on, started, z, usage, power, events, served_add, _ = decision
