@@ -17,7 +17,7 @@ import yaml
 
 from .attacker import AttackerParams
 from .channel import ChannelParams, PassGeometry
-from .persuasion import is_subdivision_count
+from .persuasion import is_positive_int
 from .scheduler import ScanTask, SchedulerConfig, UtilityParams, stability_targets_of
 from .workload import Arrival, Nature, Priority, TaskSpec
 
@@ -49,7 +49,7 @@ class PersuasionSettings:
         # each check passes only valid values, so NaN fails it
         if self.z_bins < 1:
             raise ConfigError("z_bins must be >= 1")
-        if self.subdivisions is not None and not is_subdivision_count(self.subdivisions):
+        if self.subdivisions is not None and not is_positive_int(self.subdivisions):
             raise ConfigError(f"subdivisions must be omitted or an int >= 1, got {self.subdivisions!r}")
         if not 0.0 <= self.credibility < math.inf:
             raise ConfigError(f"credibility budget must be finite and >= 0, got {self.credibility}")

@@ -25,6 +25,15 @@ slackness).  The split reported spends the least credibility, its
 expected entropy, among them.  The LPs are small and solved by a
 built-in dense simplex (numpy only).
 
+Of a solve on the exact candidates, only the right-hand side, the prior
+and the budget, is the game's own: the rest depends on the payoff alone
+and is built once per payoff vector (``_exact_split_lp``, an LRU cache
+keyed by the payoff's bytes, of read-only arrays): the candidates, their
+values, entropies and tie-break ranks, the constraint matrix (the mean
+rows, the entropy row and the budget slack's column), both stages' cost
+rows and the inverse of the starting basis.  Both stages solve that one
+LP, and stage 2 goes on from stage 1's final basis and its inverse.
+
 ``PersuasionGame.attack_values`` is the one receiver rule: every ``V``
 in this module comes from it, but the edge candidates' exact 0.
 """
@@ -36,6 +45,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,9 +184,7 @@ def policy_from_split(split: PosteriorSplit, prior) -> np.ndarray:
     support posterior; states with zero prior mass get a uniform row."""
     prior = np.asarray(prior, dtype=float)
     k = len(split.weights)
-    pol = np.zeros((len(prior), k))
-    for i, (w, mu) in enumerate(zip(split.weights, split.posteriors)):
-        pol[:, i] = w * mu
+    pol = np.multiply(split.posteriors.T, split.weights, order="C")
     with np.errstate(divide="ignore", invalid="ignore"):
         pol = pol / prior[:, None]
     zero = prior <= _EPS
@@ -224,8 +232,9 @@ def simplex_grid(n_states: int, subdivisions: int) -> np.ndarray:
     return (np.diff(bounds, axis=1) - 1) / subdivisions
 
 
-def is_subdivision_count(value) -> bool:
-    """True for an integer grid resolution >= 1 (bool excluded)."""
+def is_positive_int(value) -> bool:
+    """True for an integer >= 1 (bool excluded): a grid resolution or a
+    budget curve's number of points."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
@@ -257,38 +266,91 @@ def _grid_tables(n_states: int, subdivisions: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _solve_master(cost, posteriors, row, prior, bound, basis, ranks=None, allowed=None):
-    """Minimize ``cost @ w`` over ``w >= 0`` with ``posteriors.T @ w ==
-    prior`` and ``row @ w <= bound``, by a dense revised primal simplex.
-    The inequality's slack is column ``k``, after the ``k`` posterior
-    columns.  ``basis`` holds ``n_states + 1`` column indices of a primal
-    feasible basis and is updated in place to an optimal one.  Given a
+class _SplitLP(NamedTuple):
+    """What a split LP over some candidate posteriors keeps from one solve
+    to the next: everything but its right-hand side, the prior and the
+    budget."""
+
+    posteriors: np.ndarray  # (k, n_states)
+    values: np.ndarray  # (k,)
+    ent: np.ndarray  # (k,)
+    ranks: np.ndarray  # (k,) tie-break ranks (``_ranks``)
+    a: np.ndarray  # the constraint matrix (``_lp_matrix``)
+    value_cost: np.ndarray  # stage 1's cost row: the values, then the slack's 0
+    entropy_cost: np.ndarray  # stage 2's: the entropies, then the slack's 0
+    start: np.ndarray  # the fully revealing basis: the vertices in state order, then the slack
+    start_inverse: np.ndarray  # the inverse of ``a[:, start]``
+
+
+def _lp_matrix(posteriors: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The constraint matrix of a split LP: a mean row per state over the
+    ``k`` posterior columns, then the inequality ``row``, whose slack is
+    column ``k``."""
+    k = len(posteriors)
+    a = np.zeros((posteriors.shape[1] + 1, k + 1))
+    a[:-1, :k] = posteriors.T
+    a[-1, :k] = row
+    a[-1, k] = 1.0
+    return a
+
+
+def _build_split_lp(posteriors, values, ent, vertices, ranks) -> _SplitLP:
+    """The split LP over the given candidates, with ``vertices`` the index
+    of each simplex vertex in state order."""
+    a = _lp_matrix(posteriors, ent)
+    start = np.append(vertices, len(values))
+    return _SplitLP(posteriors, values, ent, ranks, a, np.append(values, 0.0), np.append(ent, 0.0), start,
+                    np.linalg.inv(a[:, start]))
+
+
+@lru_cache(maxsize=32)
+def _exact_split_lp(payoff: bytes) -> _SplitLP:
+    """The read-only split LP over the exact candidates of a payoff vector
+    (float64 bytes), shared by every solve of every game with that payoff:
+    the candidates depend on the payoff only, so a stand-in game with a
+    uniform prior finds them."""
+    payoff = np.frombuffer(payoff)
+    n = len(payoff)
+    stand_in = PersuasionGame(attack_payoff=payoff, prior=np.full(n, 1.0 / n), z_bins=n, z_rep=np.zeros(n),
+                              scan_flag=np.zeros(n, dtype=int))
+    posteriors, values = _exact_candidates(stand_in)
+    lp = _build_split_lp(posteriors, values, entropy(posteriors), np.arange(n), _ranks(posteriors))
+    for table in lp:
+        table.flags.writeable = False
+    return lp
+
+
+def _solve_master(a, cost, rhs, basis, ranks=None, allowed=None, binv=None):
+    """Minimize ``cost @ x`` over ``x >= 0`` with ``a @ x == rhs``, by a
+    dense revised primal simplex.  ``a`` is a split LP's constraint matrix
+    (``_lp_matrix``): ``k`` posterior columns, then the slack of its last
+    row, the inequality; ``cost`` has an entry per column.  ``basis``
+    holds ``len(rhs)`` column indices of a primal feasible basis and is
+    updated in place to an optimal one.  ``binv``, if given, is the inverse
+    of ``a[:, basis]`` and is updated in place along with it, so a solve
+    that goes on from this one's basis need not invert it again.  Given a
     mask ``allowed`` over all ``k + 1`` columns, the others never enter.
 
     Entering column: the most negative reduced cost (Dantzig), lowest index
     on ties; leaving row: the minimum ratio, lowest basic column index on
-    ties.  After ``n_states + 1`` consecutive degenerate pivots both follow
+    ties.  After ``len(rhs)`` consecutive degenerate pivots both follow
     Bland's rule (the lowest eligible index) until a pivot moves the
     solution, so the simplex cannot cycle.  Given ``ranks``, pivots then go
     on to the lexicographically largest optimum (``_lexicographic_column``).
 
-    Returns ``(w, fun, y, lam, pivots)``: ``y`` and ``lam <= 0`` are the duals
-    of the mean rows and the inequality, signed like HiGHS's marginals.
+    Returns ``(w, fun, y, lam, pivots)``: ``w`` the posterior weights, ``y``
+    and ``lam <= 0`` the duals of the mean rows and the inequality, signed
+    like HiGHS's marginals.
     """
-    m = len(prior) + 1
-    k = len(cost)
-    a = np.zeros((m, k + 1))
-    a[:-1, :k] = posteriors.T
-    a[-1, :k] = row
-    a[-1, k] = 1.0
-    c = np.append(cost, 0.0)
-    rhs = np.append(prior, bound)
+    m, k = a.shape[0], a.shape[1] - 1
+    inverse = binv
     degenerate = 0
     for pivots in range(_MAX_PIVOTS_PER_COLUMN * (k + 1)):
-        binv = np.linalg.inv(a[:, basis])
-        xb = binv @ rhs
-        pi = c[basis] @ binv
-        reduced = c - pi @ a
+        if inverse is None:
+            inverse = np.linalg.inv(a[:, basis])
+        xb = inverse @ rhs
+        pi = cost[basis] @ inverse
+        reduced = cost - pi @ a
         if allowed is not None:
             reduced[~allowed] = np.inf
         if degenerate < m:
@@ -299,10 +361,10 @@ def _solve_master(cost, posteriors, row, prior, bound, basis, ranks=None, allowe
             eligible = np.flatnonzero(reduced < -_SIMPLEX_TOL)
             q = int(eligible[0]) if len(eligible) else -1
         if q < 0 and ranks is not None:
-            q = _lexicographic_column(binv, a, reduced, basis, ranks)
+            q = _lexicographic_column(inverse, a, reduced, basis, ranks)
         if q < 0:
             break
-        u = binv @ a[:, q]
+        u = inverse @ a[:, q]
         rows = np.flatnonzero(u > _PIVOT_TOL)
         if len(rows) == 0:
             raise InfeasibleSplitError(f"split LP unbounded along column {q}")
@@ -310,12 +372,15 @@ def _solve_master(cost, posteriors, row, prior, bound, basis, ranks=None, allowe
         theta = ratios.min()
         ties = rows[ratios <= theta + _SIMPLEX_TOL]
         basis[ties[np.argmin(basis[ties])]] = q
+        inverse = None
         degenerate = degenerate + 1 if theta <= _SIMPLEX_TOL else 0
     else:
         raise InfeasibleSplitError(f"split LP not solved in {_MAX_PIVOTS_PER_COLUMN * (k + 1)} pivots")
+    if binv is not None:
+        binv[...] = inverse
     w = np.zeros(k + 1)
     w[basis] = xb
-    return w[:k], float(c[basis] @ xb), pi[:-1], float(pi[-1]), pivots
+    return w[:k], float(cost[basis] @ xb), pi[:-1], float(pi[-1]), pivots
 
 
 def _lexicographic_column(binv, a, reduced, basis, ranks) -> int:
@@ -342,18 +407,18 @@ def _ranks(posteriors: np.ndarray) -> np.ndarray:
     return np.argsort(np.lexsort(posteriors.T[::-1])[::-1])
 
 
-def _split_lp(values, posteriors, ent, prior, budget, vertices, ranks):
-    """Both stages of the split LP over the given candidates, with
-    ``vertices`` the index of each simplex vertex in state order and
-    ``ranks`` the candidates' tie-break ranks (``_ranks``).  Returns the
-    weights, stage 1's optimum and each stage's pivots.  A feasible split
-    is value-optimal iff it weighs only columns of zero reduced cost under
-    stage 1's duals (the budget slack's is ``-lam``), so stage 2 solves the
-    same LP from stage 1's optimal basis with only those columns free."""
-    basis = np.append(vertices, len(values))  # the fully revealing split
-    _, objective, y, lam, first = _solve_master(values, posteriors, ent, prior, budget, basis)
-    optimal = np.append(values - posteriors @ y - lam * ent, -lam) <= _SIMPLEX_TOL
-    w, _, _, _, second = _solve_master(ent, posteriors, ent, prior, budget, basis, ranks, optimal)
+def _split_lp(lp: _SplitLP, prior, budget):
+    """Both stages of a split LP at one prior and budget, its right-hand
+    side.  Returns the weights, stage 1's optimum and each stage's pivots.
+    A feasible split is value-optimal iff it weighs only columns of zero
+    reduced cost under stage 1's duals (the budget slack's is ``-lam``), so
+    stage 2 solves the same LP from stage 1's optimal basis and its inverse,
+    with only those columns free."""
+    rhs = np.append(prior, budget)
+    basis, binv = lp.start.copy(), lp.start_inverse.copy()
+    _, objective, y, lam, first = _solve_master(lp.a, lp.value_cost, rhs, basis, binv=binv)
+    optimal = np.append(lp.values - lp.posteriors @ y - lam * lp.ent, -lam) <= _SIMPLEX_TOL
+    w, _, _, _, second = _solve_master(lp.a, lp.entropy_cost, rhs, basis, lp.ranks, optimal, binv)
     return w, objective, (first, second)
 
 
@@ -376,7 +441,8 @@ def solve_persuasion(
     Bayes-plausible posterior splits with E[H(posterior)] <= budget.
 
     The candidates are, for ``subdivisions=None``, the exact set of the
-    module docstring (``_exact_candidates``).  An int is the grid oracle:
+    module docstring (``_exact_candidates``), whose LP is built once per
+    payoff (``_exact_split_lp``).  An int is the grid oracle:
     the points of ``simplex_grid(n_states, subdivisions)``, whose tables are
     built once and shared, and whose optimum is never below the exact one.
     The LP has a weight per candidate, a mean row per state and one
@@ -398,20 +464,18 @@ def solve_persuasion(
     """
     if not 0.0 <= budget < math.inf:  # NaN fails too
         raise ValueError("credibility budget must be finite and >= 0")
-    n = game.n_states
     if subdivisions is None:
-        posteriors, values = _exact_candidates(game)
-        ent, vertices, ranks = entropy(posteriors), np.arange(n), _ranks(posteriors)
-    elif not is_subdivision_count(subdivisions):
+        lp = _exact_split_lp(game.attack_payoff.tobytes())
+    elif not is_positive_int(subdivisions):
         raise ValueError(f"subdivisions must be None or an int >= 1, got {subdivisions!r}")
     else:
-        posteriors, ent, vertices, ranks = _grid_tables(n, int(subdivisions))
-        values = game.attack_values(posteriors)
-    w, objective, pivots = _split_lp(values, posteriors, ent, game.prior, budget, vertices, ranks)
+        posteriors, ent, vertices, ranks = _grid_tables(game.n_states, int(subdivisions))
+        lp = _build_split_lp(posteriors, game.attack_values(posteriors), ent, vertices, ranks)
+    w, objective, pivots = _split_lp(lp, game.prior, budget)
     support = w > 1e-10
-    split = PosteriorSplit(posteriors=posteriors[support], weights=w[support] / w[support].sum())
+    split = PosteriorSplit(posteriors=lp.posteriors[support], weights=w[support] / w[support].sum())
     policy = policy_from_split(split, game.prior)
-    return PersuasionSolution(split, policy, objective, float(ent[support] @ split.weights), len(values), pivots)
+    return PersuasionSolution(split, policy, objective, float(lp.ent[support] @ split.weights), len(lp.values), pivots)
 
 
 def min_attacker_value(game: PersuasionGame) -> float:
@@ -443,6 +507,8 @@ class BudgetCurve:
     """
 
     def __init__(self, game: PersuasionGame, points: int = 25, subdivisions: int | None = None):
+        if not is_positive_int(points):
+            raise ValueError(f"points must be an int >= 1, got {points!r}")
         self.game = game
         self.budgets = np.linspace(0.0, math.log(game.n_states), points)
         self.solutions = [solve_persuasion(game, b, subdivisions) for b in self.budgets]

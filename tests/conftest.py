@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from satdefsim import attacker, engine, scheduler
+from satdefsim import attacker, engine, persuasion, scheduler
 from satdefsim.config import from_dict
 from satdefsim.scheduler import ScanTask, SchedulerConfig, UtilityParams
 from satdefsim.workload import Arrival, Nature, Priority, TaskInstance, TaskSpec
@@ -13,9 +13,9 @@ BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios
 
 def clear_engine_caches():
     """Empty every engine cache, the slot solver's decision memos, the
-    plan's held planner and the interceptor's layer memo, so that the
-    next episode builds cold."""
-    for cached in (engine._game_assets, engine._signal_plan, scheduler._slot_memo):
+    plan's held planner, the interceptor's layer memo and the exact split
+    LPs, so that the next episode builds cold."""
+    for cached in (engine._game_assets, engine._signal_plan, scheduler._slot_memo, persuasion._exact_split_lp):
         cached.cache_clear()
     scheduler._held_planner.clear()
     engine._SCHEDULE_CACHE.clear()

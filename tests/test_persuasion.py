@@ -351,7 +351,14 @@ def exact_lp(game):
 
 def split_lp(values, posteriors, ent, prior, budget, vertices):
     """Both stages of the split LP, with the tie-break ranks of the posteriors."""
-    return persuasion._split_lp(values, posteriors, ent, prior, budget, vertices, persuasion._ranks(posteriors))
+    lp = persuasion._build_split_lp(posteriors, values, ent, vertices, persuasion._ranks(posteriors))
+    return persuasion._split_lp(lp, prior, budget)
+
+
+def master(cost, posteriors, ent, prior, budget):
+    """``_solve_master``'s constraint matrix, cost row and right-hand side
+    for a value or entropy cost over the posteriors within the budget."""
+    return persuasion._lp_matrix(posteriors, ent), np.append(cost, 0.0), np.append(prior, budget)
 
 
 def highs_canonical_split(values, posteriors, ent, prior, budget):
@@ -514,6 +521,23 @@ class TestSplitLP:
         assert round(sol.credibility, 4) == 0.0359
         assert sol.lp_columns == 8 and len(sol.split.weights) == 4
 
+    def test_budget_dual_is_the_slope_of_the_value(self):
+        # the default game's V(C) falls from 2.45 with slope lam up to
+        # C* = 0.035884 and is flat at 2.40 from there on; stage 1's budget
+        # dual is that slope on each piece
+        game = persuasion_assets(default_scenario()).game
+        lp = persuasion._exact_split_lp(game.attack_payoff.tobytes())
+        for budget in (0.0, 1e-6, 0.01, 0.02, 0.035, 0.03588, 0.0359, 0.05, 0.2, 1.0, math.log(4)):
+            rhs = np.append(game.prior, budget)
+            _, objective, _, lam, _ = persuasion._solve_master(lp.a, lp.value_cost, rhs, lp.start.copy())
+            assert objective == solve_persuasion(game, budget).objective
+            if budget < 0.035884:
+                assert lam == -1.3933892594767128
+                assert objective == pytest.approx(2.45 + lam * budget, abs=1e-12)
+            else:
+                assert lam == 0.0
+                assert objective == pytest.approx(2.40, abs=1e-12)
+
     def test_grid_lp_never_below_the_exact_optimum(self):
         rng = np.random.default_rng(79)
         subs = {2: 200, 3: 60, 4: 30, 5: 14, 6: 10, 7: 8, 8: 6}
@@ -536,7 +560,7 @@ class TestSplitLP:
                 h = -np.sum(np.where(mus > 0, mus * np.log(mus), 0.0), axis=1)
             for budget in (0.0, 0.03, 0.2):
                 basis = np.append(np.arange(n), len(values))
-                _, _, y, lam, _ = persuasion._solve_master(values, posteriors, ent, game.prior, budget, basis)
+                _, _, y, lam, _ = persuasion._solve_master(*master(values, posteriors, ent, game.prior, budget), basis)
                 price = np.maximum(mus @ game.attack_payoff, 0.0) - mus @ y - lam * h
                 assert price.min() >= -1e-9
 
@@ -606,7 +630,7 @@ class TestSplitLP:
             n = game.n_states
             for budget in (0.0, 0.03, 0.2, math.log(n)):
                 basis = np.append(np.arange(n), len(values))
-                _, _, y, lam, _ = persuasion._solve_master(values, posteriors, ent, game.prior, budget, basis)
+                _, _, y, lam, _ = persuasion._solve_master(*master(values, posteriors, ent, game.prior, budget), basis)
                 sol = solve_persuasion(game, budget)
                 mus = sol.split.posteriors
                 reduced = np.maximum(mus @ game.attack_payoff, 0.0) - mus @ y - lam * entropy(mus)
@@ -660,7 +684,7 @@ def master_lp(rng, n, extra, payoff=None, prior=None):
 
 def check_master_against_highs(cost, posteriors, ent, prior, budget, basis, tol=1e-9):
     start = basis.copy()
-    w, fun, y, lam, _ = persuasion._solve_master(cost, posteriors, ent, prior, budget, basis)
+    w, fun, y, lam, _ = persuasion._solve_master(*master(cost, posteriors, ent, prior, budget), basis)
     res = optimize.linprog(cost, A_ub=ent[None, :], b_ub=[budget], A_eq=posteriors.T, b_eq=prior,
                            bounds=(0, None), method="highs")
     assert res.status == 0, res.message
@@ -740,9 +764,9 @@ class TestMasterSimplex:
             head = np.union1d(basis[:-1], np.arange(40))
             labels = np.append(head, len(cost))  # the last label is the slack
             sub = np.searchsorted(labels, basis)
-            persuasion._solve_master(cost[head], posteriors[head], ent[head], prior, budget, sub)
+            persuasion._solve_master(*master(cost[head], posteriors[head], ent[head], prior, budget), sub)
             _, warm, _, _ = check_master_against_highs(cost, posteriors, ent, prior, budget, labels[sub])
-            _, cold, _, _, _ = persuasion._solve_master(cost, posteriors, ent, prior, budget, basis)
+            _, cold, _, _, _ = persuasion._solve_master(*master(cost, posteriors, ent, prior, budget), basis)
             assert warm == pytest.approx(cold, abs=1e-12)
 
     def test_exhausted_pivots_raise(self, monkeypatch):
@@ -872,6 +896,52 @@ class TestGridTables:
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
+class TestExactSplitLP:
+    @pytest.fixture(autouse=True)
+    def cold_tables(self):
+        persuasion._exact_split_lp.cache_clear()
+        yield
+        persuasion._exact_split_lp.cache_clear()
+
+    def test_games_with_one_payoff_share_an_entry(self):
+        payoff = [1.0, 0.0, -0.5]
+        games = [PersuasionGame(attack_payoff=payoff, prior=prior, z_bins=3, z_rep=np.zeros(3),
+                                scan_flag=np.zeros(3, dtype=int))
+                 for prior in ([0.2, 0.3, 0.5], [0.6, 0.0, 0.4])]
+        for game in games:
+            solve_persuasion(game, 0.2)
+        info = persuasion._exact_split_lp.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        other = PersuasionGame(attack_payoff=[1.0, 0.0, -0.25], prior=[0.2, 0.3, 0.5], z_bins=3,
+                               z_rep=np.zeros(3), scan_flag=np.zeros(3, dtype=int))
+        solve_persuasion(other, 0.2)
+        info = persuasion._exact_split_lp.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+    def test_tables_are_read_only_and_not_shared(self):
+        game = build_scan_game(10.0, 0.1, prior_scan=0.5, z_bins=2)
+        tables = persuasion._exact_split_lp(game.attack_payoff.tobytes())
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+        for budget in np.linspace(0.0, math.log(4), 5):
+            sol = solve_persuasion(game, float(budget))
+            for out in (sol.split.posteriors, sol.split.weights, sol.policy):
+                assert not any(np.shares_memory(out, table) for table in tables)
+
+    def test_cold_and_warm_solves_are_identical(self):
+        # zero payoffs and zero-prior states included (exact_test_games)
+        rng = np.random.default_rng(97)
+        for game in exact_test_games(rng):
+            for budget in (0.0, 0.03, 0.2, math.log(game.n_states)):
+                persuasion._exact_split_lp.cache_clear()
+                cold = solve_persuasion(game, budget)
+                solve_persuasion(game, 0.5 * budget)
+                assert_same_solution(cold, solve_persuasion(game, budget))
+                assert persuasion._exact_split_lp.cache_info().hits == 2
+
+
 class TestSplitPolicyRoundtrip:
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
@@ -951,6 +1021,12 @@ class TestBudgetAllocation:
         assert all(b <= a + 1e-9 for a, b in zip(v, v[1:]))
         second = np.diff(v, 2)
         assert np.all(second >= -1e-6)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, 13.0, "13", True, False, None])
+    def test_curve_needs_a_positive_int_of_points(self, bad):
+        # an empty curve would leave allocate_on_grid a level 0 that indexes nothing
+        with pytest.raises(ValueError, match="points"):
+            BudgetCurve(two_state_game([1.0, -1.0]), points=bad)
 
 
 class TestGridAllocator:
