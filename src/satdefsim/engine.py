@@ -56,7 +56,7 @@ from __future__ import annotations
 import csv
 import json
 import subprocess
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
@@ -1021,17 +1021,28 @@ class BenchmarkResult:
 
 
 def _check_policies(policies) -> None:
-    """Reject an empty or unknown policy list before any episode runs."""
+    """Reject an empty, unknown or repeated policy list before any episode
+    runs."""
     if not policies:
         raise ValueError("empty policy list")
     for pol in policies:
         if pol not in POLICY_KINDS:
             raise ValueError(f"unknown policy {pol!r}")
+    _check_unique(policies, "policy")
 
 
 def _check_seeds(seeds) -> None:
+    """Reject an empty or repeated seed list: a repeated seed would count
+    its episode twice in every mean and standard deviation."""
     if not seeds:
         raise ValueError("need at least one seed")
+    _check_unique(seeds, "seed")
+
+
+def _check_unique(values, name: str) -> None:
+    repeated = [v for v, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ValueError(f"duplicate {name} {', '.join(map(repr, repeated))}")
 
 
 def _run_by_seed(cfgs, policies, seeds) -> list[dict[str, list[EpisodeMetrics]]]:

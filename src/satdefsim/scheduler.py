@@ -5,14 +5,29 @@ Per-slot hard constraints: capacity on every resource type (PS) and a
 normalized power budget (PC).  Scans run in fixed-length consecutive
 blocks (SD) that must fit inside the current window.  Aperiodic mission
 specs carry a time-average service quota (TS).
+
+Two memos serve the planner, both per scope (utility, config, window
+length and stability targets, compared by value): ``_slot_memo`` holds
+slot decisions by the queue's shape and the scan and quota state, and
+``_plan_memo`` holds whole window plans in window-relative form, keyed
+by the stand-in template, the queue's shape and the window-relative
+inputs of its instances (``_plan_key``).  A window whose key was planned
+before is rebuilt from the stored plan instead of being solved; the
+explicit form of a receding-horizon law, looked up over the states it
+meets.  The plan memo keeps the ``_PLAN_MEMO_MAX`` plans used last.  The
+memos, the held planner and its stand-in templates are module state
+without locks: plans must not run from two threads at once.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import accumulate, chain, pairwise
 from operator import add, attrgetter, sub
+from struct import Struct
 
 import numpy as np
 
@@ -391,6 +406,7 @@ class GreedyPlanner:
         self.stability_targets = stability_targets or {}
         self._memo = _slot_memo(utility, config, window_len, tuple(sorted(self.stability_targets.items())))
         self._stand_ins = None  # the plan's stand-in templates of this scope
+        self._plans = None  # the scope's plan memo, set by _window_planner
         self.open_window(window_start)
 
     def open_window(self, window_start: int) -> None:
@@ -616,11 +632,17 @@ def _aperiodic_offsets(rate: float, window_len: int) -> tuple[int, ...]:
 
 def _stand_in_template(planner: GreedyPlanner, specs, window_start: int) -> tuple:
     """The projected arrivals of the window of ``planner``'s scope that
-    starts at ``window_start``, as ``(uid, spec, offset, work, expiry)``:
-    the stand-in's uid, its spec and its release slot as an offset from
+    starts at ``window_start``, as ``(template, key, uids, after)``.
+
+    ``template`` holds one ``(uid, spec, offset, work, expiry)`` per
+    stand-in: its uid, its spec and its release slot as an offset from
     the window start; its work where it can finish inside the window,
     else 0; and the offset of the slot after its deadline where it is
-    firm and that slot falls inside the window, else None.
+    firm and that slot falls inside the window, else None.  ``key`` is
+    ``(spec ids, phases)``, which fixes the template; ``uids`` the
+    stand-ins' uids in template order; and ``after`` the smallest
+    ``offset + relative_deadline`` of the high-priority stand-ins and of
+    the low-priority ones (``inf`` where a class has none).
 
     A stand-in's offsets and uid depend only on the specs, the window
     length and the phase of the window start against each periodic spec's
@@ -634,14 +656,17 @@ def _stand_in_template(planner: GreedyPlanner, specs, window_start: int) -> tupl
         ordered = sorted(specs, key=_SPEC_ID)
         intervals = tuple(s.arrival.interval for s in ordered if s.arrival.kind == "periodic")
         held = planner._stand_ins = (ids, ordered, intervals, {})
-    _, ordered, intervals, templates = held
+    ids, ordered, intervals, templates = held
     phases = tuple(window_start % interval for interval in intervals)
-    template = templates.get(phases)
-    if template is None:
+    held = templates.get(phases)
+    if held is None:
         if len(templates) >= _MEMO_MAX:
             templates.clear()
-        template = templates[phases] = _build_stand_ins(ordered, planner.window_len, window_start)
-    return template
+        template = _build_stand_ins(ordered, planner.window_len, window_start)
+        due = [(spec.priority is _HIGH, off + spec.relative_deadline) for _, spec, off, _, _ in template]
+        after = tuple(min((d for high, d in due if high is cls), default=math.inf) for cls in (True, False))
+        held = templates[phases] = (template, (ids, phases), tuple(s[0] for s in template), after)
+    return held
 
 
 def _build_stand_ins(ordered, window_len: int, window_start: int) -> tuple:
@@ -682,6 +707,7 @@ def _window_planner(utility, config, window_start: int, window_len: int, stabili
         or planner.window_len != window_len or planner.stability_targets != stability_targets
     ):
         planner = GreedyPlanner(utility, config, window_start, window_len, dict(stability_targets))
+        planner._plans = _plan_memo(utility, config, window_len, tuple(sorted(stability_targets.items())))
         _held_planner[:] = [planner]
     else:
         planner.open_window(window_start)
@@ -711,14 +737,201 @@ def plan_horizon(
     each firm instance still unfinished is discarded at ``deadline + 1``,
     and each completion is discarded after the slot that completes it.
 
+    Plans are memoized per scope (``_plan_memo``) in window-relative
+    form.  The key is the stand-in template (the spec identities and the
+    window start's phase against each periodic interval), the queue's
+    shape and, for each queued instance in split order, what the window
+    reads of it relative to its start (``_plan_key``, which says why that
+    is complete).  A hit rebuilds the stored plan with this window's
+    uids, start and event slots, bit for bit, and solves no slot; a miss
+    solves the window (``_solve_window``) and stores its plan.  A scope's
+    memo keeps the ``_PLAN_MEMO_MAX`` plans used last.  Since a hit makes
+    no ``schedule_slot`` call, counts and timings of the plan's slot calls
+    cover only the windows solved.
+
     One planner of the scope (``_window_planner``) decides every window
     and keeps the templates of its projected arrivals
-    (``_stand_in_template``), so two plans must not run at the same time
-    (from two threads).
+    (``_stand_in_template``), and the scope's memo is shared without a
+    lock, so two plans must not run at the same time (from two threads).
     """
     if stability_targets is None:
         stability_targets = stability_targets_of(specs or ())
     planner = _window_planner(utility, config, window_start, window_len, stability_targets)
+    stand_ins, template_key, stand_in_uids, after = _stand_in_template(planner, specs or (), window_start)
+    high_uids, run_uids, high_specs, run_specs, shape = queue.split()
+    order = [*high_uids, *chain.from_iterable(run_uids)]  # the queue in split order
+    codes = _plan_key(queue, order, len(high_uids), window_start, window_len, after)
+    # then the stand-ins: a plan's running instances are stored as
+    # positions in this list
+    order += stand_in_uids
+    if codes is None:  # a uid the key does not order against the stand-ins
+        return _solve_window(planner, queue, window_start, window_len, stand_ins)
+    memo = planner._plans
+    plans = memo.plans
+    key = (template_key, shape, codes)
+    stored = plans.pop(key, None)
+    if stored is not None:
+        plans[stored[0]] = stored  # again, as the most recently used
+        return _replay(stored, order, window_start, window_len)
+    plan = _solve_window(planner, queue, window_start, window_len, stand_ins)
+    memo.store(key, plan, order, chain(specs or (), high_specs, run_specs))
+    return plan
+
+
+def _plan_key(queue: EdfQueue, order: list, n_high: int, window_start: int, window_len: int, after: tuple):
+    """The part of a plan's memo key that the queue's instances add to its
+    shape and stand-in template, or None where a queued uid is negative.
+
+    The codes are a flat sequence of ``(position, kind, value)``, each
+    for the instance at that position of ``order`` (the queue in split
+    order), as bytes where every number fits in one, else as a tuple:
+
+    - ``_NEVER``: it never runs in the window (inactive, released at or
+      after the window end, or firm with a deadline before the start);
+    - ``_RELEASE``: it is released later, at this offset;
+    - ``_LEFT``: its remaining work, where it can finish in the window;
+    - ``_DEADLINE``: its deadline as an offset from the window start,
+      where it is firm and expires inside the window, or where the offset
+      is at least ``after`` of its priority class (the smallest of the
+      stand-ins' ``offset + relative_deadline``).
+
+    An instance with no code is "plain": present from the first slot,
+    with work past the window end, not expiring in it, and ahead of every
+    stand-in of its class in earliest-deadline-first order.
+
+    Why the key is complete: the plan's slots read the queue only
+    through the split order of the instances present, and the scope's
+    decisions read only the specs there (fixed by the shape, whose spec
+    ids the memo keeps alive) and the scan and quota state those
+    decisions leave.  The instances present at each slot follow from the
+    releases, expiries and completions, which the codes fix.  Queued
+    instances keep their split order among themselves; the template key
+    fixes the stand-ins and their order; a queued instance with a
+    deadline offset below ``after`` sorts before every stand-in of its
+    class, and one with the offset coded sorts after exactly the
+    stand-ins of an earlier or equal deadline, since stand-in uids are
+    negative and sort first on a tie.  That last step needs non-negative
+    queued uids, so a queue holding another bypasses the memo."""
+    if min(order, default=0) < 0:
+        return None
+    members = queue._members
+    window_end = window_start + window_len
+    codes = []
+    high_after, low_after = after
+    for pos, uid in enumerate(order):
+        inst = members[uid]
+        req, deadline, state = inst.req, inst.deadline, inst.state
+        firm = inst.spec.firm_deadline
+        if not (state is _QUEUED or state is _ADMITTED) or req >= window_end or (firm and deadline < window_start):
+            codes += (pos, _NEVER, 0)
+            continue
+        if req > window_start:
+            codes += (pos, _RELEASE, req - window_start)
+        if inst.remaining <= window_len:
+            codes += (pos, _LEFT, inst.remaining)
+        off = deadline - window_start
+        if (firm and deadline + 1 < window_end) or off >= (high_after if pos < n_high else low_after):
+            codes += (pos, _DEADLINE, off)
+    try:
+        return bytes(codes)
+    except ValueError:  # a number past 255
+        return tuple(codes)
+
+
+_NEVER, _RELEASE, _LEFT, _DEADLINE = range(4)  # the kinds of _plan_key's codes
+_PLAN_MEMO_MAX = 4096  # window plans per plan scope
+
+
+class _PlanMemo:
+    """The window plans of one scope.
+
+    ``plans`` maps a plan's key, ``(template key, shape, codes)`` (see
+    ``_plan_key``), to ``(key, blob, events)``, least recently used
+    first: a hit takes its entry out and puts it back under the key it
+    holds.  The blob is the bytes of ``z`` (float64), ``z_avg`` (float64),
+    ``scan_on`` (one byte per slot) and, as uint16, the running total of
+    the slots' instance counts from 0 followed by each slot's instances
+    in turn, as positions in the plan's ``order`` (the queue in split
+    order, then the stand-ins).  ``events`` holds each event with its
+    slot as an offset from the window start.  A window whose numbers do
+    not fit in uint16 is not stored.
+
+    ``plans`` is a plain dict of bytes, numbers, strings and tuples of
+    them, so once a collection has passed over a new entry, the garbage
+    collector no longer tracks the dict nor walks it.  ``parts`` holds
+    one object per distinct template key and shape, which the keys stored
+    after it share; it is emptied when it holds more than
+    ``_PLAN_MEMO_MAX``.  ``specs`` holds every spec whose id a key holds,
+    so that no other object takes its id while the key is stored; when
+    it holds more than ``_PLAN_MEMO_MAX``, it is emptied with the plans."""
+
+    __slots__ = ("plans", "parts", "specs")
+
+    def __init__(self):
+        self.plans: dict[tuple, tuple] = {}
+        self.parts: dict[tuple, tuple] = {}
+        self.specs: dict[int, TaskSpec] = {}
+
+    def store(self, key: tuple, plan: HorizonPlan, order: list, specs) -> None:
+        plans, keep = self.plans, self.specs
+        for spec in specs:
+            keep[id(spec)] = spec
+        if len(keep) > _PLAN_MEMO_MAX:  # a spec is let go only with every key
+            plans.clear()
+            keep.clear()
+            return
+        at = {uid: pos for pos, uid in enumerate(order)}
+        running = [*accumulate(map(len, plan.running), initial=0)]
+        running += [at[uid] for uids in plan.running for uid in uids]
+        try:
+            running = array("H", running).tobytes()
+        except OverflowError:
+            return
+        parts = self.parts
+        if len(parts) > _PLAN_MEMO_MAX:  # the stored keys keep their own
+            parts.clear()
+        template_key, shape, codes = key
+        key = (parts.setdefault(template_key, template_key), parts.setdefault(shape, shape), codes)
+        if len(plans) >= _PLAN_MEMO_MAX:
+            del plans[next(iter(plans))]
+        start = plan.start
+        plans[key] = (
+            key,
+            plan.z.tobytes() + _F64.pack(plan.z_avg) + bytes(plan.scan_on.tolist()) + running,
+            tuple((t - start, kind, spec_id) for t, kind, spec_id in plan.events),
+        )
+
+
+_F64 = Struct("d")
+
+
+@lru_cache(maxsize=8)
+def _plan_memo(utility: UtilityParams, config: SchedulerConfig, window_len: int, targets: tuple) -> _PlanMemo:
+    """The memo of window plans of one scope, the scope of ``_slot_memo``."""
+    return _PlanMemo()
+
+
+def _replay(stored: tuple, order: list, window_start: int, window_len: int) -> HorizonPlan:
+    """A stored plan (see ``_PlanMemo``) with this window's uids and start."""
+    _, blob, events = stored
+    end = 8 * window_len
+    scan_on = blob[end + 8:end + 8 + window_len]
+    running = memoryview(blob)[end + 8 + window_len:].cast("H")
+    uids = [order[pos] for pos in running[window_len + 1:]]
+    return HorizonPlan(
+        start=window_start,
+        length=window_len,
+        scan_on=np.array(list(scan_on), dtype=int),
+        running=[uids[a:b] for a, b in pairwise(running[:window_len + 1])],
+        z=np.frombuffer(blob, count=window_len).copy(),
+        scan_freq=sum(scan_on) / window_len,
+        z_avg=_F64.unpack_from(blob, end)[0],
+        events=[(window_start + off, kind, spec_id) for off, kind, spec_id in events],
+    )
+
+
+def _solve_window(planner: GreedyPlanner, queue: EdfQueue, window_start: int, window_len: int, stand_ins: tuple) -> HorizonPlan:
+    """The plan of one window, solved slot by slot (see ``plan_horizon``)."""
     window_end = window_start + window_len
 
     # The eligible set changes only where an instance is released, the slot
@@ -746,7 +959,7 @@ def plan_horizon(
             expiring.setdefault(deadline + 1, []).append(inst)  # released by then: deadline >= req + 1
 
     # projected arrivals, from the scope's template for this window
-    for uid, spec, off, work, expiry in _stand_in_template(planner, specs or (), window_start):
+    for uid, spec, off, work, expiry in stand_ins:
         req = window_start + off
         inst = TaskInstance(uid, spec, req)
         released.setdefault(req, []).append(inst)

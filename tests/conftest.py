@@ -13,13 +13,20 @@ BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios
 
 def clear_engine_caches():
     """Empty every engine cache, the slot solver's decision memos, the
-    plan's held planner, the interceptor's layer memo and the exact split
-    LPs, so that the next episode builds cold."""
+    plan memos, the plan's held planner, the interceptor's layer memo and
+    the exact split LPs, so that the next episode builds cold."""
     for cached in (engine._game_assets, engine._signal_plan, scheduler._slot_memo, persuasion._exact_split_lp):
         cached.cache_clear()
-    scheduler._held_planner.clear()
+    clear_plan_memo()
     engine._SCHEDULE_CACHE.clear()
     attacker._LAYER_CACHE.clear()
+
+
+def clear_plan_memo():
+    """Empty the plan memos and drop the held planner, which holds its
+    scope's memo, so that the next plan solves every slot of its window."""
+    scheduler._plan_memo.cache_clear()
+    scheduler._held_planner.clear()
 
 
 def head_of_line_scenario():

@@ -85,6 +85,26 @@ def test_benchmark_skips_normalization_when_fcfs_utility_is_not_positive(tmp_pat
     assert "(norm" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,message", [
+    (["benchmark", "--seeds", "1,1"], "duplicate seed 1"),
+    (["benchmark", "--seeds", "0..2", "--policies", "fcfs,star,star"], "duplicate policy 'star'"),
+    (["sweep", "--param", "persuasion.credibility", "--seeds", "0,1,0"], "duplicate seed 0"),
+    (["sweep", "--param", "persuasion.credibility", "--policies", "star,star"], "duplicate policy 'star'"),
+], ids=["benchmark-seed", "benchmark-policy", "sweep-seed", "sweep-policy"])
+def test_duplicate_seed_or_policy_fails_before_any_episode(tmp_path, scenario_file, monkeypatch, capsys,
+                                                            command, message):
+    from satdefsim import engine
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran before the seeds and policies were checked")
+
+    monkeypatch.setattr(engine, "run_episode", no_episode)
+    out = tmp_path / "out"
+    assert main([*command, "--config", scenario_file, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["benchmark", "--seeds", "0..3", "--policies", "fcfs,sp,stra"],
     ["sweep", "--param", "persuasion.credibility", "--seeds", "0..3", "--policies", "star,stra"],

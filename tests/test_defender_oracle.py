@@ -22,7 +22,7 @@ from satdefsim.config import default_scenario, from_dict, load_config
 from satdefsim.scheduler import GreedyPlanner
 from satdefsim.workload import InstanceState
 
-from conftest import BENCH_SCENARIOS, head_of_line_scenario
+from conftest import BENCH_SCENARIOS, clear_plan_memo, head_of_line_scenario
 
 _EPS = 1e-9
 _CAP = 1.0 + _EPS
@@ -275,12 +275,19 @@ def run_against_bypassed_repeats(cfg, seed, policy, monkeypatch) -> dict[str, in
     """One defender pass in which every slot, of the pass and of its
     plans, is checked against the same slot decided with the repeat rule
     bypassed: the slot solver on a copy of the planner that remembers no
-    last call, the fcfs rule with no last split.  Returns the slots that
-    repeated (handed back the last call's running list), by caller."""
+    last call, the fcfs rule with no last split.  Every plan starts from
+    an empty plan memo, so that each of its slots is solved and checked.
+    Returns the slots that repeated (handed back the last call's running
+    list), by caller."""
     fired = {"exec": 0, "plan": 0, "fcfs": 0}
     schedule_slot = GreedyPlanner.schedule_slot
     fcfs_slot = engine.DefenderPass._fcfs_slot
+    plan_horizon = engine.plan_horizon
     last_running = {}
+
+    def cold_plan(*args, **kwargs):
+        clear_plan_memo()
+        return plan_horizon(*args, **kwargs)
 
     def checked_slot(self, queue, t, forced_scan=None):
         fresh = copy.copy(self)
@@ -314,6 +321,7 @@ def run_against_bypassed_repeats(cfg, seed, policy, monkeypatch) -> dict[str, in
     with monkeypatch.context() as patch:
         patch.setattr(GreedyPlanner, "schedule_slot", checked_slot)
         patch.setattr(engine.DefenderPass, "_fcfs_slot", checked_fcfs)
+        patch.setattr(engine, "plan_horizon", cold_plan)
         engine.DefenderPass(cfg, seed, policy).run()
     return fired
 

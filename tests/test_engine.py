@@ -874,6 +874,23 @@ class TestSuite:
         with pytest.raises(ValueError, match="unknown policy 'stra'"):
             run(small_cfg())
 
+    @pytest.mark.parametrize("run,message", [
+        (lambda cfg: run_benchmark_suite(cfg, ["fcfs", "star"], [1, 1]), "duplicate seed 1"),
+        (lambda cfg: run_benchmark_suite(cfg, ["fcfs", "star", "star"], [1, 1]), "duplicate policy 'star'"),
+        (lambda cfg: run_benchmark_suite(cfg, ["sp", "fcfs", "sp", "fcfs"], [2]), "duplicate policy 'sp', 'fcfs'"),
+        (lambda cfg: sweep(cfg, "persuasion.credibility", [0.1], [0, 2, 0]), "duplicate seed 0"),
+        (lambda cfg: sweep(cfg, "persuasion.credibility", [0.1], [3], policies=("star", "stardis", "star")),
+         "duplicate policy 'star'"),
+    ], ids=["suite-seed", "suite-policy", "suite-policies", "sweep-seed", "sweep-policy"])
+    def test_duplicates_rejected_before_any_episode(self, monkeypatch, run, message):
+        # a repeated seed would count its episode twice in every mean and std
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the seeds and policies were checked")
+
+        monkeypatch.setattr(engine, "run_episode", no_episode)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(small_cfg())
+
     def test_game_sweep_builds_each_game_once(self, monkeypatch):
         # seeds are the outer loop, so each seed cycles through all 17
         # games: a cache of 16 would rebuild them in every seed

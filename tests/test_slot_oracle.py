@@ -48,7 +48,7 @@ from satdefsim.scheduler import (
 )
 from satdefsim.workload import Arrival, InstanceState, Nature, Priority, TaskInstance, TaskSpec
 
-from conftest import BENCH_SCENARIOS, clear_engine_caches
+from conftest import BENCH_SCENARIOS, clear_engine_caches, clear_plan_memo
 
 _EPS = 1e-9
 _CAP = 1.0 + _EPS
@@ -906,3 +906,282 @@ def test_stand_in_templates_plan_as_fresh_specs(monkeypatch):
         after = _template_plan(specs, w_start, w_len, utility, config)
         want = _template_plan([dataclasses.replace(s) for s in specs], w_start, w_len, utility, config)
         assert after == want and after != before
+
+
+# -- the plan memo -------------------------------------------------------------
+
+def _count_replays(monkeypatch) -> list:
+    """A list that gets one entry per plan rebuilt from the memo."""
+    replays = []
+    replay = scheduler._replay
+
+    def counting(*args):
+        replays.append(args[2])  # the window start
+        return replay(*args)
+
+    monkeypatch.setattr(scheduler, "_replay", counting)
+    return replays
+
+
+@pytest.mark.parametrize("workload", ["suite-default", "congested-dp"])
+def test_memo_hits_equal_plans_solved_afresh_on_benchmark_episodes(workload, monkeypatch):
+    """Every plan of seeds 1-3, planned with the memo the windows before
+    it leave (a warm memo), equals the plan of the same window solved
+    with the memo cleared; over a quarter of them are hits."""
+    cfg = load_config(BENCH_SCENARIOS / f"{workload}.yaml")
+    clear_engine_caches()
+    replays = _count_replays(monkeypatch)
+    planned = []
+
+    def both(queue, w_start, w_len, utility, config, **kwargs):
+        got = plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        hits = len(replays)
+        planner = scheduler._held_planner[0]
+        warm, planner._plans = planner._plans, scheduler._PlanMemo()
+        want = plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        planner._plans = warm
+        assert len(replays) == hits  # solved afresh
+        assert _plan_fields(got) == _plan_fields(want), w_start
+        planned.append(w_start)
+        return got
+
+    monkeypatch.setattr(engine, "plan_horizon", both)
+    for seed in (1, 2, 3):
+        engine.DefenderPass(cfg, seed, "star").run()
+    assert len(planned) == 3 * cfg.horizon // cfg.window
+    assert len(replays) > len(planned) // 4
+
+
+def _runs_in(inst, w_start, w_len) -> bool:
+    """Whether a queued instance can run in the window."""
+    return inst.active and inst.req < w_start + w_len and not (inst.spec.firm_deadline and inst.deadline < w_start)
+
+
+def _split_order(queue) -> list[int]:
+    high_uids, run_uids, *_ = EdfQueue(queue).split()
+    return [*high_uids, *(uid for uids in run_uids for uid in uids)]
+
+
+def _changed(queue, i, **fields):
+    """``queue`` with a copy of its i-th instance that has ``fields``."""
+    inst = copy.copy(queue[i])
+    for name, value in fields.items():
+        setattr(inst, name, value)
+    return queue[:i] + [inst] + queue[i + 1:]
+
+
+def _shifted(queue, by: int, uids_by: int = 0):
+    """``queue`` with every instance released ``by`` slots later and its
+    uid raised by ``uids_by``."""
+    out = []
+    for inst in queue:
+        inst = copy.copy(inst)
+        inst.uid += uids_by
+        inst.req += by
+        inst.deadline += by
+        out.append(inst)
+    return out
+
+
+def _key_input_changes(rng, queue, w_start, w_len, specs, after):
+    """Windows that differ from the given one in one input of the plan
+    memo's key, as ``(kind, queue, window start, specs)``.  A deadline
+    changes only where the queue's own split order stays as it was."""
+    w_end = w_start + w_len
+    out = []
+    running = [i for i, inst in enumerate(queue) if _runs_in(inst, w_start, w_len)]
+    if running:
+        i = int(rng.choice(running))
+        inst = queue[i]
+        left = [r for r in range(1, w_len + 1) if r != inst.remaining]
+        if left:
+            out.append(("remaining", _changed(queue, i, remaining=int(rng.choice(left))), w_start))
+        out.append(("inactive", _changed(queue, i, state=InstanceState.COMPLETED), w_start))
+        # released by its deadline - 1, as every instance is
+        reqs = [r for r in range(w_start - 1, min(w_end, inst.deadline)) if r != inst.req and max(r, inst.req) > w_start]
+        if reqs:
+            out.append(("release", _changed(queue, i, req=int(rng.choice(reqs))), w_start))
+        # the same code on another instance: one that can finish swaps its
+        # remaining work with one that cannot, or an inactive one that
+        # would run swaps its state with one that runs
+        past = [j for j in running if queue[j].remaining > w_len]
+        if inst.remaining <= w_len and past:
+            j = int(rng.choice(past))
+            swapped = _changed(_changed(queue, i, remaining=queue[j].remaining), j, remaining=inst.remaining)
+            out.append(("position", swapped, w_start))
+        idle = [
+            j for j, other in enumerate(queue)
+            if not other.active and other.req < w_end and not (other.spec.firm_deadline and other.deadline < w_start)
+        ]
+        if idle:
+            j = int(rng.choice(idle))
+            swapped = _changed(_changed(queue, i, state=queue[j].state), j, state=inst.state)
+            out.append(("position", swapped, w_start))
+    order = _split_order(queue)
+    for i in rng.permutation(running).tolist():
+        inst = queue[i]
+        high = inst.spec.priority is Priority.HIGH
+        firm = inst.spec.firm_deadline
+        for deadline in rng.permutation(np.arange(max(inst.req + 1, w_start), w_end + 12)).tolist():
+            old, new = inst.deadline - w_start, deadline - w_start
+            if new == old:
+                continue
+            if firm and min(old, new) + 1 < w_len:
+                kind = "expiry"
+            elif max(old, new) >= after[not high]:
+                kind = "deadline"
+            else:
+                continue
+            changed = _changed(queue, i, deadline=deadline)
+            if _split_order(changed) == order:
+                out.append((kind, changed, w_start))
+                break
+    if any(s.arrival.kind == "periodic" and s.arrival.interval > 1 for s in specs):
+        out.append(("phase", _shifted(queue, 1), w_start + 1))
+    out = [change + (specs,) for change in out]
+    # another spec object in the list, whose stand-ins draw half the demand;
+    # the queued instances keep theirs
+    j = int(rng.integers(len(specs)))
+    other = dataclasses.replace(specs[j], demand=np.asarray(specs[j].demand) / 2)
+    out.append(("specs", queue, w_start, specs[:j] + [other] + specs[j + 1:]))
+    return out
+
+
+def test_windows_that_differ_in_one_key_input_do_not_share_a_plan(monkeypatch):
+    """Pairs of random windows, planned one after the other with one
+    memo: the second differs from the first in one input of the key (a
+    remaining work that can finish in the window, a release offset, an
+    inactive state, a firm expiry inside the window, a deadline that can
+    sort after a stand-in, the window's phase, the instance a code
+    belongs to, or the identity of a spec in the list), so it must be
+    solved and planned as the reference plans it."""
+    rng = np.random.default_rng(38)
+    replays = _count_replays(monkeypatch)
+    kinds = ("remaining", "release", "inactive", "expiry", "deadline", "phase", "position", "specs")
+    pairs = dict.fromkeys(kinds, 0)
+    telling = dict(pairs)  # the pairs whose two plans differ
+    for _ in range(300):
+        queue, w_start, w_len, utility, config, specs, targets = _random_window(rng)
+        clear_plan_memo()
+        first = reference_plan_horizon(queue, w_start, w_len, utility, config, specs=specs, stability_targets=targets)
+        got = plan_horizon(EdfQueue(queue), w_start, w_len, utility, config, specs=specs, stability_targets=targets)
+        _assert_same_plan(got, first, utility, config)
+        after = scheduler._stand_in_template(scheduler._held_planner[0], specs, w_start)[3]
+        for kind, other, start, other_specs in _key_input_changes(rng, queue, w_start, w_len, specs, after):
+            kwargs = dict(specs=other_specs, stability_targets=targets)
+            want = reference_plan_horizon(other, start, w_len, utility, config, **kwargs)
+            hits = len(replays)
+            got = plan_horizon(EdfQueue(other), start, w_len, utility, config, **kwargs)
+            assert len(replays) == hits, kind
+            _assert_same_plan(got, want, utility, config)
+            pairs[kind] += 1
+            telling[kind] += (want["running"], want["z"], want["events"]) != (first["running"], first["z"], first["events"])
+    assert min(telling.values()) >= 5, (pairs, telling)
+
+
+def test_a_queue_with_a_negative_uid_is_planned_afresh(monkeypatch):
+    """A queued uid below the stand-ins' sorts before a stand-in of the
+    same deadline, where a non-negative uid sorts after it; the key does
+    not order the two, so such a queue bypasses the memo.  Here the two
+    instances cannot run side by side, so the tie decides which runs."""
+    spec = TaskSpec(
+        id="burst", nature=Nature.MISSION, priority=Priority.LOW,
+        arrival=Arrival(kind="periodic", interval=4), demand=[0.6],
+        power_weight=0.1, processing=6, relative_deadline=8,
+    )
+    config = SchedulerConfig(scan=ScanTask(demand=[0.1], duration=2, power_weight=0.1))
+    utility = UtilityParams()
+    replays = _count_replays(monkeypatch)
+    clear_plan_memo()
+    plans = []
+    for uid in (7, -2_000_000, 7):
+        inst = TaskInstance(uid=uid, spec=spec, req=0)  # deadline 8, as the stand-in released at 4
+        inst.state = InstanceState.ADMITTED
+        want = reference_plan_horizon([inst], 4, 4, utility, config, specs=[spec])
+        got = plan_horizon(EdfQueue([inst]), 4, 4, utility, config, specs=[spec])
+        _assert_same_plan(got, want, utility, config)
+        plans.append(got.running)
+    assert plans[0] != plans[1] and plans[2] == plans[0]
+    assert replays == [4]  # only the third plan is a hit
+
+
+def test_windows_that_differ_in_no_key_input_share_a_plan(monkeypatch):
+    """A random window moved by a whole number of its periodic specs'
+    intervals, with every uid raised by the same amount, has the key of
+    the window it was moved from: it is a hit, rebuilt with its own uids,
+    slots and events as the reference plans it."""
+    rng = np.random.default_rng(39)
+    replays = _count_replays(monkeypatch)
+    for _ in range(150):
+        queue, w_start, w_len, utility, config, specs, targets = _random_window(rng)
+        kwargs = dict(specs=specs, stability_targets=targets)
+        clear_plan_memo()
+        plan_horizon(EdfQueue(queue), w_start, w_len, utility, config, **kwargs)
+        by = math.lcm(*(s.arrival.interval for s in specs if s.arrival.kind == "periodic")) * int(rng.integers(1, 4))
+        moved = _shifted(queue, by, uids_by=int(rng.integers(0, 1000)))
+        want = reference_plan_horizon(moved, w_start + by, w_len, utility, config, **kwargs)
+        hits = len(replays)
+        got = plan_horizon(EdfQueue(moved), w_start + by, w_len, utility, config, **kwargs)
+        assert len(replays) == hits + 1
+        _assert_same_plan(got, want, utility, config)
+        assert got.start == w_start + by
+
+
+def test_changing_a_returned_plan_leaves_the_next_hit(monkeypatch):
+    """The caller owns each plan it is handed: changing the running
+    lists, z, the scan pattern or the events of a solved plan or of a
+    rebuilt one leaves the plans rebuilt after it."""
+    rng = np.random.default_rng(40)
+    replays = _count_replays(monkeypatch)
+    for _ in range(60):
+        queue, w_start, w_len, utility, config, specs, targets = _random_window(rng)
+        kwargs = dict(specs=specs, stability_targets=targets)
+        want = reference_plan_horizon(queue, w_start, w_len, utility, config, **kwargs)
+        clear_plan_memo()
+        for k in range(3):
+            plan = plan_horizon(EdfQueue(queue), w_start, w_len, utility, config, **kwargs)
+            _assert_same_plan(plan, want, utility, config)
+            plan.running[0].append(10**6)
+            plan.running.append([10**6])
+            plan.z[0] = 2.0
+            plan.scan_on[:] = 1
+            plan.events.append((w_start, "deferred-high-priority", "changed"))
+    assert len(replays) == 2 * 60
+
+
+def test_the_memo_keeps_its_bound_and_evicts_the_least_recently_used_plan(monkeypatch):
+    """With room for 3 plans: a hit makes its plan the most recently
+    used, a fourth plan evicts the least recently used, and an evicted
+    window is solved again."""
+    monkeypatch.setattr(scheduler, "_PLAN_MEMO_MAX", 3)
+    replays = _count_replays(monkeypatch)
+    utility = UtilityParams()
+    config = SchedulerConfig(scan=ScanTask(demand=[0.15, 0.05], duration=2, power_weight=0.25))
+    specs = _template_specs()
+    clear_plan_memo()
+    # the memo after each plan, least recently used first: 0; 0 1; 0 1 2;
+    # 1 2 0; 2 0 3; 0 3 1; 3 1 0; 1 0 2; 0 2 1; 2 1 3; 1 3 0
+    sequence = [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (0, 0)]
+    for w_start, hit in sequence:
+        hits = len(replays)
+        _template_plan(specs, w_start, 5, utility, config)
+        assert len(replays) == hits + hit, w_start
+        assert len(scheduler._held_planner[0]._plans.plans) <= 3
+
+
+def test_a_window_too_large_for_the_memo_is_solved_each_time(monkeypatch):
+    """The memo stores running positions as uint16: a window that runs an
+    instance at position 65,536 or later of its queue is not stored, and
+    is solved again the next time it is planned."""
+    spec = TaskSpec(
+        id="speck", nature=Nature.MISSION, priority=Priority.LOW,
+        arrival=Arrival(kind="aperiodic", rate=0.0), demand=[0.0],
+        power_weight=0.0, processing=3, relative_deadline=9,
+    )
+    config = SchedulerConfig(scan=ScanTask(demand=[0.1], duration=1, power_weight=0.1))
+    queue = [TaskInstance(uid=uid, spec=spec, req=0) for uid in range(1 << 16 | 1)]
+    replays = _count_replays(monkeypatch)
+    clear_plan_memo()
+    plans = [_plan_fields(plan_horizon(EdfQueue(queue), 0, 1, UtilityParams(), config, specs=[spec])) for _ in range(2)]
+    assert plans[0] == plans[1] and len(plans[0][4][0]) == len(queue)
+    assert replays == [] and not scheduler._held_planner[0]._plans.plans
